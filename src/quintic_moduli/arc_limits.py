@@ -142,47 +142,37 @@ def stretch_series(coeffs: Sequence[Fraction], k: int):
     return out
 
 
-def arc_limit(arc: ArcSpec) -> ConfigClass:
-    """Limit configuration class of the moduli point along the arc."""
+def classify_arc(arc: ArcSpec) -> tuple[str, ConfigClass]:
+    """The case-table branch of the arc (for reporting) and its limit class."""
     la, lb = arc.alpha_lead, arc.beta_lead
     if la is None and lb is None:
         raise ValueError("both series vanish: the arc does not leave the flex line")
     if lb is not None and (la is None or lb[0] <= la[0]):
-        return OneDouble(Fraction(0))
+        return "beta-dominant-j0", OneDouble(Fraction(0))
     if la is not None and (lb is None or lb[0] >= 2 * la[0]):
-        return OneDouble(J_HARMONIC)
+        return "alpha-dominant-j1728", OneDouble(J_HARMONIC)
     # remaining: n < m < 2n with both leads present
     n, alpha0 = la
     m, beta0 = lb
     if 2 * m > 3 * n:
-        return OneDouble(J_HARMONIC)
+        return "intermediate-j1728", OneDouble(J_HARMONIC)
     if 2 * m < 3 * n:
-        return OneDouble(Fraction(0))
+        return "intermediate-j0", OneDouble(Fraction(0))
     # balanced case: limit cubic u^3 - alpha0 u - beta0, doubled point at infinity
     disc = 4 * alpha0**3 - 27 * beta0**2
     if disc == 0:
-        return TwoDoubles()
-    return OneDouble(J_HARMONIC * 4 * alpha0**3 / disc)
+        return "balanced-degenerate", TwoDoubles()
+    return "balanced", OneDouble(J_HARMONIC * 4 * alpha0**3 / disc)
+
+
+def arc_limit(arc: ArcSpec) -> ConfigClass:
+    """Limit configuration class of the moduli point along the arc."""
+    return classify_arc(arc)[1]
 
 
 def arc_case_label(arc: ArcSpec) -> str:
     """Which branch of the case table the arc falls in (for reporting)."""
-    la, lb = arc.alpha_lead, arc.beta_lead
-    if la is None and lb is None:
-        raise ValueError("both series vanish")
-    if lb is not None and (la is None or lb[0] <= la[0]):
-        return "beta-dominant-j0"
-    if la is not None and (lb is None or lb[0] >= 2 * la[0]):
-        return "alpha-dominant-j1728"
-    n, alpha0 = la
-    m, beta0 = lb
-    if 2 * m > 3 * n:
-        return "intermediate-j1728"
-    if 2 * m < 3 * n:
-        return "intermediate-j0"
-    if 4 * alpha0**3 - 27 * beta0**2 == 0:
-        return "balanced-degenerate"
-    return "balanced"
+    return classify_arc(arc)[0]
 
 
 @dataclass(frozen=True)
@@ -292,6 +282,12 @@ def arc_limit_numeric(
     ``target_error`` (or ``max_points`` is reached).  A t whose root
     clustering is ambiguous is skipped; if fewer than 4 points survive,
     the schedule is too coarse and a ValueError is raised.
+
+    The roots move continuously along the schedule, so each root solve is
+    warm-started from the previous t's roots (rescaled to the new balanced
+    chart) and iterated at twice the working precision.  The first t, a t
+    where the number of finite roots changes, and a warm solve that does
+    not converge use a cold start at four times the working precision.
     """
     import mpmath as mp
 
@@ -310,12 +306,18 @@ def arc_limit_numeric(
         ratio = schedule[-1] / schedule[-2] if adaptive else None
         js = []
         skipped = 0
-        for t in schedule:
-            jt = _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio)
+        roots = None
+
+        def sample(t):
+            nonlocal skipped, roots
+            jt, roots = _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio, roots)
             if jt is None:
                 skipped += 1
             else:
                 js.append(jt)
+
+        for t in schedule:
+            sample(t)
         while True:
             if len(js) < 4:
                 raise ValueError(
@@ -343,11 +345,7 @@ def arc_limit_numeric(
                 )
             t = schedule[-1] * ratio
             schedule.append(t)
-            jt = _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio)
-            if jt is None:
-                skipped += 1
-            else:
-                js.append(jt)
+            sample(t)
 
 
 def _family_coefficients(mp, normal_form: FlexNormalForm, arc: ArcSpec, t):
@@ -374,7 +372,9 @@ def _family_coefficients(mp, normal_form: FlexNormalForm, arc: ArcSpec, t):
     return coeffs  # descending in x = x0/x1
 
 
-def _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio):
+def _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio, prev_roots=None):
+    """j of the merged configuration at t (None if the clustering is
+    ambiguous), and the finite roots in the x-chart, which seed the next t."""
     coeffs = _family_coefficients(mp, normal_form, arc, t)
     # projective roots as pairs (a : b); exact-zero top coefficients are
     # roots at infinity of the x-chart
@@ -391,14 +391,28 @@ def _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio):
         if sigma == 0 or mp.isinf(sigma):
             sigma = mp.mpf(1)
         scaled = [c * sigma ** (deg - k) for k, c in enumerate(poly)]
-        roots = mp.polyroots(scaled, maxsteps=1000, extraprec=3 * mp.mp.prec)
+        roots = None
+        if prev_roots is not None and len(prev_roots) == deg:
+            # continuation: the previous t's roots are close, so the
+            # simultaneous iteration converges in a few quadratic steps
+            try:
+                roots = mp.polyroots(
+                    scaled,
+                    maxsteps=1000,
+                    extraprec=mp.mp.prec,
+                    roots_init=[r / sigma for r in prev_roots],
+                )
+            except mp.mp.NoConvergence:
+                pass
+        if roots is None:
+            roots = mp.polyroots(scaled, maxsteps=1000, extraprec=3 * mp.mp.prec)
         roots = [r * sigma for r in roots]
     else:
         roots = []
     points = [(mp.mpc(r), mp.mpc(1)) for r in roots]
     points.extend([(mp.mpc(1), mp.mpc(0))] * lead_zeros)
     if len(points) != 5:
-        return None
+        return None, roots
     points = [_unit(mp, p) for p in points]
     points = _spread_chart(mp, points)
     # the colliding pair is the unique closest one
@@ -408,11 +422,11 @@ def _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio):
             dists.append((_chordal(mp, points[i], points[j]), i, j))
     dists.sort(key=lambda d: d[0])
     if dists[0][0] > 0 and dists[1][0] / dists[0][0] < ambiguity_ratio:
-        return None
+        return None, roots
     _, i, j = dists[0]
     merged = _midpoint(mp, points[i], points[j])
     quad = [p for k, p in enumerate(points) if k not in (i, j)] + [merged]
-    return _j_of_quadruple(mp, quad)
+    return _j_of_quadruple(mp, quad), roots
 
 
 def _unit(mp, p):
@@ -440,18 +454,27 @@ def _spread_chart(mp, points):
     """Send the best triple to (0, 1, inf) so only a true collision stays close.
 
     The triple is chosen (cheaply, in double precision) to maximise the
-    minimal pairwise distance of the mapped configuration; the chosen map
-    is then applied at working precision.
+    second-smallest pairwise distance of the mapped configuration, then the
+    smallest: exactly one pair may collide, so the smallest distance alone
+    ties between valid charts.  Scores are rounded and the points visited
+    in a canonical order (conjugates by the sign of the imaginary part), so
+    float noise cannot pick among tied charts differently from one t to the
+    next.  The chosen map is then applied at working precision.
     """
     fl = [(complex(a), complex(b)) for a, b in points]
 
     def det_f(p, q):
         return p[0] * q[1] - q[0] * p[1]
 
+    def affine(r):
+        z = fl[r][0] * fl[r][1].conjugate()
+        return (z.real, z.imag)
+
+    order = sorted(range(5), key=affine)
     best = None
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
+    for i in order:
+        for j in order:
+            for k in order:
                 if len({i, j, k}) != 3:
                     continue
                 c1 = det_f(fl[j], fl[k])
@@ -465,13 +488,14 @@ def _spread_chart(mp, points):
                         break
                     mapped.append((a / norm, b / norm))
                 else:
-                    dmin = min(
+                    dists = sorted(
                         abs(det_f(mapped[r], mapped[s]))
                         for r in range(5)
                         for s in range(r + 1, 5)
                     )
-                    if best is None or dmin > best[0]:
-                        best = (dmin, i, j, k)
+                    score = (round(dists[1], 9), round(dists[0], 9))
+                    if best is None or score > best[0]:
+                        best = (score, i, j, k)
     if best is None:
         return points
     _, i, j, k = best
@@ -516,10 +540,7 @@ def _extrapolate(mp, values):
                 nxt.append(seq[k + 2])
             else:
                 nxt.append(seq[k + 2] - d2 * d2 / den)
-        new_err = abs(nxt[-1] - last)
-        if not nxt:
-            break
+        err = abs(nxt[-1] - last)
         last = nxt[-1]
-        err = new_err
         seq = nxt
     return last, err

@@ -18,9 +18,8 @@ from fractions import Fraction
 from .arc_limits import (
     ArcSpec,
     FlexNormalForm,
-    arc_case_label,
-    arc_limit,
     arc_limit_numeric,
+    classify_arc,
 )
 from .binary_forms import BinaryQuintic
 from .fiber_counting import FiberCountError, count_fiber
@@ -231,8 +230,7 @@ def cmd_arc_limit(args, out: Reporter) -> int:
     alpha = _parse_rational_list(args.alpha) if args.alpha else []
     beta = _parse_rational_list(args.beta) if args.beta else []
     arc = ArcSpec(alpha, beta, truncation=args.truncation)
-    label = arc_case_label(arc)
-    limit = arc_limit(arc)
+    label, limit = classify_arc(arc)
     record = {"record": "arc-limit", "case": label}
     j_exact = None
     if hasattr(limit, "j"):

@@ -11,7 +11,7 @@ Res(f, g) = (-1)**(deg f * deg g) * Res(g, f).
 Resultants are computed by a Euclidean remainder scheme (never by root
 finding); the bivariate eliminant is computed by specialising one
 variable at enough sample points and interpolating, which is how the
-degree-2400 eliminant of the fiber system stays tractable.
+degree-600 eliminant of the fiber system stays tractable.
 """
 
 from __future__ import annotations

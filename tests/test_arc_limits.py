@@ -170,3 +170,83 @@ def test_flex_normal_form_validation():
         FlexNormalForm.from_terms({(4, 0, 0): 1})  # f4(0, 1, 0) != 1
     with pytest.raises(ValueError):
         FlexNormalForm.from_terms({(0, 4, 0): 1, (1, 1, 1): 2})  # degree 3 term
+
+
+def test_numeric_oracle_triple_collision_arc():
+    # three roots shrink onto 0 as an equilateral triangle: the
+    # cluster-preserving chart must not make every t look ambiguous
+    arc = ArcSpec([0, 0, -5, -2, 3], [0, 0, 3, 0, 1])
+    num = arc_limit_numeric(FlexNormalForm.default(), arc)
+    assert not num.diverged and abs(num.j) < 1e-6
+
+
+def test_spread_chart_keeps_the_colliding_pair_close():
+    import mpmath as mp
+
+    from quintic_moduli.arc_limits import _chordal, _spread_chart, _unit
+
+    with mp.workdps(50):
+        finite = [(mp.mpc(x), mp.mpc(1)) for x in (0, mp.mpf("1e-4"), 1, -1)]
+        points = [_unit(mp, p) for p in finite + [(mp.mpc(1), mp.mpc(0))]]
+        chart = _spread_chart(mp, points)
+        dists = sorted(
+            (float(_chordal(mp, chart[i], chart[j])), i, j)
+            for i in range(5)
+            for j in range(i + 1, 5)
+        )
+    # the pair stays the closest and the others spread: the chosen chart's
+    # second-smallest distance is about 1/sqrt(2) (a max-min chart gets 0.32)
+    assert dists[0][1:] == (0, 1)
+    assert dists[1][0] > 0.7
+
+
+def test_numeric_oracle_picks_one_of_two_conjugate_charts():
+    """Tied conjugate charts are resolved the same way at every t, so the
+    imaginary part of j_t (nonzero at finite t) never flips sign."""
+    import mpmath as mp
+
+    from quintic_moduli.arc_limits import _j_at_parameter
+
+    nf = FlexNormalForm.default()
+    arc = ArcSpec([0, 1], [0, 1])
+    signs = set()
+    roots = None
+    with mp.workdps(120):
+        for t in default_schedule(12):
+            jt, roots = _j_at_parameter(mp, nf, arc, mp.mpf(t), 3.0, roots)
+            if jt is not None:
+                signs.add(mp.sign(mp.im(jt)))
+    assert len(signs) == 1
+
+
+def test_numeric_oracle_readme_arc_precision():
+    num = arc_limit_numeric(FlexNormalForm.default(), ArcSpec([0, 0, 1], [0, 0, 0, 1]))
+    exact = -6912 / 23
+    assert abs(num.j - exact) <= 1e-10 * abs(num.j)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [([0, 0, 1], [0, 0, 0, 1]), ([0, 0, 3], [0, 0, 0, 2])]
+)
+def test_numeric_oracle_cold_fallback(monkeypatch, alpha, beta):
+    """Every warm-started root solve failing gives the cold-start answer."""
+    import mpmath
+
+    nf = FlexNormalForm.default()
+    arc = ArcSpec(alpha, beta)
+    warm = arc_limit_numeric(nf, arc)
+    polyroots = mpmath.polyroots
+    refused = []
+
+    def no_warm_start(*args, **kwargs):
+        if "roots_init" in kwargs:
+            refused.append(1)
+            raise mpmath.mp.NoConvergence("refused")
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", no_warm_start)
+    cold = arc_limit_numeric(nf, arc)
+    assert refused
+    assert cold.diverged == warm.diverged
+    if not warm.diverged:
+        assert abs(cold.j - warm.j) <= 1e-7 * abs(warm.j)
