@@ -85,7 +85,7 @@ from .plane_curves import (
     plucker_counts,
     restrict_to_line,
 )
-from .polys import MultiPoly, PolynomialRing, UniPoly, interpolate, poly_eval
+from .polys import MultiPoly, PolynomialRing, UniPoly, interpolate
 from .scalars import GF, QQ, Field, PrimeField, RationalField
 
 __all__ = [name for name in dir() if not name.startswith("_")]

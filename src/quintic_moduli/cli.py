@@ -113,7 +113,7 @@ def _parse_frame(text: str, field):
 
 def _echo(out: Reporter, args, command: str, **extra):
     record = {"record": "config", "command": command}
-    for key in ("curve", "prime", "primes", "seed", "retries", "threads", "r", "tolerance"):
+    for key in ("curve", "prime", "primes", "seed", "retries", "r", "tolerance"):
         if hasattr(args, key) and getattr(args, key) is not None:
             record[key] = getattr(args, key)
     record.update(extra)
@@ -274,13 +274,7 @@ def cmd_fiber_count(args, out: Reporter) -> int:
     fiber_degrees = []
     for prime in primes:
         try:
-            report = count_fiber(
-                curve,
-                prime,
-                seed=args.seed,
-                max_retries=args.retries,
-                threads=args.threads,
-            )
+            report = count_fiber(curve, prime, seed=args.seed, max_retries=args.retries)
         except FiberCountError as exc:
             return out.fail(str(exc), prime=prime, causes=list(exc.causes))
         out.emit(
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=False, prime=False, primes=False, seed=False, retries=False, threads=False):
+    def common(p, curve=False, prime=False, primes=False, seed=False, retries=False):
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
         if curve:
             p.add_argument("--curve", required=True, help="curve file (JSON records)")
@@ -371,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         if retries:
             p.add_argument("--retries", type=int, default=8)
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
         return p
 
     p = common(sub.add_parser("invariants", help="invariants of a binary quintic"), prime=True)
@@ -417,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         primes=True,
         seed=True,
         retries=True,
-        threads=True,
     )
     p.set_defaults(func=cmd_fiber_count)
 

@@ -16,9 +16,6 @@ degree-600 eliminant of the fiber system stays tractable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
-
 from .polys import MultiPoly, UniPoly, interpolate
 from .scalars import Field, PrimeField
 
@@ -134,9 +131,7 @@ def _eval_slices(rows, deg_elim, powers, field: Field):
     return out
 
 
-def resultant_bivar_elim(
-    f: MultiPoly, g: MultiPoly, eliminated_var: int, threads: int = 1
-) -> UniPoly:
+def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> UniPoly:
     """Eliminate one variable from a bivariate pair by sampling + interpolation.
 
     Samples the kept variable at ``deg(f)*deg(g) + 1`` points where neither
@@ -184,28 +179,13 @@ def resultant_bivar_elim(
         return s, resultant_uni(UniPoly(F, fc), UniPoly(F, gc))
 
     limit = F.p if isinstance(F, PrimeField) else needed + 4 * max(df_e, dg_e) + 64
-    candidates = range(limit)
     samples: list[tuple] = []
-    if threads > 1:
-        # deterministic: results are keyed by the sample index, and the
-        # kept prefix is decided by index order, not completion order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            block = 2 * needed + 16
-            results = list(pool.map(try_sample, range(min(block, limit))))
-        samples = [r for r in results if r is not None][:needed]
-        next_n = min(block, limit)
-        while len(samples) < needed and next_n < limit:
-            r = try_sample(next_n)
-            if r is not None:
-                samples.append(r)
-            next_n += 1
-    else:
-        for n in candidates:
-            r = try_sample(n)
-            if r is not None:
-                samples.append(r)
-                if len(samples) == needed:
-                    break
+    for n in range(limit):
+        r = try_sample(n)
+        if r is not None:
+            samples.append(r)
+            if len(samples) == needed:
+                break
     if len(samples) < needed:
         raise ValueError(
             f"could not collect {needed} good samples "

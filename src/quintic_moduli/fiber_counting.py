@@ -186,7 +186,6 @@ def count_fiber(
     seed: int,
     max_retries: int = 8,
     target: WPPoint | None = None,
-    threads: int = 1,
 ) -> FiberReport:
     """Count the fiber of the line-to-moduli map over one target.
 
@@ -195,6 +194,8 @@ def count_fiber(
     retries).  Precondition: the curve passes the genericity checks; see
     :func:`quintic_moduli.plane_curves.genericity_report`.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     field = GF(prime)
     reduced = curve if curve.field is field else curve.reduce_mod(field)
     rng = random.Random(seed)
@@ -205,7 +206,7 @@ def count_fiber(
         frame = random_invertible_frame(field, rng)
         try:
             g1, g2 = build_fiber_system(reduced, drawn, frame)
-            eliminant = resultant_bivar_elim(g1, g2, 1, threads=threads)
+            eliminant = resultant_bivar_elim(g1, g2, 1)
             if eliminant.degree != ELIMINANT_DEGREE:
                 raise FiberRetryError(
                     f"eliminant degree {eliminant.degree} != {ELIMINANT_DEGREE}"
@@ -241,25 +242,17 @@ def fiber_histogram(
     n_targets: int,
     seed: int,
     max_retries: int = 8,
-    threads: int = 1,
 ) -> list:
     """Fiber degrees over independent random targets, failures annotated.
 
     Returns a list with one entry per target: either a FiberReport or the
-    FiberCountError recording why that target could not be counted.
+    FiberCountError recording why that target could not be counted.  Invalid
+    arguments (such as ``max_retries < 0``) raise ValueError instead.
     """
     out = []
     for k in range(n_targets):
         try:
-            out.append(
-                count_fiber(
-                    curve,
-                    prime,
-                    seed * 100003 + k,
-                    max_retries=max_retries,
-                    threads=threads,
-                )
-            )
+            out.append(count_fiber(curve, prime, seed * 100003 + k, max_retries=max_retries))
         except FiberCountError as exc:
             out.append(exc)
     return out

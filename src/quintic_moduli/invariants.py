@@ -132,23 +132,27 @@ class TwoDoubles:
 ConfigClass = Union[Smooth5, OneDouble, TwoDoubles]
 
 
-def quintic_covariants(f: BinaryForm):
-    """The covariant chain (i, j, ell, q) used by every invariant here."""
+def _chain(f: BinaryForm):
+    """Covariants i, j and the chain values (J4, J8, J12): six transvectants."""
     i = transvectant(f, f, 4)
     j = transvectant(i, f, 2)
-    ell = transvectant(i * i, f, 4)
     q = transvectant(j, j, 2)
-    return i, j, ell, q
+    J4 = transvectant(i, i, 2).coeffs[0]
+    J8 = transvectant(q, i, 2).coeffs[0]
+    J12 = transvectant(q, q, 2).coeffs[0]
+    return i, j, (J4, J8, J12)
+
+
+def _j18(f: BinaryForm, i: BinaryForm, j: BinaryForm):
+    """J18 = (j, ell^3)_3 with ell = (i*i, f)_4, from the chain's i and j."""
+    ell = transvectant(i * i, f, 4)
+    return transvectant(j, ell * ell * ell, 3).coeffs[0]
 
 
 def raw_invariants(f: BinaryForm):
     """Unnormalised chain values (J4, J8, J12, J18)."""
-    i, j, ell, q = quintic_covariants(f)
-    J4 = transvectant(i, i, 2).coeffs[0]
-    J8 = transvectant(q, i, 2).coeffs[0]
-    J12 = transvectant(q, q, 2).coeffs[0]
-    J18 = transvectant(j, ell * ell * ell, 3).coeffs[0]
-    return J4, J8, J12, J18
+    i, j, triple = _chain(f)
+    return (*triple, _j18(f, i, j))
 
 
 def family_quintic(ring: PolynomialRing) -> BinaryQuintic:
@@ -214,36 +218,9 @@ def _normalisation() -> dict:
     return _NORMALISATION
 
 
-def invariants(f: BinaryQuintic) -> InvariantVector:
-    """The normalised invariant quadruple (I4, I8, I12, I18) of a quintic."""
-    R = f.ring
+def _normalise(R: Ring, J4, J8, J12):
+    """(I4, I8, I12) from the chain values, by the pinned scale factors."""
     norm = _normalisation()
-    J4, J8, J12, J18 = raw_invariants(f)
-    i4 = R.mul(R.from_fraction(norm["s4"]), J4)
-    i4sq = R.mul(i4, i4)
-    i8 = R.add(
-        R.mul(R.from_fraction(norm["u8"]), J8), R.mul(R.from_fraction(norm["v8"]), i4sq)
-    )
-    i12 = R.add(
-        R.add(
-            R.mul(R.from_fraction(norm["u12"]), J12),
-            R.mul(R.from_fraction(norm["v12"]), R.mul(i4sq, i4)),
-        ),
-        R.mul(R.from_fraction(norm["w12"]), R.mul(i4, i8)),
-    )
-    return InvariantVector(R, i4, i8, i12, J18)
-
-
-def invariant_triple(f: BinaryQuintic):
-    """(I4, I8, I12) only; the lean path for moduli and fiber-counting loops."""
-    R = f.ring
-    norm = _normalisation()
-    i = transvectant(f, f, 4)
-    j = transvectant(i, f, 2)
-    q = transvectant(j, j, 2)
-    J4 = transvectant(i, i, 2).coeffs[0]
-    J8 = transvectant(q, i, 2).coeffs[0]
-    J12 = transvectant(q, q, 2).coeffs[0]
     i4 = R.mul(R.from_fraction(norm["s4"]), J4)
     i4sq = R.mul(i4, i4)
     i8 = R.add(
@@ -257,6 +234,17 @@ def invariant_triple(f: BinaryQuintic):
         R.mul(R.from_fraction(norm["w12"]), R.mul(i4, i8)),
     )
     return i4, i8, i12
+
+
+def invariants(f: BinaryQuintic) -> InvariantVector:
+    """The normalised invariant quadruple (I4, I8, I12, I18) of a quintic."""
+    i, j, triple = _chain(f)
+    return InvariantVector(f.ring, *_normalise(f.ring, *triple), _j18(f, i, j))
+
+
+def invariant_triple(f: BinaryQuintic):
+    """(I4, I8, I12) only; the lean path for moduli and fiber-counting loops."""
+    return _normalise(f.ring, *_chain(f)[2])
 
 
 def discriminant_invariant(iv: InvariantVector):

@@ -43,7 +43,7 @@ from .residue_rings import (
     residue_poly_trim,
     split_modulus,
 )
-from .scalars import GF, QQ, Field, PrimeField
+from .scalars import GF, QQ, Field, PrimeField, Ring
 
 
 class LineInCurveError(ValueError):
@@ -76,19 +76,30 @@ class PlaneCurve:
 
     @classmethod
     def from_records(cls, records: Sequence, field: Field = QQ) -> "PlaneCurve":
-        """Build from (i, j, k, coefficient) records; must be homogeneous.
+        """Build from [i, j, k, coefficient] records; must be homogeneous.
 
-        Coefficients may be ints, Fractions, or strings like "3/4".
+        Exponents are non-negative ints; coefficients are ints, Fractions or
+        rational strings like "3/4".  Anything else (a float, a bool, a
+        record of another shape) raises ValueError: a curve is never read
+        inexactly.
         """
+        if not isinstance(records, (list, tuple)):
+            raise ValueError("a curve is a list of [i, j, k, coefficient] records")
         terms: dict[tuple, object] = {}
         for rec in records:
-            if isinstance(rec, dict):
-                i, j, k, c = rec["i"], rec["j"], rec["k"], rec["c"]
-            else:
-                i, j, k, c = rec
-            if min(i, j, k) < 0:
-                raise ValueError(f"negative exponent in record {rec!r}")
-            value = field.from_fraction(Fraction(c))
+            if not isinstance(rec, (list, tuple)) or len(rec) != 4:
+                raise ValueError(f"curve record {rec!r} is not a list [i, j, k, coefficient]")
+            i, j, k, c = rec
+            if any(type(x) is not int or x < 0 for x in (i, j, k)):
+                raise ValueError(f"exponents must be non-negative integers in record {rec!r}")
+            if type(c) not in (int, str, Fraction):
+                raise ValueError(
+                    f"coefficient must be an integer or a rational string in record {rec!r}"
+                )
+            try:
+                value = field.from_fraction(Fraction(c))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad coefficient in record {rec!r}: {exc}") from None
             e = (i, j, k)
             terms[e] = field.add(terms.get(e, field.zero), value)
         return cls(MultiPoly(field, 3, terms))
@@ -199,28 +210,37 @@ class LineChart:
         return tuple(lins)
 
 
+def _restrict_form(ring: Ring, poly: MultiPoly, coords) -> BinaryForm:
+    """F(l1, l2, l3) for a ternary form F and three order-1 binary forms over ``ring``.
+
+    The coefficients of F are embedded with ``ring.from_base``; the result
+    has the order of F and may be the zero form.
+    """
+    d = sum(next(iter(poly.terms)))
+    pows = []
+    for lin in coords:
+        row = [BinaryForm(ring, [ring.one])]
+        for _ in range(d):
+            row.append(row[-1] * lin)
+        pows.append(row)
+    acc = BinaryForm.zero(ring, d)
+    for (i, j, k), c in poly.terms.items():
+        acc = acc + (pows[0][i] * pows[1][j] * pows[2][k]).scale(ring.from_base(c))
+    return acc
+
+
 def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
     """The binary quintic cut on the chart's line by a degree-5 curve."""
     if curve.degree != 5:
         raise ValueError("restriction to a binary quintic needs a degree-5 curve")
     if curve.field is not chart.field:
         raise ValueError("curve and chart live over different fields")
-    F = curve.field
-    l1, l2, l3 = chart.parametrisation()
-    pows: list[list[BinaryForm]] = []
-    for lin in (l1, l2, l3):
-        row = [BinaryForm(F, [F.one])]
-        for _ in range(5):
-            row.append(row[-1] * lin)
-        pows.append(row)
-    acc = BinaryForm.zero(F, 5)
-    for (i, j, k), c in curve.poly.terms.items():
-        acc = acc + (pows[0][i] * pows[1][j] * pows[2][k]).scale(c)
+    acc = _restrict_form(curve.field, curve.poly, chart.parametrisation())
     if acc.is_zero():
         raise LineInCurveError(
             "restriction vanished identically: the line lies on the curve"
         )
-    return BinaryQuintic(F, acc.coeffs)
+    return BinaryQuintic(curve.field, acc.coeffs)
 
 
 def phi(curve: PlaneCurve, chart: LineChart) -> WPPoint:
@@ -393,21 +413,6 @@ def _eval_ternary(ring: ResidueRing, poly: MultiPoly, point) -> object:
     return acc
 
 
-def _restrict_to_span(ring: ResidueRing, poly: MultiPoly, coords) -> BinaryForm:
-    """Restrict a GF(p) ternary form to a line given by three order-1 forms."""
-    pows = []
-    for lin in coords:
-        row = [BinaryForm(ring, [ring.one])]
-        for _ in range(5):
-            row.append(row[-1] * lin)
-        pows.append(row)
-    acc = BinaryForm.zero(ring, 5)
-    for (i, j, k), c in poly.terms.items():
-        term = (pows[0][i] * pows[1][j] * pows[2][k]).scale(ring.from_base(c))
-        acc = acc + term
-    return acc
-
-
 def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
     """Divide a binary form by the linear form vanishing at (s0 : t0).
 
@@ -489,8 +494,7 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
         s0, t0 = u, z0
     else:
         return False  # gradient vanishes: singular point, not a flex
-    restriction = _restrict_to_span(ring, curve_poly, coords)
-    current = restriction
+    current = _restrict_form(ring, curve_poly, coords)
     for _ in range(3):
         current, rem = _divide_root(ring, current, s0, t0)
         if not ring.is_zero(rem):

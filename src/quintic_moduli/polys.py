@@ -422,11 +422,6 @@ class PolynomialRing:
         return f"PolynomialRing({self.field!r}, arity={self.arity})"
 
 
-def poly_eval(p: MultiPoly, point: Sequence):
-    """Value of ``p`` at ``point``; arity and field must match exactly."""
-    return p.eval(point)
-
-
 def interpolate(samples: Sequence[tuple], field: Field) -> UniPoly:
     """Unique polynomial of degree < ``len(samples)`` through the samples.
 

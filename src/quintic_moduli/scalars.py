@@ -71,6 +71,10 @@ class Ring:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    def from_base(self, c):
+        """Embed a scalar of the base field; a field is its own base."""
+        return c
+
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)

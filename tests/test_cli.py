@@ -172,6 +172,22 @@ def test_malformed_curve_file_fails_cleanly(tmp_path, capsys):
     assert by_kind(out, "failure")
 
 
+def test_bad_curve_record_fails_cleanly(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('[[5, 0, 0, "1"], [0, "5", 0, 1]]')
+    code, out = run_cli(capsys, "restrict", "--curve", str(bad), "--a", "1", "--b", "2", "--format", "jsonl")
+    assert code == 1
+    (failure,) = by_kind(out, "failure")
+    assert failure["error_type"] == "ValueError" and "[0, '5', 0, 1]" in failure["message"]
+
+
+def test_negative_retries_fail_cleanly(capsys):
+    code, out = run_cli(capsys, "fiber-count", "--curve", GENERIC, "--retries", "-1", "--format", "jsonl")
+    assert code == 1
+    (failure,) = by_kind(out, "failure")
+    assert failure["error_type"] == "ValueError" and "-1" in failure["message"]
+
+
 def test_text_mode_prints_human_lines(capsys):
     code, out = run_cli(capsys, "plucker", "--d", "5")
     assert code == 0

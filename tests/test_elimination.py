@@ -102,7 +102,7 @@ def test_bivariate_elimination_matches_direct_resultants():
     rng = random.Random(3)
     f = MultiPoly(F, 2, {(i, j): rng.randrange(F.p) for i in range(4) for j in range(3)})
     g = MultiPoly(F, 2, {(i, j): rng.randrange(F.p) for i in range(3) for j in range(4)})
-    r = resultant_bivar_elim(f, g, 0, threads=1)
+    r = resultant_bivar_elim(f, g, 0)
     # check at fresh sample points against direct univariate resultants
     for s in (501, 502, 777):
         def specialise(poly, val):
@@ -114,15 +114,6 @@ def test_bivariate_elimination_matches_direct_resultants():
         fu, gu = specialise(f, s), specialise(g, s)
         if fu.degree == f.degree_in(0) and gu.degree == g.degree_in(0):
             assert r.eval(F.from_int(s)) == resultant_uni(fu, gu)
-
-
-def test_bivariate_elimination_threads_agree():
-    rng = random.Random(4)
-    f = MultiPoly(F, 2, {(i, j): rng.randrange(F.p) for i in range(5) for j in range(4)})
-    g = MultiPoly(F, 2, {(i, j): rng.randrange(F.p) for i in range(4) for j in range(5)})
-    assert resultant_bivar_elim(f, g, 1, threads=1) == resultant_bivar_elim(
-        f, g, 1, threads=4
-    )
 
 
 def test_squarefree_examples():

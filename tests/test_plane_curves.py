@@ -47,6 +47,27 @@ def test_curve_validation():
         PlaneCurve.from_records([])
     with pytest.raises(ValueError):
         PlaneCurve.from_records([[5, 0, 0, "1"], [5, 0, 0, "-1"]])  # cancels to zero
+    with pytest.raises(ValueError):
+        PlaneCurve.from_records(5)  # a curve file that is not a list
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        [0, "5", 0, 1],  # string exponent
+        [True, 4, 0, 1],  # bool exponent
+        [5, 0, 0, 0.1],  # float coefficient: would be read inexactly
+        [5, 0, 0, True],  # bool coefficient
+        [5, 0, 0, "x/2"],  # not a rational string
+        [5, 0, 0, "1/0"],
+        [5, 0, 0],  # too short
+        [5, 0, 0, 1, 1],  # too long
+        {"i": 5, "j": 0, "k": 0, "c": 1},  # dict records are not a format
+    ],
+)
+def test_curve_record_contract(record):
+    with pytest.raises(ValueError):
+        PlaneCurve.from_records([[0, 5, 0, "1"], record])
 
 
 def test_fermat_restriction_closed_form():

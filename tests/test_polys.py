@@ -8,7 +8,6 @@ from quintic_moduli.polys import (
     UniPoly,
     interpolate,
     interpolate_bivariate,
-    poly_eval,
 )
 from quintic_moduli.scalars import GF, QQ
 
@@ -57,10 +56,10 @@ def test_field_mismatch_rejected():
 def test_multipoly_eval_examples():
     # p = x^2 + y
     p = MultiPoly(QQ, 2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
-    assert poly_eval(p, [Fraction(0), Fraction(0)]) == 0
-    assert poly_eval(p, [Fraction(2), Fraction(3)]) == 7
+    assert p.eval([Fraction(0), Fraction(0)]) == 0
+    assert p.eval([Fraction(2), Fraction(3)]) == 7
     with pytest.raises(ValueError):
-        poly_eval(p, [Fraction(1)])
+        p.eval([Fraction(1)])
 
 
 def test_restricted_fermat_root_evaluates_to_zero():
@@ -79,7 +78,7 @@ def test_restricted_fermat_root_evaluates_to_zero():
             break
     assert root is not None
     biv = MultiPoly(F, 2, {(5 - k, k): c for k, c in enumerate(f.coeffs) if c})
-    assert poly_eval(biv, [root, F.one]) == 0
+    assert biv.eval([root, F.one]) == 0
 
 
 def test_multipoly_compose_matches_eval():
@@ -94,8 +93,8 @@ def test_multipoly_compose_matches_eval():
     composed = p.compose(args)
     for point in [(0, 0), (4, 9), (123, 456)]:
         pt = [F.from_int(v) for v in point]
-        inner = [poly_eval(g, pt) for g in args]
-        assert poly_eval(composed, pt) == poly_eval(p, inner)
+        inner = [g.eval(pt) for g in args]
+        assert composed.eval(pt) == p.eval(inner)
 
 
 def test_interpolate_examples():
@@ -126,7 +125,7 @@ def test_interpolate_bivariate_roundtrip():
     )
     xs = [F.from_int(v) for v in range(5)]
     ys = [F.from_int(v) for v in range(4)]
-    values = [[poly_eval(poly, (x, y)) for y in ys] for x in xs]
+    values = [[poly.eval((x, y)) for y in ys] for x in xs]
     assert interpolate_bivariate(xs, ys, values, F) == poly
 
 
