@@ -5,13 +5,15 @@ one JSON object per line with stable, sorted keys.  Every run echoes its
 configuration (command, seed, primes, files) in the first record so the
 output is reproducible byte for byte from the echo.  Exit status 0 means
 the command produced its report; computational failures exit nonzero
-after emitting a machine-readable failure record.
+after emitting a machine-readable failure record, and so do command-line
+usage errors (exit 2, usage on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -82,6 +84,41 @@ class Reporter:
     def fail(self, message: str, **extra) -> int:
         self.emit({"record": "failure", "message": message, **extra})
         return 1
+
+
+class UsageError(Exception):
+    """A malformed command line; ``main`` reports it as a failure record."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(f"{parser.prog}: error: {message}")
+        self.usage = parser.format_usage()
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
+def _requested_format(argv: list[str]) -> str:
+    """The ``--format`` of a command line that failed to parse; text if unreadable."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", choices=("text", "jsonl"), default="text")
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except UsageError:
+        return "text"
+
+
+def _positive_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -338,7 +375,7 @@ def cmd_relation(args, out: Reporter) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quintic-moduli",
         description=(
             "Exact workbench for the degree of the map sending a line to the "
@@ -400,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="", help="comma coefficients from t^0")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--numeric", action="store_true", help="run the numeric cross-check")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_positive_tolerance, default=1e-6)
     p.set_defaults(func=cmd_arc_limit)
 
     p = common(
@@ -423,7 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(exc.usage)
+        Reporter(_requested_format(argv)).fail(str(exc), error_type="UsageError")
+        return 2
     out = Reporter(args.format)
     _echo(out, args, args.command)
     try:

@@ -9,15 +9,16 @@ coefficient rows first.  Consequences: Res(x-a, x-b) = b-a, and
 Res(f, g) = (-1)**(deg f * deg g) * Res(g, f).
 
 Resultants are computed by a Euclidean remainder scheme (never by root
-finding); the bivariate eliminant is computed by specialising one
-variable at enough sample points and interpolating, which is how the
-degree-600 eliminant of the fiber system stays tractable.
+finding).  The bivariate eliminant is computed over GF(p) only, by
+specialising one variable at enough sample points and interpolating,
+which is how the degree-600 eliminant of the fiber system stays
+tractable.
 """
 
 from __future__ import annotations
 
 from .polys import MultiPoly, UniPoly, interpolate
-from .scalars import Field, PrimeField
+from .scalars import PrimeField
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -112,42 +113,37 @@ def _specialise(poly: MultiPoly, keep: int, elim: int):
     return rows, max_keep
 
 
-def _eval_slices(rows, deg_elim, powers, field: Field):
-    """Specialised univariate coefficients (ascending in the eliminated var)."""
-    out = [field.zero] * (deg_elim + 1)
-    if isinstance(field, PrimeField):
-        p = field.p
-        for j, slices in rows.items():
-            acc = 0
-            for k, c in slices:
-                acc += c * powers[k]
-            out[j] = acc % p
-    else:
-        for j, slices in rows.items():
-            acc = field.zero
-            for k, c in slices:
-                acc = field.add(acc, field.mul(c, powers[k]))
-            out[j] = acc
+def _eval_slices(rows, deg_elim, powers, p: int):
+    """Specialised univariate coefficients mod p (ascending in the eliminated var)."""
+    out = [0] * (deg_elim + 1)
+    for j, slices in rows.items():
+        acc = 0
+        for k, c in slices:
+            acc += c * powers[k]
+        out[j] = acc % p
     return out
 
 
 def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> UniPoly:
     """Eliminate one variable from a bivariate pair by sampling + interpolation.
 
-    Samples the kept variable at ``deg(f)*deg(g) + 1`` points where neither
-    leading coefficient in the eliminated variable vanishes (vanishing points
-    are skipped and replaced), takes univariate resultants there, and
-    interpolates.  Degree bound: total-degree product.
+    GF(p) only.  Samples the kept variable at ``deg(f)*deg(g) + 1`` points
+    where neither leading coefficient in the eliminated variable vanishes
+    (vanishing points are skipped and replaced), takes univariate
+    resultants there, and interpolates.  Degree bound: total-degree product.
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in elimination")
+    F = f.field
+    if not isinstance(F, PrimeField):
+        raise ValueError(f"bivariate elimination runs over a prime field, not {F!r}")
     if f.arity != 2 or g.arity != 2:
         raise ValueError("bivariate elimination requires arity-2 polynomials")
     if eliminated_var not in (0, 1):
         raise ValueError("eliminated_var must be 0 or 1")
     if f.is_zero() or g.is_zero():
         raise ValueError("elimination of a zero polynomial")
-    F = f.field
+    p = F.p
     keep = 1 - eliminated_var
     df_e = f.degree_in(eliminated_var)
     dg_e = g.degree_in(eliminated_var)
@@ -160,32 +156,21 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     g_rows, g_keep = _specialise(g, keep, eliminated_var)
     max_keep = max(f_keep, g_keep)
 
-    if isinstance(F, PrimeField) and F.p < needed:
-        raise ValueError(
-            f"field GF({F.p}) too small for {needed} interpolation samples"
-        )
+    if p < needed:
+        raise ValueError(f"field GF({p}) too small for {needed} interpolation samples")
 
-    def try_sample(n: int):
-        s = F.from_int(n)
-        powers = [F.one]
-        for _ in range(max_keep):
-            powers.append(F.mul(powers[-1], s))
-        fc = _eval_slices(f_rows, df_e, powers, F)
-        gc = _eval_slices(g_rows, dg_e, powers, F)
-        if F.is_zero(fc[-1]) or F.is_zero(gc[-1]):
-            return None  # leading coefficient vanished here; resample
-        if isinstance(F, PrimeField):
-            return s, _resultant_modp(fc, gc, F.p)
-        return s, resultant_uni(UniPoly(F, fc), UniPoly(F, gc))
-
-    limit = F.p if isinstance(F, PrimeField) else needed + 4 * max(df_e, dg_e) + 64
     samples: list[tuple] = []
-    for n in range(limit):
-        r = try_sample(n)
-        if r is not None:
-            samples.append(r)
-            if len(samples) == needed:
-                break
+    for s in range(p):
+        powers = [1]
+        for _ in range(max_keep):
+            powers.append(powers[-1] * s % p)
+        fc = _eval_slices(f_rows, df_e, powers, p)
+        gc = _eval_slices(g_rows, dg_e, powers, p)
+        if fc[-1] == 0 or gc[-1] == 0:
+            continue  # leading coefficient vanished here; resample
+        samples.append((s, _resultant_modp(fc, gc, p)))
+        if len(samples) == needed:
+            break
     if len(samples) < needed:
         raise ValueError(
             f"could not collect {needed} good samples "

@@ -197,7 +197,7 @@ def count_fiber(
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     field = GF(prime)
-    reduced = curve if curve.field is field else curve.reduce_mod(field)
+    reduced = curve.reduce_mod(field)
     rng = random.Random(seed)
     causes: list[str] = []
     fixed_target = target is not None

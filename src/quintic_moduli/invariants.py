@@ -170,6 +170,18 @@ def family_quintic(ring: PolynomialRing) -> BinaryQuintic:
     return BinaryQuintic(ring, coeffs)
 
 
+def family_closed_forms(ring: PolynomialRing):
+    """The closed forms of (I4, I8, I12) on ``family_quintic``, in QQ[l, m, n]."""
+    l, m, n = ring.variable(0), ring.variable(1), ring.variable(2)
+    sigma1 = l + m + n
+    sigma2 = m * n + n * l + l * m
+    prod3 = l * m * n
+    t4 = sigma2 * sigma2 - (prod3 * sigma1).scale(Fraction(4))
+    t8 = prod3 * prod3 * sigma2
+    t12 = (prod3 * prod3) * (prod3 * prod3)
+    return t4, t8, t12
+
+
 def _match_on_family(columns, target):
     """Exact coefficients x with sum x_j * columns[j] == target, verified."""
     monomials = set(target.terms)
@@ -200,17 +212,8 @@ def _normalisation() -> dict:
     if _NORMALISATION is not None:
         return _NORMALISATION
     ring = PolynomialRing(QQ, 3)
-    l, m, n = ring.variable(0), ring.variable(1), ring.variable(2)
-    fam = family_quintic(ring)
-    A4, A8, A12, _ = raw_invariants(fam)
-
-    sigma1 = l + m + n
-    sigma2 = m * n + n * l + l * m
-    prod3 = l * m * n
-    t4 = sigma2 * sigma2 - (prod3 * sigma1).scale(Fraction(4))
-    t8 = prod3 * prod3 * sigma2
-    t12 = (prod3 * prod3) * (prod3 * prod3)
-
+    A4, A8, A12, _ = raw_invariants(family_quintic(ring))
+    t4, t8, t12 = family_closed_forms(ring)
     (s4,) = _match_on_family([A4], t4)
     u8, v8 = _match_on_family([A8, t4 * t4], t8)
     u12, v12, w12 = _match_on_family([A12, t4 * t4 * t4, t4 * t8], t12)
@@ -257,13 +260,12 @@ def moduli_point(f: BinaryQuintic) -> WPPoint:
     """(I4 : I8 : I12) in the weighted plane; rejects unstable quintics."""
     if not isinstance(f.ring, Field):
         raise ValueError("moduli points need field coefficients")
-    iv = invariants(f)
-    R = iv.ring
-    if R.is_zero(iv.i4) and R.is_zero(iv.i8) and R.is_zero(iv.i12):
+    triple = invariant_triple(f)
+    if all(f.ring.is_zero(c) for c in triple):
         raise UnstableQuinticError(
             "quintic has a root of multiplicity >= 3; its moduli point is undefined"
         )
-    return WPPoint(R, iv.i4, iv.i8, iv.i12)
+    return WPPoint(f.ring, *triple)
 
 
 def is_stable(f: BinaryQuintic) -> bool:

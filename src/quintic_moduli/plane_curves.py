@@ -31,6 +31,7 @@ from .elimination import (
 from .invariants import (
     UnstableQuinticError,
     WPPoint,
+    family_closed_forms,
     family_quintic,
     invariants,
     moduli_point,
@@ -108,11 +109,11 @@ class PlaneCurve:
         return [[i, j, k, str(c)] for (i, j, k), c in self.poly.sorted_terms()]
 
     def reduce_mod(self, target: PrimeField) -> "PlaneCurve":
-        """Reduction of a rational curve modulo p."""
+        """Reduction of a rational curve modulo p; a curve over ``target`` is kept."""
         if self.field is target:
             return self
         if self.field is not QQ:
-            raise ValueError("can only reduce a rational curve")
+            raise ValueError(f"cannot reduce a curve over {self.field!r} to {target!r}")
         reduced = self.poly.map_coefficients(target, target.from_fraction)
         if reduced.is_zero():
             raise ValueError(f"curve vanishes modulo {target.p}")
@@ -302,15 +303,8 @@ def fermat_degree_factorization() -> int:
     25, 6 and 1.
     """
     ring = PolynomialRing(QQ, 3)
-    l, m, n = ring.variable(0), ring.variable(1), ring.variable(2)
     iv = invariants(family_quintic(ring))
-    sigma1 = l + m + n
-    sigma2 = m * n + n * l + l * m
-    prod3 = l * m * n
-    expected_i4 = sigma2 * sigma2 - (prod3 * sigma1).scale(Fraction(4))
-    expected_i8 = prod3 * prod3 * sigma2
-    expected_i12 = (prod3 * prod3) * (prod3 * prod3)
-    if iv.i4 != expected_i4 or iv.i8 != expected_i8 or iv.i12 != expected_i12:
+    if (iv.i4, iv.i8, iv.i12) != family_closed_forms(ring):
         raise ArithmeticError(
             "invariant normalisation broke the closed forms on the Fermat family"
         )
@@ -568,12 +562,7 @@ def genericity_report(
     if curve.degree != 5:
         raise ValueError("genericity checks are for quintics")
     field = GF(prime)
-    if isinstance(curve.field, PrimeField):
-        if curve.field is not field:
-            raise ValueError("curve is over a different prime field")
-        reduced = curve
-    else:
-        reduced = curve.reduce_mod(field)
+    reduced = curve.reduce_mod(field)
     flex_total = plucker_counts(5).flex_count
     rng = random.Random(seed)
     notes: list[str] = []

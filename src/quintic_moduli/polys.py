@@ -92,22 +92,13 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly.zero(F)
-        if isinstance(F, PrimeField):
-            # accumulate with plain ints, reduce once per coefficient
-            p = F.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return UniPoly(F, [c % p for c in out])
+        # accumulate raw sums of products, reduce once per coefficient
         out = [F.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if F.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return UniPoly(F, out)
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return UniPoly(F, [F.reduce(c) for c in out])
 
     def scale(self, c) -> "UniPoly":
         F = self.field
@@ -149,22 +140,14 @@ class UniPoly:
             return UniPoly.zero(F), self
         inv_lc = F.inv(dv[-1])
         quo = [F.zero] * (dq + 1)
-        if isinstance(F, PrimeField):
-            p = F.p
-            for k in range(dq, -1, -1):
-                c = rem[k + len(dv) - 1] * inv_lc % p
-                if c:
-                    quo[k] = c
-                    for j, d in enumerate(dv):
-                        rem[k + j] = (rem[k + j] - c * d) % p
-        else:
-            for k in range(dq, -1, -1):
-                c = F.mul(rem[k + len(dv) - 1], inv_lc)
-                if not F.is_zero(c):
-                    quo[k] = c
-                    for j, d in enumerate(dv):
-                        rem[k + j] = F.sub(rem[k + j], F.mul(c, d))
-        return UniPoly(F, quo), UniPoly(F, rem[: len(dv) - 1])
+        # the remainder stays raw; only each quotient term is reduced
+        for k in range(dq, -1, -1):
+            c = F.reduce(rem[k + len(dv) - 1] * inv_lc)
+            if c:
+                quo[k] = c
+                for j, d in enumerate(dv):
+                    rem[k + j] -= c * d
+        return UniPoly(F, quo), UniPoly(F, [F.reduce(c) for c in rem[: len(dv) - 1]])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -261,21 +244,11 @@ class MultiPoly:
         if not self.terms or not other.terms:
             return MultiPoly.zero(F, self.arity)
         out: dict = {}
-        if isinstance(F, PrimeField):
-            p = F.p
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = (out.get(e, 0) + c1 * c2) % p
-            return MultiPoly(F, self.arity, out)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if e in out:
-                    out[e] = F.add(out[e], F.mul(c1, c2))
-                else:
-                    out[e] = F.mul(c1, c2)
-        return MultiPoly(F, self.arity, out)
+                out[e] = out.get(e, F.zero) + c1 * c2
+        return MultiPoly(F, self.arity, {e: F.reduce(c) for e, c in out.items()})
 
     def scale(self, c) -> "MultiPoly":
         F = self.field
@@ -422,47 +395,19 @@ class PolynomialRing:
         return f"PolynomialRing({self.field!r}, arity={self.arity})"
 
 
-def interpolate(samples: Sequence[tuple], field: Field) -> UniPoly:
+def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
     """Unique polynomial of degree < ``len(samples)`` through the samples.
 
-    Newton's divided differences; abscissae must be pairwise distinct.
+    GF(p) only.  Newton's divided differences on raw ints, with a batch
+    inverse table for the abscissa differences (samples are typically
+    consecutive integers); abscissae must be pairwise distinct.
     """
+    if not isinstance(field, PrimeField):
+        raise ValueError(f"interpolation runs over a prime field, not {field!r}")
+    p = field.p
     n = len(samples)
-    if n == 0:
-        return UniPoly.zero(field)
     xs = [s[0] for s in samples]
     ys = [s[1] for s in samples]
-    if isinstance(field, PrimeField):
-        return _interpolate_modp(xs, ys, field)
-    F = field
-    seen = set()
-    for x in xs:
-        if x in seen:
-            raise ValueError(f"repeated abscissa {x!r}")
-        seen.add(x)
-    # divided-difference table, in place
-    dd = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            num = F.sub(dd[i], dd[i - 1])
-            den = F.sub(xs[i], xs[i - level])
-            dd[i] = F.div(num, den)
-    # expand the Newton form
-    poly = UniPoly.zero(F)
-    basis = UniPoly.constant(F, F.one)
-    for k in range(n):
-        poly = poly + basis.scale(dd[k])
-        basis = basis * UniPoly(F, (F.neg(xs[k]), F.one))
-    return poly
-
-
-def _interpolate_modp(xs: list[int], ys: list[int], field: PrimeField) -> UniPoly:
-    # same Newton scheme on raw ints, with a batch inverse table for the
-    # abscissa differences (samples are typically consecutive integers)
-    p = field.p
-    n = len(xs)
-    if len(set(xs)) != n:
-        raise ValueError("repeated abscissa")
     deltas = set()
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
@@ -492,9 +437,9 @@ def _interpolate_modp(xs: list[int], ys: list[int], field: PrimeField) -> UniPol
 
 
 def interpolate_bivariate(
-    xs: Sequence, ys: Sequence, values: Sequence[Sequence], field: Field
+    xs: Sequence, ys: Sequence, values: Sequence[Sequence], field: PrimeField
 ) -> MultiPoly:
-    """Bivariate polynomial through a full grid of samples.
+    """Bivariate polynomial through a full grid of samples over GF(p).
 
     ``values[i][j]`` is the value at ``(xs[i], ys[j])``; the result is exact
     for any polynomial of degree < len(xs) in the first variable and

@@ -2,8 +2,8 @@
 
 Scalars are plain Python values: ``Fraction`` for the rationals, ``int``
 reduced to ``[0, p)`` for a prime field.  A field object supplies the
-arithmetic, so generic code (polynomials, transvectants, interpolation)
-is written once against the field interface.  Values from different
+arithmetic, so generic code (polynomials, transvectants) is written once
+against the field interface.  Values from different
 fields are never coerced into each other: polynomial operations compare
 field objects and raise on mismatch.
 
@@ -93,6 +93,10 @@ class Field(Ring):
     def inv(self, a):
         raise NotImplementedError
 
+    def reduce(self, x):
+        """Canonical representative of a raw ``+ - *`` combination of elements."""
+        raise NotImplementedError
+
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -119,6 +123,9 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
+
+    def reduce(self, x):
+        return x
 
     def from_int(self, n):
         return Fraction(n)
@@ -163,6 +170,9 @@ class PrimeField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def reduce(self, x):
+        return x % self.p
 
     def from_int(self, n):
         return n % self.p

@@ -192,3 +192,38 @@ def test_text_mode_prints_human_lines(capsys):
     code, out = run_cli(capsys, "plucker", "--d", "5")
     assert code == 0
     assert "[plucker]" in out and "bitangent_count=120" in out
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_arc_limit_rejects_bad_tolerance(capsys, tolerance):
+    code, out = run_cli(
+        capsys,
+        "arc-limit",
+        "--alpha", "0,0,1",
+        "--beta", "0,0,0,1",
+        "--numeric",
+        "--tolerance", tolerance,
+        "--format", "jsonl",
+    )
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out  # strict JSON only
+    (failure,) = records(out)
+    assert failure["record"] == "failure" and "--tolerance" in failure["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw-recursion", "--r", "x"],
+        ["relation", "--seed", "x"],
+        ["invariants", "--quintic", "1,0,0,0,0,1", "--prime", "x"],
+        ["fiber-count", "--curve", GENERIC, "--retries", "x"],
+    ],
+    ids=["r", "seed", "prime", "retries"],
+)
+def test_usage_errors_give_failure_records(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "jsonl")
+    assert code == 2
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["record"] == "failure" and last["error_type"] == "UsageError"
+    assert argv[-2] in last["message"]

@@ -159,6 +159,15 @@ def test_gcd_and_xgcd():
         assert s * a + t * b == d
 
 
+def test_interpolation_and_elimination_reject_QQ():
+    with pytest.raises(ValueError, match="prime field"):
+        interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))], QQ)
+    x = MultiPoly.variable(QQ, 2, 0)
+    s = MultiPoly.variable(QQ, 2, 1)
+    with pytest.raises(ValueError, match="prime field"):
+        resultant_bivar_elim(x - s, x * x - s, 0)
+
+
 def test_elimination_rejects_bad_inputs():
     x = MultiPoly.variable(F, 2, 0)
     with pytest.raises(ValueError):

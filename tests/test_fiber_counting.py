@@ -15,6 +15,7 @@ from quintic_moduli.fiber_counting import (
 )
 from quintic_moduli.invariants import WPPoint
 from quintic_moduli.plane_curves import (
+    genericity_report,
     hessian,
     random_invertible_frame,
 )
@@ -142,3 +143,11 @@ def test_fiber_histogram(generic_quintic):
     assert fiber_histogram(generic_quintic, 10007, n_targets=0, seed=1) == []
     with pytest.raises(ValueError):
         fiber_histogram(generic_quintic, 10007, n_targets=1, seed=1, max_retries=-1)
+
+
+def test_curve_over_another_prime_field_is_rejected(generic_quintic):
+    curve = generic_quintic.reduce_mod(GF(3001))
+    with pytest.raises(ValueError, match=r"GF\(3001\)"):
+        count_fiber(curve, 10007, seed=1)
+    with pytest.raises(ValueError, match=r"GF\(3001\)"):
+        genericity_report(curve, 10007)

@@ -20,6 +20,25 @@ def rand_unipoly(rng, field, degree):
     return UniPoly(field, coeffs)
 
 
+def rand_scalar(rng, field):
+    """A random element of QQ (small height) or of GF(p)."""
+    if field is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return rng.randrange(field.p)
+
+
+def rand_poly(rng, field, degree):
+    """Random polynomial of exactly the given degree over QQ or GF(p)."""
+    coeffs = [rand_scalar(rng, field) for _ in range(degree)]
+    lc = field.zero
+    while field.is_zero(lc):
+        lc = rand_scalar(rng, field)
+    return UniPoly(field, coeffs + [lc])
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, F], ids=repr)
+
+
 def test_unipoly_trims_and_reports_degree():
     assert UniPoly.from_ints(QQ, [1, 2, 0, 0]).degree == 1
     z = UniPoly.zero(QQ)
@@ -34,6 +53,37 @@ def test_unipoly_arithmetic_roundtrip():
         q, r = (f * g + f).divmod(g)
         assert q * g + r == f * g + f
         assert r.degree < g.degree
+
+
+@FIELDS
+def test_divmod_property(field):
+    rng = random.Random(21)
+    shapes = [(rng.randrange(0, 12), rng.randrange(0, 8)) for _ in range(40)]
+    for da, db in shapes + [(600, 597), (600, 2), (3, 5)]:
+        a, b = rand_poly(rng, field, da), rand_poly(rng, field, db)
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        assert all(type(c) is type(field.zero) for c in q.coeffs + r.coeffs)
+
+
+@FIELDS
+def test_products_match_evaluation(field):
+    rng = random.Random(22)
+    for _ in range(20):
+        f = rand_poly(rng, field, rng.randrange(0, 15))
+        g = rand_poly(rng, field, rng.randrange(0, 15))
+        fg = f * g
+        assert fg.degree == f.degree + g.degree
+        for _ in range(3):
+            x = rand_scalar(rng, field)
+            assert fg.eval(x) == field.mul(f.eval(x), g.eval(x))
+        p = MultiPoly(field, 2, {(i, j): rand_scalar(rng, field) for i in range(4) for j in range(3)})
+        q = MultiPoly(field, 2, {(i, j): rand_scalar(rng, field) for i in range(3) for j in range(4)})
+        pq = p * q
+        for _ in range(3):
+            pt = [rand_scalar(rng, field), rand_scalar(rng, field)]
+            assert pq.eval(pt) == field.mul(p.eval(pt), q.eval(pt))
 
 
 def test_unipoly_eval_and_derivative():
@@ -98,10 +148,12 @@ def test_multipoly_compose_matches_eval():
 
 
 def test_interpolate_examples():
-    samples = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))]
-    assert list(interpolate(samples, QQ).coeffs) == [Fraction(1), Fraction(1)]
+    assert list(interpolate([(0, 1), (1, 2)], F).coeffs) == [1, 1]
+    assert interpolate([], F).is_zero()
     with pytest.raises(ValueError):
-        interpolate([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))], QQ)
+        interpolate([(1, 0), (1, 2)], F)
+    with pytest.raises(ValueError):  # abscissae congruent mod p
+        interpolate([(1, 0), (1 + F.p, 2)], F)
 
 
 def test_interpolation_inverts_evaluation():
@@ -112,10 +164,6 @@ def test_interpolation_inverts_evaluation():
         xs = random.Random(rng.random()).sample(range(F.p), n)
         samples = [(x, poly.eval(x)) for x in xs]
         assert interpolate(samples, F) == poly
-    # over the rationals as well
-    poly = UniPoly.from_ints(QQ, [3, -2, 0, 5])
-    samples = [(Fraction(x), poly.eval(Fraction(x))) for x in range(4)]
-    assert interpolate(samples, QQ) == poly
 
 
 def test_interpolate_bivariate_roundtrip():
