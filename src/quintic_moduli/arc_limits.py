@@ -260,15 +260,22 @@ def default_schedule(n_points: int = 12, first: float = 0.08, ratio: float = 0.2
     return out
 
 
+#: Working precision of the numeric oracle, in decimal digits.
+ORACLE_DPS = 120
+#: A t is skipped unless its second-closest root pair is this many times
+#: farther apart than the closest (the colliding) pair.
+AMBIGUITY_RATIO = 3.0
+#: |j| above this at the last three points, and growing, reads as divergence.
+DIVERGENCE_THRESHOLD = 1e9
+#: Most points (used plus skipped) the adaptive schedule grows to.
+MAX_POINTS = 20
+
+
 def arc_limit_numeric(
     normal_form: FlexNormalForm,
     arc: ArcSpec,
     t_schedule: Sequence[float] | None = None,
-    dps: int = 120,
-    ambiguity_ratio: float = 3.0,
-    divergence_threshold: float = 1e9,
     target_error: float = 1e-8,
-    max_points: int = 20,
 ) -> NumericLimit:
     """Floating-point limit of j along the arc, without the case table.
 
@@ -279,7 +286,7 @@ def arc_limit_numeric(
     the t -> 0 limit is extrapolated from the geometric schedule.  An
     explicit schedule is used as given; the default one is extended
     adaptively until the extrapolation's own error estimate clears
-    ``target_error`` (or ``max_points`` is reached).  A t whose root
+    ``target_error`` (or ``MAX_POINTS`` is reached).  A t whose root
     clustering is ambiguous is skipped; if fewer than 4 points survive,
     the schedule is too coarse and a ValueError is raised.
 
@@ -301,7 +308,7 @@ def arc_limit_numeric(
     ):
         raise ValueError("the schedule must be strictly decreasing and positive")
 
-    with mp.workdps(dps):
+    with mp.workdps(ORACLE_DPS):
         schedule = [mp.mpf(t) for t in t_schedule]
         ratio = schedule[-1] / schedule[-2] if adaptive else None
         js = []
@@ -310,7 +317,7 @@ def arc_limit_numeric(
 
         def sample(t):
             nonlocal skipped, roots
-            jt, roots = _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio, roots)
+            jt, roots = _j_at_parameter(mp, normal_form, arc, t, AMBIGUITY_RATIO, roots)
             if jt is None:
                 skipped += 1
             else:
@@ -325,7 +332,7 @@ def arc_limit_numeric(
                     "refine the schedule"
                 )
             tail = [abs(v) for v in js[-3:]]
-            if all(v > divergence_threshold for v in tail) and tail[0] < tail[-1]:
+            if all(v > DIVERGENCE_THRESHOLD for v in tail) and tail[0] < tail[-1]:
                 return NumericLimit(
                     j=None,
                     error=float("inf"),
@@ -335,7 +342,7 @@ def arc_limit_numeric(
                 )
             estimate, err = _extrapolate(mp, js)
             good_enough = err < target_error * (1 + abs(estimate))
-            if not adaptive or good_enough or len(js) + skipped >= max_points:
+            if not adaptive or good_enough or len(js) + skipped >= MAX_POINTS:
                 return NumericLimit(
                     j=complex(estimate),
                     error=float(err),

@@ -6,9 +6,12 @@ data: top coefficients may vanish (a root at (1:0)); the zero form of a
 given order is allowed, since derivatives and transvectants produce it.
 
 Coefficients live in any ``Ring`` from :mod:`.scalars` /
-:mod:`.polys` (rationals, a prime field, or a polynomial ring for
-symbolic identities), so the same covariant code serves numeric and
-symbolic callers.
+:mod:`.polys` (rationals, a prime field, a polynomial ring for symbolic
+identities, or a residue ring GF(p)[u]/(h) for the flex probe), so the
+same covariant code serves numeric and symbolic callers.  Products go
+through ``polys.dense_product``, the kernel ``UniPoly`` multiplies with,
+and ``substitute_linear`` is the one substitution of order-1 forms into a
+binary or a ternary form.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .polys import UniPoly
+from .polys import UniPoly, dense_product
 from .scalars import Field, Ring
 
 
@@ -67,14 +70,7 @@ class BinaryForm:
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         self._check(other)
-        R = self.ring
-        out = [R.zero] * (self.order + other.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if R.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
-        return BinaryForm(R, out)
+        return BinaryForm(self.ring, dense_product(self.ring, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "BinaryForm":
         R = self.ring
@@ -115,20 +111,9 @@ class BinaryForm:
         ``m = ((a, b), (c, d))`` with entries in the coefficient ring.
         """
         R = self.ring
-        (a, b), (c, d) = m
-        lin1 = BinaryForm(R, [a, b])
-        lin2 = BinaryForm(R, [c, d])
         n = self.order
-        p1 = [BinaryForm(R, [R.one])]
-        p2 = [BinaryForm(R, [R.one])]
-        for _ in range(n):
-            p1.append(p1[-1] * lin1)
-            p2.append(p2[-1] * lin2)
-        acc = BinaryForm.zero(R, n)
-        for k, coeff in enumerate(self.coeffs):
-            if not R.is_zero(coeff):
-                acc = acc + (p1[n - k] * p2[k]).scale(coeff)
-        return acc
+        lins = [BinaryForm(R, row) for row in m]
+        return substitute_linear(R, (((n - k, k), c) for k, c in enumerate(self.coeffs)), lins, n)
 
     def to_unipoly(self) -> UniPoly:
         """Dehomogenise at y = 1, i.e. f(X, 1) as a univariate polynomial."""
@@ -171,6 +156,29 @@ class BinaryQuintic(BinaryForm):
     @classmethod
     def from_ints(cls, ring: Ring, ints: Sequence[int]) -> "BinaryQuintic":
         return cls(ring, [ring.from_int(n) for n in ints])
+
+
+def substitute_linear(ring: Ring, terms, lins: Sequence[BinaryForm], order: int) -> BinaryForm:
+    """Replace each variable of a form by an order-1 binary form over ``ring``.
+
+    ``terms`` yields (exponent tuple, coefficient) pairs of a form of the
+    given order in ``len(lins)`` variables; the result is the sum of
+    c * lins[0]**e[0] * lins[1]**e[1] * ..., of that order, possibly zero.
+    """
+    pows = []
+    for lin in lins:
+        row = [BinaryForm(ring, [ring.one])]
+        for _ in range(order):
+            row.append(row[-1] * lin)
+        pows.append(row)
+    acc = BinaryForm.zero(ring, order)
+    for e, c in terms:
+        if not ring.is_zero(c):
+            t = pows[0][e[0]]
+            for row, k in zip(pows[1:], e[1:]):
+                t = t * row[k]
+            acc = acc + t.scale(c)
+    return acc
 
 
 def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:

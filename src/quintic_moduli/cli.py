@@ -126,7 +126,7 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 
 def _field_for(prime: int | None):
-    return GF(prime) if prime else QQ
+    return QQ if prime is None else GF(prime)
 
 
 def _parse_quintic(text: str, prime: int | None) -> BinaryQuintic:
@@ -187,7 +187,7 @@ def cmd_moduli(args, out: Reporter) -> int:
 def cmd_restrict(args, out: Reporter) -> int:
     field = _field_for(args.prime)
     curve = load_curve(args.curve, QQ)
-    if args.prime:
+    if args.prime is not None:
         curve = curve.reduce_mod(field)
     frame = _parse_frame(args.frame, field)
     a = field.from_fraction(Fraction(args.a))

@@ -331,7 +331,12 @@ def relation_value(iv: InvariantVector, coefficients):
     return acc
 
 
-def find_fundamental_relation(n_samples: int = 24, seed: int = 0) -> list[Fraction]:
+#: Random rational quintics sampled by ``find_fundamental_relation``: well
+#: above the 13 candidate monomials, so the null space holds true relations only.
+RELATION_SAMPLES = 24
+
+
+def find_fundamental_relation(seed: int = 0) -> list[Fraction]:
     """The unique degree-36 relation among the generators, up to scale.
 
     Evaluates the 13 candidate monomials (see RELATION_MONOMIALS) on random
@@ -340,13 +345,11 @@ def find_fundamental_relation(n_samples: int = 24, seed: int = 0) -> list[Fracti
     """
     import random
 
-    if n_samples < 20:
-        raise ValueError("need at least 20 sample quintics")
     rng = random.Random(seed)
     from .linalg import nullspace
 
     rows = []
-    while len(rows) < n_samples:
+    while len(rows) < RELATION_SAMPLES:
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
         if all(c == 0 for c in coeffs):
             continue

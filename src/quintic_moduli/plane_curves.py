@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .binary_forms import BinaryForm, BinaryQuintic
+from .binary_forms import BinaryForm, BinaryQuintic, substitute_linear
 from .elimination import (
     gcd_uni,
     resultant_bivar_elim,
@@ -33,17 +33,11 @@ from .invariants import (
     WPPoint,
     family_closed_forms,
     family_quintic,
-    invariants,
+    invariant_triple,
     moduli_point,
 )
 from .polys import MultiPoly, PolynomialRing, UniPoly
-from .residue_rings import (
-    ResidueRing,
-    SplitNeeded,
-    residue_poly_gcd,
-    residue_poly_trim,
-    split_modulus,
-)
+from .residue_rings import ResidueRing, SplitNeeded, split_modulus
 from .scalars import GF, QQ, Field, PrimeField, Ring
 
 
@@ -217,17 +211,8 @@ def _restrict_form(ring: Ring, poly: MultiPoly, coords) -> BinaryForm:
     The coefficients of F are embedded with ``ring.from_base``; the result
     has the order of F and may be the zero form.
     """
-    d = sum(next(iter(poly.terms)))
-    pows = []
-    for lin in coords:
-        row = [BinaryForm(ring, [ring.one])]
-        for _ in range(d):
-            row.append(row[-1] * lin)
-        pows.append(row)
-    acc = BinaryForm.zero(ring, d)
-    for (i, j, k), c in poly.terms.items():
-        acc = acc + (pows[0][i] * pows[1][j] * pows[2][k]).scale(ring.from_base(c))
-    return acc
+    terms = ((e, ring.from_base(c)) for e, c in poly.terms.items())
+    return substitute_linear(ring, terms, coords, sum(next(iter(poly.terms))))
 
 
 def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
@@ -303,8 +288,7 @@ def fermat_degree_factorization() -> int:
     25, 6 and 1.
     """
     ring = PolynomialRing(QQ, 3)
-    iv = invariants(family_quintic(ring))
-    if (iv.i4, iv.i8, iv.i12) != family_closed_forms(ring):
+    if invariant_triple(family_quintic(ring)) != family_closed_forms(ring):
         raise ArithmeticError(
             "invariant normalisation broke the closed forms on the Fermat family"
         )
@@ -373,7 +357,7 @@ def _restrict_y0(poly: MultiPoly, field: Field) -> UniPoly:
     return UniPoly(field, [coeffs.get(k, field.zero) for k in range(n + 1)])
 
 
-def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> list:
+def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> UniPoly:
     """Bivariate (u, z) polynomial as a z-polynomial with residue coefficients."""
     field = ring.base
     by_z: dict[int, dict[int, object]] = {}
@@ -384,27 +368,7 @@ def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> list:
         row = by_z.get(k, {})
         coeffs = [row.get(d, field.zero) for d in range(max(row, default=0) + 1)]
         out.append(ring.reduce(UniPoly(field, coeffs)))
-    return residue_poly_trim(out, ring)
-
-
-def _eval_ternary(ring: ResidueRing, poly: MultiPoly, point) -> object:
-    """Evaluate a GF(p) ternary form at a point with residue-ring coordinates."""
-    if poly.is_zero():
-        return ring.zero
-    x, y, z = point
-    maxdeg = max(sum(e) for e in poly.terms)
-    xp, yp, zp = [ring.one], [ring.one], [ring.one]
-    for _ in range(maxdeg):
-        xp.append(ring.mul(xp[-1], x))
-        yp.append(ring.mul(yp[-1], y))
-        zp.append(ring.mul(zp[-1], z))
-    acc = ring.zero
-    for (i, j, k), c in poly.terms.items():
-        term = ring.mul(ring.from_base(c), xp[i])
-        term = ring.mul(term, yp[j])
-        term = ring.mul(term, zp[k])
-        acc = ring.add(acc, term)
-    return acc
+    return UniPoly(ring, out)
 
 
 def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
@@ -438,7 +402,6 @@ def _probe_flexes(curve_poly: MultiPoly, hess_poly: MultiPoly, modulus: UniPoly)
     Returns (verified_degree, failed_degree): conjugate flexes count with
     the degree of their residue factor.  Splits the modulus on demand.
     """
-    field = modulus.field
     try:
         ring = ResidueRing(modulus)
         ok = _probe_single(ring, curve_poly, hess_poly)
@@ -455,15 +418,15 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
     u = ring.generator()
     dz = _zpoly_over(ring, _dehom_y(curve_poly, field))
     hz = _zpoly_over(ring, _dehom_y(hess_poly, field))
-    g = residue_poly_gcd(dz, hz, ring)
-    if len(g) - 1 != 1:
-        raise _FrameRetry(
-            f"flex fiber gcd has degree {len(g) - 1}, expected 1; reframe"
-        )
-    z0 = ring.neg(g[0])
-    gx = _eval_ternary(ring, curve_poly.derivative(0), (u, ring.one, z0))
-    gy = _eval_ternary(ring, curve_poly.derivative(1), (u, ring.one, z0))
-    gz = _eval_ternary(ring, curve_poly.derivative(2), (u, ring.one, z0))
+    g = gcd_uni(dz, hz)
+    if g.degree != 1:
+        raise _FrameRetry(f"flex fiber gcd has degree {g.degree}, expected 1; reframe")
+    z0 = ring.neg(g.coeffs[0])
+    point = (u, ring.one, z0)
+    gx, gy, gz = (
+        curve_poly.derivative(v).map_coefficients(ring, ring.from_base).eval(point)
+        for v in range(3)
+    )
     # tangent-line parametrisation with a unit pivot in the gradient
     if ring.is_unit(gz):
         coords = (
@@ -504,10 +467,8 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
 def _certify_singular(ring: ResidueRing, partials_bivar) -> bool:
     """True iff the three partials share a zero above some root of the modulus."""
     try:
-        zpolys = [_zpoly_over(ring, p) for p in partials_bivar]
-        g = residue_poly_gcd(zpolys[0], zpolys[1], ring)
-        g = residue_poly_gcd(g, zpolys[2], ring)
-        return len(g) - 1 >= 1
+        zx, zy, zz = (_zpoly_over(ring, p) for p in partials_bivar)
+        return gcd_uni(gcd_uni(zx, zy), zz).degree >= 1
     except SplitNeeded as split:
         h1, h2 = split_modulus(ring, split.factor)
         return _certify_singular(ResidueRing(h1), partials_bivar) or _certify_singular(
@@ -550,9 +511,11 @@ def _smooth_in_frame(framed: PlaneCurve) -> bool:
     return True
 
 
-def genericity_report(
-    curve: PlaneCurve, prime: int, seed: int = 0, max_frames: int = 6
-) -> GenericityReport:
+#: Random frames ``genericity_report`` tries before it gives up.
+MAX_FRAMES = 6
+
+
+def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> GenericityReport:
     """Run the three exact genericity checks over GF(prime).
 
     The curve must have degree 5 (rational curves are reduced mod p first).
@@ -566,7 +529,7 @@ def genericity_report(
     flex_total = plucker_counts(5).flex_count
     rng = random.Random(seed)
     notes: list[str] = []
-    for attempt in range(1, max_frames + 1):
+    for attempt in range(1, MAX_FRAMES + 1):
         frame = random_invertible_frame(field, rng)
         framed = reduced.composed_with_frame(frame)
         try:
@@ -618,7 +581,7 @@ def genericity_report(
             notes.append(f"frame {attempt}: {exc}")
             continue
     raise RuntimeError(
-        f"no usable frame in {max_frames} attempts: " + "; ".join(notes)
+        f"no usable frame in {MAX_FRAMES} attempts: " + "; ".join(notes)
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense univariate and sparse multivariate polynomials over an exact field.
+"""Dense univariate and sparse multivariate polynomials over an exact ring.
 
 ``UniPoly`` stores an ascending coefficient tuple with the top coefficient
 nonzero; the zero polynomial is the empty tuple and reports degree ``-inf``.
@@ -6,7 +6,14 @@ nonzero; the zero polynomial is the empty tuple and reports degree ``-inf``.
 stored zero coefficients are never kept.  Both are immutable after
 construction and safe to share across threads.
 
-Operations mixing distinct fields (or arities) raise ``ValueError`` rather
+The coefficients come from any ``Ring`` of :mod:`.scalars`: QQ, GF(p), a
+``PolynomialRing`` or a residue ring GF(p)[u]/(h).  The kernels use only
+the values' ``+ - *`` and the ring's ``reduce``; ``dense_product`` is the
+one product loop, shared with ``BinaryForm``.  Division (``divmod``,
+``monic`` and so the gcds built on them) also calls the ring's ``inv``,
+which over a residue ring may raise ``SplitNeeded``.
+
+Operations mixing distinct rings (or arities) raise ``ValueError`` rather
 than coercing.  Term iteration for display/serialisation is sorted
 lexicographically on exponent tuples so output is deterministic.
 """
@@ -16,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Field, PrimeField
+from .scalars import Field, PrimeField, Ring
 
 NEG_INF = float("-inf")
 
@@ -26,12 +33,26 @@ def _check_same_field(a, b):
         raise ValueError(f"field mismatch: {a.field!r} vs {b.field!r}")
 
 
+def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
+    """Coefficients of the product of two nonempty dense coefficient sequences.
+
+    Raw sums of products are accumulated with the values' own ``+`` and
+    ``*``, and ``ring.reduce`` is called once per output coefficient.
+    """
+    out = [ring.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ring.is_zero(ai):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [ring.reduce(c) for c in out]
+
+
 class UniPoly:
     """Dense univariate polynomial; ``coeffs[k]`` multiplies ``x**k``."""
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: Iterable):
+    def __init__(self, field: Ring, coeffs: Iterable):
         coeffs = list(coeffs)
         while coeffs and field.is_zero(coeffs[-1]):
             coeffs.pop()
@@ -89,26 +110,13 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         _check_same_field(self, other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if self.is_zero() or other.is_zero():
             return UniPoly.zero(F)
-        # accumulate raw sums of products, reduce once per coefficient
-        out = [F.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return UniPoly(F, [F.reduce(c) for c in out])
+        return UniPoly(F, dense_product(F, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "UniPoly":
         F = self.field
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by ``x**k``."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs)
 
     def eval(self, x):
         F = self.field
@@ -143,7 +151,7 @@ class UniPoly:
         # the remainder stays raw; only each quotient term is reduced
         for k in range(dq, -1, -1):
             c = F.reduce(rem[k + len(dv) - 1] * inv_lc)
-            if c:
+            if not F.is_zero(c):
                 quo[k] = c
                 for j, d in enumerate(dv):
                     rem[k + j] -= c * d
@@ -350,7 +358,7 @@ class MultiPoly:
         return f"MultiPoly({self.field!r}, arity={self.arity}, {dict(self.sorted_terms())!r})"
 
 
-class PolynomialRing:
+class PolynomialRing(Ring):
     """Ring interface whose elements are ``MultiPoly`` values.
 
     Lets coefficient-generic code (the transvectant chain in particular)
@@ -381,6 +389,9 @@ class PolynomialRing:
 
     def from_fraction(self, q: Fraction):
         return MultiPoly.constant(self.field, self.arity, self.field.from_fraction(q))
+
+    def from_base(self, c):
+        return MultiPoly.constant(self.field, self.arity, c)
 
     def is_zero(self, a):
         return a.is_zero()

@@ -7,11 +7,15 @@ nontrivial factor of h and a ``SplitNeeded`` escape carries it upward.
 The caller reruns the computation modulo each factor.  This decides
 questions "at every root of h simultaneously" without ever factoring h
 into irreducibles.
+
+Elements are reduced ``UniPoly`` values over GF(p) and ``reduce`` is
+``poly % h``, so ``UniPoly(ResidueRing(h), ...)`` runs the dense kernels of
+:mod:`.polys` unchanged: products accumulate raw and reduce once per
+coefficient, and ``gcd_uni`` escapes with ``SplitNeeded`` from the ``inv``
+inside ``divmod`` and ``monic``.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .elimination import xgcd_uni
 from .polys import UniPoly
@@ -91,12 +95,8 @@ class ResidueRing(Ring):
         """True/False for unit/zero; zero divisors raise SplitNeeded."""
         if a.is_zero():
             return False
-        d, _, _ = xgcd_uni(a, self.modulus)
-        if d.degree == 0:
-            return True
-        if d.degree < self.modulus.degree:
-            raise SplitNeeded(d)
-        return False
+        self.inv(a)
+        return True
 
     def __repr__(self):
         return f"ResidueRing({self.modulus!r})"
@@ -107,36 +107,3 @@ def split_modulus(ring: ResidueRing, factor: UniPoly) -> tuple[UniPoly, UniPoly]
     h = ring.modulus
     other = (h // factor).monic()
     return factor.monic(), other
-
-
-def residue_poly_trim(coeffs: list, ring: ResidueRing) -> list:
-    coeffs = list(coeffs)
-    while coeffs and ring.is_zero(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
-
-
-def residue_poly_gcd(a: Sequence, b: Sequence, ring: ResidueRing) -> list:
-    """Monic gcd of two polynomials with residue-ring coefficients.
-
-    Behaves like the field case branchwise; leading-coefficient inversions
-    may raise SplitNeeded, which the caller handles by splitting.
-    """
-    a = residue_poly_trim(a, ring)
-    b = residue_poly_trim(b, ring)
-    while b:
-        db = len(b) - 1
-        inv_lb = ring.inv(b[-1])
-        r = list(a)
-        while len(r) - 1 >= db:
-            c = ring.mul(r[-1], inv_lb)
-            shift = len(r) - 1 - db
-            for j in range(db + 1):
-                r[shift + j] = ring.sub(r[shift + j], ring.mul(c, b[j]))
-            r.pop()  # top coefficient is now exactly zero
-            r = residue_poly_trim(r, ring)
-        a, b = b, r
-    if not a:
-        return []
-    inv_la = ring.inv(a[-1])
-    return [ring.mul(inv_la, c) for c in a]

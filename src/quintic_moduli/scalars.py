@@ -1,11 +1,15 @@
 """Exact coefficient arithmetic: rationals and fixed odd prime fields.
 
 Scalars are plain Python values: ``Fraction`` for the rationals, ``int``
-reduced to ``[0, p)`` for a prime field.  A field object supplies the
+reduced to ``[0, p)`` for a prime field.  A ring object supplies the
 arithmetic, so generic code (polynomials, transvectants) is written once
-against the field interface.  Values from different
-fields are never coerced into each other: polynomial operations compare
-field objects and raise on mismatch.
+against the ``Ring`` interface.  Its ``reduce`` maps a raw ``+ - *``
+combination of elements to the canonical representative (``x % p`` on
+GF(p), the identity on QQ and on polynomial rings, ``x % h`` on a residue
+ring GF(p)[u]/(h)), which lets the dense kernels accumulate with the
+values' own operators and reduce once per output coefficient.  Values from
+different rings are never coerced into each other: polynomial operations
+compare ring objects and raise on mismatch.
 
 Prime fields require an odd prime ``p >= 2503``.  The lower bound keeps
 every factorial scaling, squarefree multiplicity and interpolation node
@@ -75,6 +79,10 @@ class Ring:
         """Embed a scalar of the base field; a field is its own base."""
         return c
 
+    def reduce(self, x):
+        """Canonical representative of a raw ``+ - *`` combination of elements."""
+        return x
+
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -91,10 +99,6 @@ class Field(Ring):
     """A ring with division."""
 
     def inv(self, a):
-        raise NotImplementedError
-
-    def reduce(self, x):
-        """Canonical representative of a raw ``+ - *`` combination of elements."""
         raise NotImplementedError
 
     def div(self, a, b):
@@ -123,9 +127,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def reduce(self, x):
-        return x
 
     def from_int(self, n):
         return Fraction(n)

@@ -227,3 +227,29 @@ def test_usage_errors_give_failure_records(capsys, argv):
     last = json.loads(out.strip().splitlines()[-1])
     assert last["record"] == "failure" and last["error_type"] == "UsageError"
     assert argv[-2] in last["message"]
+
+
+QUINTIC = ["--quintic", "1,0,0,0,0,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", *QUINTIC, "--prime", "0"],
+        ["moduli", *QUINTIC, "--prime", "0"],
+        ["restrict", "--curve", GENERIC, "--a", "1", "--b", "2", "--prime", "0"],
+        ["plucker", "--d", "3"],
+        ["arc-limit", "--alpha", "0,1", "--beta", "0,1", "--truncation", "0"],
+        ["invariants", *QUINTIC, "--prime", "7"],
+        ["moduli", *QUINTIC, "--prime", "10006"],
+        ["genericity", "--curve", GENERIC, "--prime", "4"],
+        ["fiber-count", "--curve", GENERIC, "--prime", "2"],
+        ["gw-recursion", "--r", "3"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_out_of_range_flags_give_failure_records(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "jsonl")
+    assert code == 1
+    last = records(out)[-1]
+    assert last["record"] == "failure" and last["error_type"] == "ValueError"

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_moduli.binary_forms import BinaryForm
 from quintic_moduli.polys import (
     MultiPoly,
+    PolynomialRing,
     UniPoly,
     interpolate,
     interpolate_bivariate,
 )
+from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ
 
 F = GF(10007)
+QQ_LM = PolynomialRing(QQ, 2)
+RESIDUE = ResidueRing(UniPoly.from_ints(F, [5, 1, 0, 1]))  # GF(p)[u]/(u^3 + u + 5)
 
 
 def rand_unipoly(rng, field, degree):
@@ -84,6 +89,38 @@ def test_products_match_evaluation(field):
         for _ in range(3):
             pt = [rand_scalar(rng, field), rand_scalar(rng, field)]
             assert pq.eval(pt) == field.mul(p.eval(pt), q.eval(pt))
+        bf, bg = BinaryForm(field, f.coeffs), BinaryForm(field, g.coeffs)
+        for _ in range(3):
+            x, y = rand_scalar(rng, field), rand_scalar(rng, field)
+            assert (bf * bg).eval(x, y) == field.mul(bf.eval(x, y), bg.eval(x, y))
+
+
+def rand_element(rng, ring):
+    """A random element, zero one time in four, of any ring in the products test."""
+    if rng.random() < 0.25:
+        return ring.zero
+    if ring is QQ_LM:
+        return MultiPoly(QQ, 2, {(i, j): rand_scalar(rng, QQ) for i in range(2) for j in range(2)})
+    if ring is RESIDUE:
+        return RESIDUE.reduce(UniPoly(F, [rand_scalar(rng, F) for _ in range(5)]))
+    return rand_scalar(rng, ring)
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, F, QQ_LM, RESIDUE], ids=["QQ", "GF(p)", "QQ[l,m]", "GF(p)[u]/(h)"]
+)
+def test_dense_products_agree_over_every_ring(ring):
+    rng = random.Random(23)
+    for _ in range(20):
+        a = [rand_element(rng, ring) for _ in range(rng.randrange(1, 7))]
+        b = [rand_element(rng, ring) for _ in range(rng.randrange(1, 7))]
+        # schoolbook reference, one ring add and one ring mul per term
+        ref = [ring.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                ref[i + j] = ring.add(ref[i + j], ring.mul(x, y))
+        assert (BinaryForm(ring, a) * BinaryForm(ring, b)).coeffs == tuple(ref)
+        assert UniPoly(ring, a) * UniPoly(ring, b) == UniPoly(ring, ref)
 
 
 def test_unipoly_eval_and_derivative():

@@ -1,0 +1,107 @@
+"""Dynamic evaluation in GF(p)[u]/(h): the gcd and the flex probe at every root of h."""
+
+import random
+
+from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
+from quintic_moduli.plane_curves import (
+    PlaneCurve,
+    _dehom_y,
+    _probe_flexes,
+    genericity_report,
+    hessian,
+    random_invertible_frame,
+)
+from quintic_moduli.polys import UniPoly
+from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
+from quintic_moduli.scalars import GF, QQ
+
+F = GF(10007)
+
+#: x^3 (x - z)^2 + y G(x, y, z): the tangent y = 0 at the flex (0 : 0 : 1)
+#: touches the curve again at (1 : 0 : 1), so one of the 45 flexes fails
+#: the probe and the flex modulus must split to tell it from the others.
+FLEX_BITANGENT_RECORDS = [
+    [5, 0, 0, "1"], [4, 1, 0, "-6"], [4, 0, 1, "-2"], [3, 2, 0, "8"],
+    [3, 1, 1, "3"], [3, 0, 2, "1"], [2, 3, 0, "-2"], [2, 2, 1, "6"],
+    [2, 1, 2, "2"], [1, 4, 0, "-6"], [1, 3, 1, "-4"], [1, 2, 2, "-8"],
+    [1, 1, 3, "-2"], [0, 5, 0, "5"], [0, 4, 1, "-9"], [0, 3, 2, "7"],
+    [0, 2, 3, "2"], [0, 1, 4, "-1"],
+]
+
+
+def _image(poly: UniPoly, root) -> UniPoly:
+    """A polynomial over GF(p)[u]/(h) specialised at the root u = root of h."""
+    return UniPoly(F, [c.eval(root) for c in poly.coeffs])
+
+
+def _zero_divisor_biased(rng, ring, roots):
+    """A residue class vanishing at a random subset of the roots of h."""
+    acc = ring.reduce(UniPoly(F, [rng.randrange(F.p) for _ in range(ring.degree)]))
+    for r in roots:
+        if rng.random() < 0.15:
+            acc = ring.mul(acc, UniPoly(F, [F.neg(r), F.one]))
+    return acc
+
+
+def _random_poly(rng, ring, roots, degree):
+    return UniPoly(ring, [_zero_divisor_biased(rng, ring, roots) for _ in range(degree + 1)])
+
+
+def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
+    rng = random.Random(31)
+    agreed = split = 0
+    for _ in range(400):
+        roots = rng.sample(range(F.p), rng.randrange(2, 6))
+        h = UniPoly.constant(F, F.one)
+        for r in roots:
+            h = h * UniPoly(F, [F.neg(r), F.one])
+        ring = ResidueRing(h)
+        common = _random_poly(rng, ring, roots, rng.randrange(0, 3))
+        a = _random_poly(rng, ring, roots, rng.randrange(0, 4)) * common
+        b = _random_poly(rng, ring, roots, rng.randrange(0, 4)) * common
+        try:
+            g = gcd_uni(a, b)
+        except SplitNeeded as exc:
+            assert 0 < exc.factor.degree < h.degree
+            assert (h % exc.factor).is_zero()
+            split += 1
+            continue
+        for r in roots:
+            assert _image(g, r) == gcd_uni(_image(a, r), _image(b, r))
+        agreed += 1
+    assert agreed > 50 and split > 50
+
+
+def _flex_modulus(curve: PlaneCurve, seed: int):
+    """Framed curve, hessian and squarefree flex modulus, as genericity_report builds them."""
+    frame = random_invertible_frame(F, random.Random(seed))
+    framed = curve.reduce_mod(F).composed_with_frame(frame)
+    hess = hessian(framed)
+    eliminant = resultant_bivar_elim(_dehom_y(framed.poly, F), _dehom_y(hess.poly, F), 1)
+    ((h, _),) = squarefree_decomposition(eliminant)
+    return framed.poly, hess.poly, h
+
+
+def _split_off_rational_roots(h: UniPoly):
+    """(gcd(h, u^p - u), its cofactor): the roots of h in GF(p) and the rest."""
+    acc, base, n = UniPoly.constant(F, F.one), UniPoly.x(F), F.p
+    while n:
+        if n & 1:
+            acc = acc * base % h
+        base = base * base % h
+        n >>= 1
+    rational = gcd_uni(h, acc - UniPoly.x(F))
+    return rational, h // rational
+
+
+def test_probe_flexes_adds_over_a_split_modulus():
+    curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS, QQ)
+    curve_poly, hess_poly, h = _flex_modulus(curve, seed=0)
+    h1, h2 = _split_off_rational_roots(h)
+    assert h.degree == 45 and 0 < h1.degree < h.degree
+    whole = _probe_flexes(curve_poly, hess_poly, h)
+    halves = [_probe_flexes(curve_poly, hess_poly, part) for part in (h1, h2)]
+    assert whole == (44, 1)  # reachable only through a split of h
+    assert whole == tuple(map(sum, zip(*halves)))
+    report = genericity_report(curve, F.p, seed=0)
+    assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
