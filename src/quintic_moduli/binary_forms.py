@@ -3,21 +3,24 @@
 A form of order n in (x, y) is a coefficient list of length n + 1 where
 ``coeffs[k]`` multiplies ``x**(n-k) * y**k``.  The order is part of the
 data: top coefficients may vanish (a root at (1:0)); the zero form of a
-given order is allowed, since derivatives and transvectants produce it.
+given order is allowed, since transvectants and differences produce it.
 
 Coefficients live in any ``Ring`` from :mod:`.scalars` /
 :mod:`.polys` (rationals, a prime field, a polynomial ring for symbolic
 identities, or a residue ring GF(p)[u]/(h) for the flex probe), so the
 same covariant code serves numeric and symbolic callers.  Products go
-through ``polys.dense_product``, the kernel ``UniPoly`` multiplies with,
-and ``substitute_linear`` is the one substitution of order-1 forms into a
+through ``polys.dense_product``, the kernel ``UniPoly`` multiplies with; a
+transvectant is the same accumulate-then-reduce idiom over a cached table
+of integer weights, with no intermediate derivative forms; and
+``substitute_linear`` is the one substitution of order-1 forms into a
 binary or a ternary form.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .polys import UniPoly, dense_product
@@ -75,21 +78,6 @@ class BinaryForm:
     def scale(self, c) -> "BinaryForm":
         R = self.ring
         return BinaryForm(R, [R.mul(c, a) for a in self.coeffs])
-
-    def dx(self) -> "BinaryForm":
-        """Partial derivative in x; drops the order by one."""
-        n = self.order
-        if n == 0:
-            raise ValueError("cannot differentiate an order-0 form as a form")
-        R = self.ring
-        return BinaryForm(R, [R.mul(R.from_int(n - k), self.coeffs[k]) for k in range(n)])
-
-    def dy(self) -> "BinaryForm":
-        n = self.order
-        if n == 0:
-            raise ValueError("cannot differentiate an order-0 form as a form")
-        R = self.ring
-        return BinaryForm(R, [R.mul(R.from_int(k + 1), self.coeffs[k + 1]) for k in range(n)])
 
     def eval(self, x, y):
         R = self.ring
@@ -181,13 +169,47 @@ def substitute_linear(ring: Ring, terms, lins: Sequence[BinaryForm], order: int)
     return acc
 
 
+@functools.cache
+def _transvectant_table(m: int, n: int, k: int):
+    """Integer weights of (g, h)_k for forms of orders m and n.
+
+    Returns (rows, scaling): ``rows[u]`` lists the (t, s, w) with
+    t + s = u + k and nonzero w, where w * g[t] * h[s] is the part of output
+    coefficient u before scaling.  Differentiating x^(m-t) y^t k - r times in
+    x and r times in y gives (m-t)_(k-r) * t_(r) (falling factorials), so
+
+        w = sum_r (-1)^r C(k, r) (m-t)_(k-r) t_(r) (n-s)_(r) s_(k-r);
+
+    ``scaling`` is (m-k)! (n-k)! / (m! n!).
+    """
+    rows = []
+    for u in range(m + n - 2 * k + 1):
+        row = []
+        for t in range(max(0, u + k - n), min(m, u + k) + 1):
+            s = u + k - t
+            w = sum(
+                (-1) ** r * comb(k, r) * perm(m - t, k - r) * perm(t, r)
+                * perm(n - s, r) * perm(s, k - r)
+                for r in range(k + 1)
+            )
+            if w:
+                row.append((t, s, w))
+        rows.append(tuple(row))
+    scaling = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+    return tuple(rows), scaling
+
+
 def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     """k-th transvectant of two forms, with the symmetric factorial scaling.
 
     (g, h)_k = ((m-k)! (n-k)!)/(m! n!) * sum_r (-1)^r C(k, r)
                * d^k g/dx^(k-r) dy^r * d^k h/dx^r dy^(k-r)
 
-    Result order: m + n - 2k.  Requires k <= min(m, n).
+    Result order: m + n - 2k.  Requires k <= min(m, n).  Each output
+    coefficient is one sum over the cached integer weights of
+    ``_transvectant_table``: raw products accumulate with the values' own
+    ``+`` and ``*``, the scaling is applied once and ``ring.reduce`` is
+    called once, as in ``polys.dense_product``.
     """
     if g.ring is not h.ring:
         raise ValueError("ring mismatch in transvectant")
@@ -195,26 +217,13 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     if k > min(m, n):
         raise ValueError(f"transvectant index {k} exceeds min order {min(m, n)}")
     R = g.ring
-    if k == 0:
-        return g * h
-    # d^r/dy^r first, then x-derivatives down from there
-    g_dy = [g]
-    h_dy = [h]
-    for _ in range(k):
-        g_dy.append(g_dy[-1].dy())
-        h_dy.append(h_dy[-1].dy())
-    acc = BinaryForm.zero(R, m + n - 2 * k)
-    for r in range(k + 1):
-        gd = g_dy[r]
-        for _ in range(k - r):
-            gd = gd.dx()
-        hd = h_dy[k - r]
-        for _ in range(r):
-            hd = hd.dx()
-        term = gd * hd
-        c = comb(k, r)
-        if r & 1:
-            c = -c
-        acc = acc + term.scale(R.from_int(c))
-    scaling = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-    return acc.scale(R.from_fraction(scaling))
+    rows, scaling = _transvectant_table(m, n, k)
+    scale = R.from_fraction(scaling)
+    gc, hc = g.coeffs, h.coeffs
+    out = []
+    for row in rows:
+        acc = R.zero
+        for t, s, w in row:
+            acc += R.from_int(w) * gc[t] * hc[s]
+        out.append(R.reduce(acc * scale))
+    return BinaryForm(R, out)

@@ -18,7 +18,11 @@ For a target (c1 : c2 : c3) with c1 != 0 the fiber system is
     G1 = c2 * I4^2 - c1^2 * I8     (degree 20)
     G2 = c3 * I4^3 - c1^3 * I12    (degree 30)
 
-and the eliminant R(a) has degree 20 * 30 = 600.  Every one of the 45
+and the eliminant R(a) has degree 20 * 30 = 600.  Both are built by
+evaluating the invariants at the 496 chart points with a + b <= 30 (a
+lattice unisolvent for total degree <= 30) and interpolating there; one
+more evaluation off the lattice, at (31, 31), guards against a term of
+higher degree the lattice cannot see.  Every one of the 45
 inflectional lines of a generic quintic is a common zero (all invariants
 vanish there); each absorbs the same multiplicity, and the
 multiplicity-1 part of R is the actual fiber.  A successful run reports
@@ -123,9 +127,12 @@ def build_fiber_system(
     """The two chart equations (G1, G2) cutting out the fiber over ``target``.
 
     The curve must be a quintic over a prime field; the target must have
-    c1 != 0.  Degrees are gated at exactly (20, 30): a drop means the chart
-    frame is non-generic and the caller should redraw it.  Computed by
-    evaluating the restriction invariants on a grid and interpolating.
+    c1 != 0.  G1 and G2 are evaluated at the 496 chart points (a, b) with
+    a + b <= 30, a lattice unisolvent for total degree <= 30, and
+    interpolated there.  The lattice cannot see a term of higher degree, so
+    both are evaluated once more off it, at (31, 31), and a mismatch is a
+    retry.  Degrees are gated at exactly (20, 30): a drop means the chart
+    frame is non-generic and the caller should redraw it.
     """
     field = curve.field
     if not isinstance(field, PrimeField):
@@ -139,28 +146,26 @@ def build_fiber_system(
     restrict = _restriction_coefficients(framed.poly, field)
     c1sq = field.mul(c1, c1)
     c1cu = field.mul(c1sq, c1)
-    n = FIBER_SYSTEM_DEGREES[1] + 1  # grid side: one more than the top degree
-    grid1 = []
-    grid2 = []
-    for a in range(n):
-        row1 = []
-        row2 = []
-        for b in range(n):
-            coeffs = restrict(a, b)
-            if all(c == 0 for c in coeffs):
-                raise FiberRetryError("a grid line lies on the curve (degenerate frame)")
-            i4, i8, i12 = invariant_triple(BinaryQuintic(field, coeffs))
-            g1 = field.sub(field.mul(c2, field.mul(i4, i4)), field.mul(c1sq, i8))
-            g2 = field.sub(
-                field.mul(c3, field.mul(i4, field.mul(i4, i4))), field.mul(c1cu, i12)
-            )
-            row1.append(g1)
-            row2.append(g2)
-        grid1.append(row1)
-        grid2.append(row2)
-    xs = [field.from_int(v) for v in range(n)]
-    g1_poly = interpolate_bivariate(xs, xs, grid1, field)
-    g2_poly = interpolate_bivariate(xs, xs, grid2, field)
+
+    def system_at(a: int, b: int) -> tuple[int, int]:
+        coeffs = restrict(a, b)
+        if all(c == 0 for c in coeffs):
+            raise FiberRetryError("a sampled line lies on the curve (degenerate frame)")
+        i4, i8, i12 = invariant_triple(BinaryQuintic(field, coeffs))
+        g1 = field.sub(field.mul(c2, field.mul(i4, i4)), field.mul(c1sq, i8))
+        g2 = field.sub(
+            field.mul(c3, field.mul(i4, field.mul(i4, i4))), field.mul(c1cu, i12)
+        )
+        return g1, g2
+
+    n = FIBER_SYSTEM_DEGREES[1]  # lattice {a + b <= n}: the top degree
+    lattice = [[system_at(a, b) for b in range(n + 1 - a)] for a in range(n + 1)]
+    nodes = list(range(n + 1))
+    g1_poly = interpolate_bivariate(nodes, nodes, [[g1 for g1, _ in row] for row in lattice], field)
+    g2_poly = interpolate_bivariate(nodes, nodes, [[g2 for _, g2 in row] for row in lattice], field)
+    check = (n + 1, n + 1)
+    if system_at(*check) != (g1_poly.eval(check), g2_poly.eval(check)):
+        raise FiberRetryError("fiber system disagrees off the lattice")
     if (g1_poly.total_degree, g2_poly.total_degree) != FIBER_SYSTEM_DEGREES:
         raise FiberRetryError(
             f"fiber system degrees ({g1_poly.total_degree}, {g2_poly.total_degree})"

@@ -13,6 +13,11 @@ one product loop, shared with ``BinaryForm``.  Division (``divmod``,
 ``monic`` and so the gcds built on them) also calls the ring's ``inv``,
 which over a residue ring may raise ``SplitNeeded``.
 
+Interpolation runs over GF(p) on raw ints: ``interpolate`` in one variable
+and ``interpolate_bivariate`` on the principal lattice {i + j <= n}, both
+in Newton form, with inverses of node differences computed when first
+needed.
+
 Operations mixing distinct rings (or arities) raise ``ValueError`` rather
 than coercing.  Term iteration for display/serialisation is sorted
 lexicographically on exponent tuples so output is deterministic.
@@ -409,76 +414,97 @@ class PolynomialRing(Ring):
 def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
     """Unique polynomial of degree < ``len(samples)`` through the samples.
 
-    GF(p) only.  Newton's divided differences on raw ints, with a batch
-    inverse table for the abscissa differences (samples are typically
-    consecutive integers); abscissae must be pairwise distinct.
+    GF(p) only.  Newton's divided differences on raw ints, then Horner
+    expansion to monomials; abscissae must be pairwise distinct mod p.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")
     p = field.p
-    n = len(samples)
-    xs = [s[0] for s in samples]
-    ys = [s[1] for s in samples]
-    deltas = set()
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            deltas.add((xs[i] - xs[i - level]) % p)
-    if 0 in deltas:
+    xs = [s[0] % p for s in samples]
+    if len(set(xs)) != len(xs):
         raise ValueError("repeated abscissa")
-    inv = _batch_inverse(sorted(deltas), p)
-    dd = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inv[(xs[i] - xs[i - level]) % p] % p
-    coeffs = [0] * n
-    basis = [1]
-    for k in range(n):
-        c = dd[k]
-        if c:
-            for j, b in enumerate(basis):
-                coeffs[j] = (coeffs[j] + c * b) % p
-        if k < n - 1:
-            # basis *= (x - xs[k])
-            nxk = (p - xs[k]) % p
-            basis.append(0)
-            for j in range(len(basis) - 1, 0, -1):
-                basis[j] = (basis[j - 1] + basis[j] * nxk) % p
-            basis[0] = basis[0] * nxk % p
-    return UniPoly(field, coeffs)
+    dd = [s[1] for s in samples]
+    _divided_differences(dd, xs, _Inverses(p))
+    return UniPoly(field, _newton_to_monomial(dd, xs, p))
 
 
 def interpolate_bivariate(
     xs: Sequence, ys: Sequence, values: Sequence[Sequence], field: PrimeField
 ) -> MultiPoly:
-    """Bivariate polynomial through a full grid of samples over GF(p).
+    """Polynomial of total degree <= n through samples on a principal lattice.
 
-    ``values[i][j]`` is the value at ``(xs[i], ys[j])``; the result is exact
-    for any polynomial of degree < len(xs) in the first variable and
-    < len(ys) in the second.
+    GF(p) only.  ``xs`` and ``ys`` hold n + 1 distinct nodes each and
+    ``values[i][j]`` is the value at ``(xs[i], ys[j])`` for i + j <= n, so
+    row i has n + 1 - i entries; the lattice is unisolvent for total degree
+    <= n.  Newton form on that lower set: divided differences in the first
+    variable down each column, then in the second along each row, then
+    expansion to monomials.  The coefficient of N_i(x) M_j(y) uses only
+    nodes with indices <= (i, j), all inside the lattice.  A polynomial of
+    higher total degree is not seen: the result matches it on the lattice
+    only, so callers check a point off it.
     """
-    rows = [interpolate(list(zip(ys, row)), field) for row in values]
-    max_k = max((r.degree for r in rows if not r.is_zero()), default=-1)
-    terms: dict = {}
-    for k in range(int(max_k) + 1):
-        samples = [
-            (x, rows[i].coeffs[k] if k < len(rows[i].coeffs) else field.zero)
-            for i, x in enumerate(xs)
-        ]
-        ck = interpolate(samples, field)
-        for d, c in enumerate(ck.coeffs):
-            if not field.is_zero(c):
+    if not isinstance(field, PrimeField):
+        raise ValueError(f"interpolation runs over a prime field, not {field!r}")
+    p = field.p
+    n = len(xs) - 1
+    xs = [x % p for x in xs]
+    ys = [y % p for y in ys]
+    if len(ys) != n + 1 or [len(row) for row in values] != list(range(n + 1, 0, -1)):
+        raise ValueError("values must fill the lattice i + j <= n of the nodes")
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise ValueError("repeated abscissa")
+    inv = _Inverses(p)
+    dd = [list(row) for row in values]
+    for j in range(n + 1):
+        column = [dd[i][j] for i in range(n + 1 - j)]
+        _divided_differences(column, xs, inv)
+        for i, c in enumerate(column):
+            dd[i][j] = c
+    # row i: the polynomial in y multiplying N_i(x), in monomials
+    rows = []
+    for row in dd:
+        _divided_differences(row, ys, inv)
+        rows.append(_newton_to_monomial(row, ys, p))
+    terms = {}
+    for k in range(n + 1):
+        in_x = _newton_to_monomial([rows[i][k] for i in range(n + 1 - k)], xs, p)
+        for d, c in enumerate(in_x):
+            if c:
                 terms[(d, k)] = c
     return MultiPoly(field, 2, terms)
 
 
-def _batch_inverse(values: list[int], p: int) -> dict[int, int]:
-    """Montgomery trick: invert many nonzero residues with one modular pow."""
-    prefix = [1]
-    for v in values:
-        prefix.append(prefix[-1] * v % p)
-    total_inv = pow(prefix[-1], p - 2, p)
-    out = {}
-    for i in range(len(values) - 1, -1, -1):
-        out[values[i]] = prefix[i] * total_inv % p
-        total_inv = total_inv * values[i] % p
-    return out
+class _Inverses(dict):
+    """Inverses mod p of nonzero residues, each computed when first looked up."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, d: int) -> int:
+        v = self[d] = pow(d, -1, self.p)
+        return v
+
+
+def _divided_differences(dd: list, xs: Sequence[int], inv: _Inverses) -> None:
+    """Replace the values ``dd[i]`` at ``xs[i]`` by f[x_0, ..., x_i], in place."""
+    p = inv.p
+    n = len(dd)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv[(xs[i] - xs[i - level]) % p] % p
+
+
+def _newton_to_monomial(dd: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
+    """Monomial coefficients of sum_i dd[i] * (x - x_0) ... (x - x_(i-1)), by Horner."""
+    if not dd:
+        return []
+    q = [dd[-1] % p]
+    for k in range(len(dd) - 2, -1, -1):
+        xk = xs[k]
+        # q <- q * (x - xk) + dd[k]
+        q.append(q[-1])
+        for j in range(len(q) - 2, 0, -1):
+            q[j] = (q[j - 1] - xk * q[j]) % p
+        q[0] = (dd[k] - xk * q[0]) % p
+    return q

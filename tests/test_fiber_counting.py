@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from quintic_moduli import fiber_counting
+from quintic_moduli.binary_forms import BinaryQuintic
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
 from quintic_moduli.fiber_counting import (
     ELIMINANT_DEGREE,
@@ -9,17 +11,18 @@ from quintic_moduli.fiber_counting import (
     EXPECTED_FLEX_PART,
     FIBER_SYSTEM_DEGREES,
     FiberCountError,
+    FiberRetryError,
     build_fiber_system,
     count_fiber,
     fiber_histogram,
 )
-from quintic_moduli.invariants import WPPoint
+from quintic_moduli.invariants import WPPoint, invariant_triple
 from quintic_moduli.plane_curves import (
     genericity_report,
     hessian,
     random_invertible_frame,
 )
-from quintic_moduli.polys import MultiPoly, UniPoly
+from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
 from quintic_moduli.scalars import GF
 
 F = GF(10007)
@@ -42,6 +45,64 @@ def sample_system(fixture_mod_p):
 def test_fiber_system_degrees(sample_system):
     _, _, g1, g2 = sample_system
     assert (g1.total_degree, g2.total_degree) == FIBER_SYSTEM_DEGREES == (20, 30)
+
+
+def test_fiber_system_matches_tensor_grid_interpolation(fixture_mod_p, sample_system):
+    # reference: G1, G2 on the full 31 x 31 grid, interpolated in b along
+    # each row and then in a coefficient by coefficient
+    frame, target, g1, g2 = sample_system
+    c1, c2, c3 = target.coords()
+    framed = fixture_mod_p.composed_with_frame(frame)
+    restrict = fiber_counting._restriction_coefficients(framed.poly, F)
+    side = range(FIBER_SYSTEM_DEGREES[1] + 1)
+    grids = ([], [])
+    for a in side:
+        rows = ([], [])
+        for b in side:
+            i4, i8, i12 = invariant_triple(BinaryQuintic(F, restrict(a, b)))
+            rows[0].append((c2 * i4**2 - c1**2 * i8) % F.p)
+            rows[1].append((c3 * i4**3 - c1**3 * i12) % F.p)
+        for grid, row in zip(grids, rows):
+            grid.append(interpolate(list(zip(side, row)), F))
+    for grid, system in zip(grids, (g1, g2)):
+        terms = {}
+        for k in side:
+            column = [(a, row.coeffs[k] if k < len(row.coeffs) else 0) for a, row in zip(side, grid)]
+            for d, c in enumerate(interpolate(column, F).coeffs):
+                if c:
+                    terms[(d, k)] = c
+        assert system == MultiPoly(F, 2, terms)
+
+
+def test_off_lattice_term_is_a_retry(monkeypatch, generic_quintic, fixture_mod_p):
+    # a total-degree-31 term a^16 b^15 in I12 is invisible on the lattice
+    # {a + b <= 30} and must be caught at the check point off it
+    point = []
+    factory = fiber_counting._restriction_coefficients
+
+    def recording_factory(*args):
+        restrict = factory(*args)
+
+        def recorded(a, b):
+            point[:] = [a, b]
+            return restrict(a, b)
+
+        return recorded
+
+    def perturbed_triple(f):
+        i4, i8, i12 = invariant_triple(f)
+        a, b = point
+        return i4, i8, (i12 + pow(a, 16, F.p) * pow(b, 15, F.p)) % F.p
+
+    monkeypatch.setattr(fiber_counting, "_restriction_coefficients", recording_factory)
+    monkeypatch.setattr(fiber_counting, "invariant_triple", perturbed_triple)
+    frame = random_invertible_frame(F, random.Random(100))
+    target = WPPoint(F, F.from_int(7), F.from_int(31), F.from_int(59))
+    with pytest.raises(FiberRetryError, match="disagrees off the lattice"):
+        build_fiber_system(fixture_mod_p, target, frame)
+    with pytest.raises(FiberCountError) as info:
+        count_fiber(generic_quintic, 10007, seed=1, max_retries=0)
+    assert info.value.causes == ["attempt 0: fiber system disagrees off the lattice"]
 
 
 def test_fiber_system_rejects_zero_first_coordinate(fixture_mod_p):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from quintic_moduli.binary_forms import BinaryForm
+from quintic_moduli.binary_forms import BinaryForm, transvectant
 from quintic_moduli.polys import (
     MultiPoly,
     PolynomialRing,
@@ -123,6 +124,52 @@ def test_dense_products_agree_over_every_ring(ring):
         assert UniPoly(ring, a) * UniPoly(ring, b) == UniPoly(ring, ref)
 
 
+def _partial(ring, coeffs, var):
+    """Coefficients of d/dx (var 0) or d/dy (var 1) of a form given by ``coeffs``."""
+    n = len(coeffs) - 1
+    if var == 0:
+        return [ring.mul(ring.from_int(n - t), coeffs[t]) for t in range(n)]
+    return [ring.mul(ring.from_int(t + 1), coeffs[t + 1]) for t in range(n)]
+
+
+def _reference_transvectant(ring, g, h, k):
+    """(g, h)_k from its definition: explicit partials, the sum over r, then
+    the scaling (m-k)! (n-k)! / (m! n!), one ring operation at a time."""
+    m, n = len(g) - 1, len(h) - 1
+    out = [ring.zero] * (m + n - 2 * k + 1)
+    for r in range(k + 1):
+        gd, hd = list(g), list(h)
+        for var, times in ((0, k - r), (1, r)):
+            for _ in range(times):
+                gd = _partial(ring, gd, var)
+        for var, times in ((0, r), (1, k - r)):
+            for _ in range(times):
+                hd = _partial(ring, hd, var)
+        weight = ring.from_int((-1) ** r * comb(k, r))
+        for i, x in enumerate(gd):
+            for j, y in enumerate(hd):
+                out[i + j] = ring.add(out[i + j], ring.mul(weight, ring.mul(x, y)))
+    scaling = ring.from_fraction(
+        Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+    )
+    return tuple(ring.mul(scaling, c) for c in out)
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, F, QQ_LM, RESIDUE], ids=["QQ", "GF(p)", "QQ[l,m]", "GF(p)[u]/(h)"]
+)
+def test_transvectant_matches_its_definition(ring):
+    rng = random.Random(29)
+    for m in range(7):
+        for n in range(7):
+            g = [rand_element(rng, ring) for _ in range(m + 1)]
+            h = [rand_element(rng, ring) for _ in range(n + 1)]
+            for k in range(min(m, n) + 1):
+                got = transvectant(BinaryForm(ring, g), BinaryForm(ring, h), k)
+                assert got.order == m + n - 2 * k
+                assert got.coeffs == _reference_transvectant(ring, g, h, k), (m, n, k)
+
+
 def test_unipoly_eval_and_derivative():
     f = UniPoly.from_ints(QQ, [1, 0, 3])  # 1 + 3x^2
     assert f.eval(Fraction(2)) == 13
@@ -205,13 +252,26 @@ def test_interpolation_inverts_evaluation():
 
 def test_interpolate_bivariate_roundtrip():
     rng = random.Random(11)
-    poly = MultiPoly(
-        F, 2, {(i, j): rng.randrange(F.p) for i in range(5) for j in range(4)}
-    )
-    xs = [F.from_int(v) for v in range(5)]
-    ys = [F.from_int(v) for v in range(4)]
-    values = [[poly.eval((x, y)) for y in ys] for x in xs]
-    assert interpolate_bivariate(xs, ys, values, F) == poly
+    for field in (GF(10007), GF(3001)):
+        for n in (0, 1, 4, 30):
+            # random polynomial of total degree <= n, random nodes on each axis
+            poly = MultiPoly(
+                field, 2,
+                {(i, j): rng.randrange(field.p) for i in range(n + 1) for j in range(n + 1 - i)},
+            )
+            xs = rng.sample(range(field.p), n + 1)
+            ys = rng.sample(range(field.p), n + 1)
+            values = [[poly.eval((x, y)) for y in ys[: n + 1 - i]] for i, x in enumerate(xs)]
+            assert interpolate_bivariate(xs, ys, values, field) == poly, (field, n)
+
+
+def test_interpolate_bivariate_rejects_bad_lattices():
+    with pytest.raises(ValueError, match="lattice"):  # a full 2x2 grid, not {i + j <= 1}
+        interpolate_bivariate([0, 1], [0, 1], [[1, 2], [3, 4]], F)
+    with pytest.raises(ValueError, match="repeated abscissa"):
+        interpolate_bivariate([0, F.p], [0, 1], [[1, 2], [3]], F)
+    with pytest.raises(ValueError, match="prime field"):
+        interpolate_bivariate([0], [0], [[Fraction(1)]], QQ)
 
 
 def test_operations_are_deterministic():
