@@ -32,7 +32,6 @@ from .fiber_counting import (
     FiberReport,
     build_fiber_system,
     count_fiber,
-    fiber_histogram,
 )
 from .gw_recursion import (
     GWSymbol,

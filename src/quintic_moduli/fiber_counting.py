@@ -32,7 +32,11 @@ multiplicity-1 part of R is the actual fiber.  A successful run reports
 reproducing the degree 420; the per-flex multiplicity 4 is measured by the
 squarefree decomposition, never assumed.  Degenerate draws (degree drops,
 profile deviations) are retried with fresh random data and every cause is
-recorded.
+recorded.  The retries stop early once a fresh draw reproduces the cause of
+an earlier attempt word for word: a failure that recurs across independent
+frames (and targets) is a property of the curve, not of the draw, so
+further draws would only repeat it.  Fermat, for instance, measures
+((15, 30), (150, 1)) at every draw and is declined after two attempts.
 
 Characteristic 0 is replaced by reduction mod p; agreement across at least
 two primes is the intended usage, and any disagreement is an error to
@@ -66,7 +70,7 @@ class FiberRetryError(Exception):
 
 
 class FiberCountError(RuntimeError):
-    """All retries failed; ``causes`` lists every recorded failure."""
+    """The count was declined; ``causes`` holds one entry per attempt made."""
 
     def __init__(self, causes: list[str]):
         super().__init__("fiber count failed: " + "; ".join(causes))
@@ -198,6 +202,14 @@ def count_fiber(
     explicit target may be supplied instead and is then kept across
     retries).  Precondition: the curve passes the genericity checks; see
     :func:`quintic_moduli.plane_curves.genericity_report`.
+
+    A failed attempt is retried with a fresh draw, at most ``max_retries``
+    times.  When a retry fails with exactly the cause of an earlier attempt,
+    the count stops there and raises FiberCountError: independent draws that
+    reproduce one failure point at the curve (or the fixed target), not at
+    the draw.  Causes that differ between draws, such as a deviating profile
+    that depends on the frame, keep the retries going.  ``causes`` holds one
+    entry per attempt made.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -205,6 +217,7 @@ def count_fiber(
     reduced = curve.reduce_mod(field)
     rng = random.Random(seed)
     causes: list[str] = []
+    first_attempt: dict[str, int] = {}  # retry cause -> first attempt raising it
     fixed_target = target is not None
     for attempt in range(max_retries + 1):
         drawn = target if fixed_target else _draw_target(field, rng)
@@ -236,28 +249,14 @@ def count_fiber(
                 causes=tuple(causes),
             )
         except FiberRetryError as exc:
-            causes.append(f"attempt {attempt}: {exc}")
-            continue
+            cause = str(exc)
+            if cause in first_attempt:
+                causes.append(
+                    f"attempt {attempt}: {cause} (as at attempt {first_attempt[cause]}:"
+                    " a property of the curve, not of the draw)"
+                )
+                break
+            first_attempt[cause] = attempt
+            causes.append(f"attempt {attempt}: {cause}")
     raise FiberCountError(causes)
 
-
-def fiber_histogram(
-    curve: PlaneCurve,
-    prime: int,
-    n_targets: int,
-    seed: int,
-    max_retries: int = 8,
-) -> list:
-    """Fiber degrees over independent random targets, failures annotated.
-
-    Returns a list with one entry per target: either a FiberReport or the
-    FiberCountError recording why that target could not be counted.  Invalid
-    arguments (such as ``max_retries < 0``) raise ValueError instead.
-    """
-    out = []
-    for k in range(n_targets):
-        try:
-            out.append(count_fiber(curve, prime, seed * 100003 + k, max_retries=max_retries))
-        except FiberCountError as exc:
-            out.append(exc)
-    return out

@@ -142,6 +142,17 @@ def test_fiber_count_cli(capsys, generic_quintic):
     assert by_kind(out, "fiber-degree")[0]["degree"] == 420
 
 
+def test_fermat_fiber_count_stops_on_a_reproduced_cause(capsys):
+    code, out = run_cli(
+        capsys, "fiber-count", "--curve", FERMAT, "--prime", "10007", "--seed", "1", "--format", "jsonl"
+    )
+    assert code == 1
+    failure = records(out)[-1]
+    assert failure["record"] == "failure"
+    assert len(failure["causes"]) == 2
+    assert all("((15, 30), (150, 1))" in cause for cause in failure["causes"])
+
+
 def test_structured_output_is_reproducible(capsys):
     argv = ["fiber-count", "--curve", GENERIC, "--prime", "10007", "--seed", "4", "--format", "jsonl"]
     code1, out1 = run_cli(capsys, *argv)

@@ -14,10 +14,10 @@ from quintic_moduli.fiber_counting import (
     FiberRetryError,
     build_fiber_system,
     count_fiber,
-    fiber_histogram,
 )
 from quintic_moduli.invariants import WPPoint, invariant_triple
 from quintic_moduli.plane_curves import (
+    fermat_quintic,
     genericity_report,
     hessian,
     random_invertible_frame,
@@ -193,17 +193,57 @@ def test_on_discriminant_target_is_flagged(generic_quintic):
     c2 = F.mul(F.mul(c1, c1), F.inv(F.from_int(128)))
     target = WPPoint(F, c1, c2, F.from_int(1234))
     with pytest.raises(FiberCountError) as info:
-        count_fiber(generic_quintic, 10007, seed=3, max_retries=1, target=target)
-    assert any("profile" in cause for cause in info.value.causes)
+        count_fiber(generic_quintic, 10007, seed=3, target=target)
+    # a fresh frame over the same target reproduces the profile: no third draw
+    causes = info.value.causes
+    assert len(causes) == 2
+    assert all("profile" in cause for cause in causes)
+    assert causes[1].startswith("attempt 1: ") and "as at attempt 0" in causes[1]
 
 
-def test_fiber_histogram(generic_quintic):
-    reports = fiber_histogram(generic_quintic, 10007, n_targets=2, seed=1)
-    assert len(reports) == 2
-    assert all(r.fiber_degree == 420 for r in reports)
-    assert fiber_histogram(generic_quintic, 10007, n_targets=0, seed=1) == []
-    with pytest.raises(ValueError):
-        fiber_histogram(generic_quintic, 10007, n_targets=1, seed=1, max_retries=-1)
+def _counting_builds(monkeypatch, build):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fiber_counting, "build_fiber_system", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prime", [10007, 3001])
+def test_reproduced_cause_stops_the_count(monkeypatch, prime):
+    # Fermat measures ((15, 30), (150, 1)) at every draw: the second draw
+    # reproduces the first cause, and the count stops there
+    calls = _counting_builds(monkeypatch, build_fiber_system)
+    with pytest.raises(FiberCountError) as info:
+        count_fiber(fermat_quintic(), prime, seed=1)
+    assert len(calls) == 2
+    first, second = info.value.causes
+    profile = "multiplicity profile ((15, 30), (150, 1)) deviates"
+    assert first == f"attempt 0: {profile}"
+    assert second == (
+        f"attempt 1: {profile} (as at attempt 0: a property of the curve, not of the draw)"
+    )
+
+
+def test_distinct_causes_use_every_retry(monkeypatch, generic_quintic):
+    def failing_build(curve, target, frame):
+        raise FiberRetryError(f"draw-dependent failure {len(calls)}")
+
+    calls = _counting_builds(monkeypatch, failing_build)
+    with pytest.raises(FiberCountError) as info:
+        count_fiber(generic_quintic, 10007, seed=1, max_retries=4)
+    assert len(calls) == 5
+    assert info.value.causes == [
+        f"attempt {k}: draw-dependent failure {k + 1}" for k in range(5)
+    ]
+
+
+def test_count_fiber_rejects_negative_retries(generic_quintic):
+    with pytest.raises(ValueError, match="-1"):
+        count_fiber(generic_quintic, 10007, seed=1, max_retries=-1)
 
 
 def test_curve_over_another_prime_field_is_rejected(generic_quintic):
