@@ -7,84 +7,111 @@ package computes its degree (420) by independent exact routes — an
 intersection-theory ledger on the resolved dual plane, a degenerate-
 configuration count (2 per bitangent + 4 per flex), a degeneration-axiom
 chain, and a finite-field fiber count — plus the special Fermat value 150.
+
+Submodules load on first use (PEP 562): ``quintic_moduli.count_fiber``
+imports ``fiber_counting`` the first time it is read, so a process pays
+only for the modules it runs.  The public names are the same as with
+eager imports.  One is bound eagerly: the function ``invariants`` shares
+its name with the submodule ``quintic_moduli.invariants``, and the import
+system sets the package attribute to the module whenever that submodule
+is first imported.  Importing it here, before anything else can, keeps
+``quintic_moduli.invariants`` the function.
 """
 
-from .arc_limits import (
-    ArcSpec,
-    FlexNormalForm,
-    NumericLimit,
-    ProjectivePair,
-    arc_case_label,
-    arc_limit,
-    arc_limit_numeric,
-    exceptional_coordinate,
-)
-from .binary_forms import BinaryForm, BinaryQuintic, transvectant
-from .elimination import (
-    gcd_uni,
-    resultant_bivar_elim,
-    resultant_uni,
-    squarefree_decomposition,
-    xgcd_uni,
-)
-from .fiber_counting import (
-    FiberCountError,
-    FiberReport,
-    build_fiber_system,
-    count_fiber,
-)
-from .gw_recursion import (
-    GWSymbol,
-    RationalInR,
-    base_values,
-    chain_trace,
-    evaluate_chain,
-    r_independence_check,
-)
-from .intersection_ledger import (
-    DivisorClass,
-    Ledger,
-    build_ledger,
-    combinatorial_degree,
-    degree_via_ledger,
-    derivation_table,
-    m05_cross_check,
-    self_intersection,
-    solve_pullback_multiplicities,
-    wps_section_self_intersection,
-)
-from .invariants import (
-    ConfigClass,
-    InvariantVector,
-    OneDouble,
-    Smooth5,
-    TwoDoubles,
-    UnstableQuinticError,
-    WPPoint,
-    discriminant_invariant,
-    find_fundamental_relation,
-    invariant_triple,
-    invariants,
-    is_stable,
-    j_from_cross_ratio,
-    moduli_point,
-)
-from .plane_curves import (
-    GenericityReport,
-    LineChart,
-    LineInCurveError,
-    PlaneCurve,
-    PluckerCounts,
-    fermat_degree_factorization,
-    fermat_quintic,
-    genericity_report,
-    hessian,
-    load_curve,
-    phi,
-    plucker_counts,
-    restrict_to_line,
-)
-from .polys import MultiPoly, PolynomialRing, UniPoly, interpolate
-from .scalars import GF, QQ, Field, PrimeField, RationalField
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from .invariants import invariants
+
+_EXPORTS = {
+    "arc_limits": (
+        "ArcSpec",
+        "FlexNormalForm",
+        "NumericLimit",
+        "ProjectivePair",
+        "arc_case_label",
+        "arc_limit",
+        "arc_limit_numeric",
+        "exceptional_coordinate",
+    ),
+    "binary_forms": ("BinaryForm", "BinaryQuintic", "transvectant"),
+    "elimination": (
+        "gcd_uni",
+        "resultant_bivar_elim",
+        "resultant_uni",
+        "squarefree_decomposition",
+        "xgcd_uni",
+    ),
+    "fiber_counting": ("FiberCountError", "FiberReport", "build_fiber_system", "count_fiber"),
+    "gw_recursion": (
+        "GWSymbol",
+        "RationalInR",
+        "base_values",
+        "chain_trace",
+        "evaluate_chain",
+        "r_independence_check",
+    ),
+    "intersection_ledger": (
+        "DivisorClass",
+        "Ledger",
+        "build_ledger",
+        "combinatorial_degree",
+        "degree_via_ledger",
+        "derivation_table",
+        "m05_cross_check",
+        "self_intersection",
+        "solve_pullback_multiplicities",
+        "wps_section_self_intersection",
+    ),
+    "invariants": (
+        "ConfigClass",
+        "InvariantVector",
+        "OneDouble",
+        "Smooth5",
+        "TwoDoubles",
+        "UnstableQuinticError",
+        "WPPoint",
+        "discriminant_invariant",
+        "find_fundamental_relation",
+        "invariant_triple",
+        "invariants",
+        "is_stable",
+        "j_from_cross_ratio",
+        "moduli_point",
+    ),
+    "plane_curves": (
+        "GenericityReport",
+        "LineChart",
+        "LineInCurveError",
+        "PlaneCurve",
+        "PluckerCounts",
+        "fermat_degree_factorization",
+        "fermat_quintic",
+        "genericity_report",
+        "hessian",
+        "load_curve",
+        "phi",
+        "plucker_counts",
+        "restrict_to_line",
+    ),
+    "polys": ("MultiPoly", "PolynomialRing", "UniPoly", "interpolate"),
+    "scalars": ("GF", "QQ", "Field", "PrimeField", "RationalField"),
+}
+# Submodules reachable as package attributes; `invariants` is the function.
+_SUBMODULES = frozenset(_EXPORTS.keys() - {"invariants"} | {"linalg", "residue_rings"})
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME.keys() | _SUBMODULES)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here too
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | set(__all__))

@@ -7,6 +7,11 @@ output is reproducible byte for byte from the echo.  Exit status 0 means
 the command produced its report; computational failures exit nonzero
 after emitting a machine-readable failure record, and so do command-line
 usage errors (exit 2, usage on stderr).
+
+Each ``cmd_*`` imports the package modules it runs when it runs, so a
+process compiles only those: ``degree-ledger`` never loads the fiber
+oracle, and ``arc-limit`` loads mpmath only with ``--numeric``.  Module
+level holds the parser, the reporter and the scalar fields alone.
 """
 
 from __future__ import annotations
@@ -14,43 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
-from .arc_limits import (
-    ArcSpec,
-    FlexNormalForm,
-    arc_limit_numeric,
-    classify_arc,
-)
-from .binary_forms import BinaryQuintic
-from .fiber_counting import FiberCountError, count_fiber
-from .gw_recursion import (
-    SYM_I0_A1A1A1_BRM3,
-    SYM_I1_A1_5,
-    SYM_I1_A1A1A1A2,
-    chain_trace,
-    evaluate_chain,
-    r_independence_check,
-)
-from .intersection_ledger import combinatorial_degree, degree_via_ledger, derivation_table
-from .invariants import (
-    UnstableQuinticError,
-    discriminant_invariant,
-    find_fundamental_relation,
-    invariants,
-    is_stable,
-    moduli_point,
-    RELATION_MONOMIALS,
-)
-from .plane_curves import (
-    LineChart,
-    genericity_report,
-    load_curve,
-    plucker_counts,
-    fermat_degree_factorization,
-    restrict_to_line,
-)
 from .scalars import GF, QQ
 
 
@@ -95,7 +67,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ``UsageError`` where argparse would print usage and exit."""
+    """Raises ``UsageError`` where argparse would print usage and exit.
+
+    A word that starts with ``-`` and a digit (``-1,0,0,0,0,1``, ``-1/2``)
+    is a value, not an option name.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d,/.]*$")
 
     def error(self, message):
         raise UsageError(self, message)
@@ -129,7 +109,9 @@ def _field_for(prime: int | None):
     return QQ if prime is None else GF(prime)
 
 
-def _parse_quintic(text: str, prime: int | None) -> BinaryQuintic:
+def _parse_quintic(text: str, prime: int | None):
+    from .binary_forms import BinaryQuintic
+
     values = _parse_rational_list(text)
     if len(values) != 6:
         raise ValueError("a binary quintic needs 6 comma-separated coefficients")
@@ -158,6 +140,8 @@ def _echo(out: Reporter, args, command: str, **extra):
 
 
 def cmd_invariants(args, out: Reporter) -> int:
+    from .invariants import discriminant_invariant, invariants, is_stable
+
     f = _parse_quintic(args.quintic, args.prime)
     iv = invariants(f)
     out.emit(
@@ -175,6 +159,8 @@ def cmd_invariants(args, out: Reporter) -> int:
 
 
 def cmd_moduli(args, out: Reporter) -> int:
+    from .invariants import UnstableQuinticError, moduli_point
+
     f = _parse_quintic(args.quintic, args.prime)
     try:
         point = moduli_point(f).normalised()
@@ -185,6 +171,9 @@ def cmd_moduli(args, out: Reporter) -> int:
 
 
 def cmd_restrict(args, out: Reporter) -> int:
+    from .invariants import is_stable, moduli_point
+    from .plane_curves import LineChart, load_curve, restrict_to_line
+
     field = _field_for(args.prime)
     curve = load_curve(args.curve, QQ)
     if args.prime is not None:
@@ -202,6 +191,8 @@ def cmd_restrict(args, out: Reporter) -> int:
 
 
 def cmd_genericity(args, out: Reporter) -> int:
+    from .plane_curves import genericity_report, load_curve
+
     curve = load_curve(args.curve, QQ)
     report = genericity_report(curve, args.prime, seed=args.seed)
     out.emit(
@@ -224,6 +215,9 @@ def cmd_genericity(args, out: Reporter) -> int:
 
 
 def cmd_plucker(args, out: Reporter) -> int:
+    from .intersection_ledger import combinatorial_degree
+    from .plane_curves import plucker_counts
+
     counts = plucker_counts(args.d)
     out.emit(
         {
@@ -241,6 +235,8 @@ def cmd_plucker(args, out: Reporter) -> int:
 
 
 def cmd_degree_ledger(args, out: Reporter) -> int:
+    from .intersection_ledger import combinatorial_degree, degree_via_ledger, derivation_table
+
     for row in derivation_table():
         out.emit({"record": "ledger-row", **row})
     degree = degree_via_ledger()
@@ -258,12 +254,16 @@ def cmd_degree_ledger(args, out: Reporter) -> int:
 
 
 def cmd_fermat_check(args, out: Reporter) -> int:
+    from .plane_curves import fermat_degree_factorization
+
     degree = fermat_degree_factorization()
     out.emit({"record": "fermat-degree", "degree": degree, "factor_degrees": [25, 6, 1]})
     return 0
 
 
 def cmd_arc_limit(args, out: Reporter) -> int:
+    from .arc_limits import ArcSpec, FlexNormalForm, arc_limit_numeric, classify_arc
+
     alpha = _parse_rational_list(args.alpha) if args.alpha else []
     beta = _parse_rational_list(args.beta) if args.beta else []
     arc = ArcSpec(alpha, beta, truncation=args.truncation)
@@ -306,6 +306,9 @@ def cmd_arc_limit(args, out: Reporter) -> int:
 
 
 def cmd_fiber_count(args, out: Reporter) -> int:
+    from .fiber_counting import FiberCountError, count_fiber
+    from .plane_curves import load_curve
+
     curve = load_curve(args.curve, QQ)
     primes = args.prime or [10007]
     fiber_degrees = []
@@ -339,6 +342,15 @@ def cmd_fiber_count(args, out: Reporter) -> int:
 
 
 def cmd_gw_recursion(args, out: Reporter) -> int:
+    from .gw_recursion import (
+        SYM_I0_A1A1A1_BRM3,
+        SYM_I1_A1_5,
+        SYM_I1_A1A1A1A2,
+        chain_trace,
+        evaluate_chain,
+        r_independence_check,
+    )
+
     values = evaluate_chain()
     for line in chain_trace():
         out.emit({"record": "trace", "line": line})
@@ -362,6 +374,8 @@ def cmd_gw_recursion(args, out: Reporter) -> int:
 
 
 def cmd_relation(args, out: Reporter) -> int:
+    from .invariants import RELATION_MONOMIALS, find_fundamental_relation
+
     coefficients = find_fundamental_relation(seed=args.seed)
     out.emit(
         {

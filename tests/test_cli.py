@@ -264,3 +264,33 @@ def test_out_of_range_flags_give_failure_records(capsys, argv):
     assert code == 1
     last = records(out)[-1]
     assert last["record"] == "failure" and last["error_type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv, last_kind",
+    [
+        (["invariants", "--quintic", "-1,0,0,0,0,1"], "invariants"),
+        (["moduli", "--quintic", "-1/2,0,0,0,0,1"], "moduli"),
+        (["restrict", "--curve", FERMAT, "--frame", "-1,0,0,0,1,0,0,0,1", "--a", "1", "--b", "2"],
+         "restriction"),
+        (["restrict", "--curve", FERMAT, "--a", "-1/2", "--b", "1"], "restriction"),
+        (["gw-recursion", "--r", "-2,3"], "failure"),
+    ],
+    ids=["quintic", "quintic-fraction", "frame", "a-fraction", "r"],
+)
+def test_values_starting_with_a_minus_sign_parse(capsys, argv, last_kind):
+    code, out = run_cli(capsys, *argv, "--format", "jsonl")
+    last = records(out)[-1]
+    assert last["record"] == last_kind
+    if last_kind == "failure":
+        assert code == 1 and last["error_type"] == "ValueError"
+        assert "rooting order must be at least 4" in last["message"]
+    else:
+        assert code == 0
+
+
+def test_negative_value_reads_like_its_equals_form(capsys):
+    spaced = run_cli(capsys, "invariants", "--quintic", "-1,0,0,0,0,1", "--format", "jsonl")
+    joined = run_cli(capsys, "invariants", "--quintic=-1,0,0,0,0,1", "--format", "jsonl")
+    assert spaced == joined
+    assert spaced[0] == 0
