@@ -377,11 +377,12 @@ def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
     Returns (quotient, remainder_scalar).  One of s0, t0 must be a unit;
     zero-divisor coordinates raise SplitNeeded upward.
     """
-    if ring.is_unit(t0):
+    by_t = not ring.is_zero(t0)  # then t0 is a unit, or inv raises SplitNeeded
+    if by_t:
         root = ring.mul(s0, ring.inv(t0))
         coeffs = form.coeffs  # by t-degree
     else:
-        if not ring.is_unit(s0):
+        if ring.is_zero(s0):
             raise ArithmeticError("degenerate root (0 : 0) in flex probe")
         root = ring.mul(t0, ring.inv(s0))
         coeffs = tuple(reversed(form.coeffs))
@@ -391,7 +392,7 @@ def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
         acc = c if acc is None else ring.add(c, ring.mul(root, acc))
         q.append(acc)
     rem = ring.add(coeffs[-1], ring.mul(root, q[-1]))
-    if ring.is_unit(t0):
+    if by_t:
         return BinaryForm(ring, q), rem
     return BinaryForm(ring, tuple(reversed(q))), rem
 

@@ -8,8 +8,12 @@ construction and safe to share across threads.
 
 The coefficients come from any ``Ring`` of :mod:`.scalars`: QQ, GF(p), a
 ``PolynomialRing`` or a residue ring GF(p)[u]/(h).  The kernels use only
-the values' ``+ - *`` and the ring's ``reduce``; ``dense_product`` is the
-one product loop, shared with ``BinaryForm``.  Division (``divmod``,
+the values' ``+ - *`` and the ring's ``reduce``.  ``dense_product``, shared
+with ``BinaryForm``, multiplies over GF(p) by Kronecker substitution: each
+operand packed into one integer with a 64-bit slot per coefficient, one
+bigint product, each slot reduced mod p.  Every other ring, and a prime too
+large for the slot sums to fit, takes the accumulate-then-reduce loop.
+Division (``divmod``,
 ``monic`` and so the gcds built on them) also calls the ring's ``inv``,
 which over a residue ring may raise ``SplitNeeded``.
 
@@ -25,12 +29,16 @@ lexicographically on exponent tuples so output is deterministic.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import Field, PrimeField, Ring
 
 NEG_INF = float("-inf")
+
+assert array("Q").itemsize == 8, "packed products need 64-bit array slots"
 
 
 def _check_same_field(a, b):
@@ -41,9 +49,19 @@ def _check_same_field(a, b):
 def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
     """Coefficients of the product of two nonempty dense coefficient sequences.
 
-    Raw sums of products are accumulated with the values' own ``+`` and
-    ``*``, and ``ring.reduce`` is called once per output coefficient.
+    Over GF(p), when no slot's convolution sum can reach 2**64, the product
+    is one integer multiplication (Kronecker substitution); a negative
+    coefficient makes ``array`` raise ``OverflowError``, never a wrong
+    slot.  Otherwise raw sums of products are accumulated with the values'
+    own ``+`` and ``*``, and ``ring.reduce`` is called once per output
+    coefficient.
     """
+    if isinstance(ring, PrimeField) and max(a) * max(b) * min(len(a), len(b)) < 1 << 64:
+        A = int.from_bytes(array("Q", a).tobytes(), sys.byteorder)
+        B = int.from_bytes(array("Q", b).tobytes(), sys.byteorder)
+        slots = array("Q", (A * B).to_bytes(8 * (len(a) + len(b) - 1), sys.byteorder))
+        p = ring.p
+        return [c % p for c in slots]
     out = [ring.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ring.is_zero(ai):

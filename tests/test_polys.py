@@ -9,6 +9,7 @@ from quintic_moduli.polys import (
     MultiPoly,
     PolynomialRing,
     UniPoly,
+    dense_product,
     interpolate,
     interpolate_bivariate,
 )
@@ -115,13 +116,44 @@ def test_dense_products_agree_over_every_ring(ring):
     for _ in range(20):
         a = [rand_element(rng, ring) for _ in range(rng.randrange(1, 7))]
         b = [rand_element(rng, ring) for _ in range(rng.randrange(1, 7))]
-        # schoolbook reference, one ring add and one ring mul per term
-        ref = [ring.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                ref[i + j] = ring.add(ref[i + j], ring.mul(x, y))
+        ref = _schoolbook(ring, a, b)
         assert (BinaryForm(ring, a) * BinaryForm(ring, b)).coeffs == tuple(ref)
         assert UniPoly(ring, a) * UniPoly(ring, b) == UniPoly(ring, ref)
+
+
+def _schoolbook(ring, a, b):
+    """Reference product, one ring add and one ring mul per term."""
+    ref = [ring.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            ref[i + j] = ring.add(ref[i + j], ring.mul(x, y))
+    return ref
+
+
+def _gf_operands(rng, p, n):
+    """Operands of length n: random, all p - 1 (the largest slot sums), and
+    random with zeros inside and at both ends."""
+    holes = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+    if n > 2:
+        holes[0] = holes[-1] = 0
+    return [[rng.randrange(p) for _ in range(n)], [p - 1] * n, holes]
+
+
+# 2**31 - 1 straddles the 64-bit slot guard: (p - 1)**2 * 2 fits, * 4 does
+# not; 2**61 - 1 never fits, so every product over it takes the loop.
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+def test_gf_products_match_schoolbook(p):
+    field = GF(p)
+    rng = random.Random(p)
+    shapes = [(n, n) for n in (1, 2, 7, 8, 45, 600)] + [(2, 600), (600, 2), (46, 420), (420, 46)]
+    for la, lb in shapes:
+        for a, b in zip(_gf_operands(rng, p, la), _gf_operands(rng, p, lb)):
+            assert dense_product(field, a, b) == _schoolbook(field, a, b), (la, lb)
+
+
+def test_packed_product_rejects_negative_coefficients():
+    with pytest.raises(OverflowError):
+        dense_product(F, [3, -1], [2, 5])
 
 
 def _partial(ring, coeffs, var):

@@ -2,7 +2,14 @@
 
 import random
 
-from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
+import pytest
+
+from quintic_moduli.elimination import (
+    gcd_uni,
+    resultant_bivar_elim,
+    squarefree_decomposition,
+    xgcd_uni,
+)
 from quintic_moduli.plane_curves import (
     PlaneCurve,
     _dehom_y,
@@ -45,6 +52,47 @@ def _zero_divisor_biased(rng, ring, roots):
 
 def _random_poly(rng, ring, roots, degree):
     return UniPoly(ring, [_zero_divisor_biased(rng, ring, roots) for _ in range(degree + 1)])
+
+
+def _random_uni(rng, field, degree):
+    """A polynomial of exactly the given degree over GF(p)."""
+    coeffs = [rng.randrange(field.p) for _ in range(degree)]
+    return UniPoly(field, coeffs + [1 + rng.randrange(field.p - 1)])
+
+
+@pytest.mark.parametrize("p", [2503, 10007])
+@pytest.mark.parametrize("n", [1, 2, 5, 45, 60])
+def test_reduce_matches_the_divmod_remainder(p, n):
+    field = GF(p)
+    rng = random.Random(p * n)
+    h = _random_uni(rng, field, n)
+    xs = [_random_uni(rng, field, m) for m in range(3 * n + 1)] + [UniPoly.zero(field)]
+    # degrees up to 3n pass the 2n - 2 of a product, so the cached series of
+    # 1/rev(h) is extended while it runs; a fresh ring takes them top down
+    for ring, order in ((ResidueRing(h), xs), (ResidueRing(h), xs[::-1])):
+        for x in order:
+            assert ring.reduce(x) == x % h, (p, n, x.degree)
+
+
+@pytest.mark.parametrize("p", [2503, 10007])
+@pytest.mark.parametrize("n", [1, 2, 5, 45])
+def test_mul_inv_generator_match_their_remainder_definitions(p, n):
+    field = GF(p)
+    rng = random.Random(p + n)
+    h = _random_uni(rng, field, n)
+    ring = ResidueRing(h)
+    assert ring.generator() == UniPoly.x(field) % h
+    for _ in range(10):
+        a, b = (_random_uni(rng, field, rng.randrange(n)) for _ in range(2))
+        assert ring.mul(a, b) == (a * b) % h
+        try:
+            inverse = ring.inv(a)
+        except SplitNeeded as split:
+            assert (h % split.factor).is_zero()
+            continue
+        d, s, _ = xgcd_uni(a, h)
+        assert d.degree == 0 and inverse == s % h
+        assert (a * inverse) % h == ring.one
 
 
 def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
