@@ -28,7 +28,6 @@ _EXPORTS = {
         "FlexNormalForm",
         "NumericLimit",
         "ProjectivePair",
-        "arc_case_label",
         "arc_limit",
         "arc_limit_numeric",
         "exceptional_coordinate",

@@ -170,11 +170,6 @@ def arc_limit(arc: ArcSpec) -> ConfigClass:
     return classify_arc(arc)[1]
 
 
-def arc_case_label(arc: ArcSpec) -> str:
-    """Which branch of the case table the arc falls in (for reporting)."""
-    return classify_arc(arc)[0]
-
-
 @dataclass(frozen=True)
 class ProjectivePair:
     """A point (a : b) of the projective line over the rationals."""

@@ -3,15 +3,17 @@
 A form of order n in (x, y) is a coefficient list of length n + 1 where
 ``coeffs[k]`` multiplies ``x**(n-k) * y**k``.  The order is part of the
 data: top coefficients may vanish (a root at (1:0)); the zero form of a
-given order is allowed, since transvectants and differences produce it.
+given order is allowed, since transvectants produce it.
 
 Coefficients live in any ``Ring`` from :mod:`.scalars` /
 :mod:`.polys` (rationals, a prime field, a polynomial ring for symbolic
 identities, or a residue ring GF(p)[u]/(h) for the flex probe), so the
-same covariant code serves numeric and symbolic callers.  Products go
-through ``polys.dense_product``, the kernel ``UniPoly`` multiplies with; a
-transvectant is the same accumulate-then-reduce idiom over a cached table
-of integer weights, with no intermediate derivative forms; and
+same covariant code serves numeric and symbolic callers.  Sums, scalings
+and evaluation use the coefficients' own ``+ - *`` with one ``reduce`` per
+result.  Products go through ``polys.dense_product``, the kernel
+``UniPoly`` multiplies with; a transvectant is the same
+accumulate-then-reduce idiom over a cached table of integer weights, with
+no intermediate derivative forms; and
 ``substitute_linear`` is the one substitution of order-1 forms into a
 binary or a ternary form.
 """
@@ -58,18 +60,7 @@ class BinaryForm:
         if self.order != other.order:
             raise ValueError("cannot add forms of different orders")
         R = self.ring
-        return BinaryForm(R, [R.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        self._check(other)
-        if self.order != other.order:
-            raise ValueError("cannot subtract forms of different orders")
-        R = self.ring
-        return BinaryForm(R, [R.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "BinaryForm":
-        R = self.ring
-        return BinaryForm(R, [R.neg(c) for c in self.coeffs])
+        return BinaryForm(R, [R.reduce(a + b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         self._check(other)
@@ -77,7 +68,7 @@ class BinaryForm:
 
     def scale(self, c) -> "BinaryForm":
         R = self.ring
-        return BinaryForm(R, [R.mul(c, a) for a in self.coeffs])
+        return BinaryForm(R, [R.reduce(c * a) for a in self.coeffs])
 
     def eval(self, x, y):
         R = self.ring
@@ -85,13 +76,13 @@ class BinaryForm:
         xp = [R.one]
         yp = [R.one]
         for _ in range(n):
-            xp.append(R.mul(xp[-1], x))
-            yp.append(R.mul(yp[-1], y))
+            xp.append(R.reduce(xp[-1] * x))
+            yp.append(R.reduce(yp[-1] * y))
         acc = R.zero
         for k, c in enumerate(self.coeffs):
             if not R.is_zero(c):
-                acc = R.add(acc, R.mul(c, R.mul(xp[n - k], yp[k])))
-        return acc
+                acc += c * xp[n - k] * yp[k]
+        return R.reduce(acc)
 
     def substituted(self, m: Sequence[Sequence]) -> "BinaryForm":
         """Apply the linear substitution (x, y) -> (a x + b y, c x + d y).
@@ -109,17 +100,13 @@ class BinaryForm:
             raise ValueError("dehomogenisation needs field coefficients")
         return UniPoly(self.ring, list(reversed(self.coeffs)))
 
-    def swapped(self) -> "BinaryForm":
-        """The form with x and y interchanged."""
-        return BinaryForm(self.ring, tuple(reversed(self.coeffs)))
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)
             and self.ring is other.ring
             and self.order == other.order
             and all(
-                self.ring.is_zero(self.ring.sub(a, b))
+                self.ring.is_zero(self.ring.reduce(a - b))
                 for a, b in zip(self.coeffs, other.coeffs)
             )
         )

@@ -70,10 +70,10 @@ def resultant_uni(f: UniPoly, g: UniPoly):
         da, db, dr = a.degree, b.degree, r.degree
         if (da * db) & 1:
             negate = not negate
-        acc = F.mul(acc, F.pow(b.lc, da - dr))
+        acc = F.reduce(acc * F.pow(b.lc, da - dr))
         a, b = b, r
-    acc = F.mul(acc, F.pow(b.coeffs[0], a.degree))
-    return F.neg(acc) if negate else acc
+    acc = acc * F.pow(b.coeffs[0], a.degree)
+    return F.reduce(-acc if negate else acc)
 
 
 def _resultant_modp(a: list[int], b: list[int], p: int) -> int:

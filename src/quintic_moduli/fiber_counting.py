@@ -148,18 +148,16 @@ def build_fiber_system(
         raise ValueError("target must have nonzero first coordinate")
     framed = curve.composed_with_frame(frame)
     restrict = _restriction_coefficients(framed.poly, field)
-    c1sq = field.mul(c1, c1)
-    c1cu = field.mul(c1sq, c1)
+    c1sq = field.reduce(c1 * c1)
+    c1cu = field.reduce(c1sq * c1)
 
     def system_at(a: int, b: int) -> tuple[int, int]:
         coeffs = restrict(a, b)
         if all(c == 0 for c in coeffs):
             raise FiberRetryError("a sampled line lies on the curve (degenerate frame)")
         i4, i8, i12 = invariant_triple(BinaryQuintic(field, coeffs))
-        g1 = field.sub(field.mul(c2, field.mul(i4, i4)), field.mul(c1sq, i8))
-        g2 = field.sub(
-            field.mul(c3, field.mul(i4, field.mul(i4, i4))), field.mul(c1cu, i12)
-        )
+        g1 = field.reduce(c2 * i4 * i4 - c1sq * i8)
+        g2 = field.reduce(c3 * i4 * i4 * i4 - c1cu * i12)
         return g1, g2
 
     n = FIBER_SYSTEM_DEGREES[1]  # lattice {a + b <= n}: the top degree
@@ -184,7 +182,7 @@ def _draw_target(field: PrimeField, rng: random.Random) -> WPPoint:
         c1 = field.from_int(1 + rng.randrange(field.p - 1))
         c2 = field.from_int(rng.randrange(field.p))
         c3 = field.from_int(rng.randrange(field.p))
-        disc = field.sub(field.mul(c1, c1), field.mul(field.from_int(128), c2))
+        disc = field.reduce(c1 * c1 - 128 * c2)
         if not field.is_zero(disc):
             return WPPoint(field, c1, c2, c3)
 

@@ -88,7 +88,7 @@ class WPPoint:
         if F.is_zero(self.w1):
             return self
         t = F.inv(self.w1)
-        return WPPoint(F, F.one, F.mul(F.pow(t, 2), self.w2), F.mul(F.pow(t, 3), self.w3))
+        return WPPoint(F, F.one, F.reduce(t * t * self.w2), F.reduce(t * t * t * self.w3))
 
     def __eq__(self, other):
         if not isinstance(other, WPPoint) or self.field is not other.field:
@@ -96,11 +96,9 @@ class WPPoint:
         F = self.field
         u1, u2, u3 = self.coords()
         v1, v2, v3 = other.coords()
-        c12 = F.sub(F.mul(F.pow(v1, 2), u2), F.mul(F.pow(u1, 2), v2))
-        c13 = F.sub(F.mul(F.pow(v1, 3), u3), F.mul(F.pow(u1, 3), v3))
-        c23 = F.sub(
-            F.mul(F.pow(v2, 3), F.pow(u3, 2)), F.mul(F.pow(u2, 3), F.pow(v3, 2))
-        )
+        c12 = F.reduce(v1 * v1 * u2 - u1 * u1 * v2)
+        c13 = F.reduce(v1 * v1 * v1 * u3 - u1 * u1 * u1 * v3)
+        c23 = F.reduce(v2 * v2 * v2 * u3 * u3 - u2 * u2 * u2 * v3 * v3)
         return F.is_zero(c12) and F.is_zero(c13) and F.is_zero(c23)
 
     def __hash__(self):
@@ -224,18 +222,12 @@ def _normalisation() -> dict:
 def _normalise(R: Ring, J4, J8, J12):
     """(I4, I8, I12) from the chain values, by the pinned scale factors."""
     norm = _normalisation()
-    i4 = R.mul(R.from_fraction(norm["s4"]), J4)
-    i4sq = R.mul(i4, i4)
-    i8 = R.add(
-        R.mul(R.from_fraction(norm["u8"]), J8), R.mul(R.from_fraction(norm["v8"]), i4sq)
+    s4, u8, v8, u12, v12, w12 = (
+        R.from_fraction(norm[k]) for k in ("s4", "u8", "v8", "u12", "v12", "w12")
     )
-    i12 = R.add(
-        R.add(
-            R.mul(R.from_fraction(norm["u12"]), J12),
-            R.mul(R.from_fraction(norm["v12"]), R.mul(i4sq, i4)),
-        ),
-        R.mul(R.from_fraction(norm["w12"]), R.mul(i4, i8)),
-    )
+    i4 = R.reduce(s4 * J4)
+    i8 = R.reduce(u8 * J8 + v8 * i4 * i4)
+    i12 = R.reduce(u12 * J12 + v12 * i4 * i4 * i4 + w12 * i4 * i8)
     return i4, i8, i12
 
 
@@ -253,7 +245,7 @@ def invariant_triple(f: BinaryQuintic):
 def discriminant_invariant(iv: InvariantVector):
     """The repeated-root locus: I4^2 - 128*I8."""
     R = iv.ring
-    return R.sub(R.mul(iv.i4, iv.i4), R.mul(R.from_int(128), iv.i8))
+    return R.reduce(iv.i4 * iv.i4 - R.from_int(128) * iv.i8)
 
 
 def moduli_point(f: BinaryQuintic) -> WPPoint:
@@ -290,12 +282,11 @@ def j_from_cross_ratio(lam, field: Field = QQ):
     (degenerate quadruple).
     """
     F = field
-    if F.is_zero(lam) or F.is_zero(F.sub(lam, F.one)):
+    if F.is_zero(lam) or F.is_zero(F.reduce(lam - F.one)):
         raise ValueError("cross-ratio 0 or 1 does not define four distinct points")
-    num = F.add(F.sub(F.mul(lam, lam), lam), F.one)
-    num = F.mul(F.from_int(256), F.pow(num, 3))
-    den = F.mul(F.pow(lam, 2), F.pow(F.sub(lam, F.one), 2))
-    return F.div(num, den)
+    s = lam * lam - lam + F.one
+    den = F.reduce(lam * lam * (lam - F.one) * (lam - F.one))
+    return F.reduce(F.from_int(256) * s * s * s * F.inv(den))
 
 
 #: Exponent quadruples (e4, e8, e12, e18) of the 13 candidate monomials of
@@ -322,13 +313,11 @@ def relation_value(iv: InvariantVector, coefficients):
     for (e4, e8, e12, e18), c in zip(RELATION_MONOMIALS, coefficients):
         if c == 0:
             continue
-        term = R.from_fraction(Fraction(c))
-        term = R.mul(term, R.pow(iv.i4, e4))
-        term = R.mul(term, R.pow(iv.i8, e8))
-        term = R.mul(term, R.pow(iv.i12, e12))
-        term = R.mul(term, R.pow(iv.i18, e18))
-        acc = R.add(acc, term)
-    return acc
+        acc += (
+            R.from_fraction(Fraction(c))
+            * R.pow(iv.i4, e4) * R.pow(iv.i8, e8) * R.pow(iv.i12, e12) * R.pow(iv.i18, e18)
+        )
+    return R.reduce(acc)
 
 
 #: Random rational quintics sampled by ``find_fundamental_relation``: well

@@ -23,13 +23,11 @@ def rref(rows: Sequence[Sequence], field: Field):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        rows[r] = [field.reduce(inv * x) for x in rows[r]]
         for k in range(len(rows)):
             if k != r and not field.is_zero(rows[k][c]):
                 factor = rows[k][c]
-                rows[k] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[k], rows[r])
-                ]
+                rows[k] = [field.reduce(x - factor * y) for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -49,7 +47,7 @@ def nullspace(rows: Sequence[Sequence], field: Field) -> list[list]:
         vec = [field.zero] * ncols
         vec[fc] = field.one
         for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced[r][fc])
+            vec[pc] = field.reduce(-reduced[r][fc])
         basis.append(vec)
     return basis
 

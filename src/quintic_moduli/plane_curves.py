@@ -96,7 +96,7 @@ class PlaneCurve:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad coefficient in record {rec!r}: {exc}") from None
             e = (i, j, k)
-            terms[e] = field.add(terms.get(e, field.zero), value)
+            terms[e] = field.reduce(terms.get(e, field.zero) + value)
         return cls(MultiPoly(field, 3, terms))
 
     def to_records(self) -> list[list]:
@@ -146,10 +146,11 @@ def fermat_quintic(field: Field = QQ) -> PlaneCurve:
 
 def frame_determinant(frame: Sequence[Sequence], field: Field):
     m = frame
-    t1 = field.mul(m[0][0], field.sub(field.mul(m[1][1], m[2][2]), field.mul(m[1][2], m[2][1])))
-    t2 = field.mul(m[0][1], field.sub(field.mul(m[1][0], m[2][2]), field.mul(m[1][2], m[2][0])))
-    t3 = field.mul(m[0][2], field.sub(field.mul(m[1][0], m[2][1]), field.mul(m[1][1], m[2][0])))
-    return field.add(field.sub(t1, t2), t3)
+    return field.reduce(
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 class LineChart:
@@ -186,21 +187,20 @@ class LineChart:
         """
         u, v, w = dual
         framed = [
-            field.add(field.add(field.mul(frame[0][c], u), field.mul(frame[1][c], v)), field.mul(frame[2][c], w))
-            for c in range(3)
+            field.reduce(frame[0][c] * u + frame[1][c] * v + frame[2][c] * w) for c in range(3)
         ]
         if field.is_zero(framed[2]):
             raise ValueError("line is vertical in this frame; choose another frame")
-        ninv = field.neg(field.inv(framed[2]))
-        return cls(field, frame, field.mul(framed[0], ninv), field.mul(framed[1], ninv))
+        ninv = field.inv(framed[2])
+        return cls(field, frame, field.reduce(-framed[0] * ninv), field.reduce(-framed[1] * ninv))
 
     def parametrisation(self) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
         """Ambient coordinates of the line point at (s : t), as binary forms."""
         F = self.field
         lins = []
         for r in range(3):
-            cs = F.add(self.frame[r][0], F.mul(self.frame[r][2], self.a))
-            ct = F.add(self.frame[r][1], F.mul(self.frame[r][2], self.b))
+            cs = F.reduce(self.frame[r][0] + self.frame[r][2] * self.a)
+            ct = F.reduce(self.frame[r][1] + self.frame[r][2] * self.b)
             lins.append(BinaryForm(F, [cs, ct]))
         return tuple(lins)
 
@@ -343,7 +343,7 @@ def _dehom_y(poly: MultiPoly, field: Field) -> MultiPoly:
     terms: dict[tuple, object] = {}
     for (i, j, k), c in poly.terms.items():
         e = (i, k)
-        terms[e] = field.add(terms.get(e, field.zero), c) if e in terms else c
+        terms[e] = field.reduce(terms[e] + c) if e in terms else c
     return MultiPoly(field, 2, terms)
 
 
@@ -352,7 +352,7 @@ def _restrict_y0(poly: MultiPoly, field: Field) -> UniPoly:
     coeffs: dict[int, object] = {}
     for (i, j, k), c in poly.terms.items():
         if j == 0:
-            coeffs[k] = field.add(coeffs.get(k, field.zero), c) if k in coeffs else c
+            coeffs[k] = field.reduce(coeffs[k] + c) if k in coeffs else c
     n = max(coeffs, default=0)
     return UniPoly(field, [coeffs.get(k, field.zero) for k in range(n + 1)])
 
@@ -379,19 +379,19 @@ def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
     """
     by_t = not ring.is_zero(t0)  # then t0 is a unit, or inv raises SplitNeeded
     if by_t:
-        root = ring.mul(s0, ring.inv(t0))
+        root = ring.reduce(s0 * ring.inv(t0))
         coeffs = form.coeffs  # by t-degree
     else:
         if ring.is_zero(s0):
             raise ArithmeticError("degenerate root (0 : 0) in flex probe")
-        root = ring.mul(t0, ring.inv(s0))
+        root = ring.reduce(t0 * ring.inv(s0))
         coeffs = tuple(reversed(form.coeffs))
     q = []
     acc = None
     for c in coeffs[:-1]:
-        acc = c if acc is None else ring.add(c, ring.mul(root, acc))
+        acc = c if acc is None else ring.reduce(c + root * acc)
         q.append(acc)
-    rem = ring.add(coeffs[-1], ring.mul(root, q[-1]))
+    rem = ring.reduce(coeffs[-1] + root * q[-1])
     if by_t:
         return BinaryForm(ring, q), rem
     return BinaryForm(ring, tuple(reversed(q))), rem
@@ -422,23 +422,24 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
     g = gcd_uni(dz, hz)
     if g.degree != 1:
         raise _FrameRetry(f"flex fiber gcd has degree {g.degree}, expected 1; reframe")
-    z0 = ring.neg(g.coeffs[0])
+    z0 = ring.reduce(-g.coeffs[0])
     point = (u, ring.one, z0)
     gx, gy, gz = (
         curve_poly.derivative(v).map_coefficients(ring, ring.from_base).eval(point)
         for v in range(3)
     )
     # tangent-line parametrisation with a unit pivot in the gradient
+    mx, my, mz = (ring.reduce(-c) for c in (gx, gy, gz))
     if ring.is_unit(gz):
         coords = (
             BinaryForm(ring, [gz, ring.zero]),
             BinaryForm(ring, [ring.zero, gz]),
-            BinaryForm(ring, [ring.neg(gx), ring.neg(gy)]),
+            BinaryForm(ring, [mx, my]),
         )
         s0, t0 = u, ring.one
     elif ring.is_unit(gx):
         coords = (
-            BinaryForm(ring, [ring.neg(gy), ring.neg(gz)]),
+            BinaryForm(ring, [my, mz]),
             BinaryForm(ring, [gx, ring.zero]),
             BinaryForm(ring, [ring.zero, gx]),
         )
@@ -446,7 +447,7 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
     elif ring.is_unit(gy):
         coords = (
             BinaryForm(ring, [gy, ring.zero]),
-            BinaryForm(ring, [ring.neg(gx), ring.neg(gz)]),
+            BinaryForm(ring, [mx, mz]),
             BinaryForm(ring, [ring.zero, gy]),
         )
         s0, t0 = u, z0
@@ -461,7 +462,7 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
     # remaining pair keep the flex honest (no hyperflex, no flex-bitangent)
     q0, q1, q2 = current.coeffs
     value = current.eval(s0, t0)
-    disc = ring.sub(ring.mul(q1, q1), ring.mul(ring.from_int(4), ring.mul(q0, q2)))
+    disc = ring.reduce(q1 * q1 - ring.from_int(4) * q0 * q2)
     return ring.is_unit(value) and ring.is_unit(disc)
 
 

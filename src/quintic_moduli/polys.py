@@ -7,15 +7,16 @@ stored zero coefficients are never kept.  Both are immutable after
 construction and safe to share across threads.
 
 The coefficients come from any ``Ring`` of :mod:`.scalars`: QQ, GF(p), a
-``PolynomialRing`` or a residue ring GF(p)[u]/(h).  The kernels use only
-the values' ``+ - *`` and the ring's ``reduce``.  ``dense_product``, shared
-with ``BinaryForm``, multiplies over GF(p) by Kronecker substitution: each
-operand packed into one integer with a 64-bit slot per coefficient, one
-bigint product, each slot reduced mod p.  Every other ring, and a prime too
-large for the slot sums to fit, takes the accumulate-then-reduce loop.
-Division (``divmod``,
-``monic`` and so the gcds built on them) also calls the ring's ``inv``,
-which over a residue ring may raise ``SplitNeeded``.
+``PolynomialRing`` or a residue ring GF(p)[u]/(h).  Every operation
+combines coefficients with their own ``+ - *`` and calls the ring's
+``reduce`` once per resulting coefficient or value.  ``dense_product``,
+shared with ``BinaryForm``, multiplies over GF(p) by Kronecker
+substitution: each operand packed into one integer with a 64-bit slot per
+coefficient, one bigint product, each slot reduced mod p.  Every other
+ring, and a prime too large for the slot sums to fit, takes the
+accumulate-then-reduce loop.  Division (``divmod``, ``monic`` and so the
+gcds built on them) also calls the ring's ``inv``, which over a residue
+ring may raise ``SplitNeeded``.
 
 Interpolation runs over GF(p) on raw ints: ``interpolate`` in one variable
 and ``interpolate_bivariate`` on the principal lattice {i + j <= n}, both
@@ -118,17 +119,19 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = F.add(out[k], c)
-        return UniPoly(F, out)
+        return UniPoly(F, [F.reduce(x + y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "UniPoly":
         F = self.field
-        return UniPoly(F, [F.neg(c) for c in self.coeffs])
+        return UniPoly(F, [F.reduce(-c) for c in self.coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        _check_same_field(self, other)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        out = [F.reduce(x - y) for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [F.reduce(-y) for y in b[len(a):]]
+        return UniPoly(F, out)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         _check_same_field(self, other)
@@ -139,25 +142,25 @@ class UniPoly:
 
     def scale(self, c) -> "UniPoly":
         F = self.field
-        return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
+        return UniPoly(F, [F.reduce(c * a) for a in self.coeffs])
 
     def eval(self, x):
         F = self.field
         acc = F.zero
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
+            acc = F.reduce(acc * x + c)
         return acc
 
     def derivative(self) -> "UniPoly":
         F = self.field
-        return UniPoly(F, [F.mul(F.from_int(k), c) for k, c in enumerate(self.coeffs) if k])
+        return UniPoly(F, [F.reduce(F.from_int(k) * c) for k, c in enumerate(self.coeffs) if k])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ValueError("cannot normalise the zero polynomial")
         F = self.field
         inv = F.inv(self.lc)
-        return UniPoly(F, [F.mul(inv, c) for c in self.coeffs])
+        return UniPoly(F, [F.reduce(inv * c) for c in self.coeffs])
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         _check_same_field(self, other)
@@ -256,18 +259,20 @@ class MultiPoly:
         F = self.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            if e in out:
-                out[e] = F.add(out[e], c)
-            else:
-                out[e] = c
+            out[e] = F.reduce(out[e] + c) if e in out else c
         return MultiPoly(F, self.arity, out)
 
     def __neg__(self) -> "MultiPoly":
         F = self.field
-        return MultiPoly(F, self.arity, {e: F.neg(c) for e, c in self.terms.items()})
+        return MultiPoly(F, self.arity, {e: F.reduce(-c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check_compatible(other)
+        F = self.field
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = F.reduce(out[e] - c) if e in out else F.reduce(-c)
+        return MultiPoly(F, self.arity, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
@@ -283,19 +288,7 @@ class MultiPoly:
 
     def scale(self, c) -> "MultiPoly":
         F = self.field
-        return MultiPoly(F, self.arity, {e: F.mul(c, v) for e, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(self.field, self.arity, self.field.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return MultiPoly(F, self.arity, {e: F.reduce(c * v) for e, v in self.terms.items()})
 
     def eval(self, point: Sequence):
         """Exact value at a point given as one scalar per variable."""
@@ -312,16 +305,15 @@ class MultiPoly:
         for x, m in zip(point, maxes):
             row = [F.one]
             for _ in range(m):
-                row.append(F.mul(row[-1], x))
+                row.append(F.reduce(row[-1] * x))
             powers.append(row)
         acc = F.zero
         for e, c in self.terms.items():
-            t = c
             for i, k in enumerate(e):
                 if k:
-                    t = F.mul(t, powers[i][k])
-            acc = F.add(acc, t)
-        return acc
+                    c = F.reduce(c * powers[i][k])
+            acc += c
+        return F.reduce(acc)
 
     def derivative(self, var: int) -> "MultiPoly":
         F = self.field
@@ -331,7 +323,7 @@ class MultiPoly:
             if k:
                 ne = list(e)
                 ne[var] = k - 1
-                out[tuple(ne)] = F.mul(F.from_int(k), c)
+                out[tuple(ne)] = F.reduce(F.from_int(k) * c)
         return MultiPoly(F, self.arity, out)
 
     def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
@@ -395,18 +387,6 @@ class PolynomialRing(Ring):
         self.zero = MultiPoly.zero(field, arity)
         self.one = MultiPoly.constant(field, arity, field.one)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def from_int(self, n):
         return MultiPoly.constant(self.field, self.arity, self.field.from_int(n))
 
@@ -418,9 +398,6 @@ class PolynomialRing(Ring):
 
     def is_zero(self, a):
         return a.is_zero()
-
-    def pow(self, a, n):
-        return a ** n
 
     def variable(self, idx: int) -> MultiPoly:
         return MultiPoly.variable(self.field, self.arity, idx)

@@ -13,7 +13,8 @@ h through multiplication (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, section 9.1): the quotient is read off the product of the reversed
 input with a cached power series of 1/rev(h), and the remainder off one
 more product, both packed GF(p) products of ``polys.dense_product``.
-``mul``, ``inv`` and ``generator`` all reduce through it.  So
+Elements combine with ``UniPoly``'s own ``+ - *``; callers reduce each
+result, and ``inv`` and ``generator`` reduce through it too.  So
 ``UniPoly(ResidueRing(h), ...)`` runs the dense kernels of :mod:`.polys`
 unchanged: products accumulate raw and reduce once per coefficient, and
 ``gcd_uni`` escapes with ``SplitNeeded`` from the ``inv`` inside ``divmod``
@@ -57,18 +58,6 @@ class ResidueRing(Ring):
     def generator(self) -> UniPoly:
         """The class of u itself."""
         return self.reduce(UniPoly.x(self.base))
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return self.reduce(a * b)
 
     def from_int(self, n):
         return UniPoly.constant(self.base, self.base.from_int(n))

@@ -1,15 +1,17 @@
 """Exact coefficient arithmetic: rationals and fixed odd prime fields.
 
 Scalars are plain Python values: ``Fraction`` for the rationals, ``int``
-reduced to ``[0, p)`` for a prime field.  A ring object supplies the
-arithmetic, so generic code (polynomials, transvectants) is written once
-against the ``Ring`` interface.  Its ``reduce`` maps a raw ``+ - *``
-combination of elements to the canonical representative (``x % p`` on
-GF(p), the identity on QQ and on polynomial rings, ``x % h`` on a residue
-ring GF(p)[u]/(h)), which lets the dense kernels accumulate with the
-values' own operators and reduce once per output coefficient.  Values from
-different rings are never coerced into each other: polynomial operations
-compare ring objects and raise on mismatch.
+reduced to ``[0, p)`` for a prime field.  Arithmetic is the values' own
+``+ - *``; a ring object supplies only what those operators cannot:
+``reduce``, which maps a raw ``+ - *`` combination of elements to the
+canonical representative (``x % p`` on GF(p), the identity on QQ and on
+polynomial rings, ``x % h`` on a residue ring GF(p)[u]/(h)), the
+embeddings ``from_int``, ``from_fraction`` and ``from_base``, ``pow``, and
+``inv`` on a field.  Generic code (polynomials, transvectants) is written
+once against that interface: it combines values with their operators and
+calls ``reduce`` once per result.  Values from different rings are never
+coerced into each other: polynomial operations compare ring objects and
+raise on mismatch.
 
 Prime fields require an odd prime ``p >= 2503``.  The lower bound keeps
 every factorial scaling, squarefree multiplicity and interpolation node
@@ -52,19 +54,11 @@ def is_prime(n: int) -> bool:
 
 
 class Ring:
-    """Exact commutative ring interface; enough for transvectant calculus."""
+    """Exact commutative ring: ``zero``, ``one``, ``reduce`` and embeddings.
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
+    Elements combine with their own ``+ - *``; ``reduce`` brings the raw
+    result back to the canonical representative, once per value.
+    """
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -84,14 +78,16 @@ class Ring:
         return x
 
     def pow(self, a, n: int):
+        """a**n by repeated squaring; a negative n needs ``inv``."""
         if n < 0:
             return self.pow(self.inv(a), -n)
         out = self.one
         while n:
             if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
+                out = self.reduce(out * a)
             n >>= 1
+            if n:
+                a = self.reduce(a * a)
         return out
 
 
@@ -101,27 +97,12 @@ class Field(Ring):
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
 
 class RationalField(Field):
     """The rationals; elements are ``Fraction`` (always in lowest terms)."""
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -152,20 +133,6 @@ class PrimeField(Field):
         self.p = p
         self.zero = 0
         self.one = 1
-
-    def add(self, a, b):
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
 
     def inv(self, a):
         if a == 0:

@@ -132,9 +132,9 @@ def test_criterion_5_fiber_counts(fiber_runs):
 def test_criterion_6_arc_suite():
     from quintic_moduli.arc_limits import (
         FlexNormalForm,
-        arc_case_label,
         arc_limit,
         arc_limit_numeric,
+        classify_arc,
     )
     from quintic_moduli.invariants import OneDouble, TwoDoubles
 
@@ -148,7 +148,7 @@ def test_criterion_6_arc_suite():
         3: ("balanced", "balanced-degenerate"),
     }
     for trial, arc in enumerate(arcs):
-        label = arc_case_label(arc)
+        label = classify_arc(arc)[0]
         assert label in expected_by_case[trial % 4], (trial, label)
         sym = arc_limit(arc)
         if label == "beta-dominant-j0" or label == "intermediate-j0":

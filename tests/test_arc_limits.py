@@ -8,9 +8,9 @@ from quintic_moduli.arc_limits import (
     FlexNormalForm,
     NumericLimit,
     ProjectivePair,
-    arc_case_label,
     arc_limit,
     arc_limit_numeric,
+    classify_arc,
     compose_series,
     default_schedule,
     exceptional_coordinate,
@@ -124,11 +124,11 @@ def test_exceptional_coordinate():
 
 
 def test_case_labels():
-    assert arc_case_label(ArcSpec([0, 1], [0, 1])) == "beta-dominant-j0"
-    assert arc_case_label(ArcSpec([0, 1], [])) == "alpha-dominant-j1728"
-    assert arc_case_label(ArcSpec([0, 0, 1], [0, 0, 0, 1])) == "balanced"
-    assert arc_case_label(ArcSpec([0, 0, 3], [0, 0, 0, 2])) == "balanced-degenerate"
-    assert arc_case_label(ArcSpec([0, 0, 0, 1], [0, 0, 0, 0, 1])) == "intermediate-j0"
+    assert classify_arc(ArcSpec([0, 1], [0, 1]))[0] == "beta-dominant-j0"
+    assert classify_arc(ArcSpec([0, 1], []))[0] == "alpha-dominant-j1728"
+    assert classify_arc(ArcSpec([0, 0, 1], [0, 0, 0, 1]))[0] == "balanced"
+    assert classify_arc(ArcSpec([0, 0, 3], [0, 0, 0, 2]))[0] == "balanced-degenerate"
+    assert classify_arc(ArcSpec([0, 0, 0, 1], [0, 0, 0, 0, 1]))[0] == "intermediate-j0"
 
 
 def test_numeric_oracle_spot_checks():

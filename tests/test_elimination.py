@@ -18,7 +18,7 @@ F = GF(10007)
 
 def linear(field, a):
     """x - a over the given field."""
-    return UniPoly(field, [field.neg(field.from_int(a)), field.one])
+    return UniPoly(field, [field.reduce(-field.from_int(a)), field.one])
 
 
 def sylvester_determinant(f: UniPoly, g: UniPoly):
@@ -43,15 +43,15 @@ def sylvester_determinant(f: UniPoly, g: UniPoly):
             return field.zero
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = field.neg(det)
-        det = field.mul(det, rows[col][col])
+            det = field.reduce(-det)
+        det = field.reduce(det * rows[col][col])
         inv = field.inv(rows[col][col])
         for r in range(col + 1, size):
-            factor = field.mul(rows[r][col], inv)
+            factor = field.reduce(rows[r][col] * inv)
             if field.is_zero(factor):
                 continue
             rows[r] = [
-                field.sub(x, field.mul(factor, y)) for x, y in zip(rows[r], rows[col])
+                field.reduce(x - field.reduce(factor * y)) for x, y in zip(rows[r], rows[col])
             ]
     return det
 
@@ -82,9 +82,9 @@ def test_resultant_swap_and_multiplicativity():
             )
 
         f, g, h = rand(6), rand(6), rand(4)
-        sign = F.one if (f.degree * g.degree) % 2 == 0 else F.neg(F.one)
-        assert resultant_uni(f, g) == F.mul(sign, resultant_uni(g, f))
-        assert resultant_uni(f, g * h) == F.mul(resultant_uni(f, g), resultant_uni(f, h))
+        sign = F.one if (f.degree * g.degree) % 2 == 0 else F.reduce(-F.one)
+        assert resultant_uni(f, g) == F.reduce(sign * resultant_uni(g, f))
+        assert resultant_uni(f, g * h) == F.reduce(resultant_uni(f, g) * resultant_uni(f, h))
 
 
 def test_bivariate_elimination_examples():
@@ -108,7 +108,7 @@ def test_bivariate_elimination_matches_direct_resultants():
         def specialise(poly, val):
             coeffs = {}
             for (i, j), c in poly.terms.items():
-                coeffs[i] = F.add(coeffs.get(i, F.zero), F.mul(c, F.pow(F.from_int(val), j)))
+                coeffs[i] = F.reduce(coeffs.get(i, F.zero) + F.reduce(c * F.pow(F.from_int(val), j)))
             return UniPoly(F, [coeffs.get(i, F.zero) for i in range(max(coeffs) + 1)])
 
         fu, gu = specialise(f, s), specialise(g, s)

@@ -124,7 +124,7 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
         terms = {}
         for (i, j, k), c in poly.terms.items():
             e = (i, k)
-            terms[e] = F.add(terms.get(e, F.zero), c)
+            terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
     flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h.poly), 1)
@@ -133,22 +133,25 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
     def fiber_poly(poly, u):
         out = {}
         for (i, j, k), c in poly.terms.items():
-            val = F.mul(c, F.pow(F.from_int(u), i))
-            out[k] = F.add(out.get(k, F.zero), val) if k in out else val
+            val = F.reduce(c * F.pow(F.from_int(u), i))
+            out[k] = F.reduce(out[k] + val) if k in out else val
         return UniPoly(F, [out.get(k, F.zero) for k in range(max(out) + 1)])
 
     g = gcd_uni(fiber_poly(curve.poly, u0), fiber_poly(h.poly, u0))
     assert g.degree == 1
-    z0 = F.neg(F.mul(g.coeffs[0], F.inv(g.coeffs[1])))
+    z0 = F.reduce(-F.reduce(g.coeffs[0] * F.inv(g.coeffs[1])))
     point = (F.from_int(u0), F.one, z0)
     dual = tuple(curve.poly.derivative(v).eval(point) for v in range(3))
     framed_dual = [
-        F.add(F.add(F.mul(frame[0][c], dual[0]), F.mul(frame[1][c], dual[1])), F.mul(frame[2][c], dual[2]))
+        F.reduce(
+            F.reduce(F.reduce(frame[0][c] * dual[0]) + F.reduce(frame[1][c] * dual[1]))
+            + F.reduce(frame[2][c] * dual[2])
+        )
         for c in range(3)
     ]
     assert not F.is_zero(framed_dual[2]), "flex line vertical in this frame; unlucky"
-    ninv = F.neg(F.inv(framed_dual[2]))
-    a0, b0 = F.mul(framed_dual[0], ninv), F.mul(framed_dual[1], ninv)
+    ninv = F.reduce(-F.inv(framed_dual[2]))
+    a0, b0 = F.reduce(framed_dual[0] * ninv), F.reduce(framed_dual[1] * ninv)
     assert g1.eval((a0, b0)) == 0
     assert g2.eval((a0, b0)) == 0
 
@@ -190,7 +193,7 @@ def test_count_fiber_chart_independent(generic_quintic):
 def test_on_discriminant_target_is_flagged(generic_quintic):
     # branch-locus behaviour is recorded as a deviating profile, not averaged
     c1 = F.from_int(77)
-    c2 = F.mul(F.mul(c1, c1), F.inv(F.from_int(128)))
+    c2 = F.reduce(F.reduce(c1 * c1) * F.inv(F.from_int(128)))
     target = WPPoint(F, c1, c2, F.from_int(1234))
     with pytest.raises(FiberCountError) as info:
         count_fiber(generic_quintic, 10007, seed=3, target=target)

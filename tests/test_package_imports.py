@@ -25,7 +25,7 @@ PUBLIC_NAMES = frozenset(
     Ledger LineChart LineInCurveError MultiPoly NumericLimit OneDouble PlaneCurve
     PluckerCounts PolynomialRing PrimeField ProjectivePair QQ RationalField
     RationalInR Smooth5 TwoDoubles UniPoly UnstableQuinticError WPPoint
-    arc_case_label arc_limit arc_limit_numeric arc_limits base_values
+    arc_limit arc_limit_numeric arc_limits base_values
     binary_forms build_fiber_system build_ledger chain_trace combinatorial_degree
     count_fiber degree_via_ledger derivation_table discriminant_invariant
     elimination evaluate_chain exceptional_coordinate fermat_degree_factorization
@@ -64,7 +64,7 @@ def test_public_names_match_the_eager_package():
         print(json.dumps(quintic_moduli.__all__))
         """
     )
-    assert len(names) == len(PUBLIC_NAMES) == 83
+    assert len(names) == len(PUBLIC_NAMES) == 82
     assert set(names) == PUBLIC_NAMES
 
 

@@ -145,7 +145,7 @@ def test_restriction_is_linear_in_the_curve(generic_quintic):
     r2 = restrict_to_line(curve2, chart)
     summed = PlaneCurve(curve1.poly + curve2.poly)
     r12 = restrict_to_line(summed, chart)
-    assert list(r12.coeffs) == [F.add(x, y) for x, y in zip(r1.coeffs, r2.coeffs)]
+    assert list(r12.coeffs) == [F.reduce(x + y) for x, y in zip(r1.coeffs, r2.coeffs)]
 
 
 def test_random_lines_have_stable_restrictions(generic_quintic):
@@ -194,7 +194,7 @@ def test_flex_cycle_has_degree_45(generic_quintic):
         terms = {}
         for (i, j, k), c in poly.terms.items():
             e = (i, k)
-            terms[e] = F.add(terms.get(e, F.zero), c)
+            terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
     flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h.poly), 1)
@@ -250,7 +250,7 @@ def test_phi_rejects_inflectional_lines(generic_quintic):
         terms = {}
         for (i, j, k), c in poly.terms.items():
             e = (i, k)
-            terms[e] = F.add(terms.get(e, F.zero), c)
+            terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
     flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h.poly), 1)
@@ -260,14 +260,14 @@ def test_phi_rejects_inflectional_lines(generic_quintic):
     def fiber_poly(poly, u):
         out = {}
         for (i, j, k), c in poly.terms.items():
-            val = F.mul(c, F.pow(F.from_int(u), i))  # y = 1
-            out[k] = F.add(out.get(k, F.zero), val) if k in out else val
+            val = F.reduce(c * F.pow(F.from_int(u), i))  # y = 1
+            out[k] = F.reduce(out[k] + val) if k in out else val
         n = max(out)
         return UniPoly(F, [out.get(k, F.zero) for k in range(n + 1)])
 
     g = gcd_uni(fiber_poly(curve.poly, u0), fiber_poly(h.poly, u0))
     assert g.degree == 1
-    z0 = F.neg(F.mul(g.coeffs[0], F.inv(g.coeffs[1])))
+    z0 = F.reduce(-F.reduce(g.coeffs[0] * F.inv(g.coeffs[1])))
     point = (F.from_int(u0), F.one, z0)
     dual = tuple(
         curve.poly.derivative(v).eval(point) for v in range(3)
@@ -295,7 +295,7 @@ def test_pencil_through_random_point_has_no_unstable_lines(generic_quintic):
     r1 = tuple(F.from_int(rng.randrange(F.p)) for _ in range(3))
 
     def restriction_at(s):
-        rs = tuple(F.add(a, F.mul(F.from_int(s), b)) for a, b in zip(r0, r1))
+        rs = tuple(F.reduce(a + F.reduce(F.from_int(s) * b)) for a, b in zip(r0, r1))
         lins = [BinaryForm(F, [q[i], rs[i]]) for i in range(3)]
         pows = []
         for lin in lins:

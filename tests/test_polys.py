@@ -84,17 +84,17 @@ def test_products_match_evaluation(field):
         assert fg.degree == f.degree + g.degree
         for _ in range(3):
             x = rand_scalar(rng, field)
-            assert fg.eval(x) == field.mul(f.eval(x), g.eval(x))
+            assert fg.eval(x) == field.reduce(f.eval(x) * g.eval(x))
         p = MultiPoly(field, 2, {(i, j): rand_scalar(rng, field) for i in range(4) for j in range(3)})
         q = MultiPoly(field, 2, {(i, j): rand_scalar(rng, field) for i in range(3) for j in range(4)})
         pq = p * q
         for _ in range(3):
             pt = [rand_scalar(rng, field), rand_scalar(rng, field)]
-            assert pq.eval(pt) == field.mul(p.eval(pt), q.eval(pt))
+            assert pq.eval(pt) == field.reduce(p.eval(pt) * q.eval(pt))
         bf, bg = BinaryForm(field, f.coeffs), BinaryForm(field, g.coeffs)
         for _ in range(3):
             x, y = rand_scalar(rng, field), rand_scalar(rng, field)
-            assert (bf * bg).eval(x, y) == field.mul(bf.eval(x, y), bg.eval(x, y))
+            assert (bf * bg).eval(x, y) == field.reduce(bf.eval(x, y) * bg.eval(x, y))
 
 
 def rand_element(rng, ring):
@@ -121,12 +121,36 @@ def test_dense_products_agree_over_every_ring(ring):
         assert UniPoly(ring, a) * UniPoly(ring, b) == UniPoly(ring, ref)
 
 
+@pytest.mark.parametrize(
+    "ring", [QQ, F, QQ_LM, RESIDUE], ids=["QQ", "GF(p)", "QQ[l,m]", "GF(p)[u]/(h)"]
+)
+def test_subtraction_inverts_addition_over_every_ring(ring):
+    rng = random.Random(29)
+    for _ in range(30):
+        a, b = (
+            UniPoly(ring, [rand_element(rng, ring) for _ in range(rng.randrange(0, 8))])
+            for _ in range(2)
+        )
+        # c shares the top coefficients of a, so a - c drops in degree
+        k = rng.randrange(0, len(a.coeffs) + 1)
+        c = UniPoly(ring, [rand_element(rng, ring) for _ in range(k)] + list(a.coeffs[k:]))
+        if not a.is_zero():
+            assert (a - c).degree < max(k, 1)
+        m, n = (
+            MultiPoly(ring, 2, {(i, j): rand_element(rng, ring) for i in range(3) for j in range(3)})
+            for _ in range(2)
+        )
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (m, n), (n, m)):
+            assert (x - y) + y == x
+            assert x - y == -(y - x)
+
+
 def _schoolbook(ring, a, b):
-    """Reference product, one ring add and one ring mul per term."""
+    """Reference product, one add and one mul per term, each reduced."""
     ref = [ring.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            ref[i + j] = ring.add(ref[i + j], ring.mul(x, y))
+            ref[i + j] = ring.reduce(ref[i + j] + ring.reduce(x * y))
     return ref
 
 
@@ -160,8 +184,8 @@ def _partial(ring, coeffs, var):
     """Coefficients of d/dx (var 0) or d/dy (var 1) of a form given by ``coeffs``."""
     n = len(coeffs) - 1
     if var == 0:
-        return [ring.mul(ring.from_int(n - t), coeffs[t]) for t in range(n)]
-    return [ring.mul(ring.from_int(t + 1), coeffs[t + 1]) for t in range(n)]
+        return [ring.reduce(ring.from_int(n - t) * coeffs[t]) for t in range(n)]
+    return [ring.reduce(ring.from_int(t + 1) * coeffs[t + 1]) for t in range(n)]
 
 
 def _reference_transvectant(ring, g, h, k):
@@ -180,11 +204,11 @@ def _reference_transvectant(ring, g, h, k):
         weight = ring.from_int((-1) ** r * comb(k, r))
         for i, x in enumerate(gd):
             for j, y in enumerate(hd):
-                out[i + j] = ring.add(out[i + j], ring.mul(weight, ring.mul(x, y)))
+                out[i + j] = ring.reduce(out[i + j] + ring.reduce(weight * ring.reduce(x * y)))
     scaling = ring.from_fraction(
         Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
     )
-    return tuple(ring.mul(scaling, c) for c in out)
+    return tuple(ring.reduce(scaling * c) for c in out)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from quintic_moduli.polys import PolynomialRing, UniPoly
+from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, MIN_PRIME, QQ, is_prime
 
 
 def test_rational_field_basics():
     a, b = Fraction(3, 4), Fraction(-2, 5)
-    assert QQ.add(a, b) == Fraction(7, 20)
-    assert QQ.mul(a, b) == Fraction(-3, 10)
+    assert QQ.reduce(a + b) == Fraction(7, 20)
+    assert QQ.reduce(a * b) == Fraction(-3, 10)
     assert QQ.inv(b) == Fraction(-5, 2)
     assert QQ.from_fraction(Fraction(6, -8)) == Fraction(-3, 4)
     # denominators positive and in lowest terms, guaranteed by Fraction
@@ -18,10 +21,10 @@ def test_rational_field_basics():
 
 def test_prime_field_basics():
     F = GF(10007)
-    assert F.add(10006, 5) == 4
-    assert F.sub(2, 5) == 10004
-    assert F.mul(10006, 10006) == 1
-    assert F.mul(F.inv(1234), 1234) == 1
+    assert F.reduce(10006 + 5) == 4
+    assert F.reduce(2 - 5) == 10004
+    assert F.reduce(10006 * 10006) == 1
+    assert F.reduce(F.inv(1234) * 1234) == 1
     assert F.from_int(-1) == 10006
     assert F.from_fraction(Fraction(1, 2)) == (10007 + 1) // 2
     assert F.pow(3, 10006) == 1
@@ -54,3 +57,59 @@ def test_inverse_of_zero_raises():
 def test_from_fraction_rejects_vanishing_denominator():
     with pytest.raises(ZeroDivisionError):
         GF(3001).from_fraction(Fraction(1, 3001))
+
+
+_F = GF(10007)
+_P = PolynomialRing(QQ, 2)
+_R = ResidueRing(UniPoly.from_ints(_F, [3, 0, 1, 5, 0, 1]))
+
+#: One ring of each kind, with a sampler of its elements.
+RINGS = {
+    "QQ": (QQ, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+    "GF": (_F, lambda rng: rng.randrange(_F.p)),
+    "PolynomialRing": (
+        _P,
+        lambda rng: _P.reduce(_P.from_int(rng.randint(-3, 3)) * _P.variable(rng.randrange(2)) + _P.one),
+    ),
+    "ResidueRing": (_R, lambda rng: _R.reduce(UniPoly(_F, [rng.randrange(_F.p) for _ in range(7)]))),
+}
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_rings_have_no_per_operation_arithmetic(name):
+    # arithmetic is the values' own + - *, followed by one reduce
+    ring, _ = RINGS[name]
+    for method in ("add", "sub", "mul", "neg", "div"):
+        assert not hasattr(ring, method), method
+
+
+def test_prime_field_reduce_maps_raw_values_into_range():
+    p = _F.p
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        for raw in (a - b, a + b, a * b * c, a - b * c, -a):
+            assert 0 <= _F.reduce(raw) < p
+            assert (_F.reduce(raw) - raw) % p == 0
+    assert _F.reduce(3 - 10006) == 4  # negative difference
+    assert _F.reduce(10006 + 10006) == 10005  # sum >= p
+    assert _F.reduce(10006 * 10006 * 10006) == 10006  # triple product: (-1)**3
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_pow_agrees_with_repeated_products(name):
+    ring, element = RINGS[name]
+    rng = random.Random(7)
+    for _ in range(5):
+        a = element(rng)
+        acc = ring.one
+        for n in range(12):
+            assert ring.pow(a, n) == acc, n
+            acc = ring.reduce(acc * a)
+
+@pytest.mark.parametrize("field", [QQ, _F], ids=repr)
+def test_pow_with_negative_exponents_on_fields(field):
+    for a in (field.from_int(3), field.from_fraction(Fraction(-7, 2))):
+        for n in range(1, 9):
+            assert field.pow(a, -n) == field.pow(field.inv(a), n)
+            assert field.reduce(field.pow(a, -n) * field.pow(a, n)) == field.one
