@@ -65,7 +65,6 @@ _EXPORTS = {
         "ConfigClass",
         "InvariantVector",
         "OneDouble",
-        "Smooth5",
         "TwoDoubles",
         "UnstableQuinticError",
         "WPPoint",

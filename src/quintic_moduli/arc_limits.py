@@ -100,48 +100,6 @@ class ArcSpec:
         return f"ArcSpec(alpha={list(self.alpha)}, beta={list(self.beta)}, truncation={self.truncation})"
 
 
-def compose_series(outer: Sequence[Fraction], inner: Sequence[Fraction], order: int):
-    """Coefficients of outer(inner(t)) up to (excluding) the given order.
-
-    ``inner`` must have zero constant term; used for reparametrisation
-    invariance checks t -> u(t) with u(0) = 0.
-    """
-    outer = [Fraction(c) for c in outer]
-    inner = [Fraction(c) for c in inner]
-    if inner and inner[0] != 0:
-        raise ValueError("inner series must vanish at 0")
-    out = [Fraction(0)] * order
-    power = [Fraction(0)] * order  # inner^k, truncated
-    if order > 0:
-        power[0] = Fraction(1)
-    for k, c in enumerate(outer):
-        if k > 0:
-            new = [Fraction(0)] * order
-            for i, a in enumerate(power):
-                if a == 0:
-                    continue
-                for j, b in enumerate(inner):
-                    if i + j >= order:
-                        break
-                    new[i + j] += a * b
-            power = new
-        if c != 0:
-            for i, a in enumerate(power):
-                out[i] += c * a
-    return out
-
-
-def stretch_series(coeffs: Sequence[Fraction], k: int):
-    """Base change t -> t^k on a coefficient list."""
-    if k < 1:
-        raise ValueError("base-change exponent must be positive")
-    out = [Fraction(0)] * ((len(coeffs) - 1) * k + 1 if coeffs else 0)
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            out[i * k] = Fraction(c)
-    return out
-
-
 def classify_arc(arc: ArcSpec) -> tuple[str, ConfigClass]:
     """The case-table branch of the arc (for reporting) and its limit class."""
     la, lb = arc.alpha_lead, arc.beta_lead
@@ -245,13 +203,13 @@ class NumericLimit:
     points_skipped: int
 
 
-def default_schedule(n_points: int = 12, first: float = 0.08, ratio: float = 0.22):
-    """Strictly decreasing geometric t-schedule for the oracle."""
+def default_schedule():
+    """Strictly decreasing geometric t-schedule: 12 points from 0.08, ratio 0.22."""
     out = []
-    t = first
-    for _ in range(n_points):
+    t = 0.08
+    for _ in range(12):
         out.append(t)
-        t *= ratio
+        t *= 0.22
     return out
 
 
@@ -262,28 +220,26 @@ ORACLE_DPS = 120
 AMBIGUITY_RATIO = 3.0
 #: |j| above this at the last three points, and growing, reads as divergence.
 DIVERGENCE_THRESHOLD = 1e9
-#: Most points (used plus skipped) the adaptive schedule grows to.
+#: Most points (used plus skipped) the schedule grows to.
 MAX_POINTS = 20
 
 
 def arc_limit_numeric(
     normal_form: FlexNormalForm,
     arc: ArcSpec,
-    t_schedule: Sequence[float] | None = None,
     target_error: float = 1e-8,
 ) -> NumericLimit:
     """Floating-point limit of j along the arc, without the case table.
 
-    For each t in the schedule the five intersection points of the moving
-    line with the curve are isolated in arbitrary-precision complex
+    For each t of a geometric schedule the five intersection points of the
+    moving line with the curve are isolated in arbitrary-precision complex
     arithmetic, the configuration is moved to a balanced chart, the single
     colliding pair is merged, and j of the remaining quadruple is computed;
-    the t -> 0 limit is extrapolated from the geometric schedule.  An
-    explicit schedule is used as given; the default one is extended
-    adaptively until the extrapolation's own error estimate clears
-    ``target_error`` (or ``MAX_POINTS`` is reached).  A t whose root
-    clustering is ambiguous is skipped; if fewer than 4 points survive,
-    the schedule is too coarse and a ValueError is raised.
+    the t -> 0 limit is extrapolated from those values.  The schedule
+    starts as ``default_schedule()`` and is extended by the same ratio
+    until the extrapolation's own error estimate clears ``target_error``
+    (or ``MAX_POINTS`` is reached).  A t whose root clustering is ambiguous
+    is skipped; if fewer than 4 points survive, a ValueError is raised.
 
     The roots move continuously along the schedule, so each root solve is
     warm-started from the previous t's roots (rescaled to the new balanced
@@ -293,26 +249,16 @@ def arc_limit_numeric(
     """
     import mpmath as mp
 
-    adaptive = t_schedule is None
-    if adaptive:
-        t_schedule = default_schedule()
-    if len(t_schedule) < 4:
-        raise ValueError("the schedule needs at least 4 points")
-    if any(t <= 0 for t in t_schedule) or any(
-        t_schedule[i] <= t_schedule[i + 1] for i in range(len(t_schedule) - 1)
-    ):
-        raise ValueError("the schedule must be strictly decreasing and positive")
-
     with mp.workdps(ORACLE_DPS):
-        schedule = [mp.mpf(t) for t in t_schedule]
-        ratio = schedule[-1] / schedule[-2] if adaptive else None
+        schedule = [mp.mpf(t) for t in default_schedule()]
+        ratio = schedule[-1] / schedule[-2]
         js = []
         skipped = 0
         roots = None
 
         def sample(t):
             nonlocal skipped, roots
-            jt, roots = _j_at_parameter(mp, normal_form, arc, t, AMBIGUITY_RATIO, roots)
+            jt, roots = _j_at_parameter(mp, normal_form, arc, t, roots)
             if jt is None:
                 skipped += 1
             else:
@@ -323,8 +269,7 @@ def arc_limit_numeric(
         while True:
             if len(js) < 4:
                 raise ValueError(
-                    "root clustering was ambiguous at almost every scheduled t; "
-                    "refine the schedule"
+                    "root clustering was ambiguous at almost every scheduled t"
                 )
             tail = [abs(v) for v in js[-3:]]
             if all(v > DIVERGENCE_THRESHOLD for v in tail) and tail[0] < tail[-1]:
@@ -337,7 +282,7 @@ def arc_limit_numeric(
                 )
             estimate, err = _extrapolate(mp, js)
             good_enough = err < target_error * (1 + abs(estimate))
-            if not adaptive or good_enough or len(js) + skipped >= MAX_POINTS:
+            if good_enough or len(js) + skipped >= MAX_POINTS:
                 return NumericLimit(
                     j=complex(estimate),
                     error=float(err),
@@ -374,7 +319,7 @@ def _family_coefficients(mp, normal_form: FlexNormalForm, arc: ArcSpec, t):
     return coeffs  # descending in x = x0/x1
 
 
-def _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio, prev_roots=None):
+def _j_at_parameter(mp, normal_form, arc, t, prev_roots=None):
     """j of the merged configuration at t (None if the clustering is
     ambiguous), and the finite roots in the x-chart, which seed the next t."""
     coeffs = _family_coefficients(mp, normal_form, arc, t)
@@ -423,7 +368,7 @@ def _j_at_parameter(mp, normal_form, arc, t, ambiguity_ratio, prev_roots=None):
         for j in range(i + 1, 5):
             dists.append((_chordal(mp, points[i], points[j]), i, j))
     dists.sort(key=lambda d: d[0])
-    if dists[0][0] > 0 and dists[1][0] / dists[0][0] < ambiguity_ratio:
+    if dists[0][0] > 0 and dists[1][0] / dists[0][0] < AMBIGUITY_RATIO:
         return None, roots
     _, i, j = dists[0]
     merged = _midpoint(mp, points[i], points[j])
@@ -437,9 +382,13 @@ def _unit(mp, p):
     return (a / norm, b / norm)
 
 
+def _det(p, q):
+    return p[0] * q[1] - q[0] * p[1]
+
+
 def _chordal(mp, p, q):
     # pairs are unit-normalised, so the determinant is the chordal distance
-    return abs(p[0] * q[1] - q[0] * p[1])
+    return abs(_det(p, q))
 
 
 def _midpoint(mp, p, q):
@@ -465,9 +414,6 @@ def _spread_chart(mp, points):
     """
     fl = [(complex(a), complex(b)) for a, b in points]
 
-    def det_f(p, q):
-        return p[0] * q[1] - q[0] * p[1]
-
     def affine(r):
         z = fl[r][0] * fl[r][1].conjugate()
         return (z.real, z.imag)
@@ -479,19 +425,19 @@ def _spread_chart(mp, points):
             for k in order:
                 if len({i, j, k}) != 3:
                     continue
-                c1 = det_f(fl[j], fl[k])
-                c2 = det_f(fl[j], fl[i])
+                c1 = _det(fl[j], fl[k])
+                c2 = _det(fl[j], fl[i])
                 mapped = []
                 for p in fl:
-                    a = det_f(p, fl[i]) * c1
-                    b = det_f(p, fl[k]) * c2
+                    a = _det(p, fl[i]) * c1
+                    b = _det(p, fl[k]) * c2
                     norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
                     if norm == 0:
                         break
                     mapped.append((a / norm, b / norm))
                 else:
                     dists = sorted(
-                        abs(det_f(mapped[r], mapped[s]))
+                        abs(_det(mapped[r], mapped[s]))
                         for r in range(5)
                         for s in range(r + 1, 5)
                     )
@@ -501,24 +447,20 @@ def _spread_chart(mp, points):
     if best is None:
         return points
     _, i, j, k = best
-    c1 = points[j][0] * points[k][1] - points[k][0] * points[j][1]
-    c2 = points[j][0] * points[i][1] - points[i][0] * points[j][1]
+    c1 = _det(points[j], points[k])
+    c2 = _det(points[j], points[i])
     out = []
     for p in points:
-        a = (p[0] * points[i][1] - points[i][0] * p[1]) * c1
-        b = (p[0] * points[k][1] - points[k][0] * p[1]) * c2
+        a = _det(p, points[i]) * c1
+        b = _det(p, points[k]) * c2
         out.append(_unit(mp, (a, b)))
     return out
 
 
 def _j_of_quadruple(mp, quad):
     p1, p2, p3, p4 = quad
-
-    def det(p, q):
-        return p[0] * q[1] - q[0] * p[1]
-
-    num = det(p1, p3) * det(p2, p4)
-    den = det(p1, p4) * det(p2, p3)
+    num = _det(p1, p3) * _det(p2, p4)
+    den = _det(p1, p4) * _det(p2, p3)
     # j as a homogeneous expression in the cross-ratio pair (num : den)
     s = num * num - num * den + den * den
     trip = num * den * (num - den)

@@ -175,7 +175,7 @@ def cmd_restrict(args, out: Reporter) -> int:
     from .plane_curves import LineChart, load_curve, restrict_to_line
 
     field = _field_for(args.prime)
-    curve = load_curve(args.curve, QQ)
+    curve = load_curve(args.curve)
     if args.prime is not None:
         curve = curve.reduce_mod(field)
     frame = _parse_frame(args.frame, field)
@@ -193,7 +193,7 @@ def cmd_restrict(args, out: Reporter) -> int:
 def cmd_genericity(args, out: Reporter) -> int:
     from .plane_curves import genericity_report, load_curve
 
-    curve = load_curve(args.curve, QQ)
+    curve = load_curve(args.curve)
     report = genericity_report(curve, args.prime, seed=args.seed)
     out.emit(
         {
@@ -235,11 +235,12 @@ def cmd_plucker(args, out: Reporter) -> int:
 
 
 def cmd_degree_ledger(args, out: Reporter) -> int:
-    from .intersection_ledger import combinatorial_degree, degree_via_ledger, derivation_table
+    from .intersection_ledger import combinatorial_degree, derivation_table
 
-    for row in derivation_table():
+    rows = derivation_table()
+    for row in rows:
         out.emit({"record": "ledger-row", **row})
-    degree = degree_via_ledger()
+    degree = next(row["value"] for row in rows if row["quantity"] == "degree")
     combinatorial = combinatorial_degree(120, 45)
     agree = degree == combinatorial
     out.emit(
@@ -309,7 +310,7 @@ def cmd_fiber_count(args, out: Reporter) -> int:
     from .fiber_counting import FiberCountError, count_fiber
     from .plane_curves import load_curve
 
-    curve = load_curve(args.curve, QQ)
+    curve = load_curve(args.curve)
     primes = args.prime or [10007]
     fiber_degrees = []
     for prime in primes:

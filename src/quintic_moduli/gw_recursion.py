@@ -194,46 +194,46 @@ def base_values() -> dict[GWSymbol, RationalInR]:
     }
 
 
+#: The chain, solved in this order: each count is the sum over its terms
+#: (left, right) of r * left * right.
+CHAIN = (
+    (SYM_I0_A1A1A1_BRM3, ((SYM_I0_A1A1_BRM2, SYM_I0_A1A2_BRM3),)),
+    (
+        SYM_I1_A1A1A1A2,
+        ((SYM_I0_A1A1_BRM2, SYM_I1_A1A2A2), (SYM_I1_A1A1A3, SYM_I0_A1A2_BRM3)),
+    ),
+    (
+        SYM_I1_A1_5,
+        ((SYM_I0_A1A1_BRM2, SYM_I1_A1A1A1A2), (SYM_I1_A1A1A3, SYM_I0_A1A1A1_BRM3)),
+    ),
+)
+
+
 def evaluate_chain() -> dict[GWSymbol, RationalInR]:
     """Solve the chain bottom-up; degree-1 outputs must simplify to constants."""
     values = base_values()
     r = RationalInR.r()
-    values[SYM_I0_A1A1A1_BRM3] = (
-        r * values[SYM_I0_A1A1_BRM2] * values[SYM_I0_A1A2_BRM3]
-    )
-    values[SYM_I1_A1A1A1A2] = (
-        r * values[SYM_I0_A1A1_BRM2] * values[SYM_I1_A1A2A2]
-        + r * values[SYM_I1_A1A1A3] * values[SYM_I0_A1A2_BRM3]
-    )
-    values[SYM_I1_A1_5] = (
-        r * values[SYM_I0_A1A1_BRM2] * values[SYM_I1_A1A1A1A2]
-        + r * values[SYM_I1_A1A1A3] * values[SYM_I0_A1A1A1_BRM3]
-    )
-    for sym in (SYM_I1_A1A1A1A2, SYM_I1_A1_5):
-        if not values[sym].is_constant():
-            raise ArithmeticError(f"{sym} failed to simplify to an r-free constant")
+    for count, terms in CHAIN:
+        (left, right), *rest = terms
+        total = r * values[left] * values[right]
+        for left, right in rest:
+            total = total + r * values[left] * values[right]
+        values[count] = total
+        if count.degree == 1 and not total.is_constant():
+            raise ArithmeticError(f"{count} failed to simplify to an r-free constant")
     return values
 
 
 def chain_trace() -> list[str]:
     """Human-readable substitution trace of the full chain."""
     values = evaluate_chain()
+    chained = dict(CHAIN)
     lines = ["base values:"]
-    for sym in (SYM_I0_A1A1_BRM2, SYM_I0_A1A2_BRM3, SYM_I1_A1A1A3, SYM_I1_A1A2A2):
-        lines.append(f"  {sym} = {values[sym]}")
+    lines += [f"  {sym} = {value}" for sym, value in values.items() if sym not in chained]
     lines.append("chain:")
-    lines.append(
-        f"  {SYM_I0_A1A1A1_BRM3} = r * {SYM_I0_A1A1_BRM2} * {SYM_I0_A1A2_BRM3}"
-        f" = {values[SYM_I0_A1A1A1_BRM3]}"
-    )
-    lines.append(
-        f"  {SYM_I1_A1A1A1A2} = r * {SYM_I0_A1A1_BRM2} * {SYM_I1_A1A2A2}"
-        f" + r * {SYM_I1_A1A1A3} * {SYM_I0_A1A2_BRM3} = {values[SYM_I1_A1A1A1A2]}"
-    )
-    lines.append(
-        f"  {SYM_I1_A1_5} = r * {SYM_I0_A1A1_BRM2} * {SYM_I1_A1A1A1A2}"
-        f" + r * {SYM_I1_A1A1A3} * {SYM_I0_A1A1A1_BRM3} = {values[SYM_I1_A1_5]}"
-    )
+    for count, terms in CHAIN:
+        sum_text = " + ".join(f"r * {left} * {right}" for left, right in terms)
+        lines.append(f"  {count} = {sum_text} = {values[count]}")
     return lines
 
 

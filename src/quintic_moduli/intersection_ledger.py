@@ -5,7 +5,7 @@ For a general quintic, the line-to-moduli map is undefined exactly at the
 each cusp up three times yields a surface on which the map is a morphism;
 this module encodes the resulting intersection pairing on the basis
 
-    Dtilde, E1^(i), E2^(i), E3^(i)   (i = 1..n_cusps)
+    Dtilde, E1^(i), E2^(i), E3^(i)   (i = 1..45)
 
 and extracts the mapping degree from it:
 
@@ -38,54 +38,42 @@ from .scalars import QQ
 #: curve, so this coefficient is exactly 1 (an input assumption here).
 STRICT_TRANSFORM_COEFFICIENT = Fraction(1)
 
+#: Cusps of the dual curve of a general quintic (its 45 inflectional lines).
+N_CUSPS = 45
+
+#: Intersection numbers on (Dtilde, E1, E2, E3) of one cusp: E3 meets E1, E2
+#: and Dtilde transversally, E1.E2 = 0.  Every cusp has this block; divisors
+#: over different cusps are disjoint.  Dtilde^2 is global (see build_ledger).
+LOCAL_PAIRING = (
+    (Fraction(130), Fraction(0), Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(-3), Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(0), Fraction(-2), Fraction(1)),
+    (Fraction(1), Fraction(1), Fraction(1), Fraction(-1)),
+)
+
+#: The discriminant is a section of degree DISCRIMINANT_DEGREE on the
+#: weighted projective plane with these weights.
+WPS_WEIGHTS = (1, 2, 3)
+DISCRIMINANT_DEGREE = 2
+
 
 class Ledger:
     """Symmetric intersection pairing on the blow-up basis.
 
-    Basis order: index 0 is Dtilde, then (E1, E2, E3) per cusp.  The
-    per-cusp self-intersections are parameters so synthetic variants can
-    exercise the solver; defaults are the geometric values.
+    Basis order: index 0 is Dtilde, then (E1, E2, E3) per cusp, for the
+    ``N_CUSPS`` cusps.  Every number is read from ``LOCAL_PAIRING``.
     """
 
-    def __init__(
-        self,
-        n_cusps: int,
-        e1_sq: Fraction = Fraction(-3),
-        e2_sq: Fraction = Fraction(-2),
-        e3_sq: Fraction = Fraction(-1),
-        dtilde_sq: Fraction = Fraction(130),
-    ):
-        if n_cusps < 1:
-            raise ValueError("need at least one cusp")
-        self.n_cusps = n_cusps
-        self.e_sq = (Fraction(e1_sq), Fraction(e2_sq), Fraction(e3_sq))
-        self.dtilde_sq = Fraction(dtilde_sq)
-
-    @property
-    def dim(self) -> int:
-        return 1 + 3 * self.n_cusps
+    n_cusps = N_CUSPS
+    dim = 1 + 3 * N_CUSPS
 
     def pairing(self, a: int, b: int) -> Fraction:
         """Intersection number of two basis classes."""
         if not (0 <= a < self.dim and 0 <= b < self.dim):
             raise IndexError("basis index out of range")
-        if a > b:
-            a, b = b, a
-        if a == b:
-            if a == 0:
-                return self.dtilde_sq
-            return self.e_sq[(a - 1) % 3]
-        if a == 0:
-            # Dtilde meets only the last exceptional divisor of each cusp
-            return Fraction(1) if (b - 1) % 3 == 2 else Fraction(0)
-        cusp_a, kind_a = divmod(a - 1, 3)
-        cusp_b, kind_b = divmod(b - 1, 3)
-        if cusp_a != cusp_b:
-            return Fraction(0)
-        # within a cusp, E3 meets E1 and E2; E1.E2 = 0
-        if 2 in (kind_a, kind_b):
-            return Fraction(1)
-        return Fraction(0)
+        if a and b and (a - 1) // 3 != (b - 1) // 3:
+            return Fraction(0)  # divisors over different cusps are disjoint
+        return LOCAL_PAIRING[(a - 1) % 3 + 1 if a else 0][(b - 1) % 3 + 1 if b else 0]
 
     def matrix(self) -> list[list[Fraction]]:
         return [[self.pairing(a, b) for b in range(self.dim)] for a in range(self.dim)]
@@ -114,21 +102,18 @@ class DivisorClass:
         return cls((Fraction(0),) * ledger.dim)
 
 
-def build_ledger(n_cusps: int) -> Ledger:
-    """Ledger for the triple blow-up at ``n_cusps`` cusps of the dual curve.
+def build_ledger() -> Ledger:
+    """Ledger for the triple blow-up at the 45 cusps of the dual curve.
 
-    For the quintic case (45 cusps) the stored Dtilde^2 = 130 is recomputed
-    from the independent bookkeeping 20^2 - 45*(2^2 + 1^2 + 1^2): the dual
-    curve has degree 20 and passes through each cusp with multiplicity 2,
-    then once through each of the next two infinitely-near points.
+    The stored Dtilde^2 = 130 is recomputed from the independent
+    bookkeeping 20^2 - 45*(2^2 + 1^2 + 1^2): the dual curve has degree 20
+    and passes through each cusp with multiplicity 2, then once through
+    each of the next two infinitely-near points.
     """
-    ledger = Ledger(n_cusps)
-    if n_cusps == 45:
-        drop = sum(m * m for m in (2, 1, 1))
-        recomputed = Fraction(20 * 20 - 45 * drop)
-        if recomputed != ledger.dtilde_sq:
-            raise ArithmeticError("blow-up bookkeeping for Dtilde^2 failed")
-    return ledger
+    drop = sum(m * m for m in (2, 1, 1))
+    if Fraction(20 * 20 - N_CUSPS * drop) != LOCAL_PAIRING[0][0]:
+        raise ArithmeticError("blow-up bookkeeping for Dtilde^2 failed")
+    return Ledger()
 
 
 def self_intersection(cls: DivisorClass, ledger: Ledger) -> Fraction:
@@ -136,28 +121,30 @@ def self_intersection(cls: DivisorClass, ledger: Ledger) -> Fraction:
     v = cls.coefficients
     if len(v) != ledger.dim:
         raise ValueError("class does not match ledger basis")
-    total = ledger.dtilde_sq * v[0] * v[0]
-    e1s, e2s, e3s = ledger.e_sq
+    total = LOCAL_PAIRING[0][0] * v[0] * v[0]
     for i in range(ledger.n_cusps):
-        a, b, c = v[1 + 3 * i], v[2 + 3 * i], v[3 + 3 * i]
-        total += e1s * a * a + e2s * b * b + e3s * c * c
-        total += 2 * c * (a + b)  # E3.E1 = E3.E2 = 1
-        total += 2 * v[0] * c  # Dtilde.E3 = 1
+        # the cusp's block on (Dtilde, E1, E2, E3) without the global Dtilde^2
+        local = (v[0], *v[1 + 3 * i : 4 + 3 * i])
+        total += sum(
+            LOCAL_PAIRING[k][l] * local[k] * local[l]
+            for k in range(4)
+            for l in range(4)
+            if k or l
+        )
     return total
 
 
-def solve_pullback_multiplicities(
-    ledger: Ledger, delta_sq: Fraction = Fraction(2, 3)
-) -> tuple[Fraction, Fraction, Fraction]:
+def solve_pullback_multiplicities(ledger: Ledger) -> tuple[Fraction, Fraction, Fraction]:
     """Multiplicities (a, b, c) of (E1, E2, E3) in the discriminant pullback.
 
     The pullback class is Dtilde + a E1 + b E2 + c E3 per cusp (coefficient
     1 on Dtilde is an input assumption, see STRICT_TRANSFORM_COEFFICIENT).
     Pushing forward against each contracted E-divisor kills its pairing, and
     E3 maps isomorphically onto the discriminant, whose self-intersection is
-    ``delta_sq``; this yields one linear equation per exceptional divisor.
+    ``wps_section_self_intersection()``; this yields one linear equation per
+    exceptional divisor.
     """
-    rows, rhs = projection_equations(ledger, delta_sq)
+    rows, rhs = projection_equations(ledger)
     try:
         a, b, c = solve(rows, rhs, QQ)
     except ValueError as exc:
@@ -165,29 +152,25 @@ def solve_pullback_multiplicities(
     return a, b, c
 
 
-def projection_equations(
-    ledger: Ledger, delta_sq: Fraction = Fraction(2, 3)
-) -> tuple[list[list[Fraction]], list[Fraction]]:
+def projection_equations(ledger: Ledger) -> tuple[list[list[Fraction]], list[Fraction]]:
     """The three linear equations (rows, rhs) in the unknowns (a, b, c)."""
     rows = []
     rhs = []
+    delta_sq = wps_section_self_intersection()
     # pair the unknown class with E1, E2, E3 of one cusp (index 1..3)
     for k in range(1, 4):
         rows.append([ledger.pairing(j, k) for j in (1, 2, 3)])
         base = STRICT_TRANSFORM_COEFFICIENT * ledger.pairing(0, k)
-        target = Fraction(delta_sq) if k == 3 else Fraction(0)
+        target = delta_sq if k == 3 else Fraction(0)
         rhs.append(target - base)
     return rows, rhs
 
 
-def wps_section_self_intersection(
-    weights: tuple[int, int, int] = (1, 2, 3), k: int = 2
-) -> Fraction:
-    """Self-intersection of a degree-k divisor on a weighted projective plane."""
-    w1, w2, w3 = weights
-    if min(w1, w2, w3) <= 0 or k <= 0:
-        raise ValueError("weights and degree must be positive")
-    return Fraction(k * k, w1 * w2 * w3)
+def wps_section_self_intersection() -> Fraction:
+    """Self-intersection k^2 / (w1 w2 w3) of the discriminant, a degree-k
+    section of the weighted projective plane with weights (w1, w2, w3)."""
+    w1, w2, w3 = WPS_WEIGHTS
+    return Fraction(DISCRIMINANT_DEGREE**2, w1 * w2 * w3)
 
 
 def m05_boundary_matrix() -> list[list[int]]:
@@ -225,27 +208,17 @@ def m05_cross_check() -> Fraction:
     return Fraction(4) * boundary_sq / Fraction(120)
 
 
-def degree_via_ledger(
-    delta_sq: Fraction | None = None, pullback_sq: Fraction | None = None
-) -> Fraction:
-    """Mapping degree as (pullback of discriminant)^2 / discriminant^2.
+def _pullback() -> tuple[Ledger, tuple[Fraction, Fraction, Fraction], Fraction]:
+    """The ledger, the pullback multiplicities and the pullback's square."""
+    ledger = build_ledger()
+    a, b, c = solve_pullback_multiplicities(ledger)
+    pullback = DivisorClass.from_parts(ledger, STRICT_TRANSFORM_COEFFICIENT, (a, b, c))
+    return ledger, (a, b, c), self_intersection(pullback, ledger)
 
-    With no arguments this runs the full quintic pipeline (result 420);
-    synthetic values can be supplied for formula sanity checks.
-    """
-    if delta_sq is None:
-        delta_sq = wps_section_self_intersection()
-    delta_sq = Fraction(delta_sq)
-    if delta_sq == 0:
-        raise ZeroDivisionError("discriminant self-intersection must be nonzero")
-    if pullback_sq is None:
-        ledger = build_ledger(45)
-        a, b, c = solve_pullback_multiplicities(ledger, delta_sq)
-        pullback = DivisorClass.from_parts(
-            ledger, STRICT_TRANSFORM_COEFFICIENT, (a, b, c)
-        )
-        pullback_sq = self_intersection(pullback, ledger)
-    return Fraction(pullback_sq) / delta_sq
+
+def degree_via_ledger() -> Fraction:
+    """Mapping degree (pullback of discriminant)^2 / discriminant^2 = 420."""
+    return _pullback()[2] / wps_section_self_intersection()
 
 
 def combinatorial_degree(bitangents: int, flexes: int) -> int:
@@ -262,13 +235,10 @@ def combinatorial_degree(bitangents: int, flexes: int) -> int:
 
 def derivation_table() -> list[dict]:
     """The full exact derivation, one record per quantity."""
-    ledger = build_ledger(45)
+    ledger, (a, b, c), pb_sq = _pullback()
     delta_wp = wps_section_self_intersection()
     delta_m05 = m05_cross_check()
-    a, b, c = solve_pullback_multiplicities(ledger, delta_wp)
-    pullback = DivisorClass.from_parts(ledger, STRICT_TRANSFORM_COEFFICIENT, (a, b, c))
-    pb_sq = self_intersection(pullback, ledger)
-    degree = degree_via_ledger()
+    degree = pb_sq / delta_wp
     rows = [
         {
             "quantity": "delta_sq_weighted_plane",
@@ -282,12 +252,12 @@ def derivation_table() -> list[dict]:
         },
         {
             "quantity": "dtilde_sq",
-            "value": ledger.dtilde_sq,
+            "value": ledger.pairing(0, 0),
             "note": "strict transform of the degree-20 dual curve after 45 triple blow-ups",
         },
         {
             "quantity": "exceptional_self_intersections",
-            "value": ledger.e_sq,
+            "value": tuple(ledger.pairing(k, k) for k in (1, 2, 3)),
             "note": "(E1^2, E2^2, E3^2) per cusp",
         },
         {

@@ -39,7 +39,7 @@ from typing import Union
 from .binary_forms import BinaryForm, BinaryQuintic, transvectant
 from .elimination import gcd_uni
 from .linalg import solve
-from .polys import MultiPoly, PolynomialRing
+from .polys import PolynomialRing
 from .scalars import QQ, Field, Ring
 
 
@@ -109,13 +109,6 @@ class WPPoint:
 
 
 @dataclass(frozen=True)
-class Smooth5:
-    """Stable quintuple of distinct points, recorded by its moduli point."""
-
-    point: WPPoint
-
-
-@dataclass(frozen=True)
 class OneDouble:
     """One doubled point plus three simple ones; j of the reduced quadruple."""
 
@@ -127,7 +120,7 @@ class TwoDoubles:
     """Two doubled points (the j = infinity end of the discriminant curve)."""
 
 
-ConfigClass = Union[Smooth5, OneDouble, TwoDoubles]
+ConfigClass = Union[OneDouble, TwoDoubles]
 
 
 def _chain(f: BinaryForm):
@@ -145,12 +138,6 @@ def _j18(f: BinaryForm, i: BinaryForm, j: BinaryForm):
     """J18 = (j, ell^3)_3 with ell = (i*i, f)_4, from the chain's i and j."""
     ell = transvectant(i * i, f, 4)
     return transvectant(j, ell * ell * ell, 3).coeffs[0]
-
-
-def raw_invariants(f: BinaryForm):
-    """Unnormalised chain values (J4, J8, J12, J18)."""
-    i, j, triple = _chain(f)
-    return (*triple, _j18(f, i, j))
 
 
 def family_quintic(ring: PolynomialRing) -> BinaryQuintic:
@@ -210,7 +197,7 @@ def _normalisation() -> dict:
     if _NORMALISATION is not None:
         return _NORMALISATION
     ring = PolynomialRing(QQ, 3)
-    A4, A8, A12, _ = raw_invariants(family_quintic(ring))
+    A4, A8, A12 = _chain(family_quintic(ring))[2]
     t4, t8, t12 = family_closed_forms(ring)
     (s4,) = _match_on_family([A4], t4)
     u8, v8 = _match_on_family([A8, t4 * t4], t8)
@@ -304,20 +291,6 @@ RELATION_MONOMIALS: tuple[tuple[int, int, int, int], ...] = ((0, 0, 0, 2),) + tu
         reverse=True,
     )
 )
-
-
-def relation_value(iv: InvariantVector, coefficients):
-    """Evaluate a degree-36 relation vector (rational coefficients) on iv."""
-    R = iv.ring
-    acc = R.zero
-    for (e4, e8, e12, e18), c in zip(RELATION_MONOMIALS, coefficients):
-        if c == 0:
-            continue
-        acc += (
-            R.from_fraction(Fraction(c))
-            * R.pow(iv.i4, e4) * R.pow(iv.i8, e8) * R.pow(iv.i12, e12) * R.pow(iv.i18, e18)
-        )
-    return R.reduce(acc)
 
 
 #: Random rational quintics sampled by ``find_fundamental_relation``: well

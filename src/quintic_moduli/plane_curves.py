@@ -70,13 +70,13 @@ class PlaneCurve:
         return self.poly.field
 
     @classmethod
-    def from_records(cls, records: Sequence, field: Field = QQ) -> "PlaneCurve":
-        """Build from [i, j, k, coefficient] records; must be homogeneous.
+    def from_records(cls, records: Sequence) -> "PlaneCurve":
+        """Build a rational curve from [i, j, k, coefficient] records.
 
-        Exponents are non-negative ints; coefficients are ints, Fractions or
-        rational strings like "3/4".  Anything else (a float, a bool, a
-        record of another shape) raises ValueError: a curve is never read
-        inexactly.
+        The form must be homogeneous.  Exponents are non-negative ints;
+        coefficients are ints, Fractions or rational strings like "3/4".
+        Anything else (a float, a bool, a record of another shape) raises
+        ValueError: a curve is never read inexactly.
         """
         if not isinstance(records, (list, tuple)):
             raise ValueError("a curve is a list of [i, j, k, coefficient] records")
@@ -92,12 +92,12 @@ class PlaneCurve:
                     f"coefficient must be an integer or a rational string in record {rec!r}"
                 )
             try:
-                value = field.from_fraction(Fraction(c))
+                value = Fraction(c)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad coefficient in record {rec!r}: {exc}") from None
             e = (i, j, k)
-            terms[e] = field.reduce(terms.get(e, field.zero) + value)
-        return cls(MultiPoly(field, 3, terms))
+            terms[e] = terms.get(e, QQ.zero) + value
+        return cls(MultiPoly(QQ, 3, terms))
 
     def to_records(self) -> list[list]:
         return [[i, j, k, str(c)] for (i, j, k), c in self.poly.sorted_terms()]
@@ -137,20 +137,22 @@ class PlaneCurve:
         return f"PlaneCurve(degree={self.degree}, {len(self.poly.terms)} terms)"
 
 
-def fermat_quintic(field: Field = QQ) -> PlaneCurve:
-    one = field.one
-    return PlaneCurve(
-        MultiPoly(field, 3, {(5, 0, 0): one, (0, 5, 0): one, (0, 0, 5): one})
-    )
+def fermat_quintic() -> PlaneCurve:
+    one = QQ.one
+    return PlaneCurve(MultiPoly(QQ, 3, {(5, 0, 0): one, (0, 5, 0): one, (0, 0, 5): one}))
 
 
-def frame_determinant(frame: Sequence[Sequence], field: Field):
-    m = frame
-    return field.reduce(
+def _det3(m: Sequence[Sequence]):
+    """Cofactor expansion of a 3x3 determinant, with the entries' own ``+ - *``."""
+    return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def frame_determinant(frame: Sequence[Sequence], field: Field):
+    return field.reduce(_det3(frame))
 
 
 class LineChart:
@@ -246,12 +248,7 @@ def hessian(curve: PlaneCurve) -> PlaneCurve:
         raise ValueError("hessian of a curve of degree < 3 is not used here")
     p = curve.poly
     h = [[p.derivative(r).derivative(c) for c in range(3)] for r in range(3)]
-    det = (
-        h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-        - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-        + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
-    )
-    return PlaneCurve(det)
+    return PlaneCurve(_det3(h))
 
 
 class PluckerCounts(NamedTuple):
@@ -587,8 +584,8 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
     )
 
 
-def load_curve(path, field: Field = QQ) -> PlaneCurve:
-    """Read a curve file: a JSON list of (i, j, k, coefficient) records."""
+def load_curve(path) -> PlaneCurve:
+    """Read a rational curve file: a JSON list of (i, j, k, coefficient) records."""
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
-    return PlaneCurve.from_records(records, field)
+    return PlaneCurve.from_records(records)

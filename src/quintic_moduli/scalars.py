@@ -107,7 +107,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1) / a
 
     def from_int(self, n):
         return Fraction(n)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the frozen generic quintic and the arc test suite."""
+"""Shared fixtures: the frozen generic quintic, the arc test suite and the
+evaluation of a degree-36 invariant relation."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from quintic_moduli import ArcSpec, PlaneCurve, QQ
+from quintic_moduli import ArcSpec, PlaneCurve
+from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CURVES_DIR = REPO_ROOT / "curves"
@@ -28,7 +30,21 @@ ACCEPTANCE_PRIMES = (10007, 3001)
 
 @pytest.fixture(scope="session")
 def generic_quintic() -> PlaneCurve:
-    return PlaneCurve.from_records(GENERIC_QUINTIC_RECORDS, QQ)
+    return PlaneCurve.from_records(GENERIC_QUINTIC_RECORDS)
+
+
+def relation_value(iv: InvariantVector, coefficients):
+    """Evaluate a degree-36 relation vector (rational coefficients) on iv."""
+    R = iv.ring
+    acc = R.zero
+    for (e4, e8, e12, e18), c in zip(RELATION_MONOMIALS, coefficients):
+        if c == 0:
+            continue
+        acc += (
+            R.from_fraction(Fraction(c))
+            * R.pow(iv.i4, e4) * R.pow(iv.i8, e8) * R.pow(iv.i12, e12) * R.pow(iv.i18, e18)
+        )
+    return R.reduce(acc)
 
 
 def _nonzero(rng, lo=-6, hi=6) -> Fraction:

@@ -203,9 +203,10 @@ def test_criterion_7_invariant_property_suite():
         discriminant_invariant,
         find_fundamental_relation,
         invariants,
-        relation_value,
     )
     from quintic_moduli.scalars import QQ
+
+    from conftest import relation_value
 
     start = time.perf_counter()
     rng = random.Random(2026)

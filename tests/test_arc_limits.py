@@ -1,24 +1,59 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from quintic_moduli.arc_limits import (
     ArcSpec,
     FlexNormalForm,
-    NumericLimit,
     ProjectivePair,
     arc_limit,
     arc_limit_numeric,
     classify_arc,
-    compose_series,
     default_schedule,
     exceptional_coordinate,
-    stretch_series,
 )
 from quintic_moduli.invariants import OneDouble, TwoDoubles
 
 from conftest import make_arc_suite
+
+
+def compose_series(outer: Sequence[Fraction], inner: Sequence[Fraction], order: int):
+    """Coefficients of outer(inner(t)) below the given order (reparametrisation
+    t -> inner(t); ``inner`` must vanish at 0)."""
+    outer = [Fraction(c) for c in outer]
+    inner = [Fraction(c) for c in inner]
+    if inner and inner[0] != 0:
+        raise ValueError("inner series must vanish at 0")
+    out = [Fraction(0)] * order
+    power = [Fraction(0)] * order  # inner^k, truncated
+    if order > 0:
+        power[0] = Fraction(1)
+    for k, c in enumerate(outer):
+        if k > 0:
+            new = [Fraction(0)] * order
+            for i, a in enumerate(power):
+                if a == 0:
+                    continue
+                for j, b in enumerate(inner):
+                    if i + j >= order:
+                        break
+                    new[i + j] += a * b
+            power = new
+        if c != 0:
+            for i, a in enumerate(power):
+                out[i] += c * a
+    return out
+
+
+def stretch_series(coeffs: Sequence[Fraction], k: int):
+    """Base change t -> t^k on a coefficient list."""
+    out = [Fraction(0)] * ((len(coeffs) - 1) * k + 1 if coeffs else 0)
+    for i, c in enumerate(coeffs):
+        if c != 0:
+            out[i * k] = Fraction(c)
+    return out
 
 
 def test_case_table_worked_examples():
@@ -154,15 +189,10 @@ def test_numeric_oracle_is_normal_form_independent():
     assert abs(j1 - j2) < 1e-6 * max(1.0, abs(j1))
 
 
-def test_numeric_oracle_schedule_validation():
-    nf = FlexNormalForm.default()
-    arc = ArcSpec([0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        arc_limit_numeric(nf, arc, t_schedule=[0.1, 0.2, 0.05, 0.01])
-    with pytest.raises(ValueError):
-        arc_limit_numeric(nf, arc, t_schedule=[0.1, 0.05])
-    sched = default_schedule(8)
-    assert all(a > b for a, b in zip(sched, sched[1:]))
+def test_default_schedule_is_geometric():
+    sched = default_schedule()
+    assert len(sched) == 12 and sched[0] == 0.08
+    assert all(abs(b / a - 0.22) < 1e-12 for a, b in zip(sched, sched[1:]))
 
 
 def test_flex_normal_form_validation():
@@ -212,8 +242,8 @@ def test_numeric_oracle_picks_one_of_two_conjugate_charts():
     signs = set()
     roots = None
     with mp.workdps(120):
-        for t in default_schedule(12):
-            jt, roots = _j_at_parameter(mp, nf, arc, mp.mpf(t), 3.0, roots)
+        for t in default_schedule():
+            jt, roots = _j_at_parameter(mp, nf, arc, mp.mpf(t), roots)
             if jt is not None:
                 signs.add(mp.sign(mp.im(jt)))
     assert len(signs) == 1

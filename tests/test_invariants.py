@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from quintic_moduli.binary_forms import BinaryQuintic, transvectant
+from quintic_moduli.binary_forms import BinaryQuintic
 from quintic_moduli.elimination import resultant_uni
 from quintic_moduli.invariants import (
     RELATION_MONOMIALS,
@@ -17,9 +17,10 @@ from quintic_moduli.invariants import (
     is_stable,
     j_from_cross_ratio,
     moduli_point,
-    relation_value,
 )
 from quintic_moduli.scalars import GF, QQ
+
+from conftest import relation_value
 
 #: Discriminant proportionality constant, derived once from a fixed sample
 #: quintic (see test_discriminant_proportionality_constant) and frozen here.

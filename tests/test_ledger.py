@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_moduli import intersection_ledger
 from quintic_moduli.intersection_ledger import (
+    LOCAL_PAIRING,
     STRICT_TRANSFORM_COEFFICIENT,
     DivisorClass,
-    Ledger,
     build_ledger,
     combinatorial_degree,
     degree_via_ledger,
@@ -19,8 +20,9 @@ from quintic_moduli.intersection_ledger import (
 
 
 def test_build_ledger_bookkeeping():
-    led = build_ledger(45)
-    assert led.dtilde_sq == 130 == 20 * 20 - 45 * (4 + 1 + 1)
+    led = build_ledger()
+    assert led.n_cusps == 45 and led.dim == 136
+    assert led.pairing(0, 0) == 130 == 20 * 20 - 45 * (4 + 1 + 1)
     # incidence pattern within a cusp and across cusps
     assert led.pairing(0, 3) == 1  # Dtilde . E3
     assert led.pairing(1, 2) == 0  # E1 . E2
@@ -30,18 +32,8 @@ def test_build_ledger_bookkeeping():
     assert [led.pairing(k, k) for k in (1, 2, 3)] == [-3, -2, -1]
 
 
-def test_single_cusp_ledger_has_same_block():
-    led = build_ledger(1)
-    assert led.dim == 4
-    full = led.matrix()
-    assert full[0][0] == 130
-    assert [full[k][k] for k in (1, 2, 3)] == [-3, -2, -1]
-    # symmetry
-    assert all(full[i][j] == full[j][i] for i in range(4) for j in range(4))
-
-
 def test_pairing_matrix_symmetric_and_block_structured():
-    led = build_ledger(3)
+    led = build_ledger()
     mat = led.matrix()
     dim = led.dim
     assert all(mat[i][j] == mat[j][i] for i in range(dim) for j in range(dim))
@@ -49,26 +41,29 @@ def test_pairing_matrix_symmetric_and_block_structured():
         for j in range(1, dim):
             if (i - 1) // 3 != (j - 1) // 3:
                 assert mat[i][j] == 0
+    # every cusp carries the same block on (Dtilde, E1, E2, E3)
+    for cusp in range(led.n_cusps):
+        basis = (0, 1 + 3 * cusp, 2 + 3 * cusp, 3 + 3 * cusp)
+        assert [[mat[a][b] for b in basis] for a in basis] == [list(r) for r in LOCAL_PAIRING]
 
 
-def test_solve_pullback_multiplicities():
-    led = build_ledger(45)
+def test_solve_pullback_multiplicities(monkeypatch):
+    led = build_ledger()
     assert solve_pullback_multiplicities(led) == (
         Fraction(2, 3),
         Fraction(1),
         Fraction(2),
     )
-    # synthetic nonsingular variant: swapped E1/E2 self-intersections
-    swapped = Ledger(45, e1_sq=Fraction(-2), e2_sq=Fraction(-3))
-    a, b, c = solve_pullback_multiplicities(swapped)
-    assert a == c / 2
-    # degenerate variant is guarded, not silently solved
+    # a singular projection system (E1^2 = -2) is guarded, not silently solved
+    table = [list(row) for row in LOCAL_PAIRING]
+    table[1][1] = Fraction(-2)
+    monkeypatch.setattr(intersection_ledger, "LOCAL_PAIRING", table)
     with pytest.raises(ArithmeticError):
-        solve_pullback_multiplicities(Ledger(45, e1_sq=Fraction(-2)))
+        solve_pullback_multiplicities(led)
 
 
 def test_self_intersections():
-    led = build_ledger(45)
+    led = build_ledger()
     a, b, c = solve_pullback_multiplicities(led)
     pullback = DivisorClass.from_parts(led, STRICT_TRANSFORM_COEFFICIENT, (a, b, c))
     assert self_intersection(pullback, led) == 280
@@ -78,11 +73,8 @@ def test_self_intersections():
 
 
 def test_weighted_plane_section_self_intersection():
-    assert wps_section_self_intersection((1, 2, 3), 2) == Fraction(2, 3)
-    assert wps_section_self_intersection((1, 1, 1), 7) == 49
-    assert wps_section_self_intersection((1, 2, 3), 6) == 6
-    with pytest.raises(ValueError):
-        wps_section_self_intersection((0, 1, 1), 2)
+    # a degree-2 section of WP(1, 2, 3): 2^2 / (1 * 2 * 3)
+    assert wps_section_self_intersection() == Fraction(2 * 2, 1 * 2 * 3) == Fraction(2, 3)
 
 
 def test_m05_cross_check():
@@ -96,10 +88,7 @@ def test_m05_cross_check():
 
 
 def test_degree_via_ledger():
-    assert degree_via_ledger() == 420
-    assert degree_via_ledger(Fraction(1, 3), Fraction(4)) == 12
-    with pytest.raises(ZeroDivisionError):
-        degree_via_ledger(Fraction(0), Fraction(4))
+    assert degree_via_ledger() == 420 == Fraction(280) / wps_section_self_intersection()
 
 
 def test_combinatorial_degree():
@@ -122,7 +111,7 @@ def test_derivation_table_is_complete():
 
 
 def test_pullback_satisfies_projection_equations():
-    led = build_ledger(45)
+    led = build_ledger()
     a, b, c = solve_pullback_multiplicities(led)
     # substituting back: pairings with E1, E2 vanish; with E3 equals delta^2
     pullback = DivisorClass.from_parts(led, Fraction(1), (a, b, c))

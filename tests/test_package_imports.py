@@ -24,7 +24,7 @@ PUBLIC_NAMES = frozenset(
     FiberReport Field FlexNormalForm GF GWSymbol GenericityReport InvariantVector
     Ledger LineChart LineInCurveError MultiPoly NumericLimit OneDouble PlaneCurve
     PluckerCounts PolynomialRing PrimeField ProjectivePair QQ RationalField
-    RationalInR Smooth5 TwoDoubles UniPoly UnstableQuinticError WPPoint
+    RationalInR TwoDoubles UniPoly UnstableQuinticError WPPoint
     arc_limit arc_limit_numeric arc_limits base_values
     binary_forms build_fiber_system build_ledger chain_trace combinatorial_degree
     count_fiber degree_via_ledger derivation_table discriminant_invariant
@@ -64,7 +64,7 @@ def test_public_names_match_the_eager_package():
         print(json.dumps(quintic_moduli.__all__))
         """
     )
-    assert len(names) == len(PUBLIC_NAMES) == 82
+    assert len(names) == len(PUBLIC_NAMES) == 81
     assert set(names) == PUBLIC_NAMES
 
 

@@ -10,7 +10,6 @@ from quintic_moduli.invariants import (
     UnstableQuinticError,
     WPPoint,
     invariant_triple,
-    moduli_point,
 )
 from quintic_moduli.plane_curves import (
     LineChart,
@@ -78,7 +77,7 @@ def test_fermat_restriction_closed_form():
         (Fraction(0), Fraction(0), 1 / c),
     )
     chart = LineChart(QQ, frame, Fraction(-1), Fraction(-1))
-    r = restrict_to_line(fermat_quintic(QQ), chart)
+    r = restrict_to_line(fermat_quintic(), chart)
     l, m, n = b**5 * c**5, a**5 * c**5, a**5 * b**5
     scale = 1 / (a * b * c) ** 5
     expected = [
@@ -100,7 +99,7 @@ def test_phi_fermat_closed_form():
         s1 = a**5 + b**5 + c**5
         s2 = (a * b) ** 5 + (a * c) ** 5 + (b * c) ** 5
         s3 = (a * b * c) ** 5
-        assert phi(fermat_quintic(QQ), chart) == WPPoint(QQ, s1 * s1 - 4 * s2, s1 * s3, s3 * s3)
+        assert phi(fermat_quintic(), chart) == WPPoint(QQ, s1 * s1 - 4 * s2, s1 * s3, s3 * s3)
 
 
 def test_line_contained_in_curve_is_an_error():
@@ -161,7 +160,7 @@ def test_random_lines_have_stable_restrictions(generic_quintic):
 
 
 def test_hessian_degree_and_fermat_shape():
-    h = hessian(fermat_quintic(QQ))
+    h = hessian(fermat_quintic())
     assert h.degree == 9
     assert set(h.poly.terms) == {(3, 3, 3)}
     rng = random.Random(13)
@@ -212,7 +211,7 @@ def test_genericity_fixture_is_generic(generic_quintic):
 
 
 def test_genericity_flags_fermat():
-    report = genericity_report(fermat_quintic(QQ), 10007, seed=1)
+    report = genericity_report(fermat_quintic(), 10007, seed=1)
     assert report.smooth
     assert report.flex_cycle_ok  # the cycle still has total degree 45
     assert report.distinct_flex_count == 15  # each flex triples

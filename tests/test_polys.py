@@ -257,7 +257,7 @@ def test_restricted_fermat_root_evaluates_to_zero():
     # univariate root search, then substitute back into the bivariate form
     from quintic_moduli.plane_curves import LineChart, fermat_quintic, restrict_to_line
 
-    curve = fermat_quintic(QQ).reduce_mod(F)
+    curve = fermat_quintic().reduce_mod(F)
     root = None
     for b in range(11, 40):  # not every restriction has a rational root; scan
         chart = LineChart.identity(F, F.from_int(3), F.from_int(b))

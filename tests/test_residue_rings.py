@@ -20,7 +20,7 @@ from quintic_moduli.plane_curves import (
 )
 from quintic_moduli.polys import UniPoly
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
-from quintic_moduli.scalars import GF, QQ
+from quintic_moduli.scalars import GF
 
 F = GF(10007)
 
@@ -143,7 +143,7 @@ def _split_off_rational_roots(h: UniPoly):
 
 
 def test_probe_flexes_adds_over_a_split_modulus():
-    curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS, QQ)
+    curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
     curve_poly, hess_poly, h = _flex_modulus(curve, seed=0)
     h1, h2 = _split_off_rational_roots(h)
     assert h.degree == 45 and 0 < h1.degree < h.degree

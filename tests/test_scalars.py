@@ -13,6 +13,9 @@ def test_rational_field_basics():
     assert QQ.reduce(a + b) == Fraction(7, 20)
     assert QQ.reduce(a * b) == Fraction(-3, 10)
     assert QQ.inv(b) == Fraction(-5, 2)
+    # an int is inverted exactly too, never as a float
+    for x in (3, -7, Fraction(3), b):
+        assert type(QQ.inv(x)) is Fraction and QQ.inv(x) * x == 1
     assert QQ.from_fraction(Fraction(6, -8)) == Fraction(-3, 4)
     # denominators positive and in lowest terms, guaranteed by Fraction
     v = QQ.from_fraction(Fraction(6, -8))
