@@ -187,10 +187,6 @@ class FlexNormalForm:
         }
         return cls(MultiPoly(QQ, 3, terms))
 
-    @classmethod
-    def from_terms(cls, terms: dict) -> "FlexNormalForm":
-        return cls(MultiPoly(QQ, 3, {e: Fraction(c) for e, c in terms.items()}))
-
 
 @dataclass(frozen=True)
 class NumericLimit:

@@ -12,12 +12,16 @@ Resultants are computed by a Euclidean remainder scheme (never by root
 finding).  The bivariate eliminant is computed over GF(p) only, by
 specialising one variable at enough sample points and interpolating,
 which is how the degree-600 eliminant of the fiber system stays
-tractable.
+tractable.  Each input's coefficients of x_keep**k are packed once
+(``polys._pack``), so a sample's slices are one sum of small-times-packed
+products, unpacked once; a prime too large for those slot sums takes the
+loop.  The gcds and Yun's decomposition divide with ``UniPoly.divmod``,
+packed over GF(p) in the same way.
 """
 
 from __future__ import annotations
 
-from .polys import MultiPoly, UniPoly, interpolate
+from .polys import MultiPoly, UniPoly, _pack, _unpack, interpolate
 from .scalars import PrimeField
 
 
@@ -104,24 +108,33 @@ def _resultant_modp(a: list[int], b: list[int], p: int) -> int:
     return (p - acc) % p if negate and acc else acc
 
 
-def _specialise(poly: MultiPoly, keep: int, elim: int):
-    """Precompute, per eliminated-variable exponent, the keep-variable slices."""
-    rows: dict[int, list[tuple[int, object]]] = {}
+def _specialise(poly: MultiPoly, keep: int, elim: int, packed: bool) -> dict:
+    """Per kept-variable exponent k, the coefficients of x_keep**k ascending
+    in the eliminated variable: one packed int (``polys._pack``) when
+    ``packed``, else a list."""
+    width = poly.degree_in(elim) + 1
+    columns: dict[int, list] = {}
     for e, c in poly.terms.items():
-        rows.setdefault(e[elim], []).append((e[keep], c))
-    max_keep = max((e[keep] for e in poly.terms), default=0)
-    return rows, max_keep
+        columns.setdefault(e[keep], [0] * width)[e[elim]] = c
+    if packed:
+        return {k: _pack(column) for k, column in columns.items()}
+    return columns
 
 
-def _eval_slices(rows, deg_elim, powers, p: int):
-    """Specialised univariate coefficients mod p (ascending in the eliminated var)."""
-    out = [0] * (deg_elim + 1)
-    for j, slices in rows.items():
-        acc = 0
-        for k, c in slices:
-            acc += c * powers[k]
-        out[j] = acc % p
-    return out
+def _eval_slices(columns: dict, width: int, powers, p: int, packed: bool) -> list[int]:
+    """Specialised univariate coefficients mod p (ascending in the eliminated var).
+
+    Packed, a sample's slices are sum_k powers[k] * column_k, unpacked once.
+    """
+    if packed:
+        acc = sum(powers[k] * column for k, column in columns.items())
+        return [c % p for c in _unpack(acc, width)]
+    out = [0] * width
+    for k, column in columns.items():
+        w = powers[k]
+        for j, c in enumerate(column):
+            out[j] += w * c
+    return [c % p for c in out]
 
 
 def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> UniPoly:
@@ -152,20 +165,21 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     bound = int(f.total_degree) * int(g.total_degree)
     needed = bound + 1
 
-    f_rows, f_keep = _specialise(f, keep, eliminated_var)
-    g_rows, g_keep = _specialise(g, keep, eliminated_var)
-    max_keep = max(f_keep, g_keep)
-
+    max_keep = max(f.degree_in(keep), g.degree_in(keep))
     if p < needed:
         raise ValueError(f"field GF({p}) too small for {needed} interpolation samples")
+    # a packed slot sums max_keep + 1 products of two residues
+    packed = (max_keep + 1) * (p - 1) ** 2 < 1 << 64
+    f_columns = _specialise(f, keep, eliminated_var, packed)
+    g_columns = _specialise(g, keep, eliminated_var, packed)
 
     samples: list[tuple] = []
     for s in range(p):
         powers = [1]
         for _ in range(max_keep):
             powers.append(powers[-1] * s % p)
-        fc = _eval_slices(f_rows, df_e, powers, p)
-        gc = _eval_slices(g_rows, dg_e, powers, p)
+        fc = _eval_slices(f_columns, df_e + 1, powers, p, packed)
+        gc = _eval_slices(g_columns, dg_e + 1, powers, p, packed)
         if fc[-1] == 0 or gc[-1] == 0:
             continue  # leading coefficient vanished here; resample
         samples.append((s, _resultant_modp(fc, gc, p)))

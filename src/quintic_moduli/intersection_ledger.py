@@ -75,9 +75,6 @@ class Ledger:
             return Fraction(0)  # divisors over different cusps are disjoint
         return LOCAL_PAIRING[(a - 1) % 3 + 1 if a else 0][(b - 1) % 3 + 1 if b else 0]
 
-    def matrix(self) -> list[list[Fraction]]:
-        return [[self.pairing(a, b) for b in range(self.dim)] for a in range(self.dim)]
-
 
 @dataclass(frozen=True)
 class DivisorClass:

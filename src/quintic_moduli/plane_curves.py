@@ -99,9 +99,6 @@ class PlaneCurve:
             terms[e] = terms.get(e, QQ.zero) + value
         return cls(MultiPoly(QQ, 3, terms))
 
-    def to_records(self) -> list[list]:
-        return [[i, j, k, str(c)] for (i, j, k), c in self.poly.sorted_terms()]
-
     def reduce_mod(self, target: PrimeField) -> "PlaneCurve":
         """Reduction of a rational curve modulo p; a curve over ``target`` is kept."""
         if self.field is target:
@@ -179,22 +176,6 @@ class LineChart:
     def identity(cls, field: Field, a, b) -> "LineChart":
         one, zero = field.one, field.zero
         return cls(field, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), a, b)
-
-    @classmethod
-    def for_line(cls, field: Field, dual: Sequence, frame: Sequence[Sequence]) -> "LineChart":
-        """Chart presenting the line {u x + v y + w z = 0} in a given frame.
-
-        The framed dual vector is M^T (u, v, w); its z'-component must be
-        nonzero for the line to be a graph z' = a x' + b y' in this frame.
-        """
-        u, v, w = dual
-        framed = [
-            field.reduce(frame[0][c] * u + frame[1][c] * v + frame[2][c] * w) for c in range(3)
-        ]
-        if field.is_zero(framed[2]):
-            raise ValueError("line is vertical in this frame; choose another frame")
-        ninv = field.inv(framed[2])
-        return cls(field, frame, field.reduce(-framed[0] * ninv), field.reduce(-framed[1] * ninv))
 
     def parametrisation(self) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
         """Ambient coordinates of the line point at (s : t), as binary forms."""

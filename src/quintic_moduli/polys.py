@@ -9,19 +9,25 @@ construction and safe to share across threads.
 The coefficients come from any ``Ring`` of :mod:`.scalars`: QQ, GF(p), a
 ``PolynomialRing`` or a residue ring GF(p)[u]/(h).  Every operation
 combines coefficients with their own ``+ - *`` and calls the ring's
-``reduce`` once per resulting coefficient or value.  ``dense_product``,
-shared with ``BinaryForm``, multiplies over GF(p) by Kronecker
-substitution: each operand packed into one integer with a 64-bit slot per
-coefficient, one bigint product, each slot reduced mod p.  Every other
-ring, and a prime too large for the slot sums to fit, takes the
-accumulate-then-reduce loop.  Division (``divmod``, ``monic`` and so the
-gcds built on them) also calls the ring's ``inv``, which over a residue
-ring may raise ``SplitNeeded``.
+``reduce`` once per resulting coefficient or value.  Division (``divmod``,
+``monic`` and so the gcds built on them) also calls the ring's ``inv``,
+which over a residue ring may raise ``SplitNeeded``.
 
-Interpolation runs over GF(p) on raw ints: ``interpolate`` in one variable
-and ``interpolate_bivariate`` on the principal lattice {i + j <= n}, both
-in Newton form, with inverses of node differences computed when first
-needed.
+Over GF(p), whose coefficients are residues in [0, p), two kernels work on
+packed integers (``_pack``/``_unpack``: one 64-bit slot per coefficient).
+``dense_product``, shared with ``BinaryForm``, multiplies by Kronecker
+substitution: one bigint product, each slot reduced mod p.  ``divmod``
+packs the remainder and the divisor once, reads each quotient term off the
+top slot and adds (p - c) times the shifted divisor, and reduces the low
+slots once at the end.  Each kernel runs only while no slot sum can reach
+2**64; every other ring, and a prime too large for that, takes the
+accumulate-then-reduce loop.
+
+Interpolation runs over GF(p) on raw ints.  ``interpolate`` in one
+variable takes the Lagrange form over a subproduct tree, so its products
+and divisions are the packed kernels; ``interpolate_bivariate`` works in
+Newton form on the principal lattice {i + j <= n}, with inverses of node
+differences computed when first needed.
 
 Operations mixing distinct rings (or arities) raise ``ValueError`` rather
 than coercing.  Term iteration for display/serialisation is sorted
@@ -39,12 +45,33 @@ from .scalars import Field, PrimeField, Ring
 
 NEG_INF = float("-inf")
 
-assert array("Q").itemsize == 8, "packed products need 64-bit array slots"
+assert array("Q").itemsize == 8, "packed kernels need 64-bit array slots"
+_SLOT = (1 << 64) - 1
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _check_same_field(a, b):
     if a.field is not b.field:
         raise ValueError(f"field mismatch: {a.field!r} vs {b.field!r}")
+
+
+def _pack(coeffs: Sequence[int]) -> int:
+    """One integer holding ``coeffs[k]`` in bits 64k .. 64k + 63.
+
+    A coefficient outside [0, 2**64) makes ``array`` raise ``OverflowError``.
+    """
+    slots = array("Q", coeffs)
+    if not _LITTLE_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(packed: int, length: int) -> array:
+    """The ``length`` 64-bit slots of a nonnegative integer below 2**(64 * length)."""
+    slots = array("Q", packed.to_bytes(8 * length, "little"))
+    if not _LITTLE_ENDIAN:
+        slots.byteswap()
+    return slots
 
 
 def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
@@ -58,11 +85,8 @@ def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
     coefficient.
     """
     if isinstance(ring, PrimeField) and max(a) * max(b) * min(len(a), len(b)) < 1 << 64:
-        A = int.from_bytes(array("Q", a).tobytes(), sys.byteorder)
-        B = int.from_bytes(array("Q", b).tobytes(), sys.byteorder)
-        slots = array("Q", (A * B).to_bytes(8 * (len(a) + len(b) - 1), sys.byteorder))
         p = ring.p
-        return [c % p for c in slots]
+        return [c % p for c in _unpack(_pack(a) * _pack(b), len(a) + len(b) - 1)]
     out = [ring.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ring.is_zero(ai):
@@ -174,14 +198,26 @@ class UniPoly:
             return UniPoly.zero(F), self
         inv_lc = F.inv(dv[-1])
         quo = [F.zero] * (dq + 1)
+        n = len(dv) - 1
+        # Over GF(p) the remainder and the divisor are packed once: slot j of
+        # R collects at most dq + 1 products below p**2 on top of a residue.
+        if isinstance(F, PrimeField) and (dq + 2) * F.p ** 2 < 1 << 64:
+            p = F.p
+            R, D = _pack(rem), _pack(dv)
+            for k in range(dq, -1, -1):
+                c = (R >> 64 * (k + n) & _SLOT) * inv_lc % p
+                if c:
+                    quo[k] = c
+                    R += (p - c) * D << 64 * k
+            return UniPoly(F, quo), UniPoly(F, [c % p for c in _unpack(R, len(rem))[:n]])
         # the remainder stays raw; only each quotient term is reduced
         for k in range(dq, -1, -1):
-            c = F.reduce(rem[k + len(dv) - 1] * inv_lc)
+            c = F.reduce(rem[k + n] * inv_lc)
             if not F.is_zero(c):
                 quo[k] = c
                 for j, d in enumerate(dv):
                     rem[k + j] -= c * d
-        return UniPoly(F, quo), UniPoly(F, [F.reduce(c) for c in rem[: len(dv) - 1]])
+        return UniPoly(F, quo), UniPoly(F, [F.reduce(c) for c in rem[:n]])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -406,11 +442,25 @@ class PolynomialRing(Ring):
         return f"PolynomialRing({self.field!r}, arity={self.arity})"
 
 
+#: The weights 1/M'(x_i) of ``interpolate`` come from Horner evaluations once
+#: the remainder tree reaches nodes of 2**_HORNER_LEVEL leaves.
+_HORNER_LEVEL = 5
+
+
 def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
     """Unique polynomial of degree < ``len(samples)`` through the samples.
 
-    GF(p) only.  Newton's divided differences on raw ints, then Horner
-    expansion to monomials; abscissae must be pairwise distinct mod p.
+    GF(p) only; abscissae must be pairwise distinct mod p.  Lagrange form
+    over a subproduct tree (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, sections 10.1-10.3): with M = prod_i (x - x_i) the result is
+    sum_i v_i / M'(x_i) * M / (x - x_i).  Level L of the tree holds the
+    products of 2**L consecutive factors x - x_i (an odd last node moves up
+    unchanged).  M' is reduced down the tree with ``divmod`` to nodes of
+    2**_HORNER_LEVEL leaves and evaluated there by Horner; the weighted
+    values are then combined up the tree, a node's value being
+    f_left * M_right + f_right * M_left, and each level is dropped once
+    used.  Above the pairs of nodes, whose products and values are written
+    out, every product is a ``dense_product``.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")
@@ -418,9 +468,52 @@ def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
     xs = [s[0] % p for s in samples]
     if len(set(xs)) != len(xs):
         raise ValueError("repeated abscissa")
-    dd = [s[1] for s in samples]
-    _divided_differences(dd, xs, _Inverses(p))
-    return UniPoly(field, _newton_to_monomial(dd, xs, p))
+    if not xs:
+        return UniPoly.zero(field)
+    # levels[j] holds the products of 2**(j + 1) consecutive factors; at
+    # j = 0 they, and the values combined over them, have closed forms
+    levels = [_pairwise(
+        [[-x % p, 1] for x in xs],
+        lambda i: [xs[i] * xs[i + 1] % p, -(xs[i] + xs[i + 1]) % p, 1],
+    )]
+    while len(levels[-1]) > 1:
+        m = levels[-1]
+        levels.append(_pairwise(m, lambda i: dense_product(field, m[i], m[i + 1])))
+    (root,) = levels.pop()
+    block = min(_HORNER_LEVEL, len(levels) + 1)
+    rems = [UniPoly(field, root).derivative()]
+    for level in range(len(levels) - 1, block - 2, -1):
+        rems = [rems[i >> 1] % UniPoly(field, m) for i, m in enumerate(levels[level])]
+    weights = []
+    for i, rem in enumerate(rems):
+        for x in xs[i << block:(i + 1) << block]:
+            acc = 0
+            for c in reversed(rem.coeffs):
+                acc = (acc * x + c) % p
+            weights.append(pow(acc, -1, p))
+    c = [s[1] * w % p for s, w in zip(samples, weights)]
+    values = _pairwise(
+        [[ci] for ci in c],
+        lambda i: [-(c[i] * xs[i + 1] + c[i + 1] * xs[i]) % p, (c[i] + c[i + 1]) % p],
+    )
+    while levels:
+        m = levels.pop(0)
+        values = _pairwise(values, lambda i: [
+            (u + v) % p
+            for u, v in zip(
+                dense_product(field, values[i], m[i + 1]), dense_product(field, values[i + 1], m[i])
+            )
+        ])
+    return UniPoly(field, values[0])
+
+
+def _pairwise(nodes: list, combine) -> list:
+    """One tree level up: ``combine(i)`` merges nodes i and i + 1 for even i,
+    and an odd last node moves up as it is."""
+    out = [combine(i) for i in range(0, len(nodes) - 1, 2)]
+    if len(nodes) % 2:
+        out.append(nodes[-1])
+    return out
 
 
 def interpolate_bivariate(

@@ -15,8 +15,15 @@ from quintic_moduli.arc_limits import (
     exceptional_coordinate,
 )
 from quintic_moduli.invariants import OneDouble, TwoDoubles
+from quintic_moduli.polys import MultiPoly
+from quintic_moduli.scalars import QQ
 
 from conftest import make_arc_suite
+
+
+def _normal_form(terms: dict) -> FlexNormalForm:
+    """The flex normal form with quartic sum of c x^i y^j z^k over ``terms``."""
+    return FlexNormalForm(MultiPoly(QQ, 3, {e: Fraction(c) for e, c in terms.items()}))
 
 
 def compose_series(outer: Sequence[Fraction], inner: Sequence[Fraction], order: int):
@@ -181,7 +188,7 @@ def test_numeric_oracle_spot_checks():
 def test_numeric_oracle_is_normal_form_independent():
     arc = ArcSpec([0, 0, 1], [0, 0, 0, 1])
     nf1 = FlexNormalForm.default()
-    nf2 = FlexNormalForm.from_terms(
+    nf2 = _normal_form(
         {(0, 4, 0): 1, (2, 0, 2): 3, (4, 0, 0): -2, (1, 2, 1): 5}
     )
     j1 = arc_limit_numeric(nf1, arc).j
@@ -197,9 +204,9 @@ def test_default_schedule_is_geometric():
 
 def test_flex_normal_form_validation():
     with pytest.raises(ValueError):
-        FlexNormalForm.from_terms({(4, 0, 0): 1})  # f4(0, 1, 0) != 1
+        _normal_form({(4, 0, 0): 1})  # f4(0, 1, 0) != 1
     with pytest.raises(ValueError):
-        FlexNormalForm.from_terms({(0, 4, 0): 1, (1, 1, 1): 2})  # degree 3 term
+        _normal_form({(0, 4, 0): 1, (1, 1, 1): 2})  # degree 3 term
 
 
 def test_numeric_oracle_triple_collision_arc():

@@ -175,6 +175,15 @@ def test_count_fiber_cross_prime_agreement(generic_quintic):
     assert r1.multiplicity_profile == r2.multiplicity_profile
 
 
+# Past the 64-bit slot guards of the packed kernels: at 2**31 - 1 the slice
+# sums and every division with a quotient of 4 or more terms take the loops,
+# and at 2**61 - 1 every division and nearly every product does.
+@pytest.mark.parametrize("prime", [2**31 - 1, 2**61 - 1])
+def test_count_fiber_past_the_packing_guards(generic_quintic, prime):
+    report = count_fiber(generic_quintic, prime, seed=1)
+    assert report.multiplicity_profile == ((45, 4), (420, 1))
+
+
 def test_count_fiber_is_deterministic(generic_quintic):
     assert count_fiber(generic_quintic, 10007, seed=2) == count_fiber(
         generic_quintic, 10007, seed=2

@@ -175,6 +175,36 @@ def test_gf_products_match_schoolbook(p):
             assert dense_product(field, a, b) == _schoolbook(field, a, b), (la, lb)
 
 
+def _long_division(field, a, b):
+    """Reference quotient and remainder of a by b, every operation reduced."""
+    rem = list(a)
+    quo = [field.zero] * max(len(a) - len(b) + 1, 0)
+    inv = field.inv(b[-1])
+    for k in range(len(quo) - 1, -1, -1):
+        c = field.reduce(rem[k + len(b) - 1] * inv)
+        quo[k] = c
+        for j, d in enumerate(b):
+            rem[k + j] = field.reduce(rem[k + j] - field.reduce(c * d))
+    return UniPoly(field, quo), UniPoly(field, rem[: len(b) - 1])
+
+
+# (dividend, divisor) lengths: a constant divisor, a dividend shorter than the
+# divisor, quotients of 1, 3 and 4 terms, and the first division of Yun's
+# first gcd at degree 600 (a 466-term quotient by a divisor of degree 135).
+# The packed division needs (terms of the quotient + 1) * p**2 < 2**64: at
+# 2**31 - 1 quotients of up to 3 terms are packed and longer ones are not.
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+def test_gf_divmod_matches_long_division(p):
+    field = GF(p)
+    rng = random.Random(p)
+    shapes = [(0, 3), (40, 1), (5, 9), (136, 136), (138, 136), (139, 136), (601, 136)]
+    for la, lb in shapes:
+        for a, b in zip(_gf_operands(rng, p, la), _gf_operands(rng, p, lb)):
+            b[-1] = b[-1] or 1
+            got = UniPoly(field, a).divmod(UniPoly(field, b))
+            assert got == _long_division(field, a, b), (la, lb)
+
+
 def test_packed_product_rejects_negative_coefficients():
     with pytest.raises(OverflowError):
         dense_product(F, [3, -1], [2, 5])
@@ -304,6 +334,26 @@ def test_interpolation_inverts_evaluation():
         xs = random.Random(rng.random()).sample(range(F.p), n)
         samples = [(x, poly.eval(x)) for x in xs]
         assert interpolate(samples, F) == poly
+
+
+# The subproduct tree pairs consecutive nodes, and its remainders stop at
+# nodes of 32 leaves: 601 nodes give odd levels and a partial last block.
+@pytest.mark.parametrize("p, n", [(10007, 601), (2**61 - 1, 70)])
+def test_interpolation_through_many_nodes(p, n):
+    field = GF(p)
+    rng = random.Random(n)
+    node_sets = {
+        "none": [],
+        "one": [rng.randrange(p)],
+        "consecutive": list(range(n)),
+        "random": rng.sample(range(p), n),
+        "gaps": [x for x in range(2 * n) if x % 5 in (0, 3)] + [p - 1, p // 2],
+    }
+    for name, xs in node_sets.items():
+        samples = [(x, rng.randrange(p)) for x in xs]
+        poly = interpolate(samples, field)
+        assert poly.degree < len(xs), name
+        assert all(poly.eval(x) == v for x, v in samples), name
 
 
 def test_interpolate_bivariate_roundtrip():
