@@ -24,10 +24,12 @@ the degenerate two-double-point locus is 4 alpha0^3 = 27 beta0^2.
 
 The symbolic path implements this table directly.  The numeric oracle
 never looks at the table: it evaluates the family at small t > 0, isolates
-the five complex roots in arbitrary precision, renormalises the
-configuration into a spread-out chart, merges the one genuinely colliding
-pair, takes the cross-ratio j, and extrapolates t -> 0 from a geometric
-schedule.  Agreement of the two paths is the module's main test surface.
+the five complex roots by fixed-point Durand-Kerner iteration on Python
+ints (2 x the mpmath working precision warm-started, 4 x cold),
+renormalises the configuration into a spread-out chart, merges the one
+genuinely colliding pair, takes the cross-ratio j, and extrapolates t -> 0
+from a geometric schedule.  Agreement of the two paths is the module's
+main test surface.
 """
 
 from __future__ import annotations
@@ -237,11 +239,13 @@ def arc_limit_numeric(
     (or ``MAX_POINTS`` is reached).  A t whose root clustering is ambiguous
     is skipped; if fewer than 4 points survive, a ValueError is raised.
 
-    The roots move continuously along the schedule, so each root solve is
-    warm-started from the previous t's roots (rescaled to the new balanced
-    chart) and iterated at twice the working precision.  The first t, a t
-    where the number of finite roots changes, and a warm solve that does
-    not converge use a cold start at four times the working precision.
+    Roots are isolated by ``_durand_kerner``, mpmath's own Durand-Kerner
+    iteration run in fixed point on Python ints.  The roots move
+    continuously along the schedule, so each root solve is warm-started
+    from the previous t's roots (rescaled to the new balanced chart) and
+    iterated at 2 * prec bits, prec being the working precision.  The
+    first t, a t where the number of finite roots changes, and a warm solve
+    that does not converge use a cold start at 4 * prec bits.
     """
     import mpmath as mp
 
@@ -339,16 +343,13 @@ def _j_at_parameter(mp, normal_form, arc, t, prev_roots=None):
             # continuation: the previous t's roots are close, so the
             # simultaneous iteration converges in a few quadratic steps
             try:
-                roots = mp.polyroots(
-                    scaled,
-                    maxsteps=1000,
-                    extraprec=mp.mp.prec,
-                    roots_init=[r / sigma for r in prev_roots],
+                roots = _durand_kerner(
+                    mp, scaled, 2 * mp.mp.prec, [r / sigma for r in prev_roots]
                 )
             except mp.mp.NoConvergence:
                 pass
         if roots is None:
-            roots = mp.polyroots(scaled, maxsteps=1000, extraprec=3 * mp.mp.prec)
+            roots = _durand_kerner(mp, scaled, 4 * mp.mp.prec)
         roots = [r * sigma for r in roots]
     else:
         roots = []
@@ -372,9 +373,92 @@ def _j_at_parameter(mp, normal_form, arc, t, prev_roots=None):
     return _j_of_quadruple(mp, quad), roots
 
 
+#: Most Durand-Kerner sweeps a root solve may take.
+MAX_SWEEPS = 1000
+
+
+def _durand_kerner(mp, coeffs, bits, init=None):
+    """All roots of the polynomial with descending ``coeffs``, as mpmath's root finder.
+
+    Gauss-Seidel Durand-Kerner (Weierstrass) iteration in fixed point: the
+    polynomial is made monic at ``bits`` precision, and every real and
+    imaginary part becomes a Python int scaled by 2**bits, so a sweep costs
+    big-int multiplies and one complex division per root.  A root is frozen
+    once its correction falls below ``mp.mp.eps`` (mpmath's absolute
+    test), and the solve ends when all are.  ``init`` gives the starting
+    roots; without it they are mpmath's (0.4 + 0.9i)^k.
+
+    As in mpmath, a real or imaginary part below eps becomes exactly
+    0 and the roots are sorted by (|im|, re); they are returned rounded to
+    the working precision.  Raises ``mp.mp.NoConvergence`` after
+    ``MAX_SWEEPS`` sweeps, when a product of root differences underflows to
+    0 (two estimates closer than 2**-bits), or when a correction reaches
+    2**bits (the estimates diverge, and fixed point has no exponent to
+    absorb them), so that the caller can retry from another start or at
+    more bits.
+    """
+    to_fixed = mp.libmp.to_fixed
+    deg = len(coeffs) - 1
+    with mp.workprec(bits):
+        lead = coeffs[0]
+        monic = [mp.mpc(c) / lead for c in coeffs[1:]]
+    if init is None:
+        init = [(0.4 + 0.9j) ** k for k in range(deg)]
+
+    def fixed(z):
+        z = mp.convert(z)  # no rounding to the working precision
+        return to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
+
+    cs = [fixed(c) for c in monic]
+    xr, xi = map(list, zip(*map(fixed, init)))
+    one = 1 << bits
+    tol = 1 << (bits + 1 - mp.mp.prec)  # eps at the working precision
+    tol2 = tol * tol
+    active = list(range(deg))
+    for _ in range(MAX_SWEEPS):
+        unfrozen = []
+        for i in active:
+            pr, pi = xr[i], xi[i]
+            fr, fi = one, 0
+            for cr, ci in cs:  # Horner
+                fr, fi = ((fr * pr - fi * pi) >> bits) + cr, ((fr * pi + fi * pr) >> bits) + ci
+            dr, di = one, 0
+            for j in range(deg):
+                if j != i:
+                    ur, ui = pr - xr[j], pi - xi[j]
+                    dr, di = (dr * ur - di * ui) >> bits, (dr * ui + di * ur) >> bits
+            den = dr * dr + di * di
+            if not den:
+                raise mp.mp.NoConvergence("a product of root differences underflowed")
+            qr = ((fr * dr + fi * di) << bits) // den
+            qi = ((fi * dr - fr * di) << bits) // den
+            q2 = qr * qr + qi * qi
+            if q2 >> (4 * bits):  # a step of 2**bits: the ints would grow without bound
+                raise mp.mp.NoConvergence("a root estimate diverged")
+            xr[i], xi[i] = pr - qr, pi - qi
+            if q2 >= tol2:
+                unfrozen.append(i)
+        active = unfrozen
+        if not active:
+            break
+    else:
+        raise mp.mp.NoConvergence(f"no convergence in {MAX_SWEEPS} sweeps")
+    roots = []
+    for r, i in zip(xr, xi):
+        if r * r + i * i < tol2:
+            r = i = 0
+        elif abs(i) < tol:
+            i = 0
+        elif abs(r) < tol:
+            r = 0
+        roots.append((r, i))
+    roots.sort(key=lambda z: (abs(z[1]), z[0]))
+    return [mp.mpc(mp.mpf((r, -bits)), mp.mpf((i, -bits))) for r, i in roots]
+
+
 def _unit(mp, p):
     a, b = p
-    norm = mp.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    norm = mp.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
     return (a / norm, b / norm)
 
 
@@ -415,18 +499,19 @@ def _spread_chart(mp, points):
         return (z.real, z.imag)
 
     order = sorted(range(5), key=affine)
+    dets = [[_det(p, q) for q in fl] for p in fl]
     best = None
     for i in order:
         for j in order:
             for k in order:
                 if len({i, j, k}) != 3:
                     continue
-                c1 = _det(fl[j], fl[k])
-                c2 = _det(fl[j], fl[i])
+                c1 = dets[j][k]
+                c2 = dets[j][i]
                 mapped = []
-                for p in fl:
-                    a = _det(p, fl[i]) * c1
-                    b = _det(p, fl[k]) * c2
+                for row in dets:
+                    a = row[i] * c1
+                    b = row[k] * c2
                     norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
                     if norm == 0:
                         break

@@ -267,21 +267,21 @@ def test_numeric_oracle_readme_arc_precision():
 )
 def test_numeric_oracle_cold_fallback(monkeypatch, alpha, beta):
     """Every warm-started root solve failing gives the cold-start answer."""
-    import mpmath
+    from quintic_moduli import arc_limits
 
     nf = FlexNormalForm.default()
     arc = ArcSpec(alpha, beta)
     warm = arc_limit_numeric(nf, arc)
-    polyroots = mpmath.polyroots
+    solve = arc_limits._durand_kerner
     refused = []
 
-    def no_warm_start(*args, **kwargs):
-        if "roots_init" in kwargs:
+    def no_warm_start(mp, coeffs, bits, init=None):
+        if init is not None:
             refused.append(1)
-            raise mpmath.mp.NoConvergence("refused")
-        return polyroots(*args, **kwargs)
+            raise mp.mp.NoConvergence("refused")
+        return solve(mp, coeffs, bits)
 
-    monkeypatch.setattr(mpmath, "polyroots", no_warm_start)
+    monkeypatch.setattr(arc_limits, "_durand_kerner", no_warm_start)
     cold = arc_limit_numeric(nf, arc)
     assert refused
     assert cold.diverged == warm.diverged

@@ -1,0 +1,203 @@
+"""The arc oracle's fixed-point Durand-Kerner root solver against ``mpmath.polyroots``.
+
+``_durand_kerner`` runs the iteration ``polyroots`` runs (same starts,
+same absolute stopping test, same clean-up and sort), on Python ints
+instead of ``mpf``.  ``polyroots`` stays the reference here: cold solves at
+4x the working precision, warm solves at 2x, as the oracle calls them.
+"""
+
+from __future__ import annotations
+
+import random
+
+import mpmath as mp
+import pytest
+
+from quintic_moduli import arc_limits
+from quintic_moduli.arc_limits import ORACLE_DPS, _durand_kerner
+
+
+def _expand(lead, roots):
+    """Descending coefficients of lead * prod (x - r)."""
+    coeffs = [mp.mpc(lead)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _real(coeffs):
+    assert all(c.imag == 0 for c in coeffs)
+    return [c.real for c in coeffs]
+
+
+def _draw(rng, scale=1):
+    return mp.mpf(rng.randint(-4096, 4096)) / 1024 * scale
+
+
+def _seeded_cases(seed, scale=1):
+    """(name, roots, coefficients) for degrees 1-5: complex roots, real roots
+    and real coefficients with conjugate pairs, each with a non-unit leading
+    coefficient.  The roots are 1/1024-grid points times ``scale``, so the
+    coefficients are exact at the oracle's precision."""
+    rng = random.Random(seed)
+    cases = []
+    for deg in range(1, 6):
+        lead = rng.choice([1, 3, -7, mp.mpf("0.125")])
+        roots = [mp.mpc(_draw(rng, scale), _draw(rng, scale)) for _ in range(deg)]
+        cases.append((f"complex-{deg}", roots, _expand(lead, roots)))
+        roots = [mp.mpc(_draw(rng, scale)) for _ in range(deg)]
+        cases.append((f"real-{deg}", roots, _real(_expand(lead, roots))))
+        roots = []
+        while len(roots) + 2 <= deg:
+            z = mp.mpc(_draw(rng, scale), _draw(rng, scale) or scale)
+            roots += [z, mp.conj(z)]
+        roots += [mp.mpc(_draw(rng, scale)) for _ in range(deg - len(roots))]
+        cases.append((f"conjugate-{deg}", roots, _real(_expand(lead, roots))))
+    return cases
+
+
+def _tolerance(roots, bits):
+    """Allowed error at each root: 1e-100 relative, or the fixed-point floor
+    where that is larger.
+
+    Horner on ints scaled by 2**bits errs by about 2**-bits absolutely, which
+    moves a root by that over |f'(root)| of the monic polynomial.  The floor
+    matters only where every root is tiny (``polyroots``' floats shrink with
+    them); the oracle balances its roots around 1 first."""
+    out = []
+    for k, r in enumerate(roots):
+        slope = mp.fprod(abs(r - s) for j, s in enumerate(roots) if j != k)
+        out.append(max(1e-100 * max(1, abs(r)), 16 * mp.ldexp(1, -bits) / slope))
+    return out
+
+
+def _assert_matches(got, want, tol):
+    """A one-to-one matching of got onto want, want[k] within tol[k]."""
+    assert len(got) == len(want)
+    unused = list(zip(want, tol))
+    for z in got:
+        k = min(range(len(unused)), key=lambda k: abs(unused[k][0] - z))
+        w, t = unused.pop(k)
+        assert abs(w - z) <= t, (z, w)
+
+
+def _assert_sorted(roots):
+    keys = [(abs(mp.im(z)), mp.re(z)) for z in roots]
+    assert keys == sorted(keys)
+
+
+def _assert_exactly_real_like(got, want):
+    """The clean-up rule: the same number of exactly-real roots as polyroots."""
+    assert sum(mp.im(z) == 0 for z in got) == sum(mp.im(z) == 0 for z in want)
+
+
+# cold starts lie near the unit circle: from there, shrinking onto roots of
+# size 1e-40 takes both solvers a hundred-odd sweeps, so that scale is
+# covered warm only
+@pytest.mark.parametrize("scale", [1, mp.mpf("1e40")])
+def test_cold_solves_match_polyroots(scale):
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        for name, roots, coeffs in _seeded_cases(20261018, scale):
+            want = mp.polyroots(coeffs, maxsteps=1000, extraprec=3 * prec)
+            got = _durand_kerner(mp, coeffs, 4 * prec)
+            _assert_matches(got, want, _tolerance(want, 4 * prec))
+            _assert_matches(got, roots, _tolerance(roots, 4 * prec))
+            _assert_sorted(got)
+            _assert_exactly_real_like(got, want)
+            if name.startswith("real"):
+                assert all(z.imag == 0 for z in got), name
+
+
+@pytest.mark.parametrize("scale", [1, mp.mpf("1e40"), mp.mpf("1e-40")])
+def test_warm_solves_match_polyroots(scale):
+    rng = random.Random(7)
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        for _, roots, coeffs in _seeded_cases(99, scale):
+            init = [z * (1 + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-6) for z in roots]
+            want = mp.polyroots(coeffs, maxsteps=1000, extraprec=prec, roots_init=init)
+            got = _durand_kerner(mp, coeffs, 2 * prec, init)
+            _assert_matches(got, want, _tolerance(want, 2 * prec))
+            _assert_matches(got, roots, _tolerance(roots, 2 * prec))
+            _assert_sorted(got)
+
+
+def test_close_pair_is_resolved():
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        pair = mp.mpf("0.3") + mp.mpf("1e-30")
+        roots = [mp.mpc("0.3"), mp.mpc(pair), mp.mpc(-1, 2), mp.mpc(-1, -2), mp.mpc(2)]
+        coeffs = _real(_expand(5, roots))
+        want = mp.polyroots(coeffs, maxsteps=1000, extraprec=3 * prec)
+        got = _durand_kerner(mp, coeffs, 4 * prec)
+        _assert_matches(got, want, _tolerance(want, 4 * prec))
+        # the coefficients are rounded at the working precision, which moves
+        # the pair by about eps / 1e-30
+        _assert_matches(got, roots, [1e-80] * 5)
+        low, high = sorted(mp.re(z) for z in got if abs(z - roots[0]) < 1e-20)
+        assert high - low > 0.9e-30
+        assert all(mp.im(z) == 0 for z in got[:3])
+
+
+def test_clean_up_zeroes_parts_below_eps():
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        # x (x^2 + 4) (x - 1): an exact zero, a purely imaginary pair, a real root
+        coeffs = [mp.mpf(c) for c in (1, -1, 4, -4, 0)]
+        got = _durand_kerner(mp, coeffs, 4 * prec)
+        assert got[0] == 0 and got[1] == 1
+        assert {(mp.re(z), mp.im(z)) for z in got[2:]} == {(0, 2), (0, -2)}
+        assert got == mp.polyroots(coeffs, maxsteps=1000, extraprec=3 * prec)
+
+
+def test_underflowing_difference_raises():
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        coeffs = [mp.mpf(c) for c in (1, 0, -1)]
+        with pytest.raises(mp.mp.NoConvergence):
+            _durand_kerner(mp, coeffs, 2 * prec, [mp.mpc(2), mp.mpc(2)])
+        # distinct estimates that fixed point at 2 * prec bits cannot tell apart
+        with mp.workprec(4 * prec):
+            twin = mp.mpc(2) + mp.ldexp(1, -2 * prec - 8)
+        assert twin != 2
+        with pytest.raises(mp.mp.NoConvergence):
+            _durand_kerner(mp, coeffs, 2 * prec, [mp.mpc(2), twin])
+
+
+def test_diverging_step_raises():
+    """Estimates one unit of 2**-bits apart: the first correction is
+    3 * 2**bits, and fixed point stops there instead of growing its ints."""
+    with mp.workdps(ORACLE_DPS):
+        bits = 2 * mp.mp.prec
+        coeffs = [mp.mpf(c) for c in (1, 0, -1)]
+        with mp.workprec(2 * bits):
+            init = [mp.mpc(2), mp.mpc(2) + mp.ldexp(1, -bits)]
+        with pytest.raises(mp.mp.NoConvergence):
+            _durand_kerner(mp, coeffs, bits, init)
+
+
+@pytest.mark.parametrize("multiple", [0.5, 0.999, 1.001, 1.5, 1.999, 3])
+def test_stopping_test_is_polyroots(monkeypatch, multiple):
+    """A last correction of ``multiple`` * eps ends the solve after one sweep
+    exactly when it ends polyroots' after one sweep."""
+    with mp.workdps(30):
+        prec = mp.mp.prec
+        root, eps = mp.mpf(1) / 3, +mp.eps
+        with mp.workprec(2 * prec):  # the start, exactly
+            init = [mp.mpc(root + eps * multiple)]
+        coeffs = [mp.mpf(1), -root]
+        try:
+            mp.polyroots(coeffs, maxsteps=1, extraprec=prec, roots_init=init)
+            converges = True
+        except mp.mp.NoConvergence:
+            converges = False
+        assert converges == (multiple < 1)
+        monkeypatch.setattr(arc_limits, "MAX_SWEEPS", 1)
+        if converges:
+            assert _durand_kerner(mp, coeffs, 2 * prec, init) == [root]
+        else:
+            with pytest.raises(mp.mp.NoConvergence):
+                _durand_kerner(mp, coeffs, 2 * prec, init)
+        monkeypatch.setattr(arc_limits, "MAX_SWEEPS", 2)
+        assert _durand_kerner(mp, coeffs, 2 * prec, init) == [root]
