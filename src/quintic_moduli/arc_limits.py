@@ -25,10 +25,12 @@ the degenerate two-double-point locus is 4 alpha0^3 = 27 beta0^2.
 The symbolic path implements this table directly.  The numeric oracle
 never looks at the table: it evaluates the family at small t > 0, isolates
 the five complex roots by fixed-point Durand-Kerner iteration on Python
-ints (2 x the mpmath working precision warm-started, 4 x cold),
-renormalises the configuration into a spread-out chart, merges the one
-genuinely colliding pair, takes the cross-ratio j, and extrapolates t -> 0
-from a geometric schedule.  Agreement of the two paths is the module's
+ints on a precision ladder (stages at 2 x 64, 2 x 128 and 2 x 256 bits
+while below the mpmath working precision, then the full solve at 2 x the
+working precision, with a cold solve at 4 x as its fallback), renormalises
+the configuration into a spread-out chart, merges the one genuinely
+colliding pair, takes the cross-ratio j, and extrapolates t -> 0 from a
+geometric schedule.  Agreement of the two paths is the module's
 main test surface.
 """
 
@@ -242,10 +244,15 @@ def arc_limit_numeric(
     Roots are isolated by ``_durand_kerner``, mpmath's own Durand-Kerner
     iteration run in fixed point on Python ints.  The roots move
     continuously along the schedule, so each root solve is warm-started
-    from the previous t's roots (rescaled to the new balanced chart) and
-    iterated at 2 * prec bits, prec being the working precision.  The
-    first t, a t where the number of finite roots changes, and a warm solve
-    that does not converge use a cold start at 4 * prec bits.
+    from the previous t's roots (rescaled to the new balanced chart); the
+    first t and a t where the number of finite roots changes start from
+    mpmath's cold starts.  From there the solve climbs a precision ladder
+    (``_solve_roots``): stages at working precision p = 64, 128 and 256
+    bits (those below prec, the oracle's working precision), each
+    iterating at 2 * p bits from the previous stage's roots and skipped if
+    it does not converge, then the full solve at 2 * prec bits with its
+    eps stopping test.  If that does not converge, a cold solve at
+    4 * prec bits decides.
     """
     import mpmath as mp
 
@@ -338,19 +345,12 @@ def _j_at_parameter(mp, normal_form, arc, t, prev_roots=None):
         if sigma == 0 or mp.isinf(sigma):
             sigma = mp.mpf(1)
         scaled = [c * sigma ** (deg - k) for k, c in enumerate(poly)]
-        roots = None
+        start = None
         if prev_roots is not None and len(prev_roots) == deg:
             # continuation: the previous t's roots are close, so the
             # simultaneous iteration converges in a few quadratic steps
-            try:
-                roots = _durand_kerner(
-                    mp, scaled, 2 * mp.mp.prec, [r / sigma for r in prev_roots]
-                )
-            except mp.mp.NoConvergence:
-                pass
-        if roots is None:
-            roots = _durand_kerner(mp, scaled, 4 * mp.mp.prec)
-        roots = [r * sigma for r in roots]
+            start = [r / sigma for r in prev_roots]
+        roots = [r * sigma for r in _solve_roots(mp, scaled, start)]
     else:
         roots = []
     points = [(mp.mpc(r), mp.mpc(1)) for r in roots]
@@ -373,8 +373,37 @@ def _j_at_parameter(mp, normal_form, arc, t, prev_roots=None):
     return _j_of_quadruple(mp, quad), roots
 
 
+#: Working precisions (bits) of the ladder stages that run before a root
+#: solve's full-precision one; only those below the working precision run.
+LADDER_PRECS = (64, 128, 256)
 #: Most Durand-Kerner sweeps a root solve may take.
 MAX_SWEEPS = 1000
+
+
+def _solve_roots(mp, coeffs, start):
+    """The roots ``_durand_kerner`` finds at 2 * prec bits, reached on a precision ladder.
+
+    Each stage of ``LADDER_PRECS`` below the working precision prec runs at
+    twice its precision from the previous stage's roots, the first from
+    ``start`` (or the cold starts); a stage that does not converge is
+    skipped.  The last solve runs at 2 * prec bits, so its stopping test is
+    the one a direct solve would use; if it does not converge either, a cold
+    solve at 4 * prec bits decides.
+    """
+    prec = mp.mp.prec
+    roots = start
+    for p in LADDER_PRECS:
+        if p >= prec:
+            break
+        with mp.workprec(p):
+            try:
+                roots = _durand_kerner(mp, coeffs, 2 * p, roots)
+            except mp.mp.NoConvergence:
+                pass
+    try:
+        return _durand_kerner(mp, coeffs, 2 * prec, roots)
+    except mp.mp.NoConvergence:
+        return _durand_kerner(mp, coeffs, 4 * prec)
 
 
 def _durand_kerner(mp, coeffs, bits, init=None):
@@ -501,10 +530,13 @@ def _spread_chart(mp, points):
     order = sorted(range(5), key=affine)
     dets = [[_det(p, q) for q in fl] for p in fl]
     best = None
-    for i in order:
+    # (k, j, i) maps each point to (i, j, k)'s image with a and b swapped,
+    # z -> 1/z, so its score is bitwise the same; of two twins the one met
+    # first, with i before k, is the only one that can win
+    for n, i in enumerate(order):
         for j in order:
-            for k in order:
-                if len({i, j, k}) != 3:
+            for k in order[n + 1:]:
+                if j == i or j == k:
                     continue
                 c1 = dets[j][k]
                 c2 = dets[j][i]

@@ -2,7 +2,7 @@
 
 The sixteen arc shapes of the benchmark's ``arc-oracle`` cycle (four per
 limit regime, two of them engineered two-double-point arcs), with
-coefficients drawn at two fixed seeds: one JSON line per arc with re(j),
+coefficients drawn at three fixed seeds: one JSON line per arc with re(j),
 the error estimate, the points used and skipped, and whether the sequence
 diverged.  Im(j) is left out: it is float noise around zero, and a change
 to the root solver may move it below 1e-100.  A faster solver must leave
@@ -23,7 +23,7 @@ from quintic_moduli.arc_limits import ArcSpec, FlexNormalForm, arc_limit_numeric
 from conftest import REPO_ROOT, _nonzero
 
 GOLDEN = REPO_ROOT / "tests" / "golden" / "arc_reports.jsonl"
-SEEDS = (11, 12)
+SEEDS = (11, 12, 13)
 
 # (regime, a, b) as in the benchmark:
 #   0 beta-dominant (m, n), m <= n      1 alpha-dominant (n, m or None), m >= 2n

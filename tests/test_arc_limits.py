@@ -266,7 +266,8 @@ def test_numeric_oracle_readme_arc_precision():
     "alpha, beta", [([0, 0, 1], [0, 0, 0, 1]), ([0, 0, 3], [0, 0, 0, 2])]
 )
 def test_numeric_oracle_cold_fallback(monkeypatch, alpha, beta):
-    """Every warm-started root solve failing gives the cold-start answer."""
+    """Every warm-started root solve failing gives the cold-start answer,
+    which the cold solve at 4 * prec bits computes."""
     from quintic_moduli import arc_limits
 
     nf = FlexNormalForm.default()
@@ -274,16 +275,104 @@ def test_numeric_oracle_cold_fallback(monkeypatch, alpha, beta):
     warm = arc_limit_numeric(nf, arc)
     solve = arc_limits._durand_kerner
     refused = []
+    cold_bits = []
 
     def no_warm_start(mp, coeffs, bits, init=None):
         if init is not None:
             refused.append(1)
             raise mp.mp.NoConvergence("refused")
+        cold_bits.append(bits // mp.mp.prec)
         return solve(mp, coeffs, bits)
 
     monkeypatch.setattr(arc_limits, "_durand_kerner", no_warm_start)
     cold = arc_limit_numeric(nf, arc)
     assert refused
+    assert 4 in cold_bits
     assert cold.diverged == warm.diverged
     if not warm.diverged:
         assert abs(cold.j - warm.j) <= 1e-7 * abs(warm.j)
+
+
+def _exhaustive_spread_chart(mp, points):
+    """The reference chart search: all 60 ordered triples, (k, j, i) scored
+    as well as its twin (i, j, k).  Returns the chosen triple and the chart."""
+    from quintic_moduli.arc_limits import _det, _unit
+
+    fl = [(complex(a), complex(b)) for a, b in points]
+
+    def affine(r):
+        z = fl[r][0] * fl[r][1].conjugate()
+        return (z.real, z.imag)
+
+    order = sorted(range(5), key=affine)
+    dets = [[_det(p, q) for q in fl] for p in fl]
+    best = None
+    for i in order:
+        for j in order:
+            for k in order:
+                if len({i, j, k}) != 3:
+                    continue
+                c1 = dets[j][k]
+                c2 = dets[j][i]
+                mapped = []
+                for row in dets:
+                    a = row[i] * c1
+                    b = row[k] * c2
+                    norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+                    if norm == 0:
+                        break
+                    mapped.append((a / norm, b / norm))
+                else:
+                    dists = sorted(
+                        abs(_det(mapped[r], mapped[s]))
+                        for r in range(5)
+                        for s in range(r + 1, 5)
+                    )
+                    score = (round(dists[1], 9), round(dists[0], 9))
+                    if best is None or score > best[0]:
+                        best = (score, i, j, k)
+    if best is None:
+        return None, points
+    _, i, j, k = best
+    c1 = _det(points[j], points[k])
+    c2 = _det(points[j], points[i])
+    chart = [_unit(mp, (_det(p, points[i]) * c1, _det(p, points[k]) * c2)) for p in points]
+    return (i, j, k), chart
+
+
+def _spread_chart_configurations(mp):
+    """Seeded configurations and tie-heavy ones, as unit pairs."""
+    from quintic_moduli.arc_limits import _unit
+
+    inf = (mp.mpc(1), mp.mpc(0))
+    configs = []
+    rng = random.Random(2026)
+    for _ in range(40):
+        zs = [mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+        if rng.random() < 0.3:  # a colliding pair
+            zs[1] = zs[0] + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-6
+        configs.append([(z, mp.mpc(1)) for z in zs])
+    roots = [mp.expjpi(2 * mp.mpf(k) / 5) for k in range(5)]
+    configs.append([(z, mp.mpc(1)) for z in roots])  # fifth roots of unity
+    configs.append([(z * 2, mp.mpc(1)) for z in roots[:4]] + [inf])
+    for a, b, c in [(1, 2, 0), (0.5, 1, 3), (-1, 1, 1)]:  # conjugate-symmetric
+        base = [(mp.mpc(a, b), 1), (mp.mpc(a, -b), 1), (mp.mpc(c), 1)]
+        configs.append(base + [(mp.mpc(-a, b), 1), (mp.mpc(-a, -b), 1)])
+        configs.append(base + [(mp.mpc(c + 1e-5), 1), inf])
+    configs.append([(mp.mpc(x), mp.mpc(1)) for x in (0, 1e-4, 1, -1)] + [inf])
+    configs.append([(mp.mpc(x), mp.mpc(1)) for x in (-2, -1, 0, 1, 2)])
+    return [[_unit(mp, (mp.mpc(a), mp.mpc(b))) for a, b in c] for c in configs]
+
+
+def test_spread_chart_matches_the_exhaustive_search():
+    """Scoring only the twin with i before k picks the triple the 60-triple
+    search picks, ties included."""
+    import mpmath as mp
+
+    from quintic_moduli.arc_limits import _spread_chart
+
+    with mp.workdps(50):
+        for points in _spread_chart_configurations(mp):
+            triple, want = _exhaustive_spread_chart(mp, points)
+            assert triple is not None
+            assert _spread_chart(mp, points) == want, triple

@@ -3,7 +3,9 @@
 ``_durand_kerner`` runs the iteration ``polyroots`` runs (same starts,
 same absolute stopping test, same clean-up and sort), on Python ints
 instead of ``mpf``.  ``polyroots`` stays the reference here: cold solves at
-4x the working precision, warm solves at 2x, as the oracle calls them.
+4x the working precision, warm solves at 2x.  The oracle reaches its 2x
+solve on the precision ladder of ``_solve_roots``, which is checked against
+a direct 2x ``_durand_kerner`` solve from the same start.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import mpmath as mp
 import pytest
 
 from quintic_moduli import arc_limits
-from quintic_moduli.arc_limits import ORACLE_DPS, _durand_kerner
+from quintic_moduli.arc_limits import (
+    ORACLE_DPS,
+    ArcSpec,
+    FlexNormalForm,
+    _durand_kerner,
+    _j_at_parameter,
+    _solve_roots,
+    default_schedule,
+)
 
 
 def _expand(lead, roots):
@@ -201,3 +211,74 @@ def test_stopping_test_is_polyroots(monkeypatch, multiple):
                 _durand_kerner(mp, coeffs, 2 * prec, init)
         monkeypatch.setattr(arc_limits, "MAX_SWEEPS", 2)
         assert _durand_kerner(mp, coeffs, 2 * prec, init) == [root]
+
+
+def _perturbed(rng, roots, size):
+    return [z * (1 + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * size) for z in roots]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_ladder_matches_direct_solve(warm):
+    """The ladder ends in the direct 2x solve's stopping test, from a start
+    closer than the direct solve's own.  The constant term is moved off the
+    grid, so no stage lands on the roots exactly."""
+    rng = random.Random(5)
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        for _, roots, coeffs in _seeded_cases(314):
+            coeffs = coeffs[:-1] + [coeffs[-1] + mp.mpf(1) / 3000]
+            start = _perturbed(rng, roots, 1e-3) if warm else None
+            want = _durand_kerner(mp, coeffs, 2 * prec, start)
+            got = _solve_roots(mp, coeffs, start)
+            _assert_matches(got, want, _tolerance(want, 2 * prec))
+            _assert_sorted(got)
+            _assert_exactly_real_like(got, want)
+
+
+@pytest.mark.parametrize("gap", ["1e-30", "1e-45"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_ladder_resolves_close_pair(gap, warm):
+    """A pair 1e-45 apart is below what the 64-bit stage (128-bit ints) can
+    separate; the later stages and the final solve still resolve it."""
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        gap = mp.mpf(gap)
+        pair = [mp.mpc("0.3"), mp.mpc(mp.mpf("0.3") + gap)]
+        # the conjugate pair first, so the expanded coefficients stay real
+        roots = [mp.mpc(-1, 2), mp.mpc(-1, -2), mp.mpc(2)] + pair
+        coeffs = _real(_expand(5, roots))
+        start = _perturbed(random.Random(3), roots, 1e-6) if warm else None
+        want = _durand_kerner(mp, coeffs, 2 * prec, start)
+        got = _solve_roots(mp, coeffs, start)
+        _assert_matches(got, want, _tolerance(want, 2 * prec))
+        low, high = sorted(mp.re(z) for z in got if abs(z - pair[0]) < 1e-20)
+        assert high - low > 0.9 * gap
+
+
+@pytest.mark.parametrize("stage", [64, 128, 256, "final"])
+def test_a_failing_stage_is_skipped(monkeypatch, stage):
+    """Refusing one stage of every root solve (the final one falls back to a
+    cold 4x solve) leaves j at a cold and at a warm-started t as it was."""
+    nf = FlexNormalForm.default()
+    arc = ArcSpec([0, 0, 1], [0, 0, 0, 1])
+    with mp.workdps(ORACLE_DPS):
+        prec = mp.mp.prec
+        t0, t1 = (mp.mpf(t) for t in default_schedule()[1:3])  # j is defined at both
+        j0, roots0 = _j_at_parameter(mp, nf, arc, t0)
+        j1, _ = _j_at_parameter(mp, nf, arc, t1, roots0)
+        solve = arc_limits._durand_kerner
+        refused = []
+
+        def refuse_one_stage(mp, coeffs, bits, init=None):
+            here = "final" if mp.mp.prec == prec and bits == 2 * prec else mp.mp.prec
+            if here == stage:
+                refused.append(bits)
+                raise mp.mp.NoConvergence("refused")
+            return solve(mp, coeffs, bits, init)
+
+        monkeypatch.setattr(arc_limits, "_durand_kerner", refuse_one_stage)
+        k0, _ = _j_at_parameter(mp, nf, arc, t0)
+        k1, _ = _j_at_parameter(mp, nf, arc, t1, roots0)
+    assert len(refused) == 2
+    assert abs(k0 - j0) <= 1e-100 * abs(j0)
+    assert abs(k1 - j1) <= 1e-100 * abs(j1)
