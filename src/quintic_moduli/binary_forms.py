@@ -13,7 +13,10 @@ and evaluation use the coefficients' own ``+ - *`` with one ``reduce`` per
 result.  Products go through ``polys.dense_product``, the kernel
 ``UniPoly`` multiplies with; a transvectant is the same
 accumulate-then-reduce idiom over a cached table of integer weights, with
-no intermediate derivative forms; and
+no intermediate derivative forms.  Over QQ both run on the integer
+numerators of ``Ring.clear_denominators`` and make one ``Fraction`` per
+output coefficient; over any other ring the weights scale the values as
+ints (``UniPoly`` and ``MultiPoly`` take ``n * value``).
 ``substitute_linear`` is the one substitution of order-1 forms into a
 binary or a ternary form.
 """
@@ -194,9 +197,13 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
 
     Result order: m + n - 2k.  Requires k <= min(m, n).  Each output
     coefficient is one sum over the cached integer weights of
-    ``_transvectant_table``: raw products accumulate with the values' own
-    ``+`` and ``*``, the scaling is applied once and ``ring.reduce`` is
-    called once, as in ``polys.dense_product``.
+    ``_transvectant_table``.  The coefficients first go through
+    ``ring.clear_denominators``: over QQ the weights multiply the integer
+    numerators dg * g and dh * h, and scaling / (dg * dh) makes the one
+    ``Fraction`` of each output coefficient; over any other ring
+    dg = dh = 1 and the weights scale the values as ints.  The scaling is
+    applied and ``ring.reduce`` called once per output coefficient, as in
+    ``polys.dense_product``.
     """
     if g.ring is not h.ring:
         raise ValueError("ring mismatch in transvectant")
@@ -205,12 +212,15 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
         raise ValueError(f"transvectant index {k} exceeds min order {min(m, n)}")
     R = g.ring
     rows, scaling = _transvectant_table(m, n, k)
-    scale = R.from_fraction(scaling)
-    gc, hc = g.coeffs, h.coeffs
+    gc, dg = R.clear_denominators(g.coeffs)
+    hc, dh = (gc, dg) if h is g else R.clear_denominators(h.coeffs)
+    d = dg * dh
+    scale = R.from_fraction(scaling / d if d != 1 else scaling)
+    zero = 0 * gc[0]  # 0 over QQ and GF(p), the ring's zero otherwise
     out = []
     for row in rows:
-        acc = R.zero
+        acc = zero
         for t, s, w in row:
-            acc += R.from_int(w) * gc[t] * hc[s]
-        out.append(R.reduce(acc * scale))
+            acc += w * gc[t] * hc[s]
+        out.append(R.reduce(scale * acc))
     return BinaryForm(R, out)

@@ -35,24 +35,34 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def xgcd_uni(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended gcd: returns monic d with s*f + t*g = d."""
+    """Extended gcd: returns monic d with s*f + t*g = d.
+
+    The Euclid loop carries s only (``_gcd_cofactor``); t is recovered at
+    the end by the exact division (d - s*f) / g.
+    """
+    d, s = _gcd_cofactor(f, g)
+    t = UniPoly.zero(f.field) if g.is_zero() else (d - s * f) // g
+    return d, s, t
+
+
+def _gcd_cofactor(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(d, s): the monic gcd d of f and g, and s with s*f = d mod g.
+
+    The Euclid loop of ``xgcd_uni``; ``ResidueRing.inv`` needs s alone.
+    """
     if f.field is not g.field:
         raise ValueError("field mismatch in xgcd")
     F = f.field
-    one = UniPoly.constant(F, F.one)
-    zero = UniPoly.zero(F)
     r0, r1 = f, g
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+    s0, s1 = UniPoly.constant(F, F.one), UniPoly.zero(F)
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
-        return r0, s0, t0
-    scale = F.inv(r0.lc)
-    return r0.monic(), s0.scale(scale), t0.scale(scale)
+        return r0, s0
+    inv = F.inv(r0.lc)
+    return r0.scale(inv), s0.scale(inv)
 
 
 def resultant_uni(f: UniPoly, g: UniPoly):

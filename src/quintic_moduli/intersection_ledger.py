@@ -31,7 +31,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .linalg import solve
-from .scalars import QQ
 
 #: Multiplicity of the strict transform of the dual curve in the pullback of
 #: the discriminant: the map is unramified over a general point of the dual
@@ -143,7 +142,7 @@ def solve_pullback_multiplicities(ledger: Ledger) -> tuple[Fraction, Fraction, F
     """
     rows, rhs = projection_equations(ledger)
     try:
-        a, b, c = solve(rows, rhs, QQ)
+        a, b, c = solve(rows, rhs)
     except ValueError as exc:
         raise ArithmeticError(f"projection-formula system is singular: {exc}") from exc
     return a, b, c

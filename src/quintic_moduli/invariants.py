@@ -175,7 +175,7 @@ def _match_on_family(columns, target):
     monomials = sorted(monomials)
     rows = [[col.terms.get(e, Fraction(0)) for col in columns] for e in monomials]
     rhs = [target.terms.get(e, Fraction(0)) for e in monomials]
-    sol = solve(rows, rhs, QQ)
+    sol = solve(rows, rhs)
     check = columns[0].scale(sol[0])
     for x, col in zip(sol[1:], columns[1:]):
         check = check + col.scale(x)
@@ -320,7 +320,7 @@ def find_fundamental_relation(seed: int = 0) -> list[Fraction]:
         for e4, e8, e12, e18 in RELATION_MONOMIALS:
             row.append(iv.i4**e4 * iv.i8**e8 * iv.i12**e12 * iv.i18**e18)
         rows.append(row)
-    basis = nullspace(rows, QQ)
+    basis = nullspace(rows)
     if len(basis) != 1:
         raise ArithmeticError(
             f"null space dimension {len(basis)} != 1: invariant implementation broken"

@@ -9,9 +9,10 @@ construction and safe to share across threads.
 The coefficients come from any ``Ring`` of :mod:`.scalars`: QQ, GF(p), a
 ``PolynomialRing`` or a residue ring GF(p)[u]/(h).  Every operation
 combines coefficients with their own ``+ - *`` and calls the ring's
-``reduce`` once per resulting coefficient or value.  Division (``divmod``,
-``monic`` and so the gcds built on them) also calls the ring's ``inv``,
-which over a residue ring may raise ``SplitNeeded``.
+``reduce`` once per resulting coefficient or value; ``n * poly`` scales by
+an int n.  Division (``divmod``, ``monic`` and so the gcds built on them)
+also calls the ring's ``inv``, which over a residue ring may raise
+``SplitNeeded``.
 
 Over GF(p), whose coefficients are residues in [0, p), two kernels work on
 packed integers (``_pack``/``_unpack``: one 64-bit slot per coefficient).
@@ -20,8 +21,11 @@ substitution: one bigint product, each slot reduced mod p.  ``divmod``
 packs the remainder and the divisor once, reads each quotient term off the
 top slot and adds (p - c) times the shifted divisor, and reduces the low
 slots once at the end.  Each kernel runs only while no slot sum can reach
-2**64; every other ring, and a prime too large for that, takes the
-accumulate-then-reduce loop.
+2**64.  Over QQ, ``dense_product`` clears the denominators of each factor
+once (``RationalField.clear_denominators``), convolves the integer
+numerators and makes one ``Fraction`` per output coefficient.  Every other
+ring, and a prime too large for packing, takes the accumulate-then-reduce
+loop.
 
 Interpolation runs over GF(p) on raw ints.  ``interpolate`` in one
 variable takes the Lagrange form over a subproduct tree, so its products
@@ -41,7 +45,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Field, PrimeField, Ring
+from .scalars import Field, PrimeField, RationalField, Ring
 
 NEG_INF = float("-inf")
 
@@ -80,13 +84,24 @@ def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
     Over GF(p), when no slot's convolution sum can reach 2**64, the product
     is one integer multiplication (Kronecker substitution); a negative
     coefficient makes ``array`` raise ``OverflowError``, never a wrong
-    slot.  Otherwise raw sums of products are accumulated with the values'
-    own ``+`` and ``*``, and ``ring.reduce`` is called once per output
-    coefficient.
+    slot.  Over QQ the integer numerators of ``ring.clear_denominators``
+    are convolved, and each output coefficient is one ``Fraction`` over
+    da * db.  Otherwise raw sums of products are accumulated with the
+    values' own ``+`` and ``*``, and ``ring.reduce`` is called once per
+    output coefficient.
     """
     if isinstance(ring, PrimeField) and max(a) * max(b) * min(len(a), len(b)) < 1 << 64:
         p = ring.p
         return [c % p for c in _unpack(_pack(a) * _pack(b), len(a) + len(b) - 1)]
+    if isinstance(ring, RationalField):
+        (a, da), (b, db) = ring.clear_denominators(a), ring.clear_denominators(b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        d = da * db
+        return [Fraction(c, d) for c in out]
     out = [ring.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ring.is_zero(ai):
@@ -167,6 +182,10 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         F = self.field
         return UniPoly(F, [F.reduce(c * a) for a in self.coeffs])
+
+    def __rmul__(self, n: int) -> "UniPoly":
+        """n * self for an int n: every ring is a ZZ-module (transvectant weights)."""
+        return self.scale(n) if isinstance(n, int) else NotImplemented
 
     def eval(self, x):
         F = self.field
@@ -325,6 +344,10 @@ class MultiPoly:
     def scale(self, c) -> "MultiPoly":
         F = self.field
         return MultiPoly(F, self.arity, {e: F.reduce(c * v) for e, v in self.terms.items()})
+
+    def __rmul__(self, n: int) -> "MultiPoly":
+        """n * self for an int n: every ring is a ZZ-module (transvectant weights)."""
+        return self.scale(n) if isinstance(n, int) else NotImplemented
 
     def eval(self, point: Sequence):
         """Exact value at a point given as one scalar per variable."""

