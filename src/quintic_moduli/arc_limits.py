@@ -23,22 +23,30 @@ with p = -alpha0, q = -beta0.  Note the minus sign in the denominator:
 the degenerate two-double-point locus is 4 alpha0^3 = 27 beta0^2.
 
 The symbolic path implements this table directly.  The numeric oracle
-never looks at the table: it evaluates the family at small t > 0, isolates
-the five complex roots by fixed-point Durand-Kerner iteration on Python
-ints on a precision ladder (stages at 2 x 64, 2 x 128 and 2 x 256 bits
-while below the mpmath working precision, then the full solve at 2 x the
-working precision, with a cold solve at 4 x as its fallback), renormalises
-the configuration into a spread-out chart, merges the one genuinely
-colliding pair, takes the cross-ratio j, and extrapolates t -> 0 from a
-geometric schedule.  Agreement of the two paths is the module's
-main test surface.
+never looks at the table: it evaluates the family exactly at small
+rational t > 0, isolates the five complex roots by fixed-point
+Durand-Kerner iteration on a precision ladder (stages at 2 x 64, 2 x 128
+and 2 x 256 bits, then the full solve at 2 x the working precision, with a
+cold solve at 4 x as its fallback), renormalises the configuration into a
+spread-out chart, merges the one genuinely colliding pair, takes the
+cross-ratio j, and extrapolates t -> 0 from a geometric schedule.
+Agreement of the two paths is the module's main test surface.
+
+The numeric oracle has one number type: an int, or a complex pair of
+ints, scaled by 2**BITS.  Fixed point has an absolute floor of 2**-BITS,
+so each value is formed balanced around 1: the roots in the chart x =
+2**e y that puts their geometric mean near 1 (e read off the
+coefficients' bit lengths), the points as unit pairs (a : b), |a|^2 +
+|b|^2 = 1.  j and the Aitken values keep the floor, about 1e-242: a
+relative error of 1e-200 near 1e-40, none that matters near the
+divergence threshold 1e9.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Sequence
 
 from .invariants import ConfigClass, OneDouble, TwoDoubles
@@ -213,8 +221,11 @@ def default_schedule():
     return out
 
 
-#: Working precision of the numeric oracle, in decimal digits.
-ORACLE_DPS = 120
+#: Working precision of the numeric oracle in bits (120 decimal digits); its
+#: values are ints, or complex pairs of ints, scaled by 2**BITS (ONE is 1).
+ORACLE_PREC = 402
+BITS = 2 * ORACLE_PREC
+ONE = 1 << BITS
 #: A t is skipped unless its second-closest root pair is this many times
 #: farther apart than the closest (the colliding) pair.
 AMBIGUITY_RATIO = 3.0
@@ -222,6 +233,10 @@ AMBIGUITY_RATIO = 3.0
 DIVERGENCE_THRESHOLD = 1e9
 #: Most points (used plus skipped) the schedule grows to.
 MAX_POINTS = 20
+
+
+class NoConvergence(ArithmeticError):
+    """A root solve that did not converge from its start at its precision."""
 
 
 def arc_limit_numeric(
@@ -232,216 +247,204 @@ def arc_limit_numeric(
     """Floating-point limit of j along the arc, without the case table.
 
     For each t of a geometric schedule the five intersection points of the
-    moving line with the curve are isolated in arbitrary-precision complex
-    arithmetic, the configuration is moved to a balanced chart, the single
-    colliding pair is merged, and j of the remaining quadruple is computed;
-    the t -> 0 limit is extrapolated from those values.  The schedule
-    starts as ``default_schedule()`` and is extended by the same ratio
-    until the extrapolation's own error estimate clears ``target_error``
-    (or ``MAX_POINTS`` is reached).  A t whose root clustering is ambiguous
-    is skipped; if fewer than 4 points survive, a ValueError is raised.
+    moving line with the curve are isolated in fixed-point complex
+    arithmetic (see the module docstring), the configuration is moved to a
+    balanced chart, the single colliding pair is merged, and j of the
+    remaining quadruple is computed; the t -> 0 limit is extrapolated from
+    those values.  The schedule starts as ``default_schedule()``, read as
+    exact fractions, and is extended by the same ratio until the
+    extrapolation's own error estimate clears ``target_error`` (or
+    ``MAX_POINTS`` is reached).  A t whose root clustering is ambiguous, or
+    whose quadruple degenerates exactly, is skipped.
 
-    Roots are isolated by ``_durand_kerner``, mpmath's own Durand-Kerner
-    iteration run in fixed point on Python ints.  The roots move
-    continuously along the schedule, so each root solve is warm-started
-    from the previous t's roots (rescaled to the new balanced chart); the
-    first t and a t where the number of finite roots changes start from
-    mpmath's cold starts.  From there the solve climbs a precision ladder
-    (``_solve_roots``): stages at working precision p = 64, 128 and 256
-    bits (those below prec, the oracle's working precision), each
-    iterating at 2 * p bits from the previous stage's roots and skipped if
-    it does not converge, then the full solve at 2 * prec bits with its
-    eps stopping test.  If that does not converge, a cold solve at
-    4 * prec bits decides.
+    The roots move continuously along the schedule, so each root solve
+    (``_solve_roots``, a precision ladder of Durand-Kerner solves) is
+    warm-started from the previous t's roots, rescaled to the new balanced
+    chart; the first t and a t where the number of finite roots changes
+    start cold.
+
+    Raises ValueError if fewer than 4 points survive the skips, and
+    ``NoConvergence`` if a root solve fails even cold at 2 * BITS bits, as
+    on alpha = t**36, beta = t, whose roots at small t span more orders of
+    magnitude than that fixed point holds.
     """
-    import mpmath as mp
+    schedule = [Fraction(t) for t in default_schedule()]
+    ratio = schedule[-1] / schedule[-2]
+    js = []
+    skipped = 0
+    roots = None
 
-    with mp.workdps(ORACLE_DPS):
-        schedule = [mp.mpf(t) for t in default_schedule()]
-        ratio = schedule[-1] / schedule[-2]
-        js = []
-        skipped = 0
-        roots = None
+    def sample(t):
+        nonlocal skipped, roots
+        jt, roots = _j_at_parameter(normal_form, arc, t, roots)
+        if jt is None:
+            skipped += 1
+        else:
+            js.append(jt)
 
-        def sample(t):
-            nonlocal skipped, roots
-            jt, roots = _j_at_parameter(mp, normal_form, arc, t, roots)
-            if jt is None:
-                skipped += 1
-            else:
-                js.append(jt)
-
-        for t in schedule:
-            sample(t)
-        while True:
-            if len(js) < 4:
-                raise ValueError(
-                    "root clustering was ambiguous at almost every scheduled t"
-                )
-            tail = [abs(v) for v in js[-3:]]
-            if all(v > DIVERGENCE_THRESHOLD for v in tail) and tail[0] < tail[-1]:
-                return NumericLimit(
-                    j=None,
-                    error=float("inf"),
-                    diverged=True,
-                    points_used=len(js),
-                    points_skipped=skipped,
-                )
-            estimate, err = _extrapolate(mp, js)
-            good_enough = err < target_error * (1 + abs(estimate))
-            if good_enough or len(js) + skipped >= MAX_POINTS:
-                return NumericLimit(
-                    j=complex(estimate),
-                    error=float(err),
-                    diverged=False,
-                    points_used=len(js),
-                    points_skipped=skipped,
-                )
-            t = schedule[-1] * ratio
-            schedule.append(t)
-            sample(t)
+    for t in schedule:
+        sample(t)
+    while True:
+        if len(js) < 4:
+            raise ValueError(
+                "root clustering was ambiguous at almost every scheduled t"
+            )
+        tail = [_abs(v) for v in js[-3:]]
+        if all(v > DIVERGENCE_THRESHOLD * ONE for v in tail) and tail[0] < tail[-1]:
+            return NumericLimit(
+                j=None,
+                error=float("inf"),
+                diverged=True,
+                points_used=len(js),
+                points_skipped=skipped,
+            )
+        estimate, err = _extrapolate(js)
+        j, error = complex(estimate[0] / ONE, estimate[1] / ONE), err / ONE
+        if error < target_error * (1 + abs(j)) or len(js) + skipped >= MAX_POINTS:
+            return NumericLimit(
+                j=j,
+                error=error,
+                diverged=False,
+                points_used=len(js),
+                points_skipped=skipped,
+            )
+        t = schedule[-1] * ratio
+        schedule.append(t)
+        sample(t)
 
 
-def _family_coefficients(mp, normal_form: FlexNormalForm, arc: ArcSpec, t):
-    """Descending coefficient list of the restricted quintic at parameter t."""
-    alpha = mp.mpf(0)
+def _family_coefficients(normal_form: FlexNormalForm, arc: ArcSpec, t: Fraction):
+    """Descending coefficient list of the restricted quintic at parameter t,
+    as ints: the exact coefficients times one common denominator."""
+    alpha = beta = Fraction(0)
     for c in reversed(arc.alpha):
-        alpha = alpha * t + mp.mpf(c.numerator) / c.denominator
-    beta = mp.mpf(0)
+        alpha = alpha * t + c
     for c in reversed(arc.beta):
-        beta = beta * t + mp.mpf(c.numerator) / c.denominator
-    # coeffs[k] multiplies x0^(5-k) x1^k;  x0^3 (x0 - x1) x1 = x0^4 x1 - x0^3 x1^2
-    coeffs = [mp.mpf(0)] * 6
-    coeffs[1] += 1
-    coeffs[2] -= 1
-    ap = [mp.mpf(1)]
-    bp = [mp.mpf(1)]
+        beta = beta * t + c
+    # ap[r] = alpha^r and bp[r] = beta^r, times their denominators' fifth powers
+    ap, bp = [alpha.denominator**5], [beta.denominator**5]
     for _ in range(5):
-        ap.append(ap[-1] * alpha)
-        bp.append(bp[-1] * beta)
-    for (i, j, k), c in normal_form.quartic.terms.items():
-        cf = mp.mpf(c.numerator) / c.denominator
+        ap.append(ap[-1] // alpha.denominator * alpha.numerator)
+        bp.append(bp[-1] // beta.denominator * beta.numerator)
+    quartic, d = QQ.clear_denominators(list(normal_form.quartic.terms.values()))
+    scale = d * ap[0] * bp[0]
+    # coeffs[k] multiplies x0^(5-k) x1^k;  x0^3 (x0 - x1) x1 = x0^4 x1 - x0^3 x1^2
+    coeffs = [0, scale, -scale, 0, 0, 0]
+    for (i, j, k), c in zip(normal_form.quartic.terms, quartic):
         for r in range(k + 2):  # (alpha x0 + beta x1)^(k+1)
-            coeffs[j + k + 1 - r] += cf * comb(k + 1, r) * ap[r] * bp[k + 1 - r]
+            coeffs[j + k + 1 - r] += c * comb(k + 1, r) * ap[r] * bp[k + 1 - r]
     return coeffs  # descending in x = x0/x1
 
 
-def _j_at_parameter(mp, normal_form, arc, t, prev_roots=None):
+def _j_at_parameter(normal_form, arc, t, prev_roots=None):
     """j of the merged configuration at t (None if the clustering is
-    ambiguous), and the finite roots in the x-chart, which seed the next t."""
-    coeffs = _family_coefficients(mp, normal_form, arc, t)
+    ambiguous or the quadruple degenerate), and the finite roots, which seed
+    the next t, as (e, roots): roots of the chart x = 2**e y, fixed at BITS."""
+    coeffs = _family_coefficients(normal_form, arc, t)
     # projective roots as pairs (a : b); exact-zero top coefficients are
     # roots at infinity of the x-chart
     lead_zeros = 0
     while lead_zeros < 5 and coeffs[lead_zeros] == 0:
         lead_zeros += 1
     poly = coeffs[lead_zeros:]
-    if len(poly) > 1:
+    deg = len(poly) - 1
+    e, ys = 0, []
+    if deg:
         # balance extreme coefficient magnitudes before root finding:
-        # x = sigma * y puts the geometric mean of the roots near 1
-        deg = len(poly) - 1
-        tail = next((c for c in reversed(poly) if c != 0), None)
-        sigma = (abs(tail) / abs(poly[0])) ** (mp.mpf(1) / deg)
-        if sigma == 0 or mp.isinf(sigma):
-            sigma = mp.mpf(1)
-        scaled = [c * sigma ** (deg - k) for k, c in enumerate(poly)]
+        # x = 2**e y puts the geometric mean of the roots near 1
+        tail = next(c for c in reversed(poly) if c)
+        e = round((tail.bit_length() - poly[0].bit_length()) / deg)
+        # the monic polynomial in y: coefficients c_k / c_0 * 2**(-e k)
+        monic = [(_shift(c, BITS - e * k) // poly[0], 0) for k, c in enumerate(poly[1:], 1)]
         start = None
-        if prev_roots is not None and len(prev_roots) == deg:
+        if prev_roots is not None and len(prev_roots[1]) == deg:
             # continuation: the previous t's roots are close, so the
             # simultaneous iteration converges in a few quadratic steps
-            start = [r / sigma for r in prev_roots]
-        roots = [r * sigma for r in _solve_roots(mp, scaled, start)]
-    else:
-        roots = []
-    points = [(mp.mpc(r), mp.mpc(1)) for r in roots]
-    points.extend([(mp.mpc(1), mp.mpc(0))] * lead_zeros)
-    if len(points) != 5:
-        return None, roots
-    points = [_unit(mp, p) for p in points]
-    points = _spread_chart(mp, points)
+            start = _rescaled(prev_roots[1], prev_roots[0] - e)
+        ys = _solve_roots(monic, start)
+    # (2**e y : 1), scaled so that neither part exceeds max(|y|, 1)
+    b = _shift(ONE, -max(e, 0))
+    points = [_unit((a, (b, 0))) for a in _rescaled(ys, min(e, 0))]
+    points.extend([((ONE, 0), (0, 0))] * lead_zeros)
+    points = _spread_chart(points)
     # the colliding pair is the unique closest one
     dists = []
     for i in range(5):
         for j in range(i + 1, 5):
-            dists.append((_chordal(mp, points[i], points[j]), i, j))
+            dists.append((_chordal(points[i], points[j]), i, j))
     dists.sort(key=lambda d: d[0])
     if dists[0][0] > 0 and dists[1][0] / dists[0][0] < AMBIGUITY_RATIO:
-        return None, roots
+        return None, (e, ys)
     _, i, j = dists[0]
-    merged = _midpoint(mp, points[i], points[j])
+    merged = _midpoint(points[i], points[j])
     quad = [p for k, p in enumerate(points) if k not in (i, j)] + [merged]
-    return _j_of_quadruple(mp, quad), roots
+    return _j_of_quadruple(quad), (e, ys)
 
 
 #: Working precisions (bits) of the ladder stages that run before a root
-#: solve's full-precision one; only those below the working precision run.
+#: solve's full-precision one.
 LADDER_PRECS = (64, 128, 256)
 #: Most Durand-Kerner sweeps a root solve may take.
 MAX_SWEEPS = 1000
 
 
-def _solve_roots(mp, coeffs, start):
-    """The roots ``_durand_kerner`` finds at 2 * prec bits, reached on a precision ladder.
+def _solve_roots(monic, start):
+    """The roots ``_durand_kerner`` finds at BITS bits, reached on a precision ladder.
 
-    Each stage of ``LADDER_PRECS`` below the working precision prec runs at
-    twice its precision from the previous stage's roots, the first from
-    ``start`` (or the cold starts); a stage that does not converge is
-    skipped.  The last solve runs at 2 * prec bits, so its stopping test is
-    the one a direct solve would use; if it does not converge either, a cold
-    solve at 4 * prec bits decides.
+    Each stage p of ``LADDER_PRECS`` runs at 2 * p bits from the previous
+    stage's roots (the first from ``start``, or cold) and is skipped if it
+    does not converge; then the direct solve at BITS bits runs, and a cold
+    one at 2 * BITS bits if that does not converge either.
     """
-    prec = mp.mp.prec
     roots = start
     for p in LADDER_PRECS:
-        if p >= prec:
-            break
-        with mp.workprec(p):
-            try:
-                roots = _durand_kerner(mp, coeffs, 2 * p, roots)
-            except mp.mp.NoConvergence:
-                pass
+        try:
+            roots = _durand_kerner(monic, 2 * p, p, roots)
+        except NoConvergence:
+            pass
     try:
-        return _durand_kerner(mp, coeffs, 2 * prec, roots)
-    except mp.mp.NoConvergence:
-        return _durand_kerner(mp, coeffs, 4 * prec)
+        return _durand_kerner(monic, BITS, ORACLE_PREC, roots)
+    except NoConvergence:
+        return _durand_kerner(monic, 2 * BITS, ORACLE_PREC)
 
 
-def _durand_kerner(mp, coeffs, bits, init=None):
-    """All roots of the polynomial with descending ``coeffs``, as mpmath's root finder.
+def _shift(x, n):
+    """x * 2**n, rounded down."""
+    return x << n if n >= 0 else x >> -n
 
-    Gauss-Seidel Durand-Kerner (Weierstrass) iteration in fixed point: the
-    polynomial is made monic at ``bits`` precision, and every real and
-    imaginary part becomes a Python int scaled by 2**bits, so a sweep costs
-    big-int multiplies and one complex division per root.  A root is frozen
-    once its correction falls below ``mp.mp.eps`` (mpmath's absolute
-    test), and the solve ends when all are.  ``init`` gives the starting
-    roots; without it they are mpmath's (0.4 + 0.9i)^k.
 
-    As in mpmath, a real or imaginary part below eps becomes exactly
-    0 and the roots are sorted by (|im|, re); they are returned rounded to
-    the working precision.  Raises ``mp.mp.NoConvergence`` after
-    ``MAX_SWEEPS`` sweeps, when a product of root differences underflows to
-    0 (two estimates closer than 2**-bits), or when a correction reaches
-    2**bits (the estimates diverge, and fixed point has no exponent to
-    absorb them), so that the caller can retry from another start or at
-    more bits.
+def _rescaled(pairs, n):
+    return [(_shift(r, n), _shift(i, n)) for r, i in pairs]
+
+
+def _durand_kerner(monic, bits, prec, init=None):
+    """All roots of the monic polynomial whose lower coefficients, descending,
+    are ``monic``.
+
+    Gauss-Seidel Durand-Kerner (Weierstrass) iteration in fixed point at
+    ``bits``: every real and imaginary part is a Python int scaled by
+    2**bits, so a sweep costs big-int multiplies and one complex division
+    per root.  A root is frozen once its correction falls below eps =
+    2**(1 - prec) (an absolute test), and the solve ends when all are.
+    ``init`` gives the starting roots; without them they are the classical
+    (0.4 + 0.9i)^k.  The coefficients, the starts and the roots returned
+    are fixed pairs at BITS.
+
+    A real or imaginary part below eps becomes exactly 0, and the roots are
+    sorted by (|im|, re).  Raises ``NoConvergence`` after ``MAX_SWEEPS``
+    sweeps, when a product of root differences underflows to 0 (two
+    estimates closer than 2**-bits), or when a correction reaches 2**bits
+    (the estimates diverge, and fixed point has no exponent to absorb
+    them), so that the caller can retry from another start or at more bits.
     """
-    to_fixed = mp.libmp.to_fixed
-    deg = len(coeffs) - 1
-    with mp.workprec(bits):
-        lead = coeffs[0]
-        monic = [mp.mpc(c) / lead for c in coeffs[1:]]
-    if init is None:
-        init = [(0.4 + 0.9j) ** k for k in range(deg)]
-
-    def fixed(z):
-        z = mp.convert(z)  # no rounding to the working precision
-        return to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
-
-    cs = [fixed(c) for c in monic]
-    xr, xi = map(list, zip(*map(fixed, init)))
+    deg = len(monic)
     one = 1 << bits
-    tol = 1 << (bits + 1 - mp.mp.prec)  # eps at the working precision
+    monic = _rescaled(monic, bits - BITS)
+    if init is None:
+        starts = [(0.4 + 0.9j) ** k for k in range(deg)]
+        init = [(Fraction(z.real) * ONE // 1, Fraction(z.imag) * ONE // 1) for z in starts]
+    xr, xi = map(list, zip(*_rescaled(init, bits - BITS)))
+    tol = 1 << (bits + 1 - prec)  # eps at precision prec
     tol2 = tol * tol
     active = list(range(deg))
     for _ in range(MAX_SWEEPS):
@@ -449,7 +452,7 @@ def _durand_kerner(mp, coeffs, bits, init=None):
         for i in active:
             pr, pi = xr[i], xi[i]
             fr, fi = one, 0
-            for cr, ci in cs:  # Horner
+            for cr, ci in monic:  # Horner
                 fr, fi = ((fr * pr - fi * pi) >> bits) + cr, ((fr * pi + fi * pr) >> bits) + ci
             dr, di = one, 0
             for j in range(deg):
@@ -458,12 +461,12 @@ def _durand_kerner(mp, coeffs, bits, init=None):
                     dr, di = (dr * ur - di * ui) >> bits, (dr * ui + di * ur) >> bits
             den = dr * dr + di * di
             if not den:
-                raise mp.mp.NoConvergence("a product of root differences underflowed")
+                raise NoConvergence("a product of root differences underflowed")
             qr = ((fr * dr + fi * di) << bits) // den
             qi = ((fi * dr - fr * di) << bits) // den
             q2 = qr * qr + qi * qi
             if q2 >> (4 * bits):  # a step of 2**bits: the ints would grow without bound
-                raise mp.mp.NoConvergence("a root estimate diverged")
+                raise NoConvergence("a root estimate diverged")
             xr[i], xi[i] = pr - qr, pi - qi
             if q2 >= tol2:
                 unfrozen.append(i)
@@ -471,7 +474,7 @@ def _durand_kerner(mp, coeffs, bits, init=None):
         if not active:
             break
     else:
-        raise mp.mp.NoConvergence(f"no convergence in {MAX_SWEEPS} sweeps")
+        raise NoConvergence(f"no convergence in {MAX_SWEEPS} sweeps")
     roots = []
     for r, i in zip(xr, xi):
         if r * r + i * i < tol2:
@@ -482,35 +485,56 @@ def _durand_kerner(mp, coeffs, bits, init=None):
             r = 0
         roots.append((r, i))
     roots.sort(key=lambda z: (abs(z[1]), z[0]))
-    return [mp.mpc(mp.mpf((r, -bits)), mp.mpf((i, -bits))) for r, i in roots]
+    return _rescaled(roots, BITS - bits)
 
 
-def _unit(mp, p):
-    a, b = p
-    norm = mp.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
-    return (a / norm, b / norm)
+def _mul(z, w, shift=BITS):
+    """z * w / 2**shift: at BITS from factors at BITS, and exact for shift 0."""
+    (zr, zi), (wr, wi) = z, w
+    return (zr * wr - zi * wi) >> shift, (zr * wi + zi * wr) >> shift
+
+
+def _sub(z, w):
+    return z[0] - w[0], z[1] - w[1]
+
+
+def _div(z, w):
+    """z / w rounded down: its scale is z's over w's."""
+    (zr, zi), (wr, wi) = z, w
+    n = wr * wr + wi * wi
+    return (zr * wr + zi * wi) // n, (zi * wr - zr * wi) // n
+
+
+def _abs(z):
+    return isqrt(z[0] * z[0] + z[1] * z[1])
+
+
+def _unit(p):
+    """p scaled to |a|^2 + |b|^2 = 1 (p at any common scale, the result at BITS)."""
+    norm = isqrt(sum(x * x for z in p for x in z))
+    return tuple(((re << BITS) // norm, (im << BITS) // norm) for re, im in p)
 
 
 def _det(p, q):
-    return p[0] * q[1] - q[0] * p[1]
+    return _sub(_mul(p[0], q[1]), _mul(q[0], p[1]))
 
 
-def _chordal(mp, p, q):
+def _chordal(p, q):
     # pairs are unit-normalised, so the determinant is the chordal distance
-    return abs(_det(p, q))
+    return _abs(_det(p, q))
 
 
-def _midpoint(mp, p, q):
-    phase = p[0] * mp.conj(q[0]) + p[1] * mp.conj(q[1])
-    if phase != 0:
-        phase = phase / abs(phase)
-    else:
-        phase = mp.mpc(1)
-    m = (p[0] + phase * q[0], p[1] + phase * q[1])
-    return _unit(mp, m)
+def _midpoint(p, q):
+    (a, b), (c, d) = p, q
+    # the phase of a conj(c) + b conj(d), which aligns q with p
+    re = a[0] * c[0] + a[1] * c[1] + b[0] * d[0] + b[1] * d[1]
+    im = a[1] * c[0] - a[0] * c[1] + b[1] * d[0] - b[0] * d[1]
+    phase = _unit(((re, im),))[0] if re or im else (ONE, 0)
+    (cr, ci), (dr, di) = _mul(phase, c), _mul(phase, d)
+    return _unit(((a[0] + cr, a[1] + ci), (b[0] + dr, b[1] + di)))
 
 
-def _spread_chart(mp, points):
+def _spread_chart(points):
     """Send the best triple to (0, 1, inf) so only a true collision stays close.
 
     The triple is chosen (cheaply, in double precision) to maximise the
@@ -519,16 +543,19 @@ def _spread_chart(mp, points):
     ties between valid charts.  Scores are rounded and the points visited
     in a canonical order (conjugates by the sign of the imaginary part), so
     float noise cannot pick among tied charts differently from one t to the
-    next.  The chosen map is then applied at working precision.
+    next.  The chosen map is then applied in fixed point.
     """
-    fl = [(complex(a), complex(b)) for a, b in points]
+    fl = [tuple(complex(z[0] / ONE, z[1] / ONE) for z in p) for p in points]
+
+    def det(p, q):
+        return p[0] * q[1] - q[0] * p[1]
 
     def affine(r):
         z = fl[r][0] * fl[r][1].conjugate()
         return (z.real, z.imag)
 
     order = sorted(range(5), key=affine)
-    dets = [[_det(p, q) for q in fl] for p in fl]
+    dets = [[det(p, q) for q in fl] for p in fl]
     best = None
     # (k, j, i) maps each point to (i, j, k)'s image with a and b swapped,
     # z -> 1/z, so its score is bitwise the same; of two twins the one met
@@ -550,7 +577,7 @@ def _spread_chart(mp, points):
                     mapped.append((a / norm, b / norm))
                 else:
                     dists = sorted(
-                        abs(_det(mapped[r], mapped[s]))
+                        abs(det(mapped[r], mapped[s]))
                         for r in range(5)
                         for s in range(r + 1, 5)
                     )
@@ -562,42 +589,44 @@ def _spread_chart(mp, points):
     _, i, j, k = best
     c1 = _det(points[j], points[k])
     c2 = _det(points[j], points[i])
-    out = []
-    for p in points:
-        a = _det(p, points[i]) * c1
-        b = _det(p, points[k]) * c2
-        out.append(_unit(mp, (a, b)))
-    return out
+    return [_unit((_mul(_det(p, points[i]), c1), _mul(_det(p, points[k]), c2))) for p in points]
 
 
-def _j_of_quadruple(mp, quad):
+def _j_of_quadruple(quad):
+    """j of four unit pairs, or None when two coincide to the fixed-point
+    floor (cross-ratio 0, 1 or infinity): a second collision, so the t is
+    skipped like an ambiguous one."""
     p1, p2, p3, p4 = quad
-    num = _det(p1, p3) * _det(p2, p4)
-    den = _det(p1, p4) * _det(p2, p3)
     # j as a homogeneous expression in the cross-ratio pair (num : den)
-    s = num * num - num * den + den * den
-    trip = num * den * (num - den)
-    if trip == 0:
-        return mp.mpf("inf")
-    return 256 * s**3 / trip**2
+    num = _mul(_det(p1, p3), _det(p2, p4))
+    den = _mul(_det(p1, p4), _det(p2, p3))
+    nn, nd, dd = _mul(num, num), _mul(num, den), _mul(den, den)
+    s = (nn[0] - nd[0] + dd[0], nn[1] - nd[1] + dd[1])
+    trip = _mul(nd, _sub(num, den))
+    if trip == (0, 0):
+        return None
+    # 256 s**3 / trip**2 from the exact products: scale 2**(3 * BITS) over 2**(2 * BITS)
+    return _div(_mul(_mul(s, s, 0), (256 * s[0], 256 * s[1]), 0), _mul(trip, trip, 0))
 
 
-def _extrapolate(mp, values):
-    """Iterated Aitken acceleration with a last-correction error estimate."""
+def _extrapolate(values):
+    """Iterated Aitken acceleration of two or more fixed pairs, with a
+    last-correction error estimate (a fixed int)."""
     seq = list(values)
     last = seq[-1]
-    err = abs(seq[-1] - seq[-2]) if len(seq) > 1 else mp.mpf("inf")
+    err = _abs(_sub(seq[-1], seq[-2]))
     while len(seq) >= 3:
         nxt = []
         for k in range(len(seq) - 2):
-            d1 = seq[k + 1] - seq[k]
-            d2 = seq[k + 2] - seq[k + 1]
-            den = d2 - d1
-            if abs(den) == 0:
+            d1 = _sub(seq[k + 1], seq[k])
+            d2 = _sub(seq[k + 2], seq[k + 1])
+            den = _sub(d2, d1)
+            if den == (0, 0):
                 nxt.append(seq[k + 2])
             else:
-                nxt.append(seq[k + 2] - d2 * d2 / den)
-        err = abs(nxt[-1] - last)
+                nxt.append(_sub(seq[k + 2], _div(_mul(d2, d2, 0), den)))
+        err = _abs(_sub(nxt[-1], last))
         last = nxt[-1]
         seq = nxt
     return last, err
+

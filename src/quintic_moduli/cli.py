@@ -10,8 +10,8 @@ usage errors (exit 2, usage on stderr).
 
 Each ``cmd_*`` imports the package modules it runs when it runs, so a
 process compiles only those: ``degree-ledger`` never loads the fiber
-oracle, and ``arc-limit`` loads mpmath only with ``--numeric``.  Module
-level holds the parser, the reporter and the scalar fields alone.
+oracle.  Module level holds the parser, the reporter and the scalar
+fields alone.
 """
 
 from __future__ import annotations

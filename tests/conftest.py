@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from quintic_moduli import ArcSpec, PlaneCurve
+from quintic_moduli.arc_limits import BITS
 from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +46,22 @@ def relation_value(iv: InvariantVector, coefficients):
             * R.pow(iv.i4, e4) * R.pow(iv.i8, e8) * R.pow(iv.i12, e12) * R.pow(iv.i18, e18)
         )
     return R.reduce(acc)
+
+
+def to_fixed(z, bits: int = BITS):
+    """An mpmath number (or a float) as the arc oracle's complex fixed-point
+    pair: real and imaginary part as ints scaled by 2**bits, rounded down."""
+    import mpmath as mp
+
+    z = mp.convert(z)  # no rounding to the working precision
+    return mp.libmp.to_fixed(z.real._mpf_, bits), mp.libmp.to_fixed(z.imag._mpf_, bits)
+
+
+def from_fixed(z, bits: int = BITS):
+    """A fixed-point pair as an mpc rounded to the working precision."""
+    import mpmath as mp
+
+    return mp.mpc(mp.mpf((z[0], -bits)), mp.mpf((z[1], -bits)))
 
 
 def _nonzero(rng, lo=-6, hi=6) -> Fraction:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -14,11 +15,11 @@ from quintic_moduli.arc_limits import (
     default_schedule,
     exceptional_coordinate,
 )
-from quintic_moduli.invariants import OneDouble, TwoDoubles
+from quintic_moduli.invariants import OneDouble, TwoDoubles, j_from_cross_ratio
 from quintic_moduli.polys import MultiPoly
-from quintic_moduli.scalars import QQ
+from quintic_moduli.scalars import QQ, Field
 
-from conftest import make_arc_suite
+from conftest import make_arc_suite, to_fixed
 
 
 def _normal_form(terms: dict) -> FlexNormalForm:
@@ -220,17 +221,17 @@ def test_numeric_oracle_triple_collision_arc():
 def test_spread_chart_keeps_the_colliding_pair_close():
     import mpmath as mp
 
-    from quintic_moduli.arc_limits import _chordal, _spread_chart, _unit
+    from quintic_moduli.arc_limits import ONE, _chordal, _spread_chart, _unit
 
     with mp.workdps(50):
         finite = [(mp.mpc(x), mp.mpc(1)) for x in (0, mp.mpf("1e-4"), 1, -1)]
-        points = [_unit(mp, p) for p in finite + [(mp.mpc(1), mp.mpc(0))]]
-        chart = _spread_chart(mp, points)
-        dists = sorted(
-            (float(_chordal(mp, chart[i], chart[j])), i, j)
-            for i in range(5)
-            for j in range(i + 1, 5)
-        )
+        points = [_unit((to_fixed(a), to_fixed(b))) for a, b in finite + [(mp.mpc(1), mp.mpc(0))]]
+    chart = _spread_chart(points)
+    dists = sorted(
+        (_chordal(chart[i], chart[j]) / ONE, i, j)
+        for i in range(5)
+        for j in range(i + 1, 5)
+    )
     # the pair stays the closest and the others spread: the chosen chart's
     # second-smallest distance is about 1/sqrt(2) (a max-min chart gets 0.32)
     assert dists[0][1:] == (0, 1)
@@ -240,19 +241,16 @@ def test_spread_chart_keeps_the_colliding_pair_close():
 def test_numeric_oracle_picks_one_of_two_conjugate_charts():
     """Tied conjugate charts are resolved the same way at every t, so the
     imaginary part of j_t (nonzero at finite t) never flips sign."""
-    import mpmath as mp
-
     from quintic_moduli.arc_limits import _j_at_parameter
 
     nf = FlexNormalForm.default()
     arc = ArcSpec([0, 1], [0, 1])
     signs = set()
     roots = None
-    with mp.workdps(120):
-        for t in default_schedule():
-            jt, roots = _j_at_parameter(mp, nf, arc, mp.mpf(t), roots)
-            if jt is not None:
-                signs.add(mp.sign(mp.im(jt)))
+    for t in default_schedule():
+        jt, roots = _j_at_parameter(nf, arc, Fraction(t), roots)
+        if jt is not None:
+            signs.add((jt[1] > 0) - (jt[1] < 0))
     assert len(signs) == 1
 
 
@@ -277,12 +275,12 @@ def test_numeric_oracle_cold_fallback(monkeypatch, alpha, beta):
     refused = []
     cold_bits = []
 
-    def no_warm_start(mp, coeffs, bits, init=None):
+    def no_warm_start(monic, bits, prec, init=None):
         if init is not None:
             refused.append(1)
-            raise mp.mp.NoConvergence("refused")
-        cold_bits.append(bits // mp.mp.prec)
-        return solve(mp, coeffs, bits)
+            raise arc_limits.NoConvergence("refused")
+        cold_bits.append(bits // prec)
+        return solve(monic, bits, prec)
 
     monkeypatch.setattr(arc_limits, "_durand_kerner", no_warm_start)
     cold = arc_limit_numeric(nf, arc)
@@ -293,19 +291,22 @@ def test_numeric_oracle_cold_fallback(monkeypatch, alpha, beta):
         assert abs(cold.j - warm.j) <= 1e-7 * abs(warm.j)
 
 
-def _exhaustive_spread_chart(mp, points):
+def _exhaustive_spread_chart(points):
     """The reference chart search: all 60 ordered triples, (k, j, i) scored
     as well as its twin (i, j, k).  Returns the chosen triple and the chart."""
-    from quintic_moduli.arc_limits import _det, _unit
+    from quintic_moduli.arc_limits import ONE, _det, _mul, _unit
 
-    fl = [(complex(a), complex(b)) for a, b in points]
+    def _float_det(p, q):
+        return p[0] * q[1] - q[0] * p[1]
+
+    fl = [tuple(complex(z[0] / ONE, z[1] / ONE) for z in p) for p in points]
 
     def affine(r):
         z = fl[r][0] * fl[r][1].conjugate()
         return (z.real, z.imag)
 
     order = sorted(range(5), key=affine)
-    dets = [[_det(p, q) for q in fl] for p in fl]
+    dets = [[_float_det(p, q) for q in fl] for p in fl]
     best = None
     for i in order:
         for j in order:
@@ -324,7 +325,7 @@ def _exhaustive_spread_chart(mp, points):
                     mapped.append((a / norm, b / norm))
                 else:
                     dists = sorted(
-                        abs(_det(mapped[r], mapped[s]))
+                        abs(_float_det(mapped[r], mapped[s]))
                         for r in range(5)
                         for s in range(r + 1, 5)
                     )
@@ -336,7 +337,7 @@ def _exhaustive_spread_chart(mp, points):
     _, i, j, k = best
     c1 = _det(points[j], points[k])
     c2 = _det(points[j], points[i])
-    chart = [_unit(mp, (_det(p, points[i]) * c1, _det(p, points[k]) * c2)) for p in points]
+    chart = [_unit((_mul(_det(p, points[i]), c1), _mul(_det(p, points[k]), c2))) for p in points]
     return (i, j, k), chart
 
 
@@ -361,7 +362,7 @@ def _spread_chart_configurations(mp):
         configs.append(base + [(mp.mpc(c + 1e-5), 1), inf])
     configs.append([(mp.mpc(x), mp.mpc(1)) for x in (0, 1e-4, 1, -1)] + [inf])
     configs.append([(mp.mpc(x), mp.mpc(1)) for x in (-2, -1, 0, 1, 2)])
-    return [[_unit(mp, (mp.mpc(a), mp.mpc(b))) for a, b in c] for c in configs]
+    return [[_unit((to_fixed(mp.mpc(a)), to_fixed(mp.mpc(b)))) for a, b in c] for c in configs]
 
 
 def test_spread_chart_matches_the_exhaustive_search():
@@ -372,7 +373,121 @@ def test_spread_chart_matches_the_exhaustive_search():
     from quintic_moduli.arc_limits import _spread_chart
 
     with mp.workdps(50):
-        for points in _spread_chart_configurations(mp):
-            triple, want = _exhaustive_spread_chart(mp, points)
-            assert triple is not None
-            assert _spread_chart(mp, points) == want, triple
+        configurations = _spread_chart_configurations(mp)
+    for points in configurations:
+        triple, want = _exhaustive_spread_chart(points)
+        assert triple is not None
+        assert _spread_chart(points) == want, triple
+
+
+# Fixed-point range: j and the Aitken values carry an absolute floor of
+# 2**-BITS.  Exact inputs are rounded down to fixed pairs, (re, im) -> ints.
+
+
+def _fixed(re, im=0):
+    from quintic_moduli.arc_limits import ONE
+
+    return math.floor(Fraction(re) * ONE), math.floor(Fraction(im) * ONE)
+
+
+def _exact(z):
+    from quintic_moduli.arc_limits import ONE
+
+    return Fraction(z[0], ONE), Fraction(z[1], ONE)
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**9), Fraction(1, 10**40)])
+def test_extrapolate_keeps_the_floor_at_both_ends_of_the_range(scale):
+    """Aitken's first pass is exact on L + c r**n; near the divergence
+    threshold and near 1e-40 the estimate lands on L to within a few units
+    of 2**-BITS."""
+    from quintic_moduli.arc_limits import BITS, _extrapolate
+
+    limit = (scale * Fraction(7, 6), scale * Fraction(-1, 3))
+    c, r = scale / 5, Fraction(-2, 9)
+    values = [_fixed(limit[0] + c * r**n, limit[1] - c * r**n) for n in range(12)]
+    estimate, err = _extrapolate(values)
+    floor = Fraction(16, 2**BITS)
+    got = _exact(estimate)
+    assert abs(got[0] - limit[0]) <= floor and abs(got[1] - limit[1]) <= floor
+    assert err <= 16
+
+
+class _GaussianRational:
+    """a + b i with Fraction parts: the operators j_from_cross_ratio uses."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, other):
+        return _GaussianRational(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return _GaussianRational(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        return _GaussianRational(
+            self.a * other.a - self.b * other.b, self.a * other.b + self.b * other.a
+        )
+
+
+class _GaussianRationals(Field):
+    """The field Q(i), exact."""
+
+    one = _GaussianRational(1)
+
+    def from_int(self, n):
+        return _GaussianRational(n)
+
+    def is_zero(self, x):
+        return x.a == 0 and x.b == 0
+
+    def reduce(self, x):
+        return x
+
+    def inv(self, x):
+        norm = x.a * x.a + x.b * x.b
+        return _GaussianRational(x.a / norm, -x.b / norm)
+
+
+def _quadruple(lam):
+    """Unit pairs of (lam : 1), (1 : 1), (0 : 1), (1 : 0): cross-ratio lam."""
+    from quintic_moduli.arc_limits import ONE, _unit
+
+    return [
+        _unit((_fixed(lam.a, lam.b), (ONE, 0))),
+        _unit(((ONE, 0), (ONE, 0))),
+        ((0, 0), (ONE, 0)),
+        ((ONE, 0), (0, 0)),
+    ]
+
+
+def test_j_of_quadruple_matches_the_exact_j_far_from_1():
+    from quintic_moduli.arc_limits import BITS, _j_of_quadruple
+
+    field = _GaussianRationals()
+    # a cross-ratio near 0: j near 2.6e12
+    lam = _GaussianRational(Fraction(1, 10**5), Fraction(1, 10**6))
+    want = j_from_cross_ratio(lam, field)
+    got = _exact(_j_of_quadruple(_quadruple(lam)))
+    assert abs(want.a) > 1e12
+    assert abs(got[0] - want.a) + abs(got[1] - want.b) <= 1e-200 * abs(want.a)
+    # a cross-ratio 1e-14 from exp(i pi / 3), where j vanishes: j near 2.6e-40,
+    # which keeps the absolute floor
+    q = Fraction(math.isqrt(3 * 10**40 // 4 - 10**26), 10**20)
+    lam = _GaussianRational(Fraction(1, 2), q)
+    want = j_from_cross_ratio(lam, field)
+    got = _exact(_j_of_quadruple(_quadruple(lam)))
+    assert 1e-40 < abs(want.a) < 1e-39
+    assert abs(got[0] - want.a) + abs(got[1] - want.b) <= Fraction(16, 2**BITS)
+
+
+def test_a_degenerate_quadruple_has_no_j():
+    """Two coinciding points (cross-ratio 0, 1 or infinity) give None, so
+    ``_j_at_parameter`` skips that t like an ambiguous one."""
+    from quintic_moduli.arc_limits import _j_of_quadruple
+
+    p1, p2, p3, p4 = _quadruple(_GaussianRational(Fraction(2, 7), Fraction(1, 3)))
+    for quad in ([p1, p1, p3, p4], [p1, p2, p1, p4], [p1, p2, p3, p3]):
+        assert _j_of_quadruple(quad) is None
+    assert _j_of_quadruple([p1, p2, p3, p4]) is not None

@@ -107,6 +107,30 @@ def test_arc_limit_with_numeric_check(capsys):
     assert num["agrees_with_symbolic"] is True
 
 
+def _deep_arc(zeros):
+    """alpha = t**zeros, beta = t: the roots spread the faster, the larger zeros."""
+    return ["arc-limit", "--alpha", ",".join(["0"] * zeros + ["1"]), "--beta", "0,1",
+            "--numeric", "--format", "jsonl"]
+
+
+def test_deep_arc_at_the_fixed_point_floor(capsys):
+    """A deep arc that still converges: its figures pin where the
+    fixed-point floor sits."""
+    code, out = run_cli(capsys, *_deep_arc(30))
+    assert code == 0
+    num = by_kind(out, "arc-limit-numeric")[0]
+    assert num["error_estimate"] == 1.7362358152445616e-11
+    assert num["j_numeric"] == {"re": -1.1790704022037568e-11, "im": 7.857039520732555e-12}
+    assert num["points_used"] == 10
+
+
+def test_deep_arc_past_the_floor_fails_cleanly(capsys):
+    code, out = run_cli(capsys, *_deep_arc(36))
+    assert code == 1
+    (failure,) = by_kind(out, "failure")
+    assert failure["error_type"] == "NoConvergence"
+
+
 def test_arc_limit_two_doubles(capsys):
     code, out = run_cli(
         capsys, "arc-limit", "--alpha", "0,0,3", "--beta", "0,0,0,2", "--format", "jsonl"

@@ -7,6 +7,7 @@ and prints one JSON value for the test to read.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -166,3 +167,35 @@ def test_symbolic_arc_limit_leaves_mpmath_out():
     assert code == 0
     assert "quintic_moduli.arc_limits" in loaded
     assert "mpmath" not in loaded
+
+
+def test_no_module_of_the_package_imports_mpmath():
+    importing = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                importing.append(path.name)
+    assert importing == []
+
+
+def test_numeric_arc_limit_runs_without_mpmath():
+    """README's numeric arc-limit command with mpmath unimportable prints
+    the golden record."""
+    command = ["arc-limit", "--alpha", "0,0,1", "--beta", "0,0,0,1", "--numeric", "--format", "jsonl"]
+    golden = (REPO_ROOT / "tests" / "golden" / "readme_commands.txt").read_text(encoding="utf-8")
+    block = golden.split("$ " + " ".join(command) + "\n", 1)[1].split("\nexit ", 1)[0]
+    record = fresh(
+        f"""
+        import sys
+        sys.modules["mpmath"] = None  # every import of mpmath now fails
+        from quintic_moduli import cli
+        sys.exit(cli.main({command!r}))
+        """
+    )
+    assert record == json.loads(block.splitlines()[-1])

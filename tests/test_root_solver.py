@@ -6,25 +6,56 @@ instead of ``mpf``.  ``polyroots`` stays the reference here: cold solves at
 4x the working precision, warm solves at 2x.  The oracle reaches its 2x
 solve on the precision ladder of ``_solve_roots``, which is checked against
 a direct 2x ``_durand_kerner`` solve from the same start.
+
+The solver takes and returns fixed-point pairs: ``dk`` and ``ladder``
+convert the mpmath coefficients and starts of these tests to them, and the
+roots back to mpc at the working precision.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from quintic_moduli import arc_limits
 from quintic_moduli.arc_limits import (
-    ORACLE_DPS,
+    BITS,
+    ORACLE_PREC,
     ArcSpec,
     FlexNormalForm,
+    NoConvergence,
     _durand_kerner,
     _j_at_parameter,
     _solve_roots,
     default_schedule,
 )
+
+from conftest import from_fixed, to_fixed
+
+
+def _monic(coeffs):
+    """The lower coefficients of the monic polynomial, as fixed pairs."""
+    with mp.workprec(4 * BITS):
+        lead = coeffs[0]
+        return [to_fixed(mp.mpc(c) / lead) for c in coeffs[1:]]
+
+
+def _fixed_starts(init):
+    return None if init is None else [to_fixed(z) for z in init]
+
+
+def dk(coeffs, bits, init=None):
+    """``_durand_kerner`` at ``bits`` with the working precision's stopping test."""
+    roots = _durand_kerner(_monic(coeffs), bits, mp.mp.prec, _fixed_starts(init))
+    return [from_fixed(z) for z in roots]
+
+
+def ladder(coeffs, start):
+    """``_solve_roots`` from the mpc ``start`` (or cold)."""
+    return [from_fixed(z) for z in _solve_roots(_monic(coeffs), _fixed_starts(start))]
 
 
 def _expand(lead, roots):
@@ -106,11 +137,11 @@ def _assert_exactly_real_like(got, want):
 # covered warm only
 @pytest.mark.parametrize("scale", [1, mp.mpf("1e40")])
 def test_cold_solves_match_polyroots(scale):
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         for name, roots, coeffs in _seeded_cases(20261018, scale):
             want = mp.polyroots(coeffs, maxsteps=1000, extraprec=3 * prec)
-            got = _durand_kerner(mp, coeffs, 4 * prec)
+            got = dk(coeffs, 4 * prec)
             _assert_matches(got, want, _tolerance(want, 4 * prec))
             _assert_matches(got, roots, _tolerance(roots, 4 * prec))
             _assert_sorted(got)
@@ -122,25 +153,25 @@ def test_cold_solves_match_polyroots(scale):
 @pytest.mark.parametrize("scale", [1, mp.mpf("1e40"), mp.mpf("1e-40")])
 def test_warm_solves_match_polyroots(scale):
     rng = random.Random(7)
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         for _, roots, coeffs in _seeded_cases(99, scale):
             init = [z * (1 + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-6) for z in roots]
             want = mp.polyroots(coeffs, maxsteps=1000, extraprec=prec, roots_init=init)
-            got = _durand_kerner(mp, coeffs, 2 * prec, init)
+            got = dk(coeffs, 2 * prec, init)
             _assert_matches(got, want, _tolerance(want, 2 * prec))
             _assert_matches(got, roots, _tolerance(roots, 2 * prec))
             _assert_sorted(got)
 
 
 def test_close_pair_is_resolved():
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         pair = mp.mpf("0.3") + mp.mpf("1e-30")
         roots = [mp.mpc("0.3"), mp.mpc(pair), mp.mpc(-1, 2), mp.mpc(-1, -2), mp.mpc(2)]
         coeffs = _real(_expand(5, roots))
         want = mp.polyroots(coeffs, maxsteps=1000, extraprec=3 * prec)
-        got = _durand_kerner(mp, coeffs, 4 * prec)
+        got = dk(coeffs, 4 * prec)
         _assert_matches(got, want, _tolerance(want, 4 * prec))
         # the coefficients are rounded at the working precision, which moves
         # the pair by about eps / 1e-30
@@ -151,40 +182,40 @@ def test_close_pair_is_resolved():
 
 
 def test_clean_up_zeroes_parts_below_eps():
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         # x (x^2 + 4) (x - 1): an exact zero, a purely imaginary pair, a real root
         coeffs = [mp.mpf(c) for c in (1, -1, 4, -4, 0)]
-        got = _durand_kerner(mp, coeffs, 4 * prec)
+        got = dk(coeffs, 4 * prec)
         assert got[0] == 0 and got[1] == 1
         assert {(mp.re(z), mp.im(z)) for z in got[2:]} == {(0, 2), (0, -2)}
         assert got == mp.polyroots(coeffs, maxsteps=1000, extraprec=3 * prec)
 
 
 def test_underflowing_difference_raises():
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         coeffs = [mp.mpf(c) for c in (1, 0, -1)]
-        with pytest.raises(mp.mp.NoConvergence):
-            _durand_kerner(mp, coeffs, 2 * prec, [mp.mpc(2), mp.mpc(2)])
+        with pytest.raises(NoConvergence):
+            dk(coeffs, 2 * prec, [mp.mpc(2), mp.mpc(2)])
         # distinct estimates that fixed point at 2 * prec bits cannot tell apart
         with mp.workprec(4 * prec):
             twin = mp.mpc(2) + mp.ldexp(1, -2 * prec - 8)
         assert twin != 2
-        with pytest.raises(mp.mp.NoConvergence):
-            _durand_kerner(mp, coeffs, 2 * prec, [mp.mpc(2), twin])
+        with pytest.raises(NoConvergence):
+            dk(coeffs, 2 * prec, [mp.mpc(2), twin])
 
 
 def test_diverging_step_raises():
     """Estimates one unit of 2**-bits apart: the first correction is
     3 * 2**bits, and fixed point stops there instead of growing its ints."""
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         bits = 2 * mp.mp.prec
         coeffs = [mp.mpf(c) for c in (1, 0, -1)]
         with mp.workprec(2 * bits):
             init = [mp.mpc(2), mp.mpc(2) + mp.ldexp(1, -bits)]
-        with pytest.raises(mp.mp.NoConvergence):
-            _durand_kerner(mp, coeffs, bits, init)
+        with pytest.raises(NoConvergence):
+            dk(coeffs, bits, init)
 
 
 @pytest.mark.parametrize("multiple", [0.5, 0.999, 1.001, 1.5, 1.999, 3])
@@ -205,12 +236,12 @@ def test_stopping_test_is_polyroots(monkeypatch, multiple):
         assert converges == (multiple < 1)
         monkeypatch.setattr(arc_limits, "MAX_SWEEPS", 1)
         if converges:
-            assert _durand_kerner(mp, coeffs, 2 * prec, init) == [root]
+            assert dk(coeffs, 2 * prec, init) == [root]
         else:
-            with pytest.raises(mp.mp.NoConvergence):
-                _durand_kerner(mp, coeffs, 2 * prec, init)
+            with pytest.raises(NoConvergence):
+                dk(coeffs, 2 * prec, init)
         monkeypatch.setattr(arc_limits, "MAX_SWEEPS", 2)
-        assert _durand_kerner(mp, coeffs, 2 * prec, init) == [root]
+        assert dk(coeffs, 2 * prec, init) == [root]
 
 
 def _perturbed(rng, roots, size):
@@ -223,13 +254,13 @@ def test_ladder_matches_direct_solve(warm):
     closer than the direct solve's own.  The constant term is moved off the
     grid, so no stage lands on the roots exactly."""
     rng = random.Random(5)
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         for _, roots, coeffs in _seeded_cases(314):
             coeffs = coeffs[:-1] + [coeffs[-1] + mp.mpf(1) / 3000]
             start = _perturbed(rng, roots, 1e-3) if warm else None
-            want = _durand_kerner(mp, coeffs, 2 * prec, start)
-            got = _solve_roots(mp, coeffs, start)
+            want = dk(coeffs, 2 * prec, start)
+            got = ladder(coeffs, start)
             _assert_matches(got, want, _tolerance(want, 2 * prec))
             _assert_sorted(got)
             _assert_exactly_real_like(got, want)
@@ -240,7 +271,7 @@ def test_ladder_matches_direct_solve(warm):
 def test_ladder_resolves_close_pair(gap, warm):
     """A pair 1e-45 apart is below what the 64-bit stage (128-bit ints) can
     separate; the later stages and the final solve still resolve it."""
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
         gap = mp.mpf(gap)
         pair = [mp.mpc("0.3"), mp.mpc(mp.mpf("0.3") + gap)]
@@ -248,8 +279,8 @@ def test_ladder_resolves_close_pair(gap, warm):
         roots = [mp.mpc(-1, 2), mp.mpc(-1, -2), mp.mpc(2)] + pair
         coeffs = _real(_expand(5, roots))
         start = _perturbed(random.Random(3), roots, 1e-6) if warm else None
-        want = _durand_kerner(mp, coeffs, 2 * prec, start)
-        got = _solve_roots(mp, coeffs, start)
+        want = dk(coeffs, 2 * prec, start)
+        got = ladder(coeffs, start)
         _assert_matches(got, want, _tolerance(want, 2 * prec))
         low, high = sorted(mp.re(z) for z in got if abs(z - pair[0]) < 1e-20)
         assert high - low > 0.9 * gap
@@ -261,24 +292,25 @@ def test_a_failing_stage_is_skipped(monkeypatch, stage):
     cold 4x solve) leaves j at a cold and at a warm-started t as it was."""
     nf = FlexNormalForm.default()
     arc = ArcSpec([0, 0, 1], [0, 0, 0, 1])
-    with mp.workdps(ORACLE_DPS):
+    with mp.workprec(ORACLE_PREC):
         prec = mp.mp.prec
-        t0, t1 = (mp.mpf(t) for t in default_schedule()[1:3])  # j is defined at both
-        j0, roots0 = _j_at_parameter(mp, nf, arc, t0)
-        j1, _ = _j_at_parameter(mp, nf, arc, t1, roots0)
+        t0, t1 = (Fraction(t) for t in default_schedule()[1:3])  # j is defined at both
+        j0, roots0 = _j_at_parameter(nf, arc, t0)
+        j1, _ = _j_at_parameter(nf, arc, t1, roots0)
         solve = arc_limits._durand_kerner
         refused = []
 
-        def refuse_one_stage(mp, coeffs, bits, init=None):
-            here = "final" if mp.mp.prec == prec and bits == 2 * prec else mp.mp.prec
+        def refuse_one_stage(monic, bits, prec_, init=None):
+            here = "final" if prec_ == prec and bits == 2 * prec else prec_
             if here == stage:
                 refused.append(bits)
-                raise mp.mp.NoConvergence("refused")
-            return solve(mp, coeffs, bits, init)
+                raise NoConvergence("refused")
+            return solve(monic, bits, prec_, init)
 
         monkeypatch.setattr(arc_limits, "_durand_kerner", refuse_one_stage)
-        k0, _ = _j_at_parameter(mp, nf, arc, t0)
-        k1, _ = _j_at_parameter(mp, nf, arc, t1, roots0)
+        k0, _ = _j_at_parameter(nf, arc, t0)
+        k1, _ = _j_at_parameter(nf, arc, t1, roots0)
+        j0, j1, k0, k1 = map(from_fixed, (j0, j1, k0, k1))
     assert len(refused) == 2
     assert abs(k0 - j0) <= 1e-100 * abs(j0)
     assert abs(k1 - j1) <= 1e-100 * abs(j1)
