@@ -73,7 +73,6 @@ _EXPORTS = {
         "invariant_triple",
         "invariants",
         "is_stable",
-        "j_from_cross_ratio",
         "moduli_point",
     ),
     "plane_curves": (
@@ -83,11 +82,9 @@ _EXPORTS = {
         "PlaneCurve",
         "PluckerCounts",
         "fermat_degree_factorization",
-        "fermat_quintic",
         "genericity_report",
         "hessian",
         "load_curve",
-        "phi",
         "plucker_counts",
         "restrict_to_line",
     ),

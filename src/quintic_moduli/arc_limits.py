@@ -24,7 +24,8 @@ the degenerate two-double-point locus is 4 alpha0^3 = 27 beta0^2.
 
 The symbolic path implements this table directly.  The numeric oracle
 never looks at the table: it evaluates the family exactly at small
-rational t > 0, isolates the five complex roots by fixed-point
+rational t > 0 (the restriction table of the normal form, built once, at
+the homogeneous power tables of alpha(t) and beta(t)), isolates the five complex roots by fixed-point
 Durand-Kerner iteration on a precision ladder (stages at 2 x 64, 2 x 128
 and 2 x 256 bits, then the full solve at 2 x the working precision, with a
 cold solve at 4 x as its fallback), renormalises the configuration into a
@@ -46,11 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 from typing import Sequence
 
 from .invariants import ConfigClass, OneDouble, TwoDoubles
-from .polys import MultiPoly
+from .polys import MultiPoly, line_restriction
 from .scalars import QQ
 
 J_HARMONIC = Fraction(1728)
@@ -175,9 +176,11 @@ class FlexNormalForm:
     """The quartic f4 presenting the curve as x0^3 (x0-x1) x1 + x2 f4 = 0.
 
     Normalised by f4(0, 1, 0) = 1 (smoothness at the flex point).
+    ``family`` is ``polys.line_restriction`` of that quintic, its
+    denominators cleared, to the moving line x2 = alpha x0 + beta x1.
     """
 
-    __slots__ = ("quartic",)
+    __slots__ = ("quartic", "family")
 
     def __init__(self, quartic: MultiPoly):
         if quartic.arity != 3 or quartic.field is not QQ:
@@ -187,6 +190,10 @@ class FlexNormalForm:
         if quartic.terms.get((0, 4, 0)) != Fraction(1):
             raise ValueError("normalisation requires f4(0, 1, 0) = 1")
         self.quartic = quartic
+        form = {(4, 1, 0): Fraction(1), (3, 2, 0): Fraction(-1)}
+        form.update(((i, j, k + 1), c) for (i, j, k), c in quartic.terms.items())
+        cleared, _ = QQ.clear_denominators(list(form.values()))
+        self.family = line_restriction(dict(zip(form, cleared)), 2)
 
     @classmethod
     def default(cls) -> "FlexNormalForm":
@@ -315,25 +322,26 @@ def arc_limit_numeric(
 
 def _family_coefficients(normal_form: FlexNormalForm, arc: ArcSpec, t: Fraction):
     """Descending coefficient list of the restricted quintic at parameter t,
-    as ints: the exact coefficients times one common denominator."""
+    as ints: the exact coefficients times d * Da**5 * Db**5, where d clears
+    the quintic's denominators and alpha(t) = A / Da, beta(t) = B / Db.
+
+    The family's table is evaluated at the homogeneous power tables
+    A^r Da^(5-r) and B^r Db^(5-r); coeffs[k] multiplies x0^(5-k) x1^k.
+    """
     alpha = beta = Fraction(0)
     for c in reversed(arc.alpha):
         alpha = alpha * t + c
     for c in reversed(arc.beta):
         beta = beta * t + c
-    # ap[r] = alpha^r and bp[r] = beta^r, times their denominators' fifth powers
-    ap, bp = [alpha.denominator**5], [beta.denominator**5]
+    return normal_form.family(_homogeneous_powers(alpha), _homogeneous_powers(beta))
+
+
+def _homogeneous_powers(q: Fraction) -> list[int]:
+    """[A^r D^(5-r) for r = 0 .. 5] for q = A / D in lowest terms."""
+    out = [q.denominator**5]
     for _ in range(5):
-        ap.append(ap[-1] // alpha.denominator * alpha.numerator)
-        bp.append(bp[-1] // beta.denominator * beta.numerator)
-    quartic, d = QQ.clear_denominators(list(normal_form.quartic.terms.values()))
-    scale = d * ap[0] * bp[0]
-    # coeffs[k] multiplies x0^(5-k) x1^k;  x0^3 (x0 - x1) x1 = x0^4 x1 - x0^3 x1^2
-    coeffs = [0, scale, -scale, 0, 0, 0]
-    for (i, j, k), c in zip(normal_form.quartic.terms, quartic):
-        for r in range(k + 2):  # (alpha x0 + beta x1)^(k+1)
-            coeffs[j + k + 1 - r] += c * comb(k + 1, r) * ap[r] * bp[k + 1 - r]
-    return coeffs  # descending in x = x0/x1
+        out.append(out[-1] // q.denominator * q.numerator)
+    return out
 
 
 def _j_at_parameter(normal_form, arc, t, prev_roots=None):

@@ -17,8 +17,8 @@ no intermediate derivative forms.  Over QQ both run on the integer
 numerators of ``Ring.clear_denominators`` and make one ``Fraction`` per
 output coefficient; over any other ring the weights scale the values as
 ints (``UniPoly`` and ``MultiPoly`` take ``n * value``).
-``substitute_linear`` is the one substitution of order-1 forms into a
-binary or a ternary form.
+``BinaryForm.substituted`` applies a linear change of the two variables;
+restricting a ternary form to a line is ``polys.line_restriction``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .polys import UniPoly, dense_product
+from .polys import UniPoly, dense_product, powers
 from .scalars import Field, Ring
 
 
@@ -76,11 +76,7 @@ class BinaryForm:
     def eval(self, x, y):
         R = self.ring
         n = self.order
-        xp = [R.one]
-        yp = [R.one]
-        for _ in range(n):
-            xp.append(R.reduce(xp[-1] * x))
-            yp.append(R.reduce(yp[-1] * y))
+        xp, yp = powers(R, x, n), powers(R, y, n)
         acc = R.zero
         for k, c in enumerate(self.coeffs):
             if not R.is_zero(c):
@@ -94,8 +90,19 @@ class BinaryForm:
         """
         R = self.ring
         n = self.order
-        lins = [BinaryForm(R, row) for row in m]
-        return substitute_linear(R, (((n - k, k), c) for k, c in enumerate(self.coeffs)), lins, n)
+        rows = []
+        for lin in m:
+            lin = BinaryForm(R, lin)
+            row = [BinaryForm(R, [R.one])]
+            for _ in range(n):
+                row.append(row[-1] * lin)
+            rows.append(row)
+        xp, yp = rows
+        acc = BinaryForm.zero(R, n)
+        for k, c in enumerate(self.coeffs):
+            if not R.is_zero(c):
+                acc = acc + (xp[n - k] * yp[k]).scale(c)
+        return acc
 
     def to_unipoly(self) -> UniPoly:
         """Dehomogenise at y = 1, i.e. f(X, 1) as a univariate polynomial."""
@@ -134,29 +141,6 @@ class BinaryQuintic(BinaryForm):
     @classmethod
     def from_ints(cls, ring: Ring, ints: Sequence[int]) -> "BinaryQuintic":
         return cls(ring, [ring.from_int(n) for n in ints])
-
-
-def substitute_linear(ring: Ring, terms, lins: Sequence[BinaryForm], order: int) -> BinaryForm:
-    """Replace each variable of a form by an order-1 binary form over ``ring``.
-
-    ``terms`` yields (exponent tuple, coefficient) pairs of a form of the
-    given order in ``len(lins)`` variables; the result is the sum of
-    c * lins[0]**e[0] * lins[1]**e[1] * ..., of that order, possibly zero.
-    """
-    pows = []
-    for lin in lins:
-        row = [BinaryForm(ring, [ring.one])]
-        for _ in range(order):
-            row.append(row[-1] * lin)
-        pows.append(row)
-    acc = BinaryForm.zero(ring, order)
-    for e, c in terms:
-        if not ring.is_zero(c):
-            t = pows[0][e[0]]
-            for row, k in zip(pows[1:], e[1:]):
-                t = t * row[k]
-            acc = acc + t.scale(c)
-    return acc
 
 
 @functools.cache

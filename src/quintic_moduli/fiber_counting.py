@@ -13,7 +13,10 @@ graded pieces of the restriction coefficients are all proportional, being
 the z'-power alone, and every invariant kills that quintuple-line
 direction; one consistency check is that the restriction discriminant
 I4^2 - 128 I8 then has chart degree 20, the degree of the dual curve.)
-For a target (c1 : c2 : c3) with c1 != 0 the fiber system is
+The restriction is ``polys.line_restriction``, the package's one expansion
+of a line into a ternary form: its table of terms is built once per frame,
+and each chart point costs one pass over it with the powers of a and b
+reduced mod p.  For a target (c1 : c2 : c3) with c1 != 0 the fiber system is
 
     G1 = c2 * I4^2 - c1^2 * I8     (degree 20)
     G2 = c3 * I4^3 - c1^3 * I12    (degree 30)
@@ -47,13 +50,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
 
 from .binary_forms import BinaryQuintic
 from .elimination import resultant_bivar_elim, squarefree_decomposition
 from .invariants import WPPoint, invariant_triple
 from .plane_curves import PlaneCurve, random_invertible_frame
-from .polys import MultiPoly, interpolate_bivariate
+from .polys import MultiPoly, interpolate_bivariate, line_restriction
 from .scalars import GF, PrimeField
 
 #: Chart degrees of the fiber system and its Bezout number.
@@ -101,15 +103,12 @@ class FiberReport:
 def _restriction_coefficients(framed_poly: MultiPoly, field: PrimeField):
     """Closure computing the 6 restriction coefficients at numeric (a, b).
 
-    For each monomial x^i y^j z^k of the framed curve, substituting
-    z = a x + b y contributes C(k, r) a^r b^(k-r) to the coefficient of
-    x^(i+r) y^(j+k-r); coefficients are indexed by y-degree.
+    ``polys.line_restriction`` on the chart z = a x + b y, its table built
+    once per frame; at each (a, b) the power tables are reduced mod p and
+    each coefficient (indexed by y-degree) once.
     """
     p = field.p
-    entries = []
-    for (i, j, k), c in framed_poly.terms.items():
-        for r in range(k + 1):
-            entries.append((j + k - r, comb(k, r) * c % p, r, k - r))
+    restrict = line_restriction(framed_poly.terms, 2)
 
     def evaluate(a: int, b: int) -> list[int]:
         ap = [1]
@@ -117,10 +116,7 @@ def _restriction_coefficients(framed_poly: MultiPoly, field: PrimeField):
         for _ in range(5):
             ap.append(ap[-1] * a % p)
             bp.append(bp[-1] * b % p)
-        coeffs = [0] * 6
-        for idx, c, ra, rb in entries:
-            coeffs[idx] += c * ap[ra] * bp[rb]
-        return [c % p for c in coeffs]
+        return [c % p for c in restrict(ap, bp)]
 
     return evaluate
 

@@ -262,20 +262,6 @@ def is_stable(f: BinaryQuintic) -> bool:
     return gcd_uni(gcd_uni(F, d1), d2).degree == 0
 
 
-def j_from_cross_ratio(lam, field: Field = QQ):
-    """j of four points with cross-ratio lam: 256 (lam^2-lam+1)^3 / (lam^2 (lam-1)^2).
-
-    Constant on the six-element cross-ratio orbit; lam in {0, 1} is rejected
-    (degenerate quadruple).
-    """
-    F = field
-    if F.is_zero(lam) or F.is_zero(F.reduce(lam - F.one)):
-        raise ValueError("cross-ratio 0 or 1 does not define four distinct points")
-    s = lam * lam - lam + F.one
-    den = F.reduce(lam * lam * (lam - F.one) * (lam - F.one))
-    return F.reduce(F.from_int(256) * s * s * s * F.inv(den))
-
-
 #: Exponent quadruples (e4, e8, e12, e18) of the 13 candidate monomials of
 #: weighted degree 36: I18^2 first, then the pure (I4, I8, I12) monomials in
 #: descending lexicographic order.

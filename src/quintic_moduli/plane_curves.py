@@ -3,7 +3,10 @@
 A plane curve is a homogeneous ternary form; lines are presented by charts
 (an invertible coordinate frame plus slopes (a, b) selecting z' = a x' + b y'
 in framed coordinates).  Restricting the curve to a chart yields a binary
-quintic, whose moduli point is the value of the line-to-moduli map.
+quintic, whose moduli point is the value of the line-to-moduli map.  Every
+restriction to a line here, the chart's, the line y' = 0 of the smoothness
+check and the tangent line at each flex, is ``polys.line_restriction``:
+substitute x_v = a x_o1 + b x_o2 and read off the binary form in (x_o1, x_o2).
 
 ``genericity_report`` decides, exactly over GF(p), the three conditions the
 degree-420 count rests on: the curve is smooth, it has 45 distinct
@@ -22,23 +25,16 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .binary_forms import BinaryForm, BinaryQuintic, substitute_linear
+from .binary_forms import BinaryForm, BinaryQuintic
 from .elimination import (
     gcd_uni,
     resultant_bivar_elim,
     squarefree_decomposition,
 )
-from .invariants import (
-    UnstableQuinticError,
-    WPPoint,
-    family_closed_forms,
-    family_quintic,
-    invariant_triple,
-    moduli_point,
-)
-from .polys import MultiPoly, PolynomialRing, UniPoly
+from .invariants import family_closed_forms, family_quintic, invariant_triple
+from .polys import MultiPoly, PolynomialRing, UniPoly, line_restriction, powers
 from .residue_rings import ResidueRing, SplitNeeded, split_modulus
-from .scalars import GF, QQ, Field, PrimeField, Ring
+from .scalars import GF, QQ, Field, PrimeField
 
 
 class LineInCurveError(ValueError):
@@ -134,11 +130,6 @@ class PlaneCurve:
         return f"PlaneCurve(degree={self.degree}, {len(self.poly.terms)} terms)"
 
 
-def fermat_quintic() -> PlaneCurve:
-    one = QQ.one
-    return PlaneCurve(MultiPoly(QQ, 3, {(5, 0, 0): one, (0, 5, 0): one, (0, 0, 5): one}))
-
-
 def _det3(m: Sequence[Sequence]):
     """Cofactor expansion of a 3x3 determinant, with the entries' own ``+ - *``."""
     return (
@@ -172,55 +163,25 @@ class LineChart:
         self.a = a
         self.b = b
 
-    @classmethod
-    def identity(cls, field: Field, a, b) -> "LineChart":
-        one, zero = field.one, field.zero
-        return cls(field, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), a, b)
-
-    def parametrisation(self) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-        """Ambient coordinates of the line point at (s : t), as binary forms."""
-        F = self.field
-        lins = []
-        for r in range(3):
-            cs = F.reduce(self.frame[r][0] + self.frame[r][2] * self.a)
-            ct = F.reduce(self.frame[r][1] + self.frame[r][2] * self.b)
-            lins.append(BinaryForm(F, [cs, ct]))
-        return tuple(lins)
-
-
-def _restrict_form(ring: Ring, poly: MultiPoly, coords) -> BinaryForm:
-    """F(l1, l2, l3) for a ternary form F and three order-1 binary forms over ``ring``.
-
-    The coefficients of F are embedded with ``ring.from_base``; the result
-    has the order of F and may be the zero form.
-    """
-    terms = ((e, ring.from_base(c)) for e, c in poly.terms.items())
-    return substitute_linear(ring, terms, coords, sum(next(iter(poly.terms))))
-
 
 def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
-    """The binary quintic cut on the chart's line by a degree-5 curve."""
+    """The binary quintic cut on the chart's line by a degree-5 curve.
+
+    Its coefficients are ascending in y': the framed curve restricted to
+    z' = a x' + b y'.
+    """
     if curve.degree != 5:
         raise ValueError("restriction to a binary quintic needs a degree-5 curve")
-    if curve.field is not chart.field:
+    F = curve.field
+    if F is not chart.field:
         raise ValueError("curve and chart live over different fields")
-    acc = _restrict_form(curve.field, curve.poly, chart.parametrisation())
-    if acc.is_zero():
+    restrict = line_restriction(curve.composed_with_frame(chart.frame).poly.terms, 2)
+    coeffs = [F.reduce(c) for c in restrict(powers(F, chart.a, 5), powers(F, chart.b, 5))]
+    if all(F.is_zero(c) for c in coeffs):
         raise LineInCurveError(
             "restriction vanished identically: the line lies on the curve"
         )
-    return BinaryQuintic(curve.field, acc.coeffs)
-
-
-def phi(curve: PlaneCurve, chart: LineChart) -> WPPoint:
-    """Moduli point of the 5 intersection points of the chart's line with the curve."""
-    f = restrict_to_line(curve, chart)
-    try:
-        return moduli_point(f)
-    except UnstableQuinticError as exc:
-        raise UnstableQuinticError(
-            "inflectional line: the restriction is unstable, the map is undefined here"
-        ) from exc
+    return BinaryQuintic(F, coeffs)
 
 
 def hessian(curve: PlaneCurve) -> PlaneCurve:
@@ -325,16 +286,6 @@ def _dehom_y(poly: MultiPoly, field: Field) -> MultiPoly:
     return MultiPoly(field, 2, terms)
 
 
-def _restrict_y0(poly: MultiPoly, field: Field) -> UniPoly:
-    """Ternary form on the line y = 0 at x = 1, univariate in z."""
-    coeffs: dict[int, object] = {}
-    for (i, j, k), c in poly.terms.items():
-        if j == 0:
-            coeffs[k] = field.reduce(coeffs[k] + c) if k in coeffs else c
-    n = max(coeffs, default=0)
-    return UniPoly(field, [coeffs.get(k, field.zero) for k in range(n + 1)])
-
-
 def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> UniPoly:
     """Bivariate (u, z) polynomial as a z-polynomial with residue coefficients."""
     field = ring.base
@@ -402,36 +353,22 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
         raise _FrameRetry(f"flex fiber gcd has degree {g.degree}, expected 1; reframe")
     z0 = ring.reduce(-g.coeffs[0])
     point = (u, ring.one, z0)
-    gx, gy, gz = (
+    grad = [
         curve_poly.derivative(v).map_coefficients(ring, ring.from_base).eval(point)
         for v in range(3)
-    )
-    # tangent-line parametrisation with a unit pivot in the gradient
-    mx, my, mz = (ring.reduce(-c) for c in (gx, gy, gz))
-    if ring.is_unit(gz):
-        coords = (
-            BinaryForm(ring, [gz, ring.zero]),
-            BinaryForm(ring, [ring.zero, gz]),
-            BinaryForm(ring, [mx, my]),
-        )
-        s0, t0 = u, ring.one
-    elif ring.is_unit(gx):
-        coords = (
-            BinaryForm(ring, [my, mz]),
-            BinaryForm(ring, [gx, ring.zero]),
-            BinaryForm(ring, [ring.zero, gx]),
-        )
-        s0, t0 = ring.one, z0
-    elif ring.is_unit(gy):
-        coords = (
-            BinaryForm(ring, [gy, ring.zero]),
-            BinaryForm(ring, [mx, mz]),
-            BinaryForm(ring, [ring.zero, gy]),
-        )
-        s0, t0 = u, z0
-    else:
+    ]
+    # the tangent line g . x = 0 solved for x_v, the first coordinate of
+    # (z, x, y) whose gradient entry is nonzero; its inverse raises
+    # SplitNeeded when it is a zero divisor rather than a unit
+    v = next((v for v in (2, 0, 1) if not ring.is_zero(grad[v])), None)
+    if v is None:
         return False  # gradient vanishes: singular point, not a flex
-    current = _restrict_form(ring, curve_poly, coords)
+    o1, o2 = (o for o in range(3) if o != v)
+    pivot = ring.reduce(-ring.inv(grad[v]))
+    a, b = (powers(ring, ring.reduce(grad[o] * pivot), 5) for o in (o1, o2))
+    restrict = line_restriction(curve_poly.terms, v)
+    current = BinaryForm(ring, [ring.reduce(c) for c in restrict(a, b)])
+    s0, t0 = point[o1], point[o2]
     for _ in range(3):
         current, rem = _divide_root(ring, current, s0, t0)
         if not ring.is_zero(rem):
@@ -461,7 +398,12 @@ def _smooth_in_frame(framed: PlaneCurve) -> bool:
     field = framed.field
     px, py, pz = framed.partials()
     # the line y' = 0 first: a common zero there is a certified singular point
-    bx, by, bz = (_restrict_y0(p, field) for p in (px, py, pz))
+    # (y' = 0 x' + 0 z', at x' = 1 a polynomial in z')
+    zero = powers(field, field.zero, framed.degree - 1)
+    bx, by, bz = (
+        UniPoly(field, [field.reduce(c) for c in line_restriction(p.terms, 1)(zero, zero)])
+        for p in (px, py, pz)
+    )
     if bx.is_zero() or by.is_zero() or bz.is_zero():
         raise _FrameRetry("a partial vanishes on the infinity line; reframe")
     if gcd_uni(gcd_uni(bx, by), bz).degree > 0:

@@ -27,6 +27,11 @@ numerators and makes one ``Fraction`` per output coefficient.  Every other
 ring, and a prime too large for packing, takes the accumulate-then-reduce
 loop.
 
+``line_restriction`` is the package's one restriction of a ternary form to
+a line x_v = a x_o1 + b x_o2: the binomial expansion becomes a table of
+terms once per form, and each line is one pass over that table with the
+power tables of a and b, in whatever ring (or scaling) the caller chooses.
+
 Interpolation runs over GF(p) on raw ints.  ``interpolate`` in one
 variable takes the Lagrange form over a subproduct tree, so its products
 and divisions are the packed kernels; ``interpolate_bivariate`` works in
@@ -43,6 +48,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import Field, PrimeField, RationalField, Ring
@@ -360,17 +366,12 @@ class MultiPoly:
             for i, k in enumerate(e):
                 if k > maxes[i]:
                     maxes[i] = k
-        powers = []
-        for x, m in zip(point, maxes):
-            row = [F.one]
-            for _ in range(m):
-                row.append(F.reduce(row[-1] * x))
-            powers.append(row)
+        rows = [powers(F, x, m) for x, m in zip(point, maxes)]
         acc = F.zero
         for e, c in self.terms.items():
             for i, k in enumerate(e):
                 if k:
-                    c = F.reduce(c * powers[i][k])
+                    c = F.reduce(c * rows[i][k])
             acc += c
         return F.reduce(acc)
 
@@ -430,6 +431,45 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.field!r}, arity={self.arity}, {dict(self.sorted_terms())!r})"
+
+
+def powers(ring: Ring, x, n: int) -> list:
+    """[x**0, x**1, ..., x**n] over ``ring``, each reduced."""
+    out = [ring.one]
+    for _ in range(n):
+        out.append(ring.reduce(out[-1] * x))
+    return out
+
+
+def line_restriction(terms: Mapping[tuple, object], v: int):
+    """The restriction of a ternary form to the line x_v = a x_o1 + b x_o2.
+
+    ``terms`` maps the exponent triples of a form of degree d to its
+    coefficients; o1 < o2 are the two variables other than v.  The term
+    c x_o1^i x_o2^j x_v^k becomes the sum over r of
+    C(k, r) c a^r b^(k-r) x_o1^(i+r) x_o2^(j+k-r), so the table of
+    (j + k - r, C(k, r) c, r, k - r) is built once, here.  The returned
+    function takes power tables (a^0 .. a^d) and (b^0 .. b^d) and gives the
+    d + 1 coefficients, ascending in the degree of x_o2, as raw sums of the
+    values' own ``+`` and ``*``: the caller reduces each coefficient once.
+    The power tables may be of any ring the coefficients multiply into (or
+    scaled, e.g. homogeneous in a common denominator).
+    """
+    _, o2 = (o for o in range(3) if o != v)
+    d = max((sum(e) for e in terms), default=0)
+    entries = []
+    for e, c in terms.items():
+        k = e[v]
+        for r in range(k + 1):
+            entries.append((e[o2] + k - r, comb(k, r) * c, r, k - r))
+
+    def restrict(ap: Sequence, bp: Sequence) -> list:
+        out = [0 * ap[0]] * (d + 1)  # 0 for numbers, the ring's zero otherwise
+        for idx, c, ra, rb in entries:
+            out[idx] += c * ap[ra] * bp[rb]
+        return out
+
+    return restrict
 
 
 class PolynomialRing(Ring):

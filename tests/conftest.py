@@ -1,5 +1,6 @@
-"""Shared fixtures: the frozen generic quintic, the arc test suite and the
-evaluation of a degree-36 invariant relation."""
+"""Shared fixtures and references: the frozen generic quintic, the Fermat
+quintic, identity-frame charts, j of a cross-ratio, the arc test suite and
+the evaluation of a degree-36 invariant relation."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from quintic_moduli import ArcSpec, PlaneCurve
+from quintic_moduli import ArcSpec, LineChart, PlaneCurve
 from quintic_moduli.arc_limits import BITS
 from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
+from quintic_moduli.polys import MultiPoly
+from quintic_moduli.scalars import QQ, Field
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CURVES_DIR = REPO_ROOT / "curves"
@@ -32,6 +35,32 @@ ACCEPTANCE_PRIMES = (10007, 3001)
 @pytest.fixture(scope="session")
 def generic_quintic() -> PlaneCurve:
     return PlaneCurve.from_records(GENERIC_QUINTIC_RECORDS)
+
+
+def fermat_quintic() -> PlaneCurve:
+    """x^5 + y^5 + z^5 over QQ."""
+    one = QQ.one
+    return PlaneCurve(MultiPoly(QQ, 3, {(5, 0, 0): one, (0, 5, 0): one, (0, 0, 5): one}))
+
+
+def identity_chart(field: Field, a, b) -> LineChart:
+    """The chart z = a x + b y in the identity frame."""
+    one, zero = field.one, field.zero
+    return LineChart(field, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), a, b)
+
+
+def j_from_cross_ratio(lam, field: Field = QQ):
+    """j of four points with cross-ratio lam: 256 (lam^2-lam+1)^3 / (lam^2 (lam-1)^2).
+
+    Constant on the six-element cross-ratio orbit; lam in {0, 1} is rejected
+    (degenerate quadruple).
+    """
+    F = field
+    if F.is_zero(lam) or F.is_zero(F.reduce(lam - F.one)):
+        raise ValueError("cross-ratio 0 or 1 does not define four distinct points")
+    s = lam * lam - lam + F.one
+    den = F.reduce(lam * lam * (lam - F.one) * (lam - F.one))
+    return F.reduce(F.from_int(256) * s * s * s * F.inv(den))
 
 
 def relation_value(iv: InvariantVector, coefficients):

@@ -15,11 +15,11 @@ from quintic_moduli.arc_limits import (
     default_schedule,
     exceptional_coordinate,
 )
-from quintic_moduli.invariants import OneDouble, TwoDoubles, j_from_cross_ratio
+from quintic_moduli.invariants import OneDouble, TwoDoubles
 from quintic_moduli.polys import MultiPoly
 from quintic_moduli.scalars import QQ, Field
 
-from conftest import make_arc_suite, to_fixed
+from conftest import j_from_cross_ratio, make_arc_suite, to_fixed
 
 
 def _normal_form(terms: dict) -> FlexNormalForm:
@@ -208,6 +208,49 @@ def test_flex_normal_form_validation():
         _normal_form({(4, 0, 0): 1})  # f4(0, 1, 0) != 1
     with pytest.raises(ValueError):
         _normal_form({(0, 4, 0): 1, (1, 1, 1): 2})  # degree 3 term
+
+
+def _random_flex_quartic(rng) -> FlexNormalForm:
+    """A flex normal form with a seeded quartic: f4(0, 1, 0) = 1, the rest
+    random fractions, each monomial present with probability 0.6."""
+    terms = {(0, 4, 0): 1}
+    for i in range(5):
+        for j in range(5 - i):
+            e = (i, j, 4 - i - j)
+            if e != (0, 4, 0) and rng.random() < 0.6:
+                terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return _normal_form(terms)
+
+
+def _exact_family(normal_form: FlexNormalForm, alpha: Fraction, beta: Fraction):
+    """Coefficients of x0^(5-k) x1^k in x0^3 (x0 - x1) x1 + x2 f4 at x2 =
+    alpha x0 + beta x1, by composing the quintic with that substitution."""
+    x0, x1 = MultiPoly.variable(QQ, 2, 0), MultiPoly.variable(QQ, 2, 1)
+    x2 = x0.scale(alpha) + x1.scale(beta)
+    head = MultiPoly(QQ, 3, {(4, 1, 0): Fraction(1), (3, 2, 0): Fraction(-1)})
+    quintic = head + normal_form.quartic * MultiPoly.variable(QQ, 3, 2)
+    composed = quintic.compose([x0, x1, x2])
+    return [composed.terms.get((5 - k, k), Fraction(0)) for k in range(6)]
+
+
+def test_family_coefficients_are_the_exact_family_times_one_denominator():
+    from quintic_moduli.arc_limits import _family_coefficients
+
+    rng = random.Random(61)
+    schedule = [Fraction(t) for t in default_schedule()]
+    for normal_form in [FlexNormalForm.default()] + [_random_flex_quartic(rng) for _ in range(4)]:
+        _, d = QQ.clear_denominators(list(normal_form.quartic.terms.values()))
+        for _ in range(6):
+            alpha = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))]
+            beta = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))]
+            arc = ArcSpec(alpha, beta)
+            for t in rng.sample(schedule, 3):
+                a = sum(c * t**n for n, c in enumerate(arc.alpha))
+                b = sum(c * t**n for n, c in enumerate(arc.beta))
+                scale = d * Fraction(a).denominator ** 5 * Fraction(b).denominator ** 5
+                got = _family_coefficients(normal_form, arc, t)
+                assert all(type(c) is int for c in got)
+                assert got == [scale * c for c in _exact_family(normal_form, a, b)]
 
 
 def test_numeric_oracle_triple_collision_arc():

@@ -17,13 +17,14 @@ from quintic_moduli.fiber_counting import (
 )
 from quintic_moduli.invariants import WPPoint, invariant_triple
 from quintic_moduli.plane_curves import (
-    fermat_quintic,
     genericity_report,
     hessian,
     random_invertible_frame,
 )
 from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
 from quintic_moduli.scalars import GF
+
+from conftest import fermat_quintic
 
 F = GF(10007)
 

@@ -15,12 +15,11 @@ from quintic_moduli.invariants import (
     invariant_triple,
     invariants,
     is_stable,
-    j_from_cross_ratio,
     moduli_point,
 )
 from quintic_moduli.scalars import GF, QQ
 
-from conftest import relation_value
+from conftest import j_from_cross_ratio, relation_value
 
 #: Discriminant proportionality constant, derived once from a fixed sample
 #: quintic (see test_discriminant_proportionality_constant) and frozen here.

@@ -10,17 +10,17 @@ from quintic_moduli.invariants import (
     UnstableQuinticError,
     WPPoint,
     invariant_triple,
+    moduli_point,
 )
 from quintic_moduli.plane_curves import (
     LineChart,
     LineInCurveError,
     PlaneCurve,
     fermat_degree_factorization,
-    fermat_quintic,
+    frame_determinant,
     genericity_report,
     hessian,
     load_curve,
-    phi,
     plucker_counts,
     random_invertible_frame,
     restrict_to_line,
@@ -28,9 +28,14 @@ from quintic_moduli.plane_curves import (
 from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
 from quintic_moduli.scalars import GF, QQ
 
-from conftest import CURVES_DIR
+from conftest import CURVES_DIR, fermat_quintic, identity_chart
 
 F = GF(10007)
+
+
+def phi(curve: PlaneCurve, chart: LineChart) -> WPPoint:
+    """Moduli point of the 5 intersection points of the chart's line with the curve."""
+    return moduli_point(restrict_to_line(curve, chart))
 
 
 def _chart_for_line(field, dual, frame):
@@ -104,6 +109,46 @@ def test_fermat_restriction_closed_form():
     assert list(r.coeffs) == expected
 
 
+def _restrict_by_parametrisation(curve: PlaneCurve, chart: LineChart) -> list:
+    """Reference restriction: the ambient coordinates of the line point at
+    (s : t) as order-1 binary forms, substituted into the curve."""
+    F, frame, a, b = chart.field, chart.frame, chart.a, chart.b
+    lins = [
+        BinaryForm(F, [F.reduce(row[0] + row[2] * a), F.reduce(row[1] + row[2] * b)])
+        for row in frame
+    ]
+    acc = BinaryForm.zero(F, 5)
+    for (i, j, k), c in curve.poly.terms.items():
+        term = BinaryForm(F, [c])
+        for lin, n in zip(lins, (i, j, k)):
+            for _ in range(n):
+                term = term * lin
+        acc = acc + term
+    return list(acc.coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, F, GF(3001)], ids=repr)
+def test_restriction_matches_the_parametrised_line(generic_quintic, field):
+    rng = random.Random(17)
+    for n in range(12):
+        curve = generic_quintic if n % 2 else fermat_quintic()
+        if field is QQ:
+            frame = tuple(
+                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+                for _ in range(3)
+            )
+            if frame_determinant(frame, QQ) == 0:
+                continue
+            a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+        else:
+            curve = curve.reduce_mod(field)
+            frame = random_invertible_frame(field, rng)
+            a, b = rng.randrange(field.p), rng.randrange(field.p)
+        chart = LineChart(field, frame, a, b)
+        expected = _restrict_by_parametrisation(curve, chart)
+        assert list(restrict_to_line(curve, chart).coeffs) == expected
+
+
 def test_phi_fermat_closed_form():
     for a, b, c in [(2, 3, 5), (1, 2, 3), (7, 2, 9)]:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -124,7 +169,7 @@ def test_line_contained_in_curve_is_an_error():
     quartic = MultiPoly(QQ, 3, {(4, 0, 0): QQ.one, (0, 4, 0): QQ.one})
     curve = PlaneCurve(z * quartic)
     with pytest.raises(LineInCurveError):
-        restrict_to_line(curve, LineChart.identity(QQ, Fraction(0), Fraction(0)))
+        restrict_to_line(curve, identity_chart(QQ, Fraction(0), Fraction(0)))
 
 
 def test_phi_is_frame_independent(generic_quintic):
@@ -156,7 +201,7 @@ def test_restriction_is_linear_in_the_curve(generic_quintic):
         for j in range(6 - i)
     }
     curve2 = PlaneCurve(MultiPoly(F, 3, terms))
-    chart = LineChart.identity(F, F.from_int(17), F.from_int(23))
+    chart = identity_chart(F, F.from_int(17), F.from_int(23))
     r1 = restrict_to_line(curve1, chart)
     r2 = restrict_to_line(curve2, chart)
     summed = PlaneCurve(curve1.poly + curve2.poly)
@@ -170,7 +215,7 @@ def test_random_lines_have_stable_restrictions(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
     rng = random.Random(12)
     for _ in range(25):
-        chart = LineChart.identity(
+        chart = identity_chart(
             F, F.from_int(rng.randrange(F.p)), F.from_int(rng.randrange(F.p))
         )
         assert is_stable(restrict_to_line(curve, chart))

@@ -12,9 +12,13 @@ from quintic_moduli.polys import (
     dense_product,
     interpolate,
     interpolate_bivariate,
+    line_restriction,
+    powers,
 )
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ
+
+from conftest import fermat_quintic, identity_chart
 
 F = GF(10007)
 QQ_LM = PolynomialRing(QQ, 2)
@@ -329,12 +333,12 @@ def test_multipoly_eval_examples():
 def test_restricted_fermat_root_evaluates_to_zero():
     # find a root of the restricted Fermat quintic over GF(p) by brute
     # univariate root search, then substitute back into the bivariate form
-    from quintic_moduli.plane_curves import LineChart, fermat_quintic, restrict_to_line
+    from quintic_moduli.plane_curves import restrict_to_line
 
     curve = fermat_quintic().reduce_mod(F)
     root = None
     for b in range(11, 40):  # not every restriction has a rational root; scan
-        chart = LineChart.identity(F, F.from_int(3), F.from_int(b))
+        chart = identity_chart(F, F.from_int(3), F.from_int(b))
         f = restrict_to_line(curve, chart)
         uni = f.to_unipoly()
         root = next((x for x in range(F.p) if uni.eval(x) == 0), None)
@@ -359,6 +363,47 @@ def test_multipoly_compose_matches_eval():
         pt = [F.from_int(v) for v in point]
         inner = [g.eval(pt) for g in args]
         assert composed.eval(pt) == p.eval(inner)
+
+
+def _restriction_by_compose(poly, v, ring, a, b):
+    """Reference for ``line_restriction``: compose with x_v = A x_o1 + B x_o2
+    in QQ- or GF(p)-polynomials of (x_o1, x_o2, A, B), then evaluate each
+    x_o2-degree part at (A, B) = (a, b) over ``ring``."""
+    base = poly.field
+    x, y, sa, sb = (MultiPoly.variable(base, 4, i) for i in range(4))
+    o1, o2 = (o for o in range(3) if o != v)
+    args = [None] * 3
+    args[o1], args[o2], args[v] = x, y, sa * x + sb * y
+    composed = poly.compose(args)
+    out = []
+    for k in range(poly.total_degree + 1):
+        part = {(e[2], e[3]): c for e, c in composed.terms.items() if e[1] == k}
+        out.append(MultiPoly(base, 2, part).map_coefficients(ring, ring.from_base).eval((a, b)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, F, RESIDUE], ids=["QQ", "GF(p)", "GF(p)[u]/(h)"]
+)
+@pytest.mark.parametrize("v", [0, 1, 2])
+def test_line_restriction_matches_compose_and_eval(ring, v):
+    rng = random.Random(41 + v)
+    base = QQ if ring is QQ else F
+    for d in (1, 3, 5):
+        for _ in range(4):
+            terms = {
+                (i, j, d - i - j): rand_scalar(rng, base)
+                for i in range(d + 1)
+                for j in range(d + 1 - i)
+                if rng.random() < 0.7
+            }
+            poly = MultiPoly(base, 3, terms)
+            if poly.is_zero():
+                continue
+            a, b = rand_element(rng, ring), rand_element(rng, ring)
+            restrict = line_restriction(poly.terms, v)
+            got = [ring.reduce(c) for c in restrict(powers(ring, a, d), powers(ring, b, d))]
+            assert got == _restriction_by_compose(poly, v, ring, a, b), (d, v)
 
 
 def test_interpolate_examples():

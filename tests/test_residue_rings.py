@@ -1,6 +1,7 @@
 """Dynamic evaluation in GF(p)[u]/(h): the gcd and the flex probe at every root of h."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,9 +19,9 @@ from quintic_moduli.plane_curves import (
     hessian,
     random_invertible_frame,
 )
-from quintic_moduli.polys import UniPoly
+from quintic_moduli.polys import MultiPoly, UniPoly
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
-from quintic_moduli.scalars import GF
+from quintic_moduli.scalars import GF, QQ
 
 F = GF(10007)
 
@@ -153,3 +154,28 @@ def test_probe_flexes_adds_over_a_split_modulus():
     assert whole == tuple(map(sum, zip(*halves)))
     report = genericity_report(curve, F.p, seed=0)
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
+
+
+def _contact_four_hyperflex(seed: int) -> PlaneCurve:
+    """x^4 (x - 2z) + y G(x, y, z), G a seeded random quartic: the tangent
+    y = 0 at (0 : 0 : 1) meets the curve there with contact order 4."""
+    rng = random.Random(seed)
+    terms = {(5, 0, 0): Fraction(1), (4, 0, 1): Fraction(-2)}
+    for i in range(5):
+        for k in range(5 - i):
+            c = rng.randint(-9, 9)
+            if c:
+                terms[(i, 5 - i - k, k)] = Fraction(c)  # y * x^i y^(4-i-k) z^k
+    return PlaneCurve(MultiPoly(QQ, 3, terms))
+
+
+@pytest.mark.parametrize("prime", [3001, 10007])
+def test_a_contact_four_hyperflex_fails_the_probe_on_its_value(prime):
+    # the hyperflex counts twice in the degree-45 flex cycle, so 44 distinct
+    # flexes; at it the quotient after three root divisions vanishes at the
+    # point itself (value not a unit), so 43 are verified
+    for seed in range(3):
+        report = genericity_report(_contact_four_hyperflex(0), prime, seed=seed)
+        assert report.smooth and report.flex_cycle_ok
+        assert (report.distinct_flex_count, report.flexes_verified) == (44, 43)
+        assert not report.generic
