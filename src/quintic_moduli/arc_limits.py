@@ -25,12 +25,13 @@ the degenerate two-double-point locus is 4 alpha0^3 = 27 beta0^2.
 The symbolic path implements this table directly.  The numeric oracle
 never looks at the table: it evaluates the family exactly at small
 rational t > 0 (the restriction table of the normal form, built once, at
-the homogeneous power tables of alpha(t) and beta(t)), isolates the five complex roots by fixed-point
-Durand-Kerner iteration on a precision ladder (stages at 2 x 64, 2 x 128
-and 2 x 256 bits, then the full solve at 2 x the working precision, with a
-cold solve at 4 x as its fallback), renormalises the configuration into a
-spread-out chart, merges the one genuinely colliding pair, takes the
-cross-ratio j, and extrapolates t -> 0 from a geometric schedule.
+the homogeneous power tables of alpha(t) and beta(t)), isolates the five
+complex roots by fixed-point Durand-Kerner iteration on a precision ladder
+(stages at 2 x 64, 2 x 128 and 2 x 256 bits, then the full solve at 2 x
+the working precision, with a cold solve at 4 x as its fallback),
+renormalises the configuration into a spread-out chart, merges the one
+genuinely colliding pair, takes the cross-ratio j, and extrapolates
+t -> 0 from a geometric schedule.
 Agreement of the two paths is the module's main test surface.
 
 The numeric oracle has one number type: an int, or a complex pair of

@@ -17,10 +17,11 @@ they take the classical closed forms
     I8  = (l m n)^2 (mn + nl + lm)
     I12 = (l m n)^4.
 
-The pinning constants are solved, exactly and once per process, from the
-symbolic family (never hand-entered); the solved identities are rechecked
-coefficient-by-coefficient.  I18 never enters any degree computation and
-keeps the raw chain scale.
+Each pinning constant is one exact ratio, solved once per process on the
+symbolic family (never hand-entered): s = t / J at one monomial of the
+closed form t, with s*J = t then rechecked coefficient by coefficient.  On
+this chain they come out as (s4, s8, s12) = (-1/2, 1/8, 1/96).  I18 never
+enters any degree computation and keeps the raw chain scale.
 
 In this normalisation the locus of quintics with a repeated root is cut
 out by I4^2 - 128*I8, and a quintic is unstable (some root of multiplicity
@@ -38,7 +39,6 @@ from typing import Union
 
 from .binary_forms import BinaryForm, BinaryQuintic, transvectant
 from .elimination import gcd_uni
-from .linalg import solve
 from .polys import PolynomialRing
 from .scalars import QQ, Field, Ring
 
@@ -167,55 +167,41 @@ def family_closed_forms(ring: PolynomialRing):
     return t4, t8, t12
 
 
-def _match_on_family(columns, target):
-    """Exact coefficients x with sum x_j * columns[j] == target, verified."""
-    monomials = set(target.terms)
-    for col in columns:
-        monomials |= set(col.terms)
-    monomials = sorted(monomials)
-    rows = [[col.terms.get(e, Fraction(0)) for col in columns] for e in monomials]
-    rhs = [target.terms.get(e, Fraction(0)) for e in monomials]
-    sol = solve(rows, rhs)
-    check = columns[0].scale(sol[0])
-    for x, col in zip(sol[1:], columns[1:]):
-        check = check + col.scale(x)
-    if check != target:
+def _scale_factor(chain_value, closed_form) -> Fraction:
+    """The Fraction s with s * chain_value == closed_form, verified term by term."""
+    e = min(closed_form.terms)
+    # a chain value missing the monomial raises ZeroDivisionError, an ArithmeticError
+    s = closed_form.terms[e] / chain_value.terms.get(e, 0)
+    if chain_value.scale(s) != closed_form:
         raise ArithmeticError("invariant normalisation did not reproduce the closed forms")
-    return sol
+    return s
 
 
-_NORMALISATION: dict | None = None
+_NORMALISATION: tuple[Fraction, Fraction, Fraction] | None = None
 
 
-def _normalisation() -> dict:
-    """Scale factors pinning (I4, I8, I12) to the family closed forms.
+def _normalisation() -> tuple[Fraction, Fraction, Fraction]:
+    """Scale factors (s4, s8, s12) with s*J equal to the family closed forms.
 
-    Solved once per process by exact linear algebra on the symbolic family;
-    a failure here means the covariant chain is broken.
+    Solved once per process as exact ratios on the symbolic family; a
+    failure here means the covariant chain is broken.
     """
     global _NORMALISATION
-    if _NORMALISATION is not None:
-        return _NORMALISATION
-    ring = PolynomialRing(QQ, 3)
-    A4, A8, A12 = _chain(family_quintic(ring))[2]
-    t4, t8, t12 = family_closed_forms(ring)
-    (s4,) = _match_on_family([A4], t4)
-    u8, v8 = _match_on_family([A8, t4 * t4], t8)
-    u12, v12, w12 = _match_on_family([A12, t4 * t4 * t4, t4 * t8], t12)
-    _NORMALISATION = {"s4": s4, "u8": u8, "v8": v8, "u12": u12, "v12": v12, "w12": w12}
+    if _NORMALISATION is None:
+        ring = PolynomialRing(QQ, 3)
+        chain = _chain(family_quintic(ring))[2]
+        _NORMALISATION = tuple(map(_scale_factor, chain, family_closed_forms(ring)))
     return _NORMALISATION
 
 
 def _normalise(R: Ring, J4, J8, J12):
     """(I4, I8, I12) from the chain values, by the pinned scale factors."""
-    norm = _normalisation()
-    s4, u8, v8, u12, v12, w12 = (
-        R.from_fraction(norm[k]) for k in ("s4", "u8", "v8", "u12", "v12", "w12")
+    s4, s8, s12 = _normalisation()
+    return (
+        R.reduce(R.from_fraction(s4) * J4),
+        R.reduce(R.from_fraction(s8) * J8),
+        R.reduce(R.from_fraction(s12) * J12),
     )
-    i4 = R.reduce(s4 * J4)
-    i8 = R.reduce(u8 * J8 + v8 * i4 * i4)
-    i12 = R.reduce(u12 * J12 + v12 * i4 * i4 * i4 + w12 * i4 * i8)
-    return i4, i8, i12
 
 
 def invariants(f: BinaryQuintic) -> InvariantVector:

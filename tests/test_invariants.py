@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from math import comb
@@ -20,6 +21,10 @@ from quintic_moduli.invariants import (
 from quintic_moduli.scalars import GF, QQ
 
 from conftest import j_from_cross_ratio, relation_value
+
+# the package binds the name ``invariants`` to the function, so the module
+# itself is looked up by its dotted name
+invariants_module = importlib.import_module("quintic_moduli.invariants")
 
 #: Discriminant proportionality constant, derived once from a fixed sample
 #: quintic (see test_discriminant_proportionality_constant) and frozen here.
@@ -74,6 +79,24 @@ def test_pinned_sample_values():
     assert discriminant_invariant(iv) == -375
     iv2 = invariants(BinaryQuintic.from_ints(QQ, [1, 0, 0, 0, 0, 1]))
     assert (iv2.i4, iv2.i8, iv2.i12) == (1, 0, 0)
+
+
+def test_normalisation_is_three_scale_factors():
+    s4, s8, s12 = invariants_module._normalisation()
+    assert (s4, s8, s12) == (Fraction(-1, 2), Fraction(1, 8), Fraction(1, 96))
+
+
+def test_normalisation_rejects_a_chain_off_the_closed_forms(monkeypatch):
+    chain = invariants_module._chain
+
+    def skewed(f):
+        i, j, (J4, J8, J12) = chain(f)
+        return i, j, (J4, J8 + J4 * J4, J12)  # J8 no longer a multiple of I8
+
+    monkeypatch.setattr(invariants_module, "_chain", skewed)
+    monkeypatch.setattr(invariants_module, "_NORMALISATION", None)  # restored on teardown
+    with pytest.raises(ArithmeticError):
+        invariants_module._normalisation()
 
 
 def test_nullforms_have_vanishing_invariants():

@@ -20,7 +20,7 @@ from quintic_moduli.plane_curves import (
     random_invertible_frame,
 )
 from quintic_moduli.polys import MultiPoly, UniPoly
-from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
+from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
 from quintic_moduli.scalars import GF, QQ
 
 F = GF(10007)
@@ -61,18 +61,54 @@ def _random_uni(rng, field, degree):
     return UniPoly(field, coeffs + [1 + rng.randrange(field.p - 1)])
 
 
-@pytest.mark.parametrize("p", [2503, 10007])
+def _from_roots(field, roots) -> UniPoly:
+    """The monic polynomial prod (u - r) over the given roots."""
+    h = UniPoly.constant(field, field.one)
+    for r in roots:
+        h = h * UniPoly(field, [field.reduce(-r), field.one])
+    return h
+
+
+def _value(poly: UniPoly, r: int) -> int:
+    """poly(r) over GF(p), by Horner on ints."""
+    p, acc = poly.field.p, 0
+    for c in reversed(poly.coeffs):
+        acc = (acc * r + c) % p
+    return acc
+
+
+def _assert_remainders(ring, roots, xs):
+    """reduce(x) has degree below deg h and agrees with x at every root of h:
+    the remainder mod h, by its definition when h has distinct roots."""
+    for x in xs:
+        r = ring.reduce(x)
+        assert r.field is ring.base and r.degree < ring.degree, x.degree
+        assert [_value(r, u) for u in roots] == [_value(x, u) for u in roots], x.degree
+
+
+# at 2**31 - 1 the packing guard of UniPoly.divmod fails, so its loop path runs
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 2, 5, 45, 60])
 def test_reduce_matches_the_divmod_remainder(p, n):
     field = GF(p)
     rng = random.Random(p * n)
-    h = _random_uni(rng, field, n)
+    roots = rng.sample(range(p), n)
+    ring = ResidueRing(_from_roots(field, roots))
     xs = [_random_uni(rng, field, m) for m in range(3 * n + 1)] + [UniPoly.zero(field)]
-    # degrees up to 3n pass the 2n - 2 of a product, so the cached series of
-    # 1/rev(h) is extended while it runs; a fresh ring takes them top down
-    for ring, order in ((ResidueRing(h), xs), (ResidueRing(h), xs[::-1])):
-        for x in order:
-            assert ring.reduce(x) == x % h, (p, n, x.degree)
+    _assert_remainders(ring, roots, xs)
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1])
+def test_reduce_modulo_the_moduli_left_by_split_modulus(p):
+    field = GF(p)
+    rng = random.Random(p)
+    roots = rng.sample(range(p), 5)
+    ring = ResidueRing(_from_roots(field, roots))
+    h1, h2 = split_modulus(ring, _from_roots(field, roots[:1]).scale(field.from_int(3)))
+    assert (h1.degree, h2.degree) == (1, 4)
+    xs = [_random_uni(rng, field, m) for m in range(13)] + [UniPoly.zero(field)]
+    _assert_remainders(ResidueRing(h1), roots[:1], xs)
+    _assert_remainders(ResidueRing(h2), roots[1:], xs)
 
 
 @pytest.mark.parametrize("p", [2503, 10007])
@@ -101,9 +137,7 @@ def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
     agreed = split = 0
     for _ in range(400):
         roots = rng.sample(range(F.p), rng.randrange(2, 6))
-        h = UniPoly.constant(F, F.one)
-        for r in roots:
-            h = h * UniPoly(F, [F.reduce(-r), F.one])
+        h = _from_roots(F, roots)
         ring = ResidueRing(h)
         common = _random_poly(rng, ring, roots, rng.randrange(0, 3))
         a = _random_poly(rng, ring, roots, rng.randrange(0, 4)) * common
