@@ -50,9 +50,6 @@ _EXPORTS = {
         "r_independence_check",
     ),
     "intersection_ledger": (
-        "DivisorClass",
-        "Ledger",
-        "build_ledger",
         "combinatorial_degree",
         "degree_via_ledger",
         "derivation_table",

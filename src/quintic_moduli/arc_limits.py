@@ -71,7 +71,7 @@ class ArcSpec:
     ``truncation=None`` declares the coefficient lists exact (polynomial
     arcs); a finite truncation means "known below this order only" and must
     exceed max(3n, 2m) so the limit classification is decidable.  An
-    all-zero list with finite truncation is rejected as undecidable.
+    empty or all-zero list with finite truncation is rejected as undecidable.
     """
 
     __slots__ = ("alpha", "beta", "truncation")
@@ -86,11 +86,10 @@ class ArcSpec:
                 raise ValueError("more coefficients supplied than the declared truncation")
             la, lb = _lead(alpha), _lead(beta)
             if la is None or lb is None:
-                if (la is None and alpha) or (lb is None and beta) or not (alpha and beta):
-                    raise ValueError(
-                        "truncation insufficient: a series vanishes to its declared "
-                        "order; pass truncation=None for exactly-zero series"
-                    )
+                raise ValueError(
+                    "truncation insufficient: a series vanishes to its declared "
+                    "order; pass truncation=None for exactly-zero series"
+                )
             needed = max(3 * la[0], 2 * lb[0])
             if truncation <= needed:
                 raise ValueError(

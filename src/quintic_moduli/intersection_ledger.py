@@ -2,16 +2,23 @@
 
 For a general quintic, the line-to-moduli map is undefined exactly at the
 45 cusps of the degree-20 dual curve (the inflectional lines).  Blowing
-each cusp up three times yields a surface on which the map is a morphism;
-this module encodes the resulting intersection pairing on the basis
+each cusp up three times yields a surface on which the map is a morphism.
+Its intersection pairing lives on Dtilde and the exceptional curves
+E1^(i), E2^(i), E3^(i) of each cusp i = 1..45, but the module never
+builds that 136-dimensional basis: every cusp carries the same 4x4 block
+``LOCAL_PAIRING`` on (Dtilde, E1, E2, E3), and divisors over different
+cusps are disjoint.  A class that has the same coefficients over every
+cusp, such as the discriminant pullback, is therefore the 4-vector
 
-    Dtilde, E1^(i), E2^(i), E3^(i)   (i = 1..45)
+    (d, a, b, c)  =  d Dtilde + sum over the cusps of (a E1 + b E2 + c E3),
 
-and extracts the mapping degree from it:
+and its square is d^2 Dtilde^2 plus 45 times the rest of the block's
+quadratic form -- exactly the full pairing, not an approximation.  From
+the block:
 
   * Dtilde^2 = 130 (= 20^2 minus the drop 2^2 + 1^2 + 1^2 per cusp),
   * per cusp E1^2 = -3, E2^2 = -2, E3^2 = -1, and E3 meets E1, E2 and
-    Dtilde transversally; every other basis pairing vanishes,
+    Dtilde transversally; every other pairing vanishes,
   * the discriminant curve in the weighted plane WP(1, 2, 3) is a degree-2
     section, so it has self-intersection 4/6 = 2/3 (cross-checked against
     the boundary of the moduli space of 5-pointed rational curves),
@@ -25,10 +32,8 @@ the same 420.  Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .linalg import solve
 
@@ -42,7 +47,8 @@ N_CUSPS = 45
 
 #: Intersection numbers on (Dtilde, E1, E2, E3) of one cusp: E3 meets E1, E2
 #: and Dtilde transversally, E1.E2 = 0.  Every cusp has this block; divisors
-#: over different cusps are disjoint.  Dtilde^2 is global (see build_ledger).
+#: over different cusps are disjoint.  Dtilde^2 is global (see
+#: solve_pullback_multiplicities for its bookkeeping).
 LOCAL_PAIRING = (
     (Fraction(130), Fraction(0), Fraction(0), Fraction(1)),
     (Fraction(0), Fraction(-3), Fraction(0), Fraction(1)),
@@ -56,81 +62,22 @@ WPS_WEIGHTS = (1, 2, 3)
 DISCRIMINANT_DEGREE = 2
 
 
-class Ledger:
-    """Symmetric intersection pairing on the blow-up basis.
+def self_intersection(per_cusp: tuple[Fraction, ...]) -> Fraction:
+    """Square of d Dtilde + sum over the cusps of (a E1 + b E2 + c E3).
 
-    Basis order: index 0 is Dtilde, then (E1, E2, E3) per cusp, for the
-    ``N_CUSPS`` cusps.  Every number is read from ``LOCAL_PAIRING``.
+    ``per_cusp`` is the 4-vector (d, a, b, c).  Dtilde^2 is counted once;
+    the rest of the block's quadratic form once per cusp.
     """
-
-    n_cusps = N_CUSPS
-    dim = 1 + 3 * N_CUSPS
-
-    def pairing(self, a: int, b: int) -> Fraction:
-        """Intersection number of two basis classes."""
-        if not (0 <= a < self.dim and 0 <= b < self.dim):
-            raise IndexError("basis index out of range")
-        if a and b and (a - 1) // 3 != (b - 1) // 3:
-            return Fraction(0)  # divisors over different cusps are disjoint
-        return LOCAL_PAIRING[(a - 1) % 3 + 1 if a else 0][(b - 1) % 3 + 1 if b else 0]
+    v = tuple(Fraction(x) for x in per_cusp)
+    if len(v) != 4:
+        raise ValueError("per-cusp class must be (d, a, b, c)")
+    local = sum(
+        LOCAL_PAIRING[k][l] * v[k] * v[l] for k in range(4) for l in range(4) if k or l
+    )
+    return LOCAL_PAIRING[0][0] * v[0] * v[0] + N_CUSPS * local
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Formal rational combination of the ledger basis classes."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def from_parts(
-        cls, ledger: Ledger, dtilde: Fraction, per_cusp: Sequence[Fraction]
-    ) -> "DivisorClass":
-        """Class dtilde*Dtilde + sum over cusps of (a E1 + b E2 + c E3)."""
-        if len(per_cusp) != 3:
-            raise ValueError("per-cusp part must be (a, b, c)")
-        coeffs = [Fraction(dtilde)]
-        for _ in range(ledger.n_cusps):
-            coeffs.extend(Fraction(x) for x in per_cusp)
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def zero(cls, ledger: Ledger) -> "DivisorClass":
-        return cls((Fraction(0),) * ledger.dim)
-
-
-def build_ledger() -> Ledger:
-    """Ledger for the triple blow-up at the 45 cusps of the dual curve.
-
-    The stored Dtilde^2 = 130 is recomputed from the independent
-    bookkeeping 20^2 - 45*(2^2 + 1^2 + 1^2): the dual curve has degree 20
-    and passes through each cusp with multiplicity 2, then once through
-    each of the next two infinitely-near points.
-    """
-    drop = sum(m * m for m in (2, 1, 1))
-    if Fraction(20 * 20 - N_CUSPS * drop) != LOCAL_PAIRING[0][0]:
-        raise ArithmeticError("blow-up bookkeeping for Dtilde^2 failed")
-    return Ledger()
-
-
-def self_intersection(cls: DivisorClass, ledger: Ledger) -> Fraction:
-    """Exact value of the intersection quadratic form."""
-    v = cls.coefficients
-    if len(v) != ledger.dim:
-        raise ValueError("class does not match ledger basis")
-    total = LOCAL_PAIRING[0][0] * v[0] * v[0]
-    for i in range(ledger.n_cusps):
-        # the cusp's block on (Dtilde, E1, E2, E3) without the global Dtilde^2
-        local = (v[0], *v[1 + 3 * i : 4 + 3 * i])
-        total += sum(
-            LOCAL_PAIRING[k][l] * local[k] * local[l]
-            for k in range(4)
-            for l in range(4)
-            if k or l
-        )
-    return total
-
-
-def solve_pullback_multiplicities(ledger: Ledger) -> tuple[Fraction, Fraction, Fraction]:
+def solve_pullback_multiplicities() -> tuple[Fraction, Fraction, Fraction]:
     """Multiplicities (a, b, c) of (E1, E2, E3) in the discriminant pullback.
 
     The pullback class is Dtilde + a E1 + b E2 + c E3 per cusp (coefficient
@@ -138,28 +85,27 @@ def solve_pullback_multiplicities(ledger: Ledger) -> tuple[Fraction, Fraction, F
     Pushing forward against each contracted E-divisor kills its pairing, and
     E3 maps isomorphically onto the discriminant, whose self-intersection is
     ``wps_section_self_intersection()``; this yields one linear equation per
-    exceptional divisor.
+    exceptional divisor, read from rows 1-3 of ``LOCAL_PAIRING``.
+
+    The stored Dtilde^2 = 130 is first recomputed from the independent
+    bookkeeping 20^2 - 45*(2^2 + 1^2 + 1^2): the dual curve has degree 20
+    and passes through each cusp with multiplicity 2, then once through
+    each of the next two infinitely-near points.
     """
-    rows, rhs = projection_equations(ledger)
+    drop = sum(m * m for m in (2, 1, 1))
+    if Fraction(20 * 20 - N_CUSPS * drop) != LOCAL_PAIRING[0][0]:
+        raise ArithmeticError("blow-up bookkeeping for Dtilde^2 failed")
+    delta_sq = wps_section_self_intersection()
+    rows = [list(LOCAL_PAIRING[k][1:]) for k in (1, 2, 3)]
+    rhs = [
+        (delta_sq if k == 3 else Fraction(0)) - STRICT_TRANSFORM_COEFFICIENT * LOCAL_PAIRING[k][0]
+        for k in (1, 2, 3)
+    ]
     try:
         a, b, c = solve(rows, rhs)
     except ValueError as exc:
         raise ArithmeticError(f"projection-formula system is singular: {exc}") from exc
     return a, b, c
-
-
-def projection_equations(ledger: Ledger) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """The three linear equations (rows, rhs) in the unknowns (a, b, c)."""
-    rows = []
-    rhs = []
-    delta_sq = wps_section_self_intersection()
-    # pair the unknown class with E1, E2, E3 of one cusp (index 1..3)
-    for k in range(1, 4):
-        rows.append([ledger.pairing(j, k) for j in (1, 2, 3)])
-        base = STRICT_TRANSFORM_COEFFICIENT * ledger.pairing(0, k)
-        target = delta_sq if k == 3 else Fraction(0)
-        rhs.append(target - base)
-    return rows, rhs
 
 
 def wps_section_self_intersection() -> Fraction:
@@ -204,17 +150,15 @@ def m05_cross_check() -> Fraction:
     return Fraction(4) * boundary_sq / Fraction(120)
 
 
-def _pullback() -> tuple[Ledger, tuple[Fraction, Fraction, Fraction], Fraction]:
-    """The ledger, the pullback multiplicities and the pullback's square."""
-    ledger = build_ledger()
-    a, b, c = solve_pullback_multiplicities(ledger)
-    pullback = DivisorClass.from_parts(ledger, STRICT_TRANSFORM_COEFFICIENT, (a, b, c))
-    return ledger, (a, b, c), self_intersection(pullback, ledger)
+def _pullback() -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
+    """The pullback multiplicities and the pullback's square."""
+    a, b, c = solve_pullback_multiplicities()
+    return (a, b, c), self_intersection((STRICT_TRANSFORM_COEFFICIENT, a, b, c))
 
 
 def degree_via_ledger() -> Fraction:
     """Mapping degree (pullback of discriminant)^2 / discriminant^2 = 420."""
-    return _pullback()[2] / wps_section_self_intersection()
+    return _pullback()[1] / wps_section_self_intersection()
 
 
 def combinatorial_degree(bitangents: int, flexes: int) -> int:
@@ -231,7 +175,7 @@ def combinatorial_degree(bitangents: int, flexes: int) -> int:
 
 def derivation_table() -> list[dict]:
     """The full exact derivation, one record per quantity."""
-    ledger, (a, b, c), pb_sq = _pullback()
+    (a, b, c), pb_sq = _pullback()
     delta_wp = wps_section_self_intersection()
     delta_m05 = m05_cross_check()
     degree = pb_sq / delta_wp
@@ -248,12 +192,12 @@ def derivation_table() -> list[dict]:
         },
         {
             "quantity": "dtilde_sq",
-            "value": ledger.pairing(0, 0),
+            "value": LOCAL_PAIRING[0][0],
             "note": "strict transform of the degree-20 dual curve after 45 triple blow-ups",
         },
         {
             "quantity": "exceptional_self_intersections",
-            "value": tuple(ledger.pairing(k, k) for k in (1, 2, 3)),
+            "value": tuple(LOCAL_PAIRING[k][k] for k in (1, 2, 3)),
             "note": "(E1^2, E2^2, E3^2) per cusp",
         },
         {

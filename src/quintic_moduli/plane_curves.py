@@ -454,54 +454,40 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
     for attempt in range(1, MAX_FRAMES + 1):
         frame = random_invertible_frame(field, rng)
         framed = reduced.composed_with_frame(frame)
+        distinct = verified = 0
         try:
             smooth = _smooth_in_frame(framed)
-            if not smooth:
+            if smooth:
+                hess = hessian(framed)
+                flex_res = resultant_bivar_elim(
+                    _dehom_y(framed.poly, field), _dehom_y(hess.poly, field), 1
+                )
+                if flex_res.degree != flex_total:
+                    raise _FrameRetry(
+                        f"flex eliminant degree {flex_res.degree} < {flex_total}; reframe"
+                    )
+                parts = squarefree_decomposition(flex_res)
+                distinct = sum(part.degree for part, _ in parts)
+                verified = sum(_probe_flexes(framed.poly, hess.poly, part)[0] for part, _ in parts)
+            else:
                 # flex analysis presumes a smooth curve (the node would sit
                 # inside the curve-hessian cycle and wreck the bookkeeping)
                 notes.append("curve is singular; flex analysis skipped")
-                return GenericityReport(
-                    prime=prime,
-                    seed=seed,
-                    smooth=False,
-                    flex_cycle_ok=False,
-                    distinct_flex_count=0,
-                    flexes_verified=0,
-                    flex_total=flex_total,
-                    frames_tried=attempt,
-                    notes=notes,
-                )
-            hess = hessian(framed)
-            flex_res = resultant_bivar_elim(
-                _dehom_y(framed.poly, field), _dehom_y(hess.poly, field), 1
-            )
-            cycle_ok = flex_res.degree == flex_total
-            if not cycle_ok:
-                raise _FrameRetry(
-                    f"flex eliminant degree {flex_res.degree} < {flex_total}; reframe"
-                )
-            parts = squarefree_decomposition(flex_res)
-            distinct = sum(part.degree for part, _ in parts)
-            verified = 0
-            failed = 0
-            for part, _ in parts:
-                v, f = _probe_flexes(framed.poly, hess.poly, part)
-                verified += v
-                failed += f
-            return GenericityReport(
-                prime=prime,
-                seed=seed,
-                smooth=smooth,
-                flex_cycle_ok=cycle_ok,
-                distinct_flex_count=distinct,
-                flexes_verified=verified,
-                flex_total=flex_total,
-                frames_tried=attempt,
-                notes=notes,
-            )
         except _FrameRetry as exc:
             notes.append(f"frame {attempt}: {exc}")
             continue
+        # a smooth curve only gets here once its flex eliminant has degree 45
+        return GenericityReport(
+            prime=prime,
+            seed=seed,
+            smooth=smooth,
+            flex_cycle_ok=smooth,
+            distinct_flex_count=distinct,
+            flexes_verified=verified,
+            flex_total=flex_total,
+            frames_tried=attempt,
+            notes=notes,
+        )
     raise RuntimeError(
         f"no usable frame in {MAX_FRAMES} attempts: " + "; ".join(notes)
     )

@@ -102,6 +102,8 @@ def test_truncation_invariants():
         ArcSpec([0, 1], [0, 1], truncation=3)  # needs more than max(3n, 2m)
     with pytest.raises(ValueError):
         ArcSpec([0, 0, 0, 0], [0, 1], truncation=6)  # alpha vanishes to order
+    with pytest.raises(ValueError, match="vanishes to its declared order"):
+        ArcSpec([0, 1], [], truncation=6)  # beta exactly empty, yet truncated
     with pytest.raises(ValueError):
         ArcSpec([0, 1, 2, 3], [0, 1], truncation=2)  # more terms than declared
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
+import importlib
 import json
+import re
 
 import pytest
 
 from quintic_moduli.cli import main
 
-from conftest import CURVES_DIR
+from conftest import CURVES_DIR, REPO_ROOT
 
 GENERIC = str(CURVES_DIR / "generic.json")
 FERMAT = str(CURVES_DIR / "fermat.json")
@@ -22,6 +24,18 @@ def records(out):
 
 def by_kind(out, kind):
     return [r for r in records(out) if r["record"] == kind]
+
+
+def test_console_script_targets_cli_main():
+    # a regex, not tomllib: Python 3.10 has no TOML reader in the standard library
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section, "pyproject.toml declares no [project.scripts]"
+    target = re.search(r'^quintic-moduli\s*=\s*"([\w.]+):(\w+)"\s*$', section.group(1), re.M)
+    assert target, "no quintic-moduli console script"
+    module, attr = target.groups()
+    assert (module, attr) == ("quintic_moduli.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_plucker(capsys):
@@ -275,6 +289,7 @@ QUINTIC = ["--quintic", "1,0,0,0,0,1"]
         ["restrict", "--curve", GENERIC, "--a", "1", "--b", "2", "--prime", "0"],
         ["plucker", "--d", "3"],
         ["arc-limit", "--alpha", "0,1", "--beta", "0,1", "--truncation", "0"],
+        ["arc-limit", "--alpha", "0,1", "--truncation", "6"],
         ["invariants", *QUINTIC, "--prime", "7"],
         ["moduli", *QUINTIC, "--prime", "10006"],
         ["genericity", "--curve", GENERIC, "--prime", "4"],

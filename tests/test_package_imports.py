@@ -21,13 +21,13 @@ from conftest import REPO_ROOT
 #: The public names of the package when every submodule was imported eagerly.
 PUBLIC_NAMES = frozenset(
     """
-    ArcSpec BinaryForm BinaryQuintic ConfigClass DivisorClass FiberCountError
+    ArcSpec BinaryForm BinaryQuintic ConfigClass FiberCountError
     FiberReport Field FlexNormalForm GF GWSymbol GenericityReport InvariantVector
-    Ledger LineChart LineInCurveError MultiPoly NumericLimit OneDouble PlaneCurve
+    LineChart LineInCurveError MultiPoly NumericLimit OneDouble PlaneCurve
     PluckerCounts PolynomialRing PrimeField ProjectivePair QQ RationalField
     RationalInR TwoDoubles UniPoly UnstableQuinticError WPPoint
     arc_limit arc_limit_numeric arc_limits base_values
-    binary_forms build_fiber_system build_ledger chain_trace combinatorial_degree
+    binary_forms build_fiber_system chain_trace combinatorial_degree
     count_fiber degree_via_ledger derivation_table discriminant_invariant
     elimination evaluate_chain exceptional_coordinate fermat_degree_factorization
     fiber_counting find_fundamental_relation gcd_uni
@@ -65,7 +65,7 @@ def test_public_names_match_the_eager_package():
         print(json.dumps(quintic_moduli.__all__))
         """
     )
-    assert len(names) == len(PUBLIC_NAMES) == 78
+    assert len(names) == len(PUBLIC_NAMES) == 75
     assert set(names) == PUBLIC_NAMES
 
 
