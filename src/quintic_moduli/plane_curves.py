@@ -4,16 +4,23 @@ A plane curve is a homogeneous ternary form; lines are presented by charts
 (an invertible coordinate frame plus slopes (a, b) selecting z' = a x' + b y'
 in framed coordinates).  Restricting the curve to a chart yields a binary
 quintic, whose moduli point is the value of the line-to-moduli map.  Every
-restriction to a line here, the chart's, the line y' = 0 of the smoothness
-check and the tangent line at each flex, is ``polys.line_restriction``:
-substitute x_v = a x_o1 + b x_o2 and read off the binary form in (x_o1, x_o2).
+restriction to a line here, the chart's and the tangent line at each flex,
+is ``polys.line_restriction``: substitute x_v = a x_o1 + b x_o2 and read off
+the binary form in (x_o1, x_o2).
 
 ``genericity_report`` decides, exactly over GF(p), the three conditions the
 degree-420 count rests on: the curve is smooth, it has 45 distinct
 inflection points, and at each of them the tangent meets the curve with
-contact order exactly 3 and is tangent nowhere else.  All flexes are
-handled at once by computing in GF(p)[u] modulo the squarefree flex
-polynomial (splitting it only when a zero divisor forces a case split), so
+contact order exactly 3 and is tangent nowhere else.  Each random frame
+computes one eliminant, R = Res_z(F, H) of the curve and its Hessian.  A
+singular point lies on H with multiplicity at least 2 (a node absorbs 6 of
+the 3d(d - 2) = 45 intersections, a cusp 8), so once R has its full degree
+45 (every intersection affine in the frame) the curve is smooth exactly
+when no repeated factor of R carries a common zero of the partials.  H = 0
+(a cone) and R = 0 (F and H share a component, for p > 5 a line or a
+multiple component) are singular outright.  All flexes of a smooth curve
+are then handled at once by computing in GF(p)[u] modulo each squarefree
+part of R (splitting it only when a zero divisor forces a case split), so
 conjugate flexes over extension fields are verified together.
 """
 
@@ -188,9 +195,12 @@ def hessian(curve: PlaneCurve) -> PlaneCurve:
     """Determinant of the matrix of second partials; degree 3(d - 2)."""
     if curve.degree < 3:
         raise ValueError("hessian of a curve of degree < 3 is not used here")
-    p = curve.poly
-    h = [[p.derivative(r).derivative(c) for c in range(3)] for r in range(3)]
-    return PlaneCurve(_det3(h))
+    return PlaneCurve(_hessian_form(curve.poly))
+
+
+def _hessian_form(p: MultiPoly) -> MultiPoly:
+    """The Hessian determinant as a form: zero for a cone, which no curve is."""
+    return _det3([[p.derivative(r).derivative(c) for c in range(3)] for r in range(3)])
 
 
 class PluckerCounts(NamedTuple):
@@ -326,21 +336,20 @@ def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
     return BinaryForm(ring, tuple(reversed(q))), rem
 
 
-def _probe_flexes(curve_poly: MultiPoly, hess_poly: MultiPoly, modulus: UniPoly):
+def _probe_flexes(curve_poly: MultiPoly, hess_poly: MultiPoly, modulus: UniPoly) -> int:
     """Contact-order check at every root of the flex modulus simultaneously.
 
-    Returns (verified_degree, failed_degree): conjugate flexes count with
-    the degree of their residue factor.  Splits the modulus on demand.
+    Returns the verified degree: conjugate flexes count with the degree of
+    their residue factor.  Splits the modulus on demand.
     """
+    ring = ResidueRing(modulus)
     try:
-        ring = ResidueRing(modulus)
-        ok = _probe_single(ring, curve_poly, hess_poly)
-        return (modulus.degree, 0) if ok else (0, modulus.degree)
+        return modulus.degree if _probe_single(ring, curve_poly, hess_poly) else 0
     except SplitNeeded as split:
-        h1, h2 = split_modulus(ResidueRing(modulus), split.factor)
-        v1, f1 = _probe_flexes(curve_poly, hess_poly, h1)
-        v2, f2 = _probe_flexes(curve_poly, hess_poly, h2)
-        return v1 + v2, f1 + f2
+        return sum(
+            _probe_flexes(curve_poly, hess_poly, part)
+            for part in split_modulus(ring, split.factor)
+        )
 
 
 def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly) -> bool:
@@ -374,63 +383,25 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
         if not ring.is_zero(rem):
             return False  # contact order below 3: not actually a flex fiber
     # current = Q0 s^2 + Q1 s t + Q2 t^2; exact contact 3 and a separable
-    # remaining pair keep the flex honest (no hyperflex, no flex-bitangent)
+    # remaining pair keep the flex honest (no hyperflex, no flex-bitangent);
+    # in a product of fields the product is a unit exactly when both are
     q0, q1, q2 = current.coeffs
     value = current.eval(s0, t0)
-    disc = ring.reduce(q1 * q1 - ring.from_int(4) * q0 * q2)
-    return ring.is_unit(value) and ring.is_unit(disc)
+    disc = q1 * q1 - ring.from_int(4) * q0 * q2
+    return ring.is_unit(ring.reduce(value * disc))
 
 
-def _certify_singular(ring: ResidueRing, partials_bivar) -> bool:
+def _certify_singular(partials_bivar, modulus: UniPoly) -> bool:
     """True iff the three partials share a zero above some root of the modulus."""
+    ring = ResidueRing(modulus)
     try:
         zx, zy, zz = (_zpoly_over(ring, p) for p in partials_bivar)
         return gcd_uni(gcd_uni(zx, zy), zz).degree >= 1
     except SplitNeeded as split:
-        h1, h2 = split_modulus(ring, split.factor)
-        return _certify_singular(ResidueRing(h1), partials_bivar) or _certify_singular(
-            ResidueRing(h2), partials_bivar
+        return any(
+            _certify_singular(partials_bivar, part)
+            for part in split_modulus(ring, split.factor)
         )
-
-
-def _smooth_in_frame(framed: PlaneCurve) -> bool:
-    """Exact smoothness decision; raises _FrameRetry on frame degeneracies."""
-    field = framed.field
-    px, py, pz = framed.partials()
-    # the line y' = 0 first: a common zero there is a certified singular point
-    # (y' = 0 x' + 0 z', at x' = 1 a polynomial in z')
-    zero = powers(field, field.zero, framed.degree - 1)
-    bx, by, bz = (
-        UniPoly(field, [field.reduce(c) for c in line_restriction(p.terms, 1)(zero, zero)])
-        for p in (px, py, pz)
-    )
-    if bx.is_zero() or by.is_zero() or bz.is_zero():
-        raise _FrameRetry("a partial vanishes on the infinity line; reframe")
-    if gcd_uni(gcd_uni(bx, by), bz).degree > 0:
-        return False
-    if all(
-        field.is_zero(p.terms.get((0, 0, framed.degree - 1), field.zero))
-        for p in (px, py, pz)
-    ):
-        return False  # gradient vanishes at (0 : 0 : 1)
-    # affine chart y' = 1: candidates from two eliminations, then exact checks
-    bivs = [_dehom_y(p, field) for p in (px, py, pz)]
-    for b in bivs[:2]:
-        if b.degree_in(1) < 1:
-            raise _FrameRetry("partial independent of z in this frame; reframe")
-    r1 = resultant_bivar_elim(bivs[0], bivs[1], 1)
-    if bivs[2].degree_in(1) < 1:
-        raise _FrameRetry("partial independent of z in this frame; reframe")
-    r2 = resultant_bivar_elim(bivs[0], bivs[2], 1)
-    if r1.is_zero() or r2.is_zero():
-        raise _FrameRetry("partials share a component in this frame; reframe")
-    g = gcd_uni(r1, r2)
-    if g.degree == 0:
-        return True
-    for part, _ in squarefree_decomposition(g):
-        if _certify_singular(ResidueRing(part), bivs):
-            return False
-    return True
 
 
 #: Random frames ``genericity_report`` tries before it gives up.
@@ -442,7 +413,8 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
 
     The curve must have degree 5 (rational curves are reduced mod p first).
     Random frames, drawn deterministically from the seed, are retried when
-    a frame happens to be degenerate for one of the eliminations.
+    an intersection of curve and Hessian lies on y' = 0 (the flex eliminant
+    loses degree) or two of them share a fiber.
     """
     if curve.degree != 5:
         raise ValueError("genericity checks are for quintics")
@@ -454,24 +426,29 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
     for attempt in range(1, MAX_FRAMES + 1):
         frame = random_invertible_frame(field, rng)
         framed = reduced.composed_with_frame(frame)
+        hess = _hessian_form(framed.poly)
+        # H = 0 for a cone and R = 0 when F and H share a component: singular
+        flex_res = UniPoly.zero(field) if hess.is_zero() else resultant_bivar_elim(
+            _dehom_y(framed.poly, field), _dehom_y(hess, field), 1
+        )
+        smooth = not flex_res.is_zero()
         distinct = verified = 0
         try:
-            smooth = _smooth_in_frame(framed)
             if smooth:
-                hess = hessian(framed)
-                flex_res = resultant_bivar_elim(
-                    _dehom_y(framed.poly, field), _dehom_y(hess.poly, field), 1
-                )
                 if flex_res.degree != flex_total:
                     raise _FrameRetry(
                         f"flex eliminant degree {flex_res.degree} < {flex_total}; reframe"
                     )
+                # a singular point meets H at least twice: a repeated root of R
                 parts = squarefree_decomposition(flex_res)
+                partials = [_dehom_y(p, field) for p in framed.partials()]
+                smooth = not any(
+                    _certify_singular(partials, part) for part, mult in parts if mult > 1
+                )
+            if smooth:
                 distinct = sum(part.degree for part, _ in parts)
-                verified = sum(_probe_flexes(framed.poly, hess.poly, part)[0] for part, _ in parts)
+                verified = sum(_probe_flexes(framed.poly, hess, part) for part, _ in parts)
             else:
-                # flex analysis presumes a smooth curve (the node would sit
-                # inside the curve-hessian cycle and wreck the bookkeeping)
                 notes.append("curve is singular; flex analysis skipped")
         except _FrameRetry as exc:
             notes.append(f"frame {attempt}: {exc}")

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from quintic_moduli import plane_curves
 from quintic_moduli.binary_forms import BinaryForm, BinaryQuintic
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
 from quintic_moduli.invariants import (
@@ -303,6 +304,88 @@ def test_genericity_flags_nodal_curve():
     assert not report.generic
 
 
+def _coefficient(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+
+
+def _form(rng: random.Random, degree: int) -> MultiPoly:
+    """Seeded ternary form of the given degree with every coefficient nonzero."""
+    terms = {
+        (i, j, degree - i - j): _coefficient(rng)
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+    }
+    return MultiPoly(QQ, 3, terms)
+
+
+def _singular_at_vertex(rng: random.Random, tangent_cone: dict, cubic_has_x3: bool):
+    """z^3 Q(x, y) + z^2 C + z D + E, the given Q and seeded C, D, E in (x, y):
+    the point (0 : 0 : 1) has multiplicity 2 and tangent cone Q."""
+    terms = dict(tangent_cone)
+    for degree in (3, 4, 5):
+        for i in range(degree + 1):
+            if degree == 3 and i == 3 and not cubic_has_x3:
+                continue
+            terms[(i, degree - i, 5 - degree)] = _coefficient(rng)
+    return MultiPoly(QQ, 3, terms)
+
+
+def _singular_quintic(kind: str) -> PlaneCurve:
+    rng = random.Random(kind)
+    one = Fraction(1)
+    if kind == "cusp":  # tangent cone y^2, x^3 z^2 present: y^2 = x^3 locally
+        return PlaneCurve(_singular_at_vertex(rng, {(0, 2, 3): one}, True))
+    if kind == "tacnode":  # tangent cone y^2, no x^3 z^2: y^2 = x^4 locally
+        return PlaneCurve(_singular_at_vertex(rng, {(0, 2, 3): one}, False))
+    if kind == "affine-node":  # node of tangent cone x y, moved to (1 : 2 : 1)
+        nodal = PlaneCurve(_singular_at_vertex(rng, {(1, 1, 3): one}, True))
+        zero = Fraction(0)
+        frame = ((one, zero, -one), (zero, one, -2 * one), (zero, zero, one))
+        return nodal.composed_with_frame(frame)
+    factors = {
+        "conic-cubic": (2, 3),
+        "line-quartic": (1, 4),
+        "five-lines": (1, 1, 1, 1, 1),
+    }
+    if kind in factors:
+        poly = MultiPoly(QQ, 3, {(0, 0, 0): one})
+        for degree in factors[kind]:
+            poly = poly * _form(rng, degree)
+        return PlaneCurve(poly)
+    if kind == "line-squared-cubic":  # non-reduced
+        line = _form(rng, 1)
+        return PlaneCurve(line * line * _form(rng, 3))
+    if kind == "concurrent-lines":  # a cone over (0 : 0 : 1): zero Hessian
+        poly = MultiPoly(QQ, 3, {(0, 0, 0): one})
+        for _ in range(5):
+            line = {(1, 0, 0): _coefficient(rng), (0, 1, 0): _coefficient(rng)}
+            poly = poly * MultiPoly(QQ, 3, line)
+        return PlaneCurve(poly)
+    raise ValueError(kind)
+
+
+SINGULAR_KINDS = (
+    "cusp",
+    "tacnode",
+    "affine-node",
+    "conic-cubic",
+    "line-quartic",
+    "line-squared-cubic",
+    "five-lines",
+    "concurrent-lines",
+)
+
+
+@pytest.mark.parametrize("prime", [3001, 10007])
+@pytest.mark.parametrize("kind", SINGULAR_KINDS)
+def test_genericity_flags_singular_curves(kind, prime):
+    report = genericity_report(_singular_quintic(kind), prime)
+    assert not report.smooth and not report.flex_cycle_ok and not report.generic
+    assert (report.distinct_flex_count, report.flexes_verified) == (0, 0)
+    assert report.frames_tried == 1
+    assert report.notes == ["curve is singular; flex analysis skipped"]
+
+
 def test_phi_rejects_inflectional_lines(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
     h = hessian(curve)
@@ -384,3 +467,22 @@ def test_pencil_through_random_point_has_no_unstable_lines(generic_quintic):
 
 def test_fermat_degree_factorization():
     assert fermat_degree_factorization() == 150
+
+
+def test_genericity_runs_one_elimination_per_frame(generic_quintic, monkeypatch):
+    # smoothness is read off the flex eliminant's repeated factors, so the
+    # flex eliminant is the only bivariate elimination a frame makes
+    calls = []
+
+    def counting(f, g, eliminated_var):
+        calls.append(eliminated_var)
+        return resultant_bivar_elim(f, g, eliminated_var)
+
+    monkeypatch.setattr(plane_curves, "resultant_bivar_elim", counting)
+    curves = [generic_quintic, fermat_quintic()]
+    curves += [_singular_quintic(kind) for kind in ("cusp", "conic-cubic", "five-lines")]
+    for curve in curves:
+        for seed in (1, 11):  # at seed 11 the first frame is degenerate for the cusp
+            calls.clear()
+            report = genericity_report(curve, 2503, seed=seed)
+            assert len(calls) == report.frames_tried

@@ -184,8 +184,7 @@ def test_probe_flexes_adds_over_a_split_modulus():
     assert h.degree == 45 and 0 < h1.degree < h.degree
     whole = _probe_flexes(curve_poly, hess_poly, h)
     halves = [_probe_flexes(curve_poly, hess_poly, part) for part in (h1, h2)]
-    assert whole == (44, 1)  # reachable only through a split of h
-    assert whole == tuple(map(sum, zip(*halves)))
+    assert whole == 44 == sum(halves)  # 44 reachable only through a split of h
     report = genericity_report(curve, F.p, seed=0)
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
 
