@@ -38,7 +38,6 @@ _EXPORTS = {
         "resultant_bivar_elim",
         "resultant_uni",
         "squarefree_decomposition",
-        "xgcd_uni",
     ),
     "fiber_counting": ("FiberCountError", "FiberReport", "build_fiber_system", "count_fiber"),
     "gw_recursion": (
@@ -80,7 +79,6 @@ _EXPORTS = {
         "PluckerCounts",
         "fermat_degree_factorization",
         "genericity_report",
-        "hessian",
         "load_curve",
         "plucker_counts",
         "restrict_to_line",

@@ -14,41 +14,73 @@ specialising one variable at enough sample points and interpolating,
 which is how the degree-600 eliminant of the fiber system stays
 tractable.  Each input's coefficients of x_keep**k are packed once
 (``polys._pack``), so a sample's slices are one sum of small-times-packed
-products, unpacked once; a prime too large for those slot sums takes the
-loop.  The gcds and Yun's decomposition divide with ``UniPoly.divmod``,
-packed over GF(p) in the same way.
+products.
+
+Over GF(p) the Euclidean remainder sequence runs on packed ints from its
+first division to its last (``_lazy_remainder``), for the sample
+resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree 600).  Slots
+are reduced lazily: each division reads its quotient terms off the top
+slot and adds (p - c) times the shifted divisor, and then one SWAR
+Barrett step (Barrett, CRYPTO '86) brings every slot of the remainder
+back to [0, 2p) at once: a - p * ((a * m >> s) & mask), m = floor(2**s /
+p), the mask keeping the low 64 - s bits of each slot.  Only the top slot
+is reduced to a canonical residue; it gives the next quotient terms, the
+degree test and the leading-coefficient powers.  A sample's slices enter
+after the same Barrett step, still packed.  The guard (``_lazy_constants``)
+bounds the quotient length so that no slot reaches 2**s and no slot times
+m reaches 2**64; a division past it, and a prime too large for any
+(above about 1.5 million, so 2**31 - 1 among them), take the loops on
+lists and ``UniPoly``.
 """
 
 from __future__ import annotations
 
-from .polys import MultiPoly, UniPoly, _pack, _unpack, interpolate
+import functools
+
+from .polys import _SLOT, MultiPoly, UniPoly, _pack, _unpack, interpolate
 from .scalars import PrimeField
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd; gcd(0, 0) is the zero polynomial."""
+    """Monic gcd; gcd(0, 0) is the zero polynomial.
+
+    Over GF(p) the remainder sequence runs packed (``_lazy_remainder``) as
+    far as its guard admits; the plain loop finishes whatever is left.
+    """
     if f.field is not g.field:
         raise ValueError("field mismatch in gcd")
+    F = f.field
+    if isinstance(F, PrimeField) and f.coeffs and g.coeffs and _lazy_constants(F.p)[2]:
+        f, g = _gcd_packed(f, g)
     while not g.is_zero():
         f, g = g, f % g
     return f.monic() if not f.is_zero() else f
 
 
-def xgcd_uni(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended gcd: returns monic d with s*f + t*g = d.
-
-    The Euclid loop carries s only (``_gcd_cofactor``); t is recovered at
-    the end by the exact division (d - s*f) / g.
-    """
-    d, s = _gcd_cofactor(f, g)
-    t = UniPoly.zero(f.field) if g.is_zero() else (d - s * f) // g
-    return d, s, t
+def _gcd_packed(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """The remainder sequence of two nonzero polynomials over GF(p), packed,
+    up to a zero remainder or the first division past the guard: returns
+    that division's (dividend, divisor)."""
+    F = f.field
+    p = F.p
+    s, m, limit = _lazy_constants(p)
+    a, na, b, nb = _pack(f.coeffs), len(f.coeffs), _pack(g.coeffs), len(g.coeffs)
+    mask = _barrett_mask(s, min(na, nb) - 1)
+    lb = g.coeffs[-1]
+    while nb and na - nb < limit:
+        r, nr, lr = _lazy_remainder(a, na, b, nb, lb, p, m, s, mask)
+        a, na, b, nb, lb = b, nb, r, nr, lr
+    return (
+        UniPoly(F, [c % p for c in _unpack(a, na)]),
+        UniPoly(F, [c % p for c in _unpack(b, nb)]),
+    )
 
 
 def _gcd_cofactor(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     """(d, s): the monic gcd d of f and g, and s with s*f = d mod g.
 
-    The Euclid loop of ``xgcd_uni``; ``ResidueRing.inv`` needs s alone.
+    The extended Euclid loop carrying s only; ``ResidueRing.inv`` needs s
+    alone.
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in xgcd")
@@ -90,11 +122,103 @@ def resultant_uni(f: UniPoly, g: UniPoly):
     return F.reduce(-acc if negate else acc)
 
 
-def _resultant_modp(a: list[int], b: list[int], p: int) -> int:
-    # raw-int version of the same remainder scheme; hot path of the
-    # fiber eliminant (thousands of calls per run)
+@functools.cache
+def _lazy_constants(p: int) -> tuple[int, int, int]:
+    """(s, m, limit) of the lazily reduced packed remainder over GF(p).
+
+    m = floor(2**s / p) is the Barrett multiplier, and limit the longest
+    quotient (in terms) a packed division may take.  A division starts
+    from slots below 2p and adds at most ``limit`` products (p - c) * b_j
+    below (p - 1)(2p - 1) to each slot, so every slot x stays below 2**s
+    and x * m below 2**64, the two bounds the SWAR Barrett step needs.  s is
+    chosen to make limit largest; limit 0 (every p above 1482910) means no
+    packed division.  Keyed by the prime, so one entry per prime.
+    """
+    span = (p - 1) * (2 * p - 1)
+    best = (0, 0, 0)
+    for s in range(p.bit_length() + 1, 64):
+        m = (1 << s) // p
+        top = min((1 << s) - 1, ((1 << 64) - 1) // m)
+        limit = max(0, (top - (2 * p - 1)) // span)
+        if limit > best[2]:
+            best = (s, m, limit)
+    return best
+
+
+def _barrett_mask(s: int, length: int) -> int:
+    """``length`` slots of 64 - s one bits: the per-slot quotients of x * m >> s."""
+    return ((1 << 64 * length) - 1) // _SLOT * ((1 << (64 - s)) - 1)
+
+
+def _lazy_remainder(a: int, na: int, b: int, nb: int, lb: int, p: int, m: int, s: int, mask: int):
+    """a mod b over GF(p) on packed ints whose slots lie in [0, 2p).
+
+    ``na``/``nb`` count the slots up to the top one, which is nonzero mod p;
+    ``lb`` is b's top slot, canonical.  Each quotient term is read off the
+    top slot (reduced mod p), and (p - c) * b << 64k is added; then the low
+    nb - 1 slots are kept and one SWAR Barrett step, a - p * ((a * m >> s)
+    & mask), brings every slot back to [0, 2p) at once.  Returns the
+    remainder, its slot count (0 for the zero remainder) and its top slot,
+    the only one reduced to a canonical residue.  The caller guarantees
+    na - nb < ``_lazy_constants(p)[2]``, and a ``mask`` covering the
+    remainder whenever na >= nb (a shorter a is its own remainder): sized
+    once per sequence for its longest remainder, min(na, nb) - 1 slots.
+    """
+    n = nb - 1
+    inv = pow(lb, -1, p)
+    for k in range(na - nb, -1, -1):
+        c = (a >> 64 * (k + n) & _SLOT) * inv % p
+        if c:
+            a += (p - c) * b << 64 * k
+    a &= (1 << 64 * n) - 1
+    a -= p * ((a * m >> s) & mask)
+    while n:
+        top = a >> 64 * (n - 1)
+        if top >= p:
+            top -= p
+            a -= p << 64 * (n - 1)
+        if top:
+            return a, n, top
+        n -= 1
+    return 0, 0, 0
+
+
+def _resultant_modp(a, b, p: int) -> int:
+    """Res(a, b) over GF(p): the hot path of the fiber eliminant.
+
+    ``a`` and ``b`` are coefficient lists (ascending residues, top nonzero),
+    or, when ``_lazy_constants(p)`` admits packing, packed ints with every
+    slot in [0, 2p) and the top slot nonzero mod p.  Packed, the remainder
+    sequence stays packed from first step to last (``_lazy_remainder``);
+    a division past the guard, and a list, take the loop.
+    """
+    if not isinstance(a, int):
+        return _resultant_loop(a, b, p, 1, False)
+    s, m, limit = _lazy_constants(p)
+    na, nb = (a.bit_length() + 63) >> 6, (b.bit_length() + 63) >> 6
+    mask = _barrett_mask(s, min(na, nb) - 1)
+    lb = (b >> 64 * (nb - 1)) % p
     acc = 1
     negate = False
+    while nb > 1:
+        if na - nb >= limit:
+            return _resultant_loop(
+                [c % p for c in _unpack(a, na)], [c % p for c in _unpack(b, nb)], p, acc, negate
+            )
+        r, nr, lr = _lazy_remainder(a, na, b, nb, lb, p, m, s, mask)
+        if not nr:
+            return 0
+        if ((na - 1) * (nb - 1)) & 1:
+            negate = not negate
+        acc = acc * pow(lb, na - nr, p) % p
+        a, na, b, nb, lb = b, nb, r, nr, lr
+    acc = acc * pow(lb, na - 1, p) % p
+    return (p - acc) % p if negate and acc else acc
+
+
+def _resultant_loop(a: list[int], b: list[int], p: int, acc: int, negate: bool) -> int:
+    """The remainder scheme of ``_resultant_modp`` on lists, from a running
+    product ``acc`` and sign ``negate``."""
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
         r = list(a)
@@ -131,14 +255,17 @@ def _specialise(poly: MultiPoly, keep: int, elim: int, packed: bool) -> dict:
     return columns
 
 
-def _eval_slices(columns: dict, width: int, powers, p: int, packed: bool) -> list[int]:
+def _eval_slices(columns: dict, width: int, powers, p: int, lazy) -> list[int] | int:
     """Specialised univariate coefficients mod p (ascending in the eliminated var).
 
-    Packed, a sample's slices are sum_k powers[k] * column_k, unpacked once.
+    Packed (``lazy`` is the Barrett step's (m, s, mask)), a sample's slices
+    are sum_k powers[k] * column_k brought to slots in [0, 2p) by one
+    Barrett step, still packed, as ``_resultant_modp`` takes them.
     """
-    if packed:
+    if lazy:
+        m, s, mask = lazy
         acc = sum(powers[k] * column for k, column in columns.items())
-        return [c % p for c in _unpack(acc, width)]
+        return acc - p * ((acc * m >> s) & mask)
     out = [0] * width
     for k, column in columns.items():
         w = powers[k]
@@ -178,8 +305,11 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     max_keep = max(f.degree_in(keep), g.degree_in(keep))
     if p < needed:
         raise ValueError(f"field GF({p}) too small for {needed} interpolation samples")
-    # a packed slot sums max_keep + 1 products of two residues
-    packed = (max_keep + 1) * (p - 1) ** 2 < 1 << 64
+    # a packed slice slot sums max_keep + 1 products of two residues: no
+    # more than a guarded division adds, so one Barrett step reduces it
+    shift, m, limit = _lazy_constants(p)
+    packed = (max_keep + 1) * (p - 1) ** 2 <= limit * (p - 1) * (2 * p - 1)
+    lazy = (m, shift, _barrett_mask(shift, max(df_e, dg_e) + 1)) if packed else None
     f_columns = _specialise(f, keep, eliminated_var, packed)
     g_columns = _specialise(g, keep, eliminated_var, packed)
 
@@ -188,10 +318,13 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
         powers = [1]
         for _ in range(max_keep):
             powers.append(powers[-1] * s % p)
-        fc = _eval_slices(f_columns, df_e + 1, powers, p, packed)
-        gc = _eval_slices(g_columns, dg_e + 1, powers, p, packed)
-        if fc[-1] == 0 or gc[-1] == 0:
-            continue  # leading coefficient vanished here; resample
+        fc = _eval_slices(f_columns, df_e + 1, powers, p, lazy)
+        gc = _eval_slices(g_columns, dg_e + 1, powers, p, lazy)
+        if lazy:
+            if (fc >> 64 * df_e) % p == 0 or (gc >> 64 * dg_e) % p == 0:
+                continue  # leading coefficient vanished here; resample
+        elif fc[-1] == 0 or gc[-1] == 0:
+            continue
         samples.append((s, _resultant_modp(fc, gc, p)))
         if len(samples) == needed:
             break

@@ -32,6 +32,7 @@ via (I4 : I8 : I12).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -40,7 +41,7 @@ from typing import Union
 from .binary_forms import BinaryForm, BinaryQuintic, transvectant
 from .elimination import gcd_uni
 from .polys import PolynomialRing
-from .scalars import QQ, Field, Ring
+from .scalars import GF, QQ, Field, PrimeField, Ring
 
 
 class UnstableQuinticError(ValueError):
@@ -194,14 +195,20 @@ def _normalisation() -> tuple[Fraction, Fraction, Fraction]:
     return _NORMALISATION
 
 
+@functools.cache
+def _normalisation_modp(p: int) -> tuple[int, int, int]:
+    """The scale factors as residues mod p, converted once per prime."""
+    F = GF(p)
+    return tuple(F.from_fraction(s) for s in _normalisation())
+
+
 def _normalise(R: Ring, J4, J8, J12):
     """(I4, I8, I12) from the chain values, by the pinned scale factors."""
-    s4, s8, s12 = _normalisation()
-    return (
-        R.reduce(R.from_fraction(s4) * J4),
-        R.reduce(R.from_fraction(s8) * J8),
-        R.reduce(R.from_fraction(s12) * J12),
-    )
+    if isinstance(R, PrimeField):
+        s4, s8, s12 = _normalisation_modp(R.p)
+    else:
+        s4, s8, s12 = (R.from_fraction(s) for s in _normalisation())
+    return R.reduce(s4 * J4), R.reduce(s8 * J8), R.reduce(s12 * J12)
 
 
 def invariants(f: BinaryQuintic) -> InvariantVector:

@@ -191,15 +191,9 @@ def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
     return BinaryQuintic(F, coeffs)
 
 
-def hessian(curve: PlaneCurve) -> PlaneCurve:
-    """Determinant of the matrix of second partials; degree 3(d - 2)."""
-    if curve.degree < 3:
-        raise ValueError("hessian of a curve of degree < 3 is not used here")
-    return PlaneCurve(_hessian_form(curve.poly))
-
-
 def _hessian_form(p: MultiPoly) -> MultiPoly:
-    """The Hessian determinant as a form: zero for a cone, which no curve is."""
+    """Determinant of the matrix of second partials, a form of degree 3(d - 2);
+    zero for a cone."""
     return _det3([[p.derivative(r).derivative(c) for c in range(3)] for r in range(3)])
 
 

@@ -21,7 +21,11 @@ substitution: one bigint product, each slot reduced mod p.  ``divmod``
 packs the remainder and the divisor once, reads each quotient term off the
 top slot and adds (p - c) times the shifted divisor, and reduces the low
 slots once at the end.  Each kernel runs only while no slot sum can reach
-2**64.  Over QQ, ``dense_product`` clears the denominators of each factor
+2**64.  A whole remainder sequence (``elimination.gcd_uni`` and the sample
+resultants) stays packed between divisions instead: each division is this
+one, followed by a SWAR Barrett step that brings every slot to [0, 2p)
+without unpacking, under a guard on the quotient length that keeps each
+slot below the Barrett step's bounds (see ``elimination``).  Over QQ, ``dense_product`` clears the denominators of each factor
 once (``RationalField.clear_denominators``), convolves the integer
 numerators and makes one ``Fraction`` per output coefficient.  Every other
 ring, and a prime too large for packing, takes the accumulate-then-reduce

@@ -17,8 +17,8 @@ from quintic_moduli.fiber_counting import (
 )
 from quintic_moduli.invariants import WPPoint, invariant_triple
 from quintic_moduli.plane_curves import (
+    _hessian_form,
     genericity_report,
-    hessian,
     random_invertible_frame,
 )
 from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
@@ -119,7 +119,7 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
     # sample system: both fiber equations must vanish there
     frame, _, g1, g2 = sample_system
     curve = fixture_mod_p
-    h = hessian(curve)
+    h = _hessian_form(curve.poly)
 
     def dehom(poly):
         terms = {}
@@ -128,7 +128,7 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
             terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h.poly), 1)
+    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h), 1)
     u0 = next(x for x in range(F.p) if flex_res.eval(x) == 0)
 
     def fiber_poly(poly, u):
@@ -138,7 +138,7 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
             out[k] = F.reduce(out[k] + val) if k in out else val
         return UniPoly(F, [out.get(k, F.zero) for k in range(max(out) + 1)])
 
-    g = gcd_uni(fiber_poly(curve.poly, u0), fiber_poly(h.poly, u0))
+    g = gcd_uni(fiber_poly(curve.poly, u0), fiber_poly(h, u0))
     assert g.degree == 1
     z0 = F.reduce(-F.reduce(g.coeffs[0] * F.inv(g.coeffs[1])))
     point = (F.from_int(u0), F.one, z0)

@@ -1,6 +1,7 @@
 """Seeded ``count_fiber`` reports on the generic quintic, pinned line by line.
 
-One JSON line per (prime, seed) for seeds 1-6 at each acceptance prime: the
+One JSON line per (prime, seed) for seeds 1-6 at each acceptance prime,
+then at the two further primes of the exact checks (2503, 5003): the
 measured multiplicity profile, the drawn frame and target, and the retries
 used.  A faster kernel must leave every line as it is.  Regenerate the
 golden file (after a deliberate change to what a count draws or measures)
@@ -20,13 +21,14 @@ from conftest import ACCEPTANCE_PRIMES, GENERIC_QUINTIC_RECORDS, REPO_ROOT
 
 GOLDEN = REPO_ROOT / "tests" / "golden" / "fiber_reports.jsonl"
 SEEDS = range(1, 7)
+PRIMES = ACCEPTANCE_PRIMES + (2503, 5003)
 
 
 def render() -> str:
     """The golden text: one report per line, primes outer, seeds inner."""
     curve = PlaneCurve.from_records(GENERIC_QUINTIC_RECORDS)
     lines = []
-    for prime in ACCEPTANCE_PRIMES:
+    for prime in PRIMES:
         for seed in SEEDS:
             report = count_fiber(curve, prime, seed)
             record = {

@@ -31,12 +31,12 @@ PUBLIC_NAMES = frozenset(
     count_fiber degree_via_ledger derivation_table discriminant_invariant
     elimination evaluate_chain exceptional_coordinate fermat_degree_factorization
     fiber_counting find_fundamental_relation gcd_uni
-    genericity_report gw_recursion hessian interpolate intersection_ledger
+    genericity_report gw_recursion interpolate intersection_ledger
     invariant_triple invariants is_stable linalg load_curve
     m05_cross_check moduli_point plane_curves plucker_counts polys
     r_independence_check residue_rings restrict_to_line resultant_bivar_elim
     resultant_uni scalars self_intersection solve_pullback_multiplicities
-    squarefree_decomposition transvectant wps_section_self_intersection xgcd_uni
+    squarefree_decomposition transvectant wps_section_self_intersection
     """.split()
 )
 
@@ -65,7 +65,7 @@ def test_public_names_match_the_eager_package():
         print(json.dumps(quintic_moduli.__all__))
         """
     )
-    assert len(names) == len(PUBLIC_NAMES) == 75
+    assert len(names) == len(PUBLIC_NAMES) == 73
     assert set(names) == PUBLIC_NAMES
 
 

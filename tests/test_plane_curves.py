@@ -19,8 +19,8 @@ from quintic_moduli.plane_curves import (
     PlaneCurve,
     fermat_degree_factorization,
     frame_determinant,
+    _hessian_form,
     genericity_report,
-    hessian,
     load_curve,
     plucker_counts,
     random_invertible_frame,
@@ -223,9 +223,9 @@ def test_random_lines_have_stable_restrictions(generic_quintic):
 
 
 def test_hessian_degree_and_fermat_shape():
-    h = hessian(fermat_quintic())
-    assert h.degree == 9
-    assert set(h.poly.terms) == {(3, 3, 3)}
+    h = _hessian_form(fermat_quintic().poly)
+    assert h.total_degree == 9
+    assert set(h.terms) == {(3, 3, 3)}
     rng = random.Random(13)
     for _ in range(5):
         terms = {
@@ -233,10 +233,10 @@ def test_hessian_degree_and_fermat_shape():
             for i in range(6)
             for j in range(6 - i)
         }
-        assert hessian(PlaneCurve(MultiPoly(F, 3, terms))).degree == 9
-    with pytest.raises(ValueError):
-        conic = PlaneCurve(MultiPoly(QQ, 3, {(2, 0, 0): QQ.one, (0, 1, 1): QQ.one}))
-        hessian(conic)
+        assert _hessian_form(MultiPoly(F, 3, terms)).total_degree == 9
+    # a cone: five concurrent lines x^5 + y^5 = 0 through (0 : 0 : 1)
+    cone = MultiPoly(QQ, 3, {(5, 0, 0): QQ.one, (0, 5, 0): QQ.one})
+    assert _hessian_form(cone).is_zero()
 
 
 def test_plucker_counts():
@@ -250,7 +250,7 @@ def test_plucker_counts():
 
 def test_flex_cycle_has_degree_45(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
-    h = hessian(curve)
+    h = _hessian_form(curve.poly)
 
     def dehom(poly):
         terms = {}
@@ -259,7 +259,7 @@ def test_flex_cycle_has_degree_45(generic_quintic):
             terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h.poly), 1)
+    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h), 1)
     assert flex_res.degree == 45
 
 
@@ -388,7 +388,7 @@ def test_genericity_flags_singular_curves(kind, prime):
 
 def test_phi_rejects_inflectional_lines(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
-    h = hessian(curve)
+    h = _hessian_form(curve.poly)
 
     def dehom(poly):
         terms = {}
@@ -397,7 +397,7 @@ def test_phi_rejects_inflectional_lines(generic_quintic):
             terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h.poly), 1)
+    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h), 1)
     u0 = next(x for x in range(F.p) if flex_res.eval(x) == 0)
 
     # lift to the flex point: common z-root of curve and hessian above u0
@@ -409,7 +409,7 @@ def test_phi_rejects_inflectional_lines(generic_quintic):
         n = max(out)
         return UniPoly(F, [out.get(k, F.zero) for k in range(n + 1)])
 
-    g = gcd_uni(fiber_poly(curve.poly, u0), fiber_poly(h.poly, u0))
+    g = gcd_uni(fiber_poly(curve.poly, u0), fiber_poly(h, u0))
     assert g.degree == 1
     z0 = F.reduce(-F.reduce(g.coeffs[0] * F.inv(g.coeffs[1])))
     point = (F.from_int(u0), F.one, z0)

@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 
 from quintic_moduli.elimination import (
+    _gcd_cofactor,
     gcd_uni,
     resultant_bivar_elim,
     squarefree_decomposition,
-    xgcd_uni,
 )
 from quintic_moduli.plane_curves import (
     PlaneCurve,
     _dehom_y,
+    _hessian_form,
     _probe_flexes,
     genericity_report,
-    hessian,
     random_invertible_frame,
 )
 from quintic_moduli.polys import MultiPoly, UniPoly
@@ -127,7 +127,7 @@ def test_mul_inv_generator_match_their_remainder_definitions(p, n):
         except SplitNeeded as split:
             assert (h % split.factor).is_zero()
             continue
-        d, s, _ = xgcd_uni(a, h)
+        d, s = _gcd_cofactor(a, h)
         assert d.degree == 0 and inverse == s % h
         assert (a * inverse) % h == ring.one
 
@@ -159,10 +159,10 @@ def _flex_modulus(curve: PlaneCurve, seed: int):
     """Framed curve, hessian and squarefree flex modulus, as genericity_report builds them."""
     frame = random_invertible_frame(F, random.Random(seed))
     framed = curve.reduce_mod(F).composed_with_frame(frame)
-    hess = hessian(framed)
-    eliminant = resultant_bivar_elim(_dehom_y(framed.poly, F), _dehom_y(hess.poly, F), 1)
+    hess = _hessian_form(framed.poly)
+    eliminant = resultant_bivar_elim(_dehom_y(framed.poly, F), _dehom_y(hess, F), 1)
     ((h, _),) = squarefree_decomposition(eliminant)
-    return framed.poly, hess.poly, h
+    return framed.poly, hess, h
 
 
 def _split_off_rational_roots(h: UniPoly):
