@@ -12,15 +12,24 @@ Resultants are computed by a Euclidean remainder scheme (never by root
 finding).  The bivariate eliminant is computed over GF(p) only, by
 specialising one variable at enough sample points and interpolating,
 which is how the degree-600 eliminant of the fiber system stays
-tractable.  Each input's coefficients of x_keep**k are packed once
-(``polys._pack``), so a sample's slices are one sum of small-times-packed
-products.
+tractable.  It is the Sylvester determinant at the inputs' formal degrees
+in the eliminated variable.  When f's lead there is a nonzero constant c
+(G1's b**20 coefficient in the fiber system, the framed curve's z**5 one
+in the genericity certificate), g is first replaced by r = g mod f, one
+packed ``UniPoly.divmod`` on Kronecker images, and the eliminant of (f, r)
+is scaled once by c**(deg g - deg r): the longest division of every
+sample is done once.  The samples are the nodes 0, 1, ..., deg f * deg g
+in total degrees, none skipped: where a lead vanishes the sample's
+resultant is corrected by the formal-degree rule, so the interpolation
+runs on consecutive nodes with ``interpolate``'s cached tree.  Each
+input's coefficients of x_keep**k are packed once (``polys._pack``), so a
+sample's slices are one sum of small-times-packed products.
 
 Over GF(p) the Euclidean remainder sequence runs on packed ints from its
-first division to its last (``_lazy_remainder``), for the sample
-resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree 600).  Slots
-are reduced lazily: each division reads its quotient terms off the top
-slot and adds (p - c) times the shifted divisor, and then one SWAR
+first division to its last in one loop (``_lazy_sequence``), for the
+sample resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree 600).
+Slots are reduced lazily: each division reads its quotient terms off the
+top slot and adds (p - c) times the shifted divisor, and then one SWAR
 Barrett step (Barrett, CRYPTO '86) brings every slot of the remainder
 back to [0, 2p) at once: a - p * ((a * m >> s) & mask), m = floor(2**s /
 p), the mask keeping the low 64 - s bits of each slot.  Only the top slot
@@ -30,7 +39,9 @@ after the same Barrett step, still packed.  The guard (``_lazy_constants``)
 bounds the quotient length so that no slot reaches 2**s and no slot times
 m reaches 2**64; a division past it, and a prime too large for any
 (above about 1.5 million, so 2**31 - 1 among them), take the loops on
-lists and ``UniPoly``.
+lists and ``UniPoly``.  The same cache holds, for primes below 2**16, a
+table of their inverses for the leads; the Barrett masks are cached by
+their slot count.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from .scalars import PrimeField
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; gcd(0, 0) is the zero polynomial.
 
-    Over GF(p) the remainder sequence runs packed (``_lazy_remainder``) as
+    Over GF(p) the remainder sequence runs packed (``_lazy_sequence``) as
     far as its guard admits; the plain loop finishes whatever is left.
     """
     if f.field is not g.field:
@@ -58,18 +69,14 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def _gcd_packed(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """The remainder sequence of two nonzero polynomials over GF(p), packed,
-    up to a zero remainder or the first division past the guard: returns
-    that division's (dividend, divisor)."""
+    """The remainder sequence of two nonzero polynomials over GF(p), packed
+    (``_lazy_sequence``), up to a constant or zero remainder or the first
+    division past the guard: returns the last (dividend, divisor)."""
     F = f.field
     p = F.p
-    s, m, limit = _lazy_constants(p)
-    a, na, b, nb = _pack(f.coeffs), len(f.coeffs), _pack(g.coeffs), len(g.coeffs)
-    mask = _barrett_mask(s, min(na, nb) - 1)
-    lb = g.coeffs[-1]
-    while nb and na - nb < limit:
-        r, nr, lr = _lazy_remainder(a, na, b, nb, lb, p, m, s, mask)
-        a, na, b, nb, lb = b, nb, r, nr, lr
+    a, na, b, nb, *_ = _lazy_sequence(
+        _pack(f.coeffs), len(f.coeffs), _pack(g.coeffs), len(g.coeffs), p
+    )
     return (
         UniPoly(F, [c % p for c in _unpack(a, na)]),
         UniPoly(F, [c % p for c in _unpack(b, nb)]),
@@ -122,9 +129,15 @@ def resultant_uni(f: UniPoly, g: UniPoly):
     return F.reduce(-acc if negate else acc)
 
 
+#: Primes below this get a table of all their inverses in ``_lazy_constants``
+#: (at most 65536 entries); a larger prime inverts with ``pow``.
+_INVERSE_TABLE_LIMIT = 1 << 16
+
+
 @functools.cache
-def _lazy_constants(p: int) -> tuple[int, int, int]:
-    """(s, m, limit) of the lazily reduced packed remainder over GF(p).
+def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None]:
+    """(s, m, limit, inverses) of the lazily reduced packed remainder over
+    GF(p).
 
     m = floor(2**s / p) is the Barrett multiplier, and limit the longest
     quotient (in terms) a packed division may take.  A division starts
@@ -132,7 +145,10 @@ def _lazy_constants(p: int) -> tuple[int, int, int]:
     below (p - 1)(2p - 1) to each slot, so every slot x stays below 2**s
     and x * m below 2**64, the two bounds the SWAR Barrett step needs.  s is
     chosen to make limit largest; limit 0 (every p above 1482910) means no
-    packed division.  Keyed by the prime, so one entry per prime.
+    packed division.  ``inverses[c]`` is 1/c mod p (None from
+    ``_INVERSE_TABLE_LIMIT`` on), from inv(i) = -(p // i) inv(p mod i), for
+    the leads of the remainder sequence.  Keyed by the prime, so one entry
+    per prime.
     """
     span = (p - 1) * (2 * p - 1)
     best = (0, 0, 0)
@@ -142,45 +158,69 @@ def _lazy_constants(p: int) -> tuple[int, int, int]:
         limit = max(0, (top - (2 * p - 1)) // span)
         if limit > best[2]:
             best = (s, m, limit)
-    return best
+    inverses = None
+    if p < _INVERSE_TABLE_LIMIT:
+        table = [0, 1] + [0] * (p - 2)
+        for i in range(2, p):
+            table[i] = (p - p // i) * table[p % i] % p
+        inverses = tuple(table)
+    return (*best, inverses)
 
 
+@functools.lru_cache(maxsize=64)
 def _barrett_mask(s: int, length: int) -> int:
-    """``length`` slots of 64 - s one bits: the per-slot quotients of x * m >> s."""
+    """``length`` slots of 64 - s one bits: the per-slot quotients of x * m >> s.
+
+    Cached by (s, length), so the prime's shift s and the slot count."""
     return ((1 << 64 * length) - 1) // _SLOT * ((1 << (64 - s)) - 1)
 
 
-def _lazy_remainder(a: int, na: int, b: int, nb: int, lb: int, p: int, m: int, s: int, mask: int):
-    """a mod b over GF(p) on packed ints whose slots lie in [0, 2p).
+def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
+    """The remainder sequence of a and b over GF(p), packed, slots in [0, 2p).
 
-    ``na``/``nb`` count the slots up to the top one, which is nonzero mod p;
-    ``lb`` is b's top slot, canonical.  Each quotient term is read off the
-    top slot (reduced mod p), and (p - c) * b << 64k is added; then the low
+    ``na``/``nb`` count the slots up to the top one, which is nonzero mod
+    p.  Each division, one pass of the loop, reads each quotient term off
+    the top slot (reduced mod p) and adds (p - c) * b << 64k; then the low
     nb - 1 slots are kept and one SWAR Barrett step, a - p * ((a * m >> s)
-    & mask), brings every slot back to [0, 2p) at once.  Returns the
-    remainder, its slot count (0 for the zero remainder) and its top slot,
-    the only one reduced to a canonical residue.  The caller guarantees
-    na - nb < ``_lazy_constants(p)[2]``, and a ``mask`` covering the
-    remainder whenever na >= nb (a shorter a is its own remainder): sized
-    once per sequence for its longest remainder, min(na, nb) - 1 slots.
+    & mask), brings every slot back to [0, 2p) at once.  Only the top slot
+    of a remainder is reduced to a canonical residue.  The mask is sized
+    once for the longest remainder, min(na, nb) - 1 slots (a shorter a is
+    its own remainder).
+
+    Runs until b is a constant (nb = 1), a remainder vanishes (nb = 0) or
+    the next division would pass the guard of ``_lazy_constants``, and
+    returns (a, na, b, nb, lb, acc, negate): the last pair, b's top slot,
+    and the running product and sign of the resultant's remainder scheme.
     """
-    n = nb - 1
-    inv = pow(lb, -1, p)
-    for k in range(na - nb, -1, -1):
-        c = (a >> 64 * (k + n) & _SLOT) * inv % p
-        if c:
-            a += (p - c) * b << 64 * k
-    a &= (1 << 64 * n) - 1
-    a -= p * ((a * m >> s) & mask)
-    while n:
-        top = a >> 64 * (n - 1)
-        if top >= p:
-            top -= p
-            a -= p << 64 * (n - 1)
-        if top:
-            return a, n, top
-        n -= 1
-    return 0, 0, 0
+    s, m, limit, inverses = _lazy_constants(p)
+    mask = _barrett_mask(s, min(na, nb) - 1)
+    lb = (b >> 64 * (nb - 1)) % p
+    acc = 1
+    negate = False
+    while nb > 1 and na - nb < limit:
+        n = nb - 1
+        inv = inverses[lb] if inverses else pow(lb, -1, p)
+        for k in range(na - nb, -1, -1):
+            c = (a >> 64 * (k + n) & _SLOT) * inv % p
+            if c:
+                a += (p - c) * b << 64 * k
+        a &= (1 << 64 * n) - 1
+        a -= p * ((a * m >> s) & mask)
+        while n:
+            top = a >> 64 * (n - 1)
+            if top >= p:
+                top -= p
+                a -= p << 64 * (n - 1)
+            if top:
+                break
+            n -= 1
+        else:  # no slot left: a zero remainder
+            return b, nb, 0, 0, 0, acc, negate
+        if ((na - 1) * (nb - 1)) & 1:
+            negate = not negate
+        acc = acc * pow(lb, na - n, p) % p
+        a, na, b, nb, lb = b, nb, a, n, top
+    return a, na, b, nb, lb, acc, negate
 
 
 def _resultant_modp(a, b, p: int) -> int:
@@ -189,29 +229,23 @@ def _resultant_modp(a, b, p: int) -> int:
     ``a`` and ``b`` are coefficient lists (ascending residues, top nonzero),
     or, when ``_lazy_constants(p)`` admits packing, packed ints with every
     slot in [0, 2p) and the top slot nonzero mod p.  Packed, the remainder
-    sequence stays packed from first step to last (``_lazy_remainder``);
-    a division past the guard, and a list, take the loop.
+    sequence stays packed from first step to last (``_lazy_sequence``); a
+    division past the guard, and a list, take the loop.  A zero operand
+    (an empty list or 0) gives 0: the callers' other operand is never a
+    nonzero constant then.
     """
+    if not a or not b:
+        return 0
     if not isinstance(a, int):
         return _resultant_loop(a, b, p, 1, False)
-    s, m, limit = _lazy_constants(p)
     na, nb = (a.bit_length() + 63) >> 6, (b.bit_length() + 63) >> 6
-    mask = _barrett_mask(s, min(na, nb) - 1)
-    lb = (b >> 64 * (nb - 1)) % p
-    acc = 1
-    negate = False
-    while nb > 1:
-        if na - nb >= limit:
-            return _resultant_loop(
-                [c % p for c in _unpack(a, na)], [c % p for c in _unpack(b, nb)], p, acc, negate
-            )
-        r, nr, lr = _lazy_remainder(a, na, b, nb, lb, p, m, s, mask)
-        if not nr:
-            return 0
-        if ((na - 1) * (nb - 1)) & 1:
-            negate = not negate
-        acc = acc * pow(lb, na - nr, p) % p
-        a, na, b, nb, lb = b, nb, r, nr, lr
+    a, na, b, nb, lb, acc, negate = _lazy_sequence(a, na, b, nb, p)
+    if not nb:
+        return 0
+    if nb > 1:
+        return _resultant_loop(
+            [c % p for c in _unpack(a, na)], [c % p for c in _unpack(b, nb)], p, acc, negate
+        )
     acc = acc * pow(lb, na - 1, p) % p
     return (p - acc) % p if negate and acc else acc
 
@@ -274,13 +308,93 @@ def _eval_slices(columns: dict, width: int, powers, p: int, lazy) -> list[int] |
     return [c % p for c in out]
 
 
+def _trim(c, n: int, p: int):
+    """(c, d): slices of formal degree n with their top zero residues
+    dropped, packed (a top slot may read p) or a list, and d the number
+    dropped (n + 1 for the zero polynomial)."""
+    if isinstance(c, int):
+        k = n
+        while k >= 0 and (c >> 64 * k) % p == 0:
+            c &= (1 << 64 * k) - 1
+            k -= 1
+        return c, n - k
+    k = len(c)
+    while k and c[k - 1] == 0:
+        k -= 1
+    return c[:k], len(c) - k
+
+
+def _sample_resultant(fc, df: int, gc, dg: int, p: int) -> int:
+    """Res of a sample's slices at their formal degrees df and dg.
+
+    One ``_resultant_modp`` call on the slices with any vanished leads
+    dropped, corrected by the formal-degree rule of the Sylvester
+    determinant: g's lead dropping by d multiplies by lc(f)**d, f's lead
+    dropping by d by (-1)**(d * dg) * lc(g)**d, and both vanishing make
+    the determinant 0 (its first column is zero).
+    """
+    fc, f_drop = _trim(fc, df, p)
+    gc, g_drop = _trim(gc, dg, p)
+    value = _resultant_modp(fc, gc, p)
+    if f_drop and g_drop:
+        return 0
+    if g_drop:
+        lead = (fc >> 64 * df) % p if isinstance(fc, int) else fc[-1]
+        return value * pow(lead, g_drop, p) % p
+    if f_drop:
+        lead = (gc >> 64 * dg) % p if isinstance(gc, int) else gc[-1]
+        value = value * pow(lead, f_drop, p) % p
+        return (p - value) % p if f_drop * dg & 1 else value
+    return value
+
+
+def _reduce_by_constant_lead(g: MultiPoly, f: MultiPoly, elim: int) -> MultiPoly:
+    """g mod f in the eliminated variable, f's lead there a nonzero constant.
+
+    One packed ``UniPoly.divmod`` on Kronecker images, x_elim**i x_keep**j
+    -> t**(i W + j), exact when no term of the division carries into the
+    next block of W.  Where f's coefficient of x_elim**i has keep-degree at
+    most w (m - i), m = deg_elim f, every term of the quotient, of q * f
+    (before any cancellation) and of each remainder has keep-degree plus w
+    times elim-degree at most the largest such weight among g's terms, so W
+    one more than that weight suffices; the keep-degree may exceed the
+    inputs' (x + s**2 reduces x**3 to -s**6).
+    """
+    F, keep = f.field, 1 - elim
+    m = f.degree_in(elim)
+    w = max((-(-e[keep] // (m - e[elim])) for e in f.terms if e[elim] < m), default=0)
+    width = 1 + max(e[keep] + w * e[elim] for e in g.terms)
+
+    def image(poly: MultiPoly) -> UniPoly:
+        coeffs = [0] * (width * (poly.degree_in(elim) + 1))
+        for e, c in poly.terms.items():
+            coeffs[e[elim] * width + e[keep]] = c
+        return UniPoly(F, coeffs)
+
+    terms = {}
+    for k, c in enumerate((image(g) % image(f)).coeffs):
+        if c:
+            e = [0, 0]
+            e[elim], e[keep] = divmod(k, width)
+            terms[tuple(e)] = c
+    return MultiPoly(F, 2, terms)
+
+
 def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> UniPoly:
     """Eliminate one variable from a bivariate pair by sampling + interpolation.
 
-    GF(p) only.  Samples the kept variable at ``deg(f)*deg(g) + 1`` points
-    where neither leading coefficient in the eliminated variable vanishes
-    (vanishing points are skipped and replaced), takes univariate
-    resultants there, and interpolates.  Degree bound: total-degree product.
+    GF(p) only.  The result is Res(f, g) in the eliminated variable at the
+    formal degrees deg_elim f and deg_elim g (the Sylvester determinant),
+    a polynomial of degree at most deg(f)*deg(g) in total degrees.
+
+    When f's lead in the eliminated variable is a nonzero constant c, g is
+    first replaced by r = g mod f (``_reduce_by_constant_lead``), and the
+    result is c**(deg g - deg r) * Res(f, r), or 0 when r is.  The kept
+    variable is then
+    sampled at 0, 1, ..., deg(f)*deg(g): each sample is one univariate
+    resultant, corrected by the formal-degree rule where a lead vanishes
+    there (``_sample_resultant``), and the samples are interpolated on
+    those consecutive nodes.
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in elimination")
@@ -300,40 +414,37 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     if df_e <= 0 or dg_e <= 0:
         raise ValueError("both inputs must involve the eliminated variable")
     bound = int(f.total_degree) * int(g.total_degree)
-    needed = bound + 1
+    if p <= bound:
+        raise ValueError(f"field GF({p}) too small for {bound + 1} interpolation samples")
+
+    scale = 1
+    lead = [(e[keep], c) for e, c in f.terms.items() if e[eliminated_var] == df_e]
+    if len(lead) == 1 and lead[0][0] == 0 and dg_e >= df_e:
+        g = _reduce_by_constant_lead(g, f, eliminated_var)
+        if g.is_zero():
+            return UniPoly.zero(F)
+        scale = pow(lead[0][1], dg_e - g.degree_in(eliminated_var), p)
+        dg_e = g.degree_in(eliminated_var)
 
     max_keep = max(f.degree_in(keep), g.degree_in(keep))
-    if p < needed:
-        raise ValueError(f"field GF({p}) too small for {needed} interpolation samples")
     # a packed slice slot sums max_keep + 1 products of two residues: no
     # more than a guarded division adds, so one Barrett step reduces it
-    shift, m, limit = _lazy_constants(p)
+    shift, m, limit, _ = _lazy_constants(p)
     packed = (max_keep + 1) * (p - 1) ** 2 <= limit * (p - 1) * (2 * p - 1)
     lazy = (m, shift, _barrett_mask(shift, max(df_e, dg_e) + 1)) if packed else None
     f_columns = _specialise(f, keep, eliminated_var, packed)
     g_columns = _specialise(g, keep, eliminated_var, packed)
 
-    samples: list[tuple] = []
-    for s in range(p):
+    samples = []
+    for s in range(bound + 1):
         powers = [1]
         for _ in range(max_keep):
             powers.append(powers[-1] * s % p)
         fc = _eval_slices(f_columns, df_e + 1, powers, p, lazy)
         gc = _eval_slices(g_columns, dg_e + 1, powers, p, lazy)
-        if lazy:
-            if (fc >> 64 * df_e) % p == 0 or (gc >> 64 * dg_e) % p == 0:
-                continue  # leading coefficient vanished here; resample
-        elif fc[-1] == 0 or gc[-1] == 0:
-            continue
-        samples.append((s, _resultant_modp(fc, gc, p)))
-        if len(samples) == needed:
-            break
-    if len(samples) < needed:
-        raise ValueError(
-            f"could not collect {needed} good samples "
-            f"(leading coefficients vanish too often or field too small)"
-        )
-    return interpolate(samples, F)
+        samples.append((s, _sample_resultant(fc, df_e, gc, dg_e, p)))
+    eliminant = interpolate(samples, F)
+    return eliminant.scale(scale) if scale != 1 else eliminant
 
 
 def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:

@@ -304,21 +304,24 @@ def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> UniPoly:
     return UniPoly(ring, out)
 
 
-def _divide_root(ring: ResidueRing, form: BinaryForm, s0, t0):
-    """Divide a binary form by the linear form vanishing at (s0 : t0).
+def _linear_root(ring: ResidueRing, s0, t0):
+    """(root, by_t) of the linear form vanishing at (s0 : t0): s0 / t0 and
+    True when t0 is nonzero, else t0 / s0 and False.
 
-    Returns (quotient, remainder_scalar).  One of s0, t0 must be a unit;
-    zero-divisor coordinates raise SplitNeeded upward.
+    One of s0, t0 must be a unit; zero-divisor coordinates raise
+    SplitNeeded upward.
     """
-    by_t = not ring.is_zero(t0)  # then t0 is a unit, or inv raises SplitNeeded
-    if by_t:
-        root = ring.reduce(s0 * ring.inv(t0))
-        coeffs = form.coeffs  # by t-degree
-    else:
-        if ring.is_zero(s0):
-            raise ArithmeticError("degenerate root (0 : 0) in flex probe")
-        root = ring.reduce(t0 * ring.inv(s0))
-        coeffs = tuple(reversed(form.coeffs))
+    if not ring.is_zero(t0):  # then t0 is a unit, or inv raises SplitNeeded
+        return ring.reduce(s0 * ring.inv(t0)), True
+    if ring.is_zero(s0):
+        raise ArithmeticError("degenerate root (0 : 0) in flex probe")
+    return ring.reduce(t0 * ring.inv(s0)), False
+
+
+def _divide_root(ring: ResidueRing, form: BinaryForm, root, by_t: bool):
+    """Divide a binary form by the linear form whose ``_linear_root`` is
+    (root, by_t).  Returns (quotient, remainder_scalar)."""
+    coeffs = form.coeffs if by_t else tuple(reversed(form.coeffs))  # by t-degree
     q = []
     acc = None
     for c in coeffs[:-1]:
@@ -372,8 +375,9 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
     restrict = line_restriction(curve_poly.terms, v)
     current = BinaryForm(ring, [ring.reduce(c) for c in restrict(a, b)])
     s0, t0 = point[o1], point[o2]
+    root, by_t = _linear_root(ring, s0, t0)
     for _ in range(3):
-        current, rem = _divide_root(ring, current, s0, t0)
+        current, rem = _divide_root(ring, current, root, by_t)
         if not ring.is_zero(rem):
             return False  # contact order below 3: not actually a flex fiber
     # current = Q0 s^2 + Q1 s t + Q2 t^2; exact contact 3 and a separable

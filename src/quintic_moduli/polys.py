@@ -38,7 +38,9 @@ power tables of a and b, in whatever ring (or scaling) the caller chooses.
 
 Interpolation runs over GF(p) on raw ints.  ``interpolate`` in one
 variable takes the Lagrange form over a subproduct tree, so its products
-and divisions are the packed kernels; ``interpolate_bivariate`` works in
+and divisions are the packed kernels; on the nodes 0, 1, ..., n - 1 (the
+bivariate eliminant's) the weights have a closed form and the tree comes
+from a small cache keyed by (p, n).  ``interpolate_bivariate`` works in
 Newton form on the principal lattice {i + j <= n}, with inverses of node
 differences computed when first needed.
 
@@ -49,13 +51,14 @@ lexicographically on exponent tuples so output is deterministic.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Field, PrimeField, RationalField, Ring
+from .scalars import GF, Field, PrimeField, RationalField, Ring
 
 NEG_INF = float("-inf")
 
@@ -522,23 +525,51 @@ def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
     Algebra*, sections 10.1-10.3): with M = prod_i (x - x_i) the result is
     sum_i v_i / M'(x_i) * M / (x - x_i).  Level L of the tree holds the
     products of 2**L consecutive factors x - x_i (an odd last node moves up
-    unchanged).  M' is reduced down the tree with ``divmod`` to nodes of
-    2**_HORNER_LEVEL leaves and evaluated there by Horner; the weighted
-    values are then combined up the tree, a node's value being
-    f_left * M_right + f_right * M_left, and each level is dropped once
-    used.  Above the pairs of nodes, whose products and values are written
-    out, every product is a ``dense_product``.
+    unchanged).  The weighted values are combined up the tree, a node's
+    value being f_left * M_right + f_right * M_left; above the pairs of
+    nodes, whose products and values are written out, every product is a
+    ``dense_product``.
+
+    On the consecutive nodes 0, 1, ..., n - 1, in that order, the weights
+    have the closed form (-1)**(n - 1 - i) / (i! (n - 1 - i)!), and the
+    tree and weights come from a small cache keyed by (p, n)
+    (``_consecutive_nodes``), shared read-only between calls.  Other nodes
+    build their tree, and M' is reduced down it with ``divmod`` to nodes
+    of 2**_HORNER_LEVEL leaves and evaluated there by Horner.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")
     p = field.p
     xs = [s[0] % p for s in samples]
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated abscissa")
     if not xs:
         return UniPoly.zero(field)
-    # levels[j] holds the products of 2**(j + 1) consecutive factors; at
-    # j = 0 they, and the values combined over them, have closed forms
+    if xs == list(range(len(xs))):
+        levels, weights = _consecutive_nodes(p, len(xs))
+    else:
+        if len(set(xs)) != len(xs):
+            raise ValueError("repeated abscissa")
+        levels = _subproduct_levels(xs, field)
+        weights = _tree_weights(levels, xs, field)
+    c = [s[1] * w % p for s, w in zip(samples, weights)]
+    values = _pairwise(
+        [[ci] for ci in c],
+        lambda i: [-(c[i] * xs[i + 1] + c[i + 1] * xs[i]) % p, (c[i] + c[i + 1]) % p],
+    )
+    for m in levels[:-1]:
+        values = _pairwise(values, lambda i: [
+            (u + v) % p
+            for u, v in zip(
+                dense_product(field, values[i], m[i + 1]), dense_product(field, values[i + 1], m[i])
+            )
+        ])
+    return UniPoly(field, values[0])
+
+
+def _subproduct_levels(xs: list[int], field: PrimeField) -> list[list]:
+    """The subproduct tree of the nodes, from the pairs up to the root:
+    level j holds the products of 2**(j + 1) consecutive factors x - x_i,
+    the pairs written out."""
+    p = field.p
     levels = [_pairwise(
         [[-x % p, 1] for x in xs],
         lambda i: [xs[i] * xs[i + 1] % p, -(xs[i] + xs[i + 1]) % p, 1],
@@ -546,10 +577,16 @@ def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
     while len(levels[-1]) > 1:
         m = levels[-1]
         levels.append(_pairwise(m, lambda i: dense_product(field, m[i], m[i + 1])))
-    (root,) = levels.pop()
-    block = min(_HORNER_LEVEL, len(levels) + 1)
-    rems = [UniPoly(field, root).derivative()]
-    for level in range(len(levels) - 1, block - 2, -1):
+    return levels
+
+
+def _tree_weights(levels: list[list], xs: list[int], field: PrimeField) -> list[int]:
+    """1/M'(x_i): M' reduced down the tree to nodes of 2**_HORNER_LEVEL
+    leaves, then Horner at each of their nodes."""
+    p = field.p
+    block = min(_HORNER_LEVEL, len(levels))
+    rems = [UniPoly(field, levels[-1][0]).derivative()]
+    for level in range(len(levels) - 2, block - 2, -1):
         rems = [rems[i >> 1] % UniPoly(field, m) for i, m in enumerate(levels[level])]
     weights = []
     for i, rem in enumerate(rems):
@@ -558,20 +595,25 @@ def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
             for c in reversed(rem.coeffs):
                 acc = (acc * x + c) % p
             weights.append(pow(acc, -1, p))
-    c = [s[1] * w % p for s, w in zip(samples, weights)]
-    values = _pairwise(
-        [[ci] for ci in c],
-        lambda i: [-(c[i] * xs[i + 1] + c[i + 1] * xs[i]) % p, (c[i] + c[i + 1]) % p],
-    )
-    while levels:
-        m = levels.pop(0)
-        values = _pairwise(values, lambda i: [
-            (u + v) % p
-            for u, v in zip(
-                dense_product(field, values[i], m[i + 1]), dense_product(field, values[i + 1], m[i])
-            )
-        ])
-    return UniPoly(field, values[0])
+    return weights
+
+
+@functools.lru_cache(maxsize=8)
+def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple]:
+    """(levels, weights) of ``interpolate`` on the nodes 0, ..., n - 1 over
+    GF(p): the subproduct tree and 1/M'(i) = (-1)**(n - 1 - i) / (i! (n - 1
+    - i)!), from one inverse of (n - 1)!; tuples, as every caller shares them."""
+    field = GF(p)
+    fact = [1] * n
+    for i in range(1, n):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * n
+    inv_fact[-1] = pow(fact[-1], -1, p)
+    for i in range(n - 1, 0, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    weights = tuple((-1) ** (n - 1 - i) * inv_fact[i] * inv_fact[n - 1 - i] % p for i in range(n))
+    levels = _subproduct_levels(list(range(n)), field)
+    return tuple(tuple(map(tuple, level)) for level in levels), weights
 
 
 def _pairwise(nodes: list, combine) -> list:

@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_moduli import elimination
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     _lazy_constants,
+    _reduce_by_constant_lead,
     _resultant_modp,
     gcd_uni,
     resultant_bivar_elim,
     resultant_uni,
     squarefree_decomposition,
 )
+from quintic_moduli.fiber_counting import _draw_target, build_fiber_system
+from quintic_moduli.plane_curves import random_invertible_frame
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
 from quintic_moduli.scalars import GF, QQ
 
@@ -26,14 +30,17 @@ def linear(field, a):
     return UniPoly(field, [field.reduce(-field.from_int(a)), field.one])
 
 
-def sylvester_determinant(f: UniPoly, g: UniPoly):
-    """Independent oracle: expand the Sylvester matrix determinant directly."""
+def sylvester_determinant(f: UniPoly, g: UniPoly, n=None, m=None):
+    """Independent oracle: expand the Sylvester matrix determinant directly,
+    at formal degrees n >= deg f and m >= deg g (by default the degrees):
+    leading zero coefficients pad the rows."""
     field = f.field
-    n, m = f.degree, g.degree
+    n = f.degree if n is None else n
+    m = g.degree if m is None else m
     size = n + m
     rows = []
-    fc = list(reversed(f.coeffs))  # descending
-    gc = list(reversed(g.coeffs))
+    fc = [field.zero] * (n + 1 - len(f.coeffs)) + list(reversed(f.coeffs))  # descending
+    gc = [field.zero] * (m + 1 - len(g.coeffs)) + list(reversed(g.coeffs))
     for k in range(m):
         rows.append([field.zero] * k + fc + [field.zero] * (m - 1 - k))
     for k in range(n):
@@ -170,7 +177,7 @@ def test_packed_gcds_match_plain_euclid(p):
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 @pytest.mark.parametrize("past", [0, 1], ids=["at_guard", "past_guard"])
 def test_longest_guarded_quotient(p, past):
-    s, m, limit = _lazy_constants(p)
+    s, m, limit, *_ = _lazy_constants(p)
     # the guard's two bounds hold at limit quotient terms and fail past it
     span = (p - 1) * (2 * p - 1)
     top = 2 * p - 1 + limit * span
@@ -245,6 +252,149 @@ def test_bivariate_elimination_matches_direct_resultants():
         fu, gu = specialise(f, s), specialise(g, s)
         if fu.degree == f.degree_in(0) and gu.degree == g.degree_in(0):
             assert r.eval(F.from_int(s)) == resultant_uni(fu, gu)
+
+
+def _at(poly: MultiPoly, s: int, elim: int = 1) -> UniPoly:
+    """The bivariate poly at x_keep = s, a polynomial in the eliminated variable."""
+    field = poly.field
+    coeffs = [0] * (poly.degree_in(elim) + 1)
+    for e, c in poly.terms.items():
+        coeffs[e[elim]] = (coeffs[e[elim]] + c * pow(s, e[1 - elim], field.p)) % field.p
+    return UniPoly(field, coeffs)
+
+
+def _resampling_eliminant(f: MultiPoly, g: MultiPoly, elim: int = 1) -> UniPoly:
+    """The eliminant as it was computed before the formal-degree rule:
+    sample where neither lead vanishes, skipping the others, take univariate
+    resultants there and interpolate."""
+    field = f.field
+    df, dg = f.degree_in(elim), g.degree_in(elim)
+    needed = f.total_degree * g.total_degree + 1
+    samples = []
+    for s in range(field.p):
+        fs, gs = _at(f, s, elim), _at(g, s, elim)
+        if fs.degree == df and gs.degree == dg:
+            samples.append((s, resultant_uni(fs, gs)))
+            if len(samples) == needed:
+                return interpolate(samples, field)
+    raise AssertionError("too few samples")
+
+
+def _bivariate(field, terms: dict) -> MultiPoly:
+    """(s, x) exponents to coefficients, x the eliminated variable."""
+    return MultiPoly(field, 2, {e: field.reduce(field.from_int(c)) for e, c in terms.items()})
+
+
+#: (f, g) in (s, x), x eliminated, with the samples s where a lead vanishes.
+#: "reduced lead": f has constant lead 5, so g is replaced by g mod f =
+#: (s - 3) x + 2, whose lead vanishes at s = 3 (the eliminant is scaled by
+#: 5**2).  "f lead": f's lead s - 2 vanishes at s = 2, g of odd degree.
+#: "both": both leads vanish at s = 2.  "f drops by 2": f's two top
+#: coefficients vanish at s = 4.  "keep grows": x + s^2 reduces x^3 + s x + 1
+#: to -s^6 - s^3 + 1, keep-degree 6 against the inputs' 2.  "constant
+#: remainder": x^2 + s reduces to s - 1, zero at s = 1.  "zero remainder":
+#: g = s f reduces to 0.
+FORMAL_DEGREE_CASES = {
+    "reduced lead": (
+        {(0, 2): 5, (1, 1): 1, (0, 0): 1},
+        {(0, 3): 5, (1, 2): 1, (1, 1): 1, (0, 1): -2, (0, 0): 2},
+        [3],
+    ),
+    "f lead": ({(1, 2): 1, (0, 2): -2, (0, 1): 1, (1, 0): 1}, {(0, 3): 1, (1, 1): 1, (0, 0): 3}, [2]),
+    "both": (
+        {(1, 2): 1, (0, 2): -2, (0, 1): 1, (0, 0): 1},
+        {(1, 3): 1, (0, 3): -2, (1, 1): 1, (0, 0): 1},
+        [2],
+    ),
+    "f drops by 2": (
+        {(1, 2): 1, (0, 2): -4, (1, 1): 1, (0, 1): -4, (0, 0): 1},
+        {(0, 3): 2, (1, 0): 1, (0, 0): 5},
+        [4],
+    ),
+    "keep grows": ({(0, 1): 1, (2, 0): 1}, {(0, 3): 1, (1, 1): 1, (0, 0): 1}, []),
+    "constant remainder": ({(0, 2): 1, (0, 0): 1}, {(0, 2): 1, (1, 0): 1}, [1]),
+    "zero remainder": ({(0, 2): 1, (1, 1): 1, (0, 0): 3}, {(1, 2): 1, (2, 1): 1, (1, 0): 3}, []),
+}
+
+
+@pytest.mark.parametrize("p", [3001, 10007, 2**31 - 1])
+@pytest.mark.parametrize("case", FORMAL_DEGREE_CASES)
+def test_formal_degree_eliminant(p, case):
+    field = GF(p)
+    f_terms, g_terms, vanishing = FORMAL_DEGREE_CASES[case]
+    f, g = _bivariate(field, f_terms), _bivariate(field, g_terms)
+    df, dg = f.degree_in(1), g.degree_in(1)
+    bound = f.total_degree * g.total_degree
+    # the pair the samples see: g mod f where f's lead is a constant
+    constant_lead = [e for e in f.terms if e[1] == df] == [(0, df)]
+    sampled = _reduce_by_constant_lead(g, f, 1) if constant_lead else g
+    if not sampled.is_zero():
+        dr = sampled.degree_in(1)
+        assert vanishing == [
+            s for s in range(bound + 1) if _at(f, s).degree < df or _at(sampled, s).degree < dr
+        ]
+    eliminant = resultant_bivar_elim(f, g, 1)
+    assert eliminant.degree <= bound
+    # the Sylvester determinant at the formal degrees, at every node and past them
+    for s in range(bound + 3):
+        assert eliminant.eval(s) == sylvester_determinant(_at(f, s), _at(g, s), df, dg), s
+    assert eliminant == _resampling_eliminant(f, g)
+
+
+def test_reduction_by_a_constant_lead_grows_the_keep_degree():
+    f = _bivariate(F, {(0, 1): 1, (2, 0): 1})
+    g = _bivariate(F, {(0, 3): 1, (1, 1): 1, (0, 0): 1})
+    assert _reduce_by_constant_lead(g, f, 1) == _bivariate(F, {(6, 0): -1, (3, 0): -1, (0, 0): 1})
+    # and with the roles of the variables swapped
+    swap = lambda poly: MultiPoly(F, 2, {(j, i): c for (i, j), c in poly.terms.items()})
+    assert _reduce_by_constant_lead(swap(g), swap(f), 0) == _bivariate(
+        F, {(0, 6): -1, (0, 3): -1, (0, 0): 1}
+    )
+
+
+@pytest.fixture(scope="module")
+def vanishing_draw(generic_quintic):
+    """The fiber system of the first draw at GF(3001), seed 3: the reduced
+    G2 mod G1 has its lead vanish at one of the 601 samples."""
+    field = GF(3001)
+    rng = random.Random(3)
+    target = _draw_target(field, rng)
+    frame = random_invertible_frame(field, rng)
+    return build_fiber_system(generic_quintic.reduce_mod(field), target, frame)
+
+
+def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
+    g1, g2 = vanishing_draw
+    r = _reduce_by_constant_lead(g2, g1, 1)
+    dr = r.degree_in(1)
+    lead = MultiPoly(r.field, 2, {e: c for e, c in r.terms.items() if e[1] == dr})
+    assert any(lead.eval((s, 0)) == 0 for s in range(601))
+    eliminant = resultant_bivar_elim(g1, g2, 1)
+    assert eliminant.degree == 600
+    assert eliminant == _resampling_eliminant(g1, g2)
+
+
+@pytest.mark.parametrize("draw", ["fiber", "reduced lead", "both"])
+def test_one_resultant_per_node_and_one_interpolation(monkeypatch, vanishing_draw, draw):
+    # mirrors the traced benchmark gate: every sample is one _resultant_modp
+    # call, and the eliminant one interpolate call on the nodes 0..bound
+    if draw == "fiber":
+        f, g = vanishing_draw
+    else:
+        f_terms, g_terms, _ = FORMAL_DEGREE_CASES[draw]
+        f, g = _bivariate(F, f_terms), _bivariate(F, g_terms)
+    calls = []
+    nodes = []
+    resultant, interp = elimination._resultant_modp, elimination.interpolate
+    monkeypatch.setattr(elimination, "_resultant_modp", lambda *a: calls.append(1) or resultant(*a))
+    monkeypatch.setattr(
+        elimination, "interpolate", lambda samples, field: nodes.append([s for s, _ in samples])
+        or interp(samples, field)
+    )
+    resultant_bivar_elim(f, g, 1)
+    bound = f.total_degree * g.total_degree
+    assert len(calls) == bound + 1
+    assert nodes == [list(range(bound + 1))]
 
 
 def test_squarefree_examples():

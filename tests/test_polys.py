@@ -9,6 +9,7 @@ from quintic_moduli.polys import (
     MultiPoly,
     PolynomialRing,
     UniPoly,
+    _consecutive_nodes,
     dense_product,
     interpolate,
     interpolate_bivariate,
@@ -443,6 +444,40 @@ def test_interpolation_through_many_nodes(p, n):
         poly = interpolate(samples, field)
         assert poly.degree < len(xs), name
         assert all(poly.eval(x) == v for x, v in samples), name
+
+
+@pytest.mark.parametrize("p", [3001, 10007, 2**61 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 46, 601])
+def test_consecutive_nodes_match_the_remainder_tree(p, n):
+    # in order, the nodes 0..n-1 take the closed-form weights and the cached
+    # tree; any other order builds its tree and reduces M' down it
+    field = GF(p)
+    rng = random.Random(p + n)
+    samples = [(x, rng.randrange(p)) for x in range(n)]
+    poly = interpolate(samples, field)
+    assert poly.degree < n
+    assert all(poly.eval(x) == v for x, v in samples)
+    permuted = samples[1:] + samples[:1]  # out of order once n > 1
+    assert interpolate(permuted, field) == poly
+    rng.shuffle(permuted)
+    assert interpolate(permuted, field) == poly
+
+
+def test_consecutive_node_cache_is_not_aliased():
+    # two calls at one (p, n) share the cached tree and weights, never the
+    # values: the first result survives the second call, and the cache reads
+    # the same before and after
+    field = GF(3001)
+    n = 37
+    levels, weights = _consecutive_nodes(field.p, n)
+    before = (repr(levels), weights)
+    first_samples = [(x, (x * x + 1) % field.p) for x in range(n)]
+    first = interpolate(first_samples, field)
+    second = interpolate([(x, (7 * x + 3) % field.p) for x in range(n)], field)
+    assert first == UniPoly(field, [1, 0, 1]) and second == UniPoly(field, [3, 7])
+    assert first == interpolate(first_samples, field)
+    assert _consecutive_nodes(field.p, n) == (levels, weights)
+    assert (repr(levels), weights) == before
 
 
 def test_interpolate_bivariate_roundtrip():
