@@ -37,11 +37,12 @@ is reduced to a canonical residue; it gives the next quotient terms, the
 degree test and the leading-coefficient powers.  A sample's slices enter
 after the same Barrett step, still packed.  The guard (``_lazy_constants``)
 bounds the quotient length so that no slot reaches 2**s and no slot times
-m reaches 2**64; a division past it, and a prime too large for any
-(above about 1.5 million, so 2**31 - 1 among them), take the loops on
-lists and ``UniPoly``.  The same cache holds, for primes below 2**16, a
-table of their inverses for the leads; the Barrett masks are cached by
-their slot count.
+m reaches 2**64; what is left of a sequence after a division past it, and
+the whole sequence at a prime too large for any (above about 1.5 million,
+so 2**31 - 1 among them), take the one remainder scheme on ``UniPoly``
+(``_remainder_scheme``), which ``resultant_uni`` runs in every field.  The
+same cache holds, for primes below 2**16, a table of their inverses for
+the leads; the Barrett masks are cached by their slot count.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import functools
 
 from .polys import _SLOT, MultiPoly, UniPoly, _pack, _unpack, interpolate
-from .scalars import PrimeField
+from .scalars import GF, PrimeField
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -110,12 +111,18 @@ def resultant_uni(f: UniPoly, g: UniPoly):
         raise ValueError("field mismatch in resultant")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    F = f.field
-    if isinstance(F, PrimeField):
-        return _resultant_modp(list(f.coeffs), list(g.coeffs), F.p)
-    acc = F.one
-    negate = False
-    a, b = f, g
+    return _remainder_scheme(f, g, f.field.one, False)
+
+
+def _remainder_scheme(a: UniPoly, b: UniPoly, acc, negate: bool):
+    """acc * Res(a, b), negated when ``negate``, for nonzero a and b: the
+    Euclidean remainder scheme, in any field.
+
+    Each division a = q b + r multiplies by lc(b)**(deg a - deg r) and
+    flips the sign when deg a * deg b is odd; a zero remainder gives 0 and
+    a constant b ends the scheme with b**deg a.
+    """
+    F = a.field
     while b.degree > 0:
         r = a % b
         if r.is_zero():
@@ -230,49 +237,28 @@ def _resultant_modp(a, b, p: int) -> int:
     or, when ``_lazy_constants(p)`` admits packing, packed ints with every
     slot in [0, 2p) and the top slot nonzero mod p.  Packed, the remainder
     sequence stays packed from first step to last (``_lazy_sequence``); a
-    division past the guard, and a list, take the loop.  A zero operand
-    (an empty list or 0) gives 0: the callers' other operand is never a
-    nonzero constant then.
+    list, and what is left after a division past the guard (with the
+    running product and sign), take ``_remainder_scheme`` on ``UniPoly``.
+    A zero operand (an empty list or 0) gives 0: the callers' other operand
+    is never a nonzero constant then.
     """
     if not a or not b:
         return 0
+    field = GF(p)
     if not isinstance(a, int):
-        return _resultant_loop(a, b, p, 1, False)
+        return _remainder_scheme(UniPoly(field, a), UniPoly(field, b), 1, False)
     na, nb = (a.bit_length() + 63) >> 6, (b.bit_length() + 63) >> 6
     a, na, b, nb, lb, acc, negate = _lazy_sequence(a, na, b, nb, p)
     if not nb:
         return 0
     if nb > 1:
-        return _resultant_loop(
-            [c % p for c in _unpack(a, na)], [c % p for c in _unpack(b, nb)], p, acc, negate
+        return _remainder_scheme(
+            UniPoly(field, [c % p for c in _unpack(a, na)]),
+            UniPoly(field, [c % p for c in _unpack(b, nb)]),
+            acc,
+            negate,
         )
     acc = acc * pow(lb, na - 1, p) % p
-    return (p - acc) % p if negate and acc else acc
-
-
-def _resultant_loop(a: list[int], b: list[int], p: int, acc: int, negate: bool) -> int:
-    """The remainder scheme of ``_resultant_modp`` on lists, from a running
-    product ``acc`` and sign ``negate``."""
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        r = list(a)
-        inv_lb = pow(b[-1], p - 2, p)
-        for k in range(da - db, -1, -1):
-            c = r[k + db] * inv_lb % p
-            if c:
-                for j in range(db + 1):
-                    r[k + j] = (r[k + j] - c * b[j]) % p
-        del r[db:]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            return 0
-        dr = len(r) - 1
-        if (da * db) & 1:
-            negate = not negate
-        acc = acc * pow(b[-1], da - dr, p) % p
-        a, b = b, r
-    acc = acc * pow(b[0], len(a) - 1, p) % p
     return (p - acc) % p if negate and acc else acc
 
 
@@ -442,7 +428,7 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
             powers.append(powers[-1] * s % p)
         fc = _eval_slices(f_columns, df_e + 1, powers, p, lazy)
         gc = _eval_slices(g_columns, dg_e + 1, powers, p, lazy)
-        samples.append((s, _sample_resultant(fc, df_e, gc, dg_e, p)))
+        samples.append(_sample_resultant(fc, df_e, gc, dg_e, p))
     eliminant = interpolate(samples, F)
     return eliminant.scale(scale) if scale != 1 else eliminant
 

@@ -158,9 +158,8 @@ def build_fiber_system(
 
     n = FIBER_SYSTEM_DEGREES[1]  # lattice {a + b <= n}: the top degree
     lattice = [[system_at(a, b) for b in range(n + 1 - a)] for a in range(n + 1)]
-    nodes = list(range(n + 1))
-    g1_poly = interpolate_bivariate(nodes, nodes, [[g1 for g1, _ in row] for row in lattice], field)
-    g2_poly = interpolate_bivariate(nodes, nodes, [[g2 for _, g2 in row] for row in lattice], field)
+    g1_poly = interpolate_bivariate([[g1 for g1, _ in row] for row in lattice], field)
+    g2_poly = interpolate_bivariate([[g2 for _, g2 in row] for row in lattice], field)
     check = (n + 1, n + 1)
     if system_at(*check) != (g1_poly.eval(check), g2_poly.eval(check)):
         raise FiberRetryError("fiber system disagrees off the lattice")

@@ -25,24 +25,25 @@ slots once at the end.  Each kernel runs only while no slot sum can reach
 resultants) stays packed between divisions instead: each division is this
 one, followed by a SWAR Barrett step that brings every slot to [0, 2p)
 without unpacking, under a guard on the quotient length that keeps each
-slot below the Barrett step's bounds (see ``elimination``).  Over QQ, ``dense_product`` clears the denominators of each factor
-once (``RationalField.clear_denominators``), convolves the integer
-numerators and makes one ``Fraction`` per output coefficient.  Every other
-ring, and a prime too large for packing, takes the accumulate-then-reduce
-loop.
+slot below the Barrett step's bounds (see ``elimination``).  Over QQ,
+``dense_product`` clears the denominators of each factor once
+(``RationalField.clear_denominators``), convolves the integer numerators
+and makes one ``Fraction`` per output coefficient.  Every other ring, and
+a prime too large for packing, takes the accumulate-then-reduce loop.
 
 ``line_restriction`` is the package's one restriction of a ternary form to
 a line x_v = a x_o1 + b x_o2: the binomial expansion becomes a table of
 terms once per form, and each line is one pass over that table with the
 power tables of a and b, in whatever ring (or scaling) the caller chooses.
 
-Interpolation runs over GF(p) on raw ints.  ``interpolate`` in one
-variable takes the Lagrange form over a subproduct tree, so its products
-and divisions are the packed kernels; on the nodes 0, 1, ..., n - 1 (the
-bivariate eliminant's) the weights have a closed form and the tree comes
-from a small cache keyed by (p, n).  ``interpolate_bivariate`` works in
-Newton form on the principal lattice {i + j <= n}, with inverses of node
-differences computed when first needed.
+Interpolation runs over GF(p) on raw ints, at the nodes 0, 1, ..., n only:
+the samples of the bivariate eliminant and the lattice of the fiber
+system.  ``interpolate`` takes a list of values at 0..n - 1 and the
+Lagrange form over a subproduct tree, whose products are the packed
+kernel; the weights have a closed form, and the tree and weights come from
+a small cache keyed by (p, n).  ``interpolate_bivariate`` takes the values
+on the principal lattice {i + j <= n} and works in Newton form, a divided
+difference of order k dividing by k.
 
 Operations mixing distinct rings (or arities) raise ``ValueError`` rather
 than coercing.  Term iteration for display/serialisation is sorted
@@ -512,97 +513,56 @@ class PolynomialRing(Ring):
         return f"PolynomialRing({self.field!r}, arity={self.arity})"
 
 
-#: The weights 1/M'(x_i) of ``interpolate`` come from Horner evaluations once
-#: the remainder tree reaches nodes of 2**_HORNER_LEVEL leaves.
-_HORNER_LEVEL = 5
+def interpolate(values: Sequence[int], field: PrimeField) -> UniPoly:
+    """The polynomial of degree < n = ``len(values)`` taking ``values[i]`` at i.
 
-
-def interpolate(samples: Sequence[tuple], field: PrimeField) -> UniPoly:
-    """Unique polynomial of degree < ``len(samples)`` through the samples.
-
-    GF(p) only; abscissae must be pairwise distinct mod p.  Lagrange form
-    over a subproduct tree (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, sections 10.1-10.3): with M = prod_i (x - x_i) the result is
-    sum_i v_i / M'(x_i) * M / (x - x_i).  Level L of the tree holds the
-    products of 2**L consecutive factors x - x_i (an odd last node moves up
-    unchanged).  The weighted values are combined up the tree, a node's
-    value being f_left * M_right + f_right * M_left; above the pairs of
-    nodes, whose products and values are written out, every product is a
-    ``dense_product``.
-
-    On the consecutive nodes 0, 1, ..., n - 1, in that order, the weights
-    have the closed form (-1)**(n - 1 - i) / (i! (n - 1 - i)!), and the
-    tree and weights come from a small cache keyed by (p, n)
-    (``_consecutive_nodes``), shared read-only between calls.  Other nodes
-    build their tree, and M' is reduced down it with ``divmod`` to nodes
-    of 2**_HORNER_LEVEL leaves and evaluated there by Horner.
+    GF(p) only, on the nodes 0, 1, ..., n - 1, which must stay distinct mod
+    p (n <= p).  Lagrange form over a subproduct tree (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, sections 10.1-10.3): with M =
+    prod_i (x - i) the result is sum_i v_i / M'(i) * M / (x - i), where
+    1/M'(i) = (-1)**(n - 1 - i) / (i! (n - 1 - i)!).  Level L of the tree
+    holds the products of 2**L consecutive factors x - i (an odd last node
+    moves up unchanged).  The weighted values are combined up the tree, a
+    node's value being f_left * M_right + f_right * M_left; above the pairs
+    of nodes, whose products and values are written out, every product is a
+    ``dense_product``.  The tree and the weights come from a small cache
+    keyed by (p, n) (``_consecutive_nodes``), shared read-only between
+    calls.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")
     p = field.p
-    xs = [s[0] % p for s in samples]
-    if not xs:
+    n = len(values)
+    if not n:
         return UniPoly.zero(field)
-    if xs == list(range(len(xs))):
-        levels, weights = _consecutive_nodes(p, len(xs))
-    else:
-        if len(set(xs)) != len(xs):
-            raise ValueError("repeated abscissa")
-        levels = _subproduct_levels(xs, field)
-        weights = _tree_weights(levels, xs, field)
-    c = [s[1] * w % p for s, w in zip(samples, weights)]
-    values = _pairwise(
+    if n > p:
+        raise ValueError(f"{n} values need the nodes 0..{n - 1}, which repeat mod {p}")
+    levels, weights = _consecutive_nodes(p, n)
+    c = [v * w % p for v, w in zip(values, weights)]
+    sums = _pairwise(
         [[ci] for ci in c],
-        lambda i: [-(c[i] * xs[i + 1] + c[i + 1] * xs[i]) % p, (c[i] + c[i + 1]) % p],
+        lambda i: [-(c[i] * (i + 1) + c[i + 1] * i) % p, (c[i] + c[i + 1]) % p],
     )
     for m in levels[:-1]:
-        values = _pairwise(values, lambda i: [
+        sums = _pairwise(sums, lambda i: [
             (u + v) % p
             for u, v in zip(
-                dense_product(field, values[i], m[i + 1]), dense_product(field, values[i + 1], m[i])
+                dense_product(field, sums[i], m[i + 1]), dense_product(field, sums[i + 1], m[i])
             )
         ])
-    return UniPoly(field, values[0])
-
-
-def _subproduct_levels(xs: list[int], field: PrimeField) -> list[list]:
-    """The subproduct tree of the nodes, from the pairs up to the root:
-    level j holds the products of 2**(j + 1) consecutive factors x - x_i,
-    the pairs written out."""
-    p = field.p
-    levels = [_pairwise(
-        [[-x % p, 1] for x in xs],
-        lambda i: [xs[i] * xs[i + 1] % p, -(xs[i] + xs[i + 1]) % p, 1],
-    )]
-    while len(levels[-1]) > 1:
-        m = levels[-1]
-        levels.append(_pairwise(m, lambda i: dense_product(field, m[i], m[i + 1])))
-    return levels
-
-
-def _tree_weights(levels: list[list], xs: list[int], field: PrimeField) -> list[int]:
-    """1/M'(x_i): M' reduced down the tree to nodes of 2**_HORNER_LEVEL
-    leaves, then Horner at each of their nodes."""
-    p = field.p
-    block = min(_HORNER_LEVEL, len(levels))
-    rems = [UniPoly(field, levels[-1][0]).derivative()]
-    for level in range(len(levels) - 2, block - 2, -1):
-        rems = [rems[i >> 1] % UniPoly(field, m) for i, m in enumerate(levels[level])]
-    weights = []
-    for i, rem in enumerate(rems):
-        for x in xs[i << block:(i + 1) << block]:
-            acc = 0
-            for c in reversed(rem.coeffs):
-                acc = (acc * x + c) % p
-            weights.append(pow(acc, -1, p))
-    return weights
+    return UniPoly(field, sums[0])
 
 
 @functools.lru_cache(maxsize=8)
 def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple]:
     """(levels, weights) of ``interpolate`` on the nodes 0, ..., n - 1 over
-    GF(p): the subproduct tree and 1/M'(i) = (-1)**(n - 1 - i) / (i! (n - 1
-    - i)!), from one inverse of (n - 1)!; tuples, as every caller shares them."""
+    GF(p), as tuples, since every caller shares them.
+
+    ``levels`` is the subproduct tree from the pairs up to the root: level
+    j holds the products of 2**(j + 1) consecutive factors x - i, the pairs
+    (x - i)(x - i - 1) written out.  The weights are 1/M'(i) = (-1)**(n - 1
+    - i) / (i! (n - 1 - i)!), from one inverse of (n - 1)!.
+    """
     field = GF(p)
     fact = [1] * n
     for i in range(1, n):
@@ -612,7 +572,12 @@ def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple]:
     for i in range(n - 1, 0, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
     weights = tuple((-1) ** (n - 1 - i) * inv_fact[i] * inv_fact[n - 1 - i] % p for i in range(n))
-    levels = _subproduct_levels(list(range(n)), field)
+    levels = [_pairwise(
+        [[-i % p, 1] for i in range(n)], lambda i: [i * (i + 1) % p, -(2 * i + 1) % p, 1]
+    )]
+    while len(levels[-1]) > 1:
+        m = levels[-1]
+        levels.append(_pairwise(m, lambda i: dense_product(field, m[i], m[i + 1])))
     return tuple(tuple(map(tuple, level)) for level in levels), weights
 
 
@@ -625,83 +590,66 @@ def _pairwise(nodes: list, combine) -> list:
     return out
 
 
-def interpolate_bivariate(
-    xs: Sequence, ys: Sequence, values: Sequence[Sequence], field: PrimeField
-) -> MultiPoly:
+def interpolate_bivariate(values: Sequence[Sequence], field: PrimeField) -> MultiPoly:
     """Polynomial of total degree <= n through samples on a principal lattice.
 
-    GF(p) only.  ``xs`` and ``ys`` hold n + 1 distinct nodes each and
-    ``values[i][j]`` is the value at ``(xs[i], ys[j])`` for i + j <= n, so
-    row i has n + 1 - i entries; the lattice is unisolvent for total degree
-    <= n.  Newton form on that lower set: divided differences in the first
-    variable down each column, then in the second along each row, then
-    expansion to monomials.  The coefficient of N_i(x) M_j(y) uses only
-    nodes with indices <= (i, j), all inside the lattice.  A polynomial of
-    higher total degree is not seen: the result matches it on the lattice
-    only, so callers check a point off it.
+    GF(p) only.  ``values[i][j]`` is the value at the node (i, j) for i + j
+    <= n, so row i has n + 1 - i entries; the lattice is unisolvent for
+    total degree <= n.  Newton form on that lower set: divided differences
+    in the first variable down each column, then in the second along each
+    row, then expansion to monomials.  On the nodes 0..n a difference of
+    order k divides by k, so one list of the inverses of 1..n serves every
+    level.  The coefficient of N_i(x) M_j(y) uses only nodes with indices
+    <= (i, j), all inside the lattice.  A polynomial of higher total degree
+    is not seen: the result matches it on the lattice only, so callers
+    check a point off it.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")
     p = field.p
-    n = len(xs) - 1
-    xs = [x % p for x in xs]
-    ys = [y % p for y in ys]
-    if len(ys) != n + 1 or [len(row) for row in values] != list(range(n + 1, 0, -1)):
+    n = len(values) - 1
+    if [len(row) for row in values] != list(range(n + 1, 0, -1)):
         raise ValueError("values must fill the lattice i + j <= n of the nodes")
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise ValueError("repeated abscissa")
-    inv = _Inverses(p)
+    inv = [0] + [pow(k, -1, p) for k in range(1, n + 1)]
     dd = [list(row) for row in values]
     for j in range(n + 1):
         column = [dd[i][j] for i in range(n + 1 - j)]
-        _divided_differences(column, xs, inv)
+        _divided_differences(column, inv, p)
         for i, c in enumerate(column):
             dd[i][j] = c
     # row i: the polynomial in y multiplying N_i(x), in monomials
     rows = []
     for row in dd:
-        _divided_differences(row, ys, inv)
-        rows.append(_newton_to_monomial(row, ys, p))
+        _divided_differences(row, inv, p)
+        rows.append(_newton_to_monomial(row, p))
     terms = {}
     for k in range(n + 1):
-        in_x = _newton_to_monomial([rows[i][k] for i in range(n + 1 - k)], xs, p)
+        in_x = _newton_to_monomial([rows[i][k] for i in range(n + 1 - k)], p)
         for d, c in enumerate(in_x):
             if c:
                 terms[(d, k)] = c
     return MultiPoly(field, 2, terms)
 
 
-class _Inverses(dict):
-    """Inverses mod p of nonzero residues, each computed when first looked up."""
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, d: int) -> int:
-        v = self[d] = pow(d, -1, self.p)
-        return v
-
-
-def _divided_differences(dd: list, xs: Sequence[int], inv: _Inverses) -> None:
-    """Replace the values ``dd[i]`` at ``xs[i]`` by f[x_0, ..., x_i], in place."""
-    p = inv.p
+def _divided_differences(dd: list, inv: Sequence[int], p: int) -> None:
+    """Replace the values ``dd[i]`` at the nodes i by f[0, ..., i], in place;
+    ``inv[k]`` is 1/k mod p, the divisor of a difference of order k."""
     n = len(dd)
     for level in range(1, n):
+        inv_level = inv[level]
         for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inv[(xs[i] - xs[i - level]) % p] % p
+            dd[i] = (dd[i] - dd[i - 1]) * inv_level % p
 
 
-def _newton_to_monomial(dd: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
-    """Monomial coefficients of sum_i dd[i] * (x - x_0) ... (x - x_(i-1)), by Horner."""
+def _newton_to_monomial(dd: Sequence[int], p: int) -> list[int]:
+    """Monomial coefficients of sum_i dd[i] * x (x - 1) ... (x - i + 1), by Horner."""
     if not dd:
         return []
     q = [dd[-1] % p]
     for k in range(len(dd) - 2, -1, -1):
-        xk = xs[k]
-        # q <- q * (x - xk) + dd[k]
+        # q <- q * (x - k) + dd[k]
         q.append(q[-1])
         for j in range(len(q) - 2, 0, -1):
-            q[j] = (q[j - 1] - xk * q[j]) % p
-        q[0] = (dd[k] - xk * q[0]) % p
+            q[j] = (q[j - 1] - k * q[j]) % p
+        q[0] = (dd[k] - k * q[0]) % p
     return q

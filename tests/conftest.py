@@ -1,6 +1,7 @@
 """Shared fixtures and references: the frozen generic quintic, the Fermat
-quintic, identity-frame charts, j of a cross-ratio, the arc test suite and
-the evaluation of a degree-36 invariant relation."""
+quintic, identity-frame charts, j of a cross-ratio, interpolation through
+arbitrary nodes, the arc test suite and the evaluation of a degree-36
+invariant relation."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import pytest
 from quintic_moduli import ArcSpec, LineChart, PlaneCurve
 from quintic_moduli.arc_limits import BITS
 from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
-from quintic_moduli.polys import MultiPoly
-from quintic_moduli.scalars import QQ, Field
+from quintic_moduli.polys import MultiPoly, UniPoly
+from quintic_moduli.scalars import QQ, Field, PrimeField
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CURVES_DIR = REPO_ROOT / "curves"
@@ -61,6 +62,27 @@ def j_from_cross_ratio(lam, field: Field = QQ):
     s = lam * lam - lam + F.one
     den = F.reduce(lam * lam * (lam - F.one) * (lam - F.one))
     return F.reduce(F.from_int(256) * s * s * s * F.inv(den))
+
+
+def newton_interpolation(samples, field: PrimeField) -> UniPoly:
+    """The polynomial of degree < n through n (x, v) pairs, the x distinct
+    mod p, in any order: O(n**2) divided differences (Newton form), then
+    expansion to monomials by Horner.  The reference for interpolation on
+    nodes that ``polys.interpolate`` does not take."""
+    p = field.p
+    xs = [x % p for x, _ in samples]
+    dd = [v % p for _, v in samples]
+    n = len(dd)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * pow(xs[i] - xs[i - level], -1, p) % p
+    coeffs: list[int] = []
+    for k in range(n - 1, -1, -1):  # coeffs <- coeffs * (x - x_k) + dd[k]
+        shifted = [dd[k]] + coeffs
+        for j, c in enumerate(coeffs):
+            shifted[j] -= xs[k] * c
+        coeffs = [c % p for c in shifted]
+    return UniPoly(field, coeffs)
 
 
 def relation_value(iv: InvariantVector, coefficients):

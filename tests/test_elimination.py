@@ -7,6 +7,7 @@ from quintic_moduli import elimination
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     _lazy_constants,
+    _lazy_sequence,
     _reduce_by_constant_lead,
     _resultant_modp,
     gcd_uni,
@@ -19,10 +20,16 @@ from quintic_moduli.plane_curves import random_invertible_frame
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
 from quintic_moduli.scalars import GF, QQ
 
+from conftest import newton_interpolation
+
 F = GF(10007)
-#: primes whose remainder sequences run packed, and primes that take the loop
+#: primes whose remainder sequences run packed, and primes past every guard,
+#: whose sequences run in ``_remainder_scheme`` from the start
 PACKED_PRIMES = (2503, 3001, 10007)
 LOOP_PRIMES = (2**31 - 1, 2**61 - 1)
+#: a prime whose guard admits quotients of 2 terms only, so a sequence runs
+#: packed and is handed over to ``_remainder_scheme`` part-way through
+HANDOVER_PRIME = 1000003
 
 
 def linear(field, a):
@@ -147,6 +154,8 @@ def _remainder_cases(p: int) -> list[tuple[UniPoly, UniPoly]]:
         # remainder degrees dropping by more than one
         _with_degrees(rng, field, [14, 12, 9, 8, 4, 3, 0]),
         _with_degrees(rng, field, [13, 10, 7, 2, 1]),
+        # quotients of 1, 2 and 6 terms: past HANDOVER_PRIME's guard at (8, 3)
+        _with_degrees(rng, field, [9, 9, 8, 3, 0]),
     ]
 
 
@@ -155,7 +164,7 @@ def _lazy(rng, coeffs, p: int) -> list[int]:
     return [c + p * rng.randrange(2) for c in coeffs]
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES + LOOP_PRIMES)
+@pytest.mark.parametrize("p", PACKED_PRIMES + (HANDOVER_PRIME,) + LOOP_PRIMES)
 def test_packed_resultants_match_the_loop_and_sylvester(p):
     rng = random.Random(p + 1)
     for a, b in _remainder_cases(p):
@@ -167,11 +176,26 @@ def test_packed_resultants_match_the_loop_and_sylvester(p):
         assert _resultant_modp(_pack(lazy_a), _pack(lazy_b), p) == ref, (a.degree, b.degree)
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES + LOOP_PRIMES)
+@pytest.mark.parametrize("p", PACKED_PRIMES + (HANDOVER_PRIME,) + LOOP_PRIMES)
 def test_packed_gcds_match_plain_euclid(p):
     for a, b in _remainder_cases(p):
         assert gcd_uni(a, b) == _gcd_reference(a, b), (a.degree, b.degree)
         assert gcd_uni(b, a) == _gcd_reference(b, a)
+
+
+def test_packed_sequence_hands_over_part_way():
+    # the last remainder case at HANDOVER_PRIME: the packed sequence takes
+    # the divisions with quotients of 1 and 2 terms and stops before the
+    # 6-term one, carrying a sign and a running product into the scheme
+    p = HANDOVER_PRIME
+    assert _lazy_constants(p)[2] == 2
+    a, b = _remainder_cases(p)[-1]
+    na, nb = len(a.coeffs), len(b.coeffs)
+    _, na, _, nb, _, acc, negate = _lazy_sequence(_pack(a.coeffs), na, _pack(b.coeffs), nb, p)
+    assert (na - 1, nb - 1) == (8, 3)
+    assert negate and acc != 1
+    ref = _resultant_reference(list(a.coeffs), list(b.coeffs), p)
+    assert _resultant_modp(_pack(a.coeffs), _pack(b.coeffs), p) == ref == sylvester_determinant(a, b)
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
@@ -266,7 +290,7 @@ def _at(poly: MultiPoly, s: int, elim: int = 1) -> UniPoly:
 def _resampling_eliminant(f: MultiPoly, g: MultiPoly, elim: int = 1) -> UniPoly:
     """The eliminant as it was computed before the formal-degree rule:
     sample where neither lead vanishes, skipping the others, take univariate
-    resultants there and interpolate."""
+    resultants there and interpolate through those nodes (Newton)."""
     field = f.field
     df, dg = f.degree_in(elim), g.degree_in(elim)
     needed = f.total_degree * g.total_degree + 1
@@ -276,7 +300,7 @@ def _resampling_eliminant(f: MultiPoly, g: MultiPoly, elim: int = 1) -> UniPoly:
         if fs.degree == df and gs.degree == dg:
             samples.append((s, resultant_uni(fs, gs)))
             if len(samples) == needed:
-                return interpolate(samples, field)
+                return newton_interpolation(samples, field)
     raise AssertionError("too few samples")
 
 
@@ -377,24 +401,24 @@ def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
 @pytest.mark.parametrize("draw", ["fiber", "reduced lead", "both"])
 def test_one_resultant_per_node_and_one_interpolation(monkeypatch, vanishing_draw, draw):
     # mirrors the traced benchmark gate: every sample is one _resultant_modp
-    # call, and the eliminant one interpolate call on the nodes 0..bound
+    # call, and the eliminant one interpolate call on the values at 0..bound
     if draw == "fiber":
         f, g = vanishing_draw
     else:
         f_terms, g_terms, _ = FORMAL_DEGREE_CASES[draw]
         f, g = _bivariate(F, f_terms), _bivariate(F, g_terms)
     calls = []
-    nodes = []
+    sizes = []
     resultant, interp = elimination._resultant_modp, elimination.interpolate
     monkeypatch.setattr(elimination, "_resultant_modp", lambda *a: calls.append(1) or resultant(*a))
     monkeypatch.setattr(
-        elimination, "interpolate", lambda samples, field: nodes.append([s for s, _ in samples])
-        or interp(samples, field)
+        elimination, "interpolate", lambda values, field: sizes.append(len(values))
+        or interp(values, field)
     )
     resultant_bivar_elim(f, g, 1)
     bound = f.total_degree * g.total_degree
     assert len(calls) == bound + 1
-    assert nodes == [list(range(bound + 1))]
+    assert sizes == [bound + 1]
 
 
 def test_squarefree_examples():
@@ -455,7 +479,7 @@ def test_xgcd_with_zero_and_constant_operands(field):
 
 def test_interpolation_and_elimination_reject_QQ():
     with pytest.raises(ValueError, match="prime field"):
-        interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))], QQ)
+        interpolate([Fraction(1), Fraction(2)], QQ)
     x = MultiPoly.variable(QQ, 2, 0)
     s = MultiPoly.variable(QQ, 2, 1)
     with pytest.raises(ValueError, match="prime field"):

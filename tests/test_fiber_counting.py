@@ -64,11 +64,11 @@ def test_fiber_system_matches_tensor_grid_interpolation(fixture_mod_p, sample_sy
             rows[0].append((c2 * i4**2 - c1**2 * i8) % F.p)
             rows[1].append((c3 * i4**3 - c1**3 * i12) % F.p)
         for grid, row in zip(grids, rows):
-            grid.append(interpolate(list(zip(side, row)), F))
+            grid.append(interpolate(row, F))
     for grid, system in zip(grids, (g1, g2)):
         terms = {}
         for k in side:
-            column = [(a, row.coeffs[k] if k < len(row.coeffs) else 0) for a, row in zip(side, grid)]
+            column = [row.coeffs[k] if k < len(row.coeffs) else 0 for row in grid]
             for d, c in enumerate(interpolate(column, F).coeffs):
                 if c:
                     terms[(d, k)] = c

@@ -455,10 +455,9 @@ def test_pencil_through_random_point_has_no_unstable_lines(generic_quintic):
     samples4, samples8, samples12 = [], [], []
     for s in range(61):
         i4, i8, i12 = invariant_triple(restriction_at(s))
-        x = F.from_int(s)
-        samples4.append((x, i4))
-        samples8.append((x, i8))
-        samples12.append((x, i12))
+        samples4.append(i4)
+        samples8.append(i8)
+        samples12.append(i12)
     p4 = interpolate(samples4, F)
     p8 = interpolate(samples8, F)
     p12 = interpolate(samples12, F)

@@ -19,7 +19,7 @@ from quintic_moduli.polys import (
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ
 
-from conftest import fermat_quintic, identity_chart
+from conftest import fermat_quintic, identity_chart, newton_interpolation
 
 F = GF(10007)
 QQ_LM = PolynomialRing(QQ, 2)
@@ -408,59 +408,51 @@ def test_line_restriction_matches_compose_and_eval(ring, v):
 
 
 def test_interpolate_examples():
-    assert list(interpolate([(0, 1), (1, 2)], F).coeffs) == [1, 1]
+    assert list(interpolate([1, 2], F).coeffs) == [1, 1]
     assert interpolate([], F).is_zero()
-    with pytest.raises(ValueError):
-        interpolate([(1, 0), (1, 2)], F)
-    with pytest.raises(ValueError):  # abscissae congruent mod p
-        interpolate([(1, 0), (1 + F.p, 2)], F)
+    # p values fill the nodes 0..p-1; one more repeats node 0 mod p
+    field = GF(2503)
+    assert interpolate([5] * 2503, field) == UniPoly.constant(field, 5)
+    with pytest.raises(ValueError, match=r"nodes 0\.\.2503, which repeat mod 2503"):
+        interpolate([5] * 2504, field)
 
 
 def test_interpolation_inverts_evaluation():
     rng = random.Random(7)
     for _ in range(25):
         poly = rand_unipoly(rng, F, rng.randrange(0, 12))
-        n = poly.degree + 1
-        xs = random.Random(rng.random()).sample(range(F.p), n)
-        samples = [(x, poly.eval(x)) for x in xs]
-        assert interpolate(samples, F) == poly
+        n = poly.degree + 1 + rng.randrange(3)  # up to two nodes more than needed
+        assert interpolate([poly.eval(x) for x in range(n)], F) == poly
 
 
-# The subproduct tree pairs consecutive nodes, and its remainders stop at
-# nodes of 32 leaves: 601 nodes give odd levels and a partial last block.
+# The subproduct tree pairs consecutive nodes: 601 and 69 values give odd
+# levels, with a node moving up unchanged.
 @pytest.mark.parametrize("p, n", [(10007, 601), (2**61 - 1, 70)])
 def test_interpolation_through_many_nodes(p, n):
     field = GF(p)
     rng = random.Random(n)
-    node_sets = {
-        "none": [],
-        "one": [rng.randrange(p)],
-        "consecutive": list(range(n)),
-        "random": rng.sample(range(p), n),
-        "gaps": [x for x in range(2 * n) if x % 5 in (0, 3)] + [p - 1, p // 2],
-    }
-    for name, xs in node_sets.items():
-        samples = [(x, rng.randrange(p)) for x in xs]
-        poly = interpolate(samples, field)
-        assert poly.degree < len(xs), name
-        assert all(poly.eval(x) == v for x, v in samples), name
+    for size in (0, 1, 2, n - 1, n):
+        values = [rng.randrange(p) for _ in range(size)]
+        poly = interpolate(values, field)
+        assert poly.degree < size, size
+        assert [poly.eval(x) for x in range(size)] == values, size
 
 
 @pytest.mark.parametrize("p", [3001, 10007, 2**61 - 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 46, 601])
 def test_consecutive_nodes_match_the_remainder_tree(p, n):
-    # in order, the nodes 0..n-1 take the closed-form weights and the cached
-    # tree; any other order builds its tree and reduces M' down it
+    # the closed-form weights and the cached tree against the divided
+    # differences of the reference, fed the same samples shuffled, so
+    # through nodes in no particular order
     field = GF(p)
     rng = random.Random(p + n)
-    samples = [(x, rng.randrange(p)) for x in range(n)]
-    poly = interpolate(samples, field)
+    values = [rng.randrange(p) for _ in range(n)]
+    poly = interpolate(values, field)
     assert poly.degree < n
-    assert all(poly.eval(x) == v for x, v in samples)
-    permuted = samples[1:] + samples[:1]  # out of order once n > 1
-    assert interpolate(permuted, field) == poly
-    rng.shuffle(permuted)
-    assert interpolate(permuted, field) == poly
+    assert [poly.eval(x) for x in range(n)] == values
+    shuffled = list(enumerate(values))
+    rng.shuffle(shuffled)
+    assert newton_interpolation(shuffled, field) == poly
 
 
 def test_consecutive_node_cache_is_not_aliased():
@@ -471,11 +463,11 @@ def test_consecutive_node_cache_is_not_aliased():
     n = 37
     levels, weights = _consecutive_nodes(field.p, n)
     before = (repr(levels), weights)
-    first_samples = [(x, (x * x + 1) % field.p) for x in range(n)]
-    first = interpolate(first_samples, field)
-    second = interpolate([(x, (7 * x + 3) % field.p) for x in range(n)], field)
+    first_values = [(x * x + 1) % field.p for x in range(n)]
+    first = interpolate(first_values, field)
+    second = interpolate([(7 * x + 3) % field.p for x in range(n)], field)
     assert first == UniPoly(field, [1, 0, 1]) and second == UniPoly(field, [3, 7])
-    assert first == interpolate(first_samples, field)
+    assert first == interpolate(first_values, field)
     assert _consecutive_nodes(field.p, n) == (levels, weights)
     assert (repr(levels), weights) == before
 
@@ -484,24 +476,22 @@ def test_interpolate_bivariate_roundtrip():
     rng = random.Random(11)
     for field in (GF(10007), GF(3001)):
         for n in (0, 1, 4, 30):
-            # random polynomial of total degree <= n, random nodes on each axis
+            # random polynomial of total degree <= n, sampled at the nodes (i, j)
             poly = MultiPoly(
                 field, 2,
                 {(i, j): rng.randrange(field.p) for i in range(n + 1) for j in range(n + 1 - i)},
             )
-            xs = rng.sample(range(field.p), n + 1)
-            ys = rng.sample(range(field.p), n + 1)
-            values = [[poly.eval((x, y)) for y in ys[: n + 1 - i]] for i, x in enumerate(xs)]
-            assert interpolate_bivariate(xs, ys, values, field) == poly, (field, n)
+            values = [[poly.eval((i, j)) for j in range(n + 1 - i)] for i in range(n + 1)]
+            assert interpolate_bivariate(values, field) == poly, (field, n)
 
 
 def test_interpolate_bivariate_rejects_bad_lattices():
     with pytest.raises(ValueError, match="lattice"):  # a full 2x2 grid, not {i + j <= 1}
-        interpolate_bivariate([0, 1], [0, 1], [[1, 2], [3, 4]], F)
-    with pytest.raises(ValueError, match="repeated abscissa"):
-        interpolate_bivariate([0, F.p], [0, 1], [[1, 2], [3]], F)
+        interpolate_bivariate([[1, 2], [3, 4]], F)
+    with pytest.raises(ValueError, match="lattice"):  # rows in the wrong order
+        interpolate_bivariate([[1], [2, 3]], F)
     with pytest.raises(ValueError, match="prime field"):
-        interpolate_bivariate([0], [0], [[Fraction(1)]], QQ)
+        interpolate_bivariate([[Fraction(1)]], QQ)
 
 
 def test_operations_are_deterministic():
