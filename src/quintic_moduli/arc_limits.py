@@ -82,6 +82,8 @@ class ArcSpec:
         if alpha and alpha[0] != 0 or beta and beta[0] != 0:
             raise ValueError("arcs must satisfy alpha(0) = beta(0) = 0")
         if truncation is not None:
+            if truncation < 1:
+                raise ValueError(f"truncation must be at least 1, not {truncation}")
             if len(alpha) > truncation or len(beta) > truncation:
                 raise ValueError("more coefficients supplied than the declared truncation")
             la, lb = _lead(alpha), _lead(beta)

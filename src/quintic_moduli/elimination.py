@@ -35,14 +35,13 @@ back to [0, 2p) at once: a - p * ((a * m >> s) & mask), m = floor(2**s /
 p), the mask keeping the low 64 - s bits of each slot.  Only the top slot
 is reduced to a canonical residue; it gives the next quotient terms, the
 degree test and the leading-coefficient powers.  A sample's slices enter
-after the same Barrett step, still packed.  The guard (``_lazy_constants``)
-bounds the quotient length so that no slot reaches 2**s and no slot times
-m reaches 2**64; what is left of a sequence after a division past it, and
-the whole sequence at a prime too large for any (above about 1.5 million,
-so 2**31 - 1 among them), take the one remainder scheme on ``UniPoly``
-(``_remainder_scheme``), which ``resultant_uni`` runs in every field.  The
-same cache holds, for primes below 2**16, a table of their inverses for
-the leads; the Barrett masks are cached by their slot count.
+after the same Barrett step, still packed.  ``_lazy_constants`` bounds the
+products a slot may take between two steps, and p packs iff that bound is
+at least 1 (every p up to 1482910).  Past it (2**31 - 1 among such primes)
+the slices are lists, the sample resultants run ``resultant_uni``'s scheme
+on ``UniPoly`` and ``gcd_uni`` its plain loop.  The same cache holds, for
+primes below 2**16, a table of their inverses for the leads; the Barrett
+masks are cached by their slot count.
 """
 
 from __future__ import annotations
@@ -56,32 +55,23 @@ from .scalars import GF, PrimeField
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; gcd(0, 0) is the zero polynomial.
 
-    Over GF(p) the remainder sequence runs packed (``_lazy_sequence``) as
-    far as its guard admits; the plain loop finishes whatever is left.
+    Over a GF(p) that packs, the remainder sequence of nonzero operands
+    runs packed (``_lazy_sequence``) to the gcd; the plain loop serves
+    every other field.
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in gcd")
     F = f.field
     if isinstance(F, PrimeField) and f.coeffs and g.coeffs and _lazy_constants(F.p)[2]:
-        f, g = _gcd_packed(f, g)
+        p = F.p
+        packed_f, packed_g = _pack(f.coeffs), _pack(g.coeffs)
+        a, na, _, nb, *_ = _lazy_sequence(packed_f, len(f.coeffs), packed_g, len(g.coeffs), p)
+        if nb:  # a nonzero constant remainder
+            return UniPoly.constant(F, F.one)
+        return UniPoly(F, [c % p for c in _unpack(a, na)]).monic()
     while not g.is_zero():
         f, g = g, f % g
     return f.monic() if not f.is_zero() else f
-
-
-def _gcd_packed(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """The remainder sequence of two nonzero polynomials over GF(p), packed
-    (``_lazy_sequence``), up to a constant or zero remainder or the first
-    division past the guard: returns the last (dividend, divisor)."""
-    F = f.field
-    p = F.p
-    a, na, b, nb, *_ = _lazy_sequence(
-        _pack(f.coeffs), len(f.coeffs), _pack(g.coeffs), len(g.coeffs), p
-    )
-    return (
-        UniPoly(F, [c % p for c in _unpack(a, na)]),
-        UniPoly(F, [c % p for c in _unpack(b, nb)]),
-    )
 
 
 def _gcd_cofactor(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -106,23 +96,21 @@ def _gcd_cofactor(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 
 def resultant_uni(f: UniPoly, g: UniPoly):
-    """Sylvester resultant of two nonzero univariate polynomials."""
-    if f.field is not g.field:
-        raise ValueError("field mismatch in resultant")
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is undefined")
-    return _remainder_scheme(f, g, f.field.one, False)
-
-
-def _remainder_scheme(a: UniPoly, b: UniPoly, acc, negate: bool):
-    """acc * Res(a, b), negated when ``negate``, for nonzero a and b: the
-    Euclidean remainder scheme, in any field.
+    """Sylvester resultant of two nonzero univariate polynomials, by the
+    Euclidean remainder scheme in any field.
 
     Each division a = q b + r multiplies by lc(b)**(deg a - deg r) and
     flips the sign when deg a * deg b is odd; a zero remainder gives 0 and
     a constant b ends the scheme with b**deg a.
     """
-    F = a.field
+    if f.field is not g.field:
+        raise ValueError("field mismatch in resultant")
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial is undefined")
+    F = f.field
+    acc = F.one
+    negate = False
+    a, b = f, g
     while b.degree > 0:
         r = a % b
         if r.is_zero():
@@ -146,16 +134,15 @@ def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None]:
     """(s, m, limit, inverses) of the lazily reduced packed remainder over
     GF(p).
 
-    m = floor(2**s / p) is the Barrett multiplier, and limit the longest
-    quotient (in terms) a packed division may take.  A division starts
-    from slots below 2p and adds at most ``limit`` products (p - c) * b_j
-    below (p - 1)(2p - 1) to each slot, so every slot x stays below 2**s
-    and x * m below 2**64, the two bounds the SWAR Barrett step needs.  s is
-    chosen to make limit largest; limit 0 (every p above 1482910) means no
-    packed division.  ``inverses[c]`` is 1/c mod p (None from
-    ``_INVERSE_TABLE_LIMIT`` on), from inv(i) = -(p // i) inv(p mod i), for
-    the leads of the remainder sequence.  Keyed by the prime, so one entry
-    per prime.
+    m = floor(2**s / p) is the Barrett multiplier, and limit the most
+    products (p - c) * b_j, each below (p - 1)(2p - 1), a slot may take
+    between two Barrett steps: from a slot below 2p, every slot x stays
+    below 2**s and x * m below 2**64, the two bounds the SWAR Barrett step
+    needs.  s is chosen to make limit largest.  p packs iff limit >= 1,
+    every p up to 1482910; past that limit is 0 and nothing is packed.
+    ``inverses[c]`` is 1/c mod p (None from ``_INVERSE_TABLE_LIMIT`` on),
+    from inv(i) = -(p // i) inv(p mod i), for the leads of the remainder
+    sequence.  Keyed by the prime, so one entry per prime.
     """
     span = (p - 1) * (2 * p - 1)
     best = (0, 0, 0)
@@ -185,32 +172,36 @@ def _barrett_mask(s: int, length: int) -> int:
 def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
     """The remainder sequence of a and b over GF(p), packed, slots in [0, 2p).
 
-    ``na``/``nb`` count the slots up to the top one, which is nonzero mod
-    p.  Each division, one pass of the loop, reads each quotient term off
-    the top slot (reduced mod p) and adds (p - c) * b << 64k; then the low
-    nb - 1 slots are kept and one SWAR Barrett step, a - p * ((a * m >> s)
-    & mask), brings every slot back to [0, 2p) at once.  Only the top slot
-    of a remainder is reduced to a canonical residue.  The mask is sized
-    once for the longest remainder, min(na, nb) - 1 slots (a shorter a is
-    its own remainder).
+    p packs, and ``na``/``nb`` count the slots up to the top one, which is
+    nonzero mod p.  Each division, one pass of the loop, reads each
+    quotient term off the top slot (reduced mod p) and adds (p - c) * b <<
+    64k; then the low nb - 1 slots are kept and one SWAR Barrett step, a -
+    p * ((a * m >> s) & mask), brings every slot back to [0, 2p) at once.
+    Term k adds to slots k..k + nb - 1, so a slot takes min(quotient terms,
+    nb) products at most; only where both pass ``limit`` does a step also
+    run, over the slots still in play, after each term k divisible by
+    limit.  Only the top slot of a remainder is reduced to a canonical
+    residue.  The mask is sized once for the most slots in play.
 
-    Runs until b is a constant (nb = 1), a remainder vanishes (nb = 0) or
-    the next division would pass the guard of ``_lazy_constants``, and
-    returns (a, na, b, nb, lb, acc, negate): the last pair, b's top slot,
-    and the running product and sign of the resultant's remainder scheme.
+    Runs until b is a constant (nb = 1) or a remainder vanishes (nb = 0),
+    and returns (a, na, b, nb, lb, acc, negate): the last pair, b's top
+    slot, and the product and sign of the resultant's remainder scheme.
     """
     s, m, limit, inverses = _lazy_constants(p)
-    mask = _barrett_mask(s, min(na, nb) - 1)
+    mask = _barrett_mask(s, max(na, nb) - 1)
     lb = (b >> 64 * (nb - 1)) % p
     acc = 1
     negate = False
-    while nb > 1 and na - nb < limit:
+    while nb > 1:
         n = nb - 1
         inv = inverses[lb] if inverses else pow(lb, -1, p)
         for k in range(na - nb, -1, -1):
             c = (a >> 64 * (k + n) & _SLOT) * inv % p
             if c:
                 a += (p - c) * b << 64 * k
+            if nb > limit and k and not k % limit:
+                a &= (1 << 64 * (k + n)) - 1
+                a -= p * ((a * m >> s) & mask)
         a &= (1 << 64 * n) - 1
         a -= p * ((a * m >> s) & mask)
         while n:
@@ -233,61 +224,56 @@ def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
 def _resultant_modp(a, b, p: int) -> int:
     """Res(a, b) over GF(p): the hot path of the fiber eliminant.
 
-    ``a`` and ``b`` are coefficient lists (ascending residues, top nonzero),
-    or, when ``_lazy_constants(p)`` admits packing, packed ints with every
-    slot in [0, 2p) and the top slot nonzero mod p.  Packed, the remainder
-    sequence stays packed from first step to last (``_lazy_sequence``); a
-    list, and what is left after a division past the guard (with the
-    running product and sign), take ``_remainder_scheme`` on ``UniPoly``.
-    A zero operand (an empty list or 0) gives 0: the callers' other operand
-    is never a nonzero constant then.
+    Where p packs (``_lazy_constants``), ``a`` and ``b`` are packed ints
+    with every slot in [0, 2p) and the top slot nonzero mod p, and their
+    remainder sequence runs packed to its end (``_lazy_sequence``).  Past
+    that they are coefficient lists (ascending residues, top nonzero), for
+    ``resultant_uni``.  A zero operand (an empty list or 0) gives 0: the
+    callers' other operand is never a nonzero constant then.
     """
     if not a or not b:
         return 0
-    field = GF(p)
     if not isinstance(a, int):
-        return _remainder_scheme(UniPoly(field, a), UniPoly(field, b), 1, False)
+        field = GF(p)
+        return resultant_uni(UniPoly(field, a), UniPoly(field, b))
     na, nb = (a.bit_length() + 63) >> 6, (b.bit_length() + 63) >> 6
-    a, na, b, nb, lb, acc, negate = _lazy_sequence(a, na, b, nb, p)
+    _, na, _, nb, lb, acc, negate = _lazy_sequence(a, na, b, nb, p)
     if not nb:
         return 0
-    if nb > 1:
-        return _remainder_scheme(
-            UniPoly(field, [c % p for c in _unpack(a, na)]),
-            UniPoly(field, [c % p for c in _unpack(b, nb)]),
-            acc,
-            negate,
-        )
     acc = acc * pow(lb, na - 1, p) % p
     return (p - acc) % p if negate and acc else acc
 
 
-def _specialise(poly: MultiPoly, keep: int, elim: int, packed: bool) -> dict:
-    """Per kept-variable exponent k, the coefficients of x_keep**k ascending
-    in the eliminated variable: one packed int (``polys._pack``) when
-    ``packed``, else a list."""
+def _specialise(poly: MultiPoly, keep: int, elim: int, packed: bool) -> list:
+    """Pairs (k, column): the coefficients of x_keep**k ascending in the
+    eliminated variable, one packed int (``polys._pack``) when ``packed``,
+    else a list."""
     width = poly.degree_in(elim) + 1
     columns: dict[int, list] = {}
     for e, c in poly.terms.items():
         columns.setdefault(e[keep], [0] * width)[e[elim]] = c
     if packed:
-        return {k: _pack(column) for k, column in columns.items()}
-    return columns
+        return [(k, _pack(column)) for k, column in columns.items()]
+    return list(columns.items())
 
 
-def _eval_slices(columns: dict, width: int, powers, p: int, lazy) -> list[int] | int:
+def _eval_slices(columns: list, width: int, powers, p: int, lazy) -> list[int] | int:
     """Specialised univariate coefficients mod p (ascending in the eliminated var).
 
-    Packed (``lazy`` is the Barrett step's (m, s, mask)), a sample's slices
-    are sum_k powers[k] * column_k brought to slots in [0, 2p) by one
-    Barrett step, still packed, as ``_resultant_modp`` takes them.
+    Packed (``lazy`` is (m, s, mask, group)), a sample's slices are sum_k
+    powers[k] * column_k, ``group`` columns at a time, each group followed
+    by a Barrett step: slots in [0, 2p), still packed, as
+    ``_resultant_modp`` takes them.
     """
     if lazy:
-        m, s, mask = lazy
-        acc = sum(powers[k] * column for k, column in columns.items())
-        return acc - p * ((acc * m >> s) & mask)
+        m, s, mask, group = lazy
+        acc = 0
+        for i in range(0, len(columns), group):
+            acc = sum((powers[k] * column for k, column in columns[i : i + group]), acc)
+            acc -= p * ((acc * m >> s) & mask)
+        return acc
     out = [0] * width
-    for k, column in columns.items():
+    for k, column in columns:
         w = powers[k]
         for j, c in enumerate(column):
             out[j] += w * c
@@ -295,19 +281,21 @@ def _eval_slices(columns: dict, width: int, powers, p: int, lazy) -> list[int] |
 
 
 def _trim(c, n: int, p: int):
-    """(c, d): slices of formal degree n with their top zero residues
-    dropped, packed (a top slot may read p) or a list, and d the number
-    dropped (n + 1 for the zero polynomial)."""
+    """(c, d, lead): slices of formal degree n with their top zero residues
+    dropped, packed (a top slot may read p) or a list, d the number
+    dropped (n + 1 for the zero polynomial) and lead the top residue left
+    (0 for the zero polynomial)."""
     if isinstance(c, int):
-        k = n
-        while k >= 0 and (c >> 64 * k) % p == 0:
+        for k in range(n, -1, -1):
+            lead = (c >> 64 * k) % p
+            if lead:
+                return c, n - k, lead
             c &= (1 << 64 * k) - 1
-            k -= 1
-        return c, n - k
+        return 0, n + 1, 0
     k = len(c)
     while k and c[k - 1] == 0:
         k -= 1
-    return c[:k], len(c) - k
+    return c[:k], len(c) - k, c[k - 1] if k else 0
 
 
 def _sample_resultant(fc, df: int, gc, dg: int, p: int) -> int:
@@ -319,17 +307,15 @@ def _sample_resultant(fc, df: int, gc, dg: int, p: int) -> int:
     dropping by d by (-1)**(d * dg) * lc(g)**d, and both vanishing make
     the determinant 0 (its first column is zero).
     """
-    fc, f_drop = _trim(fc, df, p)
-    gc, g_drop = _trim(gc, dg, p)
+    fc, f_drop, f_lead = _trim(fc, df, p)
+    gc, g_drop, g_lead = _trim(gc, dg, p)
     value = _resultant_modp(fc, gc, p)
     if f_drop and g_drop:
         return 0
     if g_drop:
-        lead = (fc >> 64 * df) % p if isinstance(fc, int) else fc[-1]
-        return value * pow(lead, g_drop, p) % p
+        return value * pow(f_lead, g_drop, p) % p
     if f_drop:
-        lead = (gc >> 64 * dg) % p if isinstance(gc, int) else gc[-1]
-        value = value * pow(lead, f_drop, p) % p
+        value = value * pow(g_lead, f_drop, p) % p
         return (p - value) % p if f_drop * dg & 1 else value
     return value
 
@@ -413,11 +399,12 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
         dg_e = g.degree_in(eliminated_var)
 
     max_keep = max(f.degree_in(keep), g.degree_in(keep))
-    # a packed slice slot sums max_keep + 1 products of two residues: no
-    # more than a guarded division adds, so one Barrett step reduces it
+    # a slice slot takes a product below (p - 1)**2 per column, so a group
+    # of columns adds no more than limit products (p - c) * b_j
     shift, m, limit, _ = _lazy_constants(p)
-    packed = (max_keep + 1) * (p - 1) ** 2 <= limit * (p - 1) * (2 * p - 1)
-    lazy = (m, shift, _barrett_mask(shift, max(df_e, dg_e) + 1)) if packed else None
+    packed = limit >= 1
+    group = limit * (2 * p - 1) // (p - 1)
+    lazy = (m, shift, _barrett_mask(shift, max(df_e, dg_e) + 1), group) if packed else None
     f_columns = _specialise(f, keep, eliminated_var, packed)
     g_columns = _specialise(g, keep, eliminated_var, packed)
 

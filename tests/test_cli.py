@@ -305,6 +305,16 @@ def test_out_of_range_flags_give_failure_records(capsys, argv):
     assert last["record"] == "failure" and last["error_type"] == "ValueError"
 
 
+@pytest.mark.parametrize("truncation", ["0", "-1"])
+def test_truncation_below_one_is_rejected_as_such(capsys, truncation):
+    # no coefficients at all: the truncation itself is the fault
+    code, out = run_cli(capsys, "arc-limit", "--truncation", truncation, "--format", "jsonl")
+    assert code == 1
+    last = records(out)[-1]
+    assert last["record"] == "failure" and last["error_type"] == "ValueError"
+    assert last["message"] == f"truncation must be at least 1, not {truncation}"
+
+
 @pytest.mark.parametrize(
     "argv, last_kind",
     [

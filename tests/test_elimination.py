@@ -23,13 +23,13 @@ from quintic_moduli.scalars import GF, QQ
 from conftest import newton_interpolation
 
 F = GF(10007)
-#: primes whose remainder sequences run packed, and primes past every guard,
-#: whose sequences run in ``_remainder_scheme`` from the start
+#: primes whose remainder sequences run packed, and primes that do not pack,
+#: whose resultants run in ``resultant_uni`` and gcds in the plain loop
 PACKED_PRIMES = (2503, 3001, 10007)
 LOOP_PRIMES = (2**31 - 1, 2**61 - 1)
-#: a prime whose guard admits quotients of 2 terms only, so a sequence runs
-#: packed and is handed over to ``_remainder_scheme`` part-way through
-HANDOVER_PRIME = 1000003
+#: a prime that packs with limit 2, so a division whose quotient and
+#: divisor both pass 2 terms takes Barrett steps part-way through
+SHORT_LIMIT_PRIME = 1000003
 
 
 def linear(field, a):
@@ -154,7 +154,7 @@ def _remainder_cases(p: int) -> list[tuple[UniPoly, UniPoly]]:
         # remainder degrees dropping by more than one
         _with_degrees(rng, field, [14, 12, 9, 8, 4, 3, 0]),
         _with_degrees(rng, field, [13, 10, 7, 2, 1]),
-        # quotients of 1, 2 and 6 terms: past HANDOVER_PRIME's guard at (8, 3)
+        # quotients of 1, 2 and 6 terms, the 6-term one over a 4-slot divisor
         _with_degrees(rng, field, [9, 9, 8, 3, 0]),
     ]
 
@@ -164,58 +164,74 @@ def _lazy(rng, coeffs, p: int) -> list[int]:
     return [c + p * rng.randrange(2) for c in coeffs]
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES + (HANDOVER_PRIME,) + LOOP_PRIMES)
+@pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,) + LOOP_PRIMES)
 def test_packed_resultants_match_the_loop_and_sylvester(p):
     rng = random.Random(p + 1)
+    packs = _lazy_constants(p)[2] >= 1
     for a, b in _remainder_cases(p):
         ref = _resultant_reference(list(a.coeffs), list(b.coeffs), p)
         assert ref == sylvester_determinant(a, b), (a.degree, b.degree)
-        assert _resultant_modp(list(a.coeffs), list(b.coeffs), p) == ref
+        if not packs:
+            assert _resultant_modp(list(a.coeffs), list(b.coeffs), p) == ref
+            continue
         assert _resultant_modp(_pack(a.coeffs), _pack(b.coeffs), p) == ref
         lazy_a, lazy_b = _lazy(rng, a.coeffs, p), _lazy(rng, b.coeffs, p)
         assert _resultant_modp(_pack(lazy_a), _pack(lazy_b), p) == ref, (a.degree, b.degree)
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES + (HANDOVER_PRIME,) + LOOP_PRIMES)
+@pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,) + LOOP_PRIMES)
 def test_packed_gcds_match_plain_euclid(p):
     for a, b in _remainder_cases(p):
         assert gcd_uni(a, b) == _gcd_reference(a, b), (a.degree, b.degree)
         assert gcd_uni(b, a) == _gcd_reference(b, a)
 
 
-def test_packed_sequence_hands_over_part_way():
-    # the last remainder case at HANDOVER_PRIME: the packed sequence takes
-    # the divisions with quotients of 1 and 2 terms and stops before the
-    # 6-term one, carrying a sign and a running product into the scheme
-    p = HANDOVER_PRIME
+def test_packed_sequence_steps_mid_division():
+    # the last remainder case at SHORT_LIMIT_PRIME: its 6-term quotient over
+    # a 4-slot divisor takes Barrett steps part-way, and the sequence still
+    # runs packed to its constant remainder
+    p = SHORT_LIMIT_PRIME
     assert _lazy_constants(p)[2] == 2
     a, b = _remainder_cases(p)[-1]
-    na, nb = len(a.coeffs), len(b.coeffs)
-    _, na, _, nb, _, acc, negate = _lazy_sequence(_pack(a.coeffs), na, _pack(b.coeffs), nb, p)
-    assert (na - 1, nb - 1) == (8, 3)
-    assert negate and acc != 1
+    assert (a.degree, b.degree) == (9, 9)
     ref = _resultant_reference(list(a.coeffs), list(b.coeffs), p)
-    assert _resultant_modp(_pack(a.coeffs), _pack(b.coeffs), p) == ref == sylvester_determinant(a, b)
+    assert ref == sylvester_determinant(a, b) != 0
+    na, nb = len(a.coeffs), len(b.coeffs)
+    for lift in (0, p):  # canonical slots, and every slot in [p, 2p)
+        packed_a = _pack([c + lift for c in a.coeffs])
+        packed_b = _pack([c + lift for c in b.coeffs])
+        assert _lazy_sequence(packed_a, na, packed_b, nb, p)[3] == 1
+        assert _resultant_modp(packed_a, packed_b, p) == ref
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,))
 @pytest.mark.parametrize("past", [0, 1], ids=["at_guard", "past_guard"])
 def test_longest_guarded_quotient(p, past):
+    # a slot below 2p that takes limit products (p - c) * b_j below
+    # (p - 1)(2p - 1) stays within both bounds of the Barrett step; one
+    # product more passes one of them
     s, m, limit, *_ = _lazy_constants(p)
-    # the guard's two bounds hold at limit quotient terms and fail past it
-    span = (p - 1) * (2 * p - 1)
-    top = 2 * p - 1 + limit * span
-    assert m == (1 << s) // p and top < 1 << s and top * m < 1 << 64
-    assert not (top + span < 1 << s and (top + span) * m < 1 << 64)
-    # every coefficient p - 1, a quotient of limit + past terms: a = -(1 + x
-    # + ... + x^n) by b = -(1 + x), so the gcd is x + 1 for odd n, else 1
+    assert limit >= 1 and m == (1 << s) // p
+    top = 2 * p - 1 + (limit + past) * (p - 1) * (2 * p - 1)
+    assert (top < 1 << s and top * m < 1 << 64) == (not past)
+
+
+@pytest.mark.parametrize("p", [10007, SHORT_LIMIT_PRIME])
+@pytest.mark.parametrize("terms, slots", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
+def test_divisions_at_and_past_the_limit(p, terms, slots):
+    # one division of limit + terms quotient terms over limit + slots
+    # divisor slots, to a constant remainder; every slot starts at its
+    # residue plus p and every product is (p - 1)(2p - 1), the most a slot
+    # takes.  Only in the last case would a kept slot take limit + 1
+    # products without the Barrett steps run part-way
+    limit = _lazy_constants(p)[2]
     field = GF(p)
-    n = limit + past
-    a = UniPoly(field, [p - 1] * (n + 1))
-    b = UniPoly(field, [p - 1] * 2)
-    ref = _resultant_reference(list(a.coeffs), list(b.coeffs), p)
-    assert _resultant_modp(_pack(a.coeffs), _pack(b.coeffs), p) == ref
-    assert gcd_uni(a, b) == UniPoly(field, [1, 1] if n % 2 else [1])
+    q = UniPoly(field, [1] * (limit + terms))
+    b = UniPoly(field, [p - 1] * (limit + slots))
+    a = q * b + UniPoly.constant(field, 5)
+    packed_a, packed_b = _pack([c + p for c in a.coeffs]), _pack([c + p for c in b.coeffs])
+    assert _resultant_modp(packed_a, packed_b, p) == resultant_uni(a, b) != 0
+    assert gcd_uni(a, b) == UniPoly.constant(field, 1)
 
 
 def test_resultant_convention():
@@ -281,16 +297,21 @@ def test_bivariate_elimination_matches_direct_resultants():
 def _at(poly: MultiPoly, s: int, elim: int = 1) -> UniPoly:
     """The bivariate poly at x_keep = s, a polynomial in the eliminated variable."""
     field = poly.field
+    powers: dict[int, int] = {}  # s**k mod p, once per kept exponent k
     coeffs = [0] * (poly.degree_in(elim) + 1)
     for e, c in poly.terms.items():
-        coeffs[e[elim]] = (coeffs[e[elim]] + c * pow(s, e[1 - elim], field.p)) % field.p
-    return UniPoly(field, coeffs)
+        k = e[1 - elim]
+        if k not in powers:
+            powers[k] = pow(s, k, field.p)
+        coeffs[e[elim]] += c * powers[k]
+    return UniPoly(field, [c % field.p for c in coeffs])
 
 
 def _resampling_eliminant(f: MultiPoly, g: MultiPoly, elim: int = 1) -> UniPoly:
     """The eliminant as it was computed before the formal-degree rule:
     sample where neither lead vanishes, skipping the others, take univariate
-    resultants there and interpolate through those nodes (Newton)."""
+    resultants there (by the list loop) and interpolate through those nodes
+    (Newton)."""
     field = f.field
     df, dg = f.degree_in(elim), g.degree_in(elim)
     needed = f.total_degree * g.total_degree + 1
@@ -298,7 +319,7 @@ def _resampling_eliminant(f: MultiPoly, g: MultiPoly, elim: int = 1) -> UniPoly:
     for s in range(field.p):
         fs, gs = _at(f, s, elim), _at(g, s, elim)
         if fs.degree == df and gs.degree == dg:
-            samples.append((s, resultant_uni(fs, gs)))
+            samples.append((s, _resultant_reference(list(fs.coeffs), list(gs.coeffs), field.p)))
             if len(samples) == needed:
                 return newton_interpolation(samples, field)
     raise AssertionError("too few samples")
@@ -341,7 +362,7 @@ FORMAL_DEGREE_CASES = {
 }
 
 
-@pytest.mark.parametrize("p", [3001, 10007, 2**31 - 1])
+@pytest.mark.parametrize("p", [3001, 10007, SHORT_LIMIT_PRIME, 2**31 - 1])
 @pytest.mark.parametrize("case", FORMAL_DEGREE_CASES)
 def test_formal_degree_eliminant(p, case):
     field = GF(p)
