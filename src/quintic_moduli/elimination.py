@@ -25,50 +25,49 @@ runs on consecutive nodes with ``interpolate``'s cached tree.  Each
 input's coefficients of x_keep**k are packed once (``polys._pack``), so a
 sample's slices are one sum of small-times-packed products.
 
-Over GF(p) the Euclidean remainder sequence runs on packed ints from its
-first division to its last in one loop (``_lazy_sequence``), for the
-sample resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree 600).
-Slots are reduced lazily: each division reads its quotient terms off the
-top slot and adds (p - c) times the shifted divisor, and then one SWAR
-Barrett step (Barrett, CRYPTO '86) brings every slot of the remainder
+Over every GF(p) the Euclidean remainder sequence runs on packed ints
+from its first division to its last in one loop (``_lazy_sequence``), for
+the sample resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree
+600).  Slots are reduced lazily: each division reads its quotient terms
+off the top slot and adds (p - c) times the shifted divisor, and then one
+SWAR Barrett step (Barrett, CRYPTO '86) brings every slot of the remainder
 back to [0, 2p) at once: a - p * ((a * m >> s) & mask), m = floor(2**s /
-p), the mask keeping the low 64 - s bits of each slot.  Only the top slot
-is reduced to a canonical residue; it gives the next quotient terms, the
-degree test and the leading-coefficient powers.  A sample's slices enter
-after the same Barrett step, still packed.  ``_lazy_constants`` bounds the
-products a slot may take between two steps, and p packs iff that bound is
-at least 1 (every p up to 1482910).  Past it (2**31 - 1 among such primes)
-the slices are lists, the sample resultants run ``resultant_uni``'s scheme
-on ``UniPoly`` and ``gcd_uni`` its plain loop.  The same cache holds, for
-primes below 2**16, a table of their inverses for the leads; the Barrett
-masks are cached by their slot count.
+p), the mask keeping the low w - s bits of each w-bit slot.  Only the top
+slot is reduced to a canonical residue; it gives the next quotient terms,
+the degree test and the leading-coefficient powers.  A sample's slices
+enter after the same Barrett step, still packed.  ``_lazy_constants``
+bounds the products a slot may take between two steps, and takes the
+slot width w, the least multiple of 64 where that bound is at least 1:
+64 for every p up to 1482910, 128 at 2**31 - 1, 192 at 2**61 - 1.  The
+same cache holds, for primes below 2**16, a table of their inverses for
+the leads; the Barrett masks are cached by their slot count and width.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .polys import _SLOT, MultiPoly, UniPoly, _pack, _unpack, interpolate
-from .scalars import GF, PrimeField
+from .polys import MultiPoly, UniPoly, _pack, _unpack, interpolate
+from .scalars import PrimeField
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; gcd(0, 0) is the zero polynomial.
 
-    Over a GF(p) that packs, the remainder sequence of nonzero operands
-    runs packed (``_lazy_sequence``) to the gcd; the plain loop serves
-    every other field.
+    Over GF(p) the remainder sequence of nonzero operands runs packed
+    (``_lazy_sequence``) to the gcd; the plain loop serves QQ and the
+    residue rings.
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in gcd")
     F = f.field
-    if isinstance(F, PrimeField) and f.coeffs and g.coeffs and _lazy_constants(F.p)[2]:
-        p = F.p
-        packed_f, packed_g = _pack(f.coeffs), _pack(g.coeffs)
+    if isinstance(F, PrimeField) and f.coeffs and g.coeffs:
+        p, w = F.p, _lazy_constants(F.p)[4]
+        packed_f, packed_g = _pack(f.coeffs, w), _pack(g.coeffs, w)
         a, na, _, nb, *_ = _lazy_sequence(packed_f, len(f.coeffs), packed_g, len(g.coeffs), p)
         if nb:  # a nonzero constant remainder
             return UniPoly.constant(F, F.one)
-        return UniPoly(F, [c % p for c in _unpack(a, na)]).monic()
+        return UniPoly(F, [c % p for c in _unpack(a, na, w)]).monic()
     while not g.is_zero():
         f, g = g, f % g
     return f.monic() if not f.is_zero() else f
@@ -130,56 +129,61 @@ _INVERSE_TABLE_LIMIT = 1 << 16
 
 
 @functools.cache
-def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None]:
-    """(s, m, limit, inverses) of the lazily reduced packed remainder over
-    GF(p).
+def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None, int]:
+    """(s, m, limit, inverses, w) of the lazily reduced packed remainder
+    over GF(p), in slots of w bits.
 
     m = floor(2**s / p) is the Barrett multiplier, and limit the most
     products (p - c) * b_j, each below (p - 1)(2p - 1), a slot may take
     between two Barrett steps: from a slot below 2p, every slot x stays
-    below 2**s and x * m below 2**64, the two bounds the SWAR Barrett step
-    needs.  s is chosen to make limit largest.  p packs iff limit >= 1,
-    every p up to 1482910; past that limit is 0 and nothing is packed.
+    below 2**s and x * m below 2**w, the two bounds the SWAR Barrett step
+    needs.  w is the least of 64, 128, ... where some s < w gives limit >=
+    1 (64 for every p up to 1482910), and s the one making limit largest.
     ``inverses[c]`` is 1/c mod p (None from ``_INVERSE_TABLE_LIMIT`` on),
     from inv(i) = -(p // i) inv(p mod i), for the leads of the remainder
     sequence.  Keyed by the prime, so one entry per prime.
     """
     span = (p - 1) * (2 * p - 1)
-    best = (0, 0, 0)
-    for s in range(p.bit_length() + 1, 64):
-        m = (1 << s) // p
-        top = min((1 << s) - 1, ((1 << 64) - 1) // m)
-        limit = max(0, (top - (2 * p - 1)) // span)
-        if limit > best[2]:
-            best = (s, m, limit)
+    best, w = (0, 0, 0), 0
+    while not best[2]:
+        w += 64
+        for s in range(p.bit_length() + 1, w):
+            m = (1 << s) // p
+            limit = (min((1 << s) - 1, ((1 << w) - 1) // m) - (2 * p - 1)) // span
+            if limit > best[2]:
+                best = (s, m, limit)
     inverses = None
     if p < _INVERSE_TABLE_LIMIT:
         table = [0, 1] + [0] * (p - 2)
         for i in range(2, p):
             table[i] = (p - p // i) * table[p % i] % p
         inverses = tuple(table)
-    return (*best, inverses)
+    return (*best, inverses, w)
 
 
 @functools.lru_cache(maxsize=64)
-def _barrett_mask(s: int, length: int) -> int:
-    """``length`` slots of 64 - s one bits: the per-slot quotients of x * m >> s.
+def _barrett_mask(s: int, length: int, w: int) -> int:
+    """``length`` slots of w bits, each holding w - s one bits: the per-slot
+    quotients of x * m >> s.
 
-    Cached by (s, length), so the prime's shift s and the slot count."""
-    return ((1 << 64 * length) - 1) // _SLOT * ((1 << (64 - s)) - 1)
+    Cached by (s, length, w), so the prime's shift and width and the slot
+    count."""
+    return ((1 << w * length) - 1) // ((1 << w) - 1) * ((1 << (w - s)) - 1)
 
 
 def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
-    """The remainder sequence of a and b over GF(p), packed, slots in [0, 2p).
+    """The remainder sequence of a and b over GF(p), packed in the w-bit
+    slots of ``_lazy_constants(p)``, slots in [0, 2p).
 
-    p packs, and ``na``/``nb`` count the slots up to the top one, which is
-    nonzero mod p.  Each division, one pass of the loop, reads each
-    quotient term off the top slot (reduced mod p) and adds (p - c) * b <<
-    64k; then the low nb - 1 slots are kept and one SWAR Barrett step, a -
-    p * ((a * m >> s) & mask), brings every slot back to [0, 2p) at once.
-    Term k adds to slots k..k + nb - 1, so a slot takes min(quotient terms,
-    nb) products at most; only where both pass ``limit`` does a step also
-    run, over the slots still in play, after each term k divisible by
+    ``na``/``nb`` count the slots up to the top one, which is nonzero mod
+    p.  Each division, one pass of the loop, reads each quotient term off
+    the top slot (reduced mod p) and adds (p - c) * b << w k; then the low
+    nb - 1 slots are kept and one SWAR Barrett step, a - p * ((a * m >> s)
+    & mask), brings every slot back to [0, 2p) at once.  Term k adds to
+    slots k..k + nb - 1 and its product zeroes slot k + nb - 1, which is
+    not read again, so a slot still read or kept takes min(quotient terms,
+    nb - 1) products at most; only where both pass ``limit`` does a step
+    also run, over the slots still in play, after each term k divisible by
     limit.  Only the top slot of a remainder is reduced to a canonical
     residue.  The mask is sized once for the most slots in play.
 
@@ -187,28 +191,28 @@ def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
     and returns (a, na, b, nb, lb, acc, negate): the last pair, b's top
     slot, and the product and sign of the resultant's remainder scheme.
     """
-    s, m, limit, inverses = _lazy_constants(p)
-    mask = _barrett_mask(s, max(na, nb) - 1)
-    lb = (b >> 64 * (nb - 1)) % p
+    s, m, limit, inverses, w = _lazy_constants(p)
+    slot, mask = (1 << w) - 1, _barrett_mask(s, max(na, nb) - 1, w)
+    lb = (b >> w * (nb - 1)) % p
     acc = 1
     negate = False
     while nb > 1:
         n = nb - 1
         inv = inverses[lb] if inverses else pow(lb, -1, p)
         for k in range(na - nb, -1, -1):
-            c = (a >> 64 * (k + n) & _SLOT) * inv % p
+            c = (a >> w * (k + n) & slot) * inv % p
             if c:
-                a += (p - c) * b << 64 * k
-            if nb > limit and k and not k % limit:
-                a &= (1 << 64 * (k + n)) - 1
+                a += (p - c) * b << w * k
+            if n > limit and k and not k % limit:
+                a &= (1 << w * (k + n)) - 1
                 a -= p * ((a * m >> s) & mask)
-        a &= (1 << 64 * n) - 1
+        a &= (1 << w * n) - 1
         a -= p * ((a * m >> s) & mask)
         while n:
-            top = a >> 64 * (n - 1)
+            top = a >> w * (n - 1)
             if top >= p:
                 top -= p
-                a -= p << 64 * (n - 1)
+                a -= p << w * (n - 1)
             if top:
                 break
             n -= 1
@@ -221,22 +225,19 @@ def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
     return a, na, b, nb, lb, acc, negate
 
 
-def _resultant_modp(a, b, p: int) -> int:
+def _resultant_modp(a: int, b: int, p: int) -> int:
     """Res(a, b) over GF(p): the hot path of the fiber eliminant.
 
-    Where p packs (``_lazy_constants``), ``a`` and ``b`` are packed ints
-    with every slot in [0, 2p) and the top slot nonzero mod p, and their
-    remainder sequence runs packed to its end (``_lazy_sequence``).  Past
-    that they are coefficient lists (ascending residues, top nonzero), for
-    ``resultant_uni``.  A zero operand (an empty list or 0) gives 0: the
-    callers' other operand is never a nonzero constant then.
+    ``a`` and ``b`` are packed ints in the w-bit slots of
+    ``_lazy_constants(p)``, every slot in [0, 2p) and the top slot nonzero
+    mod p, and their remainder sequence runs packed to its end
+    (``_lazy_sequence``).  A zero operand gives 0: the callers' other
+    operand is never a nonzero constant then.
     """
     if not a or not b:
         return 0
-    if not isinstance(a, int):
-        field = GF(p)
-        return resultant_uni(UniPoly(field, a), UniPoly(field, b))
-    na, nb = (a.bit_length() + 63) >> 6, (b.bit_length() + 63) >> 6
+    w = _lazy_constants(p)[4]
+    na, nb = (a.bit_length() + w - 1) // w, (b.bit_length() + w - 1) // w
     _, na, _, nb, lb, acc, negate = _lazy_sequence(a, na, b, nb, p)
     if not nb:
         return 0
@@ -244,61 +245,46 @@ def _resultant_modp(a, b, p: int) -> int:
     return (p - acc) % p if negate and acc else acc
 
 
-def _specialise(poly: MultiPoly, keep: int, elim: int, packed: bool) -> list:
+def _specialise(poly: MultiPoly, keep: int, elim: int, w: int) -> list[tuple[int, int]]:
     """Pairs (k, column): the coefficients of x_keep**k ascending in the
-    eliminated variable, one packed int (``polys._pack``) when ``packed``,
-    else a list."""
-    width = poly.degree_in(elim) + 1
+    eliminated variable, packed in w-bit slots (``polys._pack``)."""
+    length = poly.degree_in(elim) + 1
     columns: dict[int, list] = {}
     for e, c in poly.terms.items():
-        columns.setdefault(e[keep], [0] * width)[e[elim]] = c
-    if packed:
-        return [(k, _pack(column)) for k, column in columns.items()]
-    return list(columns.items())
+        columns.setdefault(e[keep], [0] * length)[e[elim]] = c
+    return [(k, _pack(column, w)) for k, column in columns.items()]
 
 
-def _eval_slices(columns: list, width: int, powers, p: int, lazy) -> list[int] | int:
-    """Specialised univariate coefficients mod p (ascending in the eliminated var).
+def _eval_slices(columns: list, powers, p: int, lazy) -> int:
+    """Specialised univariate coefficients mod p (ascending in the eliminated
+    var), packed as ``_resultant_modp`` takes them.
 
-    Packed (``lazy`` is (m, s, mask, group)), a sample's slices are sum_k
-    powers[k] * column_k, ``group`` columns at a time, each group followed
-    by a Barrett step: slots in [0, 2p), still packed, as
-    ``_resultant_modp`` takes them.
+    ``lazy`` is (m, s, mask, group): a sample's slices are sum_k powers[k] *
+    column_k, ``group`` columns at a time, each group followed by a
+    Barrett step, so every slot ends in [0, 2p).
     """
-    if lazy:
-        m, s, mask, group = lazy
-        acc = 0
-        for i in range(0, len(columns), group):
-            acc = sum((powers[k] * column for k, column in columns[i : i + group]), acc)
-            acc -= p * ((acc * m >> s) & mask)
-        return acc
-    out = [0] * width
-    for k, column in columns:
-        w = powers[k]
-        for j, c in enumerate(column):
-            out[j] += w * c
-    return [c % p for c in out]
+    m, s, mask, group = lazy
+    acc = 0
+    for i in range(0, len(columns), group):
+        acc = sum((powers[k] * column for k, column in columns[i : i + group]), acc)
+        acc -= p * ((acc * m >> s) & mask)
+    return acc
 
 
-def _trim(c, n: int, p: int):
-    """(c, d, lead): slices of formal degree n with their top zero residues
-    dropped, packed (a top slot may read p) or a list, d the number
+def _trim(c: int, n: int, p: int, w: int) -> tuple[int, int, int]:
+    """(c, d, lead): packed slices of formal degree n, in w-bit slots, with
+    their top zero residues dropped (a top slot may read p), d the number
     dropped (n + 1 for the zero polynomial) and lead the top residue left
     (0 for the zero polynomial)."""
-    if isinstance(c, int):
-        for k in range(n, -1, -1):
-            lead = (c >> 64 * k) % p
-            if lead:
-                return c, n - k, lead
-            c &= (1 << 64 * k) - 1
-        return 0, n + 1, 0
-    k = len(c)
-    while k and c[k - 1] == 0:
-        k -= 1
-    return c[:k], len(c) - k, c[k - 1] if k else 0
+    for k in range(n, -1, -1):
+        lead = (c >> w * k) % p
+        if lead:
+            return c, n - k, lead
+        c &= (1 << w * k) - 1
+    return 0, n + 1, 0
 
 
-def _sample_resultant(fc, df: int, gc, dg: int, p: int) -> int:
+def _sample_resultant(fc: int, df: int, gc: int, dg: int, p: int) -> int:
     """Res of a sample's slices at their formal degrees df and dg.
 
     One ``_resultant_modp`` call on the slices with any vanished leads
@@ -307,8 +293,9 @@ def _sample_resultant(fc, df: int, gc, dg: int, p: int) -> int:
     dropping by d by (-1)**(d * dg) * lc(g)**d, and both vanishing make
     the determinant 0 (its first column is zero).
     """
-    fc, f_drop, f_lead = _trim(fc, df, p)
-    gc, g_drop, g_lead = _trim(gc, dg, p)
+    w = _lazy_constants(p)[4]
+    fc, f_drop, f_lead = _trim(fc, df, p, w)
+    gc, g_drop, g_lead = _trim(gc, dg, p, w)
     value = _resultant_modp(fc, gc, p)
     if f_drop and g_drop:
         return 0
@@ -401,20 +388,19 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     max_keep = max(f.degree_in(keep), g.degree_in(keep))
     # a slice slot takes a product below (p - 1)**2 per column, so a group
     # of columns adds no more than limit products (p - c) * b_j
-    shift, m, limit, _ = _lazy_constants(p)
-    packed = limit >= 1
+    shift, m, limit, _, w = _lazy_constants(p)
     group = limit * (2 * p - 1) // (p - 1)
-    lazy = (m, shift, _barrett_mask(shift, max(df_e, dg_e) + 1), group) if packed else None
-    f_columns = _specialise(f, keep, eliminated_var, packed)
-    g_columns = _specialise(g, keep, eliminated_var, packed)
+    lazy = (m, shift, _barrett_mask(shift, max(df_e, dg_e) + 1, w), group)
+    f_columns = _specialise(f, keep, eliminated_var, w)
+    g_columns = _specialise(g, keep, eliminated_var, w)
 
     samples = []
     for s in range(bound + 1):
         powers = [1]
         for _ in range(max_keep):
             powers.append(powers[-1] * s % p)
-        fc = _eval_slices(f_columns, df_e + 1, powers, p, lazy)
-        gc = _eval_slices(g_columns, dg_e + 1, powers, p, lazy)
+        fc = _eval_slices(f_columns, powers, p, lazy)
+        gc = _eval_slices(g_columns, powers, p, lazy)
         samples.append(_sample_resultant(fc, df_e, gc, dg_e, p))
     eliminant = interpolate(samples, F)
     return eliminant.scale(scale) if scale != 1 else eliminant

@@ -15,17 +15,18 @@ also calls the ring's ``inv``, which over a residue ring may raise
 ``SplitNeeded``.
 
 Over GF(p), whose coefficients are residues in [0, p), two kernels work on
-packed integers (``_pack``/``_unpack``: one 64-bit slot per coefficient).
-``dense_product``, shared with ``BinaryForm``, multiplies by Kronecker
-substitution: one bigint product, each slot reduced mod p.  ``divmod``
-packs the remainder and the divisor once, reads each quotient term off the
-top slot and adds (p - c) times the shifted divisor, and reduces the low
-slots once at the end.  Each kernel runs only while no slot sum can reach
-2**64.  A whole remainder sequence (``elimination.gcd_uni`` and the sample
-resultants) stays packed between divisions instead: each division is this
-one, followed by a SWAR Barrett step that brings every slot to [0, 2p)
-without unpacking, under a guard on the quotient length that keeps each
-slot below the Barrett step's bounds (see ``elimination``).  Over QQ,
+packed integers (``_pack``/``_unpack``: one 64-bit slot per coefficient,
+or a wider multiple of 64 bits).  ``dense_product``, shared with
+``BinaryForm``, multiplies by Kronecker substitution: one bigint product,
+each slot reduced mod p.  ``divmod`` packs the remainder and the divisor
+once, reads each quotient term off the top slot and adds (p - c) times
+the shifted divisor, and reduces the low slots once at the end.  Each
+kernel runs only while no slot sum can reach 2**64.  A whole remainder
+sequence (``elimination.gcd_uni`` and the sample resultants) stays packed
+between divisions instead, at every prime: each division is this one,
+followed by a SWAR Barrett step that brings every slot to [0, 2p) without
+unpacking, in slots wide enough for the Barrett step's bounds (see
+``elimination``).  Over QQ,
 ``dense_product`` clears the denominators of each factor once
 (``RationalField.clear_denominators``), convolves the integer numerators
 and makes one ``Fraction`` per output coefficient.  Every other ring, and
@@ -73,20 +74,30 @@ def _check_same_field(a, b):
         raise ValueError(f"field mismatch: {a.field!r} vs {b.field!r}")
 
 
-def _pack(coeffs: Sequence[int]) -> int:
-    """One integer holding ``coeffs[k]`` in bits 64k .. 64k + 63.
+def _pack(coeffs: Sequence[int], width: int = 64) -> int:
+    """One integer holding ``coeffs[k]`` in bits width k .. width (k + 1) - 1.
 
-    A coefficient outside [0, 2**64) makes ``array`` raise ``OverflowError``.
+    ``width`` is a multiple of 64.  A coefficient outside [0, 2**width)
+    raises ``OverflowError`` (from ``array`` at 64 bits, from
+    ``int.to_bytes`` at a wider slot).
     """
-    slots = array("Q", coeffs)
-    if not _LITTLE_ENDIAN:
-        slots.byteswap()
-    return int.from_bytes(slots, "little")
+    if width == 64:
+        slots = array("Q", coeffs)
+        if not _LITTLE_ENDIAN:
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
+    size = width >> 3
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
 
 
-def _unpack(packed: int, length: int) -> array:
-    """The ``length`` 64-bit slots of a nonnegative integer below 2**(64 * length)."""
-    slots = array("Q", packed.to_bytes(8 * length, "little"))
+def _unpack(packed: int, length: int, width: int = 64) -> Sequence[int]:
+    """The ``length`` slots of ``width`` bits of a nonnegative integer below
+    2**(width * length): an ``array`` at 64 bits, else a list."""
+    size = width >> 3
+    data = packed.to_bytes(size * length, "little")
+    if width != 64:
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    slots = array("Q", data)
     if not _LITTLE_ENDIAN:
         slots.byteswap()
     return slots

@@ -23,13 +23,20 @@ from quintic_moduli.scalars import GF, QQ
 from conftest import newton_interpolation
 
 F = GF(10007)
-#: primes whose remainder sequences run packed, and primes that do not pack,
-#: whose resultants run in ``resultant_uni`` and gcds in the plain loop
+#: primes whose remainder sequences run packed in 64-bit slots, and primes
+#: whose Barrett bounds need wider slots: 128 bits at 2**31 - 1, 192 at
+#: 2**61 - 1 and 320 at 2**89 - 1
 PACKED_PRIMES = (2503, 3001, 10007)
-LOOP_PRIMES = (2**31 - 1, 2**61 - 1)
-#: a prime that packs with limit 2, so a division whose quotient and
-#: divisor both pass 2 terms takes Barrett steps part-way through
+LOOP_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
+#: a prime whose 64-bit slots take limit 2, so a division whose quotient
+#: passes 2 terms over a divisor of more than 3 slots takes Barrett steps
+#: part-way
 SHORT_LIMIT_PRIME = 1000003
+
+
+def _packed(coeffs, p: int) -> int:
+    """The coefficients packed in the slot width of p's remainder kernel."""
+    return _pack(coeffs, _lazy_constants(p)[4])
 
 
 def linear(field, a):
@@ -167,16 +174,15 @@ def _lazy(rng, coeffs, p: int) -> list[int]:
 @pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,) + LOOP_PRIMES)
 def test_packed_resultants_match_the_loop_and_sylvester(p):
     rng = random.Random(p + 1)
-    packs = _lazy_constants(p)[2] >= 1
     for a, b in _remainder_cases(p):
         ref = _resultant_reference(list(a.coeffs), list(b.coeffs), p)
         assert ref == sylvester_determinant(a, b), (a.degree, b.degree)
-        if not packs:
-            assert _resultant_modp(list(a.coeffs), list(b.coeffs), p) == ref
-            continue
-        assert _resultant_modp(_pack(a.coeffs), _pack(b.coeffs), p) == ref
+        assert _resultant_modp(_packed(a.coeffs, p), _packed(b.coeffs, p), p) == ref
         lazy_a, lazy_b = _lazy(rng, a.coeffs, p), _lazy(rng, b.coeffs, p)
-        assert _resultant_modp(_pack(lazy_a), _pack(lazy_b), p) == ref, (a.degree, b.degree)
+        assert _resultant_modp(_packed(lazy_a, p), _packed(lazy_b, p), p) == ref, (
+            a.degree,
+            b.degree,
+        )
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,) + LOOP_PRIMES)
@@ -198,38 +204,61 @@ def test_packed_sequence_steps_mid_division():
     assert ref == sylvester_determinant(a, b) != 0
     na, nb = len(a.coeffs), len(b.coeffs)
     for lift in (0, p):  # canonical slots, and every slot in [p, 2p)
-        packed_a = _pack([c + lift for c in a.coeffs])
-        packed_b = _pack([c + lift for c in b.coeffs])
+        packed_a = _packed([c + lift for c in a.coeffs], p)
+        packed_b = _packed([c + lift for c in b.coeffs], p)
         assert _lazy_sequence(packed_a, na, packed_b, nb, p)[3] == 1
         assert _resultant_modp(packed_a, packed_b, p) == ref
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,))
-@pytest.mark.parametrize("past", [0, 1], ids=["at_guard", "past_guard"])
-def test_longest_guarded_quotient(p, past):
+def _one_product_fits(p: int, w: int) -> bool:
+    """Whether some shift s < w lets a slot below 2p take one product
+    (p - c) * b_j and stay within both bounds of the Barrett step in a w-bit
+    slot."""
+    top = 2 * p - 1 + (p - 1) * (2 * p - 1)
+    return any(top < 1 << s and top * ((1 << s) // p) < 1 << w for s in range(1, w))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,) + LOOP_PRIMES)
+@pytest.mark.parametrize("past", [0, 1], ids=["at_limit", "past_limit"])
+def test_limit_keeps_slots_within_the_barrett_bounds(p, past):
     # a slot below 2p that takes limit products (p - c) * b_j below
-    # (p - 1)(2p - 1) stays within both bounds of the Barrett step; one
-    # product more passes one of them
-    s, m, limit, *_ = _lazy_constants(p)
-    assert limit >= 1 and m == (1 << s) // p
+    # (p - 1)(2p - 1) stays within both bounds of the Barrett step in a
+    # w-bit slot; one product more passes one of them
+    s, m, limit, _, w = _lazy_constants(p)
+    assert limit >= 1 and m == (1 << s) // p and s < w and w % 64 == 0
     top = 2 * p - 1 + (limit + past) * (p - 1) * (2 * p - 1)
-    assert (top < 1 << s and top * m < 1 << 64) == (not past)
+    assert (top < 1 << s and top * m < 1 << w) == (not past)
 
 
-@pytest.mark.parametrize("p", [10007, SHORT_LIMIT_PRIME])
-@pytest.mark.parametrize("terms, slots", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
+@pytest.mark.parametrize(
+    "p, width",
+    [(2503, 64), (10007, 64), (SHORT_LIMIT_PRIME, 64), (1482907, 64), (1482919, 128)]
+    + [(2**31 - 1, 128), (2**61 - 1, 192), (2**89 - 1, 320)],
+)
+def test_slot_width_is_the_least_that_works(p, width):
+    # the slot of p's remainder kernel is the least multiple of 64 bits
+    # where a slot takes a product between two Barrett steps
+    assert _lazy_constants(p)[4] == width
+    assert _one_product_fits(p, width)
+    assert width == 64 or not _one_product_fits(p, width - 64)
+
+
+@pytest.mark.parametrize("p", [10007, SHORT_LIMIT_PRIME, 2**61 - 1])
+@pytest.mark.parametrize("terms, slots", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)])
 def test_divisions_at_and_past_the_limit(p, terms, slots):
     # one division of limit + terms quotient terms over limit + slots
     # divisor slots, to a constant remainder; every slot starts at its
     # residue plus p and every product is (p - 1)(2p - 1), the most a slot
-    # takes.  Only in the last case would a kept slot take limit + 1
-    # products without the Barrett steps run part-way
+    # takes.  Only in the last two cases would a kept slot take limit + 1
+    # products without the Barrett steps run part-way; at 2**61 - 1 they
+    # run in 192-bit slots
     limit = _lazy_constants(p)[2]
     field = GF(p)
     q = UniPoly(field, [1] * (limit + terms))
     b = UniPoly(field, [p - 1] * (limit + slots))
     a = q * b + UniPoly.constant(field, 5)
-    packed_a, packed_b = _pack([c + p for c in a.coeffs]), _pack([c + p for c in b.coeffs])
+    packed_a = _packed([c + p for c in a.coeffs], p)
+    packed_b = _packed([c + p for c in b.coeffs], p)
     assert _resultant_modp(packed_a, packed_b, p) == resultant_uni(a, b) != 0
     assert gcd_uni(a, b) == UniPoly.constant(field, 1)
 
@@ -397,15 +426,27 @@ def test_reduction_by_a_constant_lead_grows_the_keep_degree():
     )
 
 
+def _first_draw(curve, p: int, seed: int):
+    """The fiber system of the first draw of a count at GF(p)."""
+    field = GF(p)
+    rng = random.Random(seed)
+    target = _draw_target(field, rng)
+    frame = random_invertible_frame(field, rng)
+    return build_fiber_system(curve.reduce_mod(field), target, frame)
+
+
 @pytest.fixture(scope="module")
 def vanishing_draw(generic_quintic):
     """The fiber system of the first draw at GF(3001), seed 3: the reduced
     G2 mod G1 has its lead vanish at one of the 601 samples."""
-    field = GF(3001)
-    rng = random.Random(3)
-    target = _draw_target(field, rng)
-    frame = random_invertible_frame(field, rng)
-    return build_fiber_system(generic_quintic.reduce_mod(field), target, frame)
+    return _first_draw(generic_quintic, 3001, 3)
+
+
+@pytest.fixture(scope="module")
+def wide_slot_draw(generic_quintic):
+    """The fiber system of the first draw at GF(2**31 - 1), seed 1, whose
+    remainder sequences run in 128-bit slots."""
+    return _first_draw(generic_quintic, 2**31 - 1, 1)
 
 
 def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
@@ -419,19 +460,25 @@ def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
     assert eliminant == _resampling_eliminant(g1, g2)
 
 
-@pytest.mark.parametrize("draw", ["fiber", "reduced lead", "both"])
-def test_one_resultant_per_node_and_one_interpolation(monkeypatch, vanishing_draw, draw):
-    # mirrors the traced benchmark gate: every sample is one _resultant_modp
-    # call, and the eliminant one interpolate call on the values at 0..bound
+@pytest.mark.parametrize("draw", ["fiber", "reduced lead", "both", "fiber at 2**31 - 1"])
+def test_one_resultant_per_node_and_one_interpolation(monkeypatch, request, draw):
+    # mirrors the traced benchmark gates: every sample is one _resultant_modp
+    # call and no call of the public resultant_uni, at every slot width, and
+    # the eliminant one interpolate call on the values at 0..bound
     if draw == "fiber":
-        f, g = vanishing_draw
+        f, g = request.getfixturevalue("vanishing_draw")
+    elif draw == "fiber at 2**31 - 1":
+        f, g = request.getfixturevalue("wide_slot_draw")
     else:
         f_terms, g_terms, _ = FORMAL_DEGREE_CASES[draw]
         f, g = _bivariate(F, f_terms), _bivariate(F, g_terms)
     calls = []
+    public = []
     sizes = []
     resultant, interp = elimination._resultant_modp, elimination.interpolate
+    uni = elimination.resultant_uni
     monkeypatch.setattr(elimination, "_resultant_modp", lambda *a: calls.append(1) or resultant(*a))
+    monkeypatch.setattr(elimination, "resultant_uni", lambda *a: public.append(1) or uni(*a))
     monkeypatch.setattr(
         elimination, "interpolate", lambda values, field: sizes.append(len(values))
         or interp(values, field)
@@ -439,6 +486,7 @@ def test_one_resultant_per_node_and_one_interpolation(monkeypatch, vanishing_dra
     resultant_bivar_elim(f, g, 1)
     bound = f.total_degree * g.total_degree
     assert len(calls) == bound + 1
+    assert not public
     assert sizes == [bound + 1]
 
 

@@ -176,13 +176,14 @@ def test_count_fiber_cross_prime_agreement(generic_quintic):
     assert r1.multiplicity_profile == r2.multiplicity_profile
 
 
-# At the edges of the 64-bit slot guards of the packed kernels: at 1000003
-# the eliminant packs with limit 2, so its slices are summed 4 columns at a
-# time and its remainder sequences take Barrett steps part-way through a
-# division; at 2**31 - 1 the eliminant does not pack, and the polys
-# products and divisions with a quotient of 4 or more terms take the loops;
-# at 2**61 - 1 every division and nearly every product does.
-@pytest.mark.parametrize("prime", [1000003, 2**31 - 1, 2**61 - 1])
+# At the edges of the packed kernels' slots: at 1000003 the eliminant's
+# 64-bit slots take limit 2, so its slices are summed 4 columns at a time
+# and its remainder sequences take Barrett steps part-way through a
+# division; at 2**31 - 1 the remainder sequences run in 128-bit slots, and
+# the polys products and divisions with a quotient of 4 or more terms take
+# the loops; at 2**61 - 1 (192-bit slots, limit 8) and 2**89 - 1 (320-bit
+# slots) every polys division and nearly every product does.
+@pytest.mark.parametrize("prime", [1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1])
 def test_count_fiber_past_the_packing_guards(generic_quintic, prime):
     report = count_fiber(generic_quintic, prime, seed=1)
     assert report.multiplicity_profile == ((45, 4), (420, 1))

@@ -10,6 +10,8 @@ from quintic_moduli.polys import (
     PolynomialRing,
     UniPoly,
     _consecutive_nodes,
+    _pack,
+    _unpack,
     dense_product,
     interpolate,
     interpolate_bivariate,
@@ -213,6 +215,23 @@ def test_gf_divmod_matches_long_division(p):
 def test_packed_product_rejects_negative_coefficients():
     with pytest.raises(OverflowError):
         dense_product(F, [3, -1], [2, 5])
+
+
+# the slot widths of the packed remainder kernel at 2**31 - 1, 2**61 - 1 and
+# 2**89 - 1: values 0, p - 1, p and 2p - 1 in [0, 2p), as a Barrett step
+# leaves them, most of them at or past 2**64
+@pytest.mark.parametrize("width, p", [(128, 2**31 - 1), (192, 2**61 - 1), (320, 2**89 - 1)])
+def test_wide_slots_round_trip(width, p):
+    values = [0, p - 1, p, 2 * p - 1, 1 << 64, (1 << width) - 1]
+    packed = _pack(values, width)
+    assert packed == sum(v << width * k for k, v in enumerate(values))
+    assert list(_unpack(packed, len(values), width)) == values
+    # a zero top slot is still unpacked
+    assert list(_unpack(_pack(values[:2] + [0], width), 3, width)) == values[:2] + [0]
+    with pytest.raises(OverflowError):
+        _pack([3, -1], width)
+    with pytest.raises(OverflowError):
+        _pack([1 << width], width)
 
 
 def _partial(ring, coeffs, var):
