@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 
-from .polys import MultiPoly, UniPoly, _pack, _unpack, interpolate
+from .polys import MultiPoly, UniPoly, _pack, _slot_width, _unpack, interpolate
 from .scalars import PrimeField
 
 
@@ -138,20 +138,23 @@ def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None, int]:
     between two Barrett steps: from a slot below 2p, every slot x stays
     below 2**s and x * m below 2**w, the two bounds the SWAR Barrett step
     needs.  w is the least of 64, 128, ... where some s < w gives limit >=
-    1 (64 for every p up to 1482910), and s the one making limit largest.
+    1 (64 for every p up to 1482910): the ``_slot_width`` of top * m for
+    top = 2p - 1 + (p - 1)(2p - 1), a slot after one product, and the least
+    s with top < 2**s, which makes m smallest.  s is then the one making
+    limit largest in w bits.
     ``inverses[c]`` is 1/c mod p (None from ``_INVERSE_TABLE_LIMIT`` on),
     from inv(i) = -(p // i) inv(p mod i), for the leads of the remainder
     sequence.  Keyed by the prime, so one entry per prime.
     """
     span = (p - 1) * (2 * p - 1)
-    best, w = (0, 0, 0), 0
-    while not best[2]:
-        w += 64
-        for s in range(p.bit_length() + 1, w):
-            m = (1 << s) // p
-            limit = (min((1 << s) - 1, ((1 << w) - 1) // m) - (2 * p - 1)) // span
-            if limit > best[2]:
-                best = (s, m, limit)
+    top = 2 * p - 1 + span  # a slot below 2p after one product
+    w = _slot_width(top * ((1 << top.bit_length()) // p))
+    best = (0, 0, 0)
+    for s in range(p.bit_length() + 1, w):
+        m = (1 << s) // p
+        limit = (min((1 << s) - 1, ((1 << w) - 1) // m) - (2 * p - 1)) // span
+        if limit > best[2]:
+            best = (s, m, limit)
     inverses = None
     if p < _INVERSE_TABLE_LIMIT:
         table = [0, 1] + [0] * (p - 2)

@@ -14,21 +14,27 @@ the z'-power alone, and every invariant kills that quintuple-line
 direction; one consistency check is that the restriction discriminant
 I4^2 - 128 I8 then has chart degree 20, the degree of the dual curve.)
 The restriction is ``polys.line_restriction``, the package's one expansion
-of a line into a ternary form: its table of terms is built once per frame,
-and each chart point costs one pass over it with the powers of a and b
-reduced mod p.  For a target (c1 : c2 : c3) with c1 != 0 the fiber system is
+of a line into a ternary form.  For a target (c1 : c2 : c3) with c1 != 0
+the fiber system is
 
     G1 = c2 * I4^2 - c1^2 * I8     (degree 20)
     G2 = c3 * I4^3 - c1^3 * I12    (degree 30)
 
-and the eliminant R(a) has degree 20 * 30 = 600.  Both are built by
-evaluating the invariants at the 496 chart points with a + b <= 30 (a
-lattice unisolvent for total degree <= 30) and interpolating there; one
-more evaluation off the lattice, at (31, 31), guards against a term of
-higher degree the lattice cannot see.  Every one of the 45
-inflectional lines of a generic quintic is a common zero (all invariants
-vanish there); each absorbs the same multiplicity, and the
-multiplicity-1 part of R is the actual fiber.  A successful run reports
+and the eliminant R(a) has degree 20 * 30 = 600.  Both are built exactly,
+once per attempt: the framed quintic is restricted once at the power
+tables of a and b in ``_ChartRing``, GF(p)[a, b] in Kronecker form (one
+int per polynomial, a^i b^j in slot 33 i + j; von zur Gathen & Gerhard,
+*Modern Computer Algebra*, section 8.4), and the unchanged
+``invariant_triple`` runs over that ring.  A covariant of coefficient
+degree d and order o has chart degree at most (5d + o)/2, so the largest
+product of the chain, q * q, has degree 32 and the stride 33 aliases
+none; the slot width comes from a bound on |slot| derived from the
+chain's transvectant weights.
+
+Every one of the 45 inflectional lines of a generic quintic is a common
+zero (all invariants vanish there); each absorbs the same multiplicity,
+and the multiplicity-1 part of R is the actual fiber.  A successful run
+reports
 
     {(420, 1), (45, 4)}        with 600 = 420 + 45 * 4,
 
@@ -48,15 +54,16 @@ surface, never to average away.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
-from .binary_forms import BinaryQuintic
+from .binary_forms import BinaryQuintic, _transvectant_table
 from .elimination import resultant_bivar_elim, squarefree_decomposition
 from .invariants import WPPoint, invariant_triple
 from .plane_curves import PlaneCurve, random_invertible_frame
-from .polys import MultiPoly, interpolate_bivariate, line_restriction
-from .scalars import GF, PrimeField
+from .polys import MultiPoly, _pack, _slot_width, _unpack, line_restriction
+from .scalars import GF, PrimeField, Ring
 
 #: Chart degrees of the fiber system and its Bezout number.
 FIBER_SYSTEM_DEGREES = (20, 30)
@@ -100,23 +107,125 @@ class FiberReport:
             raise ValueError("multiplicity profile does not account for the degree")
 
 
-def _restriction_coefficients(framed_poly: MultiPoly, field: PrimeField):
-    """Closure computing the 6 restriction coefficients at numeric (a, b).
+#: The transvectants of ``invariants._chain`` that ``invariant_triple``
+#: runs, as ((d, o) of g, (d, o) of h, k) for covariants of coefficient
+#: degree d and order o: i = (f, f)_4, j = (i, f)_2, q = (j, j)_2 and the
+#: chain values (i, i)_2, (q, i)_2, (q, q)_2.
+_CHAIN = (
+    ((1, 5), (1, 5), 4),
+    ((2, 2), (1, 5), 2),
+    ((3, 3), (3, 3), 2),
+    ((2, 2), (2, 2), 2),
+    ((6, 2), (2, 2), 2),
+    ((6, 2), (6, 2), 2),
+)
+
+
+def _chart_degree(d: int, o: int) -> int:
+    """The (a, b)-degree bound of the coefficients of a covariant of
+    coefficient degree d and order o, on the chart z = a x + b y.
+
+    On the line c z = a x + b y the restriction f = F(c x, c y, a x + b y)
+    has coefficients homogeneous of degree 5 in (a, b, c), so a covariant C
+    of f has coefficients of degree 5d.  f is H(c x, a x + b y) for H(u, v)
+    = F(u, (c v - a u) / b, v), and C, of weight (5d - o) / 2, satisfies
+    C(H o A) = det(A)**weight C(H) o A, here with det A = b c.  So
+    c**weight divides C(f), and at c = 1 its degree in (a, b) is at most
+    5d - weight = (5d + o) / 2.
+    """
+    return (5 * d + o) // 2
+
+
+def _monomials(degree: int) -> int:
+    """Number of monomials a**i b**j with i + j <= degree."""
+    return (degree + 1) * (degree + 2) // 2
+
+
+#: The largest (a, b)-degree of a product in the chain, q * q, is 32, so a
+#: Kronecker stride of 33 in b keeps every product un-aliased.
+_STRIDE = 1 + max(_chart_degree(*g) + _chart_degree(*h) for g, h, _ in _CHAIN)
+
+#: C with C (p - 1)**3 bounding every |slot| the chain reduces: a
+#: transvectant's output sums |w| products per row, each slot of a product
+#: at most one term per monomial of the smaller factor, each term below
+#: (p - 1)**2, and the scaling multiplies by at most p - 1.  The other
+#: reductions (the restriction, the normalisation, G1 and G2) stay far
+#: below it.
+_CHAIN_WEIGHT = max(
+    max(sum(abs(w) for _, _, w in row) for row in _transvectant_table(g[1], h[1], k)[0])
+    * min(_monomials(_chart_degree(*g)), _monomials(_chart_degree(*h)))
+    for g, h, k in _CHAIN
+)
+
+
+class _ChartRing(Ring):
+    """GF(p)[a, b] in Kronecker form, for running the invariant chain on
+    the whole chart at once.
+
+    An element is one nonnegative int with the coefficient of a**i b**j, a
+    residue, in the w-bit slot i * _STRIDE + j.  ``+``, ``-``, ``*`` and
+    int scaling are the ints' own; a raw combination may have signed slots
+    (the transvectant weights are signed), and ``reduce`` adds ``bias``, a
+    multiple of p at least the bound ``_CHAIN_WEIGHT * (p - 1)**3`` on
+    |slot|, to every slot, takes each slot mod p and repacks.  w is the
+    ``_slot_width`` of bias + bound: 64 bits at 3001 and 10007, 128 at
+    2**31 - 1.
+    """
+
+    def __init__(self, p: int):
+        self.field = GF(p)
+        self.p = p
+        self.zero, self.one = 0, 1
+        bound = _CHAIN_WEIGHT * (p - 1) ** 3
+        self.bias = -(-bound // p) * p
+        self.width = _slot_width(self.bias + bound)
+
+    def from_fraction(self, q):
+        return self.field.from_fraction(q)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def reduce(self, x):
+        w, p = self.width, self.p
+        n = x.bit_length() // w + 1  # every slot up to the top one, signed or not
+        slots = _unpack(x + _spread(self.bias, n, w), n, w)
+        return _pack([c % p for c in slots], w)
+
+    def power_tables(self) -> tuple[list[int], list[int]]:
+        """(a**0 .. a**5) and (b**0 .. b**5): a**r is the single slot
+        r * _STRIDE, b**r the single slot r."""
+        w = self.width
+        return [1 << w * _STRIDE * r for r in range(6)], [1 << w * r for r in range(6)]
+
+    def to_multipoly(self, x: int) -> MultiPoly:
+        """The element as a ``MultiPoly`` in (a, b) over GF(p)."""
+        w = self.width
+        slots = _unpack(x, x.bit_length() // w + 1, w)
+        return MultiPoly(self.field, 2, {divmod(k, _STRIDE): c for k, c in enumerate(slots) if c})
+
+    def __repr__(self):
+        return f"_ChartRing({self.p})"
+
+
+@functools.lru_cache(maxsize=64)
+def _spread(value: int, n: int, w: int) -> int:
+    """``value`` in each of n slots of w bits; cached, since one prime's
+    chain reduces at a handful of slot counts."""
+    return value * (((1 << w * n) - 1) // ((1 << w) - 1))
+
+
+def _restriction_coefficients(framed_poly: MultiPoly, ring: Ring):
+    """Closure computing the 6 restriction coefficients from power tables.
 
     ``polys.line_restriction`` on the chart z = a x + b y, its table built
-    once per frame; at each (a, b) the power tables are reduced mod p and
-    each coefficient (indexed by y-degree) once.
+    once per frame; each coefficient (indexed by y-degree) is reduced once
+    in ``ring``.
     """
-    p = field.p
     restrict = line_restriction(framed_poly.terms, 2)
 
-    def evaluate(a: int, b: int) -> list[int]:
-        ap = [1]
-        bp = [1]
-        for _ in range(5):
-            ap.append(ap[-1] * a % p)
-            bp.append(bp[-1] * b % p)
-        return [c % p for c in restrict(ap, bp)]
+    def evaluate(ap: list, bp: list) -> list:
+        return [ring.reduce(c) for c in restrict(ap, bp)]
 
     return evaluate
 
@@ -127,12 +236,11 @@ def build_fiber_system(
     """The two chart equations (G1, G2) cutting out the fiber over ``target``.
 
     The curve must be a quintic over a prime field; the target must have
-    c1 != 0.  G1 and G2 are evaluated at the 496 chart points (a, b) with
-    a + b <= 30, a lattice unisolvent for total degree <= 30, and
-    interpolated there.  The lattice cannot see a term of higher degree, so
-    both are evaluated once more off it, at (31, 31), and a mismatch is a
-    retry.  Degrees are gated at exactly (20, 30): a drop means the chart
-    frame is non-generic and the caller should redraw it.
+    c1 != 0.  The framed quintic is restricted once, at the power tables
+    of a and b in ``_ChartRing``, and ``invariant_triple`` runs there, so
+    I4, I8, I12 and then G1 and G2 are exact polynomials in (a, b).
+    Degrees are gated at exactly (20, 30): a drop means the chart frame is
+    non-generic and the caller should redraw it.
     """
     field = curve.field
     if not isinstance(field, PrimeField):
@@ -143,26 +251,14 @@ def build_fiber_system(
     if field.is_zero(c1):
         raise ValueError("target must have nonzero first coordinate")
     framed = curve.composed_with_frame(frame)
-    restrict = _restriction_coefficients(framed.poly, field)
+    ring = _ChartRing(field.p)
+    restrict = _restriction_coefficients(framed.poly, ring)
+    i4, i8, i12 = invariant_triple(BinaryQuintic(ring, restrict(*ring.power_tables())))
     c1sq = field.reduce(c1 * c1)
-    c1cu = field.reduce(c1sq * c1)
-
-    def system_at(a: int, b: int) -> tuple[int, int]:
-        coeffs = restrict(a, b)
-        if all(c == 0 for c in coeffs):
-            raise FiberRetryError("a sampled line lies on the curve (degenerate frame)")
-        i4, i8, i12 = invariant_triple(BinaryQuintic(field, coeffs))
-        g1 = field.reduce(c2 * i4 * i4 - c1sq * i8)
-        g2 = field.reduce(c3 * i4 * i4 * i4 - c1cu * i12)
-        return g1, g2
-
-    n = FIBER_SYSTEM_DEGREES[1]  # lattice {a + b <= n}: the top degree
-    lattice = [[system_at(a, b) for b in range(n + 1 - a)] for a in range(n + 1)]
-    g1_poly = interpolate_bivariate([[g1 for g1, _ in row] for row in lattice], field)
-    g2_poly = interpolate_bivariate([[g2 for _, g2 in row] for row in lattice], field)
-    check = (n + 1, n + 1)
-    if system_at(*check) != (g1_poly.eval(check), g2_poly.eval(check)):
-        raise FiberRetryError("fiber system disagrees off the lattice")
+    i4sq = ring.reduce(i4 * i4)
+    g1 = ring.reduce(c2 * i4sq - c1sq * i8)
+    g2 = ring.reduce(c3 * ring.reduce(i4sq * i4) - field.reduce(c1sq * c1) * i12)
+    g1_poly, g2_poly = ring.to_multipoly(g1), ring.to_multipoly(g2)
     if (g1_poly.total_degree, g2_poly.total_degree) != FIBER_SYSTEM_DEGREES:
         raise FiberRetryError(
             f"fiber system degrees ({g1_poly.total_degree}, {g2_poly.total_degree})"

@@ -16,7 +16,8 @@ also calls the ring's ``inv``, which over a residue ring may raise
 
 Over GF(p), whose coefficients are residues in [0, p), two kernels work on
 packed integers (``_pack``/``_unpack``: one 64-bit slot per coefficient,
-or a wider multiple of 64 bits).  ``dense_product``, shared with
+or a wider multiple of 64 bits, ``_slot_width`` being the least that holds
+a given bound).  ``dense_product``, shared with
 ``BinaryForm``, multiplies by Kronecker substitution: one bigint product,
 each slot reduced mod p.  ``divmod`` packs the remainder and the divisor
 once, reads each quotient term off the top slot and adds (p - c) times
@@ -37,14 +38,15 @@ a line x_v = a x_o1 + b x_o2: the binomial expansion becomes a table of
 terms once per form, and each line is one pass over that table with the
 power tables of a and b, in whatever ring (or scaling) the caller chooses.
 
-Interpolation runs over GF(p) on raw ints, at the nodes 0, 1, ..., n only:
-the samples of the bivariate eliminant and the lattice of the fiber
-system.  ``interpolate`` takes a list of values at 0..n - 1 and the
-Lagrange form over a subproduct tree, whose products are the packed
-kernel; the weights have a closed form, and the tree and weights come from
-a small cache keyed by (p, n).  ``interpolate_bivariate`` takes the values
-on the principal lattice {i + j <= n} and works in Newton form, a divided
-difference of order k dividing by k.
+Interpolation runs over GF(p) on raw ints, at the nodes 0, 1, ..., n only.
+``interpolate``, for the samples of the bivariate eliminant, takes a list
+of values at 0..n - 1 and the Lagrange form over a subproduct tree, whose
+products are the packed kernel; the weights have a closed form, and the
+tree and weights come from a small cache keyed by (p, n).
+``interpolate_bivariate`` takes the values on the principal lattice
+{i + j <= n} and works in Newton form, a divided difference of order k
+dividing by k; the fiber system is built exactly (``fiber_counting``),
+so it serves the tests only, as the lattice reference.
 
 Operations mixing distinct rings (or arities) raise ``ValueError`` rather
 than coercing.  Term iteration for display/serialisation is sorted
@@ -72,6 +74,12 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 def _check_same_field(a, b):
     if a.field is not b.field:
         raise ValueError(f"field mismatch: {a.field!r} vs {b.field!r}")
+
+
+def _slot_width(bound: int) -> int:
+    """The least multiple of 64 bits w with ``bound`` < 2**w: the width of a
+    packed slot that must hold every value up to ``bound``."""
+    return 64 * max(1, -(-bound.bit_length() // 64))
 
 
 def _pack(coeffs: Sequence[int], width: int = 64) -> int:
@@ -612,8 +620,12 @@ def interpolate_bivariate(values: Sequence[Sequence], field: PrimeField) -> Mult
     order k divides by k, so one list of the inverses of 1..n serves every
     level.  The coefficient of N_i(x) M_j(y) uses only nodes with indices
     <= (i, j), all inside the lattice.  A polynomial of higher total degree
-    is not seen: the result matches it on the lattice only, so callers
-    check a point off it.
+    is not seen: the result matches it on the lattice only.
+
+    The package builds its fiber system exactly (``fiber_counting``), so
+    this is the tests' lattice reference for it.  It stays here only
+    because the benchmark's tracer wraps it by this name; it can move to
+    the tests once the tracer reads spans from inside the package.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")

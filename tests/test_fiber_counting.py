@@ -1,9 +1,10 @@
+import importlib
 import random
 
 import pytest
 
-from quintic_moduli import fiber_counting
-from quintic_moduli.binary_forms import BinaryQuintic
+from quintic_moduli import PlaneCurve, fiber_counting
+from quintic_moduli.binary_forms import BinaryQuintic, transvectant
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
 from quintic_moduli.fiber_counting import (
     ELIMINANT_DEGREE,
@@ -21,8 +22,16 @@ from quintic_moduli.plane_curves import (
     genericity_report,
     random_invertible_frame,
 )
-from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
-from quintic_moduli.scalars import GF
+from quintic_moduli.polys import (
+    MultiPoly,
+    UniPoly,
+    _unpack,
+    interpolate,
+    interpolate_bivariate,
+    line_restriction,
+    powers,
+)
+from quintic_moduli.scalars import GF, is_prime
 
 from conftest import fermat_quintic
 
@@ -48,21 +57,43 @@ def test_fiber_system_degrees(sample_system):
     assert (g1.total_degree, g2.total_degree) == FIBER_SYSTEM_DEGREES == (20, 30)
 
 
+def _system_at(restrict, target, a, b):
+    """(G1, G2) at one chart point over GF(p), through ``invariant_triple``
+    on the restriction by ``line_restriction`` there."""
+    p = target.field.p
+    c1, c2, c3 = target.coords()
+    ap, bp = powers(target.field, a, 5), powers(target.field, b, 5)
+    i4, i8, i12 = invariant_triple(
+        BinaryQuintic(target.field, [c % p for c in restrict(ap, bp)])
+    )
+    return (c2 * i4**2 - c1**2 * i8) % p, (c3 * i4**3 - c1**3 * i12) % p
+
+
+def _lattice_system(framed_poly, target):
+    """The lattice reference: G1 and G2 at the 496 chart points a + b <= 30,
+    interpolated by ``interpolate_bivariate``."""
+    restrict = line_restriction(framed_poly.terms, 2)
+    n = FIBER_SYSTEM_DEGREES[1]
+    values = [[_system_at(restrict, target, a, b) for b in range(n + 1 - a)] for a in range(n + 1)]
+    return tuple(
+        interpolate_bivariate([[v[k] for v in row] for row in values], target.field)
+        for k in (0, 1)
+    )
+
+
 def test_fiber_system_matches_tensor_grid_interpolation(fixture_mod_p, sample_system):
     # reference: G1, G2 on the full 31 x 31 grid, interpolated in b along
     # each row and then in a coefficient by coefficient
     frame, target, g1, g2 = sample_system
-    c1, c2, c3 = target.coords()
     framed = fixture_mod_p.composed_with_frame(frame)
-    restrict = fiber_counting._restriction_coefficients(framed.poly, F)
+    restrict = line_restriction(framed.poly.terms, 2)
     side = range(FIBER_SYSTEM_DEGREES[1] + 1)
     grids = ([], [])
     for a in side:
         rows = ([], [])
         for b in side:
-            i4, i8, i12 = invariant_triple(BinaryQuintic(F, restrict(a, b)))
-            rows[0].append((c2 * i4**2 - c1**2 * i8) % F.p)
-            rows[1].append((c3 * i4**3 - c1**3 * i12) % F.p)
+            for row, value in zip(rows, _system_at(restrict, target, a, b)):
+                row.append(value)
         for grid, row in zip(grids, rows):
             grid.append(interpolate(row, F))
     for grid, system in zip(grids, (g1, g2)):
@@ -75,35 +106,88 @@ def test_fiber_system_matches_tensor_grid_interpolation(fixture_mod_p, sample_sy
         assert system == MultiPoly(F, 2, terms)
 
 
-def test_off_lattice_term_is_a_retry(monkeypatch, generic_quintic, fixture_mod_p):
-    # a total-degree-31 term a^16 b^15 in I12 is invisible on the lattice
-    # {a + b <= 30} and must be caught at the check point off it
-    point = []
-    factory = fiber_counting._restriction_coefficients
+# the chain's slots are 64 bits up to 10007 and grow to 128 at 2**31 - 1
+@pytest.mark.parametrize(
+    "prime, width", [(2503, 64), (3001, 64), (5003, 64), (10007, 64), (2**31 - 1, 128)]
+)
+def test_fiber_system_matches_the_lattice_reference(generic_quintic, prime, width):
+    field = GF(prime)
+    curve = generic_quintic.reduce_mod(field)
+    assert fiber_counting._ChartRing(prime).width == width
+    rng = random.Random(prime)
+    for _ in range(2):
+        target = fiber_counting._draw_target(field, rng)
+        frame = random_invertible_frame(field, rng)
+        expected = _lattice_system(curve.composed_with_frame(frame).poly, target)
+        assert build_fiber_system(curve, target, frame) == expected
 
-    def recording_factory(*args):
-        restrict = factory(*args)
 
-        def recorded(a, b):
-            point[:] = [a, b]
-            return restrict(a, b)
+#: The largest prime whose chain bound fits 64-bit slots, and the next prime.
+SLOT_EDGE_PRIMES = (23719, 23741)
 
-        return recorded
 
-    def perturbed_triple(f):
-        i4, i8, i12 = invariant_triple(f)
-        a, b = point
-        return i4, i8, (i12 + pow(a, 16, F.p) * pow(b, 15, F.p)) % F.p
+def _chain_bound(p: int) -> int:
+    return fiber_counting._CHAIN_WEIGHT * (p - 1) ** 3
 
-    monkeypatch.setattr(fiber_counting, "_restriction_coefficients", recording_factory)
-    monkeypatch.setattr(fiber_counting, "invariant_triple", perturbed_triple)
-    frame = random_invertible_frame(F, random.Random(100))
-    target = WPPoint(F, F.from_int(7), F.from_int(31), F.from_int(59))
-    with pytest.raises(FiberRetryError, match="disagrees off the lattice"):
-        build_fiber_system(fixture_mod_p, target, frame)
-    with pytest.raises(FiberCountError) as info:
-        count_fiber(generic_quintic, 10007, seed=1, max_retries=0)
-    assert info.value.causes == ["attempt 0: fiber system disagrees off the lattice"]
+
+@pytest.mark.parametrize("prime, width", zip(SLOT_EDGE_PRIMES, (64, 128)))
+def test_chain_at_the_slot_edge(monkeypatch, prime, width):
+    # a framed quintic whose coefficients are all p - 1, in the least slot
+    # that holds bias + bound: the chain matches the lattice reference, and
+    # no slot it reduces passes the derived bound
+    assert [q for q in range(SLOT_EDGE_PRIMES[0], SLOT_EDGE_PRIMES[1] + 1) if is_prime(q)] == list(
+        SLOT_EDGE_PRIMES
+    )
+    largest = []
+
+    class RecordingRing(fiber_counting._ChartRing):
+        def reduce(self, x):
+            w = self.width
+            n = x.bit_length() // w + 1
+            slots = _unpack(x + fiber_counting._spread(self.bias, n, w), n, w)
+            largest.append(max(abs(c - self.bias) for c in slots))
+            return super().reduce(x)
+
+    ring = RecordingRing(prime)
+    top = ring.bias + _chain_bound(prime)
+    assert ring.width == width and top < 1 << width and top >= 1 << width - 64
+    field = GF(prime)
+    poly = MultiPoly(field, 3, {(i, j, 5 - i - j): prime - 1 for i in range(6) for j in range(6 - i)})
+    identity = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
+    target = WPPoint(field, field.from_int(7), field.from_int(31), field.from_int(59))
+    monkeypatch.setattr(fiber_counting, "_ChartRing", RecordingRing)
+    system = build_fiber_system(PlaneCurve(poly), target, identity)
+    assert system == _lattice_system(poly, target)
+    assert 0 < max(largest) <= _chain_bound(prime) <= ring.bias
+
+
+def test_chain_table_matches_the_invariant_chain(monkeypatch, fixture_mod_p, sample_system):
+    # the stride and the slot bound are derived from _CHAIN: it must list the
+    # transvectants invariant_triple runs, in order, and on this generic draw
+    # each operand's coefficients reach their chart degree bound exactly,
+    # which pins the coefficient degrees d of _CHAIN too
+    calls = []
+    ring = fiber_counting._ChartRing(F.p)
+
+    def degree(form):
+        return max(ring.to_multipoly(c).total_degree for c in form.coeffs)
+
+    def recording(g, h, k):
+        calls.append(((g.order, degree(g)), (h.order, degree(h)), k))
+        return transvectant(g, h, k)
+
+    # the package exports the function invariants, which hides the module
+    chain_module = importlib.import_module("quintic_moduli.invariants")
+    monkeypatch.setattr(chain_module, "transvectant", recording)
+    frame, target, g1, g2 = sample_system
+    assert build_fiber_system(fixture_mod_p, target, frame) == (g1, g2)
+    assert [(g[0], h[0], k) for g, h, k in calls] == [
+        (g[1], h[1], k) for g, h, k in fiber_counting._CHAIN
+    ]
+    for (g, h, k), (dg, dh, _) in zip(calls, fiber_counting._CHAIN):
+        assert g[1] == fiber_counting._chart_degree(*dg)
+        assert h[1] == fiber_counting._chart_degree(*dh)
+    assert max(g[1] + h[1] for g, h, _ in calls) < fiber_counting._STRIDE
 
 
 def test_fiber_system_rejects_zero_first_coordinate(fixture_mod_p):

@@ -11,6 +11,7 @@ from quintic_moduli.polys import (
     UniPoly,
     _consecutive_nodes,
     _pack,
+    _slot_width,
     _unpack,
     dense_product,
     interpolate,
@@ -232,6 +233,15 @@ def test_wide_slots_round_trip(width, p):
         _pack([3, -1], width)
     with pytest.raises(OverflowError):
         _pack([1 << width], width)
+
+
+@pytest.mark.parametrize(
+    "bound, width",
+    [(0, 64), (1, 64), ((1 << 64) - 1, 64), (1 << 64, 128), ((1 << 128) - 1, 128), (1 << 128, 192)],
+)
+def test_slot_width_is_the_least_that_holds_the_bound(bound, width):
+    assert _slot_width(bound) == width
+    assert bound < 1 << width and (width == 64 or bound >= 1 << width - 64)
 
 
 def _partial(ring, coeffs, var):
