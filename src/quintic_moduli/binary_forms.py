@@ -29,7 +29,7 @@ from math import comb, factorial, perm
 from typing import Sequence
 
 from .polys import UniPoly, dense_product, powers
-from .scalars import GF, Field, PrimeField, Ring
+from .scalars import Field, Ring
 
 
 class BinaryForm:
@@ -173,16 +173,6 @@ def _transvectant_table(m: int, n: int, k: int):
     return tuple(rows), scaling
 
 
-@functools.cache
-def _scaling_modp(p: int, m: int, n: int, k: int) -> int:
-    """The scaling of ``_transvectant_table(m, n, k)`` as a residue mod p.
-
-    Keyed by the prime, never by a ring object, so its one modular inverse
-    is paid once per prime and shape rather than once per transvectant.
-    """
-    return GF(p).from_fraction(_transvectant_table(m, n, k)[1])
-
-
 def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     """k-th transvectant of two forms, with the symmetric factorial scaling.
 
@@ -197,8 +187,7 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     ``Fraction`` of each output coefficient; over any other ring
     dg = dh = 1 and the weights scale the values as ints.  The scaling is
     applied and ``ring.reduce`` called once per output coefficient, as in
-    ``polys.dense_product``; over GF(p) it is the residue ``_scaling_modp``
-    keeps per prime and shape.
+    ``polys.dense_product``.
     """
     if g.ring is not h.ring:
         raise ValueError("ring mismatch in transvectant")
@@ -209,11 +198,8 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     rows, scaling = _transvectant_table(m, n, k)
     gc, dg = R.clear_denominators(g.coeffs)
     hc, dh = (gc, dg) if h is g else R.clear_denominators(h.coeffs)
-    if isinstance(R, PrimeField):
-        scale = _scaling_modp(R.p, m, n, k)
-    else:
-        d = dg * dh
-        scale = R.from_fraction(scaling / d if d != 1 else scaling)
+    d = dg * dh
+    scale = R.from_fraction(scaling / d if d != 1 else scaling)
     zero = 0 * gc[0]  # 0 over QQ and GF(p), the ring's zero otherwise
     out = []
     for row in rows:

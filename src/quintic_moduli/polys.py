@@ -15,23 +15,23 @@ also calls the ring's ``inv``, which over a residue ring may raise
 ``SplitNeeded``.
 
 Over GF(p), whose coefficients are residues in [0, p), two kernels work on
-packed integers (``_pack``/``_unpack``: one 64-bit slot per coefficient,
-or a wider multiple of 64 bits, ``_slot_width`` being the least that holds
-a given bound).  ``dense_product``, shared with
+packed integers at every prime (``_pack``/``_unpack``: one slot per
+coefficient, ``_slot_width`` bits, the least multiple of 64 that holds the
+kernel's largest slot sum).  ``dense_product``, shared with
 ``BinaryForm``, multiplies by Kronecker substitution: one bigint product,
 each slot reduced mod p.  ``divmod`` packs the remainder and the divisor
 once, reads each quotient term off the top slot and adds (p - c) times
-the shifted divisor, and reduces the low slots once at the end.  Each
-kernel runs only while no slot sum can reach 2**64.  A whole remainder
-sequence (``elimination.gcd_uni`` and the sample resultants) stays packed
-between divisions instead, at every prime: each division is this one,
+the shifted divisor, and reduces the low slots once at the end.  A whole
+remainder sequence (``elimination.gcd_uni`` and the sample resultants)
+stays packed between divisions instead: each division is this one,
 followed by a SWAR Barrett step that brings every slot to [0, 2p) without
-unpacking, in slots wide enough for the Barrett step's bounds (see
-``elimination``).  Over QQ,
-``dense_product`` clears the denominators of each factor once
-(``RationalField.clear_denominators``), convolves the integer numerators
-and makes one ``Fraction`` per output coefficient.  Every other ring, and
-a prime too large for packing, takes the accumulate-then-reduce loop.
+unpacking (``elimination._lazy_sequence``).  The two divisions stay apart
+on purpose: one that served both would branch on its caller (keep the
+quotient or not), and such a shared division made the eliminant about 10%
+slower.  Over QQ, ``dense_product`` clears the denominators of each
+factor once (``RationalField.clear_denominators``), convolves the integer
+numerators and makes one ``Fraction`` per output coefficient.  Every
+other ring takes the accumulate-then-reduce loop.
 
 ``line_restriction`` is the package's one restriction of a ternary form to
 a line x_v = a x_o1 + b x_o2: the binomial expansion becomes a table of
@@ -67,7 +67,6 @@ from .scalars import GF, Field, PrimeField, RationalField, Ring
 NEG_INF = float("-inf")
 
 assert array("Q").itemsize == 8, "packed kernels need 64-bit array slots"
-_SLOT = (1 << 64) - 1
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
@@ -114,18 +113,21 @@ def _unpack(packed: int, length: int, width: int = 64) -> Sequence[int]:
 def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
     """Coefficients of the product of two nonempty dense coefficient sequences.
 
-    Over GF(p), when no slot's convolution sum can reach 2**64, the product
-    is one integer multiplication (Kronecker substitution); a negative
-    coefficient makes ``array`` raise ``OverflowError``, never a wrong
-    slot.  Over QQ the integer numerators of ``ring.clear_denominators``
-    are convolved, and each output coefficient is one ``Fraction`` over
-    da * db.  Otherwise raw sums of products are accumulated with the
-    values' own ``+`` and ``*``, and ``ring.reduce`` is called once per
-    output coefficient.
+    Over GF(p) the product is one integer multiplication (Kronecker
+    substitution) in slots of ``_slot_width`` of max(a) * max(b) * min(len
+    a, len b), the most a convolution sum can reach; when a factor is zero
+    that bound is 0, and max(a) + max(b) keeps the other factor's
+    coefficients in their slots.  A negative coefficient makes ``_pack``
+    raise ``OverflowError``, never a wrong slot.  Over QQ the integer
+    numerators of ``ring.clear_denominators`` are convolved, and each
+    output coefficient is one ``Fraction`` over da * db.  Otherwise raw
+    sums of products are accumulated with the values' own ``+`` and ``*``,
+    and ``ring.reduce`` is called once per output coefficient.
     """
-    if isinstance(ring, PrimeField) and max(a) * max(b) * min(len(a), len(b)) < 1 << 64:
+    if isinstance(ring, PrimeField):
         p = ring.p
-        return [c % p for c in _unpack(_pack(a) * _pack(b), len(a) + len(b) - 1)]
+        w = _slot_width(max(a) * max(b) * min(len(a), len(b)) or max(a) + max(b))
+        return [c % p for c in _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)]
     if isinstance(ring, RationalField):
         (a, da), (b, db) = ring.clear_denominators(a), ring.clear_denominators(b)
         out = [0] * (len(a) + len(b) - 1)
@@ -253,15 +255,17 @@ class UniPoly:
         n = len(dv) - 1
         # Over GF(p) the remainder and the divisor are packed once: slot j of
         # R collects at most dq + 1 products below p**2 on top of a residue.
-        if isinstance(F, PrimeField) and (dq + 2) * F.p ** 2 < 1 << 64:
+        if isinstance(F, PrimeField):
             p = F.p
-            R, D = _pack(rem), _pack(dv)
+            w = _slot_width((dq + 2) * p * p)
+            slot = (1 << w) - 1
+            R, D = _pack(rem, w), _pack(dv, w)
             for k in range(dq, -1, -1):
-                c = (R >> 64 * (k + n) & _SLOT) * inv_lc % p
+                c = (R >> w * (k + n) & slot) * inv_lc % p
                 if c:
                     quo[k] = c
-                    R += (p - c) * D << 64 * k
-            return UniPoly(F, quo), UniPoly(F, [c % p for c in _unpack(R, len(rem))[:n]])
+                    R += (p - c) * D << w * k
+            return UniPoly(F, quo), UniPoly(F, [c % p for c in _unpack(R, len(rem), w)[:n]])
         # the remainder stays raw; only each quotient term is reduced
         for k in range(dq, -1, -1):
             c = F.reduce(rem[k + n] * inv_lc)

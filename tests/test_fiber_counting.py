@@ -264,9 +264,10 @@ def test_count_fiber_cross_prime_agreement(generic_quintic):
 # 64-bit slots take limit 2, so its slices are summed 4 columns at a time
 # and its remainder sequences take Barrett steps part-way through a
 # division; at 2**31 - 1 the remainder sequences run in 128-bit slots, and
-# the polys products and divisions with a quotient of 4 or more terms take
-# the loops; at 2**61 - 1 (192-bit slots, limit 8) and 2**89 - 1 (320-bit
-# slots) every polys division and nearly every product does.
+# so do a third of the polys products and the divisions with a quotient of
+# 4 or more terms; at 2**61 - 1 (192-bit slots, limit 8) and 2**89 - 1
+# (320-bit slots) every polys product and division runs in slots wider than
+# 64 bits.
 @pytest.mark.parametrize("prime", [1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1])
 def test_count_fiber_past_the_packing_guards(generic_quintic, prime):
     report = count_fiber(generic_quintic, prime, seed=1)

@@ -271,6 +271,20 @@ def test_invariant_triple_matches_full_vector():
         assert invariant_triple(f) == (iv.i4, iv.i8, iv.i12)
 
 
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1])
+def test_chain_over_gf_p_is_the_rational_chain_mod_p(p):
+    # every ring scales the chain by the same exact fractions, so over GF(p)
+    # the triple and the moduli point are the rational ones reduced mod p
+    rng = random.Random(p)
+    F = GF(p)
+    for _ in range(12):
+        f = random_quintic(rng, -10**6, 10**6)
+        expected = tuple(F.from_fraction(c) for c in invariant_triple(f))
+        fp = BinaryQuintic(F, [F.from_fraction(c) for c in f.coeffs])
+        assert invariant_triple(fp) == expected
+        assert moduli_point(fp).coords() == expected
+
+
 def test_fundamental_relation():
     rel = find_fundamental_relation(seed=0)
     assert len(rel) == len(RELATION_MONOMIALS) == 13

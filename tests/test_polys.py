@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from quintic_moduli import polys
 from quintic_moduli.binary_forms import BinaryForm, transvectant
 from quintic_moduli.polys import (
     MultiPoly,
@@ -20,7 +21,7 @@ from quintic_moduli.polys import (
     powers,
 )
 from quintic_moduli.residue_rings import ResidueRing
-from quintic_moduli.scalars import GF, QQ
+from quintic_moduli.scalars import GF, QQ, PrimeField
 
 from conftest import fermat_quintic, identity_chart, newton_interpolation
 
@@ -171,9 +172,11 @@ def _gf_operands(rng, p, n):
     return [[rng.randrange(p) for _ in range(n)], [p - 1] * n, holes]
 
 
-# 2**31 - 1 straddles the 64-bit slot guard: (p - 1)**2 * 2 fits, * 4 does
-# not; 2**61 - 1 never fits, so every product over it takes the loop.
-@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+# the packed product's slot width follows max(a) * max(b) * min(len): at
+# 2**31 - 1 it straddles 64 bits ((p - 1)**2 * 2 fits, * 4 does not); at
+# 2**61 - 1 and 2**89 - 1 it is 128 or 192 bits, less for a zero factor,
+# whose slots need only hold the other factor's coefficients.
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1, 2**89 - 1])
 def test_gf_products_match_schoolbook(p):
     field = GF(p)
     rng = random.Random(p)
@@ -199,9 +202,10 @@ def _long_division(field, a, b):
 # (dividend, divisor) lengths: a constant divisor, a dividend shorter than the
 # divisor, quotients of 1, 3 and 4 terms, and the first division of Yun's
 # first gcd at degree 600 (a 466-term quotient by a divisor of degree 135).
-# The packed division needs (terms of the quotient + 1) * p**2 < 2**64: at
-# 2**31 - 1 quotients of up to 3 terms are packed and longer ones are not.
-@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+# The packed division's slots hold (terms of the quotient + 1) * p**2: at
+# 2**31 - 1 quotients of up to 3 terms take 64-bit slots and longer ones
+# 128-bit slots; at 2**61 - 1 and 2**89 - 1 every division takes wider ones.
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1, 2**89 - 1])
 def test_gf_divmod_matches_long_division(p):
     field = GF(p)
     rng = random.Random(p)
@@ -211,6 +215,50 @@ def test_gf_divmod_matches_long_division(p):
             b[-1] = b[-1] or 1
             got = UniPoly(field, a).divmod(UniPoly(field, b))
             assert got == _long_division(field, a, b), (la, lb)
+
+
+class _PackedOnlyField(PrimeField):
+    """GF(p) whose ``reduce`` raises: only the packed kernels can serve it."""
+
+    def reduce(self, x):
+        raise AssertionError("a GF(p) operand took the accumulate-then-reduce loop")
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**89 - 1])
+def test_no_gf_operand_takes_a_loop(p):
+    field, packed = GF(p), _PackedOnlyField(p)
+    rng = random.Random(p)
+    for la, lb in [(1, 1), (7, 8), (45, 45), (2, 600), (420, 46)]:
+        for a, b in zip(_gf_operands(rng, p, la), _gf_operands(rng, p, lb)):
+            assert dense_product(packed, a, b) == _schoolbook(field, a, b), (la, lb)
+    for la, lb in [(40, 1), (139, 136), (601, 136)]:
+        for a, b in zip(_gf_operands(rng, p, la), _gf_operands(rng, p, lb)):
+            b[-1] = b[-1] or 1
+            q, r = UniPoly(packed, a).divmod(UniPoly(packed, b))
+            assert (q.coeffs, r.coeffs) == tuple(
+                x.coeffs for x in _long_division(field, a, b)
+            ), (la, lb)
+
+
+# max(a) * max(b) * min(len) is exactly 2**64 - 1, then exactly 2**64: the
+# middle slot's sum reaches the bound, so the first fits 64-bit slots and
+# the second needs 128
+@pytest.mark.parametrize(
+    "a, b, width",
+    [([(2**32 - 1) // 3] * 3, [2**32 + 1] * 3, 64), ([2**32] * 2, [2**31] * 2, 128)],
+)
+def test_packed_product_at_the_64_bit_edge(monkeypatch, a, b, width):
+    widths = []
+
+    def spy(coeffs, w=64):
+        widths.append(w)
+        return _pack(coeffs, w)
+
+    monkeypatch.setattr(polys, "_pack", spy)
+    p = 2**61 - 1
+    assert max(a) * max(b) * min(len(a), len(b)) == 2**64 - (width == 64)
+    assert dense_product(_PackedOnlyField(p), a, b) == _schoolbook(GF(p), a, b)
+    assert widths == [width, width]
 
 
 def test_packed_product_rejects_negative_coefficients():

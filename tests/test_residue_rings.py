@@ -86,7 +86,8 @@ def _assert_remainders(ring, roots, xs):
         assert [_value(r, u) for u in roots] == [_value(x, u) for u in roots], x.degree
 
 
-# at 2**31 - 1 the packing guard of UniPoly.divmod fails, so its loop path runs
+# at 2**31 - 1 the packed UniPoly.divmod takes 128-bit slots once a quotient
+# has 4 or more terms
 @pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 2, 5, 45, 60])
 def test_reduce_matches_the_divmod_remainder(p, n):
