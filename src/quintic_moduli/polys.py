@@ -17,7 +17,8 @@ also calls the ring's ``inv``, which over a residue ring may raise
 Over GF(p), whose coefficients are residues in [0, p), two kernels work on
 packed integers at every prime (``_pack``/``_unpack``: one slot per
 coefficient, ``_slot_width`` bits, the least multiple of 64 that holds the
-kernel's largest slot sum).  ``dense_product``, shared with
+kernel's largest slot sum; slots are unpacked through one ``array`` of
+64-bit words).  ``dense_product``, shared with
 ``BinaryForm``, multiplies by Kronecker substitution: one bigint product,
 each slot reduced mod p.  ``divmod`` packs the remainder and the divisor
 once, reads each quotient term off the top slot and adds (p - c) times
@@ -86,7 +87,8 @@ def _pack(coeffs: Sequence[int], width: int = 64) -> int:
 
     ``width`` is a multiple of 64.  A coefficient outside [0, 2**width)
     raises ``OverflowError`` (from ``array`` at 64 bits, from
-    ``int.to_bytes`` at a wider slot).
+    ``int.to_bytes`` at a wider slot, which converts one slot at a time:
+    that beats splitting the coefficients into one array slice per word).
     """
     if width == 64:
         slots = array("Q", coeffs)
@@ -99,14 +101,21 @@ def _pack(coeffs: Sequence[int], width: int = 64) -> int:
 
 def _unpack(packed: int, length: int, width: int = 64) -> Sequence[int]:
     """The ``length`` slots of ``width`` bits of a nonnegative integer below
-    2**(width * length): an ``array`` at 64 bits, else a list."""
-    size = width >> 3
-    data = packed.to_bytes(size * length, "little")
-    if width != 64:
-        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-    slots = array("Q", data)
+    2**(width * length): an ``array`` at 64 bits, else a list.
+
+    The integer is read as one ``array`` of 64-bit words; at w = 64 k each
+    slot's k words are recombined, top word first, by k - 1 passes of
+    shifts over strided slices of that array.
+    """
+    k = width >> 6
+    words = array("Q", packed.to_bytes(8 * k * length, "little"))
     if not _LITTLE_ENDIAN:
-        slots.byteswap()
+        words.byteswap()
+    if k == 1:
+        return words
+    slots = words[k - 1 :: k].tolist()
+    for i in range(k - 2, -1, -1):
+        slots = [hi << 64 | lo for hi, lo in zip(slots, words[i::k])]
     return slots
 
 

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from quintic_moduli import elimination
 from quintic_moduli.elimination import (
+    _eval_slices,
     _gcd_cofactor,
     _lazy_constants,
     _lazy_sequence,
@@ -16,7 +18,7 @@ from quintic_moduli.elimination import (
     squarefree_decomposition,
 )
 from quintic_moduli.fiber_counting import _draw_target, build_fiber_system
-from quintic_moduli.plane_curves import random_invertible_frame
+from quintic_moduli.plane_curves import _dehom_y, _hessian_form, random_invertible_frame
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
 from quintic_moduli.scalars import GF, QQ
 
@@ -359,6 +361,15 @@ def _bivariate(field, terms: dict) -> MultiPoly:
     return MultiPoly(field, 2, {e: field.reduce(field.from_int(c)) for e, c in terms.items()})
 
 
+def _sampled_pair(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The pair whose slices the eliminant evaluates: g mod f where f's lead
+    in x_1 is a constant (the fiber system), else (f, g)."""
+    df = f.degree_in(1)
+    if [e for e in f.terms if e[1] == df] == [(0, df)]:
+        return f, _reduce_by_constant_lead(g, f, 1)
+    return f, g
+
+
 #: (f, g) in (s, x), x eliminated, with the samples s where a lead vanishes.
 #: "reduced lead": f has constant lead 5, so g is replaced by g mod f =
 #: (s - 3) x + 2, whose lead vanishes at s = 3 (the eliminant is scaled by
@@ -399,9 +410,7 @@ def test_formal_degree_eliminant(p, case):
     f, g = _bivariate(field, f_terms), _bivariate(field, g_terms)
     df, dg = f.degree_in(1), g.degree_in(1)
     bound = f.total_degree * g.total_degree
-    # the pair the samples see: g mod f where f's lead is a constant
-    constant_lead = [e for e in f.terms if e[1] == df] == [(0, df)]
-    sampled = _reduce_by_constant_lead(g, f, 1) if constant_lead else g
+    _, sampled = _sampled_pair(f, g)
     if not sampled.is_zero():
         dr = sampled.degree_in(1)
         assert vanishing == [
@@ -463,8 +472,9 @@ def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
 @pytest.mark.parametrize("draw", ["fiber", "reduced lead", "both", "fiber at 2**31 - 1"])
 def test_one_resultant_per_node_and_one_interpolation(monkeypatch, request, draw):
     # mirrors the traced benchmark gates: every sample is one _resultant_modp
-    # call and no call of the public resultant_uni, at every slot width, and
-    # the eliminant one interpolate call on the values at 0..bound
+    # call and no call of the public resultant_uni, at every slot width, the
+    # slices of each input one _eval_slices call over all the nodes, and the
+    # eliminant one interpolate call on the values at 0..bound
     if draw == "fiber":
         f, g = request.getfixturevalue("vanishing_draw")
     elif draw == "fiber at 2**31 - 1":
@@ -475,10 +485,14 @@ def test_one_resultant_per_node_and_one_interpolation(monkeypatch, request, draw
     calls = []
     public = []
     sizes = []
+    evaluations = []
     resultant, interp = elimination._resultant_modp, elimination.interpolate
-    uni = elimination.resultant_uni
+    uni, slices = elimination.resultant_uni, elimination._eval_slices
     monkeypatch.setattr(elimination, "_resultant_modp", lambda *a: calls.append(1) or resultant(*a))
     monkeypatch.setattr(elimination, "resultant_uni", lambda *a: public.append(1) or uni(*a))
+    monkeypatch.setattr(
+        elimination, "_eval_slices", lambda *a: evaluations.append(1) or slices(*a)
+    )
     monkeypatch.setattr(
         elimination, "interpolate", lambda values, field: sizes.append(len(values))
         or interp(values, field)
@@ -486,8 +500,98 @@ def test_one_resultant_per_node_and_one_interpolation(monkeypatch, request, draw
     resultant_bivar_elim(f, g, 1)
     bound = f.total_degree * g.total_degree
     assert len(calls) == bound + 1
+    assert len(evaluations) == 2  # one all-node evaluation per input
     assert not public
     assert sizes == [bound + 1]
+
+
+@pytest.fixture(scope="module")
+def acceptance_draw(generic_quintic):
+    """The fiber system of the first draw at GF(10007), seed 1."""
+    return _first_draw(generic_quintic, 10007, 1)
+
+
+@pytest.fixture(scope="module")
+def wide_limit_draw(generic_quintic):
+    """The fiber system of the first draw at GF(2**61 - 1), seed 1: slots of
+    192 bits whose Barrett bounds allow limit 8."""
+    return _first_draw(generic_quintic, 2**61 - 1, 1)
+
+
+def _genericity_pair(curve, p: int, seed: int = 0):
+    """(F, H) at y = 1 of the first frame of ``genericity_report``: the pair
+    whose eliminant R = Res_z(F, H) certifies the flexes."""
+    field = GF(p)
+    framed = curve.reduce_mod(field).composed_with_frame(
+        random_invertible_frame(field, random.Random(seed))
+    )
+    return _dehom_y(framed.poly, field), _dehom_y(_hessian_form(framed.poly), field)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        "vanishing_draw",
+        "acceptance_draw",
+        "wide_slot_draw",
+        "wide_limit_draw",
+        "genericity",
+        "long rows",
+    ],
+)
+def test_all_node_slices_match_per_node_evaluation(request, generic_quintic, draw):
+    if draw == "genericity":
+        f, g = _genericity_pair(generic_quintic, 2503)
+    elif draw == "long rows":
+        # 96 terms of coefficient p - 1 in one row at 2**61 - 1: their sum
+        # passes the Barrett bounds at most nodes unless a step runs mid-row
+        field = GF(2**61 - 1)
+        f = _bivariate(field, {**{(k, 1): -1 for k in range(96)}, (0, 0): 1})
+        g = _bivariate(field, {(0, 1): 1, (1, 0): 1})
+    else:
+        f, g = request.getfixturevalue(draw)
+    f, g = _sampled_pair(f, g)
+    p = f.field.p
+    s, m, limit, _, w = _lazy_constants(p)
+    n = f.total_degree * g.total_degree + 1
+    count = max(f.degree_in(0), g.degree_in(0)) + 1
+    if draw == "genericity":
+        assert n == 46
+    if draw in ("wide_limit_draw", "long rows"):
+        # a row of more terms than a group takes a Barrett step mid-row
+        group = limit * (2 * p - 1) // (p - 1)
+        assert limit == 8 and group == 16
+        assert max(
+            sum(e[1] == j for e in poly.terms)
+            for poly in (f, g)
+            for j in range(poly.degree_in(1) + 1)
+        ) > group
+    slot = (1 << w) - 1
+    for poly in (f, g):
+        d = poly.degree_in(1)
+        slices = list(_eval_slices(poly, 0, n, count, p))
+        assert len(slices) == n
+        for node, packed in enumerate(slices):
+            # slots in [0, 2p), as _resultant_modp takes them, nothing above
+            slots = [packed >> w * j & slot for j in range(d + 1)]
+            assert packed >> w * (d + 1) == 0 and max(slots) < 2 * p
+            expected = list(_at(poly, node).coeffs)
+            assert [c % p for c in slots] == expected + [0] * (d + 1 - len(expected)), node
+
+
+@pytest.mark.parametrize("draw", ["acceptance_draw", "wide_slot_draw"])
+def test_eliminant_memory_stays_below_a_megabyte(request, draw):
+    # the all-node slices stream node by node: no list of 38 kbit products
+    # or of per-node slices is held, at 64-bit slots or wider
+    f, g = request.getfixturevalue(draw)
+    resultant_bivar_elim(f, g, 1)  # the prime's node powers, masks and tree
+    tracemalloc.start()
+    try:
+        resultant_bivar_elim(f, g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_squarefree_examples():

@@ -272,15 +272,17 @@ def test_packed_product_rejects_negative_coefficients():
 @pytest.mark.parametrize("width, p", [(128, 2**31 - 1), (192, 2**61 - 1), (320, 2**89 - 1)])
 def test_wide_slots_round_trip(width, p):
     values = [0, p - 1, p, 2 * p - 1, 1 << 64, (1 << width) - 1]
-    packed = _pack(values, width)
-    assert packed == sum(v << width * k for k, v in enumerate(values))
-    assert list(_unpack(packed, len(values), width)) == values
-    # a zero top slot is still unpacked
-    assert list(_unpack(_pack(values[:2] + [0], width), 3, width)) == values[:2] + [0]
-    with pytest.raises(OverflowError):
-        _pack([3, -1], width)
-    with pytest.raises(OverflowError):
-        _pack([1 << width], width)
+    # and slots whose values reach one word, two words and the slot's top
+    # word, each of a slot's words recombined; a zero top slot is still
+    # unpacked
+    for case in (values, values[:2] + [0], [5, 0, (1 << 64) - 1], [1, 1 << 64, 3],
+                 [(1 << width - 64) + 2, 0, 7]):
+        packed = _pack(case, width)
+        assert packed == sum(v << width * k for k, v in enumerate(case))
+        assert list(_unpack(packed, len(case), width)) == case
+    for case in ([3, -1], [1 << 64, -1], [1 << width]):
+        with pytest.raises(OverflowError):
+            _pack(case, width)
 
 
 @pytest.mark.parametrize(
