@@ -1,5 +1,6 @@
 """Shared fixtures and references: the frozen generic quintic, the Fermat
-quintic, identity-frame charts, j of a cross-ratio, interpolation through
+quintic, a quintic with a flex-bitangent and one with a contact-4
+hyperflex, identity-frame charts, j of a cross-ratio, interpolation through
 arbitrary nodes, the arc test suite and the evaluation of a degree-36
 invariant relation."""
 
@@ -42,6 +43,31 @@ def fermat_quintic() -> PlaneCurve:
     """x^5 + y^5 + z^5 over QQ."""
     one = QQ.one
     return PlaneCurve(MultiPoly(QQ, 3, {(5, 0, 0): one, (0, 5, 0): one, (0, 0, 5): one}))
+
+
+#: x^3 (x - z)^2 + y G(x, y, z): the tangent y = 0 at the flex (0 : 0 : 1)
+#: touches the curve again at (1 : 0 : 1), so one of the 45 flexes fails
+#: the probe and the flex modulus must split to tell it from the others.
+FLEX_BITANGENT_RECORDS = [
+    [5, 0, 0, "1"], [4, 1, 0, "-6"], [4, 0, 1, "-2"], [3, 2, 0, "8"],
+    [3, 1, 1, "3"], [3, 0, 2, "1"], [2, 3, 0, "-2"], [2, 2, 1, "6"],
+    [2, 1, 2, "2"], [1, 4, 0, "-6"], [1, 3, 1, "-4"], [1, 2, 2, "-8"],
+    [1, 1, 3, "-2"], [0, 5, 0, "5"], [0, 4, 1, "-9"], [0, 3, 2, "7"],
+    [0, 2, 3, "2"], [0, 1, 4, "-1"],
+]
+
+
+def contact_four_hyperflex(seed: int) -> PlaneCurve:
+    """x^4 (x - 2z) + y G(x, y, z), G a seeded random quartic: the tangent
+    y = 0 at (0 : 0 : 1) meets the curve there with contact order 4."""
+    rng = random.Random(seed)
+    terms = {(5, 0, 0): Fraction(1), (4, 0, 1): Fraction(-2)}
+    for i in range(5):
+        for k in range(5 - i):
+            c = rng.randint(-9, 9)
+            if c:
+                terms[(i, 5 - i - k, k)] = Fraction(c)  # y * x^i y^(4-i-k) z^k
+    return PlaneCurve(MultiPoly(QQ, 3, terms))
 
 
 def identity_chart(field: Field, a, b) -> LineChart:

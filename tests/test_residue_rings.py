@@ -1,7 +1,6 @@
 """Dynamic evaluation in GF(p)[u]/(h): the gcd and the flex probe at every root of h."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,25 +15,17 @@ from quintic_moduli.plane_curves import (
     _dehom_y,
     _hessian_form,
     _probe_flexes,
+    frame_determinant,
     genericity_report,
     random_invertible_frame,
 )
-from quintic_moduli.polys import MultiPoly, UniPoly
+from quintic_moduli.polys import UniPoly
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
-from quintic_moduli.scalars import GF, QQ
+from quintic_moduli.scalars import GF
+
+from conftest import FLEX_BITANGENT_RECORDS, contact_four_hyperflex
 
 F = GF(10007)
-
-#: x^3 (x - z)^2 + y G(x, y, z): the tangent y = 0 at the flex (0 : 0 : 1)
-#: touches the curve again at (1 : 0 : 1), so one of the 45 flexes fails
-#: the probe and the flex modulus must split to tell it from the others.
-FLEX_BITANGENT_RECORDS = [
-    [5, 0, 0, "1"], [4, 1, 0, "-6"], [4, 0, 1, "-2"], [3, 2, 0, "8"],
-    [3, 1, 1, "3"], [3, 0, 2, "1"], [2, 3, 0, "-2"], [2, 2, 1, "6"],
-    [2, 1, 2, "2"], [1, 4, 0, "-6"], [1, 3, 1, "-4"], [1, 2, 2, "-8"],
-    [1, 1, 3, "-2"], [0, 5, 0, "5"], [0, 4, 1, "-9"], [0, 3, 2, "7"],
-    [0, 2, 3, "2"], [0, 1, 4, "-1"],
-]
 
 
 def _image(poly: UniPoly, root) -> UniPoly:
@@ -190,17 +181,50 @@ def test_probe_flexes_adds_over_a_split_modulus():
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
 
 
-def _contact_four_hyperflex(seed: int) -> PlaneCurve:
-    """x^4 (x - 2z) + y G(x, y, z), G a seeded random quartic: the tangent
-    y = 0 at (0 : 0 : 1) meets the curve there with contact order 4."""
-    rng = random.Random(seed)
-    terms = {(5, 0, 0): Fraction(1), (4, 0, 1): Fraction(-2)}
-    for i in range(5):
-        for k in range(5 - i):
-            c = rng.randint(-9, 9)
-            if c:
-                terms[(i, 5 - i - k, k)] = Fraction(c)  # y * x^i y^(4-i-k) z^k
-    return PlaneCurve(MultiPoly(QQ, 3, terms))
+def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
+    """Probe a rational flex P placed at framed (0 : 1 : 0), its tangent at x' = 0.
+
+    The frame's columns are (random, P, a point on P's tangent), so the
+    tangent passes through framed (0 : 0 : 1).  Modulo u the probe then
+    solves the tangent for x (the gradient is (g, 0, 0), no z entry) and
+    reads P in the tangent's coordinates (y, z) as (1 : 0), where t0 = 0:
+    the two branches that a random frame almost never takes.
+    """
+    field = GF(prime)
+    reduced = curve.reduce_mod(field)
+    flex = tuple(field.from_int(c) for c in flex)
+    grad = [d.eval(flex) for d in reduced.partials()]
+    rng = random.Random(prime)
+    while True:
+        column, w = ([field.from_int(rng.randrange(prime)) for _ in range(3)] for _ in range(2))
+        on_tangent = [field.reduce(grad[i - 2] * w[i - 1] - grad[i - 1] * w[i - 2]) for i in range(3)]
+        frame = tuple(zip(column, flex, on_tangent))
+        if not field.is_zero(frame_determinant(frame, field)):
+            break
+    framed = reduced.composed_with_frame(frame).poly
+    origin = (field.zero, field.one, field.zero)
+    assert framed.eval(origin) == 0
+    assert [field.is_zero(framed.derivative(v).eval(origin)) for v in range(3)] == [False, True, True]
+    return _probe_flexes(framed, _hessian_form(framed), UniPoly.x(field))
+
+
+# rational flexes of the generic quintic: the roots u0 = 2051, 1955 and 5216
+# of the flex eliminant in the first frame of seed 1, mapped back to (x : y : 1)
+@pytest.mark.parametrize(
+    "prime, flex", [(10007, (3241, 5458, 1)), (3001, (2786, 532, 1)), (7001, (2837, 5119, 1))]
+)
+def test_probe_verifies_a_flex_on_an_x_solved_tangent(generic_quintic, prime, flex):
+    field = GF(prime)
+    assert generic_quintic.reduce_mod(field).poly.eval(flex) == 0
+    assert _hessian_form(generic_quintic.reduce_mod(field).poly).eval(flex) == 0
+    assert _probe_at_framed_flex(generic_quintic, prime, flex) == 1
+
+
+@pytest.mark.parametrize("prime", [10007, 3001])
+def test_probe_rejects_the_flex_bitangent_on_an_x_solved_tangent(prime):
+    # (0 : 0 : 1), whose tangent y = 0 touches the curve again at (1 : 0 : 1)
+    curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
+    assert _probe_at_framed_flex(curve, prime, (0, 0, 1)) == 0
 
 
 @pytest.mark.parametrize("prime", [3001, 10007])
@@ -209,7 +233,7 @@ def test_a_contact_four_hyperflex_fails_the_probe_on_its_value(prime):
     # flexes; at it the quotient after three root divisions vanishes at the
     # point itself (value not a unit), so 43 are verified
     for seed in range(3):
-        report = genericity_report(_contact_four_hyperflex(0), prime, seed=seed)
+        report = genericity_report(contact_four_hyperflex(0), prime, seed=seed)
         assert report.smooth and report.flex_cycle_ok
         assert (report.distinct_flex_count, report.flexes_verified) == (44, 43)
         assert not report.generic
