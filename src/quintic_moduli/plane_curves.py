@@ -21,7 +21,9 @@ when no repeated factor of R carries a common zero of the partials.  H = 0
 multiple component) are singular outright.  All flexes of a smooth curve
 are then handled at once by computing in GF(p)[u] modulo each squarefree
 part of R (splitting it only when a zero divisor forces a case split), so
-conjugate flexes over extension fields are verified together.
+conjugate flexes over extension fields are verified together: one linear
+substitution moves each flex to (1 : 0) on its tangent line, where the
+coefficients of the restricted quintic read off the contact order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
 from .binary_forms import BinaryForm, BinaryQuintic
@@ -282,87 +285,53 @@ def random_invertible_frame(field: PrimeField, rng: random.Random):
 
 
 def _dehom_y(poly: MultiPoly, field: Field) -> MultiPoly:
-    """Ternary form at y = 1, as a bivariate polynomial in (u, z)."""
-    terms: dict[tuple, object] = {}
-    for (i, j, k), c in poly.terms.items():
-        e = (i, k)
-        terms[e] = field.reduce(terms[e] + c) if e in terms else c
-    return MultiPoly(field, 2, terms)
+    """Ternary form at y = 1, as a bivariate polynomial in (u, z); in a form
+    the exponents of x and z fix that of y, so no two terms collide."""
+    return MultiPoly(field, 2, {(i, k): c for (i, _, k), c in poly.terms.items()})
 
 
 def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> UniPoly:
     """Bivariate (u, z) polynomial as a z-polynomial with residue coefficients."""
-    field = ring.base
-    by_z: dict[int, dict[int, object]] = {}
+    n = max(map(max, bivar.terms), default=0) + 1
+    rows = [[ring.base.zero] * n for _ in range(n)]
     for (i, k), c in bivar.terms.items():
-        by_z.setdefault(k, {})[i] = c
-    out = []
-    for k in range(max(by_z, default=0) + 1):
-        row = by_z.get(k, {})
-        coeffs = [row.get(d, field.zero) for d in range(max(row, default=0) + 1)]
-        out.append(ring.reduce(UniPoly(field, coeffs)))
-    return UniPoly(ring, out)
+        rows[k][i] = c
+    return UniPoly(ring, [ring.reduce(UniPoly(ring.base, row)) for row in rows])
 
 
-def _linear_root(ring: ResidueRing, s0, t0):
-    """(root, by_t) of the linear form vanishing at (s0 : t0): s0 / t0 and
-    True when t0 is nonzero, else t0 / s0 and False.
-
-    One of s0, t0 must be a unit; zero-divisor coordinates raise
-    SplitNeeded upward.
-    """
-    if not ring.is_zero(t0):  # then t0 is a unit, or inv raises SplitNeeded
-        return ring.reduce(s0 * ring.inv(t0)), True
-    if ring.is_zero(s0):
-        raise ArithmeticError("degenerate root (0 : 0) in flex probe")
-    return ring.reduce(t0 * ring.inv(s0)), False
-
-
-def _divide_root(ring: ResidueRing, form: BinaryForm, root, by_t: bool):
-    """Divide a binary form by the linear form whose ``_linear_root`` is
-    (root, by_t).  Returns (quotient, remainder_scalar)."""
-    coeffs = form.coeffs if by_t else tuple(reversed(form.coeffs))  # by t-degree
-    q = []
-    acc = None
-    for c in coeffs[:-1]:
-        acc = c if acc is None else ring.reduce(c + root * acc)
-        q.append(acc)
-    rem = ring.reduce(coeffs[-1] + root * q[-1])
-    if by_t:
-        return BinaryForm(ring, q), rem
-    return BinaryForm(ring, tuple(reversed(q))), rem
-
-
-def _probe_flexes(curve_poly: MultiPoly, hess_poly: MultiPoly, modulus: UniPoly) -> int:
-    """Contact-order check at every root of the flex modulus simultaneously.
-
-    Returns the verified degree: conjugate flexes count with the degree of
-    their residue factor.  Splits the modulus on demand.
-    """
+def _each_factor(modulus: UniPoly, check):
+    """(h, check(ResidueRing(h))) over the factors h of the modulus that the
+    SplitNeeded escapes of ``check`` expose, lazily and in order."""
     ring = ResidueRing(modulus)
     try:
-        return modulus.degree if _probe_single(ring, curve_poly, hess_poly) else 0
+        result = check(ring)
     except SplitNeeded as split:
-        return sum(
-            _probe_flexes(curve_poly, hess_poly, part)
-            for part in split_modulus(ring, split.factor)
-        )
+        for part in split_modulus(ring, split.factor):
+            yield from _each_factor(part, check)
+    else:
+        yield modulus, result
 
 
-def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly) -> bool:
-    field = ring.base
-    u = ring.generator()
-    dz = _zpoly_over(ring, _dehom_y(curve_poly, field))
-    hz = _zpoly_over(ring, _dehom_y(hess_poly, field))
-    g = gcd_uni(dz, hz)
+def _probe_flexes(curve_poly: MultiPoly, dehom: Sequence[MultiPoly], modulus: UniPoly) -> int:
+    """Contact-order check at every root of the flex modulus simultaneously.
+
+    ``dehom`` is F, H and the partials of F at y = 1.  One substitution moves
+    the flex (s0 : t0) on its tangent line to (1 : 0); with c_k at S^(5-k) T^k
+    in the restricted quintic, contact is at least 3 iff c0 = c1 = c2 = 0,
+    and exactly 3 with no second tangency iff c3 (c4^2 - 4 c3 c5) is a unit.
+    Conjugate flexes count with the degree of their residue factor."""
+    check = partial(_probe_single, curve_poly, dehom)
+    return sum(h.degree for h, ok in _each_factor(modulus, check) if ok)
+
+
+def _probe_single(curve_poly: MultiPoly, dehom: Sequence[MultiPoly], ring: ResidueRing) -> bool:
+    curve_uz, hess_uz, *partials = dehom
+    g = gcd_uni(_zpoly_over(ring, curve_uz), _zpoly_over(ring, hess_uz))
     if g.degree != 1:
         raise _FrameRetry(f"flex fiber gcd has degree {g.degree}, expected 1; reframe")
     z0 = ring.reduce(-g.coeffs[0])
-    point = (u, ring.one, z0)
-    grad = [
-        curve_poly.derivative(v).map_coefficients(ring, ring.from_base).eval(point)
-        for v in range(3)
-    ]
+    point = (ring.generator(), ring.one, z0)
+    grad = [_zpoly_over(ring, d).eval(z0) for d in partials]
     # the tangent line g . x = 0 solved for x_v, the first coordinate of
     # (z, x, y) whose gradient entry is nonzero; its inverse raises
     # SplitNeeded when it is a zero divisor rather than a unit
@@ -373,33 +342,26 @@ def _probe_single(ring: ResidueRing, curve_poly: MultiPoly, hess_poly: MultiPoly
     pivot = ring.reduce(-ring.inv(grad[v]))
     a, b = (powers(ring, ring.reduce(grad[o] * pivot), 5) for o in (o1, o2))
     restrict = line_restriction(curve_poly.terms, v)
-    current = BinaryForm(ring, [ring.reduce(c) for c in restrict(a, b)])
+    on_tangent = BinaryForm(ring, [ring.reduce(c) for c in restrict(a, b)])
+    # (s, t) = (s0 S + sigma T, t0 S + tau T) moves (s0 : t0) to (1 : 0)
     s0, t0 = point[o1], point[o2]
-    root, by_t = _linear_root(ring, s0, t0)
-    for _ in range(3):
-        current, rem = _divide_root(ring, current, root, by_t)
-        if not ring.is_zero(rem):
-            return False  # contact order below 3: not actually a flex fiber
-    # current = Q0 s^2 + Q1 s t + Q2 t^2; exact contact 3 and a separable
-    # remaining pair keep the flex honest (no hyperflex, no flex-bitangent);
+    sigma, tau = (ring.one, ring.zero) if not ring.is_zero(t0) else (ring.zero, ring.one)
+    if not ring.is_unit(ring.reduce(s0 * tau - sigma * t0)):  # or raises SplitNeeded
+        raise ArithmeticError("degenerate root (0 : 0) in flex probe")
+    c = on_tangent.substituted(((s0, sigma), (t0, tau))).coeffs
+    if not all(ring.is_zero(ck) for ck in c[:3]):
+        return False  # contact order below 3: not actually a flex fiber
     # in a product of fields the product is a unit exactly when both are
-    q0, q1, q2 = current.coeffs
-    value = current.eval(s0, t0)
-    disc = q1 * q1 - ring.from_int(4) * q0 * q2
-    return ring.is_unit(ring.reduce(value * disc))
+    return ring.is_unit(ring.reduce(c[3] * (c[4] * c[4] - ring.from_int(4) * c[3] * c[5])))
 
 
 def _certify_singular(partials_bivar, modulus: UniPoly) -> bool:
     """True iff the three partials share a zero above some root of the modulus."""
-    ring = ResidueRing(modulus)
-    try:
-        zx, zy, zz = (_zpoly_over(ring, p) for p in partials_bivar)
-        return gcd_uni(gcd_uni(zx, zy), zz).degree >= 1
-    except SplitNeeded as split:
-        return any(
-            _certify_singular(partials_bivar, part)
-            for part in split_modulus(ring, split.factor)
-        )
+
+    def common_zero(ring: ResidueRing) -> bool:
+        return reduce(gcd_uni, (_zpoly_over(ring, p) for p in partials_bivar)).degree >= 1
+
+    return any(found for _, found in _each_factor(modulus, common_zero))
 
 
 #: Random frames ``genericity_report`` tries before it gives up.
@@ -425,10 +387,10 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
         frame = random_invertible_frame(field, rng)
         framed = reduced.composed_with_frame(frame)
         hess = _hessian_form(framed.poly)
+        # F, H and the partials of F at y = 1, once per frame
+        dehom = [_dehom_y(p, field) for p in (framed.poly, hess, *framed.partials())]
         # H = 0 for a cone and R = 0 when F and H share a component: singular
-        flex_res = UniPoly.zero(field) if hess.is_zero() else resultant_bivar_elim(
-            _dehom_y(framed.poly, field), _dehom_y(hess, field), 1
-        )
+        flex_res = UniPoly.zero(field) if hess.is_zero() else resultant_bivar_elim(*dehom[:2], 1)
         smooth = not flex_res.is_zero()
         distinct = verified = 0
         try:
@@ -439,13 +401,12 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
                     )
                 # a singular point meets H at least twice: a repeated root of R
                 parts = squarefree_decomposition(flex_res)
-                partials = [_dehom_y(p, field) for p in framed.partials()]
                 smooth = not any(
-                    _certify_singular(partials, part) for part, mult in parts if mult > 1
+                    _certify_singular(dehom[2:], part) for part, mult in parts if mult > 1
                 )
             if smooth:
                 distinct = sum(part.degree for part, _ in parts)
-                verified = sum(_probe_flexes(framed.poly, hess, part) for part, _ in parts)
+                verified = sum(_probe_flexes(framed.poly, dehom, part) for part, _ in parts)
             else:
                 notes.append("curve is singular; flex analysis skipped")
         except _FrameRetry as exc:

@@ -532,9 +532,6 @@ class PolynomialRing(Ring):
     def from_fraction(self, q: Fraction):
         return MultiPoly.constant(self.field, self.arity, self.field.from_fraction(q))
 
-    def from_base(self, c):
-        return MultiPoly.constant(self.field, self.arity, c)
-
     def is_zero(self, a):
         return a.is_zero()
 

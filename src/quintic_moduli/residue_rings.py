@@ -60,10 +60,6 @@ class ResidueRing(Ring):
     def from_fraction(self, q):
         return UniPoly.constant(self.base, self.base.from_fraction(q))
 
-    def from_base(self, c) -> UniPoly:
-        """Embed a GF(p) scalar."""
-        return UniPoly.constant(self.base, c)
-
     def reduce(self, poly: UniPoly) -> UniPoly:
         """The class of an arbitrary GF(p)[u] polynomial: its remainder mod h."""
         return poly % self.modulus

@@ -6,8 +6,8 @@ reduced to ``[0, p)`` for a prime field.  Arithmetic is the values' own
 ``reduce``, which maps a raw ``+ - *`` combination of elements to the
 canonical representative (``x % p`` on GF(p), the identity on QQ and on
 polynomial rings, ``x % h`` on a residue ring GF(p)[u]/(h)), the
-embeddings ``from_int``, ``from_fraction`` and ``from_base``, ``pow``, and
-``inv`` on a field.  Generic code (polynomials, transvectants) is written
+embeddings ``from_int`` and ``from_fraction``, ``pow``, and ``inv`` on a
+field.  Generic code (polynomials, transvectants) is written
 once against that interface: it combines values with their operators and
 calls ``reduce`` once per result.  Values from different rings are never
 coerced into each other: polynomial operations compare ring objects and
@@ -29,16 +29,21 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 #: Smallest admissible prime field characteristic.
 MIN_PRIME = 2503
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+#: 1287836182261 * 2575672364521, the least strong pseudoprime to all these bases
+PSI_12 = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Miller-Rabin to the bases 2..37, a proof below ``PSI_12`` (Sorenson and
+    Webster, Math. Comp. 86, 2017); from there on a strong Lucas test is added
+    (Baillie-PSW, Math. Comp. 35, 1980), which no known composite passes."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -58,7 +63,51 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI_12 or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n), n odd and positive."""
+    a, out = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        if a % 4 == n % 4 == 3:
+            out = -out
+        a, n = n % a, a
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters, for odd n with no
+    factor below 41: D the first of 5, -7, 9, -11, ... with (D / n) = -1,
+    P = 1 and Q = (1 - D) / 4.  With n + 1 = d 2^s, n passes when U_d = 0
+    or V_(d 2^r) = 0 mod n for some r < s."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D / n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # D shares a factor with n
+        D = 2 - D if D < 0 else -D - 2
+    Q, d, s, half = (1 - D) // 4, n + 1, 0, (n + 1) // 2
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # U_k, V_k and Q^k mod n from k = 1, doubling k (and adding 1) along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 class Ring:
@@ -76,10 +125,6 @@ class Ring:
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
-
-    def from_base(self, c):
-        """Embed a scalar of the base field; a field is its own base."""
-        return c
 
     def clear_denominators(self, values):
         """(numerators, d) with values[k] == numerators[k] / d; d is 1 here."""

@@ -305,6 +305,20 @@ def test_out_of_range_flags_give_failure_records(capsys, argv):
     assert last["record"] == "failure" and last["error_type"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["moduli", "--quintic", "1,2,3,4,5,7"], ["fiber-count", "--curve", GENERIC]],
+    ids=lambda argv: argv[0],
+)
+def test_a_strong_pseudoprime_to_bases_2_to_37_is_no_prime(capsys, argv):
+    # 1287836182261 * 2575672364521: Miller-Rabin to the bases 2..37 passes it
+    code, out = run_cli(capsys, *argv, "--prime", "3317044064679887385961981", "--format", "jsonl")
+    assert code == 1
+    last = records(out)[-1]
+    assert last["record"] == "failure" and last["error_type"] == "ValueError"
+    assert last["message"] == "3317044064679887385961981 is not prime"
+
+
 @pytest.mark.parametrize("truncation", ["0", "-1"])
 def test_truncation_below_one_is_rejected_as_such(capsys, truncation):
     # no coefficients at all: the truncation itself is the fault

@@ -458,7 +458,7 @@ def _restriction_by_compose(poly, v, ring, a, b):
     out = []
     for k in range(poly.total_degree + 1):
         part = {(e[2], e[3]): c for e, c in composed.terms.items() if e[1] == k}
-        out.append(MultiPoly(base, 2, part).map_coefficients(ring, ring.from_base).eval((a, b)))
+        out.append(MultiPoly(base, 2, part).map_coefficients(ring, ring.from_fraction).eval((a, b)))
     return out
 
 

@@ -19,7 +19,7 @@ from quintic_moduli.plane_curves import (
     genericity_report,
     random_invertible_frame,
 )
-from quintic_moduli.polys import UniPoly
+from quintic_moduli.polys import MultiPoly, UniPoly
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
 from quintic_moduli.scalars import GF
 
@@ -147,14 +147,20 @@ def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
     assert agreed > 50 and split > 50
 
 
+def _dehomogenised(framed: MultiPoly, field) -> list:
+    """F, H and the partials of F at y = 1, as ``genericity_report`` passes them to the probe."""
+    forms = (framed, _hessian_form(framed), *(framed.derivative(v) for v in range(3)))
+    return [_dehom_y(p, field) for p in forms]
+
+
 def _flex_modulus(curve: PlaneCurve, seed: int):
-    """Framed curve, hessian and squarefree flex modulus, as genericity_report builds them."""
+    """Framed curve, its forms at y = 1 and squarefree flex modulus, as
+    genericity_report builds them."""
     frame = random_invertible_frame(F, random.Random(seed))
-    framed = curve.reduce_mod(F).composed_with_frame(frame)
-    hess = _hessian_form(framed.poly)
-    eliminant = resultant_bivar_elim(_dehom_y(framed.poly, F), _dehom_y(hess, F), 1)
-    ((h, _),) = squarefree_decomposition(eliminant)
-    return framed.poly, hess, h
+    framed = curve.reduce_mod(F).composed_with_frame(frame).poly
+    dehom = _dehomogenised(framed, F)
+    ((h, _),) = squarefree_decomposition(resultant_bivar_elim(dehom[0], dehom[1], 1))
+    return framed, dehom, h
 
 
 def _split_off_rational_roots(h: UniPoly):
@@ -171,11 +177,11 @@ def _split_off_rational_roots(h: UniPoly):
 
 def test_probe_flexes_adds_over_a_split_modulus():
     curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
-    curve_poly, hess_poly, h = _flex_modulus(curve, seed=0)
+    curve_poly, dehom, h = _flex_modulus(curve, seed=0)
     h1, h2 = _split_off_rational_roots(h)
     assert h.degree == 45 and 0 < h1.degree < h.degree
-    whole = _probe_flexes(curve_poly, hess_poly, h)
-    halves = [_probe_flexes(curve_poly, hess_poly, part) for part in (h1, h2)]
+    whole = _probe_flexes(curve_poly, dehom, h)
+    halves = [_probe_flexes(curve_poly, dehom, part) for part in (h1, h2)]
     assert whole == 44 == sum(halves)  # 44 reachable only through a split of h
     report = genericity_report(curve, F.p, seed=0)
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
@@ -205,7 +211,7 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
     origin = (field.zero, field.one, field.zero)
     assert framed.eval(origin) == 0
     assert [field.is_zero(framed.derivative(v).eval(origin)) for v in range(3)] == [False, True, True]
-    return _probe_flexes(framed, _hessian_form(framed), UniPoly.x(field))
+    return _probe_flexes(framed, _dehomogenised(framed, field), UniPoly.x(field))
 
 
 # rational flexes of the generic quintic: the roots u0 = 2051, 1955 and 5216
@@ -230,8 +236,8 @@ def test_probe_rejects_the_flex_bitangent_on_an_x_solved_tangent(prime):
 @pytest.mark.parametrize("prime", [3001, 10007])
 def test_a_contact_four_hyperflex_fails_the_probe_on_its_value(prime):
     # the hyperflex counts twice in the degree-45 flex cycle, so 44 distinct
-    # flexes; at it the quotient after three root divisions vanishes at the
-    # point itself (value not a unit), so 43 are verified
+    # flexes; at it the restricted quintic is T^4 times a linear form, so c3
+    # vanishes (contact 4, not 3) and 43 are verified
     for seed in range(3):
         report = genericity_report(contact_four_hyperflex(0), prime, seed=seed)
         assert report.smooth and report.flex_cycle_ok

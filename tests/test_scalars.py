@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from quintic_moduli.polys import PolynomialRing, UniPoly
 from quintic_moduli.residue_rings import ResidueRing
-from quintic_moduli.scalars import GF, MIN_PRIME, QQ, is_prime
+from quintic_moduli.scalars import GF, MIN_PRIME, PSI_12, QQ, _strong_lucas_probable_prime, is_prime
 
 
 def test_rational_field_basics():
@@ -48,6 +49,31 @@ def test_gf_is_cached():
 def test_is_prime_samples():
     assert is_prime(10007) and is_prime(3001) and is_prime(2503)
     assert not is_prime(1) and not is_prime(2501) and not is_prime(10005)
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_bases_2_to_37():
+    assert PSI_12 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(PSI_12)
+
+
+@pytest.mark.parametrize("exponent", [61, 89, 127])
+def test_is_prime_accepts_mersenne_primes_on_both_sides_of_psi_12(exponent):
+    n = 2**exponent - 1
+    assert is_prime(n) and GF(n).p == n
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # alone, on odd n with no factor below 41, the strong Lucas test passes
+    # every prime below 20000 and exactly the composites 5459, 5777, 10877,
+    # 16109 and 18971 (the start of OEIS A217255)
+    small = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    candidates = [n for n in range(43, 20000, 2) if all(n % q for q in small)]
+    primes = {n for n in candidates if all(n % q for q in range(3, isqrt(n) + 1, 2))}
+    passed = {n for n in candidates if _strong_lucas_probable_prime(n)}
+    assert primes <= passed
+    assert sorted(passed - primes) == [5459, 5777, 10877, 16109, 18971]
 
 
 def test_inverse_of_zero_raises():
