@@ -8,8 +8,8 @@ given order is allowed, since transvectants produce it.
 Coefficients live in any ``Ring`` from :mod:`.scalars` /
 :mod:`.polys` (rationals, a prime field, a polynomial ring for symbolic
 identities, or a residue ring GF(p)[u]/(h) for the flex probe), so the
-same covariant code serves numeric and symbolic callers.  Sums, scalings
-and evaluation use the coefficients' own ``+ - *`` with one ``reduce`` per
+same covariant code serves numeric and symbolic callers.  Sums and
+scalings use the coefficients' own ``+ - *`` with one ``reduce`` per
 result.  Products go through ``polys.dense_product``, the kernel
 ``UniPoly`` multiplies with; a transvectant is the same
 accumulate-then-reduce idiom over a cached table of integer weights, with
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .polys import UniPoly, dense_product, powers
+from .polys import UniPoly, dense_product
 from .scalars import Field, Ring
 
 
@@ -72,16 +72,6 @@ class BinaryForm:
     def scale(self, c) -> "BinaryForm":
         R = self.ring
         return BinaryForm(R, [R.reduce(c * a) for a in self.coeffs])
-
-    def eval(self, x, y):
-        R = self.ring
-        n = self.order
-        xp, yp = powers(R, x, n), powers(R, y, n)
-        acc = R.zero
-        for k, c in enumerate(self.coeffs):
-            if not R.is_zero(c):
-                acc += c * xp[n - k] * yp[k]
-        return R.reduce(acc)
 
     def substituted(self, m: Sequence[Sequence]) -> "BinaryForm":
         """Apply the linear substitution (x, y) -> (a x + b y, c x + d y).

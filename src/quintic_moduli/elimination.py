@@ -32,9 +32,12 @@ streamed into the sample resultants.
 Over every GF(p) the Euclidean remainder sequence runs on packed ints
 from its first division to its last in one loop (``_lazy_sequence``), for
 the sample resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree
-600).  Slots are reduced lazily: each division reads its quotient terms
-off the top slot and adds (p - c) times the shifted divisor, and then one
-SWAR Barrett step (Barrett, CRYPTO '86) brings every slot of the remainder
+600); ``_gcd_cofactor``, the extended Euclid of ``ResidueRing.inv``,
+repeats that loop with the cofactor carried along in the same slots (a
+cofactor switch inside ``_lazy_sequence`` would slow the eliminant).
+Slots are reduced lazily: each division reads its quotient terms off the top
+slot and adds (p - c) times the shifted divisor, and then one SWAR
+Barrett step (Barrett, CRYPTO '86) brings every slot of the remainder
 back to [0, 2p) at once: a - p * ((a * m >> s) & mask), m = floor(2**s /
 p), the mask keeping the low w - s bits of each w-bit slot.  Only the top
 slot is reduced to a canonical residue; it gives the next quotient terms,
@@ -79,24 +82,69 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def _gcd_cofactor(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """(d, s): the monic gcd d of f and g, and s with s*f = d mod g.
+    """(d, s): the monic gcd d of f and g over GF(p), and s with s*f = d mod g.
 
-    The extended Euclid loop carrying s only; ``ResidueRing.inv`` needs s
-    alone.
+    The extended Euclid carrying s only (``ResidueRing.inv`` needs s
+    alone), packed in the w-bit slots of ``_lazy_constants(p)``.  The
+    remainder runs exactly as in ``_lazy_sequence``; the cofactor s_a of
+    the dividend goes along, each quotient term c adding (p - c) * s_b << w
+    k, and takes its own SWAR Barrett steps: after each division, and
+    part-way where both the quotient and s_b pass ``limit`` terms.  Its
+    slots stay in [0, 2p), and it has at most deg g + 1 of them.  Zero and
+    constant operands give what the textbook loop gives: g = 0 gives (f
+    monic, 1/lc f), f = 0 gives (g monic, 0), a nonzero constant g gives
+    (1, 0) and f = g = 0 gives (0, 1).
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in xgcd")
     F = f.field
-    r0, r1 = f, g
-    s0, s1 = UniPoly.constant(F, F.one), UniPoly.zero(F)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.is_zero():
-        return r0, s0
-    inv = F.inv(r0.lc)
-    return r0.scale(inv), s0.scale(inv)
+    if not isinstance(F, PrimeField):
+        raise ValueError(f"the cofactor gcd runs over a prime field, not {F!r}")
+    p = F.p
+    s, m, limit, inverses, w = _lazy_constants(p)
+    na, nb = len(f.coeffs), len(g.coeffs)
+    slot, mask = (1 << w) - 1, _barrett_mask(s, max(na, nb), w)
+    a, b = _pack(f.coeffs, w), _pack(g.coeffs, w)
+    sa, sb = 1, 0
+    lb = g.coeffs[-1] if nb else 0
+    while nb > 1:
+        n = nb - 1
+        ns = (sb.bit_length() + w - 1) // w
+        inv = inverses[lb] if inverses else pow(lb, -1, p)
+        for k in range(na - nb, -1, -1):
+            c = (a >> w * (k + n) & slot) * inv % p
+            if c:
+                a += (p - c) * b << w * k
+                sa += (p - c) * sb << w * k
+            if k and not k % limit:
+                if n > limit:
+                    a &= (1 << w * (k + n)) - 1
+                    a -= p * ((a * m >> s) & mask)
+                if ns > limit:
+                    sa -= p * ((sa * m >> s) & mask)
+        a &= (1 << w * n) - 1
+        a -= p * ((a * m >> s) & mask)
+        sa -= p * ((sa * m >> s) & mask)
+        while n:
+            top = a >> w * (n - 1)
+            if top >= p:
+                top -= p
+                a -= p << w * (n - 1)
+            if top:
+                break
+            n -= 1
+        a, na, sa, b, nb, sb, lb = b, nb, sb, a, n, sa, top
+    if nb:  # a nonzero constant remainder, the last one
+        a, na, sa = b, nb, sb
+    if not na:
+        return f, UniPoly.constant(F, F.one)
+    lead = (a >> w * (na - 1)) % p
+    inv = inverses[lead] if inverses else pow(lead, -1, p)
+    ns = (sa.bit_length() + w - 1) // w
+    return (
+        UniPoly(F, [c * inv % p for c in _unpack(a, na, w)]),
+        UniPoly(F, [c * inv % p for c in _unpack(sa, ns, w)]),
+    )
 
 
 def resultant_uni(f: UniPoly, g: UniPoly):

@@ -42,7 +42,15 @@ from .elimination import (
     squarefree_decomposition,
 )
 from .invariants import family_closed_forms, family_quintic, invariant_triple
-from .polys import MultiPoly, PolynomialRing, UniPoly, line_restriction, powers
+from .polys import (
+    MultiPoly,
+    PolynomialRing,
+    UniPoly,
+    _slot_width,
+    _unpack,
+    line_restriction,
+    powers,
+)
 from .residue_rings import ResidueRing, SplitNeeded, split_modulus
 from .scalars import GF, QQ, Field, PrimeField
 
@@ -120,8 +128,35 @@ class PlaneCurve:
         return tuple(self.poly.derivative(v) for v in range(3))
 
     def composed_with_frame(self, frame: Sequence[Sequence]) -> "PlaneCurve":
-        """The curve in framed coordinates: F(M . (x', y', z'))."""
+        """The curve in framed coordinates: F(M . (x', y', z')).
+
+        Over GF(p) this is one packed sum of c * l0**i * l1**j * l2**k over
+        the terms c x**i y**j z**k (Kronecker substitution): l_r = M[r][0] x'
+        + M[r][1] y' + M[r][2] is the frame's r-th linear form at z' = 1,
+        with x'**i y'**j in slot i (d + 1) + j, and the sum is grouped by
+        the power of l0.  The slots stay raw, in the width of #terms (p - 1)
+        (3 (p - 1))**d, which none passes, and each is taken mod p once,
+        after one unpack.  Other fields (the CLI's rational ``restrict``)
+        compose sparsely with ``MultiPoly.compose``.
+        """
         F = self.field
+        if isinstance(F, PrimeField):
+            p, d = F.p, self.degree
+            stride = d + 1
+            w = _slot_width(len(self.poly.terms) * (p - 1) * (3 * (p - 1)) ** d)
+            tables = []
+            for row in frame:
+                linear = row[2] % p | row[1] % p << w | row[0] % p << w * stride
+                table = [1]
+                for _ in range(d):
+                    table.append(table[-1] * linear)
+                tables.append(table)
+            t0, t1, t2 = tables
+            by_i: dict[int, int] = {}  # the sum grouped by the power of l0
+            for (i, j, k), c in self.poly.terms.items():
+                by_i[i] = by_i.get(i, 0) + c * t2[k] * t1[j]
+            slots = _unpack(sum(t0[i] * v for i, v in by_i.items()), d * stride + 1, w)
+            return PlaneCurve(_form_from_slots(F, [c % p for c in slots], d, stride))
         args = []
         for r in range(3):
             terms = {}
@@ -194,10 +229,51 @@ def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
     return BinaryQuintic(F, coeffs)
 
 
-def _hessian_form(p: MultiPoly) -> MultiPoly:
-    """Determinant of the matrix of second partials, a form of degree 3(d - 2);
-    zero for a cone."""
-    return _det3([[p.derivative(r).derivative(c) for c in range(3)] for r in range(3)])
+def _form_from_slots(field: PrimeField, slots: Sequence[int], degree: int, stride: int):
+    """The ternary form of the given degree whose residues at z = 1 are
+    ``slots``, x**i y**j in slot i * stride + j."""
+    terms = {}
+    for index, c in enumerate(slots):
+        if c:
+            i, j = divmod(index, stride)
+            terms[(i, j, degree - i - j)] = c
+    return MultiPoly(field, 3, terms)
+
+
+def _hessian_form(poly: MultiPoly) -> MultiPoly:
+    """Determinant of the matrix of second partials over GF(p), a form of
+    degree D = 3(d - 2); zero for a cone.
+
+    The six distinct second partials H_rc, at z = 1, are packed with x**i
+    y**j in slot i (D + 1) + j, and the determinant is A - B for the two
+    nonnegative sums of triple products A = H00 H11 H22 + 2 H01 H12 H02 and
+    B = H00 H12**2 + H11 H02**2 + H22 H01**2 (the matrix is symmetric).  No
+    slot of A or B passes 3 T**2 (p - 1)**3, T = d(d - 1)/2 being the
+    most terms a partial has, which sets the slot width; (A - B) mod p is
+    taken per slot after one unpack of each.
+    """
+    F = poly.field
+    if not isinstance(F, PrimeField):
+        raise ValueError(f"the Hessian is formed over a prime field, not {F!r}")
+    p = F.p
+    d = max((sum(e) for e in poly.terms), default=0)
+    degree = 3 * max(d - 2, 0)
+    stride = degree + 1
+    w = _slot_width(3 * (d * (d - 1) // 2) ** 2 * (p - 1) ** 3)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+    h = dict.fromkeys(pairs, 0)
+    for e, c in poly.terms.items():
+        for r, s in pairs:
+            weight = e[r] * (e[s] - (r == s))
+            if weight:
+                i, j = e[0] - (r == 0) - (s == 0), e[1] - (r == 1) - (s == 1)
+                h[r, s] += (c * weight % p) << w * (i * stride + j)
+    h00, h11, h22, h01, h12, h02 = h.values()
+    a = h00 * h11 * h22 + 2 * h01 * h12 * h02
+    b = h00 * h12 * h12 + h11 * h02 * h02 + h22 * h01 * h01
+    size = degree * stride + 1
+    slots = [(x - y) % p for x, y in zip(_unpack(a, size, w), _unpack(b, size, w))]
+    return _form_from_slots(F, slots, degree, stride)
 
 
 class PluckerCounts(NamedTuple):

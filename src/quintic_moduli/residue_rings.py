@@ -10,9 +10,11 @@ into irreducibles.
 
 Elements are reduced ``UniPoly`` values over GF(p).  ``reduce`` is the
 remainder of ``UniPoly.divmod`` by h, the packed GF(p) division that
-``gcd_uni``, Yun and ``split_modulus`` use too.  Elements combine with
-``UniPoly``'s own ``+ - *``; callers reduce each result, and ``inv`` and
-``generator`` reduce through it too.  So ``UniPoly(ResidueRing(h), ...)``
+Yun and ``split_modulus`` use too.  ``inv`` is the packed extended Euclid
+``elimination._gcd_cofactor`` of the element and h: the remainder
+sequence of ``gcd_uni`` with the cofactor carried along in the same
+slots.  Elements combine with ``UniPoly``'s own ``+ - *``; callers reduce
+each result, and ``inv`` and ``generator`` reduce through it too.  So ``UniPoly(ResidueRing(h), ...)``
 runs the dense kernels of :mod:`.polys` unchanged: products accumulate raw
 and reduce once per coefficient, and ``gcd_uni`` escapes with
 ``SplitNeeded`` from the ``inv`` inside ``divmod`` and ``monic``.

@@ -20,6 +20,7 @@ from quintic_moduli.elimination import (
 from quintic_moduli.fiber_counting import _draw_target, build_fiber_system
 from quintic_moduli.plane_curves import _dehom_y, _hessian_form, random_invertible_frame
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
+from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
 from quintic_moduli.scalars import GF, QQ
 
 from conftest import newton_interpolation
@@ -637,7 +638,7 @@ def test_gcd_and_xgcd():
         assert s * a + t * b == d
 
 
-@pytest.mark.parametrize("field", [QQ, F], ids=repr)
+@pytest.mark.parametrize("field", [F], ids=repr)
 def test_xgcd_with_zero_and_constant_operands(field):
     f = UniPoly.from_ints(field, [3, 0, 2])
     g = UniPoly.from_ints(field, [1, 5])
@@ -648,6 +649,114 @@ def test_xgcd_with_zero_and_constant_operands(field):
         assert d.is_zero() if a.is_zero() and b.is_zero() else d == gcd_uni(a, b)
         if b.is_zero():
             assert t.is_zero()
+
+
+def test_cofactor_gcd_rejects_QQ():
+    # its one caller, ResidueRing.inv, works over a prime field
+    f, g = UniPoly.from_ints(QQ, [3, 0, 2]), UniPoly.from_ints(QQ, [1, 5])
+    with pytest.raises(ValueError, match="prime field"):
+        _gcd_cofactor(f, g)
+
+
+def _cofactor_reference(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(d, s) by the extended Euclid loop that the packed ``_gcd_cofactor``
+    replaced: one ``divmod`` and one cofactor product per step."""
+    F = f.field
+    r0, r1 = f, g
+    s0, s1 = UniPoly.constant(F, F.one), UniPoly.zero(F)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.is_zero():
+        return r0, s0
+    inv = F.inv(r0.lc)
+    return r0.scale(inv), s0.scale(inv)
+
+
+def _assert_cofactor_matches(f: UniPoly, g: UniPoly):
+    """``_gcd_cofactor`` gives the reference's d, and its s mod g (s itself
+    when g = 0), and s * f = d mod g."""
+    d, s = _gcd_cofactor(f, g)
+    ref_d, ref_s = _cofactor_reference(f, g)
+    assert d == ref_d, (f.degree, g.degree)
+    if g.is_zero():
+        assert s == ref_s
+    else:
+        assert s % g == ref_s % g and (s * f - d) % g == UniPoly.zero(f.field)
+
+
+#: primes on both sides of the inverse table (2**16), the short-limit prime,
+#: and the 128- and 192-bit slots of 2**31 - 1 and 2**61 - 1
+COFACTOR_PRIMES = (2503, 10007, 65521, 65537, SHORT_LIMIT_PRIME, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("p", COFACTOR_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 5, 45, 60])
+def test_cofactor_gcd_matches_the_loop(p, n):
+    # residues modulo a modulus of degree n, as ResidueRing.inv passes
+    # them, then operands of every other degree order, constants and zeros
+    field = GF(p)
+    rng = random.Random(p + n)
+    h = _random_uni(rng, field, n)
+    zero, seven = UniPoly.zero(field), UniPoly.constant(field, 7)
+    cases = [(_random_uni(rng, field, rng.randrange(n)), h) for _ in range(8)]
+    cases += [(_random_uni(rng, field, n + 3), h), (h, _random_uni(rng, field, n))]
+    cases += [(seven, h), (h, seven), (seven, UniPoly.constant(field, p - 1))]
+    cases += [(h, zero), (zero, h), (seven, zero), (zero, seven), (zero, zero)]
+    for f, g in cases:
+        _assert_cofactor_matches(f, g)
+
+
+@pytest.mark.parametrize("p", COFACTOR_PRIMES)
+def test_inverse_raises_split_needed_with_the_shared_factor(p):
+    # a residue sharing the factor u with the modulus u * v exposes u
+    field = GF(p)
+    rng = random.Random(p)
+    for du, dv in [(1, 1), (2, 3), (5, 40), (20, 40)]:
+        u, v = _random_uni(rng, field, du).monic(), _random_uni(rng, field, dv).monic()
+        w = _random_uni(rng, field, dv - 1)
+        assert gcd_uni(u, v).degree == gcd_uni(w, v).degree == 0  # u = gcd(u w, u v)
+        ring = ResidueRing(u * v)
+        a = ring.reduce(u * w)
+        _assert_cofactor_matches(a, ring.modulus)
+        with pytest.raises(SplitNeeded) as split:
+            ring.inv(a)
+        assert split.value.factor == u, (du, dv)
+
+
+@pytest.mark.parametrize("p", [10007, SHORT_LIMIT_PRIME, 2**61 - 1])
+@pytest.mark.parametrize("terms, slots", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)])
+def test_cofactor_divisions_at_and_past_the_limit(p, terms, slots):
+    # inverting r2 modulo r1 = q2 r2 + r3, with r2 = q3 r3 + 5: the second
+    # division takes limit + terms quotient terms q3 over limit + slots
+    # divisor slots r3 while the cofactor it updates, -q2, has limit +
+    # slots slots, every product (p - 1)**2; at 2**61 - 1 they run in
+    # 192-bit slots
+    limit = _lazy_constants(p)[2]
+    field = GF(p)
+    q2 = UniPoly(field, [1] * (limit + slots))
+    q3 = UniPoly(field, [1] * (limit + terms))
+    r3 = UniPoly(field, [p - 1] * (limit + slots))
+    r2 = q3 * r3 + UniPoly.constant(field, 5)
+    r1 = q2 * r2 + r3
+    _assert_cofactor_matches(r2, r1)
+    assert _gcd_cofactor(r2, r1)[0] == UniPoly.constant(field, 1)
+
+
+@pytest.mark.parametrize("p", [SHORT_LIMIT_PRIME, 2**61 - 1])
+def test_cofactor_steps_mid_division(p):
+    # the chain above with quotients and a cofactor of 3 * limit terms: a
+    # slot of the remainder or of the cofactor takes 3 * limit products
+    # (p - 1)**2 in one division, past the Barrett bounds unless steps run
+    # part-way
+    limit = _lazy_constants(p)[2]
+    field = GF(p)
+    ones, top = UniPoly(field, [1] * 3 * limit), UniPoly(field, [p - 1] * 3 * limit)
+    r2 = ones * top + UniPoly.constant(field, 5)
+    r1 = ones * r2 + top
+    _assert_cofactor_matches(r2, r1)
+    assert _gcd_cofactor(r2, r1)[0] == UniPoly.constant(field, 1)
 
 
 def test_interpolation_and_elimination_reject_QQ():

@@ -223,7 +223,7 @@ def test_random_lines_have_stable_restrictions(generic_quintic):
 
 
 def test_hessian_degree_and_fermat_shape():
-    h = _hessian_form(fermat_quintic().poly)
+    h = _hessian_form(fermat_quintic().reduce_mod(F).poly)
     assert h.total_degree == 9
     assert set(h.terms) == {(3, 3, 3)}
     rng = random.Random(13)
@@ -235,8 +235,115 @@ def test_hessian_degree_and_fermat_shape():
         }
         assert _hessian_form(MultiPoly(F, 3, terms)).total_degree == 9
     # a cone: five concurrent lines x^5 + y^5 = 0 through (0 : 0 : 1)
-    cone = MultiPoly(QQ, 3, {(5, 0, 0): QQ.one, (0, 5, 0): QQ.one})
+    cone = MultiPoly(F, 3, {(5, 0, 0): F.one, (0, 5, 0): F.one})
     assert _hessian_form(cone).is_zero()
+
+
+def _compose_reference(curve: PlaneCurve, frame) -> MultiPoly:
+    """F(M . (x', y', z')) by the sparse ``MultiPoly.compose`` that the
+    packed GF(p) frame change replaced."""
+    F = curve.field
+    args = [
+        MultiPoly(F, 3, {tuple(int(c == v) for v in range(3)): frame[r][c] for c in range(3)})
+        for r in range(3)
+    ]
+    return curve.poly.compose(args)
+
+
+def _hessian_reference(poly: MultiPoly) -> MultiPoly:
+    """The cofactor expansion ``_det3`` of the second partials, with the
+    sparse ``MultiPoly`` products that the packed Hessian replaced."""
+    return plane_curves._det3(
+        [[poly.derivative(r).derivative(c) for c in range(3)] for r in range(3)]
+    )
+
+
+def _random_form(rng, field, d: int) -> MultiPoly:
+    """A form of degree d with about a third of its coefficients zero and
+    one term of coefficient p - 1."""
+    p = field.p
+    terms = {
+        (i, j, d - i - j): rng.randrange(p) if rng.random() < 0.7 else 0
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+    }
+    terms[(d, 0, 0)] = p - 1
+    return MultiPoly(field, 3, terms)
+
+
+def _frames(rng, field):
+    """A random frame, frames with zero entries, the identity, and singular
+    frames (rank 2, rank 1, zero)."""
+    p = field.p
+    r = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+    sparse = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(3)] for _ in range(3)]
+    rank2 = [r[0], r[1], [(r[0][c] + 2 * r[1][c]) % p for c in range(3)]]
+    rank1 = [r[0], [2 * x % p for x in r[0]], [0, 0, 0]]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    top = [[p - 1] * 3] * 3
+    return [r, sparse, [[0, r[0][1], 0], [r[1][0], 0, 0], [0, 0, r[2][2]]], identity, top,
+            rank2, rank1, [[0] * 3] * 3]
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1, 2**89 - 1])
+def test_packed_frame_change_matches_compose(p):
+    field = GF(p)
+    rng = random.Random(p)
+    for d in range(1, 7):
+        curve = PlaneCurve(_random_form(rng, field, d))
+        for frame in _frames(rng, field):
+            frame = tuple(tuple(field.from_int(x) for x in row) for row in frame)
+            expected = _compose_reference(curve, frame)
+            if expected.is_zero():  # a singular frame can collapse the curve
+                with pytest.raises(ValueError, match="zero polynomial"):
+                    curve.composed_with_frame(frame)
+                continue
+            framed = curve.composed_with_frame(frame)
+            assert framed.poly == expected and framed.degree == d, (d, frame)
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1, 2**89 - 1])
+def test_packed_hessian_matches_the_cofactor_expansion(p):
+    # forms of degree 2..6 (a conic's Hessian is a constant), framed by
+    # frames with zero entries and singular frames, and cones
+    field = GF(p)
+    rng = random.Random(p + 1)
+    for d in range(2, 7):
+        curve = PlaneCurve(_random_form(rng, field, d))
+        forms = [curve.poly]
+        for frame in _frames(rng, field):
+            framed = _compose_reference(curve, frame)
+            if not framed.is_zero():
+                forms.append(framed)
+        # a cone: a binary form in x and y alone, through (0 : 0 : 1)
+        forms.append(MultiPoly(field, 3, {e: c for e, c in curve.poly.terms.items() if not e[2]}))
+        for form in forms:
+            hessian = _hessian_form(form)
+            assert hessian == _hessian_reference(form), d
+            assert hessian.is_zero() or hessian.total_degree == 3 * (d - 2)
+        assert _hessian_form(forms[-1]).is_zero()
+    assert _hessian_form(MultiPoly(field, 3, {(1, 0, 0): 1, (0, 0, 1): 2})).is_zero()
+
+
+def test_hessian_rejects_QQ():
+    with pytest.raises(ValueError, match="prime field"):
+        _hessian_form(fermat_quintic().poly)
+
+
+def test_packed_frame_change_of_a_reduced_curve_is_the_reduced_QQ_change(generic_quintic):
+    # over QQ the frame change is the sparse compose; reducing it mod p
+    # gives what the packed path gives on the reduced curve and frame
+    rng = random.Random(29)
+    frame = tuple(
+        tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3))
+        for _ in range(3)
+    )
+    framed = generic_quintic.composed_with_frame(frame)
+    for p in (10007, 2**31 - 1):
+        field = GF(p)
+        reduced_frame = tuple(tuple(field.from_fraction(x) for x in row) for row in frame)
+        packed = generic_quintic.reduce_mod(field).composed_with_frame(reduced_frame)
+        assert packed == framed.reduce_mod(field)
 
 
 def test_plucker_counts():
