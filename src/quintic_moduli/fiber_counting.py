@@ -22,8 +22,8 @@ the fiber system is
 
 and the eliminant R(a) has degree 20 * 30 = 600.  Both are built exactly,
 once per attempt: the framed quintic is restricted once at the power
-tables of a and b in ``_ChartRing``, GF(p)[a, b] in Kronecker form (one
-int per polynomial, a^i b^j in slot 33 i + j; von zur Gathen & Gerhard,
+tables of a and b in GF(p)[a, b] in Kronecker form (``polys._KroneckerRing``:
+one int per polynomial, a^i b^j in slot 33 i + j; von zur Gathen & Gerhard,
 *Modern Computer Algebra*, section 8.4), and the unchanged
 ``invariant_triple`` runs over that ring.  A covariant of coefficient
 degree d and order o has chart degree at most (5d + o)/2, so the largest
@@ -54,7 +54,6 @@ surface, never to average away.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -62,7 +61,7 @@ from .binary_forms import BinaryQuintic, _transvectant_table
 from .elimination import resultant_bivar_elim, squarefree_decomposition
 from .invariants import WPPoint, invariant_triple
 from .plane_curves import PlaneCurve, random_invertible_frame
-from .polys import MultiPoly, _pack, _slot_width, _unpack, line_restriction
+from .polys import MultiPoly, _KroneckerRing, line_restriction
 from .scalars import GF, PrimeField, Ring
 
 #: Chart degrees of the fiber system and its Bezout number.
@@ -158,63 +157,6 @@ _CHAIN_WEIGHT = max(
 )
 
 
-class _ChartRing(Ring):
-    """GF(p)[a, b] in Kronecker form, for running the invariant chain on
-    the whole chart at once.
-
-    An element is one nonnegative int with the coefficient of a**i b**j, a
-    residue, in the w-bit slot i * _STRIDE + j.  ``+``, ``-``, ``*`` and
-    int scaling are the ints' own; a raw combination may have signed slots
-    (the transvectant weights are signed), and ``reduce`` adds ``bias``, a
-    multiple of p at least the bound ``_CHAIN_WEIGHT * (p - 1)**3`` on
-    |slot|, to every slot, takes each slot mod p and repacks.  w is the
-    ``_slot_width`` of bias + bound: 64 bits at 3001 and 10007, 128 at
-    2**31 - 1.
-    """
-
-    def __init__(self, p: int):
-        self.field = GF(p)
-        self.p = p
-        self.zero, self.one = 0, 1
-        bound = _CHAIN_WEIGHT * (p - 1) ** 3
-        self.bias = -(-bound // p) * p
-        self.width = _slot_width(self.bias + bound)
-
-    def from_fraction(self, q):
-        return self.field.from_fraction(q)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def reduce(self, x):
-        w, p = self.width, self.p
-        n = x.bit_length() // w + 1  # every slot up to the top one, signed or not
-        slots = _unpack(x + _spread(self.bias, n, w), n, w)
-        return _pack([c % p for c in slots], w)
-
-    def power_tables(self) -> tuple[list[int], list[int]]:
-        """(a**0 .. a**5) and (b**0 .. b**5): a**r is the single slot
-        r * _STRIDE, b**r the single slot r."""
-        w = self.width
-        return [1 << w * _STRIDE * r for r in range(6)], [1 << w * r for r in range(6)]
-
-    def to_multipoly(self, x: int) -> MultiPoly:
-        """The element as a ``MultiPoly`` in (a, b) over GF(p)."""
-        w = self.width
-        slots = _unpack(x, x.bit_length() // w + 1, w)
-        return MultiPoly(self.field, 2, {divmod(k, _STRIDE): c for k, c in enumerate(slots) if c})
-
-    def __repr__(self):
-        return f"_ChartRing({self.p})"
-
-
-@functools.lru_cache(maxsize=64)
-def _spread(value: int, n: int, w: int) -> int:
-    """``value`` in each of n slots of w bits; cached, since one prime's
-    chain reduces at a handful of slot counts."""
-    return value * (((1 << w * n) - 1) // ((1 << w) - 1))
-
-
 def _restriction_coefficients(framed_poly: MultiPoly, ring: Ring):
     """Closure computing the 6 restriction coefficients from power tables.
 
@@ -237,7 +179,8 @@ def build_fiber_system(
 
     The curve must be a quintic over a prime field; the target must have
     c1 != 0.  The framed quintic is restricted once, at the power tables
-    of a and b in ``_ChartRing``, and ``invariant_triple`` runs there, so
+    of a and b in a ``_KroneckerRing`` of stride ``_STRIDE`` and bound
+    ``_CHAIN_WEIGHT * (p - 1)**3``, and ``invariant_triple`` runs there, so
     I4, I8, I12 and then G1 and G2 are exact polynomials in (a, b).
     Degrees are gated at exactly (20, 30): a drop means the chart frame is
     non-generic and the caller should redraw it.
@@ -251,14 +194,18 @@ def build_fiber_system(
     if field.is_zero(c1):
         raise ValueError("target must have nonzero first coordinate")
     framed = curve.composed_with_frame(frame)
-    ring = _ChartRing(field.p)
+    p = field.p
+    ring = _KroneckerRing(p, _STRIDE, _CHAIN_WEIGHT * (p - 1) ** 3)
     restrict = _restriction_coefficients(framed.poly, ring)
-    i4, i8, i12 = invariant_triple(BinaryQuintic(ring, restrict(*ring.power_tables())))
+    # a**r and b**r are the single slots r * _STRIDE and r
+    w = ring.width
+    powers_a, powers_b = ([1 << w * step * r for r in range(6)] for step in (_STRIDE, 1))
+    i4, i8, i12 = invariant_triple(BinaryQuintic(ring, restrict(powers_a, powers_b)))
     c1sq = field.reduce(c1 * c1)
     i4sq = ring.reduce(i4 * i4)
     g1 = ring.reduce(c2 * i4sq - c1sq * i8)
     g2 = ring.reduce(c3 * ring.reduce(i4sq * i4) - field.reduce(c1sq * c1) * i12)
-    g1_poly, g2_poly = ring.to_multipoly(g1), ring.to_multipoly(g2)
+    g1_poly, g2_poly = (MultiPoly(field, 2, ring.terms(g)) for g in (g1, g2))
     if (g1_poly.total_degree, g2_poly.total_degree) != FIBER_SYSTEM_DEGREES:
         raise FiberRetryError(
             f"fiber system degrees ({g1_poly.total_degree}, {g2_poly.total_degree})"

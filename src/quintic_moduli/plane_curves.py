@@ -5,8 +5,12 @@ A plane curve is a homogeneous ternary form; lines are presented by charts
 in framed coordinates).  Restricting the curve to a chart yields a binary
 quintic, whose moduli point is the value of the line-to-moduli map.  Every
 restriction to a line here, the chart's and the tangent line at each flex,
-is ``polys.line_restriction``: substitute x_v = a x_o1 + b x_o2 and read off
-the binary form in (x_o1, x_o2).
+is ``_restrict_through``: F(s P + t Q) for two points P, Q of the line, by
+``polys.line_restriction`` on the line solved for one coordinate and one
+``BinaryForm.substituted``.  A chart's line runs through M (1, 0, a) and
+M (0, 1, b), so the curve is never framed to restrict it.  The frame change
+and the Hessian run over GF(p) only, as packed sums in a
+``polys._KroneckerRing``.
 
 ``genericity_report`` decides, exactly over GF(p), the three conditions the
 degree-420 count rests on: the curve is smooth, it has 45 distinct
@@ -46,13 +50,12 @@ from .polys import (
     MultiPoly,
     PolynomialRing,
     UniPoly,
-    _slot_width,
-    _unpack,
+    _KroneckerRing,
     line_restriction,
     powers,
 )
 from .residue_rings import ResidueRing, SplitNeeded, split_modulus
-from .scalars import GF, QQ, Field, PrimeField
+from .scalars import GF, QQ, Field, PrimeField, Ring
 
 
 class LineInCurveError(ValueError):
@@ -128,45 +131,35 @@ class PlaneCurve:
         return tuple(self.poly.derivative(v) for v in range(3))
 
     def composed_with_frame(self, frame: Sequence[Sequence]) -> "PlaneCurve":
-        """The curve in framed coordinates: F(M . (x', y', z')).
+        """The curve in framed coordinates, F(M . (x', y', z')), over GF(p).
 
-        Over GF(p) this is one packed sum of c * l0**i * l1**j * l2**k over
-        the terms c x**i y**j z**k (Kronecker substitution): l_r = M[r][0] x'
-        + M[r][1] y' + M[r][2] is the frame's r-th linear form at z' = 1,
-        with x'**i y'**j in slot i (d + 1) + j, and the sum is grouped by
-        the power of l0.  The slots stay raw, in the width of #terms (p - 1)
-        (3 (p - 1))**d, which none passes, and each is taken mod p once,
-        after one unpack.  Other fields (the CLI's rational ``restrict``)
-        compose sparsely with ``MultiPoly.compose``.
+        One packed sum of c * l0**i * l1**j * l2**k over the terms c x**i
+        y**j z**k (Kronecker substitution): l_r = M[r][0] x' + M[r][1] y' +
+        M[r][2] is the frame's r-th linear form at z' = 1, an element of a
+        ``_KroneckerRing`` of stride d + 1, and the sum is grouped by the
+        power of l0.  No slot passes #terms (p - 1) (3 (p - 1))**d, the
+        ring's bound, and each is taken mod p once.  Other fields raise
+        ``ValueError``.
         """
         F = self.field
-        if isinstance(F, PrimeField):
-            p, d = F.p, self.degree
-            stride = d + 1
-            w = _slot_width(len(self.poly.terms) * (p - 1) * (3 * (p - 1)) ** d)
-            tables = []
-            for row in frame:
-                linear = row[2] % p | row[1] % p << w | row[0] % p << w * stride
-                table = [1]
-                for _ in range(d):
-                    table.append(table[-1] * linear)
-                tables.append(table)
-            t0, t1, t2 = tables
-            by_i: dict[int, int] = {}  # the sum grouped by the power of l0
-            for (i, j, k), c in self.poly.terms.items():
-                by_i[i] = by_i.get(i, 0) + c * t2[k] * t1[j]
-            slots = _unpack(sum(t0[i] * v for i, v in by_i.items()), d * stride + 1, w)
-            return PlaneCurve(_form_from_slots(F, [c % p for c in slots], d, stride))
-        args = []
-        for r in range(3):
-            terms = {}
-            for c in range(3):
-                if not F.is_zero(frame[r][c]):
-                    e = [0, 0, 0]
-                    e[c] = 1
-                    terms[tuple(e)] = frame[r][c]
-            args.append(MultiPoly(F, 3, terms))
-        return PlaneCurve(self.poly.compose(args))
+        if not isinstance(F, PrimeField):
+            raise ValueError(f"the frame change runs over a prime field, not {F!r}")
+        p, d = F.p, self.degree
+        ring = _KroneckerRing(p, d + 1, len(self.poly.terms) * (p - 1) * (3 * (p - 1)) ** d)
+        w = ring.width
+        tables = []
+        for row in frame:
+            linear = row[2] % p | row[1] % p << w | row[0] % p << w * ring.stride
+            table = [1]
+            for _ in range(d):
+                table.append(table[-1] * linear)
+            tables.append(table)
+        t0, t1, t2 = tables
+        by_i: dict[int, int] = {}  # the sum grouped by the power of l0
+        for (i, j, k), c in self.poly.terms.items():
+            by_i[i] = by_i.get(i, 0) + c * t2[k] * t1[j]
+        framed = ring.terms(sum(t0[i] * v for i, v in by_i.items()))
+        return PlaneCurve(MultiPoly(F, 3, {(i, j, d - i - j): c for (i, j), c in framed.items()}))
 
     def __eq__(self, other):
         return isinstance(other, PlaneCurve) and self.poly == other.poly
@@ -213,15 +206,20 @@ def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
     """The binary quintic cut on the chart's line by a degree-5 curve.
 
     Its coefficients are ascending in y': the framed curve restricted to
-    z' = a x' + b y'.
+    z' = a x' + b y', which is F(s P + t Q) for the line's points P = M (1,
+    0, a) and Q = M (0, 1, b), the curve itself never framed.
     """
     if curve.degree != 5:
         raise ValueError("restriction to a binary quintic needs a degree-5 curve")
     F = curve.field
     if F is not chart.field:
         raise ValueError("curve and chart live over different fields")
-    restrict = line_restriction(curve.composed_with_frame(chart.frame).poly.terms, 2)
-    coeffs = [F.reduce(c) for c in restrict(powers(F, chart.a, 5), powers(F, chart.b, 5))]
+    M, a, b = chart.frame, chart.a, chart.b
+    P = [F.reduce(row[0] + row[2] * a) for row in M]
+    Q = [F.reduce(row[1] + row[2] * b) for row in M]
+    ell = [F.reduce(P[r - 2] * Q[r - 1] - P[r - 1] * Q[r - 2]) for r in range(3)]  # P x Q
+    v = next(v for v in (2, 0, 1) if not F.is_zero(ell[v]))  # M invertible: ell != 0
+    coeffs = _restrict_through(curve.poly, F, ell, v, P, Q).coeffs
     if all(F.is_zero(c) for c in coeffs):
         raise LineInCurveError(
             "restriction vanished identically: the line lies on the curve"
@@ -229,28 +227,39 @@ def restrict_to_line(curve: PlaneCurve, chart: LineChart) -> BinaryQuintic:
     return BinaryQuintic(F, coeffs)
 
 
-def _form_from_slots(field: PrimeField, slots: Sequence[int], degree: int, stride: int):
-    """The ternary form of the given degree whose residues at z = 1 are
-    ``slots``, x**i y**j in slot i * stride + j."""
-    terms = {}
-    for index, c in enumerate(slots):
-        if c:
-            i, j = divmod(index, stride)
-            terms[(i, j, degree - i - j)] = c
-    return MultiPoly(field, 3, terms)
+def _restrict_through(
+    poly: MultiPoly, ring: Ring, ell: Sequence, v: int, P: Sequence, Q: Sequence
+) -> BinaryForm:
+    """F(s P + t Q) as a binary form in (s, t), coefficients ascending in t,
+    for P and Q on the line ell . x = 0 with ell[v] a unit of ``ring``.
+
+    The line is x_v = a x_o1 + b x_o2 with a = -ell[o1] / ell[v] and b =
+    -ell[o2] / ell[v] (the inverse raises ``SplitNeeded`` when ell[v] is a
+    zero divisor of a residue ring); ``polys.line_restriction`` gives F
+    there in (x_o1, x_o2), and one ``BinaryForm.substituted`` puts in x_o1
+    = P[o1] s + Q[o1] t and x_o2 = P[o2] s + Q[o2] t.  Only the coordinates
+    o1 and o2 of P and Q are read: the line fixes the third.
+    """
+    o1, o2 = (o for o in range(3) if o != v)
+    pivot = ring.reduce(-ring.inv(ell[v]))
+    d = max(sum(e) for e in poly.terms)
+    a, b = (powers(ring, ring.reduce(ell[o] * pivot), d) for o in (o1, o2))
+    on_line = BinaryForm(ring, [ring.reduce(c) for c in line_restriction(poly.terms, v)(a, b)])
+    return on_line.substituted(((P[o1], Q[o1]), (P[o2], Q[o2])))
 
 
 def _hessian_form(poly: MultiPoly) -> MultiPoly:
     """Determinant of the matrix of second partials over GF(p), a form of
     degree D = 3(d - 2); zero for a cone.
 
-    The six distinct second partials H_rc, at z = 1, are packed with x**i
-    y**j in slot i (D + 1) + j, and the determinant is A - B for the two
-    nonnegative sums of triple products A = H00 H11 H22 + 2 H01 H12 H02 and
-    B = H00 H12**2 + H11 H02**2 + H22 H01**2 (the matrix is symmetric).  No
-    slot of A or B passes 3 T**2 (p - 1)**3, T = d(d - 1)/2 being the
-    most terms a partial has, which sets the slot width; (A - B) mod p is
-    taken per slot after one unpack of each.
+    The six distinct second partials H_rc, at z = 1, are elements of a
+    ``_KroneckerRing`` of stride D + 1, each term placed by one shift, and
+    the determinant is A - B for the two nonnegative sums of triple
+    products A = H00 H11 H22 + 2 H01 H12 H02 and B = H00 H12**2 + H11
+    H02**2 + H22 H01**2 (the matrix is symmetric).  No slot of A or B
+    passes 3 T**2 (p - 1)**3, T = d(d - 1)/2 being the most terms a partial
+    has, so neither does a slot of A - B: that is the ring's bound, and
+    its ``terms`` reads the residues of A - B.
     """
     F = poly.field
     if not isinstance(F, PrimeField):
@@ -258,8 +267,8 @@ def _hessian_form(poly: MultiPoly) -> MultiPoly:
     p = F.p
     d = max((sum(e) for e in poly.terms), default=0)
     degree = 3 * max(d - 2, 0)
-    stride = degree + 1
-    w = _slot_width(3 * (d * (d - 1) // 2) ** 2 * (p - 1) ** 3)
+    ring = _KroneckerRing(p, degree + 1, 3 * (d * (d - 1) // 2) ** 2 * (p - 1) ** 3)
+    w, stride = ring.width, ring.stride
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
     h = dict.fromkeys(pairs, 0)
     for e, c in poly.terms.items():
@@ -271,9 +280,8 @@ def _hessian_form(poly: MultiPoly) -> MultiPoly:
     h00, h11, h22, h01, h12, h02 = h.values()
     a = h00 * h11 * h22 + 2 * h01 * h12 * h02
     b = h00 * h12 * h12 + h11 * h02 * h02 + h22 * h01 * h01
-    size = degree * stride + 1
-    slots = [(x - y) % p for x, y in zip(_unpack(a, size, w), _unpack(b, size, w))]
-    return _form_from_slots(F, slots, degree, stride)
+    terms = ring.terms(a - b)
+    return MultiPoly(F, 3, {(i, j, degree - i - j): c for (i, j), c in terms.items()})
 
 
 class PluckerCounts(NamedTuple):
@@ -408,23 +416,21 @@ def _probe_single(curve_poly: MultiPoly, dehom: Sequence[MultiPoly], ring: Resid
     z0 = ring.reduce(-g.coeffs[0])
     point = (ring.generator(), ring.one, z0)
     grad = [_zpoly_over(ring, d).eval(z0) for d in partials]
-    # the tangent line g . x = 0 solved for x_v, the first coordinate of
-    # (z, x, y) whose gradient entry is nonzero; its inverse raises
-    # SplitNeeded when it is a zero divisor rather than a unit
+    # the tangent line grad . x = 0 solved for x_v, the first coordinate of
+    # (z, x, y) whose gradient entry is nonzero (its inverse raises
+    # SplitNeeded when it is a zero divisor rather than a unit)
     v = next((v for v in (2, 0, 1) if not ring.is_zero(grad[v])), None)
     if v is None:
         return False  # gradient vanishes: singular point, not a flex
     o1, o2 = (o for o in range(3) if o != v)
-    pivot = ring.reduce(-ring.inv(grad[v]))
-    a, b = (powers(ring, ring.reduce(grad[o] * pivot), 5) for o in (o1, o2))
-    restrict = line_restriction(curve_poly.terms, v)
-    on_tangent = BinaryForm(ring, [ring.reduce(c) for c in restrict(a, b)])
     # (s, t) = (s0 S + sigma T, t0 S + tau T) moves (s0 : t0) to (1 : 0)
     s0, t0 = point[o1], point[o2]
     sigma, tau = (ring.one, ring.zero) if not ring.is_zero(t0) else (ring.zero, ring.one)
+    second = [ring.zero] * 3  # only its coordinates o1 and o2 are read
+    second[o1], second[o2] = sigma, tau
+    c = _restrict_through(curve_poly, ring, grad, v, point, second).coeffs
     if not ring.is_unit(ring.reduce(s0 * tau - sigma * t0)):  # or raises SplitNeeded
         raise ArithmeticError("degenerate root (0 : 0) in flex probe")
-    c = on_tangent.substituted(((s0, sigma), (t0, tau))).coeffs
     if not all(ring.is_zero(ck) for ck in c[:3]):
         return False  # contact order below 3: not actually a flex fiber
     # in a product of fields the product is a unit exactly when both are

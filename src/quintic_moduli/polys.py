@@ -34,6 +34,13 @@ factor once (``RationalField.clear_denominators``), convolves the integer
 numerators and makes one ``Fraction`` per output coefficient.  Every
 other ring takes the accumulate-then-reduce loop.
 
+``_KroneckerRing`` is the package's one Kronecker form of GF(p)[x, y]:
+one int per polynomial, x**i y**j in slot i * stride + j, in a slot wide
+enough for the caller's bound on |slot| plus a bias (a multiple of p)
+that makes every signed slot readable.  The chart chain of
+``fiber_counting``, the frame change and the Hessian of ``plane_curves``
+all run in it.
+
 ``line_restriction`` is the package's one restriction of a ternary form to
 a line x_v = a x_o1 + b x_o2: the binomial expansion becomes a table of
 terms once per form, and each line is one pass over that table with the
@@ -117,6 +124,63 @@ def _unpack(packed: int, length: int, width: int = 64) -> Sequence[int]:
     for i in range(k - 2, -1, -1):
         slots = [hi << 64 | lo for hi, lo in zip(slots, words[i::k])]
     return slots
+
+
+class _KroneckerRing(Ring):
+    """GF(p)[x, y] in Kronecker form (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, section 8.4): one int per polynomial, with the
+    coefficient of x**i y**j in the w-bit slot i * stride + j.
+
+    ``+``, ``-``, ``*`` and int scaling are the ints' own, so a raw
+    combination may have signed slots; ``bound`` bounds every |slot| that is
+    reduced or read.  ``bias``, the least multiple of p at least ``bound``,
+    is added to every slot before it is read, and w is the ``_slot_width``
+    of bias + bound.  ``reduce`` takes each slot mod p and repacks;
+    ``terms`` reads the nonzero residues off as {(i, j): c}.
+    """
+
+    def __init__(self, p: int, stride: int, bound: int):
+        self.field = GF(p)
+        self.p = p
+        self.stride = stride
+        self.zero, self.one = 0, 1
+        self.bias = -(-bound // p) * p
+        self.width = _slot_width(self.bias + bound)
+
+    def from_fraction(self, q):
+        return self.field.from_fraction(q)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def _slots(self, x: int) -> Sequence[int]:
+        """Every slot of x + bias up to the top one, signed or not."""
+        w = self.width
+        n = x.bit_length() // w + 1
+        return _unpack(x + _spread(self.bias, n, w), n, w)
+
+    def reduce(self, x):
+        p = self.p
+        return _pack([c % p for c in self._slots(x)], self.width)
+
+    def terms(self, x: int) -> dict[tuple[int, int], int]:
+        p, stride = self.p, self.stride
+        out = {}
+        for k, c in enumerate(self._slots(x)):
+            c %= p
+            if c:
+                out[divmod(k, stride)] = c
+        return out
+
+    def __repr__(self):
+        return f"_KroneckerRing({self.p}, {self.stride}, width={self.width})"
+
+
+@functools.lru_cache(maxsize=64)
+def _spread(value: int, n: int, w: int) -> int:
+    """``value`` in each of n slots of w bits; cached, since the rings of
+    one prime read a handful of slot counts."""
+    return value * (((1 << w * n) - 1) // ((1 << w) - 1))
 
 
 def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
@@ -395,26 +459,6 @@ class MultiPoly:
         """n * self for an int n: every ring is a ZZ-module (transvectant weights)."""
         return self.scale(n) if isinstance(n, int) else NotImplemented
 
-    def eval(self, point: Sequence):
-        """Exact value at a point given as one scalar per variable."""
-        if len(point) != self.arity:
-            raise ValueError(f"point arity {len(point)} does not match polynomial arity {self.arity}")
-        F = self.field
-        # cache powers of each coordinate
-        maxes = [0] * self.arity
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > maxes[i]:
-                    maxes[i] = k
-        rows = [powers(F, x, m) for x, m in zip(point, maxes)]
-        acc = F.zero
-        for e, c in self.terms.items():
-            for i, k in enumerate(e):
-                if k:
-                    c = F.reduce(c * rows[i][k])
-            acc += c
-        return F.reduce(acc)
-
     def derivative(self, var: int) -> "MultiPoly":
         F = self.field
         out = {}
@@ -425,34 +469,6 @@ class MultiPoly:
                 ne[var] = k - 1
                 out[tuple(ne)] = F.reduce(F.from_int(k) * c)
         return MultiPoly(F, self.arity, out)
-
-    def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute ``args[i]`` for variable ``i``; args share field and arity."""
-        if len(args) != self.arity:
-            raise ValueError("one substitution polynomial required per variable")
-        F = self.field
-        arity = args[0].arity
-        for g in args:
-            if g.field is not F or g.arity != arity:
-                raise ValueError("substitution polynomials must share field and arity")
-        pow_cache: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(F, arity, F.one), 1: g} for g in args
-        ]
-
-        def power(i, k):
-            cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * pow_cache[i][1]
-            return cache[k]
-
-        acc = MultiPoly.zero(F, arity)
-        for e, c in self.sorted_terms():
-            t = MultiPoly.constant(F, arity, c)
-            for i, k in enumerate(e):
-                if k:
-                    t = t * power(i, k)
-            acc = acc + t
-        return acc
 
     def map_coefficients(self, target_field: Field, fn) -> "MultiPoly":
         """Rebuild over ``target_field`` sending each coefficient through ``fn``."""

@@ -1,7 +1,8 @@
 """Shared fixtures and references: the frozen generic quintic, the Fermat
 quintic, a quintic with a flex-bitangent and one with a contact-4
 hyperflex, identity-frame charts, j of a cross-ratio, interpolation through
-arbitrary nodes, the arc test suite and the evaluation of a degree-36
+arbitrary nodes, the evaluation and the substitution of a sparse
+polynomial, the arc test suite and the evaluation of a degree-36
 invariant relation."""
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from quintic_moduli import ArcSpec, LineChart, PlaneCurve
 from quintic_moduli.arc_limits import BITS
 from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
-from quintic_moduli.polys import MultiPoly, UniPoly
+from quintic_moduli.polys import MultiPoly, UniPoly, powers
 from quintic_moduli.scalars import QQ, Field, PrimeField
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -109,6 +110,44 @@ def newton_interpolation(samples, field: PrimeField) -> UniPoly:
             shifted[j] -= xs[k] * c
         coeffs = [c % p for c in shifted]
     return UniPoly(field, coeffs)
+
+
+def evaluate(poly: MultiPoly, point):
+    """Exact value of a ``MultiPoly`` at a point, one scalar per variable:
+    the reference evaluation, with a power table per coordinate."""
+    if len(point) != poly.arity:
+        raise ValueError(f"point arity {len(point)} does not match polynomial arity {poly.arity}")
+    F = poly.field
+    rows = [powers(F, x, max(poly.degree_in(i), 0)) for i, x in enumerate(point)]
+    acc = F.zero
+    for e, c in poly.terms.items():
+        for row, k in zip(rows, e):
+            if k:
+                c = F.reduce(c * row[k])
+        acc += c
+    return F.reduce(acc)
+
+
+def compose(poly: MultiPoly, args) -> MultiPoly:
+    """``poly`` with ``args[i]`` substituted for variable i, by sparse
+    products (the args share one field and arity): the reference frame
+    change and substitution."""
+    if len(args) != poly.arity:
+        raise ValueError("one substitution polynomial required per variable")
+    F, arity = poly.field, args[0].arity
+    if any(g.field is not F or g.arity != arity for g in args):
+        raise ValueError("substitution polynomials must share field and arity")
+    tables = [[MultiPoly.constant(F, arity, F.one)] for _ in args]  # g**0, g**1, ...
+    acc = MultiPoly.zero(F, arity)
+    for e, c in poly.sorted_terms():
+        term = MultiPoly.constant(F, arity, c)
+        for g, table, k in zip(args, tables, e):
+            while len(table) <= k:
+                table.append(table[-1] * g)
+            if k:
+                term = term * table[k]
+        acc = acc + term
+    return acc
 
 
 def relation_value(iv: InvariantVector, coefficients):

@@ -19,7 +19,7 @@ from quintic_moduli.invariants import OneDouble, TwoDoubles
 from quintic_moduli.polys import MultiPoly
 from quintic_moduli.scalars import QQ, Field
 
-from conftest import j_from_cross_ratio, make_arc_suite, to_fixed
+from conftest import compose, j_from_cross_ratio, make_arc_suite, to_fixed
 
 
 def _normal_form(terms: dict) -> FlexNormalForm:
@@ -231,7 +231,7 @@ def _exact_family(normal_form: FlexNormalForm, alpha: Fraction, beta: Fraction):
     x2 = x0.scale(alpha) + x1.scale(beta)
     head = MultiPoly(QQ, 3, {(4, 1, 0): Fraction(1), (3, 2, 0): Fraction(-1)})
     quintic = head + normal_form.quartic * MultiPoly.variable(QQ, 3, 2)
-    composed = quintic.compose([x0, x1, x2])
+    composed = compose(quintic, [x0, x1, x2])
     return [composed.terms.get((5 - k, k), Fraction(0)) for k in range(6)]
 
 

@@ -23,7 +23,7 @@ from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
 from quintic_moduli.scalars import GF, QQ
 
-from conftest import newton_interpolation
+from conftest import evaluate, newton_interpolation
 
 F = GF(10007)
 #: primes whose remainder sequences run packed in 64-bit slots, and primes
@@ -464,7 +464,7 @@ def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
     r = _reduce_by_constant_lead(g2, g1, 1)
     dr = r.degree_in(1)
     lead = MultiPoly(r.field, 2, {e: c for e, c in r.terms.items() if e[1] == dr})
-    assert any(lead.eval((s, 0)) == 0 for s in range(601))
+    assert any(evaluate(lead, (s, 0)) == 0 for s in range(601))
     eliminant = resultant_bivar_elim(g1, g2, 1)
     assert eliminant.degree == 600
     assert eliminant == _resampling_eliminant(g1, g2)

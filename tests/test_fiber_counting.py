@@ -25,7 +25,7 @@ from quintic_moduli.plane_curves import (
 from quintic_moduli.polys import (
     MultiPoly,
     UniPoly,
-    _unpack,
+    _KroneckerRing,
     interpolate,
     interpolate_bivariate,
     line_restriction,
@@ -33,7 +33,7 @@ from quintic_moduli.polys import (
 )
 from quintic_moduli.scalars import GF, is_prime
 
-from conftest import fermat_quintic
+from conftest import evaluate, fermat_quintic
 
 F = GF(10007)
 
@@ -106,6 +106,15 @@ def test_fiber_system_matches_tensor_grid_interpolation(fixture_mod_p, sample_sy
         assert system == MultiPoly(F, 2, terms)
 
 
+def _chain_bound(p: int) -> int:
+    return fiber_counting._CHAIN_WEIGHT * (p - 1) ** 3
+
+
+def _chart_ring(p: int) -> _KroneckerRing:
+    """The ring ``build_fiber_system`` runs the chain in."""
+    return _KroneckerRing(p, fiber_counting._STRIDE, _chain_bound(p))
+
+
 # the chain's slots are 64 bits up to 10007 and grow to 128 at 2**31 - 1
 @pytest.mark.parametrize(
     "prime, width", [(2503, 64), (3001, 64), (5003, 64), (10007, 64), (2**31 - 1, 128)]
@@ -113,7 +122,7 @@ def test_fiber_system_matches_tensor_grid_interpolation(fixture_mod_p, sample_sy
 def test_fiber_system_matches_the_lattice_reference(generic_quintic, prime, width):
     field = GF(prime)
     curve = generic_quintic.reduce_mod(field)
-    assert fiber_counting._ChartRing(prime).width == width
+    assert _chart_ring(prime).width == width
     rng = random.Random(prime)
     for _ in range(2):
         target = fiber_counting._draw_target(field, rng)
@@ -126,36 +135,30 @@ def test_fiber_system_matches_the_lattice_reference(generic_quintic, prime, widt
 SLOT_EDGE_PRIMES = (23719, 23741)
 
 
-def _chain_bound(p: int) -> int:
-    return fiber_counting._CHAIN_WEIGHT * (p - 1) ** 3
-
-
 @pytest.mark.parametrize("prime, width", zip(SLOT_EDGE_PRIMES, (64, 128)))
 def test_chain_at_the_slot_edge(monkeypatch, prime, width):
     # a framed quintic whose coefficients are all p - 1, in the least slot
     # that holds bias + bound: the chain matches the lattice reference, and
-    # no slot it reduces passes the derived bound
+    # no slot it reduces or reads passes the derived bound
     assert [q for q in range(SLOT_EDGE_PRIMES[0], SLOT_EDGE_PRIMES[1] + 1) if is_prime(q)] == list(
         SLOT_EDGE_PRIMES
     )
     largest = []
 
-    class RecordingRing(fiber_counting._ChartRing):
-        def reduce(self, x):
-            w = self.width
-            n = x.bit_length() // w + 1
-            slots = _unpack(x + fiber_counting._spread(self.bias, n, w), n, w)
+    class RecordingRing(_KroneckerRing):
+        def _slots(self, x):
+            slots = super()._slots(x)
             largest.append(max(abs(c - self.bias) for c in slots))
-            return super().reduce(x)
+            return slots
 
-    ring = RecordingRing(prime)
+    ring = RecordingRing(prime, fiber_counting._STRIDE, _chain_bound(prime))
     top = ring.bias + _chain_bound(prime)
     assert ring.width == width and top < 1 << width and top >= 1 << width - 64
     field = GF(prime)
     poly = MultiPoly(field, 3, {(i, j, 5 - i - j): prime - 1 for i in range(6) for j in range(6 - i)})
     identity = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
     target = WPPoint(field, field.from_int(7), field.from_int(31), field.from_int(59))
-    monkeypatch.setattr(fiber_counting, "_ChartRing", RecordingRing)
+    monkeypatch.setattr(fiber_counting, "_KroneckerRing", RecordingRing)
     system = build_fiber_system(PlaneCurve(poly), target, identity)
     assert system == _lattice_system(poly, target)
     assert 0 < max(largest) <= _chain_bound(prime) <= ring.bias
@@ -167,10 +170,10 @@ def test_chain_table_matches_the_invariant_chain(monkeypatch, fixture_mod_p, sam
     # each operand's coefficients reach their chart degree bound exactly,
     # which pins the coefficient degrees d of _CHAIN too
     calls = []
-    ring = fiber_counting._ChartRing(F.p)
+    ring = _chart_ring(F.p)
 
     def degree(form):
-        return max(ring.to_multipoly(c).total_degree for c in form.coeffs)
+        return max(i + j for c in form.coeffs for i, j in ring.terms(c))
 
     def recording(g, h, k):
         calls.append(((g.order, degree(g)), (h.order, degree(h)), k))
@@ -226,7 +229,7 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
     assert g.degree == 1
     z0 = F.reduce(-F.reduce(g.coeffs[0] * F.inv(g.coeffs[1])))
     point = (F.from_int(u0), F.one, z0)
-    dual = tuple(curve.poly.derivative(v).eval(point) for v in range(3))
+    dual = tuple(evaluate(curve.poly.derivative(v), point) for v in range(3))
     framed_dual = [
         F.reduce(
             F.reduce(F.reduce(frame[0][c] * dual[0]) + F.reduce(frame[1][c] * dual[1]))
@@ -237,8 +240,8 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
     assert not F.is_zero(framed_dual[2]), "flex line vertical in this frame; unlucky"
     ninv = F.reduce(-F.inv(framed_dual[2]))
     a0, b0 = F.reduce(framed_dual[0] * ninv), F.reduce(framed_dual[1] * ninv)
-    assert g1.eval((a0, b0)) == 0
-    assert g2.eval((a0, b0)) == 0
+    assert evaluate(g1, (a0, b0)) == 0
+    assert evaluate(g2, (a0, b0)) == 0
 
 
 def test_count_fiber_matches_the_main_count(generic_quintic):

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from quintic_moduli import plane_curves
+from quintic_moduli import plane_curves, polys
 from quintic_moduli.binary_forms import BinaryForm, BinaryQuintic
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
 from quintic_moduli.invariants import (
@@ -26,10 +26,17 @@ from quintic_moduli.plane_curves import (
     random_invertible_frame,
     restrict_to_line,
 )
-from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
+from quintic_moduli.polys import MultiPoly, UniPoly, interpolate, line_restriction, powers
 from quintic_moduli.scalars import GF, QQ
 
-from conftest import CURVES_DIR, fermat_quintic, identity_chart
+from conftest import (
+    CURVES_DIR,
+    FLEX_BITANGENT_RECORDS,
+    compose,
+    evaluate,
+    fermat_quintic,
+    identity_chart,
+)
 
 F = GF(10007)
 
@@ -173,6 +180,83 @@ def test_line_contained_in_curve_is_an_error():
         restrict_to_line(curve, identity_chart(QQ, Fraction(0), Fraction(0)))
 
 
+def _frame_through(field, P, Q, c, a, b):
+    """The frame M with M (1, 0, a) = P, M (0, 1, b) = Q and M (0, 0, 1) = c:
+    its chart (a, b) is the line through P and Q."""
+    columns = (
+        [field.reduce(P[r] - a * c[r]) for r in range(3)],
+        [field.reduce(Q[r] - b * c[r]) for r in range(3)],
+        c,
+    )
+    return tuple(tuple(column[r] for column in columns) for r in range(3))
+
+
+def _framed_restriction(curve: PlaneCurve, chart: LineChart) -> list:
+    """Reference restriction: the reference frame change, then
+    ``line_restriction`` on z' = a x' + b y'."""
+    F = chart.field
+    framed = _compose_reference(curve, chart.frame)
+    restrict = line_restriction(framed.terms, 2)
+    return [F.reduce(c) for c in restrict(powers(F, chart.a, 5), powers(F, chart.b, 5))]
+
+
+@pytest.mark.parametrize("field", [QQ, F, GF(2**31 - 1)], ids=repr)
+def test_restriction_through_two_points_matches_the_framed_curve(
+    monkeypatch, generic_quintic, field
+):
+    # charts on a line in general position (pivot z), on a line through
+    # (0 : 0 : 1) (ell_z = 0, pivot x) and on y = 0 (ell_z = ell_x = 0,
+    # pivot y), each in a random frame
+    pivots = []
+    through = plane_curves._restrict_through
+
+    def recording(poly, ring, ell, v, P, Q):
+        pivots.append(v)
+        return through(poly, ring, ell, v, P, Q)
+
+    monkeypatch.setattr(plane_curves, "_restrict_through", recording)
+    rng = random.Random(31)
+
+    def draw():
+        if field is QQ:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        return field.from_int(1 + rng.randrange(field.p - 1))
+
+    curves = (generic_quintic, PlaneCurve.from_records(FLEX_BITANGENT_RECORDS), fermat_quintic())
+    for n in range(12):
+        curve = curves[n % 3] if field is QQ else curves[n % 3].reduce_mod(field)
+        while True:
+            a, b, lam = draw(), draw(), draw()
+            P, Q, c = ([draw() for _ in range(3)] for _ in range(3))
+            if n % 3 == 1:
+                Q[0], Q[1] = field.reduce(lam * P[0]), field.reduce(lam * P[1])
+            if n % 3 == 2:
+                P[1] = Q[1] = field.zero
+            frame = _frame_through(field, P, Q, c, a, b)
+            if not field.is_zero(frame_determinant(frame, field)):
+                break
+        chart = LineChart(field, frame, a, b)
+        assert list(restrict_to_line(curve, chart).coeffs) == _framed_restriction(curve, chart)
+    assert pivots == [2, 0, 1] * 4
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=repr)
+def test_a_line_in_the_curve_is_an_error_in_any_frame(field):
+    # the line x + 2 y = z times a quartic, restricted to that line through
+    # a frame that is not the identity
+    line = MultiPoly(QQ, 3, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(2), (0, 0, 1): -QQ.one})
+    curve = PlaneCurve(line * _form(random.Random(33), 4))
+    if field is not QQ:
+        curve = curve.reduce_mod(field)
+    P, Q, c = ([field.from_int(x) for x in point] for point in ((1, 0, 1), (0, 1, 2), (0, 0, 1)))
+    a, b = field.from_int(3), field.from_int(-2)
+    chart = LineChart(field, _frame_through(field, P, Q, c, a, b), a, b)
+    assert chart.frame != identity_chart(field, a, b).frame
+    assert all(field.is_zero(x) for x in _framed_restriction(curve, chart))
+    with pytest.raises(LineInCurveError):
+        restrict_to_line(curve, chart)
+
+
 def test_phi_is_frame_independent(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
     rng = random.Random(10)
@@ -240,14 +324,14 @@ def test_hessian_degree_and_fermat_shape():
 
 
 def _compose_reference(curve: PlaneCurve, frame) -> MultiPoly:
-    """F(M . (x', y', z')) by the sparse ``MultiPoly.compose`` that the
-    packed GF(p) frame change replaced."""
+    """F(M . (x', y', z')) by the sparse reference ``compose``, over any
+    field: the frame change of a rational curve in these tests."""
     F = curve.field
     args = [
         MultiPoly(F, 3, {tuple(int(c == v) for v in range(3)): frame[r][c] for c in range(3)})
         for r in range(3)
     ]
-    return curve.poly.compose(args)
+    return compose(curve.poly, args)
 
 
 def _hessian_reference(poly: MultiPoly) -> MultiPoly:
@@ -330,15 +414,50 @@ def test_hessian_rejects_QQ():
         _hessian_form(fermat_quintic().poly)
 
 
+def test_frame_change_rejects_QQ(generic_quintic):
+    identity = tuple(tuple(Fraction(int(r == c)) for c in range(3)) for r in range(3))
+    with pytest.raises(ValueError, match="prime field"):
+        generic_quintic.composed_with_frame(identity)
+
+
+# the frame change reads 128-bit slots at 10007 and 384 at 2**61 - 1, the
+# Hessian 64 and 256: at 2**61 - 1 the Hessian's bias plus bound just
+# passes 2**192
+@pytest.mark.parametrize("p, widths", [(10007, [128, 64]), (2**61 - 1, [384, 256])])
+def test_frame_change_and_hessian_slots_stay_within_their_bounds(monkeypatch, p, widths):
+    # every coefficient and frame entry p - 1, the largest slots either makes
+    rings = []
+
+    class RecordingRing(polys._KroneckerRing):
+        def __init__(self, p, stride, bound):
+            super().__init__(p, stride, bound)
+            self.bound, self.largest = bound, 0
+            rings.append(self)
+
+        def _slots(self, x):
+            slots = super()._slots(x)
+            self.largest = max(self.largest, *(abs(c - self.bias) for c in slots))
+            return slots
+
+    monkeypatch.setattr(plane_curves, "_KroneckerRing", RecordingRing)
+    field = GF(p)
+    top = MultiPoly(field, 3, {(i, j, 5 - i - j): p - 1 for i in range(6) for j in range(6 - i)})
+    frame = ((p - 1,) * 3,) * 3
+    assert PlaneCurve(top).composed_with_frame(frame).poly == _compose_reference(PlaneCurve(top), frame)
+    assert _hessian_form(top) == _hessian_reference(top)
+    assert [ring.width for ring in rings] == widths
+    assert all(0 < ring.largest <= ring.bound for ring in rings)
+
+
 def test_packed_frame_change_of_a_reduced_curve_is_the_reduced_QQ_change(generic_quintic):
-    # over QQ the frame change is the sparse compose; reducing it mod p
-    # gives what the packed path gives on the reduced curve and frame
+    # the reference frame change over QQ, reduced mod p, is what the packed
+    # path gives on the reduced curve and frame
     rng = random.Random(29)
     frame = tuple(
         tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3))
         for _ in range(3)
     )
-    framed = generic_quintic.composed_with_frame(frame)
+    framed = PlaneCurve(_compose_reference(generic_quintic, frame))
     for p in (10007, 2**31 - 1):
         field = GF(p)
         reduced_frame = tuple(tuple(field.from_fraction(x) for x in row) for row in frame)
@@ -448,7 +567,7 @@ def _singular_quintic(kind: str) -> PlaneCurve:
         nodal = PlaneCurve(_singular_at_vertex(rng, {(1, 1, 3): one}, True))
         zero = Fraction(0)
         frame = ((one, zero, -one), (zero, one, -2 * one), (zero, zero, one))
-        return nodal.composed_with_frame(frame)
+        return PlaneCurve(_compose_reference(nodal, frame))
     factors = {
         "conic-cubic": (2, 3),
         "line-quartic": (1, 4),
@@ -521,7 +640,7 @@ def test_phi_rejects_inflectional_lines(generic_quintic):
     z0 = F.reduce(-F.reduce(g.coeffs[0] * F.inv(g.coeffs[1])))
     point = (F.from_int(u0), F.one, z0)
     dual = tuple(
-        curve.poly.derivative(v).eval(point) for v in range(3)
+        evaluate(curve.poly.derivative(v), point) for v in range(3)
     )
     rng = random.Random(15)
     while True:

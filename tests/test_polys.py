@@ -10,6 +10,7 @@ from quintic_moduli.polys import (
     MultiPoly,
     PolynomialRing,
     UniPoly,
+    _KroneckerRing,
     _consecutive_nodes,
     _pack,
     _slot_width,
@@ -23,7 +24,7 @@ from quintic_moduli.polys import (
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ, PrimeField
 
-from conftest import fermat_quintic, identity_chart, newton_interpolation
+from conftest import compose, evaluate, fermat_quintic, identity_chart, newton_interpolation
 
 F = GF(10007)
 QQ_LM = PolynomialRing(QQ, 2)
@@ -111,7 +112,7 @@ def test_products_match_evaluation(field):
         pq = p * q
         for _ in range(3):
             pt = [rand_scalar(rng, field), rand_scalar(rng, field)]
-            assert pq.eval(pt) == field.reduce(p.eval(pt) * q.eval(pt))
+            assert evaluate(pq, pt) == field.reduce(evaluate(p, pt) * evaluate(q, pt))
         bf, bg = BinaryForm(field, f.coeffs), BinaryForm(field, g.coeffs)
         for _ in range(3):
             x, y = rand_scalar(rng, field), rand_scalar(rng, field)
@@ -414,13 +415,36 @@ def test_field_mismatch_rejected():
         p * q
 
 
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+def test_kronecker_ring_reads_signed_slots_up_to_the_bound(p):
+    bound = 7 * (p - 1) ** 2
+    ring = _KroneckerRing(p, 4, bound)
+    w = ring.width
+    assert ring.bias % p == 0 and bound <= ring.bias < bound + p
+    assert ring.bias + bound < 1 << w and ring.bias + bound >= 1 << w - 64
+    assert ring.reduce(ring.zero) == 0 and ring.terms(ring.zero) == {}
+    # slots at +bound and -bound, the top one negative: x**i y**j sits in
+    # slot 4 i + j
+    x = bound - (bound << w) + (3 << w * 5) - (bound << w * 7)
+    expected = {(0, 0): 7, (0, 1): p - 7, (1, 1): 3, (1, 3): p - 7}
+    assert ring.terms(x) == expected
+    assert ring.terms(-x) == {e: p - c for e, c in expected.items()}
+    assert ring.reduce(x) == _pack([7, p - 7, 0, 0, 0, 3, 0, p - 7], w)
+    assert ring.terms(ring.reduce(x)) == expected
+    # a product of reduced elements is the product of the polynomials:
+    # (1 + x)**2 - y**2
+    one_plus_x, y = 1 + (1 << w * 4), 1 << w
+    square = ring.reduce(one_plus_x * one_plus_x - y * y)
+    assert ring.terms(square) == {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 2): p - 1}
+
+
 def test_multipoly_eval_examples():
     # p = x^2 + y
     p = MultiPoly(QQ, 2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
-    assert p.eval([Fraction(0), Fraction(0)]) == 0
-    assert p.eval([Fraction(2), Fraction(3)]) == 7
+    assert evaluate(p, [Fraction(0), Fraction(0)]) == 0
+    assert evaluate(p, [Fraction(2), Fraction(3)]) == 7
     with pytest.raises(ValueError):
-        p.eval([Fraction(1)])
+        evaluate(p, [Fraction(1)])
 
 
 def test_restricted_fermat_root_evaluates_to_zero():
@@ -439,7 +463,7 @@ def test_restricted_fermat_root_evaluates_to_zero():
             break
     assert root is not None
     biv = MultiPoly(F, 2, {(5 - k, k): c for k, c in enumerate(f.coeffs) if c})
-    assert biv.eval([root, F.one]) == 0
+    assert evaluate(biv, [root, F.one]) == 0
 
 
 def test_multipoly_compose_matches_eval():
@@ -451,11 +475,11 @@ def test_multipoly_compose_matches_eval():
         MultiPoly(F, 2, {(1, 0): 2, (0, 1): 3, (0, 0): 5}),
         MultiPoly(F, 2, {(1, 1): 7, (0, 0): 1}),
     ]
-    composed = p.compose(args)
+    composed = compose(p, args)
     for point in [(0, 0), (4, 9), (123, 456)]:
         pt = [F.from_int(v) for v in point]
-        inner = [g.eval(pt) for g in args]
-        assert composed.eval(pt) == p.eval(inner)
+        inner = [evaluate(g, pt) for g in args]
+        assert evaluate(composed, pt) == evaluate(p, inner)
 
 
 def _restriction_by_compose(poly, v, ring, a, b):
@@ -467,11 +491,11 @@ def _restriction_by_compose(poly, v, ring, a, b):
     o1, o2 = (o for o in range(3) if o != v)
     args = [None] * 3
     args[o1], args[o2], args[v] = x, y, sa * x + sb * y
-    composed = poly.compose(args)
+    composed = compose(poly, args)
     out = []
     for k in range(poly.total_degree + 1):
         part = {(e[2], e[3]): c for e, c in composed.terms.items() if e[1] == k}
-        out.append(MultiPoly(base, 2, part).map_coefficients(ring, ring.from_fraction).eval((a, b)))
+        out.append(evaluate(MultiPoly(base, 2, part).map_coefficients(ring, ring.from_fraction), (a, b)))
     return out
 
 
@@ -573,7 +597,7 @@ def test_interpolate_bivariate_roundtrip():
                 field, 2,
                 {(i, j): rng.randrange(field.p) for i in range(n + 1) for j in range(n + 1 - i)},
             )
-            values = [[poly.eval((i, j)) for j in range(n + 1 - i)] for i in range(n + 1)]
+            values = [[evaluate(poly, (i, j)) for j in range(n + 1 - i)] for i in range(n + 1)]
             assert interpolate_bivariate(values, field) == poly, (field, n)
 
 

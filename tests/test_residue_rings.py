@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from quintic_moduli import plane_curves
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     gcd_uni,
@@ -23,7 +24,7 @@ from quintic_moduli.polys import MultiPoly, UniPoly
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
 from quintic_moduli.scalars import GF
 
-from conftest import FLEX_BITANGENT_RECORDS, contact_four_hyperflex
+from conftest import FLEX_BITANGENT_RECORDS, contact_four_hyperflex, evaluate
 
 F = GF(10007)
 
@@ -187,6 +188,26 @@ def test_probe_flexes_adds_over_a_split_modulus():
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
 
 
+@pytest.mark.parametrize("prime", [2503, 10007])
+def test_the_flex_bitangent_modulus_splits_once_per_report(monkeypatch, prime):
+    # the probe meets one zero divisor per frame, at the flex-bitangent
+    calls = []
+    split = plane_curves.split_modulus
+
+    def counting(ring, factor):
+        calls.append(prime)
+        return split(ring, factor)
+
+    monkeypatch.setattr(plane_curves, "split_modulus", counting)
+    curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
+    counts = []
+    for seed in range(3):
+        before = len(calls)
+        assert genericity_report(curve, prime, seed=seed).flexes_verified == 44
+        counts.append(len(calls) - before)
+    assert counts == [1, 1, 1]
+
+
 def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
     """Probe a rational flex P placed at framed (0 : 1 : 0), its tangent at x' = 0.
 
@@ -199,7 +220,7 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
     field = GF(prime)
     reduced = curve.reduce_mod(field)
     flex = tuple(field.from_int(c) for c in flex)
-    grad = [d.eval(flex) for d in reduced.partials()]
+    grad = [evaluate(d, flex) for d in reduced.partials()]
     rng = random.Random(prime)
     while True:
         column, w = ([field.from_int(rng.randrange(prime)) for _ in range(3)] for _ in range(2))
@@ -209,8 +230,8 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
             break
     framed = reduced.composed_with_frame(frame).poly
     origin = (field.zero, field.one, field.zero)
-    assert framed.eval(origin) == 0
-    assert [field.is_zero(framed.derivative(v).eval(origin)) for v in range(3)] == [False, True, True]
+    assert evaluate(framed, origin) == 0
+    assert [field.is_zero(evaluate(framed.derivative(v), origin)) for v in range(3)] == [False, True, True]
     return _probe_flexes(framed, _dehomogenised(framed, field), UniPoly.x(field))
 
 
@@ -221,8 +242,8 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
 )
 def test_probe_verifies_a_flex_on_an_x_solved_tangent(generic_quintic, prime, flex):
     field = GF(prime)
-    assert generic_quintic.reduce_mod(field).poly.eval(flex) == 0
-    assert _hessian_form(generic_quintic.reduce_mod(field).poly).eval(flex) == 0
+    assert evaluate(generic_quintic.reduce_mod(field).poly, flex) == 0
+    assert evaluate(_hessian_form(generic_quintic.reduce_mod(field).poly), flex) == 0
     assert _probe_at_framed_flex(generic_quintic, prime, flex) == 1
 
 
