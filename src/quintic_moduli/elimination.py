@@ -48,6 +48,22 @@ slot width w, the least multiple of 64 where that bound is at least 1:
 64 for every p up to 1482910, 128 at 2**31 - 1, 192 at 2**61 - 1.  The
 same cache holds, for primes below 2**16, a table of their inverses for
 the leads; the Barrett masks are cached by their slot count and width.
+
+The genericity certificate also needs the first subresultant S1 = s1 x +
+s0 of each sample pair, and reads it off the end of the same remainder
+sequence (``resultant_bivar_elim`` with ``subresultant``; von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6).  For remainders r_0 = f, r_1 =
+g, ... of degrees n_i and leads l_i, where the last one before the
+constant has degree n_k = 1,
+
+    S1 = eps * prod_{i<k} l_i**(n_{i-1} - n_{i+1}) * l_k**(n_{k-1} - 2) * r_k,
+    eps = (-1)**(sum_{i<k} (n_{i-1} - 1)(n_i - 1)),
+
+which is the resultant's running product of lead powers divided by
+l_k**2; s1 = 0 where n_k = 2, and S1 = 0 where n_k >= 3.  The sign needs
+the parity of the number of divisions besides the resultant's own, so the
+loop keeps both bits in one int, one xor per division, and a zero
+remainder ends it as a constant 0 would (the gcd is then r_k).
 """
 
 from __future__ import annotations
@@ -244,14 +260,19 @@ def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
     residue.  The mask is sized once for the most slots in play.
 
     Runs until b is a constant (nb = 1) or a remainder vanishes (nb = 0),
-    and returns (a, na, b, nb, lb, acc, negate): the last pair, b's top
-    slot, and the product and sign of the resultant's remainder scheme.
+    and returns (a, na, b, nb, lb, acc, flips): the last pair, b's top
+    slot, the product of the resultant's remainder scheme and two parity
+    bits, bit 0 its sign and bit 1 the parity of the number of divisions
+    (the first subresultant's sign needs both, ``_resultant_modp``).  A
+    zero remainder ends the sequence as a constant 0 would: its division
+    takes its sign flip and its lead power lb**(deg a), so the returned a
+    is the gcd and acc and flips read as at a constant end.
     """
     s, m, limit, inverses, w = _lazy_constants(p)
     slot, mask = (1 << w) - 1, _barrett_mask(s, max(na, nb) - 1, w)
     lb = (b >> w * (nb - 1)) % p
     acc = 1
-    negate = False
+    flips = 0
     while nb > 1:
         n = nb - 1
         inv = inverses[lb] if inverses else pow(lb, -1, p)
@@ -273,15 +294,17 @@ def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):
                 break
             n -= 1
         else:  # no slot left: a zero remainder
-            return b, nb, 0, 0, 0, acc, negate
-        if ((na - 1) * (nb - 1)) & 1:
-            negate = not negate
+            flips ^= 3 ^ (na | nb) & 1
+            return b, nb, 0, 0, 0, acc * pow(lb, na - 1, p) % p, flips
+        # bit 0 flips when deg a * deg b = (na - 1)(nb - 1) is odd, that is
+        # when na and nb are both even; bit 1 flips at every division
+        flips ^= 3 ^ (na | nb) & 1
         acc = acc * pow(lb, na - n, p) % p
         a, na, b, nb, lb = b, nb, a, n, top
-    return a, na, b, nb, lb, acc, negate
+    return a, na, b, nb, lb, acc, flips
 
 
-def _resultant_modp(a: int, b: int, p: int) -> int:
+def _resultant_modp(a: int, b: int, p: int, *, subresultant: bool = False):
     """Res(a, b) over GF(p): the hot path of the fiber eliminant.
 
     ``a`` and ``b`` are packed ints in the w-bit slots of
@@ -289,16 +312,48 @@ def _resultant_modp(a: int, b: int, p: int) -> int:
     mod p, and their remainder sequence runs packed to its end
     (``_lazy_sequence``).  A zero operand gives 0: the callers' other
     operand is never a nonzero constant then.
+
+    With ``subresultant`` (deg a >= 2, deg a > deg b) it returns (Res(a, b),
+    s0, s1), read off the end of the same sequence by the subresultant
+    theorem (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6):
+    let r_k, of degree n_k and lead l_k, be the last remainder before the
+    constant (or zero) one c, acc the product of lead powers of the
+    resultant's scheme, so that acc / l_k**2 = prod_{i<k} l_i**(n_{i-1} -
+    n_{i+1}) * l_k**(n_{k-1} - 2) for the degrees n_i and leads l_i of the
+    remainders r_i (r_0 = a, r_1 = b), and sigma = (-1)**(P + K + n_0 +
+    n_k), P the resultant's sign parity and K the number of divisions.
+    Then s1 x + s0 is
+
+        sigma * acc / l_k**2 * r_k    if n_k = 1,
+        sigma * acc / l_k * c         if n_k = 2,
+        0                             if n_k >= 3,
+
+    and at n_k = 1 sigma is (-1)**(sum_{i<k} (n_{i-1} - 1)(n_i - 1)).  The
+    first subresultant of a and b at any formal degree n >= max(deg b, 1)
+    of b is lc(a)**(n - deg b) * (s1 x + s0); a zero b gives (0, 0, 0).
     """
     if not a or not b:
-        return 0
+        return (0, 0, 0) if subresultant else 0
     w = _lazy_constants(p)[4]
     na, nb = (a.bit_length() + w - 1) // w, (b.bit_length() + w - 1) // w
-    _, na, _, nb, lb, acc, negate = _lazy_sequence(a, na, b, nb, p)
-    if not nb:
-        return 0
-    acc = acc * pow(lb, na - 1, p) % p
-    return (p - acc) % p if negate and acc else acc
+    r, nr, _, nb, lb, acc, flips = _lazy_sequence(a, na, b, nb, p)
+    value = acc * pow(lb, nr - 1, p) % p if nb else 0
+    if flips & 1 and value:
+        value = p - value
+    if not subresultant:
+        return value
+    n = nr - 1
+    if n > 2:
+        return value, 0, 0
+    inverses = _lazy_constants(p)[3]
+    lead = (r >> w * n) % p
+    inv = inverses[lead] if inverses else pow(lead, -1, p)
+    scalar = acc * inv % p
+    if (flips ^ flips >> 1 ^ na ^ nr) & 1:  # na - nr has the parity of n_0 + n_k
+        scalar = p - scalar
+    if n == 2:
+        return value, scalar * lb % p, 0
+    return value, scalar * inv * (r & (1 << w) - 1) % p, scalar
 
 
 @functools.lru_cache(maxsize=8)
@@ -372,18 +427,23 @@ def _trim(c: int, n: int, p: int, w: int) -> tuple[int, int, int]:
     return 0, n + 1, 0
 
 
-def _sample_resultant(fc: int, df: int, gc: int, dg: int, p: int) -> int:
+def _sample_resultant(fc: int, df: int, gc: int, dg: int, p: int, *, subresultant: bool = False):
     """Res of a sample's slices at their formal degrees df and dg.
 
     One ``_resultant_modp`` call on the slices with any vanished leads
     dropped, corrected by the formal-degree rule of the Sylvester
     determinant: g's lead dropping by d multiplies by lc(f)**d, f's lead
     dropping by d by (-1)**(d * dg) * lc(g)**d, and both vanishing make
-    the determinant 0 (its first column is zero).
+    the determinant 0 (its first column is zero).  With ``subresultant``
+    (f's lead a nonzero constant, so only g's may drop) the same call also
+    gives s0 and s1, and the rule scales them by the same lc(f)**d.
     """
     w = _lazy_constants(p)[4]
     fc, f_drop, f_lead = _trim(fc, df, p, w)
     gc, g_drop, g_lead = _trim(gc, dg, p, w)
+    if subresultant:
+        scale = pow(f_lead, g_drop, p)
+        return tuple(c * scale % p for c in _resultant_modp(fc, gc, p, subresultant=True))
     value = _resultant_modp(fc, gc, p)
     if f_drop and g_drop:
         return 0
@@ -427,7 +487,9 @@ def _reduce_by_constant_lead(g: MultiPoly, f: MultiPoly, elim: int) -> MultiPoly
     return MultiPoly(F, 2, terms)
 
 
-def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> UniPoly:
+def resultant_bivar_elim(
+    f: MultiPoly, g: MultiPoly, eliminated_var: int, *, subresultant: bool = False
+):
     """Eliminate one variable from a bivariate pair by sampling + interpolation.
 
     GF(p) only.  The result is Res(f, g) in the eliminated variable at the
@@ -443,6 +505,21 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     resultant, corrected by the formal-degree rule where a lead vanishes
     there (``_sample_resultant``).  The samples are interpolated on those
     consecutive nodes.
+
+    ``subresultant`` asks for the first subresultant S1 = s1 z + s0 of f
+    and g at the same formal degrees too, for which f's lead must be a
+    nonzero constant c and deg_elim f >= 2.  It returns (eliminant, s0
+    values, s1 values), the values at the same n nodes, for the caller to
+    interpolate.  Each node's pair comes out of the remainder sequence of
+    its resultant (``_resultant_modp``): with r_k the last remainder before
+    the constant one, of degree n_k = 1, S1 = eps * prod_{i<k}
+    l_i**(n_{i-1} - n_{i+1}) * l_k**(n_{k-1} - 2) * r_k, eps = (-1)**(sum_{i<k}
+    (n_{i-1} - 1)(n_i - 1)), for the degrees n_i and leads l_i of the
+    remainders r_0 = f, r_1 = g mod f, ... (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, ch. 6); s1 = 0 where n_k = 2 and S1 = 0
+    where n_k >= 3.  The pre-division scales S1 by c**(deg g - deg r) and a
+    vanished lead of r at a node by c**drop, as they scale the resultant
+    (cofactor expansion along f's constant lead).
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in elimination")
@@ -464,22 +541,34 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, eliminated_var: int) -> Uni
     bound = int(f.total_degree) * int(g.total_degree)
     if p <= bound:
         raise ValueError(f"field GF({p}) too small for {bound + 1} interpolation samples")
+    n = bound + 1
 
     scale = 1
     lead = [(e[keep], c) for e, c in f.terms.items() if e[eliminated_var] == df_e]
-    if len(lead) == 1 and lead[0][0] == 0 and dg_e >= df_e:
+    constant_lead = len(lead) == 1 and lead[0][0] == 0
+    if subresultant and not (constant_lead and df_e >= 2):
+        raise ValueError(
+            "the first subresultant needs f's lead to be a nonzero constant, of degree >= 2"
+        )
+    if constant_lead and dg_e >= df_e:
         g = _reduce_by_constant_lead(g, f, eliminated_var)
         if g.is_zero():
-            return UniPoly.zero(F)
+            return (UniPoly.zero(F), [0] * n, [0] * n) if subresultant else UniPoly.zero(F)
         scale = pow(lead[0][1], dg_e - g.degree_in(eliminated_var), p)
         dg_e = g.degree_in(eliminated_var)
 
-    n = bound + 1
     count = max(f.degree_in(keep), g.degree_in(keep)) + 1
-    samples = [
-        _sample_resultant(fc, df_e, gc, dg_e, p)
-        for fc, gc in zip(_eval_slices(f, keep, n, count, p), _eval_slices(g, keep, n, count, p))
-    ]
+    slices = zip(_eval_slices(f, keep, n, count, p), _eval_slices(g, keep, n, count, p))
+    if subresultant:
+        values, s0, s1 = zip(
+            *(_sample_resultant(fc, df_e, gc, dg_e, p, subresultant=True) for fc, gc in slices)
+        )
+        return (
+            interpolate(values, F).scale(scale),
+            [c * scale % p for c in s0],
+            [c * scale % p for c in s1],
+        )
+    samples = [_sample_resultant(fc, df_e, gc, dg_e, p) for fc, gc in slices]
     eliminant = interpolate(samples, F)
     return eliminant.scale(scale) if scale != 1 else eliminant
 

@@ -3,13 +3,12 @@
 A plane curve is a homogeneous ternary form; lines are presented by charts
 (an invertible coordinate frame plus slopes (a, b) selecting z' = a x' + b y'
 in framed coordinates).  Restricting the curve to a chart yields a binary
-quintic, whose moduli point is the value of the line-to-moduli map.  Every
-restriction to a line here, the chart's and the tangent line at each flex,
-is ``_restrict_through``: F(s P + t Q) for two points P, Q of the line, by
-``polys.line_restriction`` on the line solved for one coordinate and one
-``BinaryForm.substituted``.  A chart's line runs through M (1, 0, a) and
-M (0, 1, b), so the curve is never framed to restrict it.  The frame change
-and the Hessian run over GF(p) only, as packed sums in a
+quintic, whose moduli point is the value of the line-to-moduli map.  The
+restriction is ``_restrict_through``: F(s P + t Q) for two points P, Q of
+the line, by ``polys.line_restriction`` on the line solved for one
+coordinate and one ``BinaryForm.substituted``.  A chart's line runs through
+M (1, 0, a) and M (0, 1, b), so the curve is never framed to restrict it.
+The frame change and the Hessian run over GF(p) only, as packed sums in a
 ``polys._KroneckerRing``.
 
 ``genericity_report`` decides, exactly over GF(p), the three conditions the
@@ -25,9 +24,13 @@ when no repeated factor of R carries a common zero of the partials.  H = 0
 multiple component) are singular outright.  All flexes of a smooth curve
 are then handled at once by computing in GF(p)[u] modulo each squarefree
 part of R (splitting it only when a zero divisor forces a case split), so
-conjugate flexes over extension fields are verified together: one linear
-substitution moves each flex to (1 : 0) on its tangent line, where the
-coefficients of the restricted quintic read off the contact order.
+conjugate flexes over extension fields are verified together.  The flex
+over a root u of R is P = (u, 1, z0), z0 = -s0/s1 from the first
+subresultant S1 = s1 z + s0 of F and H, whose values at R's nodes come out
+of the remainder sequences of R's samples.  The tangent at P is read at P
+and at its point D = (-F_z(P), 0, F_x(P)): the contact order and a second
+tangency are the coefficients of F(s P + t D), the Taylor coefficients of
+F at P towards D and of F at D towards P, so no line is restricted.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial, reduce
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .binary_forms import BinaryForm, BinaryQuintic
@@ -51,6 +55,10 @@ from .polys import (
     PolynomialRing,
     UniPoly,
     _KroneckerRing,
+    _pack,
+    _slot_width,
+    _unpack,
+    interpolate,
     line_restriction,
     powers,
 )
@@ -396,45 +404,127 @@ def _each_factor(modulus: UniPoly, check):
         yield modulus, result
 
 
-def _probe_flexes(curve_poly: MultiPoly, dehom: Sequence[MultiPoly], modulus: UniPoly) -> int:
+def _probe_flexes(curve_poly: MultiPoly, shape: Sequence[UniPoly], modulus: UniPoly) -> int:
     """Contact-order check at every root of the flex modulus simultaneously.
 
-    ``dehom`` is F, H and the partials of F at y = 1.  One substitution moves
-    the flex (s0 : t0) on its tangent line to (1 : 0); with c_k at S^(5-k) T^k
-    in the restricted quintic, contact is at least 3 iff c0 = c1 = c2 = 0,
-    and exactly 3 with no second tangency iff c3 (c4^2 - 4 c3 c5) is a unit.
-    Conjugate flexes count with the degree of their residue factor."""
-    check = partial(_probe_single, curve_poly, dehom)
+    ``curve_poly`` is the framed curve F and ``shape`` the pair (s0, s1) of
+    the first subresultant S1 = s1(u) z + s0(u) of F and H at y = 1.  Over a
+    root u of the modulus the flex is P = (u, 1, z0), z0 = -s0/s1 (the
+    shape lemma: S1 is a multiple of the gcd of F and H over u when that
+    gcd is linear).  s1 vanishing on a factor of the modulus means two
+    intersections of F and H share its fiber, and the frame is retried.
+
+    With l = grad F(P), the point D = l x e_y = (-l_z, 0, l_x) lies on the
+    tangent line l . x = 0.  D is not 0: l_x = l_z = 0 would give l_y = 0
+    by Euler's relation x F_x + y F_y + z F_z = 5 F, as F(P) = 0 and P has
+    y = 1, and the probe runs on a curve certified smooth.  P has y = 1 and
+    D has y = 0, so they span the tangent, and with c_k at s^(5-k) t^k in
+    F(s P + t D):
+
+      c0 = F(P), c1 = l . D = 0 identically, c2 = D^T grad^2 F(P) D / 2,
+      c3 = P^T grad^2 F(D) P / 2, c4 = P . grad F(D), c5 = F(D),
+
+    the Taylor coefficients of F at P in the direction D and of F at D in
+    the direction P (``_tangent_coefficients``).  Contact is at least 3
+    iff c0 = c2 = 0, and exactly 3 with no second tangency iff c3 (c4^2 -
+    4 c3 c5) is a unit, which is invariant under any other choice of the
+    second point.  Conjugate flexes count with the degree of their residue
+    factor.
+    """
+    check = partial(_probe_single, _taylor_tables(curve_poly), shape)
     return sum(h.degree for h, ok in _each_factor(modulus, check) if ok)
 
 
-def _probe_single(curve_poly: MultiPoly, dehom: Sequence[MultiPoly], ring: ResidueRing) -> bool:
-    curve_uz, hess_uz, *partials = dehom
-    g = gcd_uni(_zpoly_over(ring, curve_uz), _zpoly_over(ring, hess_uz))
-    if g.degree != 1:
-        raise _FrameRetry(f"flex fiber gcd has degree {g.degree}, expected 1; reframe")
-    z0 = ring.reduce(-g.coeffs[0])
-    point = (ring.generator(), ring.one, z0)
-    grad = [_zpoly_over(ring, d).eval(z0) for d in partials]
-    # the tangent line grad . x = 0 solved for x_v, the first coordinate of
-    # (z, x, y) whose gradient entry is nonzero (its inverse raises
-    # SplitNeeded when it is a zero divisor rather than a unit)
-    v = next((v for v in (2, 0, 1) if not ring.is_zero(grad[v])), None)
-    if v is None:
-        return False  # gradient vanishes: singular point, not a flex
-    o1, o2 = (o for o in range(3) if o != v)
-    # (s, t) = (s0 S + sigma T, t0 S + tau T) moves (s0 : t0) to (1 : 0)
-    s0, t0 = point[o1], point[o2]
-    sigma, tau = (ring.one, ring.zero) if not ring.is_zero(t0) else (ring.zero, ring.one)
-    second = [ring.zero] * 3  # only its coordinates o1 and o2 are read
-    second[o1], second[o2] = sigma, tau
-    c = _restrict_through(curve_poly, ring, grad, v, point, second).coeffs
-    if not ring.is_unit(ring.reduce(s0 * tau - sigma * t0)):  # or raises SplitNeeded
-        raise ArithmeticError("degenerate root (0 : 0) in flex probe")
-    if not all(ring.is_zero(ck) for ck in c[:3]):
+#: The directions (a, b) of the Taylor coefficients the probe reads, up to
+#: order 2: F(P + t D) needs them at P, and F(D + s P) at D.
+_DIRECTIONS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _taylor_tables(poly: MultiPoly) -> tuple[dict, tuple]:
+    """(at_point, polar): coefficient tables of a framed quintic F for the
+    flex probe.
+
+    ``at_point[a, b]`` maps (e1, e2) to C(i, a) C(k, b) c summed over the
+    terms c x^i y^j z^k with (i - a, k - b) = (e1, e2): the Taylor
+    coefficient of order (a, b) of f(x, z) = F(x, 1, z) at (x, z), the
+    coefficient of t^a r^b in f(x + t, z + r), is the sum of its entries
+    times x^e1 z^e2.  ``polar[t]`` maps each (a, b) with a + b <= t to the
+    same table of the terms with j = t - a - b only: for P = (x, 1, z) and
+    D = (D_x, 0, D_z), the coefficient of s^t in F(D + s P) is the sum over
+    (a, b) of x^a z^b times that table's sum at (D_x, D_z).
+    """
+    p = poly.field.p
+    at_point = {d: {} for d in _DIRECTIONS}
+    polar = tuple({} for _ in range(3))
+    for (i, j, k), c in poly.terms.items():
+        for a, b in _DIRECTIONS:
+            if a <= i and b <= k:
+                weight = c * comb(i, a) * comb(k, b) % p
+                key = (i - a, k - b)
+                tables = [at_point[a, b]]
+                if a + b + j <= 2:
+                    tables.append(polar[a + b + j].setdefault((a, b), {}))
+                for table in tables:
+                    table[key] = (table.get(key, 0) + weight) % p
+    return at_point, polar
+
+
+def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: UniPoly):
+    """(c0, c2, c3, c4, c5) of F(s P + t D) over ``ring``, for P = (u, 1, z0)
+    and D = (-l_z, 0, l_x), l = grad F(P), u the ring's generator.
+
+    Elements are summed as packed ints in slots of ``_slot_width`` of 36 h
+    (p - 1)**3, h the modulus degree, which bounds every sum taken here:
+    at most six products of a packed power of z0 and a sum of at most six
+    products of residues.  Multiplying by u is a shift of one slot, and
+    each coefficient is reduced mod p and mod the modulus once.
+    """
+    at_point, polars = tables
+    base = ring.base
+    p, w = base.p, _slot_width(36 * ring.degree * (base.p - 1) ** 3)
+
+    def settle(packed: int) -> UniPoly:
+        slots = _unpack(packed, -(-packed.bit_length() // w), w)
+        return ring.reduce(UniPoly(base, [c % p for c in slots]))
+
+    def packed(x: UniPoly) -> int:
+        return _pack(x.coeffs, w)
+
+    zs = [packed(x) for x in powers(ring, z0, 5)]
+    at = {
+        d: settle(sum(c * zs[e2] << w * e1 for (e1, e2), c in table.items()))
+        for d, table in at_point.items()
+    }
+    dx, dz = ring.reduce(-at[0, 1]), at[1, 0]
+    dxs, dzs = powers(ring, dx, 5), powers(ring, dz, 5)
+    monomials: dict = {}
+
+    def monomial(e1: int, e2: int) -> int:
+        if (e1, e2) not in monomials:
+            monomials[e1, e2] = packed(ring.reduce(dxs[e1] * dzs[e2]))
+        return monomials[e1, e2]
+
+    def at_d(table: dict) -> int:
+        return sum(c * monomial(e1, e2) for (e1, e2), c in table.items())
+
+    c2 = settle(sum(monomial(a, b) * packed(at[a, b]) for a, b in _DIRECTIONS[3:]))
+    c5, c4, c3 = (
+        settle(sum(zs[b] * at_d(table) << w * a for (a, b), table in polar.items()))
+        for polar in polars
+    )
+    return at[0, 0], c2, c3, c4, c5
+
+
+def _probe_single(tables: tuple[dict, tuple], shape: Sequence[UniPoly], ring: ResidueRing) -> bool:
+    s0, s1 = (ring.reduce(s) for s in shape)
+    if ring.is_zero(s1):
+        raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe")
+    z0 = ring.reduce(-(s0 * ring.inv(s1)))  # the inverse raises SplitNeeded on a zero divisor
+    c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, z0)
+    if not (ring.is_zero(c0) and ring.is_zero(c2)):
         return False  # contact order below 3: not actually a flex fiber
     # in a product of fields the product is a unit exactly when both are
-    return ring.is_unit(ring.reduce(c[3] * (c[4] * c[4] - ring.from_int(4) * c[3] * c[5])))
+    return ring.is_unit(ring.reduce(c3 * (c4 * c4 - ring.from_int(4) * c3 * c5)))
 
 
 def _certify_singular(partials_bivar, modulus: UniPoly) -> bool:
@@ -444,6 +534,25 @@ def _certify_singular(partials_bivar, modulus: UniPoly) -> bool:
         return reduce(gcd_uni, (_zpoly_over(ring, p) for p in partials_bivar)).degree >= 1
 
     return any(found for _, found in _each_factor(modulus, common_zero))
+
+
+def _flex_eliminant(curve_uz: MultiPoly, hess_uz: MultiPoly):
+    """(R, S1's node values) for R = Res_z(F, H) of F and H at y = 1.
+
+    S1 = s1 z + s0 is the first subresultant, its values (s0, s1) at R's
+    nodes coming out of the same remainder sequences
+    (``resultant_bivar_elim`` with ``subresultant``), which needs a
+    constant z-lead: F's z^5 coefficient F(0, 0, 1), or else H's z^9
+    coefficient when the frame puts (0 : 0 : 1) on the curve, since Res_z(H,
+    F) and S1(H, F) are R and S1 up to sign.  Where both vanish, (0 : 0 :
+    1) is a flex on the line y = 0, and R comes alone (None for S1): the
+    frame is retried.
+    """
+    for f, g in ((curve_uz, hess_uz), (hess_uz, curve_uz)):
+        if (0, f.total_degree) in f.terms:  # the z-lead is this one term
+            flex_res, *shape = resultant_bivar_elim(f, g, 1, subresultant=True)
+            return flex_res, shape
+    return resultant_bivar_elim(curve_uz, hess_uz, 1), None
 
 
 #: Random frames ``genericity_report`` tries before it gives up.
@@ -472,7 +581,10 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
         # F, H and the partials of F at y = 1, once per frame
         dehom = [_dehom_y(p, field) for p in (framed.poly, hess, *framed.partials())]
         # H = 0 for a cone and R = 0 when F and H share a component: singular
-        flex_res = UniPoly.zero(field) if hess.is_zero() else resultant_bivar_elim(*dehom[:2], 1)
+        if hess.is_zero():
+            flex_res, shape = UniPoly.zero(field), None
+        else:
+            flex_res, shape = _flex_eliminant(*dehom[:2])
         smooth = not flex_res.is_zero()
         distinct = verified = 0
         try:
@@ -487,8 +599,11 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
                     _certify_singular(dehom[2:], part) for part, mult in parts if mult > 1
                 )
             if smooth:
+                if shape is None:
+                    raise _FrameRetry("frame puts a flex at (0 : 0 : 1); reframe")
                 distinct = sum(part.degree for part, _ in parts)
-                verified = sum(_probe_flexes(framed.poly, dehom, part) for part, _ in parts)
+                shape = [interpolate(values, field) for values in shape]
+                verified = sum(_probe_flexes(framed.poly, shape, part) for part, _ in parts)
             else:
                 notes.append("curve is singular; flex analysis skipped")
         except _FrameRetry as exc:

@@ -18,12 +18,23 @@ from quintic_moduli.elimination import (
     squarefree_decomposition,
 )
 from quintic_moduli.fiber_counting import _draw_target, build_fiber_system
-from quintic_moduli.plane_curves import _dehom_y, _hessian_form, random_invertible_frame
+from quintic_moduli.plane_curves import (
+    PlaneCurve,
+    _dehom_y,
+    _hessian_form,
+    random_invertible_frame,
+)
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
 from quintic_moduli.scalars import GF, QQ
 
-from conftest import evaluate, newton_interpolation
+from conftest import (
+    FLEX_BITANGENT_RECORDS,
+    GENERIC_QUINTIC_RECORDS,
+    evaluate,
+    fermat_quintic,
+    newton_interpolation,
+)
 
 F = GF(10007)
 #: primes whose remainder sequences run packed in 64-bit slots, and primes
@@ -54,7 +65,6 @@ def sylvester_determinant(f: UniPoly, g: UniPoly, n=None, m=None):
     field = f.field
     n = f.degree if n is None else n
     m = g.degree if m is None else m
-    size = n + m
     rows = []
     fc = [field.zero] * (n + 1 - len(f.coeffs)) + list(reversed(f.coeffs))  # descending
     gc = [field.zero] * (m + 1 - len(g.coeffs)) + list(reversed(g.coeffs))
@@ -62,7 +72,32 @@ def sylvester_determinant(f: UniPoly, g: UniPoly, n=None, m=None):
         rows.append([field.zero] * k + fc + [field.zero] * (m - 1 - k))
     for k in range(n):
         rows.append([field.zero] * k + gc + [field.zero] * (n - 1 - k))
-    # fraction-free-ish Gaussian elimination with division (field case)
+    return _determinant(rows, field)
+
+
+def first_subresultant(f: UniPoly, g: UniPoly, n: int, m: int) -> tuple:
+    """Independent oracle: (s0, s1) of the first subresultant S1 = s1 x + s0
+    of f and g at formal degrees n and m, from its Sylvester-minor
+    definition in the standard row order: the rows x^(m-2) f, ..., f, then
+    x^(n-2) g, ..., g, and the columns of x^(n+m-2), ..., x^2, then the
+    column of x^l for s_l."""
+    field = f.field
+
+    def row(poly: UniPoly, shift: int) -> list:
+        coeffs = [field.zero] * shift + list(poly.coeffs)
+        return coeffs + [field.zero] * (n + m - len(coeffs))
+
+    rows = [row(f, k) for k in range(m - 2, -1, -1)] + [row(g, k) for k in range(n - 2, -1, -1)]
+    columns = range(n + m - 2, 1, -1)
+    return tuple(
+        _determinant([[r[c] for c in columns] + [r[l]] for r in rows], field) for l in (0, 1)
+    )
+
+
+def _determinant(rows: list, field):
+    """Gaussian elimination with division over a field."""
+    rows = [list(r) for r in rows]
+    size = len(rows)
     det = field.one
     for col in range(size):
         pivot = next(
@@ -775,3 +810,139 @@ def test_elimination_rejects_bad_inputs():
     ternary = MultiPoly.variable(F, 3, 0)
     with pytest.raises(ValueError):
         resultant_bivar_elim(ternary, ternary, 0)
+
+
+def _tail_cases(p: int) -> list[tuple[UniPoly, UniPoly]]:
+    """Pairs with deg a >= 2 and deg a > deg b, whose remainder sequences end
+    at every shape the first subresultant reads: r_k of degree 1 before a
+    constant or a zero remainder, of degree 2 before a constant (s1 = 0)
+    or a zero remainder, of degree 3 or more, and a constant b."""
+    field = GF(p)
+    rng = random.Random(p + 2)
+    cases = [(a, b) for a, b in _remainder_cases(p) if a.degree >= 2 and a.degree > b.degree]
+    for degrees in (
+        [5, 4, 3, 2, 1],
+        [5, 4, 2, 0],
+        [5, 4, 1, 0],
+        [5, 4, 0],
+        [5, 3, 1, None],
+        [9, 7, 2, None],
+        [6, 2, 1],
+        [3, 1, 0],
+        [2, 1, None],
+        [5, 0],
+        [2, 0],
+    ):
+        cases.append(_with_degrees(rng, field, degrees))
+    return cases
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES + (SHORT_LIMIT_PRIME,) + LOOP_PRIMES)
+def test_first_subresultant_of_packed_operands_matches_the_minors(p):
+    # the tail of _resultant_modp, on canonical and on lazy slots, against
+    # the Sylvester minors at the formal degree n = max(deg b, 1) of b,
+    # which scales it by lc(a)**(n - deg b)
+    rng = random.Random(p + 3)
+    shapes = set()
+    for a, b in _tail_cases(p):
+        n = max(b.degree, 1)
+        scale = pow(a.lc, n - b.degree, p)
+        expected = first_subresultant(a, b, a.degree, n)
+        shapes.add((expected[1] != 0, expected[0] != 0))
+        lazy = (_lazy(rng, a.coeffs, p), _lazy(rng, b.coeffs, p))
+        for slots_a, slots_b in ((a.coeffs, b.coeffs), lazy):
+            packed_a, packed_b = _packed(slots_a, p), _packed(slots_b, p)
+            value, s0, s1 = _resultant_modp(packed_a, packed_b, p, subresultant=True)
+            assert value == _resultant_reference(list(a.coeffs), list(b.coeffs), p)
+            assert (s0 * scale % p, s1 * scale % p) == expected, (a.degree, b.degree)
+    assert shapes == {(True, True), (False, True), (False, False)}
+
+
+#: (curve, seed): the certificate's first frames whose pairs the S1 test reads
+S1_CURVES = {
+    "generic": lambda: PlaneCurve.from_records(GENERIC_QUINTIC_RECORDS),
+    "fermat": fermat_quintic,
+    "flex-bitangent": lambda: PlaneCurve.from_records(FLEX_BITANGENT_RECORDS),
+}
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1])
+@pytest.mark.parametrize("curve", S1_CURVES)
+def test_first_subresultant_of_the_certificate_matches_the_minors(p, curve):
+    # the node values of S1 = s1 z + s0 of (F, H) at the formal degrees (5,
+    # 9), through g mod f and any vanished lead of it; interpolated, their
+    # degrees stay within the 46 nodes of R
+    f, g = _genericity_pair(S1_CURVES[curve](), p)
+    eliminant, s0, s1 = resultant_bivar_elim(f, g, 1, subresultant=True)
+    assert eliminant == resultant_bivar_elim(f, g, 1)
+    assert len(s0) == len(s1) == 46
+    for node in range(46):
+        assert (s0[node], s1[node]) == first_subresultant(_at(f, node), _at(g, node), 5, 9), node
+    field = GF(p)
+    assert interpolate(s0, field).degree <= 33 and interpolate(s1, field).degree <= 32
+
+
+def _through_nodes(field, slices: list) -> MultiPoly:
+    """The (s, x) polynomial whose slice at s = k has the ascending
+    coefficients slices[k], each coefficient interpolated through the nodes."""
+    terms = {}
+    for j in range(len(slices[0])):
+        for i, c in enumerate(interpolate([sl[j] for sl in slices], field).coeffs):
+            if c:
+                terms[i, j] = c
+    return MultiPoly(field, 2, terms)
+
+
+def _padded(poly: UniPoly, length: int) -> list:
+    return list(poly.coeffs) + [0] * (length - len(poly.coeffs))
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1])
+def test_first_subresultant_at_constructed_nodes(p):
+    # f of formal degree 5 with lead 3 and g of formal degree 4, through
+    # chosen slices: at s = 0 g's lead vanishes, which scales S1 by 3; at
+    # s = 1 the sequence runs
+    # 5, 4, 2, 0 (s1 = 0, s0 != 0); at s = 2 it runs 5, 4, 0 (S1 = 0); at s =
+    # 3 g is a constant; at s = 4 f and g share the root 7 (R = 0, S1 a
+    # multiple of x - 7); at s = 5 they share a quadratic factor (R = S1 = 0)
+    field = GF(p)
+    rng = random.Random(p + 4)
+    monic = lambda d: UniPoly(field, [rng.randrange(p) for _ in range(d)] + [1])
+    c = UniPoly.constant(field, 1 + rng.randrange(p - 1))
+    q, t, s = monic(2), monic(1), monic(2)
+    g1 = q * s + c
+    g2 = monic(4)
+    root = UniPoly(field, [p - 7, 1])
+    common = monic(2)
+    pairs = [
+        (monic(5), UniPoly(field, [rng.randrange(p) for _ in range(3)] + [1])),
+        (g1 * t + q, g1),
+        (g2 * t + c, g2),
+        (monic(5), c),
+        (root * monic(4), root * monic(3)),
+        (common * monic(3), common * monic(2)),
+    ]
+    f = _through_nodes(field, [_padded(a.scale(3), 6) for a, _ in pairs])
+    g = _through_nodes(field, [_padded(b, 5) for _, b in pairs])
+    assert [(e, c) for e, c in f.terms.items() if e[1] == 5] == [((0, 5), 3)]
+    assert g.degree_in(1) == 4
+    eliminant, s0, s1 = resultant_bivar_elim(f, g, 1, subresultant=True)
+    n = f.total_degree * g.total_degree + 1
+    assert len(s0) == n
+    for node in range(n):
+        assert (s0[node], s1[node]) == first_subresultant(_at(f, node), _at(g, node), 5, 4), node
+    assert [_at(g, node).degree for node in range(4)] == [3, 4, 4, 0]
+    assert s1[1] == 0 != s0[1]
+    assert s0[2] == s1[2] == s0[3] == s1[3] == 0
+    assert eliminant.eval(4) == 0 != s1[4] and s0[4] == (p - 7) * s1[4] % p
+    assert eliminant.eval(5) == s0[5] == s1[5] == 0
+    assert s0[0] and s1[0]
+
+
+def test_first_subresultant_needs_a_constant_lead():
+    x = MultiPoly.variable(F, 2, 1)
+    s = MultiPoly.variable(F, 2, 0)
+    with pytest.raises(ValueError, match="constant"):
+        resultant_bivar_elim(s * x * x + x, x * x + s, 1, subresultant=True)
+    with pytest.raises(ValueError, match="constant"):
+        resultant_bivar_elim(x + s, x * x + s, 1, subresultant=True)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from quintic_moduli import plane_curves, polys
+from quintic_moduli import elimination, plane_curves, polys
 from quintic_moduli.binary_forms import BinaryForm, BinaryQuintic
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
 from quintic_moduli.invariants import (
@@ -699,9 +699,9 @@ def test_genericity_runs_one_elimination_per_frame(generic_quintic, monkeypatch)
     # flex eliminant is the only bivariate elimination a frame makes
     calls = []
 
-    def counting(f, g, eliminated_var):
+    def counting(f, g, eliminated_var, **options):
         calls.append(eliminated_var)
-        return resultant_bivar_elim(f, g, eliminated_var)
+        return resultant_bivar_elim(f, g, eliminated_var, **options)
 
     monkeypatch.setattr(plane_curves, "resultant_bivar_elim", counting)
     curves = [generic_quintic, fermat_quintic()]
@@ -711,3 +711,46 @@ def test_genericity_runs_one_elimination_per_frame(generic_quintic, monkeypatch)
             calls.clear()
             report = genericity_report(curve, 2503, seed=seed)
             assert len(calls) == report.frames_tried
+
+
+@pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1])
+def test_certificate_frames_pass_the_traced_benchmark_gates(generic_quintic, monkeypatch, prime):
+    # mirrors the traced CI gates on the certificate: per frame, one
+    # _resultant_modp call per sample of R (46), one _eval_slices call per
+    # input and one interpolate call inside resultant_bivar_elim, while
+    # genericity_report interpolates s0 and s1 itself; the probe makes no
+    # gcd_uni call and no tangent restriction on the generic curve
+    counts = {"resultant": 0, "slices": 0, "gcd": 0}
+    inside, outside = [], []
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(elimination, "_resultant_modp", "resultant")
+    counting(elimination, "_eval_slices", "slices")
+    counting(plane_curves, "gcd_uni", "gcd")
+    for module, sizes in ((elimination, inside), (plane_curves, outside)):
+        monkeypatch.setattr(
+            module, "interpolate", lambda values, field, sizes=sizes: sizes.append(len(values))
+            or interpolate(values, field)
+        )
+
+    def no_restriction(*args):
+        raise AssertionError("the flex probe restricts no tangent line")
+
+    monkeypatch.setattr(plane_curves, "_restrict_through", no_restriction)
+    for seed in range(3):
+        for key in counts:
+            counts[key] = 0
+        inside.clear()
+        outside.clear()
+        report = genericity_report(generic_quintic, prime, seed=seed)
+        assert report.generic and report.frames_tried == 1
+        assert counts == {"resultant": 46, "slices": 2, "gcd": 0}
+        assert inside == [46] and outside == [46, 46]

@@ -8,23 +8,27 @@ from quintic_moduli import plane_curves
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     gcd_uni,
-    resultant_bivar_elim,
     squarefree_decomposition,
 )
 from quintic_moduli.plane_curves import (
     PlaneCurve,
     _dehom_y,
+    _each_factor,
     _hessian_form,
     _probe_flexes,
+    _restrict_through,
+    _tangent_coefficients,
+    _taylor_tables,
+    _zpoly_over,
     frame_determinant,
     genericity_report,
     random_invertible_frame,
 )
-from quintic_moduli.polys import MultiPoly, UniPoly
+from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
 from quintic_moduli.scalars import GF
 
-from conftest import FLEX_BITANGENT_RECORDS, contact_four_hyperflex, evaluate
+from conftest import FLEX_BITANGENT_RECORDS, contact_four_hyperflex, evaluate, fermat_quintic
 
 F = GF(10007)
 
@@ -148,41 +152,48 @@ def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
     assert agreed > 50 and split > 50
 
 
-def _dehomogenised(framed: MultiPoly, field) -> list:
-    """F, H and the partials of F at y = 1, as ``genericity_report`` passes them to the probe."""
-    forms = (framed, _hessian_form(framed), *(framed.derivative(v) for v in range(3)))
-    return [_dehom_y(p, field) for p in forms]
+def _shape(framed: MultiPoly, field) -> tuple:
+    """(R, [s0, s1]) of the framed curve, as ``genericity_report`` computes
+    them: the flex eliminant and the first subresultant of F and H at y = 1."""
+    dehom = [_dehom_y(p, field) for p in (framed, _hessian_form(framed))]
+    eliminant, values = plane_curves._flex_eliminant(*dehom)
+    return eliminant, [interpolate(v, field) for v in values]
 
 
 def _flex_modulus(curve: PlaneCurve, seed: int):
-    """Framed curve, its forms at y = 1 and squarefree flex modulus, as
-    genericity_report builds them."""
+    """Framed curve, its first subresultant (s0, s1) and squarefree flex
+    modulus, as genericity_report builds them."""
     frame = random_invertible_frame(F, random.Random(seed))
     framed = curve.reduce_mod(F).composed_with_frame(frame).poly
-    dehom = _dehomogenised(framed, F)
-    ((h, _),) = squarefree_decomposition(resultant_bivar_elim(dehom[0], dehom[1], 1))
-    return framed, dehom, h
+    eliminant, shape = _shape(framed, F)
+    ((h, _),) = squarefree_decomposition(eliminant)
+    return framed, shape, h
 
 
-def _split_off_rational_roots(h: UniPoly):
-    """(gcd(h, u^p - u), its cofactor): the roots of h in GF(p) and the rest."""
-    acc, base, n = UniPoly.constant(F, F.one), UniPoly.x(F), F.p
+def _roots_in(h: UniPoly, degree: int) -> UniPoly:
+    """gcd(h, u^(p^degree) - u): the factors of h of degrees dividing ``degree``."""
+    acc, base, n = UniPoly.constant(F, F.one), UniPoly.x(F), F.p**degree
     while n:
         if n & 1:
             acc = acc * base % h
         base = base * base % h
         n >>= 1
-    rational = gcd_uni(h, acc - UniPoly.x(F))
+    return gcd_uni(h, acc - UniPoly.x(F))
+
+
+def _split_off_rational_roots(h: UniPoly):
+    """(gcd(h, u^p - u), its cofactor): the roots of h in GF(p) and the rest."""
+    rational = _roots_in(h, 1)
     return rational, h // rational
 
 
 def test_probe_flexes_adds_over_a_split_modulus():
     curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
-    curve_poly, dehom, h = _flex_modulus(curve, seed=0)
+    curve_poly, shape, h = _flex_modulus(curve, seed=0)
     h1, h2 = _split_off_rational_roots(h)
     assert h.degree == 45 and 0 < h1.degree < h.degree
-    whole = _probe_flexes(curve_poly, dehom, h)
-    halves = [_probe_flexes(curve_poly, dehom, part) for part in (h1, h2)]
+    whole = _probe_flexes(curve_poly, shape, h)
+    halves = [_probe_flexes(curve_poly, shape, part) for part in (h1, h2)]
     assert whole == 44 == sum(halves)  # 44 reachable only through a split of h
     report = genericity_report(curve, F.p, seed=0)
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
@@ -208,14 +219,15 @@ def test_the_flex_bitangent_modulus_splits_once_per_report(monkeypatch, prime):
     assert counts == [1, 1, 1]
 
 
-def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
-    """Probe a rational flex P placed at framed (0 : 1 : 0), its tangent at x' = 0.
+def _framed_at_flex(curve: PlaneCurve, prime: int, flex) -> MultiPoly:
+    """The curve in a frame placing a rational flex P at framed (0 : 1 : 0),
+    its tangent at x' = 0.
 
     The frame's columns are (random, P, a point on P's tangent), so the
     tangent passes through framed (0 : 0 : 1).  Modulo u the probe then
-    solves the tangent for x (the gradient is (g, 0, 0), no z entry) and
-    reads P in the tangent's coordinates (y, z) as (1 : 0), where t0 = 0:
-    the two branches that a random frame almost never takes.
+    reads P as (0, 1, 0), its gradient (g, 0, 0) and the tangent's second
+    point D as (0, 0, g): the coordinates that a random frame almost never
+    gives.
     """
     field = GF(prime)
     reduced = curve.reduce_mod(field)
@@ -232,7 +244,14 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
     origin = (field.zero, field.one, field.zero)
     assert evaluate(framed, origin) == 0
     assert [field.is_zero(evaluate(framed.derivative(v), origin)) for v in range(3)] == [False, True, True]
-    return _probe_flexes(framed, _dehomogenised(framed, field), UniPoly.x(field))
+    return framed
+
+
+def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
+    """The probe modulo u at a rational flex placed by ``_framed_at_flex``."""
+    field = GF(prime)
+    framed = _framed_at_flex(curve, prime, flex)
+    return _probe_flexes(framed, _shape(framed, field)[1], UniPoly.x(field))
 
 
 # rational flexes of the generic quintic: the roots u0 = 2051, 1955 and 5216
@@ -264,3 +283,184 @@ def test_a_contact_four_hyperflex_fails_the_probe_on_its_value(prime):
         assert report.smooth and report.flex_cycle_ok
         assert (report.distinct_flex_count, report.flexes_verified) == (44, 43)
         assert not report.generic
+
+
+def _z0(ring: ResidueRing, shape) -> UniPoly:
+    """The flexes' z-coordinate -s0/s1 over ``ring``."""
+    s0, s1 = (ring.reduce(s) for s in shape)
+    return ring.reduce(-(s0 * ring.inv(s1)))
+
+
+def _restricted_tangent(framed: MultiPoly, ring: ResidueRing, z0: UniPoly) -> tuple:
+    """c0, ..., c5 of F(s P + t D), P = (u, 1, z0) and D = (-l_z, 0, l_x) for
+    l = grad F(P), by the tangent restriction the probe used to make: the
+    line l . x = 0 solved for the first coordinate of (z, x, y) whose
+    gradient entry is nonzero, then ``_restrict_through`` P and D."""
+    grad = [_zpoly_over(ring, _dehom_y(framed.derivative(v), ring.base)).eval(z0) for v in range(3)]
+    point = (ring.generator(), ring.one, z0)
+    second = (ring.reduce(-grad[2]), ring.zero, grad[0])
+    v = next(v for v in (2, 0, 1) if not ring.is_zero(grad[v]))
+    return _restrict_through(framed, ring, grad, v, point, second).coeffs
+
+
+def _assert_polars_match_the_restriction(framed: MultiPoly, ring: ResidueRing, z0: UniPoly):
+    c = _restricted_tangent(framed, ring, z0)
+    assert len(c) == 6 and ring.is_zero(c[1])
+    assert _tangent_coefficients(_taylor_tables(framed), ring, z0) == (c[0], c[2], c[3], c[4], c[5])
+
+
+@pytest.mark.parametrize(
+    "name, prime, flex",
+    [
+        ("generic", 10007, (3241, 5458, 1)),
+        ("generic", 3001, (2786, 532, 1)),
+        ("generic", 7001, (2837, 5119, 1)),
+        ("flex-bitangent", 10007, (0, 0, 1)),
+        ("flex-bitangent", 3001, (0, 0, 1)),
+        ("contact-4 hyperflex", 10007, (0, 0, 1)),
+        ("contact-4 hyperflex", 3001, (0, 0, 1)),
+    ],
+)
+def test_polars_match_the_tangent_restriction_at_a_framed_flex(generic_quintic, name, prime, flex):
+    # modulo u the probe's P is the flex at framed (0 : 1 : 0) and its D is
+    # (0 : 0 : 1).  The fiber u = 0 is the tangent itself here, so at the
+    # hyperflex F and H share a double root on it and s1 vanishes: z0 = 0
+    # is given, not read off the first subresultant
+    curve = {
+        "generic": generic_quintic,
+        "flex-bitangent": PlaneCurve.from_records(FLEX_BITANGENT_RECORDS),
+        "contact-4 hyperflex": contact_four_hyperflex(0),
+    }[name]
+    field = GF(prime)
+    framed = _framed_at_flex(curve, prime, flex)
+    ring = ResidueRing(UniPoly.x(field))
+    _assert_polars_match_the_restriction(framed, ring, ring.zero)
+
+
+@pytest.mark.parametrize("prime", [2503, 10007])
+@pytest.mark.parametrize("name", ["generic", "fermat", "flex-bitangent"])
+def test_polars_match_the_tangent_restriction_at_every_flex(generic_quintic, name, prime):
+    # over each squarefree part of R in the certificate's first frame, all
+    # of its flexes at once (split where the restriction's pivot or the
+    # shape lemma's inverse meets a zero divisor)
+    curve = {
+        "generic": generic_quintic,
+        "fermat": fermat_quintic(),
+        "flex-bitangent": PlaneCurve.from_records(FLEX_BITANGENT_RECORDS),
+    }[name]
+    field = GF(prime)
+    framed = curve.reduce_mod(field).composed_with_frame(
+        random_invertible_frame(field, random.Random(0))
+    ).poly
+    eliminant, shape = _shape(framed, field)
+    for part, _ in squarefree_decomposition(eliminant):
+        checked = _each_factor(
+            part,
+            lambda ring: _assert_polars_match_the_restriction(framed, ring, _z0(ring, shape)),
+        )
+        assert sum(h.degree for h, _ in checked) == part.degree
+
+
+def test_probe_rejects_a_curve_point_that_is_no_flex(generic_quintic):
+    # the rational point (1927 : 2 : 1) of the curve, off the Hessian,
+    # placed at framed (0 : 1 : 0) and handed to the probe as z0 = 0 over u
+    # = 0: c0 = 0 but c2 != 0, contact 2, so it is not verified
+    point = (F.from_int(1927), F.from_int(2), F.one)
+    reduced = generic_quintic.reduce_mod(F)
+    assert evaluate(reduced.poly, point) == 0 != evaluate(_hessian_form(reduced.poly), point)
+    rng = random.Random(1)
+    while True:
+        column, last = ([F.from_int(rng.randrange(F.p)) for _ in range(3)] for _ in range(2))
+        frame = tuple(zip(column, point, last))
+        if not F.is_zero(frame_determinant(frame, F)):
+            break
+    framed = reduced.composed_with_frame(frame).poly
+    ring = ResidueRing(UniPoly.x(F))
+    c0, c2, *_ = _tangent_coefficients(_taylor_tables(framed), ring, ring.zero)
+    assert ring.is_zero(c0) and not ring.is_zero(c2)
+    assert _probe_flexes(framed, [ring.zero, ring.one], UniPoly.x(F)) == 0
+
+
+def _report_in_frame(monkeypatch, curve: PlaneCurve, prime: int, seed: int, frame):
+    """``genericity_report`` whose first frame is ``frame``; the next ones are
+    the seed's own, from its first on."""
+    draw = plane_curves.random_invertible_frame
+    first = [frame]
+    monkeypatch.setattr(
+        plane_curves,
+        "random_invertible_frame",
+        lambda field, rng: first.pop() if first else draw(field, rng),
+    )
+    return genericity_report(curve, prime, seed=seed)
+
+
+def _counts(report) -> tuple:
+    return (report.smooth, report.flex_cycle_ok, report.distinct_flex_count, report.flexes_verified)
+
+
+def _frame_with_third_column(field, point, seed: int = 0):
+    """A random invertible frame whose third column is ``point``: framed
+    (0 : 0 : 1) maps to it."""
+    rng = random.Random(seed)
+    while True:
+        columns = [[field.from_int(rng.randrange(field.p)) for _ in range(3)] for _ in range(2)]
+        frame = tuple(zip(*columns, point))
+        if not field.is_zero(frame_determinant(frame, field)):
+            return frame
+
+
+def test_two_flexes_on_one_fiber_make_the_report_retry(generic_quintic, monkeypatch):
+    # the generic quintic has one rational flex at 10007 and one pair of
+    # flexes conjugate over GF(p^2).  In the first frame of seed 0 the pair
+    # is (u, 1, a + b u) at the roots u of a quadratic factor of R, on the
+    # rational line z' = b x' + a y'; the frame change N whose third column
+    # (1, 0, b) lies on that line puts both on the fiber x''/y'' = -a/b.
+    # Then s1 vanishes on the repeated factor of R that this fiber makes
+    # (two flexes above one root, where the gcd of F and H has degree 2),
+    # and the report retries in the seed's own first frame.
+    framed, shape, h = _flex_modulus(generic_quintic, seed=0)
+    rational = _roots_in(h, 1)
+    pair = _roots_in(h, 2) // rational
+    assert (rational.degree, pair.degree) == (1, 2)
+    a, b = _z0(ResidueRing(pair), shape).coeffs
+    M = random_invertible_frame(F, random.Random(0))
+    N = ((1, 0, 1), (0, 1, 0), (0, 0, b))
+    frame = tuple(
+        tuple(sum(M[r][k] * N[k][c] for k in range(3)) % F.p for c in range(3)) for r in range(3)
+    )
+    fiber = _flex_modulus_in_frame(generic_quintic, frame)
+    assert [m for _, m in fiber] == [1, 2]
+    assert fiber[1][0] == UniPoly(F, [a * pow(b, -1, F.p) % F.p, 1])  # u = -a/b
+    report = _report_in_frame(monkeypatch, generic_quintic, F.p, 0, frame)
+    assert report.frames_tried == 2
+    assert report.notes == [
+        "frame 1: two intersections share a flex fiber (s1 vanishes there); reframe"
+    ]
+    assert _counts(report) == _counts(genericity_report(generic_quintic, F.p, seed=0))
+    assert report.generic
+
+
+def _flex_modulus_in_frame(curve: PlaneCurve, frame) -> list:
+    """The squarefree decomposition of R in the given frame."""
+    framed = curve.reduce_mod(F).composed_with_frame(frame).poly
+    return squarefree_decomposition(_shape(framed, F)[0])
+
+
+@pytest.mark.parametrize(
+    "point, frames, notes",
+    [
+        # a point of the curve: F's z^5 coefficient vanishes, H's z^9 one leads
+        ((1927, 2, 1), 1, []),
+        # the rational flex: both vanish, and R loses the flex at (0 : 0 : 1)
+        ((3241, 5458, 1), 2, ["frame 1: flex eliminant degree 44 < 45; reframe"]),
+    ],
+)
+def test_a_frame_through_the_curve_at_framed_infinity(
+    generic_quintic, monkeypatch, point, frames, notes
+):
+    frame = _frame_with_third_column(F, point)
+    framed = generic_quintic.reduce_mod(F).composed_with_frame(frame).poly
+    assert (0, 0, 5) not in framed.terms
+    report = _report_in_frame(monkeypatch, generic_quintic, F.p, 0, frame)
+    assert (report.frames_tried, report.notes) == (frames, notes)
+    assert _counts(report) == (True, True, 45, 45)
