@@ -9,22 +9,23 @@ coefficient rows first.  Consequences: Res(x-a, x-b) = b-a, and
 Res(f, g) = (-1)**(deg f * deg g) * Res(g, f).
 
 Resultants are computed by a Euclidean remainder scheme (never by root
-finding).  The bivariate eliminant is computed over GF(p) only, by
-specialising one variable at enough sample points and interpolating,
-which is how the degree-600 eliminant of the fiber system stays
-tractable.  It is the Sylvester determinant at the inputs' formal degrees
-in the eliminated variable.  When f's lead there is a nonzero constant c
-(G1's b**20 coefficient in the fiber system, the framed curve's z**5 one
-in the genericity certificate), g is first replaced by r = g mod f, one
-packed ``UniPoly.divmod`` on Kronecker images, and the eliminant of (f, r)
-is scaled once by c**(deg g - deg r): the longest division of every
-sample is done once.  The samples are the nodes 0, 1, ..., deg f * deg g
+finding).  The bivariate eliminant Res_y(f, g) of two polynomials in (x,
+y) is computed over GF(p) only, by specialising x at enough sample points
+and interpolating, which is how the degree-600 eliminant of the fiber
+system stays tractable; y, the second variable, is the one eliminated at
+every call.  It is the Sylvester determinant at the inputs' formal degrees
+in y.  When f's lead there is a nonzero constant c (G1's b**20
+coefficient in the fiber system, the framed curve's z**5 one in the
+genericity certificate), g is first replaced by r = g mod f, one packed
+``UniPoly.divmod`` on Kronecker images, and the eliminant of (f, r) is
+scaled once by c**(deg g - deg r): the longest division of every sample
+is done once.  The samples are the nodes 0, 1, ..., deg f * deg g
 in total degrees, none skipped: where a lead vanishes the sample's
 resultant is corrected by the formal-degree rule, so the interpolation
 runs on consecutive nodes with ``interpolate``'s cached tree.  The slices
 of all the samples are evaluated in one transposed pass per input
 (``_eval_slices``; von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 10): the values of the coefficient of x_elim**j at every node form one
+ch. 10): the values of the coefficient of y**j at every node form one
 packed row, a sum of small-times-packed products with cached rows of node
 powers, and the rows are transposed into one packed slice per node,
 streamed into the sample resultants.
@@ -371,35 +372,34 @@ def _node_powers(p: int, n: int, count: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _eval_slices(poly: MultiPoly, keep: int, n: int, count: int, p: int):
-    """The slices of ``poly`` at x_keep = s for the nodes s = 0, ..., n - 1:
-    one packed int per node, ascending, its coefficients in the eliminated
-    variable in the w-bit slots ``_resultant_modp`` takes, each in [0, 2p).
+def _eval_slices(poly: MultiPoly, n: int, count: int, p: int):
+    """The slices of ``poly`` in (x, y) at x = s for the nodes s = 0, ...,
+    n - 1: one packed int per node, ascending, its coefficients in y in the
+    w-bit slots ``_resultant_modp`` takes, each in [0, 2p).
 
     Transposed evaluation, all nodes at once: the values of the coefficient
-    of x_elim**j at the nodes form one packed row, sum_k c_kj * N_k over the
-    terms c_kj x_keep**k x_elim**j, with N_k from ``_node_powers(p, n,
-    count)``.  A row takes one SWAR Barrett step after every ``group``
-    products and one at its end, so every slot ends in [0, 2p).  Each row
+    of y**j at the nodes form one packed row, sum_k c_kj * N_k over the
+    terms c_kj x**k y**j, with N_k from ``_node_powers(p, n, count)``.  A
+    row takes one SWAR Barrett step after every ``group`` products and one
+    at its end, so every slot ends in [0, 2p).  Each row
     is then written, one 64-bit word at a time, into a table of n slices
-    of deg_elim + 1 slots (strided ``array`` slices, k words apart at w =
+    of deg_y + 1 slots (strided ``array`` slices, k words apart at w =
     64 k); the words move unread, so the table keeps the little-endian
     order of ``polys._pack`` on any host.  The slices are read off the
     table one node at a time: the rows are gone by then, and no list of
     products or slices is held.
     """
     s, m, limit, _, w = _lazy_constants(p)
-    elim = 1 - keep
     # a slice slot takes a product below (p - 1)**2 per term, so a group of
     # terms adds no more than limit products (p - c) * b_j
     group = limit * (2 * p - 1) // (p - 1)
     mask = _barrett_mask(s, n, w)
     powers = _node_powers(p, n, count)
     rows: dict[int, list] = {}
-    for e, c in poly.terms.items():
-        rows.setdefault(e[elim], []).append((e[keep], c))
+    for (k, j), c in poly.terms.items():
+        rows.setdefault(j, []).append((k, c))
     slot_words = w >> 6
-    stride = slot_words * (poly.degree_in(elim) + 1)  # the words of one slice
+    stride = slot_words * (poly.degree_in(1) + 1)  # the words of one slice
     table = array("Q", bytes(8 * n * stride))
     for j, terms in rows.items():
         row = 0
@@ -455,60 +455,57 @@ def _sample_resultant(fc: int, df: int, gc: int, dg: int, p: int, *, subresultan
     return value
 
 
-def _reduce_by_constant_lead(g: MultiPoly, f: MultiPoly, elim: int) -> MultiPoly:
-    """g mod f in the eliminated variable, f's lead there a nonzero constant.
+def _reduce_by_constant_lead(g: MultiPoly, f: MultiPoly) -> MultiPoly:
+    """g mod f in y for f, g in (x, y), f's lead in y a nonzero constant.
 
-    One packed ``UniPoly.divmod`` on Kronecker images, x_elim**i x_keep**j
-    -> t**(i W + j), exact when no term of the division carries into the
-    next block of W.  Where f's coefficient of x_elim**i has keep-degree at
-    most w (m - i), m = deg_elim f, every term of the quotient, of q * f
-    (before any cancellation) and of each remainder has keep-degree plus w
-    times elim-degree at most the largest such weight among g's terms, so W
-    one more than that weight suffices; the keep-degree may exceed the
-    inputs' (x + s**2 reduces x**3 to -s**6).
+    One packed ``UniPoly.divmod`` on Kronecker images, y**i x**j -> t**(i W
+    + j), exact when no term of the division carries into the next block of
+    W.  Where f's coefficient of y**i has x-degree at most w (m - i), m =
+    deg_y f, every term of the quotient, of q * f (before any cancellation)
+    and of each remainder has x-degree plus w times y-degree at most the
+    largest such weight among g's terms, so W one more than that weight
+    suffices; the x-degree may exceed the inputs' (y + x**2 reduces y**3 to
+    -x**6).
     """
-    F, keep = f.field, 1 - elim
-    m = f.degree_in(elim)
-    w = max((-(-e[keep] // (m - e[elim])) for e in f.terms if e[elim] < m), default=0)
-    width = 1 + max(e[keep] + w * e[elim] for e in g.terms)
+    F = f.field
+    m = f.degree_in(1)
+    w = max((-(-j // (m - i)) for j, i in f.terms if i < m), default=0)
+    width = 1 + max(j + w * i for j, i in g.terms)
 
     def image(poly: MultiPoly) -> UniPoly:
-        coeffs = [0] * (width * (poly.degree_in(elim) + 1))
-        for e, c in poly.terms.items():
-            coeffs[e[elim] * width + e[keep]] = c
+        coeffs = [0] * (width * (poly.degree_in(1) + 1))
+        for (j, i), c in poly.terms.items():
+            coeffs[i * width + j] = c
         return UniPoly(F, coeffs)
 
     terms = {}
     for k, c in enumerate((image(g) % image(f)).coeffs):
         if c:
-            e = [0, 0]
-            e[elim], e[keep] = divmod(k, width)
-            terms[tuple(e)] = c
+            i, j = divmod(k, width)
+            terms[j, i] = c
     return MultiPoly(F, 2, terms)
 
 
-def resultant_bivar_elim(
-    f: MultiPoly, g: MultiPoly, eliminated_var: int, *, subresultant: bool = False
-):
-    """Eliminate one variable from a bivariate pair by sampling + interpolation.
+def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, *, subresultant: bool = False):
+    """Eliminate y from f and g in (x, y) by sampling + interpolation.
 
-    GF(p) only.  The result is Res(f, g) in the eliminated variable at the
-    formal degrees deg_elim f and deg_elim g (the Sylvester determinant),
-    a polynomial of degree at most deg(f)*deg(g) in total degrees.
+    GF(p) only.  The result is Res_y(f, g) at the formal degrees deg_y f
+    and deg_y g (the Sylvester determinant), a polynomial in x of degree at
+    most deg(f)*deg(g) in total degrees.  Every caller eliminates its
+    inputs' second variable: the fiber system's b and the certificate's z.
 
-    When f's lead in the eliminated variable is a nonzero constant c, g is
-    first replaced by r = g mod f (``_reduce_by_constant_lead``), and the
-    result is c**(deg g - deg r) * Res(f, r), or 0 when r is.  The kept
-    variable is then sampled at the n = deg(f)*deg(g) + 1 nodes 0, 1, ...,
-    n - 1: the slices of each input at every node come from one
-    ``_eval_slices`` call, and node by node each pair is one univariate
-    resultant, corrected by the formal-degree rule where a lead vanishes
-    there (``_sample_resultant``).  The samples are interpolated on those
-    consecutive nodes.
+    When f's lead in y is a nonzero constant c, g is first replaced by r =
+    g mod f (``_reduce_by_constant_lead``), and the result is c**(deg g -
+    deg r) * Res(f, r), or 0 when r is.  x is then sampled at the n =
+    deg(f)*deg(g) + 1 nodes 0, 1, ..., n - 1: the slices of each input at
+    every node come from one ``_eval_slices`` call, and node by node each
+    pair is one univariate resultant, corrected by the formal-degree rule
+    where a lead vanishes there (``_sample_resultant``).  The samples are
+    interpolated on those consecutive nodes.
 
     ``subresultant`` asks for the first subresultant S1 = s1 z + s0 of f
     and g at the same formal degrees too, for which f's lead must be a
-    nonzero constant c and deg_elim f >= 2.  It returns (eliminant, s0
+    nonzero constant c and deg_y f >= 2.  It returns (eliminant, s0
     values, s1 values), the values at the same n nodes, for the caller to
     interpolate.  Each node's pair comes out of the remainder sequence of
     its resultant (``_resultant_modp``): with r_k the last remainder before
@@ -528,14 +525,10 @@ def resultant_bivar_elim(
         raise ValueError(f"bivariate elimination runs over a prime field, not {F!r}")
     if f.arity != 2 or g.arity != 2:
         raise ValueError("bivariate elimination requires arity-2 polynomials")
-    if eliminated_var not in (0, 1):
-        raise ValueError("eliminated_var must be 0 or 1")
     if f.is_zero() or g.is_zero():
         raise ValueError("elimination of a zero polynomial")
     p = F.p
-    keep = 1 - eliminated_var
-    df_e = f.degree_in(eliminated_var)
-    dg_e = g.degree_in(eliminated_var)
+    df_e, dg_e = f.degree_in(1), g.degree_in(1)
     if df_e <= 0 or dg_e <= 0:
         raise ValueError("both inputs must involve the eliminated variable")
     bound = int(f.total_degree) * int(g.total_degree)
@@ -544,21 +537,21 @@ def resultant_bivar_elim(
     n = bound + 1
 
     scale = 1
-    lead = [(e[keep], c) for e, c in f.terms.items() if e[eliminated_var] == df_e]
+    lead = [(k, c) for (k, j), c in f.terms.items() if j == df_e]
     constant_lead = len(lead) == 1 and lead[0][0] == 0
     if subresultant and not (constant_lead and df_e >= 2):
         raise ValueError(
             "the first subresultant needs f's lead to be a nonzero constant, of degree >= 2"
         )
     if constant_lead and dg_e >= df_e:
-        g = _reduce_by_constant_lead(g, f, eliminated_var)
+        g = _reduce_by_constant_lead(g, f)
         if g.is_zero():
             return (UniPoly.zero(F), [0] * n, [0] * n) if subresultant else UniPoly.zero(F)
-        scale = pow(lead[0][1], dg_e - g.degree_in(eliminated_var), p)
-        dg_e = g.degree_in(eliminated_var)
+        scale = pow(lead[0][1], dg_e - g.degree_in(1), p)
+        dg_e = g.degree_in(1)
 
-    count = max(f.degree_in(keep), g.degree_in(keep)) + 1
-    slices = zip(_eval_slices(f, keep, n, count, p), _eval_slices(g, keep, n, count, p))
+    count = max(f.degree_in(0), g.degree_in(0)) + 1
+    slices = zip(_eval_slices(f, n, count, p), _eval_slices(g, n, count, p))
     if subresultant:
         values, s0, s1 = zip(
             *(_sample_resultant(fc, df_e, gc, dg_e, p, subresultant=True) for fc, gc in slices)

@@ -260,7 +260,7 @@ def count_fiber(
         frame = random_invertible_frame(field, rng)
         try:
             g1, g2 = build_fiber_system(reduced, drawn, frame)
-            eliminant = resultant_bivar_elim(g1, g2, 1)
+            eliminant = resultant_bivar_elim(g1, g2)
             if eliminant.degree != ELIMINANT_DEGREE:
                 raise FiberRetryError(
                     f"eliminant degree {eliminant.degree} != {ELIMINANT_DEGREE}"

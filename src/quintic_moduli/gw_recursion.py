@@ -16,20 +16,18 @@ the chain closes:
     I1(a1^5)         = r * I0(a1^2 b_{r-2}) * I1(a1^3 a2)
                        + r * I1(a1^2 a3) * I0(a1^3 b_{r-3})
 
-All values are kept as exact rational functions of a formal r, so the
-r-independence of the degree-1 outputs is a provable simplification, not a
-sampled observation.  a_i denotes the fundamental class of the i-th
-inertia sector, b_i the class of a point there.
+Every value is a Laurent polynomial in a formal r with exact rational
+coefficients: the base values are constants and 1/r, and the chain only
+adds values and multiplies them by r.  A count is free of r exactly when
+its only exponent of r is 0, so the r-independence of the degree-1
+outputs is read off the data, not sampled.  a_i denotes the fundamental
+class of the i-th inertia sector, b_i the class of a point there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .elimination import gcd_uni
-from .polys import UniPoly
-from .scalars import QQ
 
 ALPHA1, ALPHA2, ALPHA3 = "a1", "a2", "a3"
 BETA_RM2, BETA_RM3 = "b{r-2}", "b{r-3}"
@@ -66,90 +64,75 @@ class GWSymbol:
 
 
 class RationalInR:
-    """Reduced ratio of rational-coefficient polynomials in the formal r."""
+    """A Laurent polynomial in the formal r: a map from each exponent of r
+    to its nonzero rational coefficient."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms",)
 
-    def __init__(self, num: UniPoly, den: UniPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = gcd_uni(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        lc = den.lc
-        if lc != 1:
-            num = num.scale(Fraction(1) / lc)
-            den = den.scale(Fraction(1) / lc)
-        self.num = num
-        self.den = den
+    def __init__(self, terms: dict[int, Fraction]):
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
 
     @classmethod
     def constant(cls, value) -> "RationalInR":
-        return cls(UniPoly(QQ, (Fraction(value),)), UniPoly(QQ, (Fraction(1),)))
+        return cls({0: value})
 
     @classmethod
     def r(cls) -> "RationalInR":
-        return cls(UniPoly.x(QQ), UniPoly(QQ, (Fraction(1),)))
+        return cls({1: 1})
 
     @classmethod
     def one_over_r(cls) -> "RationalInR":
-        return cls(UniPoly(QQ, (Fraction(1),)), UniPoly.x(QQ))
+        return cls({-1: 1})
 
     def __mul__(self, other: "RationalInR") -> "RationalInR":
-        return RationalInR(self.num * other.num, self.den * other.den)
+        terms: dict[int, Fraction] = {}
+        for e, c in self.terms.items():
+            for f, d in other.terms.items():
+                terms[e + f] = terms.get(e + f, 0) + c * d
+        return RationalInR(terms)
 
     def __add__(self, other: "RationalInR") -> "RationalInR":
-        return RationalInR(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return RationalInR(terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalInR)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return isinstance(other, RationalInR) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(frozenset(self.terms.items()))
 
     def is_constant(self) -> bool:
-        return self.den.degree == 0 and self.num.degree <= 0
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not independent of r")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.terms.get(0, Fraction(0))
 
     def evaluate(self, r_value) -> Fraction:
         r_value = Fraction(r_value)
-        den = self.den.eval(r_value)
-        if den == 0:
+        if r_value == 0 and min(self.terms, default=0) < 0:
             raise ZeroDivisionError(f"denominator vanishes at r = {r_value}")
-        return self.num.eval(r_value) / den
+        return sum((c * r_value**e for e, c in self.terms.items()), Fraction(0))
 
     def __str__(self):
-        def fmt(poly: UniPoly) -> str:
-            if poly.is_zero():
-                return "0"
-            parts = []
-            for k in range(poly.degree, -1, -1):
-                c = poly.coeffs[k]
-                if c == 0:
-                    continue
-                if k == 0:
-                    parts.append(str(c))
-                elif k == 1:
-                    parts.append("r" if c == 1 else f"{c}*r")
-                else:
-                    parts.append(f"r^{k}" if c == 1 else f"{c}*r^{k}")
-            return " + ".join(parts)
+        """(r^k * value)/(r^k) for the least k making the numerator a
+        polynomial: its constant term is nonzero, so the ratio is reduced."""
 
-        if self.den.degree == 0 and self.den.coeffs[0] == 1:
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
+        def fmt(terms: dict[int, Fraction]) -> str:
+            parts = []
+            for k, c in sorted(terms.items(), reverse=True):
+                power = "" if k == 0 else "r" if k == 1 else f"r^{k}"
+                parts.append(str(c) if not power else power if c == 1 else f"{c}*{power}")
+            return " + ".join(parts) or "0"
+
+        shift = -min(self.terms, default=0)
+        if shift <= 0:
+            return fmt(self.terms)
+        numerator = {e + shift: c for e, c in self.terms.items()}
+        return f"({fmt(numerator)})/({fmt({shift: Fraction(1)})})"
 
     __repr__ = __str__
 

@@ -19,7 +19,10 @@ computes one eliminant, R = Res_z(F, H) of the curve and its Hessian.  A
 singular point lies on H with multiplicity at least 2 (a node absorbs 6 of
 the 3d(d - 2) = 45 intersections, a cusp 8), so once R has its full degree
 45 (every intersection affine in the frame) the curve is smooth exactly
-when no repeated factor of R carries a common zero of the partials.  H = 0
+when no repeated factor of R carries a common zero of the partials, or
+of F, F_x and F_z at y = 1 (Euler's relation, p > 5).  One table of
+Taylor coefficients per frame (``_taylor_tables``) gives these three and
+feeds the eliminant, the singular check and the flex probe.  H = 0
 (a cone) and R = 0 (F and H share a component, for p > 5 a line or a
 multiple component) are singular outright.  All flexes of a smooth curve
 are then handled at once by computing in GF(p)[u] modulo each squarefree
@@ -404,15 +407,16 @@ def _each_factor(modulus: UniPoly, check):
         yield modulus, result
 
 
-def _probe_flexes(curve_poly: MultiPoly, shape: Sequence[UniPoly], modulus: UniPoly) -> int:
+def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus: UniPoly) -> int:
     """Contact-order check at every root of the flex modulus simultaneously.
 
-    ``curve_poly`` is the framed curve F and ``shape`` the pair (s0, s1) of
-    the first subresultant S1 = s1(u) z + s0(u) of F and H at y = 1.  Over a
-    root u of the modulus the flex is P = (u, 1, z0), z0 = -s0/s1 (the
-    shape lemma: S1 is a multiple of the gcd of F and H over u when that
-    gcd is linear).  s1 vanishing on a factor of the modulus means two
-    intersections of F and H share its fiber, and the frame is retried.
+    ``tables`` are the ``_taylor_tables`` of the framed curve F and
+    ``shape`` the pair (s0, s1) of the first subresultant S1 = s1(u) z +
+    s0(u) of F and H at y = 1.  Over a root u of the modulus the flex is P
+    = (u, 1, z0), z0 = -s0/s1 (the shape lemma: S1 is a multiple of the
+    gcd of F and H over u when that gcd is linear).  s1 vanishing on a
+    factor of the modulus means two intersections of F and H share its
+    fiber, and the frame is retried.
 
     With l = grad F(P), the point D = l x e_y = (-l_z, 0, l_x) lies on the
     tangent line l . x = 0.  D is not 0: l_x = l_z = 0 would give l_y = 0
@@ -431,7 +435,7 @@ def _probe_flexes(curve_poly: MultiPoly, shape: Sequence[UniPoly], modulus: UniP
     second point.  Conjugate flexes count with the degree of their residue
     factor.
     """
-    check = partial(_probe_single, _taylor_tables(curve_poly), shape)
+    check = partial(_probe_single, tables, shape)
     return sum(h.degree for h, ok in _each_factor(modulus, check) if ok)
 
 
@@ -527,11 +531,13 @@ def _probe_single(tables: tuple[dict, tuple], shape: Sequence[UniPoly], ring: Re
     return ring.is_unit(ring.reduce(c3 * (c4 * c4 - ring.from_int(4) * c3 * c5)))
 
 
-def _certify_singular(partials_bivar, modulus: UniPoly) -> bool:
-    """True iff the three partials share a zero above some root of the modulus."""
+def _certify_singular(polys: Sequence[MultiPoly], modulus: UniPoly) -> bool:
+    """True iff F, F_x and F_z at y = 1 share a zero above some root of the
+    modulus: by Euler's relation x F_x + y F_y + z F_z = 5 F, for p > 5,
+    exactly where the three partials do."""
 
     def common_zero(ring: ResidueRing) -> bool:
-        return reduce(gcd_uni, (_zpoly_over(ring, p) for p in partials_bivar)).degree >= 1
+        return reduce(gcd_uni, (_zpoly_over(ring, p) for p in polys)).degree >= 1
 
     return any(found for _, found in _each_factor(modulus, common_zero))
 
@@ -547,12 +553,24 @@ def _flex_eliminant(curve_uz: MultiPoly, hess_uz: MultiPoly):
     F) and S1(H, F) are R and S1 up to sign.  Where both vanish, (0 : 0 :
     1) is a flex on the line y = 0, and R comes alone (None for S1): the
     frame is retried.
+
+    Only the nodes that fix s0 and s1 are kept, 0..33 and 0..32 of R's 46.
+    In f and g, of total degrees m and n in (u, z), the coefficient of z^j
+    has u-degree at most m - j and n - j.  At formal z-degrees a and b, s1
+    and s0 are the minors of the Sylvester rows z^k f (k < b - 1) and z^k g
+    (k < a - 1) on the columns z^1..z^(a+b-2) and z^0, z^2..z^(a+b-2).  The
+    entry of row z^k f at column z^c has u-degree at most m + k - c (n + k
+    - c for g), so a minor's is at most its rows' m + k and n + k summed
+    less its columns' c summed: B (m - 1 - A) + A (n - 1) <= (m - 1)(n - 1)
+    = 32 for s1 (A = a - 1 <= m - 1, B = b - 1 <= n - 1), one more for s0.
+    The bound is symmetric in f and g, so the (H, F) order keeps it.
     """
     for f, g in ((curve_uz, hess_uz), (hess_uz, curve_uz)):
         if (0, f.total_degree) in f.terms:  # the z-lead is this one term
-            flex_res, *shape = resultant_bivar_elim(f, g, 1, subresultant=True)
-            return flex_res, shape
-    return resultant_bivar_elim(curve_uz, hess_uz, 1), None
+            flex_res, s0, s1 = resultant_bivar_elim(f, g, subresultant=True)
+            bound = (f.total_degree - 1) * (g.total_degree - 1)  # deg s1 (see above)
+            return flex_res, (s0[: bound + 2], s1[: bound + 1])
+    return resultant_bivar_elim(curve_uz, hess_uz), None
 
 
 #: Random frames ``genericity_report`` tries before it gives up.
@@ -578,13 +596,14 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
         frame = random_invertible_frame(field, rng)
         framed = reduced.composed_with_frame(frame)
         hess = _hessian_form(framed.poly)
-        # F, H and the partials of F at y = 1, once per frame
-        dehom = [_dehom_y(p, field) for p in (framed.poly, hess, *framed.partials())]
+        tables = _taylor_tables(framed.poly)
+        # F, F_x and F_z at y = 1: the tables' entries (0, 0), (1, 0) and (0, 1)
+        at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
         # H = 0 for a cone and R = 0 when F and H share a component: singular
         if hess.is_zero():
             flex_res, shape = UniPoly.zero(field), None
         else:
-            flex_res, shape = _flex_eliminant(*dehom[:2])
+            flex_res, shape = _flex_eliminant(at_y1[0], _dehom_y(hess, field))
         smooth = not flex_res.is_zero()
         distinct = verified = 0
         try:
@@ -596,14 +615,14 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
                 # a singular point meets H at least twice: a repeated root of R
                 parts = squarefree_decomposition(flex_res)
                 smooth = not any(
-                    _certify_singular(dehom[2:], part) for part, mult in parts if mult > 1
+                    _certify_singular(at_y1, part) for part, mult in parts if mult > 1
                 )
             if smooth:
                 if shape is None:
                     raise _FrameRetry("frame puts a flex at (0 : 0 : 1); reframe")
                 distinct = sum(part.degree for part, _ in parts)
                 shape = [interpolate(values, field) for values in shape]
-                verified = sum(_probe_flexes(framed.poly, shape, part) for part, _ in parts)
+                verified = sum(_probe_flexes(tables, shape, part) for part, _ in parts)
             else:
                 notes.append("curve is singular; flex analysis skipped")
         except _FrameRetry as exc:

@@ -333,31 +333,31 @@ def test_resultant_swap_and_multiplicativity():
 
 
 def test_bivariate_elimination_examples():
-    x = MultiPoly.variable(F, 2, 0)
-    s = MultiPoly.variable(F, 2, 1)
+    s = MultiPoly.variable(F, 2, 0)
+    x = MultiPoly.variable(F, 2, 1)
     one = MultiPoly.constant(F, 2, F.one)
     two = MultiPoly.constant(F, 2, F.from_int(2))
-    r = resultant_bivar_elim(x - s, x - one, 0)
+    r = resultant_bivar_elim(x - s, x - one)
     assert list(r.coeffs) == [F.from_int(-1), F.one]  # s - 1
-    r2 = resultant_bivar_elim(x * x - s, x - two, 0)
+    r2 = resultant_bivar_elim(x * x - s, x - two)
     assert list(r2.coeffs) == [F.from_int(4), F.from_int(-1)]  # 4 - s
 
 
 def test_bivariate_elimination_matches_direct_resultants():
     rng = random.Random(3)
-    f = MultiPoly(F, 2, {(i, j): rng.randrange(F.p) for i in range(4) for j in range(3)})
-    g = MultiPoly(F, 2, {(i, j): rng.randrange(F.p) for i in range(3) for j in range(4)})
-    r = resultant_bivar_elim(f, g, 0)
+    f = MultiPoly(F, 2, {(j, i): rng.randrange(F.p) for i in range(4) for j in range(3)})
+    g = MultiPoly(F, 2, {(j, i): rng.randrange(F.p) for i in range(3) for j in range(4)})
+    r = resultant_bivar_elim(f, g)
     # check at fresh sample points against direct univariate resultants
     for s in (501, 502, 777):
         def specialise(poly, val):
             coeffs = {}
-            for (i, j), c in poly.terms.items():
+            for (j, i), c in poly.terms.items():
                 coeffs[i] = F.reduce(coeffs.get(i, F.zero) + F.reduce(c * F.pow(F.from_int(val), j)))
             return UniPoly(F, [coeffs.get(i, F.zero) for i in range(max(coeffs) + 1)])
 
         fu, gu = specialise(f, s), specialise(g, s)
-        if fu.degree == f.degree_in(0) and gu.degree == g.degree_in(0):
+        if fu.degree == f.degree_in(1) and gu.degree == g.degree_in(1):
             assert r.eval(F.from_int(s)) == resultant_uni(fu, gu)
 
 
@@ -402,7 +402,7 @@ def _sampled_pair(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     in x_1 is a constant (the fiber system), else (f, g)."""
     df = f.degree_in(1)
     if [e for e in f.terms if e[1] == df] == [(0, df)]:
-        return f, _reduce_by_constant_lead(g, f, 1)
+        return f, _reduce_by_constant_lead(g, f)
     return f, g
 
 
@@ -452,7 +452,7 @@ def test_formal_degree_eliminant(p, case):
         assert vanishing == [
             s for s in range(bound + 1) if _at(f, s).degree < df or _at(sampled, s).degree < dr
         ]
-    eliminant = resultant_bivar_elim(f, g, 1)
+    eliminant = resultant_bivar_elim(f, g)
     assert eliminant.degree <= bound
     # the Sylvester determinant at the formal degrees, at every node and past them
     for s in range(bound + 3):
@@ -463,12 +463,7 @@ def test_formal_degree_eliminant(p, case):
 def test_reduction_by_a_constant_lead_grows_the_keep_degree():
     f = _bivariate(F, {(0, 1): 1, (2, 0): 1})
     g = _bivariate(F, {(0, 3): 1, (1, 1): 1, (0, 0): 1})
-    assert _reduce_by_constant_lead(g, f, 1) == _bivariate(F, {(6, 0): -1, (3, 0): -1, (0, 0): 1})
-    # and with the roles of the variables swapped
-    swap = lambda poly: MultiPoly(F, 2, {(j, i): c for (i, j), c in poly.terms.items()})
-    assert _reduce_by_constant_lead(swap(g), swap(f), 0) == _bivariate(
-        F, {(0, 6): -1, (0, 3): -1, (0, 0): 1}
-    )
+    assert _reduce_by_constant_lead(g, f) == _bivariate(F, {(6, 0): -1, (3, 0): -1, (0, 0): 1})
 
 
 def _first_draw(curve, p: int, seed: int):
@@ -496,11 +491,11 @@ def wide_slot_draw(generic_quintic):
 
 def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
     g1, g2 = vanishing_draw
-    r = _reduce_by_constant_lead(g2, g1, 1)
+    r = _reduce_by_constant_lead(g2, g1)
     dr = r.degree_in(1)
     lead = MultiPoly(r.field, 2, {e: c for e, c in r.terms.items() if e[1] == dr})
     assert any(evaluate(lead, (s, 0)) == 0 for s in range(601))
-    eliminant = resultant_bivar_elim(g1, g2, 1)
+    eliminant = resultant_bivar_elim(g1, g2)
     assert eliminant.degree == 600
     assert eliminant == _resampling_eliminant(g1, g2)
 
@@ -533,7 +528,7 @@ def test_one_resultant_per_node_and_one_interpolation(monkeypatch, request, draw
         elimination, "interpolate", lambda values, field: sizes.append(len(values))
         or interp(values, field)
     )
-    resultant_bivar_elim(f, g, 1)
+    resultant_bivar_elim(f, g)
     bound = f.total_degree * g.total_degree
     assert len(calls) == bound + 1
     assert len(evaluations) == 2  # one all-node evaluation per input
@@ -605,7 +600,7 @@ def test_all_node_slices_match_per_node_evaluation(request, generic_quintic, dra
     slot = (1 << w) - 1
     for poly in (f, g):
         d = poly.degree_in(1)
-        slices = list(_eval_slices(poly, 0, n, count, p))
+        slices = list(_eval_slices(poly, n, count, p))
         assert len(slices) == n
         for node, packed in enumerate(slices):
             # slots in [0, 2p), as _resultant_modp takes them, nothing above
@@ -620,10 +615,10 @@ def test_eliminant_memory_stays_below_a_megabyte(request, draw):
     # the all-node slices stream node by node: no list of 38 kbit products
     # or of per-node slices is held, at 64-bit slots or wider
     f, g = request.getfixturevalue(draw)
-    resultant_bivar_elim(f, g, 1)  # the prime's node powers, masks and tree
+    resultant_bivar_elim(f, g)  # the prime's node powers, masks and tree
     tracemalloc.start()
     try:
-        resultant_bivar_elim(f, g, 1)
+        resultant_bivar_elim(f, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -797,19 +792,19 @@ def test_cofactor_steps_mid_division(p):
 def test_interpolation_and_elimination_reject_QQ():
     with pytest.raises(ValueError, match="prime field"):
         interpolate([Fraction(1), Fraction(2)], QQ)
-    x = MultiPoly.variable(QQ, 2, 0)
-    s = MultiPoly.variable(QQ, 2, 1)
+    s = MultiPoly.variable(QQ, 2, 0)
+    x = MultiPoly.variable(QQ, 2, 1)
     with pytest.raises(ValueError, match="prime field"):
-        resultant_bivar_elim(x - s, x * x - s, 0)
+        resultant_bivar_elim(x - s, x * x - s)
 
 
 def test_elimination_rejects_bad_inputs():
-    x = MultiPoly.variable(F, 2, 0)
+    x = MultiPoly.variable(F, 2, 1)
     with pytest.raises(ValueError):
-        resultant_bivar_elim(x, MultiPoly.zero(F, 2), 0)
-    ternary = MultiPoly.variable(F, 3, 0)
+        resultant_bivar_elim(x, MultiPoly.zero(F, 2))
+    ternary = MultiPoly.variable(F, 3, 1)
     with pytest.raises(ValueError):
-        resultant_bivar_elim(ternary, ternary, 0)
+        resultant_bivar_elim(ternary, ternary)
 
 
 def _tail_cases(p: int) -> list[tuple[UniPoly, UniPoly]]:
@@ -873,8 +868,8 @@ def test_first_subresultant_of_the_certificate_matches_the_minors(p, curve):
     # 9), through g mod f and any vanished lead of it; interpolated, their
     # degrees stay within the 46 nodes of R
     f, g = _genericity_pair(S1_CURVES[curve](), p)
-    eliminant, s0, s1 = resultant_bivar_elim(f, g, 1, subresultant=True)
-    assert eliminant == resultant_bivar_elim(f, g, 1)
+    eliminant, s0, s1 = resultant_bivar_elim(f, g, subresultant=True)
+    assert eliminant == resultant_bivar_elim(f, g)
     assert len(s0) == len(s1) == 46
     for node in range(46):
         assert (s0[node], s1[node]) == first_subresultant(_at(f, node), _at(g, node), 5, 9), node
@@ -926,7 +921,7 @@ def test_first_subresultant_at_constructed_nodes(p):
     g = _through_nodes(field, [_padded(b, 5) for _, b in pairs])
     assert [(e, c) for e, c in f.terms.items() if e[1] == 5] == [((0, 5), 3)]
     assert g.degree_in(1) == 4
-    eliminant, s0, s1 = resultant_bivar_elim(f, g, 1, subresultant=True)
+    eliminant, s0, s1 = resultant_bivar_elim(f, g, subresultant=True)
     n = f.total_degree * g.total_degree + 1
     assert len(s0) == n
     for node in range(n):
@@ -943,6 +938,6 @@ def test_first_subresultant_needs_a_constant_lead():
     x = MultiPoly.variable(F, 2, 1)
     s = MultiPoly.variable(F, 2, 0)
     with pytest.raises(ValueError, match="constant"):
-        resultant_bivar_elim(s * x * x + x, x * x + s, 1, subresultant=True)
+        resultant_bivar_elim(s * x * x + x, x * x + s, subresultant=True)
     with pytest.raises(ValueError, match="constant"):
-        resultant_bivar_elim(x + s, x * x + s, 1, subresultant=True)
+        resultant_bivar_elim(x + s, x * x + s, subresultant=True)

@@ -215,7 +215,7 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
             terms[e] = F.reduce(terms.get(e, F.zero) + c)
         return MultiPoly(F, 2, terms)
 
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h), 1)
+    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h))
     u0 = next(x for x in range(F.p) if flex_res.eval(x) == 0)
 
     def fiber_poly(poly, u):

@@ -8,6 +8,7 @@ from quintic_moduli import plane_curves
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     gcd_uni,
+    resultant_bivar_elim,
     squarefree_decomposition,
 )
 from quintic_moduli.plane_curves import (
@@ -192,8 +193,9 @@ def test_probe_flexes_adds_over_a_split_modulus():
     curve_poly, shape, h = _flex_modulus(curve, seed=0)
     h1, h2 = _split_off_rational_roots(h)
     assert h.degree == 45 and 0 < h1.degree < h.degree
-    whole = _probe_flexes(curve_poly, shape, h)
-    halves = [_probe_flexes(curve_poly, shape, part) for part in (h1, h2)]
+    tables = _taylor_tables(curve_poly)
+    whole = _probe_flexes(tables, shape, h)
+    halves = [_probe_flexes(tables, shape, part) for part in (h1, h2)]
     assert whole == 44 == sum(halves)  # 44 reachable only through a split of h
     report = genericity_report(curve, F.p, seed=0)
     assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
@@ -251,7 +253,7 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
     """The probe modulo u at a rational flex placed by ``_framed_at_flex``."""
     field = GF(prime)
     framed = _framed_at_flex(curve, prime, flex)
-    return _probe_flexes(framed, _shape(framed, field)[1], UniPoly.x(field))
+    return _probe_flexes(_taylor_tables(framed), _shape(framed, field)[1], UniPoly.x(field))
 
 
 # rational flexes of the generic quintic: the roots u0 = 2051, 1955 and 5216
@@ -376,9 +378,10 @@ def test_probe_rejects_a_curve_point_that_is_no_flex(generic_quintic):
             break
     framed = reduced.composed_with_frame(frame).poly
     ring = ResidueRing(UniPoly.x(F))
-    c0, c2, *_ = _tangent_coefficients(_taylor_tables(framed), ring, ring.zero)
+    tables = _taylor_tables(framed)
+    c0, c2, *_ = _tangent_coefficients(tables, ring, ring.zero)
     assert ring.is_zero(c0) and not ring.is_zero(c2)
-    assert _probe_flexes(framed, [ring.zero, ring.one], UniPoly.x(F)) == 0
+    assert _probe_flexes(tables, [ring.zero, ring.one], UniPoly.x(F)) == 0
 
 
 def _report_in_frame(monkeypatch, curve: PlaneCurve, prime: int, seed: int, frame):
@@ -464,3 +467,28 @@ def test_a_frame_through_the_curve_at_framed_infinity(
     report = _report_in_frame(monkeypatch, generic_quintic, F.p, 0, frame)
     assert (report.frames_tried, report.notes) == (frames, notes)
     assert _counts(report) == (True, True, 45, 45)
+
+
+@pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1])
+def test_s1_from_its_degree_bound_nodes_matches_all_46(generic_quintic, prime):
+    # s0 and s1 have u-degree at most 33 and 32 (``_flex_eliminant``), so
+    # their first 34 and 33 node values give what all 46 of R's nodes give,
+    # in the first frame of seeds 0-5 and, at 10007, in a frame through the
+    # curve point (1927 : 2 : 1), which takes the (H, F) order
+    field = GF(prime)
+    frames = [random_invertible_frame(field, random.Random(seed)) for seed in range(6)]
+    if prime == F.p:
+        frames.append(_frame_with_third_column(field, (1927, 2, 1)))
+    orders = []
+    for frame in frames:
+        framed = generic_quintic.reduce_mod(field).composed_with_frame(frame).poly
+        f, h = (_dehom_y(p, field) for p in (framed, _hessian_form(framed)))
+        pair = (f, h) if (0, 5) in f.terms else (h, f)
+        orders.append(pair[0] is f)
+        eliminant, full_s0, full_s1 = resultant_bivar_elim(*pair, subresultant=True)
+        flex_res, (s0, s1) = plane_curves._flex_eliminant(f, h)
+        assert flex_res == eliminant and (len(full_s0), len(s0), len(s1)) == (46, 34, 33)
+        for short, full, bound in ((s0, full_s0, 33), (s1, full_s1, 32)):
+            poly = interpolate(full, field)
+            assert poly == interpolate(short, field) and poly.degree <= bound
+    assert orders == [True] * 6 + [False] * (prime == F.p)
