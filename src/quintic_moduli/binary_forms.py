@@ -6,19 +6,27 @@ data: top coefficients may vanish (a root at (1:0)); the zero form of a
 given order is allowed, since transvectants produce it.
 
 Coefficients live in any ``Ring`` from :mod:`.scalars` /
-:mod:`.polys` (rationals, a prime field, a polynomial ring for symbolic
-identities, or a residue ring GF(p)[u]/(h) for the flex probe), so the
-same covariant code serves numeric and symbolic callers.  Sums and
-scalings use the coefficients' own ``+ - *`` with one ``reduce`` per
-result.  Products go through ``polys.dense_product``, the kernel
-``UniPoly`` multiplies with; a transvectant is the same
+:mod:`.polys` (rationals, a prime field, the integers, a polynomial ring
+for symbolic identities, or a residue ring GF(p)[u]/(h) for the flex
+probe), so the same covariant code serves numeric and symbolic callers.
+Sums and scalings use the coefficients' own ``+ - *`` with one ``reduce``
+per result.  Products go through ``polys.dense_product``, the kernel
+``UniPoly`` multiplies with.
+
+A transvectant has two layers.  The kernel ``_transvectant_sums`` is the
 accumulate-then-reduce idiom over a cached table of integer weights, with
-no intermediate derivative forms.  Over QQ both run on the integer
-numerators of ``Ring.clear_denominators`` and make one ``Fraction`` per
-output coefficient; over any other ring the weights scale the values as
-ints (``UniPoly`` and ``MultiPoly`` take ``n * value``).
-``BinaryForm.substituted`` applies a linear change of the two variables;
-restricting a ternary form to a line is ``polys.line_restriction``.
+no intermediate derivative forms, no scaling and no clearing of
+denominators: one weighted sum and one ``reduce`` per output coefficient,
+the weights scaling the values as ints (``UniPoly`` and ``MultiPoly`` take
+``n * value``).  It is what ``invariants`` runs, in every ring; the
+chain's factorial scalings are constants that its normalisation absorbs.
+The public ``transvectant`` is the kernel times the table's scaling.
+
+``BinaryForm.substituted`` applies a linear change of the two variables.
+Over QQ it clears the form's and the matrix's denominators once, runs the
+same generic loop over the integers and makes one ``Fraction`` per output
+coefficient.  Restricting a ternary form to a line is
+``polys.line_restriction``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from math import comb, factorial, perm
 from typing import Sequence
 
 from .polys import UniPoly, dense_product
-from .scalars import Field, Ring
+from .scalars import QQ, ZZ, Field, Ring
 
 
 class BinaryForm:
@@ -77,9 +85,18 @@ class BinaryForm:
         """Apply the linear substitution (x, y) -> (a x + b y, c x + d y).
 
         ``m = ((a, b), (c, d))`` with entries in the coefficient ring.
+        Over QQ, f = F / d and m = M / e for integer F and M, and by
+        homogeneity f(m (x, y)) = F(M (x, y)) / (d e**n): the loop below runs
+        over ZZ, and each output coefficient is one ``Fraction``.
         """
         R = self.ring
         n = self.order
+        if R is QQ:
+            coeffs, d = QQ.clear_denominators(self.coeffs)
+            entries, e = QQ.clear_denominators([*m[0], *m[1]])
+            numerators = BinaryForm(ZZ, coeffs).substituted((entries[:2], entries[2:]))
+            den = d * e**n
+            return BinaryForm(QQ, [Fraction(x, den) for x in numerators.coeffs])
         rows = []
         for lin in m:
             lin = BinaryForm(R, lin)
@@ -163,21 +180,13 @@ def _transvectant_table(m: int, n: int, k: int):
     return tuple(rows), scaling
 
 
-def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
-    """k-th transvectant of two forms, with the symmetric factorial scaling.
+def _transvectant_sums(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
+    """(g, h)_k before its scaling, in g's ring.
 
-    (g, h)_k = ((m-k)! (n-k)!)/(m! n!) * sum_r (-1)^r C(k, r)
-               * d^k g/dx^(k-r) dy^r * d^k h/dx^r dy^(k-r)
-
-    Result order: m + n - 2k.  Requires k <= min(m, n).  Each output
-    coefficient is one sum over the cached integer weights of
-    ``_transvectant_table``.  The coefficients first go through
-    ``ring.clear_denominators``: over QQ the weights multiply the integer
-    numerators dg * g and dh * h, and scaling / (dg * dh) makes the one
-    ``Fraction`` of each output coefficient; over any other ring
-    dg = dh = 1 and the weights scale the values as ints.  The scaling is
-    applied and ``ring.reduce`` called once per output coefficient, as in
-    ``polys.dense_product``.
+    Each output coefficient is one sum of w * g[t] * h[s] over the integer
+    weights of ``_transvectant_table`` and one ``ring.reduce``; nothing is
+    scaled and no denominator is cleared.  Result order: m + n - 2k.
+    Requires k <= min(m, n).
     """
     if g.ring is not h.ring:
         raise ValueError("ring mismatch in transvectant")
@@ -185,16 +194,26 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     if k > min(m, n):
         raise ValueError(f"transvectant index {k} exceeds min order {min(m, n)}")
     R = g.ring
-    rows, scaling = _transvectant_table(m, n, k)
-    gc, dg = R.clear_denominators(g.coeffs)
-    hc, dh = (gc, dg) if h is g else R.clear_denominators(h.coeffs)
-    d = dg * dh
-    scale = R.from_fraction(scaling / d if d != 1 else scaling)
-    zero = 0 * gc[0]  # 0 over QQ and GF(p), the ring's zero otherwise
+    gc, hc = g.coeffs, h.coeffs
+    zero = 0 * gc[0]  # 0 over the ints and GF(p), the ring's zero otherwise
     out = []
-    for row in rows:
+    for row in _transvectant_table(m, n, k)[0]:
         acc = zero
         for t, s, w in row:
             acc += w * gc[t] * hc[s]
-        out.append(R.reduce(scale * acc))
+        out.append(R.reduce(acc))
     return BinaryForm(R, out)
+
+
+def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
+    """k-th transvectant of two forms, with the symmetric factorial scaling.
+
+    (g, h)_k = ((m-k)! (n-k)!)/(m! n!) * sum_r (-1)^r C(k, r)
+               * d^k g/dx^(k-r) dy^r * d^k h/dx^r dy^(k-r)
+
+    Result order: m + n - 2k.  Requires k <= min(m, n).  The sums are
+    ``_transvectant_sums``; the scaling then multiplies each output
+    coefficient, with one more ``ring.reduce``.
+    """
+    sums = _transvectant_sums(g, h, k)
+    return sums.scale(g.ring.from_fraction(_transvectant_table(g.order, h.order, k)[1]))

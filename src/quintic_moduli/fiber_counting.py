@@ -147,7 +147,9 @@ _STRIDE = 1 + max(_chart_degree(*g) + _chart_degree(*h) for g, h, _ in _CHAIN)
 #: C with C (p - 1)**3 bounding every |slot| the chain reduces: a
 #: transvectant's output sums |w| products per row, each slot of a product
 #: at most one term per monomial of the smaller factor, each term below
-#: (p - 1)**2, and the scaling multiplies by at most p - 1.  The other
+#: (p - 1)**2.  The chain multiplies by no scaling (its factorial scalings
+#: are in the normalisation's constants), so the third factor p - 1 is
+#: slack; the bound stays as it is, and with it the slot width.  The other
 #: reductions (the restriction, the normalisation, G1 and G2) stay far
 #: below it.
 _CHAIN_WEIGHT = max(

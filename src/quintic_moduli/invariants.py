@@ -17,11 +17,22 @@ they take the classical closed forms
     I8  = (l m n)^2 (mn + nl + lm)
     I12 = (l m n)^4.
 
-Each pinning constant is one exact ratio, solved once per process on the
-symbolic family (never hand-entered): s = t / J at one monomial of the
-closed form t, with s*J = t then rechecked coefficient by coefficient.  On
-this chain they come out as (s4, s8, s12) = (-1/2, 1/8, 1/96).  I18 never
-enters any degree computation and keeps the raw chain scale.
+The chain runs on ``binary_forms._transvectant_sums``, the transvectants
+without their factorial scalings, in every ring: an invariant is a
+homogeneous polynomial in the coefficients, so those scalings are
+constants that the pinning absorbs.  Each pinning constant is one exact
+ratio, solved once per process on the symbolic family (never
+hand-entered): s = t / J at one monomial of the closed form t, with s*J =
+t then rechecked coefficient by coefficient.  Divided by the products of
+the scalings along their chains, (s4, s8, s12) are (-1/2, 1/8, 1/96), the
+factors of the scaled chain.  I18 never enters any degree computation and
+keeps the raw scaled chain's value: J18 times the product of the
+``_transvectant_table`` scalings along its own chain, computed from the
+table.
+
+Over QQ, f = F / d with F the integer numerators; the chain runs on F over
+the integers (``scalars.ZZ``), and since I_k is homogeneous of degree k,
+I_k(f) = s_k J_k(F) / d**k is the one ``Fraction`` of each invariant.
 
 In this normalisation the locus of quintics with a repeated root is cut
 out by I4^2 - 128*I8, and a quintic is unstable (some root of multiplicity
@@ -32,15 +43,16 @@ via (I4 : I8 : I12).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Union
 
-from .binary_forms import BinaryForm, BinaryQuintic, transvectant
+from .binary_forms import BinaryForm, BinaryQuintic, _transvectant_sums, _transvectant_table
 from .elimination import gcd_uni
 from .polys import PolynomialRing
-from .scalars import QQ, Field, Ring
+from .scalars import QQ, ZZ, Field, Ring
 
 
 class UnstableQuinticError(ValueError):
@@ -124,20 +136,36 @@ ConfigClass = Union[OneDouble, TwoDoubles]
 
 
 def _chain(f: BinaryForm):
-    """Covariants i, j and the chain values (J4, J8, J12): six transvectants."""
-    i = transvectant(f, f, 4)
-    j = transvectant(i, f, 2)
-    q = transvectant(j, j, 2)
-    J4 = transvectant(i, i, 2).coeffs[0]
-    J8 = transvectant(q, i, 2).coeffs[0]
-    J12 = transvectant(q, q, 2).coeffs[0]
+    """Covariants i, j and the chain values (J4, J8, J12): six unscaled
+    transvectants."""
+    i = _transvectant_sums(f, f, 4)
+    j = _transvectant_sums(i, f, 2)
+    q = _transvectant_sums(j, j, 2)
+    J4 = _transvectant_sums(i, i, 2).coeffs[0]
+    J8 = _transvectant_sums(q, i, 2).coeffs[0]
+    J12 = _transvectant_sums(q, q, 2).coeffs[0]
     return i, j, (J4, J8, J12)
 
 
 def _j18(f: BinaryForm, i: BinaryForm, j: BinaryForm):
     """J18 = (j, ell^3)_3 with ell = (i*i, f)_4, from the chain's i and j."""
-    ell = transvectant(i * i, f, 4)
-    return transvectant(j, ell * ell * ell, 3).coeffs[0]
+    ell = _transvectant_sums(i * i, f, 4)
+    return _transvectant_sums(j, ell * ell * ell, 3).coeffs[0]
+
+
+@functools.cache
+def _i18_scale() -> Fraction:
+    """I18's factor on J18, the raw scale of the chain of scaled
+    transvectants: the product of the scalings along J18's chain, each
+    covariant carrying its own scaling times its operands' products."""
+
+    def scaling(m, n, k):
+        return _transvectant_table(m, n, k)[1]
+
+    i = scaling(5, 5, 4)
+    j = scaling(2, 5, 2) * i
+    ell = scaling(4, 5, 4) * i * i
+    return scaling(3, 3, 3) * j * ell**3
 
 
 def family_quintic(ring: PolynomialRing) -> BinaryQuintic:
@@ -181,7 +209,8 @@ _NORMALISATION: tuple[Fraction, Fraction, Fraction] | None = None
 
 
 def _normalisation() -> tuple[Fraction, Fraction, Fraction]:
-    """Scale factors (s4, s8, s12) with s*J equal to the family closed forms.
+    """Scale factors (s4, s8, s12) with s*J equal to the family closed forms,
+    for the unscaled chain values J.
 
     Solved once per process as exact ratios on the symbolic family; a
     failure here means the covariant chain is broken.
@@ -194,21 +223,40 @@ def _normalisation() -> tuple[Fraction, Fraction, Fraction]:
     return _NORMALISATION
 
 
-def _normalise(R: Ring, J4, J8, J12):
-    """(I4, I8, I12) from the chain values, by the pinned scale factors."""
-    s4, s8, s12 = (R.from_fraction(s) for s in _normalisation())
-    return R.reduce(s4 * J4), R.reduce(s8 * J8), R.reduce(s12 * J12)
+def _chain_input(f: BinaryQuintic):
+    """(F, d) with f = F / d: over QQ, F is f's integer numerators over ZZ;
+    in any other ring F is f and d is 1."""
+    if f.ring is QQ:
+        coeffs, d = QQ.clear_denominators(f.coeffs)
+        return BinaryForm(ZZ, coeffs), d
+    return f, 1
+
+
+def _normalise(R: Ring, d: int, values, scales):
+    """The invariants s_k J_k / d**k of degree k = 4, 8, 12, 18 from the
+    chain values J_k of F = d f: one ``Fraction`` each over QQ, the scale
+    factors embedded by ``from_fraction`` in any other ring (there d = 1)."""
+    if R is QQ:
+        return tuple(
+            Fraction(s.numerator * J, s.denominator * d**k)
+            for s, J, k in zip(scales, values, (4, 8, 12, 18))
+        )
+    return tuple(R.reduce(R.from_fraction(s) * J) for s, J in zip(scales, values))
 
 
 def invariants(f: BinaryQuintic) -> InvariantVector:
     """The normalised invariant quadruple (I4, I8, I12, I18) of a quintic."""
-    i, j, triple = _chain(f)
-    return InvariantVector(f.ring, *_normalise(f.ring, *triple), _j18(f, i, j))
+    F, d = _chain_input(f)
+    i, j, triple = _chain(F)
+    values = (*triple, _j18(F, i, j))
+    scales = (*_normalisation(), _i18_scale())
+    return InvariantVector(f.ring, *_normalise(f.ring, d, values, scales))
 
 
 def invariant_triple(f: BinaryQuintic):
     """(I4, I8, I12) only; the lean path for moduli and fiber-counting loops."""
-    return _normalise(f.ring, *_chain(f)[2])
+    F, d = _chain_input(f)
+    return _normalise(f.ring, d, _chain(F)[2], _normalisation())
 
 
 def discriminant_invariant(iv: InvariantVector):

@@ -138,9 +138,6 @@ class PlaneCurve:
             raise ValueError(f"curve vanishes modulo {target.p}")
         return PlaneCurve(reduced)
 
-    def partials(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-        return tuple(self.poly.derivative(v) for v in range(3))
-
     def composed_with_frame(self, frame: Sequence[Sequence]) -> "PlaneCurve":
         """The curve in framed coordinates, F(M . (x', y', z')), over GF(p).
 

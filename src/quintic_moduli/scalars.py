@@ -13,12 +13,17 @@ calls ``reduce`` once per result.  Values from different rings are never
 coerced into each other: polynomial operations compare ring objects and
 raise on mismatch.
 
-``clear_denominators(values)`` returns ``(numerators, denominator)``.  On
-QQ the numerators are the ints ``x * d`` for d the lcm of the
-denominators, so an exact kernel (a transvectant, ``polys.dense_product``,
-``linalg.rref``) sums and multiplies ints and makes one ``Fraction`` per
-output value instead of normalising one per term.  Every other ring
-returns ``(values, 1)``: its values are already what the kernel combines.
+``QQ.clear_denominators(values)`` returns ``(numerators, d)``: the ints
+``x * d`` for d the lcm of the denominators, so an exact kernel
+(``polys.dense_product``, ``linalg.rref``) sums and multiplies ints and
+makes one ``Fraction`` per output value instead of normalising one per
+term.
+
+The private ``ZZ`` is the integers as plain ints: ``reduce`` is the
+identity and there is no ``from_fraction``, so a rational constant that
+reaches it raises.  The QQ entries of ``invariants.invariants``,
+``invariants.invariant_triple`` and ``BinaryForm.substituted`` clear the
+denominators once and run the generic code there, on the numerators.
 
 Prime fields require an odd prime ``p >= 2503``.  The lower bound keeps
 every factorial scaling, squarefree multiplicity and interpolation node
@@ -126,10 +131,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    def clear_denominators(self, values):
-        """(numerators, d) with values[k] == numerators[k] / d; d is 1 here."""
-        return values, 1
-
     def reduce(self, x):
         """Canonical representative of a raw ``+ - *`` combination of elements."""
         return x
@@ -186,6 +187,23 @@ class RationalField(Field):
         return "QQ"
 
 
+class _IntegerRing(Ring):
+    """The integers as plain ints; ``reduce`` is the identity and
+    ``from_fraction`` raises."""
+
+    zero = 0
+    one = 1
+
+    def from_int(self, n):
+        return n
+
+    def is_zero(self, a):
+        return a == 0
+
+    def __repr__(self):
+        return "ZZ"
+
+
 class PrimeField(Field):
     """Integers mod an odd prime ``p >= MIN_PRIME``; elements live in ``[0, p)``."""
 
@@ -223,6 +241,7 @@ class PrimeField(Field):
 
 
 QQ = RationalField()
+ZZ = _IntegerRing()
 
 
 @functools.cache

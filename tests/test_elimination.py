@@ -361,30 +361,29 @@ def test_bivariate_elimination_matches_direct_resultants():
             assert r.eval(F.from_int(s)) == resultant_uni(fu, gu)
 
 
-def _at(poly: MultiPoly, s: int, elim: int = 1) -> UniPoly:
+def _at(poly: MultiPoly, s: int) -> UniPoly:
     """The bivariate poly at x_keep = s, a polynomial in the eliminated variable."""
     field = poly.field
     powers: dict[int, int] = {}  # s**k mod p, once per kept exponent k
-    coeffs = [0] * (poly.degree_in(elim) + 1)
-    for e, c in poly.terms.items():
-        k = e[1 - elim]
+    coeffs = [0] * (poly.degree_in(1) + 1)
+    for (k, e), c in poly.terms.items():
         if k not in powers:
             powers[k] = pow(s, k, field.p)
-        coeffs[e[elim]] += c * powers[k]
+        coeffs[e] += c * powers[k]
     return UniPoly(field, [c % field.p for c in coeffs])
 
 
-def _resampling_eliminant(f: MultiPoly, g: MultiPoly, elim: int = 1) -> UniPoly:
+def _resampling_eliminant(f: MultiPoly, g: MultiPoly) -> UniPoly:
     """The eliminant as it was computed before the formal-degree rule:
     sample where neither lead vanishes, skipping the others, take univariate
     resultants there (by the list loop) and interpolate through those nodes
     (Newton)."""
     field = f.field
-    df, dg = f.degree_in(elim), g.degree_in(elim)
+    df, dg = f.degree_in(1), g.degree_in(1)
     needed = f.total_degree * g.total_degree + 1
     samples = []
     for s in range(field.p):
-        fs, gs = _at(f, s, elim), _at(g, s, elim)
+        fs, gs = _at(f, s), _at(g, s)
         if fs.degree == df and gs.degree == dg:
             samples.append((s, _resultant_reference(list(fs.coeffs), list(gs.coeffs), field.p)))
             if len(samples) == needed:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from quintic_moduli import PlaneCurve, fiber_counting
-from quintic_moduli.binary_forms import BinaryQuintic, transvectant
+from quintic_moduli.binary_forms import BinaryQuintic
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
 from quintic_moduli.fiber_counting import (
     ELIMINANT_DEGREE,
@@ -166,9 +166,10 @@ def test_chain_at_the_slot_edge(monkeypatch, prime, width):
 
 def test_chain_table_matches_the_invariant_chain(monkeypatch, fixture_mod_p, sample_system):
     # the stride and the slot bound are derived from _CHAIN: it must list the
-    # transvectants invariant_triple runs, in order, and on this generic draw
-    # each operand's coefficients reach their chart degree bound exactly,
-    # which pins the coefficient degrees d of _CHAIN too
+    # transvectants invariant_triple runs (the unscaled kernel
+    # _transvectant_sums), in order, and on this generic draw each operand's
+    # coefficients reach their chart degree bound exactly, which pins the
+    # coefficient degrees d of _CHAIN too
     calls = []
     ring = _chart_ring(F.p)
 
@@ -177,11 +178,12 @@ def test_chain_table_matches_the_invariant_chain(monkeypatch, fixture_mod_p, sam
 
     def recording(g, h, k):
         calls.append(((g.order, degree(g)), (h.order, degree(h)), k))
-        return transvectant(g, h, k)
+        return sums(g, h, k)
 
     # the package exports the function invariants, which hides the module
     chain_module = importlib.import_module("quintic_moduli.invariants")
-    monkeypatch.setattr(chain_module, "transvectant", recording)
+    sums = chain_module._transvectant_sums
+    monkeypatch.setattr(chain_module, "_transvectant_sums", recording)
     frame, target, g1, g2 = sample_system
     assert build_fiber_system(fixture_mod_p, target, frame) == (g1, g2)
     assert [(g[0], h[0], k) for g, h, k in calls] == [

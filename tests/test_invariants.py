@@ -5,19 +5,21 @@ from math import comb
 
 import pytest
 
-from quintic_moduli.binary_forms import BinaryQuintic
+from quintic_moduli.binary_forms import BinaryQuintic, _transvectant_table, transvectant
 from quintic_moduli.elimination import resultant_uni
 from quintic_moduli.invariants import (
     RELATION_MONOMIALS,
     UnstableQuinticError,
     WPPoint,
     discriminant_invariant,
+    family_quintic,
     find_fundamental_relation,
     invariant_triple,
     invariants,
     is_stable,
     moduli_point,
 )
+from quintic_moduli.polys import PolynomialRing
 from quintic_moduli.scalars import GF, QQ
 
 from conftest import j_from_cross_ratio, relation_value
@@ -81,9 +83,104 @@ def test_pinned_sample_values():
     assert (iv2.i4, iv2.i8, iv2.i12) == (1, 0, 0)
 
 
+#: The factors (s4, s8, s12) of the chain of scaled transvectants.
+SCALED_FACTORS = (Fraction(-1, 2), Fraction(1, 8), Fraction(1, 96))
+
+
+def _scaling(m, n, k):
+    return _transvectant_table(m, n, k)[1]
+
+
+def _chain_scalings():
+    """The products of the transvectant scalings along the chains of J4, J8
+    and J12: each covariant carries its own scaling times its operands'."""
+    i = _scaling(5, 5, 4)
+    j = _scaling(2, 5, 2) * i
+    q = _scaling(3, 3, 2) * j * j
+    return tuple(_scaling(2, 2, 2) * a * b for a, b in ((i, i), (q, i), (q, q)))
+
+
+def reference_invariants(f: BinaryQuintic):
+    """(I4, I8, I12, I18) from the chain of scaled transvectants, each a
+    call of the public ``transvectant`` in f's own ring, with the scaled
+    chain's factors and I18 its raw J18."""
+    i = transvectant(f, f, 4)
+    j = transvectant(i, f, 2)
+    q = transvectant(j, j, 2)
+    chain = [transvectant(a, b, 2).coeffs[0] for a, b in ((i, i), (q, i), (q, q))]
+    ell = transvectant(i * i, f, 4)
+    j18 = transvectant(j, ell * ell * ell, 3).coeffs[0]
+    R = f.ring
+    return (*(R.reduce(R.from_fraction(s) * J) for s, J in zip(SCALED_FACTORS, chain)), j18)
+
+
 def test_normalisation_is_three_scale_factors():
-    s4, s8, s12 = invariants_module._normalisation()
-    assert (s4, s8, s12) == (Fraction(-1, 2), Fraction(1, 8), Fraction(1, 96))
+    # solved for the unscaled chain: over the products of the scalings that
+    # chain leaves out, they are the scaled chain's factors
+    solved = invariants_module._normalisation()
+    assert tuple(s / c for s, c in zip(solved, _chain_scalings())) == SCALED_FACTORS
+
+
+def test_i18_keeps_the_scaled_chain_value():
+    # I18 is the unscaled J18 times the scalings along its chain, read off
+    # the table: i = (f, f)_4, j = (i, f)_2, ell = (i*i, f)_4, (j, ell^3)_3
+    i = _scaling(5, 5, 4)
+    ell = _scaling(4, 5, 4) * i * i
+    assert invariants_module._i18_scale() == _scaling(3, 3, 3) * _scaling(2, 5, 2) * i * ell**3
+
+
+def _rational_quintic(rng, kind: str) -> BinaryQuintic:
+    """A seeded rational quintic of one kind: with denominators, with zero
+    leading or trailing coefficients, or a nullform (a triple root)."""
+    if kind == "nullform":
+        a, b, c = (Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3))
+        lam = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        return BinaryQuintic(QQ, [lam * x for x in quintic_from_roots([a, a, a, b, c]).coeffs])
+    while True:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(6)]
+        zeros = rng.randint(1, 3)
+        if kind == "leading zeros":
+            coeffs[:zeros] = [Fraction(0)] * zeros
+        elif kind == "trailing zeros":
+            coeffs[6 - zeros :] = [Fraction(0)] * zeros
+        if any(coeffs):
+            return BinaryQuintic(QQ, coeffs)
+
+
+def test_invariants_match_the_scaled_chain_over_qq():
+    rng = random.Random(34)
+    kinds = ("denominators", "leading zeros", "trailing zeros", "nullform", "denominators")
+    for n in range(500):
+        f = _rational_quintic(rng, kinds[n % len(kinds)])
+        reference = reference_invariants(f)
+        iv = invariants(f)
+        assert tuple(iv) == reference, f
+        assert all(type(x) is Fraction for x in iv)
+        assert invariant_triple(f) == reference[:3], f
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+def test_invariants_match_the_scaled_chain_over_gf(p):
+    field = GF(p)
+    rng = random.Random(p)
+    kinds = ("denominators", "leading zeros", "trailing zeros", "nullform")
+    for n in range(80):
+        coeffs = [field.from_fraction(c) for c in _rational_quintic(rng, kinds[n % 4]).coeffs]
+        if n % 8 == 0:
+            coeffs = [rng.randrange(p) for _ in range(6)]
+        if not any(coeffs):
+            continue
+        f = BinaryQuintic(field, coeffs)
+        reference = reference_invariants(f)
+        assert tuple(invariants(f)) == reference, coeffs
+        assert invariant_triple(f) == reference[:3], coeffs
+
+
+def test_invariants_match_the_scaled_chain_on_the_symbolic_family():
+    f = family_quintic(PolynomialRing(QQ, 3))
+    reference = reference_invariants(f)
+    assert tuple(invariants(f)) == reference
+    assert invariant_triple(f) == reference[:3]
 
 
 def test_normalisation_rejects_a_chain_off_the_closed_forms(monkeypatch):

@@ -398,6 +398,54 @@ def test_qq_kernels_with_hard_denominators():
                 assert form_eval(BinaryForm(QQ, substituted), x, y) == form_eval(bg, u, v)
 
 
+def _reference_substituted(form: BinaryForm, m) -> BinaryForm:
+    """The substitution as one generic loop in the form's own ring: the
+    powers of the two linear forms, then the scaled products summed."""
+    R, n = form.ring, form.order
+    rows = []
+    for lin in m:
+        lin = BinaryForm(R, lin)
+        row = [BinaryForm(R, [R.one])]
+        for _ in range(n):
+            row.append(row[-1] * lin)
+        rows.append(row)
+    xp, yp = rows
+    acc = BinaryForm.zero(R, n)
+    for k, c in enumerate(form.coeffs):
+        if not R.is_zero(c):
+            acc = acc + (xp[n - k] * yp[k]).scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["invertible", "singular"])
+def test_qq_substitution_matches_the_generic_loop(singular):
+    """Over QQ, ``substituted`` clears the denominators and runs over the
+    integers; it must equal the loop in QQ on fractional matrices, singular
+    ones included, at every order and on forms with zero coefficients."""
+    rng = random.Random(41 + singular)
+    for _ in range(60):
+        order = rng.randrange(0, 7)
+        if rng.random() < 0.3:
+            coeffs = _hard_qq_form(rng, order)
+        else:
+            coeffs = [
+                Fraction(rng.randint(-9, 9) * rng.choice([0, 1, 1]), rng.randint(1, 12))
+                for _ in range(order + 1)
+            ]
+        form = BinaryForm(QQ, coeffs)
+        a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(3))
+        if singular:
+            # (c, d) a multiple of (a, b), or a zero row
+            t = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            m = ((a, b), (t * a, t * b))
+        else:
+            d = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            m = ((a, b), (c, d))
+        got = form.substituted(m)
+        assert got.coeffs == _reference_substituted(form, m).coeffs
+        assert all(type(x) is Fraction for x in got.coeffs)
+
+
 def test_unipoly_eval_and_derivative():
     f = UniPoly.from_ints(QQ, [1, 0, 3])  # 1 + 3x^2
     assert f.eval(Fraction(2)) == 13

@@ -6,7 +6,21 @@ import pytest
 
 from quintic_moduli.polys import PolynomialRing, UniPoly
 from quintic_moduli.residue_rings import ResidueRing
-from quintic_moduli.scalars import GF, MIN_PRIME, PSI_12, QQ, _strong_lucas_probable_prime, is_prime
+from quintic_moduli.binary_forms import (
+    BinaryForm,
+    _transvectant_sums,
+    _transvectant_table,
+    transvectant,
+)
+from quintic_moduli.scalars import (
+    GF,
+    MIN_PRIME,
+    PSI_12,
+    QQ,
+    ZZ,
+    _strong_lucas_probable_prime,
+    is_prime,
+)
 
 
 def test_rational_field_basics():
@@ -21,6 +35,20 @@ def test_rational_field_basics():
     # denominators positive and in lowest terms, guaranteed by Fraction
     v = QQ.from_fraction(Fraction(6, -8))
     assert v.denominator > 0 and v == Fraction(-3, 4)
+
+
+def test_integers_take_no_rational_constant():
+    # the QQ paths run their generic code over ZZ on cleared numerators; a
+    # factorial scaling or a normalisation constant must never reach it
+    assert ZZ.reduce(-7 * 3 + 2) == -19 and ZZ.from_int(-5) == -5
+    with pytest.raises(NotImplementedError):
+        ZZ.from_fraction(Fraction(1, 2))
+    f, g = BinaryForm(ZZ, [2, -3, 0, 5, 0, 1]), BinaryForm(QQ, [2, -3, 0, 5, 0, 1])
+    scaling = _transvectant_table(5, 5, 2)[1]
+    sums = _transvectant_sums(f, f, 2).coeffs
+    assert transvectant(g, g, 2).coeffs == tuple(scaling * c for c in sums)
+    with pytest.raises(NotImplementedError):
+        transvectant(f, f, 2)
 
 
 def test_prime_field_basics():
