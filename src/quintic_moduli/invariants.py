@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Union
 
 from .binary_forms import BinaryForm, BinaryQuintic, _transvectant_sums, _transvectant_table
@@ -320,6 +320,10 @@ def find_fundamental_relation(seed: int = 0) -> list[Fraction]:
     Evaluates the 13 candidate monomials (see RELATION_MONOMIALS) on random
     rational quintics and computes the exact null space, which must be
     one-dimensional; returned normalised so the I18^2 coefficient is 1.
+    Each row is built from the invariants' integer numerators and
+    denominators and cleared over one ``lcm`` (a row's scale leaves the
+    null space unchanged); ``linalg.nullspace`` certifies its modular
+    answer exactly, or eliminates over QQ.
     """
     import random
 
@@ -332,10 +336,16 @@ def find_fundamental_relation(seed: int = 0) -> list[Fraction]:
         if all(c == 0 for c in coeffs):
             continue
         iv = invariants(BinaryQuintic(QQ, coeffs))
-        row = []
-        for e4, e8, e12, e18 in RELATION_MONOMIALS:
-            row.append(iv.i4**e4 * iv.i8**e8 * iv.i12**e12 * iv.i18**e18)
-        rows.append(row)
+        terms = []
+        for exponents in RELATION_MONOMIALS:
+            num = den = 1
+            for value, e in zip(iv, exponents):
+                if e:
+                    num *= value.numerator**e
+                    den *= value.denominator**e
+            terms.append((num, den))
+        d = lcm(*[den for _, den in terms])
+        rows.append([num * (d // den) for num, den in terms])
     basis = nullspace(rows)
     if len(basis) != 1:
         raise ArithmeticError(

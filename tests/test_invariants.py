@@ -9,6 +9,8 @@ from quintic_moduli.binary_forms import BinaryQuintic, _transvectant_table, tran
 from quintic_moduli.elimination import resultant_uni
 from quintic_moduli.invariants import (
     RELATION_MONOMIALS,
+    RELATION_SAMPLES,
+    InvariantVector,
     UnstableQuinticError,
     WPPoint,
     discriminant_invariant,
@@ -19,6 +21,7 @@ from quintic_moduli.invariants import (
     is_stable,
     moduli_point,
 )
+from quintic_moduli.linalg import rref
 from quintic_moduli.polys import PolynomialRing
 from quintic_moduli.scalars import GF, QQ
 
@@ -392,6 +395,53 @@ def test_fundamental_relation():
         assert relation_value(iv, rel) == 0
     # a second seed gives the same normalised relation (uniqueness up to scale)
     assert find_fundamental_relation(seed=99) == rel
+
+
+def _reference_relation(seed):
+    """The degree-36 relation from rows of ``Fraction`` powers and
+    products and the null space read off the exact ``rref``.  Returns (relation normalised to I18^2 coefficient 1,
+    null-space dimension), the relation None unless the dimension is 1."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < RELATION_SAMPLES:
+        iv = invariants_module.invariants(random_quintic(rng))
+        rows.append(
+            [iv.i4**a * iv.i8**b * iv.i12**c * iv.i18**e for a, b, c, e in RELATION_MONOMIALS]
+        )
+    reduced, pivots = rref(rows)
+    free = [c for c in range(len(RELATION_MONOMIALS)) if c not in pivots]
+    if len(free) != 1:
+        return None, len(free)
+    vec = [Fraction(0)] * len(RELATION_MONOMIALS)
+    vec[free[0]] = Fraction(1)
+    for r, pc in enumerate(pivots):
+        vec[pc] = -reduced[r][free[0]]
+    return [c / vec[0] for c in vec], 1
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_fundamental_relation_matches_the_fraction_reference(seed):
+    relation, dimension = _reference_relation(seed)
+    assert dimension == 1
+    got = find_fundamental_relation(seed)
+    assert got == relation
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_fundamental_relation_rejects_a_second_relation(monkeypatch):
+    # I12 -> I4^3 adds weight-36 relations such as I4^3 I12^2 = I4^9; the
+    # null space grows and the error names its dimension
+    real = invariants_module.invariants
+
+    def degenerate(f):
+        iv = real(f)
+        return InvariantVector(iv.ring, iv.i4, iv.i8, iv.i4**3, iv.i18)
+
+    monkeypatch.setattr(invariants_module, "invariants", degenerate)
+    dimension = _reference_relation(0)[1]
+    assert dimension > 1
+    with pytest.raises(ArithmeticError, match=f"null space dimension {dimension} != 1"):
+        find_fundamental_relation(0)
 
 
 def test_wppoint_equality_is_weighted():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_moduli import linalg
 from quintic_moduli.linalg import nullspace, rref, solve
 
 
@@ -89,6 +90,43 @@ def test_rref_and_nullspace_match_the_reference(rows):
     for vec in basis:
         assert all(type(x) is Fraction for x in vec)
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The path each ``nullspace`` call took: "certified" when the modular
+    basis passed its exact check, "fallback" when ``rref``'s answered."""
+    taken = []
+    modular = linalg._modular_nullspace
+
+    def counting(rows, ncols):
+        basis = modular(rows, ncols)
+        taken.append("fallback" if basis is None else "certified")
+        return basis
+
+    monkeypatch.setattr(linalg, "_modular_nullspace", counting)
+    return taken
+
+
+def test_both_nullspace_paths_are_reached(paths):
+    matrices = _matrices()
+    for rows in matrices:
+        assert nullspace(rows) == _reference_nullspace(rows)
+    assert len(paths) == len(matrices)
+    assert {"certified", "fallback"} <= set(paths)
+
+
+def test_a_prime_dividing_the_pivot_falls_back(paths):
+    # mod 2**61 - 1 the row is (0, 1), whose basis (1, 0) fails the exact check
+    rows = [[2**61 - 1, 1]]
+    assert nullspace(rows) == _reference_nullspace(rows) == [[Fraction(-1, 2**61 - 1), 1]]
+    assert paths == ["fallback"]
+
+
+def test_a_null_vector_past_the_reconstruction_bound_falls_back(paths):
+    rows = [[1, 2**40]]
+    assert nullspace(rows) == _reference_nullspace(rows) == [[-(2**40), 1]]
+    assert paths == ["fallback"]
 
 
 def test_solve_matches_the_reference():

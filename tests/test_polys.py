@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from quintic_moduli import polys
-from quintic_moduli.binary_forms import BinaryForm, transvectant
+from quintic_moduli.binary_forms import BinaryForm, _transvectant_table, transvectant
 from quintic_moduli.polys import (
     MultiPoly,
     PolynomialRing,
@@ -352,6 +352,38 @@ def test_transvectant_matches_its_definition(ring):
                 got = transvectant(BinaryForm(ring, g), BinaryForm(ring, h), k)
                 assert got.order == m + n - 2 * k
                 assert got.coeffs == _reference_transvectant(ring, g, h, k), (m, n, k)
+
+
+def _term_by_term_transvectant(g, h, k):
+    """(g, h)_k over QQ as one ``Fraction`` sum per output coefficient,
+    term by term over the table's weights, then the scaling."""
+    rows, scaling = _transvectant_table(len(g) - 1, len(h) - 1, k)
+    return tuple(
+        scaling * sum((w * Fraction(g[t]) * Fraction(h[s]) for t, s, w in row), Fraction(0))
+        for row in rows
+    )
+
+
+def test_qq_transvectant_matches_the_term_by_term_sums():
+    rng = random.Random(53)
+
+    def coefficient():
+        kind = rng.choice(["zero", "int", "fraction"])
+        if kind == "zero":
+            return rng.choice([0, Fraction(0)])
+        if kind == "int":
+            return rng.choice([int, Fraction])(rng.randint(-50, 50))
+        return Fraction(rng.randint(-50, 50), rng.choice([2, 7, 9, 1009, rng.randint(1, 10**4)]))
+
+    for m in range(7):
+        for n in range(7):
+            for _ in range(3):
+                g = [coefficient() for _ in range(m + 1)]
+                h = [coefficient() for _ in range(n + 1)]
+                for k in range(min(m, n) + 1):
+                    got = transvectant(BinaryForm(QQ, g), BinaryForm(QQ, h), k).coeffs
+                    assert got == _term_by_term_transvectant(g, h, k), (m, n, k)
+                    assert all(type(c) is Fraction for c in got)
 
 
 def _hard_qq_form(rng, order):
