@@ -43,12 +43,14 @@ back to [0, 2p) at once: a - p * ((a * m >> s) & mask), m = floor(2**s /
 p), the mask keeping the low w - s bits of each w-bit slot.  Only the top
 slot is reduced to a canonical residue; it gives the next quotient terms,
 the degree test and the leading-coefficient powers.  A sample's slices
-enter after the same Barrett step, still packed.  ``_lazy_constants``
-bounds the products a slot may take between two steps, and takes the
-slot width w, the least multiple of 64 where that bound is at least 1:
-64 for every p up to 1482910, 128 at 2**31 - 1, 192 at 2**61 - 1.  The
-same cache holds, for primes below 2**16, a table of their inverses for
-the leads; the Barrett masks are cached by their slot count and width.
+enter after the same Barrett step, still packed.  The Barrett constants
+come from :mod:`.polys`, the one home of the SWAR Barrett step (and are
+importable from here too): ``_lazy_constants`` bounds the products a slot
+may take between two steps, and takes the slot width w, the least
+multiple of 64 where that bound is at least 1: 64 for every p up to
+1482910, 128 at 2**31 - 1, 192 at 2**61 - 1.  The same cache holds, for
+primes below 2**16, a table of their inverses for the leads; the Barrett
+masks (``_barrett_mask``) are cached by their slot count and width.
 
 The genericity certificate also needs the first subresultant S1 = s1 x +
 s0 of each sample pair, and reads it off the end of the same remainder
@@ -72,7 +74,15 @@ from __future__ import annotations
 import functools
 from array import array
 
-from .polys import MultiPoly, UniPoly, _pack, _slot_width, _unpack, interpolate
+from .polys import (
+    MultiPoly,
+    UniPoly,
+    _barrett_mask,
+    _lazy_constants,
+    _pack,
+    _unpack,
+    interpolate,
+)
 from .scalars import PrimeField
 
 
@@ -191,57 +201,6 @@ def resultant_uni(f: UniPoly, g: UniPoly):
         a, b = b, r
     acc = acc * F.pow(b.coeffs[0], a.degree)
     return F.reduce(-acc if negate else acc)
-
-
-#: Primes below this get a table of all their inverses in ``_lazy_constants``
-#: (at most 65536 entries); a larger prime inverts with ``pow``.
-_INVERSE_TABLE_LIMIT = 1 << 16
-
-
-@functools.cache
-def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None, int]:
-    """(s, m, limit, inverses, w) of the lazily reduced packed remainder
-    over GF(p), in slots of w bits.
-
-    m = floor(2**s / p) is the Barrett multiplier, and limit the most
-    products (p - c) * b_j, each below (p - 1)(2p - 1), a slot may take
-    between two Barrett steps: from a slot below 2p, every slot x stays
-    below 2**s and x * m below 2**w, the two bounds the SWAR Barrett step
-    needs.  w is the least of 64, 128, ... where some s < w gives limit >=
-    1 (64 for every p up to 1482910): the ``_slot_width`` of top * m for
-    top = 2p - 1 + (p - 1)(2p - 1), a slot after one product, and the least
-    s with top < 2**s, which makes m smallest.  s is then the one making
-    limit largest in w bits.
-    ``inverses[c]`` is 1/c mod p (None from ``_INVERSE_TABLE_LIMIT`` on),
-    from inv(i) = -(p // i) inv(p mod i), for the leads of the remainder
-    sequence.  Keyed by the prime, so one entry per prime.
-    """
-    span = (p - 1) * (2 * p - 1)
-    top = 2 * p - 1 + span  # a slot below 2p after one product
-    w = _slot_width(top * ((1 << top.bit_length()) // p))
-    best = (0, 0, 0)
-    for s in range(p.bit_length() + 1, w):
-        m = (1 << s) // p
-        limit = (min((1 << s) - 1, ((1 << w) - 1) // m) - (2 * p - 1)) // span
-        if limit > best[2]:
-            best = (s, m, limit)
-    inverses = None
-    if p < _INVERSE_TABLE_LIMIT:
-        table = [0, 1] + [0] * (p - 2)
-        for i in range(2, p):
-            table[i] = (p - p // i) * table[p % i] % p
-        inverses = tuple(table)
-    return (*best, inverses, w)
-
-
-@functools.lru_cache(maxsize=64)
-def _barrett_mask(s: int, length: int, w: int) -> int:
-    """``length`` slots of w bits, each holding w - s one bits: the per-slot
-    quotients of x * m >> s.
-
-    Cached by (s, length, w), so the prime's shift and width and the slot
-    count."""
-    return ((1 << w * length) - 1) // ((1 << w) - 1) * ((1 << (w - s)) - 1)
 
 
 def _lazy_sequence(a: int, na: int, b: int, nb: int, p: int):

@@ -58,9 +58,6 @@ from .polys import (
     PolynomialRing,
     UniPoly,
     _KroneckerRing,
-    _pack,
-    _slot_width,
-    _unpack,
     interpolate,
     line_restriction,
     powers,
@@ -470,45 +467,50 @@ def _taylor_tables(poly: MultiPoly) -> tuple[dict, tuple]:
     return at_point, polar
 
 
-def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: UniPoly):
+def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int):
     """(c0, c2, c3, c4, c5) of F(s P + t D) over ``ring``, for P = (u, 1, z0)
     and D = (-l_z, 0, l_x), l = grad F(P), u the ring's generator.
 
-    Elements are summed as packed ints in slots of ``_slot_width`` of 36 h
-    (p - 1)**3, h the modulus degree, which bounds every sum taken here:
-    at most six products of a packed power of z0 and a sum of at most six
-    products of residues.  Multiplying by u is a shift of one slot, and
-    each coefficient is reduced mod p and mod the modulus once.
+    Every class is packed in the ring's slots (``ResidueRing.pack``): z0
+    comes in canonical and the coefficients go out canonical, and each sum
+    or product is reduced by ``ResidueRing.reduce_packed``, whose slot bound
+    6 (n + 4)(p - 1)**2 (n the modulus degree) holds every one of them.  A
+    product of two classes takes at most n products of residues per slot;
+    a Taylor sum at P at most 21, one per exponent pair (e1, e2) with e1 +
+    e2 <= 5; the polar sums at D at most 6, one per (e1, e2) with e1 + e2 =
+    5 - t, and these are reduced mod p before they multiply a power of z0.
+    So c2, a sum of three products of classes, takes at most 3n, and c3,
+    c4 and c5, sums of at most six (a, b) with a + b <= 2, at most 6n.
+    Multiplying by u is a shift of one slot.
     """
     at_point, polars = tables
-    base = ring.base
-    p, w = base.p, _slot_width(36 * ring.degree * (base.p - 1) ** 3)
+    p, w, settle = ring.base.p, ring.width, ring.reduce_packed
 
-    def settle(packed: int) -> UniPoly:
-        slots = _unpack(packed, -(-packed.bit_length() // w), w)
-        return ring.reduce(UniPoly(base, [c % p for c in slots]))
+    def power_table(x: int) -> list[int]:
+        out = [1, x]
+        for _ in range(4):
+            out.append(settle(out[-1] * x))
+        return out
 
-    def packed(x: UniPoly) -> int:
-        return _pack(x.coeffs, w)
-
-    zs = [packed(x) for x in powers(ring, z0, 5)]
+    zs = power_table(z0)
     at = {
         d: settle(sum(c * zs[e2] << w * e1 for (e1, e2), c in table.items()))
         for d, table in at_point.items()
     }
-    dx, dz = ring.reduce(-at[0, 1]), at[1, 0]
-    dxs, dzs = powers(ring, dx, 5), powers(ring, dz, 5)
+    dxs, dzs = power_table(settle((p - 1) * at[0, 1])), power_table(at[1, 0])
     monomials: dict = {}
 
     def monomial(e1: int, e2: int) -> int:
+        if not (e1 and e2):
+            return dzs[e2] if e2 else dxs[e1]
         if (e1, e2) not in monomials:
-            monomials[e1, e2] = packed(ring.reduce(dxs[e1] * dzs[e2]))
+            monomials[e1, e2] = settle(dxs[e1] * dzs[e2])
         return monomials[e1, e2]
 
     def at_d(table: dict) -> int:
-        return sum(c * monomial(e1, e2) for (e1, e2), c in table.items())
+        return settle(sum(c * monomial(e1, e2) for (e1, e2), c in table.items()))
 
-    c2 = settle(sum(monomial(a, b) * packed(at[a, b]) for a, b in _DIRECTIONS[3:]))
+    c2 = settle(sum(monomial(a, b) * at[a, b] for a, b in _DIRECTIONS[3:]))
     c5, c4, c3 = (
         settle(sum(zs[b] * at_d(table) << w * a for (a, b), table in polar.items()))
         for polar in polars
@@ -517,15 +519,18 @@ def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: Uni
 
 
 def _probe_single(tables: tuple[dict, tuple], shape: Sequence[UniPoly], ring: ResidueRing) -> bool:
-    s0, s1 = (ring.reduce(s) for s in shape)
+    s1 = ring.reduce(shape[1])
     if ring.is_zero(s1):
         raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe")
-    z0 = ring.reduce(-(s0 * ring.inv(s1)))  # the inverse raises SplitNeeded on a zero divisor
+    p, settle = ring.base.p, ring.reduce_packed
+    # the inverse raises SplitNeeded on a zero divisor
+    z0 = settle(settle(ring.pack(shape[0])) * ring.pack(-ring.inv(s1)))
     c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, z0)
-    if not (ring.is_zero(c0) and ring.is_zero(c2)):
+    if c0 or c2:
         return False  # contact order below 3: not actually a flex fiber
     # in a product of fields the product is a unit exactly when both are
-    return ring.is_unit(ring.reduce(c3 * (c4 * c4 - ring.from_int(4) * c3 * c5)))
+    discriminant = settle(c4 * c4 + (-4 % p) * settle(c3 * c5))
+    return ring.is_unit(ring.unpack(settle(c3 * discriminant)))
 
 
 def _certify_singular(polys: Sequence[MultiPoly], modulus: UniPoly) -> bool:

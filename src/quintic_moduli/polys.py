@@ -34,6 +34,18 @@ factor once (``RationalField.clear_denominators``), convolves the integer
 numerators and makes one ``Fraction`` per output coefficient.  Every
 other ring takes the accumulate-then-reduce loop.
 
+The SWAR Barrett constants live here (Barrett, CRYPTO '86): for a bound on
+the slots, ``_barrett_constants`` gives the shift s, the multiplier m =
+floor(2**s / p) and the slot width w with which x - p * ((x * m >> s) &
+mask) brings every slot to [0, 2p) at once, ``_barrett_mask`` the mask, and
+``_lazy_constants`` the constants of the remainder sequences.  Three
+kernels keep their polynomials packed between such steps: the remainder
+sequences of :mod:`.elimination`, ``interpolate`` and the Barrett division
+of ``residue_rings.ResidueRing.reduce_packed``.  A Newton reciprocal
+division through ``dense_product`` would not pay for ``divmod`` or Yun's
+exact divisions, since ``dense_product`` unpacks and takes each slot mod p
+after every product.
+
 ``_KroneckerRing`` is the package's one Kronecker form of GF(p)[x, y]:
 one int per polynomial, x**i y**j in slot i * stride + j, in a slot wide
 enough for the caller's bound on |slot| plus a bias (a multiple of p)
@@ -47,10 +59,12 @@ terms once per form, and each line is one pass over that table with the
 power tables of a and b, in whatever ring (or scaling) the caller chooses.
 
 Interpolation runs over GF(p) on raw ints, at the nodes 0, 1, ..., n only.
-``interpolate``, for the samples of the bivariate eliminant, takes a list
-of values at 0..n - 1 and the Lagrange form over a subproduct tree, whose
-products are the packed kernel; the weights have a closed form, and the
-tree and weights come from a small cache keyed by (p, n).
+``interpolate``, for the samples of the bivariate eliminant and the
+certificate's subresultant, takes a list of values at 0..n - 1 and the
+Lagrange form over a subproduct tree of packed ints: a node is two bigint
+products and one add and a SWAR Barrett step, and the root is unpacked
+once.  The weights have a closed form, and the tree and weights come from
+a small cache keyed by (p, n).
 ``interpolate_bivariate`` takes the values on the principal lattice
 {i + j <= n} and works in Newton form, a divided difference of order k
 dividing by k; the fiber system is built exactly (``fiber_counting``),
@@ -181,6 +195,73 @@ def _spread(value: int, n: int, w: int) -> int:
     """``value`` in each of n slots of w bits; cached, since the rings of
     one prime read a handful of slot counts."""
     return value * (((1 << w * n) - 1) // ((1 << w) - 1))
+
+
+def _barrett_constants(p: int, bound: int) -> tuple[int, int, int]:
+    """(s, m, w) of a SWAR Barrett step over GF(p) (Barrett, CRYPTO '86) on
+    w-bit slots that each hold at most ``bound`` (>= p - 1).
+
+    The step x - p * ((x * m >> s) & mask), m = floor(2**s / p), the mask
+    (``_barrett_mask``) keeping the low w - s bits of each slot, brings every
+    slot x to [0, 2p) at once.  For x < 2**s the quotient q = floor(x m /
+    2**s) is floor(x / p) or one less, since x m / 2**s lies in (x / p - x /
+    2**s, x / p]; and for x m < 2**w no slot's product carries into the
+    next, so q is read off its own slot.  s is the least with bound < 2**s
+    (and p <= 2**s), which makes m smallest, and w the ``_slot_width`` of
+    bound * m.
+    """
+    s = max(bound.bit_length(), p.bit_length())
+    m = (1 << s) // p
+    return s, m, _slot_width(bound * m)
+
+
+@functools.lru_cache(maxsize=64)
+def _barrett_mask(s: int, length: int, w: int) -> int:
+    """``length`` slots of w bits, each holding w - s one bits: the per-slot
+    quotients of x * m >> s.
+
+    Cached by (s, length, w), so the prime's shift and width and the slot
+    count."""
+    return ((1 << w * length) - 1) // ((1 << w) - 1) * ((1 << (w - s)) - 1)
+
+
+#: Primes below this get a table of all their inverses in ``_lazy_constants``
+#: (at most 65536 entries); a larger prime inverts with ``pow``.
+_INVERSE_TABLE_LIMIT = 1 << 16
+
+
+@functools.cache
+def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None, int]:
+    """(s, m, limit, inverses, w) of the lazily reduced packed remainder
+    sequences of :mod:`.elimination` over GF(p), in slots of w bits.
+
+    m = floor(2**s / p) is the Barrett multiplier, and limit the most
+    products (p - c) * b_j, each below (p - 1)(2p - 1), a slot may take
+    between two Barrett steps: from a slot below 2p, every slot x stays
+    below 2**s and x * m below 2**w, the two bounds the SWAR Barrett step
+    needs.  w is the least of 64, 128, ... where some s < w gives limit >=
+    1 (64 for every p up to 1482910): the width ``_barrett_constants``
+    gives a slot after one product, top = 2p - 1 + (p - 1)(2p - 1).  s is
+    then the one making limit largest in w bits.
+    ``inverses[c]`` is 1/c mod p (None from ``_INVERSE_TABLE_LIMIT`` on),
+    from inv(i) = -(p // i) inv(p mod i), for the leads of the remainder
+    sequence.  Keyed by the prime, so one entry per prime.
+    """
+    span = (p - 1) * (2 * p - 1)
+    w = _barrett_constants(p, 2 * p - 1 + span)[2]
+    best = (0, 0, 0)
+    for s in range(p.bit_length() + 1, w):
+        m = (1 << s) // p
+        limit = (min((1 << s) - 1, ((1 << w) - 1) // m) - (2 * p - 1)) // span
+        if limit > best[2]:
+            best = (s, m, limit)
+    inverses = None
+    if p < _INVERSE_TABLE_LIMIT:
+        table = [0, 1] + [0] * (p - 2)
+        for i in range(2, p):
+            table[i] = (p - p // i) * table[p % i] % p
+        inverses = tuple(table)
+    return (*best, inverses, w)
 
 
 def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
@@ -565,14 +646,14 @@ def interpolate(values: Sequence[int], field: PrimeField) -> UniPoly:
     p (n <= p).  Lagrange form over a subproduct tree (von zur Gathen &
     Gerhard, *Modern Computer Algebra*, sections 10.1-10.3): with M =
     prod_i (x - i) the result is sum_i v_i / M'(i) * M / (x - i), where
-    1/M'(i) = (-1)**(n - 1 - i) / (i! (n - 1 - i)!).  Level L of the tree
-    holds the products of 2**L consecutive factors x - i (an odd last node
-    moves up unchanged).  The weighted values are combined up the tree, a
-    node's value being f_left * M_right + f_right * M_left; above the pairs
-    of nodes, whose products and values are written out, every product is a
-    ``dense_product``.  The tree and the weights come from a small cache
-    keyed by (p, n) (``_consecutive_nodes``), shared read-only between
-    calls.
+    1/M'(i) = (-1)**(n - 1 - i) / (i! (n - 1 - i)!).  The weighted values
+    are the leaves and are combined up the tree, a node's value being f_left
+    * M_right + f_right * M_left, where M is the product of the node's
+    factors x - i; an odd last node moves up unchanged.  Every polynomial is
+    one packed int in the slots of ``_consecutive_nodes(p, n)``, which
+    caches the tree: a node costs two bigint products and one add, and one
+    SWAR Barrett step brings each of its slots back to [0, 2p).  The root
+    is unpacked once.
     """
     if not isinstance(field, PrimeField):
         raise ValueError(f"interpolation runs over a prime field, not {field!r}")
@@ -582,34 +663,42 @@ def interpolate(values: Sequence[int], field: PrimeField) -> UniPoly:
         return UniPoly.zero(field)
     if n > p:
         raise ValueError(f"{n} values need the nodes 0..{n - 1}, which repeat mod {p}")
-    levels, weights = _consecutive_nodes(p, n)
-    c = [v * w % p for v, w in zip(values, weights)]
-    sums = _pairwise(
-        [[ci] for ci in c],
-        lambda i: [-(c[i] * (i + 1) + c[i + 1] * i) % p, (c[i] + c[i + 1]) % p],
-    )
-    for m in levels[:-1]:
-        sums = _pairwise(sums, lambda i: [
-            (u + v) % p
-            for u, v in zip(
-                dense_product(field, sums[i], m[i + 1]), dense_product(field, sums[i + 1], m[i])
-            )
-        ])
-    return UniPoly(field, sums[0])
+    levels, weights, (s, m, w, mask) = _consecutive_nodes(p, n)
+    sums = [v * c % p for v, c in zip(values, weights)]
+    for level in levels:
+        up = []
+        for i in range(0, len(sums) - 1, 2):
+            f = sums[i] * level[i + 1] + sums[i + 1] * level[i]
+            up.append(f - p * ((f * m >> s) & mask))
+        if len(sums) % 2:
+            up.append(sums[-1])
+        sums = up
+    return UniPoly(field, [c % p for c in _unpack(sums[0], n, w)])
 
 
 @functools.lru_cache(maxsize=16)
-def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple]:
-    """(levels, weights) of ``interpolate`` on the nodes 0, ..., n - 1 over
-    GF(p), as tuples, since every caller shares them.  Sixteen entries
-    hold the certificate's three node counts (46, 34, 33) at four primes.
+def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple, tuple]:
+    """(levels, weights, (s, m, w, mask)) of ``interpolate`` on the nodes 0,
+    ..., n - 1 over GF(p), as tuples, since every caller shares them.
+    Sixteen entries hold the certificate's three node counts (46, 34, 33)
+    at four primes.
 
-    ``levels`` is the subproduct tree from the pairs up to the root: level
-    j holds the products of 2**(j + 1) consecutive factors x - i, the pairs
-    (x - i)(x - i - 1) written out.  The weights are 1/M'(i) = (-1)**(n - 1
-    - i) / (i! (n - 1 - i)!), from one inverse of (n - 1)!.
+    ``levels[k]`` holds the products of 2**k consecutive factors x - i, an
+    odd last node moving up unchanged, from the leaves x - i up to the
+    root's two children; each is packed in w-bit slots with residues in
+    [0, p).  The weights are 1/M'(i) = (-1)**(n - 1 - i) / (i! (n - 1 -
+    i)!), from one inverse of (n - 1)!.
+
+    (s, m, w) is ``_barrett_constants`` of n (2p - 1)(p - 1), and the mask
+    covers n slots.  That bounds every slot ``interpolate`` forms: a node
+    over a left subtree of a leaves and a right one of b <= a leaves adds
+    f_left (a slots) times M_right (b + 1 slots) to f_right (b slots) times
+    M_left (a + 1 slots), so a slot takes min(a, b + 1) + min(b, a + 1) <=
+    a + b <= n products of a value slot below 2p (a leaf is below p) and a
+    tree slot below p.  A product of two tree nodes, whose slots are
+    reduced here, takes at most (n / 2 + 1)(p - 1)**2 < 2**w.
     """
-    field = GF(p)
+    s, m, w = _barrett_constants(p, n * (2 * p - 1) * (p - 1))
     fact = [1] * n
     for i in range(1, n):
         fact[i] = fact[i - 1] * i % p
@@ -618,22 +707,16 @@ def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple]:
     for i in range(n - 1, 0, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
     weights = tuple((-1) ** (n - 1 - i) * inv_fact[i] * inv_fact[n - 1 - i] % p for i in range(n))
-    levels = [_pairwise(
-        [[-i % p, 1] for i in range(n)], lambda i: [i * (i + 1) % p, -(2 * i + 1) % p, 1]
-    )]
-    while len(levels[-1]) > 1:
-        m = levels[-1]
-        levels.append(_pairwise(m, lambda i: dense_product(field, m[i], m[i + 1])))
-    return tuple(tuple(map(tuple, level)) for level in levels), weights
-
-
-def _pairwise(nodes: list, combine) -> list:
-    """One tree level up: ``combine(i)`` merges nodes i and i + 1 for even i,
-    and an odd last node moves up as it is."""
-    out = [combine(i) for i in range(0, len(nodes) - 1, 2)]
-    if len(nodes) % 2:
-        out.append(nodes[-1])
-    return out
+    levels = [tuple((1 << w) + -i % p for i in range(n))]
+    while len(levels[-1]) > 2:
+        level, up = levels[-1], []
+        for i in range(0, len(level) - 1, 2):
+            node = level[i] * level[i + 1]
+            up.append(_pack([c % p for c in _unpack(node, -(-node.bit_length() // w), w)], w))
+        if len(level) % 2:
+            up.append(level[-1])
+        levels.append(tuple(up))
+    return tuple(levels), weights, (s, m, w, _barrett_mask(s, n, w))
 
 
 def interpolate_bivariate(values: Sequence[Sequence], field: PrimeField) -> MultiPoly:

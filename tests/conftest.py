@@ -33,6 +33,10 @@ GENERIC_QUINTIC_RECORDS = [
 ]
 
 ACCEPTANCE_PRIMES = (10007, 3001)
+#: primes at the edges of the packed kernels' slot widths: 1482907 is the
+#: last prime whose remainder sequences run in 64-bit slots and 1482919 the
+#: first at 128 bits; the others span the primes the gates run at
+BARRETT_EDGE_PRIMES = (2503, 10007, 1000003, 1482907, 1482919, 2**31 - 1, 2**61 - 1, 2**89 - 1)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,14 @@ from quintic_moduli.polys import (
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ, PrimeField
 
-from conftest import compose, evaluate, fermat_quintic, identity_chart, newton_interpolation
+from conftest import (
+    BARRETT_EDGE_PRIMES,
+    compose,
+    evaluate,
+    fermat_quintic,
+    identity_chart,
+    newton_interpolation,
+)
 
 F = GF(10007)
 QQ_LM = PolynomialRing(QQ, 2)
@@ -634,21 +641,22 @@ def test_interpolation_through_many_nodes(p, n):
         assert [poly.eval(x) for x in range(size)] == values, size
 
 
-@pytest.mark.parametrize("p", [3001, 10007, 2**61 - 1])
-@pytest.mark.parametrize("n", [1, 2, 3, 46, 601])
+@pytest.mark.parametrize("p", [3001, *BARRETT_EDGE_PRIMES])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 33, 34, 46, 601])
 def test_consecutive_nodes_match_the_remainder_tree(p, n):
-    # the closed-form weights and the cached tree against the divided
-    # differences of the reference, fed the same samples shuffled, so
-    # through nodes in no particular order
+    # the closed-form weights and the cached packed tree against the
+    # divided differences of the reference, fed the same samples shuffled,
+    # so through nodes in no particular order; all-(p - 1) values make
+    # every leaf and every slot of the tree as large as it gets
     field = GF(p)
     rng = random.Random(p + n)
-    values = [rng.randrange(p) for _ in range(n)]
-    poly = interpolate(values, field)
-    assert poly.degree < n
-    assert [poly.eval(x) for x in range(n)] == values
-    shuffled = list(enumerate(values))
-    rng.shuffle(shuffled)
-    assert newton_interpolation(shuffled, field) == poly
+    for values in ([rng.randrange(p) for _ in range(n)], [p - 1] * n):
+        poly = interpolate(values, field)
+        assert poly.degree < n
+        assert [poly.eval(x) for x in range(n)] == values
+        shuffled = list(enumerate(values))
+        rng.shuffle(shuffled)
+        assert newton_interpolation(shuffled, field) == poly
 
 
 def test_consecutive_node_cache_is_not_aliased():
@@ -657,15 +665,15 @@ def test_consecutive_node_cache_is_not_aliased():
     # the same before and after
     field = GF(3001)
     n = 37
-    levels, weights = _consecutive_nodes(field.p, n)
-    before = (repr(levels), weights)
+    cached = _consecutive_nodes(field.p, n)
+    before = repr(cached)
     first_values = [(x * x + 1) % field.p for x in range(n)]
     first = interpolate(first_values, field)
     second = interpolate([(7 * x + 3) % field.p for x in range(n)], field)
     assert first == UniPoly(field, [1, 0, 1]) and second == UniPoly(field, [3, 7])
     assert first == interpolate(first_values, field)
-    assert _consecutive_nodes(field.p, n) == (levels, weights)
-    assert (repr(levels), weights) == before
+    assert _consecutive_nodes(field.p, n) == cached
+    assert repr(cached) == before
 
 
 def test_interpolate_bivariate_roundtrip():

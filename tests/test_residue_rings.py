@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quintic_moduli import plane_curves
+from quintic_moduli import elimination, plane_curves, polys
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     gcd_uni,
@@ -12,6 +12,7 @@ from quintic_moduli.elimination import (
     squarefree_decomposition,
 )
 from quintic_moduli.plane_curves import (
+    _DIRECTIONS,
     PlaneCurve,
     _dehom_y,
     _each_factor,
@@ -25,11 +26,17 @@ from quintic_moduli.plane_curves import (
     genericity_report,
     random_invertible_frame,
 )
-from quintic_moduli.polys import MultiPoly, UniPoly, interpolate
+from quintic_moduli.polys import MultiPoly, UniPoly, _pack, _slot_width, _unpack, interpolate
 from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
 from quintic_moduli.scalars import GF
 
-from conftest import FLEX_BITANGENT_RECORDS, contact_four_hyperflex, evaluate, fermat_quintic
+from conftest import (
+    BARRETT_EDGE_PRIMES,
+    FLEX_BITANGENT_RECORDS,
+    contact_four_hyperflex,
+    evaluate,
+    fermat_quintic,
+)
 
 F = GF(10007)
 
@@ -107,6 +114,31 @@ def test_reduce_modulo_the_moduli_left_by_split_modulus(p):
     xs = [_random_uni(rng, field, m) for m in range(13)] + [UniPoly.zero(field)]
     _assert_remainders(ResidueRing(h1), roots[:1], xs)
     _assert_remainders(ResidueRing(h2), roots[1:], xs)
+
+
+@pytest.mark.parametrize("p", BARRETT_EDGE_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 45, 46, 60])
+def test_barrett_reduce_matches_the_divmod_remainder_at_the_slot_edges(p, n):
+    # inputs of every degree up to K = 2n + 1, where one Barrett quotient is
+    # exact, and past it, where the top is reduced a chunk at a time: seeded
+    # ones, all-(p - 1) ones and packed ones whose every slot sits at the
+    # ring's bound 6 (n + 4)(p - 1)**2
+    field = GF(p)
+    rng = random.Random(p + n)
+    h = _random_uni(rng, field, n)
+    ring = ResidueRing(h)
+    bound = 6 * (n + 4) * (p - 1) ** 2
+    for degree in [*range(2 * n + 3), 3 * n + 5, 5 * n + 2]:
+        for coeffs in (
+            [rng.randrange(p) for _ in range(degree + 1)],
+            [p - 1] * (degree + 1),
+        ):
+            x = UniPoly(field, coeffs)
+            assert ring.reduce(x) == x % h, (degree, coeffs[:2])
+        raw = sum(bound << ring.width * k for k in range(degree + 1))
+        expected = UniPoly(field, [bound % p] * (degree + 1)) % h
+        assert ring.unpack(ring.reduce_packed(raw)) == expected, degree
+        assert ring.reduce_packed(raw) == ring.pack(expected), degree
 
 
 @pytest.mark.parametrize("p", [2503, 10007])
@@ -309,10 +341,63 @@ def _restricted_tangent(framed: MultiPoly, ring: ResidueRing, z0: UniPoly) -> tu
     return _restrict_through(framed, ring, grad, v, point, second).coeffs
 
 
+def _reference_tangent(tables: tuple, ring: ResidueRing, z0: UniPoly) -> tuple:
+    """(c0, c2, c3, c4, c5) as the probe computed them on ``UniPoly`` classes:
+    each class reduced by the ``UniPoly.divmod`` remainder mod h, the sums
+    packed in slots of ``_slot_width`` of 36 n (p - 1)**3 and settled by
+    taking each slot mod p, then mod h."""
+    at_point, polars = tables
+    base, h = ring.base, ring.modulus
+    p, w = base.p, _slot_width(36 * ring.degree * (base.p - 1) ** 3)
+
+    def settle(packed: int) -> UniPoly:
+        slots = _unpack(packed, -(-packed.bit_length() // w), w)
+        return UniPoly(base, [c % p for c in slots]) % h
+
+    def packed(x: UniPoly) -> int:
+        return _pack(x.coeffs, w)
+
+    def power_table(x: UniPoly) -> list:
+        out = [ring.one]
+        for _ in range(5):
+            out.append(out[-1] * x % h)
+        return out
+
+    zs = [packed(x) for x in power_table(z0)]
+    at = {
+        d: settle(sum(c * zs[e2] << w * e1 for (e1, e2), c in table.items()))
+        for d, table in at_point.items()
+    }
+    dxs, dzs = power_table(-at[0, 1] % h), power_table(at[1, 0])
+    monomials: dict = {}
+
+    def monomial(e1: int, e2: int) -> int:
+        if (e1, e2) not in monomials:
+            monomials[e1, e2] = packed(dxs[e1] * dzs[e2] % h)
+        return monomials[e1, e2]
+
+    def at_d(table: dict) -> int:
+        return sum(c * monomial(e1, e2) for (e1, e2), c in table.items())
+
+    c2 = settle(sum(monomial(a, b) * packed(at[a, b]) for a, b in _DIRECTIONS[3:]))
+    c5, c4, c3 = (
+        settle(sum(zs[b] * at_d(table) << w * a for (a, b), table in polar.items()))
+        for polar in polars
+    )
+    return at[0, 0], c2, c3, c4, c5
+
+
+def _packed_tangent(tables: tuple, ring: ResidueRing, z0: UniPoly) -> tuple:
+    """``_tangent_coefficients`` on the packed z0, its classes unpacked."""
+    return tuple(map(ring.unpack, _tangent_coefficients(tables, ring, ring.pack(z0))))
+
+
 def _assert_polars_match_the_restriction(framed: MultiPoly, ring: ResidueRing, z0: UniPoly):
     c = _restricted_tangent(framed, ring, z0)
     assert len(c) == 6 and ring.is_zero(c[1])
-    assert _tangent_coefficients(_taylor_tables(framed), ring, z0) == (c[0], c[2], c[3], c[4], c[5])
+    tables = _taylor_tables(framed)
+    assert _reference_tangent(tables, ring, z0) == (c[0], c[2], c[3], c[4], c[5])
+    assert _packed_tangent(tables, ring, z0) == (c[0], c[2], c[3], c[4], c[5])
 
 
 @pytest.mark.parametrize(
@@ -367,6 +452,85 @@ def test_polars_match_the_tangent_restriction_at_every_flex(generic_quintic, nam
         assert sum(h.degree for h, _ in checked) == part.degree
 
 
+@pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("name", ["generic", "fermat", "flex-bitangent", "contact-4 hyperflex"])
+def test_packed_tangent_matches_the_unipoly_reference(generic_quintic, name, prime):
+    # in seeded frames, modulo each squarefree part of R and modulo each
+    # modulus that split_modulus leaves when the probe meets a zero divisor
+    # (the flex-bitangent's part splits into degrees 1 and 44), at the flex
+    # z0 and at a seeded class
+    curve = {
+        "generic": generic_quintic,
+        "fermat": fermat_quintic(),
+        "flex-bitangent": PlaneCurve.from_records(FLEX_BITANGENT_RECORDS),
+        "contact-4 hyperflex": contact_four_hyperflex(1),
+    }[name]
+    field = GF(prime)
+    rng = random.Random(prime)
+    compared = 0
+    for seed in range(2):
+        frame = random_invertible_frame(field, random.Random(seed))
+        framed = curve.reduce_mod(field).composed_with_frame(frame).poly
+        eliminant, shape = _shape(framed, field)
+        tables = _taylor_tables(framed)
+
+        def probed_z0(ring: ResidueRing) -> UniPoly:
+            plane_curves._probe_single(tables, shape, ring)
+            return _z0(ring, shape)
+
+        for part, _ in squarefree_decomposition(eliminant):
+            moduli = [part] + [h for h, _ in _each_factor(part, probed_z0)]
+            for ring in map(ResidueRing, dict.fromkeys(moduli)):
+                seeded = UniPoly(field, [rng.randrange(prime) for _ in range(ring.degree)])
+                for z0 in (_z0(ring, shape), seeded):
+                    assert _packed_tangent(tables, ring, z0) == _reference_tangent(tables, ring, z0)
+                    compared += 1
+    assert compared >= 4
+
+
+def test_the_packed_kernels_take_no_unpacked_path(generic_quintic, monkeypatch):
+    # during a whole report, ResidueRing.reduce and _probe_single make no
+    # UniPoly.divmod call and interpolate no dense_product call, so neither
+    # kernel falls back to the unpacked path
+    expected = repr(genericity_report(generic_quintic, 10007))
+    entered = {"reduce": 0, "probe": 0, "interpolate": 0}
+    running: list = []
+    reached: set = set()
+
+    def kernel(name, fn):
+        def wrapped(*args, **kwargs):
+            entered[name] += 1
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+
+        return wrapped
+
+    def callee(name, fn):
+        def wrapped(*args, **kwargs):
+            reached.update((k, name) for k in running)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ResidueRing, "reduce", kernel("reduce", ResidueRing.reduce))
+    monkeypatch.setattr(plane_curves, "_probe_single", kernel("probe", plane_curves._probe_single))
+    traced = kernel("interpolate", polys.interpolate)
+    for module in (polys, elimination, plane_curves):
+        monkeypatch.setattr(module, "interpolate", traced)
+    monkeypatch.setattr(UniPoly, "divmod", callee("divmod", UniPoly.divmod))
+    monkeypatch.setattr(polys, "dense_product", callee("dense_product", polys.dense_product))
+    assert repr(genericity_report(generic_quintic, 10007)) == expected
+    assert all(entered.values()), entered
+    assert not reached & {("reduce", "divmod"), ("probe", "divmod"), ("interpolate", "dense_product")}
+    # the watch sees a call where one is made
+    running.append("probe")
+    UniPoly.x(F).divmod(UniPoly.x(F))
+    assert ("probe", "divmod") in reached
+
+
 def test_probe_rejects_a_curve_point_that_is_no_flex(generic_quintic):
     # the rational point (1927 : 2 : 1) of the curve, off the Hessian,
     # placed at framed (0 : 1 : 0) and handed to the probe as z0 = 0 over u
@@ -383,8 +547,8 @@ def test_probe_rejects_a_curve_point_that_is_no_flex(generic_quintic):
     framed = reduced.composed_with_frame(frame).poly
     ring = ResidueRing(UniPoly.x(F))
     tables = _taylor_tables(framed)
-    c0, c2, *_ = _tangent_coefficients(tables, ring, ring.zero)
-    assert ring.is_zero(c0) and not ring.is_zero(c2)
+    c0, c2, *_ = _tangent_coefficients(tables, ring, 0)
+    assert c0 == 0 != c2
     assert _probe_flexes(tables, [ring.zero, ring.one], UniPoly.x(F)) == 0
 
 
