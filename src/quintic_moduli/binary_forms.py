@@ -7,8 +7,8 @@ given order is allowed, since transvectants produce it.
 
 Coefficients live in any ``Ring`` from :mod:`.scalars` /
 :mod:`.polys` (rationals, a prime field, the integers, a polynomial ring
-for symbolic identities, or a residue ring GF(p)[u]/(h) for the flex
-probe), so the same covariant code serves numeric and symbolic callers.
+for symbolic identities, or a residue ring GF(p)[u]/(h)), so the same
+covariant code serves numeric and symbolic callers.
 Sums and scalings use the coefficients' own ``+ - *`` with one ``reduce``
 per result.  Products go through ``polys.dense_product``, the kernel
 ``UniPoly`` multiplies with.
@@ -20,9 +20,9 @@ denominators: one weighted sum and one ``reduce`` per output coefficient,
 the weights scaling the values as ints (``UniPoly`` and ``MultiPoly`` take
 ``n * value``).  It is what ``invariants`` runs, in every ring; the
 chain's factorial scalings are constants that its normalisation absorbs.
-The public ``transvectant`` is the kernel times the table's scaling; over
-QQ it runs the kernel over the integers on the cleared operands and makes
-one ``Fraction`` per output coefficient.
+The public ``transvectant`` is the kernel times the table's scaling, with
+one more ``reduce`` per output coefficient; the package's own chain never
+needs the scaling.
 
 ``BinaryForm.substituted`` applies a linear change of the two variables.
 Over QQ it clears the form's and the matrix's denominators once, runs the
@@ -215,16 +215,7 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
 
     Result order: m + n - 2k.  Requires k <= min(m, n).  The sums are
     ``_transvectant_sums``; the scaling then multiplies each output
-    coefficient, with one more ``ring.reduce``.  Over QQ, g = G / d_g and
-    h = H / d_h for integer G and H: the sums run over ZZ on G and H, and
-    each output coefficient is one ``Fraction``, scaling * sum / (d_g d_h).
+    coefficient, with one more ``ring.reduce``.
     """
-    if g.ring is QQ and h.ring is QQ:
-        gc, dg = QQ.clear_denominators(g.coeffs)
-        hc, dh = QQ.clear_denominators(h.coeffs)
-        sums = _transvectant_sums(BinaryForm(ZZ, gc), BinaryForm(ZZ, hc), k)
-        scaling = _transvectant_table(g.order, h.order, k)[1]
-        den = scaling.denominator * dg * dh
-        return BinaryForm(QQ, [Fraction(scaling.numerator * x, den) for x in sums.coeffs])
     sums = _transvectant_sums(g, h, k)
     return sums.scale(g.ring.from_fraction(_transvectant_table(g.order, h.order, k)[1]))

@@ -26,14 +26,15 @@ feeds the eliminant, the singular check and the flex probe.  H = 0
 (a cone) and R = 0 (F and H share a component, for p > 5 a line or a
 multiple component) are singular outright.  All flexes of a smooth curve
 are then handled at once by computing in GF(p)[u] modulo each squarefree
-part of R (splitting it only when a zero divisor forces a case split), so
-conjugate flexes over extension fields are verified together.  The flex
-over a root u of R is P = (u, 1, z0), z0 = -s0/s1 from the first
-subresultant S1 = s1 z + s0 of F and H, whose values at R's nodes come out
-of the remainder sequences of R's samples.  The tangent at P is read at P
-and at its point D = (-F_z(P), 0, F_x(P)): the contact order and a second
-tangency are the coefficients of F(s P + t D), the Taylor coefficients of
-F at P towards D and of F at D towards P, so no line is restricted.
+part h of R, so conjugate flexes over extension fields are verified
+together: a residue class is nonzero at deg h - deg gcd(h, class) of the
+roots.  The flex over a root u of R is P = (u, 1, z0), z0 = -s0/s1 from
+the first subresultant S1 = s1 z + s0 of F and H, whose values at R's
+nodes come out of the remainder sequences of R's samples.  The tangent at
+P is read at P and at its point D = (-F_z(P), 0, F_x(P)): the contact
+order and a second tangency are the coefficients of F(s P + t D), the
+Taylor coefficients of F at P towards D and of F at D towards P, so no
+line is restricted.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -402,15 +403,17 @@ def _each_factor(modulus: UniPoly, check):
 
 
 def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus: UniPoly) -> int:
-    """Contact-order check at every root of the flex modulus simultaneously.
+    """Contact-order check at every root of the squarefree flex modulus
+    simultaneously: the number of roots whose flex is verified.
 
     ``tables`` are the ``_taylor_tables`` of the framed curve F and
     ``shape`` the pair (s0, s1) of the first subresultant S1 = s1(u) z +
     s0(u) of F and H at y = 1.  Over a root u of the modulus the flex is P
     = (u, 1, z0), z0 = -s0/s1 (the shape lemma: S1 is a multiple of the
-    gcd of F and H over u when that gcd is linear).  s1 vanishing on a
-    factor of the modulus means two intersections of F and H share its
-    fiber, and the frame is retried.
+    gcd of F and H over u when that gcd is linear).  s1 vanishing at a
+    root of the modulus, so that its one inverse in the residue ring meets
+    zero or a zero divisor, means two intersections of F and H share that
+    root's fiber, and the frame is retried.
 
     With l = grad F(P), the point D = l x e_y = (-l_z, 0, l_x) lies on the
     tangent line l . x = 0.  D is not 0: l_x = l_z = 0 would give l_y = 0
@@ -425,12 +428,23 @@ def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus:
     the Taylor coefficients of F at P in the direction D and of F at D in
     the direction P (``_tangent_coefficients``).  Contact is at least 3
     iff c0 = c2 = 0, and exactly 3 with no second tangency iff c3 (c4^2 -
-    4 c3 c5) is a unit, which is invariant under any other choice of the
-    second point.  Conjugate flexes count with the degree of their residue
-    factor.
+    4 c3 c5) is nonzero, which is invariant under any other choice of the
+    second point.  The modulus h being squarefree, the roots where c0 and
+    c2 vanish are those of g = gcd(h, c0, c2), and those of g where a class
+    does not vanish number deg g - deg gcd(g, class), so conjugate flexes
+    count together and h is never split.
     """
-    check = partial(_probe_single, tables, shape)
-    return sum(h.degree for h, ok in _each_factor(modulus, check) if ok)
+    ring = ResidueRing(modulus)
+    try:
+        inverse = ring.inv(ring.reduce(shape[1]))
+    except (ZeroDivisionError, SplitNeeded):
+        raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe") from None
+    p, settle = ring.base.p, ring.reduce_packed
+    z0 = settle(settle(ring.pack(shape[0])) * ring.pack(-inverse))
+    c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, z0)
+    contact = reduce(gcd_uni, (ring.unpack(c) for c in (c0, c2) if c), ring.modulus)
+    discriminant = settle(c4 * c4 + (-4 % p) * settle(c3 * c5))
+    return contact.degree - gcd_uni(contact, ring.unpack(settle(c3 * discriminant))).degree
 
 
 #: The directions (a, b) of the Taylor coefficients the probe reads, up to
@@ -516,21 +530,6 @@ def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int
         for polar in polars
     )
     return at[0, 0], c2, c3, c4, c5
-
-
-def _probe_single(tables: tuple[dict, tuple], shape: Sequence[UniPoly], ring: ResidueRing) -> bool:
-    s1 = ring.reduce(shape[1])
-    if ring.is_zero(s1):
-        raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe")
-    p, settle = ring.base.p, ring.reduce_packed
-    # the inverse raises SplitNeeded on a zero divisor
-    z0 = settle(settle(ring.pack(shape[0])) * ring.pack(-ring.inv(s1)))
-    c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, z0)
-    if c0 or c2:
-        return False  # contact order below 3: not actually a flex fiber
-    # in a product of fields the product is a unit exactly when both are
-    discriminant = settle(c4 * c4 + (-4 % p) * settle(c3 * c5))
-    return ring.is_unit(ring.unpack(settle(c3 * discriminant)))
 
 
 def _certify_singular(polys: Sequence[MultiPoly], modulus: UniPoly) -> bool:

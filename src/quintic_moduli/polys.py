@@ -29,10 +29,9 @@ followed by a SWAR Barrett step that brings every slot to [0, 2p) without
 unpacking (``elimination._lazy_sequence``).  The two divisions stay apart
 on purpose: one that served both would branch on its caller (keep the
 quotient or not), and such a shared division made the eliminant about 10%
-slower.  Over QQ, ``dense_product`` clears the denominators of each
-factor once (``RationalField.clear_denominators``), convolves the integer
-numerators and makes one ``Fraction`` per output coefficient.  Every
-other ring takes the accumulate-then-reduce loop.
+slower.  Every other ring, QQ included, takes the accumulate-then-reduce
+loop: the package's rational chains run on cleared integers, so no
+rational product lies on a hot path.
 
 The SWAR Barrett constants live here (Barrett, CRYPTO '86): for a bound on
 the slots, ``_barrett_constants`` gives the shift s, the multiplier m =
@@ -84,7 +83,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import GF, Field, PrimeField, RationalField, Ring
+from .scalars import GF, Field, PrimeField, Ring
 
 NEG_INF = float("-inf")
 
@@ -272,25 +271,14 @@ def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
     a, len b), the most a convolution sum can reach; when a factor is zero
     that bound is 0, and max(a) + max(b) keeps the other factor's
     coefficients in their slots.  A negative coefficient makes ``_pack``
-    raise ``OverflowError``, never a wrong slot.  Over QQ the integer
-    numerators of ``ring.clear_denominators`` are convolved, and each
-    output coefficient is one ``Fraction`` over da * db.  Otherwise raw
-    sums of products are accumulated with the values' own ``+`` and ``*``,
-    and ``ring.reduce`` is called once per output coefficient.
+    raise ``OverflowError``, never a wrong slot.  Every other ring
+    accumulates raw sums of products with the values' own ``+`` and ``*``
+    and calls ``ring.reduce`` once per output coefficient.
     """
     if isinstance(ring, PrimeField):
         p = ring.p
         w = _slot_width(max(a) * max(b) * min(len(a), len(b)) or max(a) + max(b))
         return [c % p for c in _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)]
-    if isinstance(ring, RationalField):
-        (a, da), (b, db) = ring.clear_denominators(a), ring.clear_denominators(b)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        d = da * db
-        return [Fraction(c, d) for c in out]
     out = [ring.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ring.is_zero(ai):

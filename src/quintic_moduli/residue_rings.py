@@ -6,7 +6,10 @@ moment an inversion hits a zero divisor, the attempted gcd exposes a
 nontrivial factor of h and a ``SplitNeeded`` escape carries it upward.
 The caller reruns the computation modulo each factor.  This decides
 questions "at every root of h simultaneously" without ever factoring h
-into irreducibles.
+into irreducibles.  The singular check of ``plane_curves`` splits this way,
+its gcd over the ring dividing by residue classes.  The flex probe never
+splits: it inverts once, a zero divisor there meaning a degenerate frame,
+and counts the roots where a class vanishes by gcds over GF(p).
 
 Elements are reduced ``UniPoly`` values over GF(p), and each ring also
 handles them packed: one int with coefficient k in the w-bit slot k
@@ -24,13 +27,14 @@ input degree.  ``reduce`` is that on a packed ``UniPoly``.  The ring
 divides x**K by h once, when it is built (one packed ``UniPoly.divmod``),
 and never again.  The flex probe (``plane_curves._tangent_coefficients``)
 keeps its classes packed, a product of two classes being one bigint product
-and one ``reduce_packed``.
+and one ``reduce_packed``, and unpacks only the classes it takes gcds of.
 
 ``inv`` is the packed extended Euclid ``elimination._gcd_cofactor`` of the
 element and h: the remainder sequence of ``gcd_uni`` with the cofactor
-carried along in the same slots.  Elements combine with ``UniPoly``'s own
-``+ - *``; callers reduce each result, and ``inv`` and ``generator`` reduce
-through it too.  So ``UniPoly(ResidueRing(h), ...)`` runs the dense kernels
+carried along in the same slots; a gcd of positive degree below n raises
+``SplitNeeded``.  Elements combine with ``UniPoly``'s own ``+ - *``;
+callers reduce each result, and ``inv`` and ``generator`` reduce through
+it too.  So ``UniPoly(ResidueRing(h), ...)`` runs the dense kernels
 of :mod:`.polys` unchanged: products accumulate raw and reduce once per
 coefficient, and ``gcd_uni`` escapes with ``SplitNeeded`` from the ``inv``
 inside ``divmod`` and ``monic``.
@@ -154,13 +158,6 @@ class ResidueRing(Ring):
         if d.degree < self.modulus.degree:
             raise SplitNeeded(d)
         raise ZeroDivisionError("inverse of zero in residue ring")
-
-    def is_unit(self, a) -> bool:
-        """True/False for unit/zero; zero divisors raise SplitNeeded."""
-        if a.is_zero():
-            return False
-        self.inv(a)
-        return True
 
     def __repr__(self):
         return f"ResidueRing({self.modulus!r})"

@@ -719,8 +719,9 @@ def test_certificate_frames_pass_the_traced_benchmark_gates(generic_quintic, mon
     # _resultant_modp call per sample of R (46), one _eval_slices call per
     # input and one interpolate call inside resultant_bivar_elim, while
     # genericity_report interpolates s0 and s1 itself, on the 34 and 33
-    # nodes their degrees need; the probe makes no gcd_uni call and no
-    # tangent restriction on the generic curve
+    # nodes their degrees need; on the generic curve c0 and c2 vanish at
+    # every flex, so the probe makes one gcd_uni call, for the roots where
+    # c3 (c4^2 - 4 c3 c5) vanishes, and no tangent restriction
     counts = {"resultant": 0, "slices": 0, "gcd": 0}
     inside, outside = [], []
 
@@ -753,5 +754,5 @@ def test_certificate_frames_pass_the_traced_benchmark_gates(generic_quintic, mon
         outside.clear()
         report = genericity_report(generic_quintic, prime, seed=seed)
         assert report.generic and report.frames_tried == 1
-        assert counts == {"resultant": 46, "slices": 2, "gcd": 0}
+        assert counts == {"resultant": 46, "slices": 2, "gcd": 1}
         assert inside == [46] and outside == [34, 33]

@@ -205,13 +205,14 @@ def _flex_modulus(curve: PlaneCurve, seed: int):
 
 def _roots_in(h: UniPoly, degree: int) -> UniPoly:
     """gcd(h, u^(p^degree) - u): the factors of h of degrees dividing ``degree``."""
-    acc, base, n = UniPoly.constant(F, F.one), UniPoly.x(F), F.p**degree
+    field = h.field
+    acc, base, n = UniPoly.constant(field, field.one), UniPoly.x(field), field.p**degree
     while n:
         if n & 1:
             acc = acc * base % h
         base = base * base % h
         n >>= 1
-    return gcd_uni(h, acc - UniPoly.x(F))
+    return gcd_uni(h, acc - UniPoly.x(field))
 
 
 def _split_off_rational_roots(h: UniPoly):
@@ -234,8 +235,9 @@ def test_probe_flexes_adds_over_a_split_modulus():
 
 
 @pytest.mark.parametrize("prime", [2503, 10007])
-def test_the_flex_bitangent_modulus_splits_once_per_report(monkeypatch, prime):
-    # the probe meets one zero divisor per frame, at the flex-bitangent
+def test_the_flex_bitangent_report_verifies_44_flexes_without_a_split(monkeypatch, prime):
+    # the flex-bitangent's flex is a root where c3 (c4^2 - 4 c3 c5)
+    # vanishes: the probe counts it off by a gcd and never splits its modulus
     calls = []
     split = plane_curves.split_modulus
 
@@ -245,12 +247,10 @@ def test_the_flex_bitangent_modulus_splits_once_per_report(monkeypatch, prime):
 
     monkeypatch.setattr(plane_curves, "split_modulus", counting)
     curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
-    counts = []
     for seed in range(3):
-        before = len(calls)
-        assert genericity_report(curve, prime, seed=seed).flexes_verified == 44
-        counts.append(len(calls) - before)
-    assert counts == [1, 1, 1]
+        report = genericity_report(curve, prime, seed=seed)
+        assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
+    assert calls == []
 
 
 def _partials(curve: PlaneCurve) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -455,10 +455,9 @@ def test_polars_match_the_tangent_restriction_at_every_flex(generic_quintic, nam
 @pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize("name", ["generic", "fermat", "flex-bitangent", "contact-4 hyperflex"])
 def test_packed_tangent_matches_the_unipoly_reference(generic_quintic, name, prime):
-    # in seeded frames, modulo each squarefree part of R and modulo each
-    # modulus that split_modulus leaves when the probe meets a zero divisor
-    # (the flex-bitangent's part splits into degrees 1 and 44), at the flex
-    # z0 and at a seeded class
+    # in seeded frames, modulo each squarefree part of R and modulo the two
+    # moduli it splits into, its roots in GF(p) and the rest, at the flex z0
+    # and at a seeded class
     curve = {
         "generic": generic_quintic,
         "fermat": fermat_quintic(),
@@ -473,14 +472,9 @@ def test_packed_tangent_matches_the_unipoly_reference(generic_quintic, name, pri
         framed = curve.reduce_mod(field).composed_with_frame(frame).poly
         eliminant, shape = _shape(framed, field)
         tables = _taylor_tables(framed)
-
-        def probed_z0(ring: ResidueRing) -> UniPoly:
-            plane_curves._probe_single(tables, shape, ring)
-            return _z0(ring, shape)
-
         for part, _ in squarefree_decomposition(eliminant):
-            moduli = [part] + [h for h, _ in _each_factor(part, probed_z0)]
-            for ring in map(ResidueRing, dict.fromkeys(moduli)):
+            moduli = [part, *_split_off_rational_roots(part)]
+            for ring in map(ResidueRing, dict.fromkeys(h for h in moduli if h.degree >= 1)):
                 seeded = UniPoly(field, [rng.randrange(prime) for _ in range(ring.degree)])
                 for z0 in (_z0(ring, shape), seeded):
                     assert _packed_tangent(tables, ring, z0) == _reference_tangent(tables, ring, z0)
@@ -489,11 +483,13 @@ def test_packed_tangent_matches_the_unipoly_reference(generic_quintic, name, pri
 
 
 def test_the_packed_kernels_take_no_unpacked_path(generic_quintic, monkeypatch):
-    # during a whole report, ResidueRing.reduce and _probe_single make no
-    # UniPoly.divmod call and interpolate no dense_product call, so neither
-    # kernel falls back to the unpacked path
+    # during a whole report, ResidueRing.reduce and _probe_flexes make no
+    # UniPoly.divmod call and interpolate no dense_product call, so no
+    # kernel falls back to the unpacked path.  A call counts for the
+    # innermost kernel running: the one divmod of a ring's construction,
+    # which computes its Barrett reciprocal, is the ring's, not the probe's
     expected = repr(genericity_report(generic_quintic, 10007))
-    entered = {"reduce": 0, "probe": 0, "interpolate": 0}
+    entered = {"reduce": 0, "probe": 0, "ring": 0, "interpolate": 0}
     running: list = []
     reached: set = set()
 
@@ -510,13 +506,15 @@ def test_the_packed_kernels_take_no_unpacked_path(generic_quintic, monkeypatch):
 
     def callee(name, fn):
         def wrapped(*args, **kwargs):
-            reached.update((k, name) for k in running)
+            if running:
+                reached.add((running[-1], name))
             return fn(*args, **kwargs)
 
         return wrapped
 
     monkeypatch.setattr(ResidueRing, "reduce", kernel("reduce", ResidueRing.reduce))
-    monkeypatch.setattr(plane_curves, "_probe_single", kernel("probe", plane_curves._probe_single))
+    monkeypatch.setattr(ResidueRing, "__init__", kernel("ring", ResidueRing.__init__))
+    monkeypatch.setattr(plane_curves, "_probe_flexes", kernel("probe", plane_curves._probe_flexes))
     traced = kernel("interpolate", polys.interpolate)
     for module in (polys, elimination, plane_curves):
         monkeypatch.setattr(module, "interpolate", traced)

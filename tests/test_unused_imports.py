@@ -9,8 +9,9 @@ it (see its docstring).
 A private definition is a function, class or method at any depth, or a
 module-level constant, whose name starts with one underscore (dunders
 excluded).  It counts as referenced when its name is read anywhere under
-src/, as an identifier or as an attribute; what only tests or the
-benchmark read is dead code in the package.
+src/, as an identifier or as an attribute, outside the body of a
+definition of that name; what only tests or the benchmark read, or only
+the definition itself (a recursive call), is dead code in the package.
 """
 
 from __future__ import annotations
@@ -83,14 +84,23 @@ def private_definitions(source: str) -> dict[str, int]:
 
 
 def names_read(source: str) -> set[str]:
-    """Identifiers loaded and attribute names read anywhere in the module."""
-    tree = ast.parse(source)
+    """Identifiers loaded and attribute names read anywhere in the module,
+    except inside a function or class of the same name."""
     read = set()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside |= {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            name = node.id
+        else:
+            name = node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and name not in inside:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
     return read
 
 
@@ -101,10 +111,13 @@ def test_the_checker_sees_unreferenced_private_definitions():
         "class _Ring:\n    def _step(self):\n        return _LIMIT\n"
         "    def run(self):\n        return self._step()\n"
         "def public():\n    return _Ring()\n"
+        "def _walk(n):\n    return _walk(n - 1) if n else 0\n"
     )
     defined = private_definitions(source)
-    assert defined == {"_LIMIT": 1, "_SPARE": 2, "_divide_root": 3, "_Ring": 5, "_step": 6}
-    assert sorted(set(defined) - names_read(source)) == ["_SPARE", "_divide_root"]
+    assert defined == {
+        "_LIMIT": 1, "_SPARE": 2, "_divide_root": 3, "_Ring": 5, "_step": 6, "_walk": 12
+    }
+    assert sorted(set(defined) - names_read(source)) == ["_SPARE", "_divide_root", "_walk"]
 
 
 def test_every_private_definition_in_src_is_referenced_in_src():
