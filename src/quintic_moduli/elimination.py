@@ -90,8 +90,8 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; gcd(0, 0) is the zero polynomial.
 
     Over GF(p) the remainder sequence of nonzero operands runs packed
-    (``_lazy_sequence``) to the gcd; the plain loop serves QQ and the
-    residue rings.
+    (``_lazy_sequence``) to the gcd; the plain loop serves zero operands
+    and every other field (QQ in the package).
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in gcd")

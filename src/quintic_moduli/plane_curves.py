@@ -20,7 +20,11 @@ singular point lies on H with multiplicity at least 2 (a node absorbs 6 of
 the 3d(d - 2) = 45 intersections, a cusp 8), so once R has its full degree
 45 (every intersection affine in the frame) the curve is smooth exactly
 when no repeated factor of R carries a common zero of the partials, or
-of F, F_x and F_z at y = 1 (Euler's relation, p > 5).  One table of
+of F, F_x and F_z at y = 1 (Euler's relation, p > 5).  That is decided by
+gcds over GF(p) of each repeated part of R with at most six more
+eliminants, Res_z(F, F_x + lambda F_z) for lambda = 0..5
+(``_certify_singular``), so a curve whose R is squarefree costs no
+elimination beyond R.  One table of
 Taylor coefficients per frame (``_taylor_tables``) gives these three and
 feeds the eliminant, the singular check and the flex probe.  H = 0
 (a cone) and R = 0 (F and H share a component, for p > 5 a line or a
@@ -63,7 +67,7 @@ from .polys import (
     line_restriction,
     powers,
 )
-from .residue_rings import ResidueRing, SplitNeeded, split_modulus
+from .residue_rings import ResidueRing
 from .scalars import GF, QQ, Field, PrimeField, Ring
 
 
@@ -240,9 +244,9 @@ def _restrict_through(
     for P and Q on the line ell . x = 0 with ell[v] a unit of ``ring``.
 
     The line is x_v = a x_o1 + b x_o2 with a = -ell[o1] / ell[v] and b =
-    -ell[o2] / ell[v] (the inverse raises ``SplitNeeded`` when ell[v] is a
-    zero divisor of a residue ring); ``polys.line_restriction`` gives F
-    there in (x_o1, x_o2), and one ``BinaryForm.substituted`` puts in x_o1
+    -ell[o2] / ell[v] (the inverse raises ``ZeroDivisionError`` when ell[v]
+    is not a unit); ``polys.line_restriction`` gives F there in (x_o1,
+    x_o2), and one ``BinaryForm.substituted`` puts in x_o1
     = P[o1] s + Q[o1] t and x_o2 = P[o2] s + Q[o2] t.  Only the coordinates
     o1 and o2 of P and Q are read: the line fixes the third.
     """
@@ -380,28 +384,6 @@ def _dehom_y(poly: MultiPoly, field: Field) -> MultiPoly:
     return MultiPoly(field, 2, {(i, k): c for (i, _, k), c in poly.terms.items()})
 
 
-def _zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> UniPoly:
-    """Bivariate (u, z) polynomial as a z-polynomial with residue coefficients."""
-    n = max(map(max, bivar.terms), default=0) + 1
-    rows = [[ring.base.zero] * n for _ in range(n)]
-    for (i, k), c in bivar.terms.items():
-        rows[k][i] = c
-    return UniPoly(ring, [ring.reduce(UniPoly(ring.base, row)) for row in rows])
-
-
-def _each_factor(modulus: UniPoly, check):
-    """(h, check(ResidueRing(h))) over the factors h of the modulus that the
-    SplitNeeded escapes of ``check`` expose, lazily and in order."""
-    ring = ResidueRing(modulus)
-    try:
-        result = check(ring)
-    except SplitNeeded as split:
-        for part in split_modulus(ring, split.factor):
-            yield from _each_factor(part, check)
-    else:
-        yield modulus, result
-
-
 def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus: UniPoly) -> int:
     """Contact-order check at every root of the squarefree flex modulus
     simultaneously: the number of roots whose flex is verified.
@@ -437,7 +419,7 @@ def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus:
     ring = ResidueRing(modulus)
     try:
         inverse = ring.inv(ring.reduce(shape[1]))
-    except (ZeroDivisionError, SplitNeeded):
+    except ZeroDivisionError:
         raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe") from None
     p, settle = ring.base.p, ring.reduce_packed
     z0 = settle(settle(ring.pack(shape[0])) * ring.pack(-inverse))
@@ -534,13 +516,37 @@ def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int
 
 def _certify_singular(polys: Sequence[MultiPoly], modulus: UniPoly) -> bool:
     """True iff F, F_x and F_z at y = 1 share a zero above some root of the
-    modulus: by Euler's relation x F_x + y F_y + z F_z = 5 F, for p > 5,
-    exactly where the three partials do."""
+    modulus h, a repeated part of R of full degree 45: by Euler's relation
+    x F_x + y F_y + z F_z = 5 F, for p > 5, exactly where the partials do.
 
-    def common_zero(ring: ResidueRing) -> bool:
-        return reduce(gcd_uni, (_zpoly_over(ring, p) for p in polys)).degree >= 1
-
-    return any(found for _, found in _each_factor(modulus, common_zero))
+    For lambda = 0, 1, ..., 5 in turn g = h is replaced by gcd(g, Res_z(F,
+    G)), G = F_x + lambda F_z, and the curve is singular iff deg g >= 1 after
+    all six.  At a root u0 of h, Res_z(F, G)(u0) is a nonzero factor times
+    the product of G(u0, z_i) over the roots z_i of F(u0, z), a polynomial
+    of degree at most 5 in lambda: it vanishes at six values of lambda only
+    if it vanishes for every lambda, which happens iff some z_i is a common
+    zero of F, F_x and F_z.  When F's z-lead is a nonzero constant, the
+    factor is a power of it.  Otherwise F(0 : 0 : 1) = 0, and as deg R = 45
+    keeps (0 : 0 : 1) off H, it is a smooth point of F: F = z^4 (a x + b y)
+    + ... with (a, b) != 0.  The lead a u + b of F vanishes only where a !=
+    0, and there G has the constant z^4 coefficient a, so the formal-degree
+    rule multiplies by a power of that nonzero lead, up to sign.  A G
+    free of z (F = A(x, y) + B(y, z - lambda x) gives G = A_x) has a = 0, so
+    F's lead is constant, and the resultant is a power of G, read as a
+    polynomial in u.  Every other step is one ``resultant_bivar_elim`` of
+    total degree 5 * 4 = 20.
+    """
+    f, f_x, f_z = polys
+    g = modulus
+    for lam in range(6):
+        polar = f_x + f_z.scale(lam)
+        if polar.degree_in(1) > 0:
+            g = gcd_uni(g, resultant_bivar_elim(f, polar))
+        else:
+            g = gcd_uni(g, UniPoly(g.field, [polar.terms.get((i, 0), 0) for i in range(5)]))
+        if g.degree == 0:
+            return False
+    return True
 
 
 def _flex_eliminant(curve_uz: MultiPoly, hess_uz: MultiPoly):

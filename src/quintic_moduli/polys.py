@@ -11,8 +11,8 @@ The coefficients come from any ``Ring`` of :mod:`.scalars`: QQ, GF(p), a
 combines coefficients with their own ``+ - *`` and calls the ring's
 ``reduce`` once per resulting coefficient or value; ``n * poly`` scales by
 an int n.  Division (``divmod``, ``monic`` and so the gcds built on them)
-also calls the ring's ``inv``, which over a residue ring may raise
-``SplitNeeded``.
+also calls the ring's ``inv``, which raises ``ZeroDivisionError`` on a
+non-unit.
 
 Over GF(p), whose coefficients are residues in [0, p), two kernels work on
 packed integers at every prime (``_pack``/``_unpack``: one slot per

@@ -1,15 +1,10 @@
-"""Quotient rings GF(p)[u]/(h) with dynamic splitting on zero divisors.
+"""Quotient rings GF(p)[u]/(h), for the flex probe of ``plane_curves``.
 
 For a squarefree modulus h the quotient is a product of fields, one per
-irreducible factor.  Computations proceed as if over a single field; the
-moment an inversion hits a zero divisor, the attempted gcd exposes a
-nontrivial factor of h and a ``SplitNeeded`` escape carries it upward.
-The caller reruns the computation modulo each factor.  This decides
-questions "at every root of h simultaneously" without ever factoring h
-into irreducibles.  The singular check of ``plane_curves`` splits this way,
-its gcd over the ring dividing by residue classes.  The flex probe never
-splits: it inverts once, a zero divisor there meaning a degenerate frame,
-and counts the roots where a class vanishes by gcds over GF(p).
+irreducible factor, so a class stands for its values at every root of h at
+once.  The probe inverts one class, a zero divisor there meaning a
+degenerate frame, and counts the roots where a class vanishes by gcds over
+GF(p): h is never split.
 
 Elements are reduced ``UniPoly`` values over GF(p), and each ring also
 handles them packed: one int with coefficient k in the w-bit slot k
@@ -31,13 +26,12 @@ and one ``reduce_packed``, and unpacks only the classes it takes gcds of.
 
 ``inv`` is the packed extended Euclid ``elimination._gcd_cofactor`` of the
 element and h: the remainder sequence of ``gcd_uni`` with the cofactor
-carried along in the same slots; a gcd of positive degree below n raises
-``SplitNeeded``.  Elements combine with ``UniPoly``'s own ``+ - *``;
+carried along in the same slots; every non-unit raises
+``ZeroDivisionError``.  Elements combine with ``UniPoly``'s own ``+ - *``;
 callers reduce each result, and ``inv`` and ``generator`` reduce through
-it too.  So ``UniPoly(ResidueRing(h), ...)`` runs the dense kernels
-of :mod:`.polys` unchanged: products accumulate raw and reduce once per
-coefficient, and ``gcd_uni`` escapes with ``SplitNeeded`` from the ``inv``
-inside ``divmod`` and ``monic``.
+it too.  A ring is a ``Ring`` like any other, so ``UniPoly(ResidueRing(h),
+...)`` runs the dense kernels of :mod:`.polys`, though the package builds
+no such polynomial.
 """
 
 from __future__ import annotations
@@ -45,14 +39,6 @@ from __future__ import annotations
 from .elimination import _gcd_cofactor
 from .polys import UniPoly, _barrett_constants, _barrett_mask, _pack, _unpack
 from .scalars import PrimeField, Ring
-
-
-class SplitNeeded(Exception):
-    """A zero divisor was hit; ``factor`` properly divides the modulus."""
-
-    def __init__(self, factor: UniPoly):
-        super().__init__(f"modulus splits off a degree-{factor.degree} factor")
-        self.factor = factor
 
 
 class ResidueRing(Ring):
@@ -149,22 +135,22 @@ class ResidueRing(Ring):
         return a.is_zero()
 
     def inv(self, a):
-        """Inverse of a unit; raises SplitNeeded on a zero divisor."""
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of zero in residue ring")
+        """Inverse of a unit; every non-unit raises ZeroDivisionError."""
         d, s = _gcd_cofactor(a, self.modulus)
-        if d.degree == 0:
-            return self.reduce(s)
-        if d.degree < self.modulus.degree:
-            raise SplitNeeded(d)
-        raise ZeroDivisionError("inverse of zero in residue ring")
+        if d.degree != 0:
+            raise ZeroDivisionError("inverse of a zero divisor in residue ring")
+        return self.reduce(s)
 
     def __repr__(self):
         return f"ResidueRing({self.modulus!r})"
 
 
 def split_modulus(ring: ResidueRing, factor: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """The two complementary moduli exposed by a SplitNeeded factor."""
+    """(factor, other), both monic, with factor * other the ring's h.
+
+    No caller in the package: it is kept only because the benchmark's
+    tracer (``perfbench/tracing.py``) wraps it by name.
+    """
     h = ring.modulus
     other = (h // factor).monic()
     return factor.monic(), other

@@ -2,21 +2,27 @@
 quintic, a quintic with a flex-bitangent and one with a contact-4
 hyperflex, identity-frame charts, j of a cross-ratio, interpolation through
 arbitrary nodes, the evaluation and the substitution of a sparse
-polynomial, the arc test suite and the evaluation of a degree-36
-invariant relation."""
+polynomial, the arc test suite, the evaluation of a degree-36 invariant
+relation, frames through a given point, and the singular check by
+dynamic evaluation in a residue ring that splits its modulus on a zero
+divisor."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from quintic_moduli import ArcSpec, LineChart, PlaneCurve
 from quintic_moduli.arc_limits import BITS
+from quintic_moduli.elimination import _gcd_cofactor, gcd_uni
 from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
+from quintic_moduli.plane_curves import frame_determinant
 from quintic_moduli.polys import MultiPoly, UniPoly, powers
+from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import QQ, Field, PrimeField
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +58,7 @@ def fermat_quintic() -> PlaneCurve:
 
 #: x^3 (x - z)^2 + y G(x, y, z): the tangent y = 0 at the flex (0 : 0 : 1)
 #: touches the curve again at (1 : 0 : 1), so one of the 45 flexes fails
-#: the probe and the flex modulus must split to tell it from the others.
+#: the probe, which counts it off by a gcd over GF(p).
 FLEX_BITANGENT_RECORDS = [
     [5, 0, 0, "1"], [4, 1, 0, "-6"], [4, 0, 1, "-2"], [3, 2, 0, "8"],
     [3, 1, 1, "3"], [3, 0, 2, "1"], [2, 3, 0, "-2"], [2, 2, 1, "6"],
@@ -73,6 +79,71 @@ def contact_four_hyperflex(seed: int) -> PlaneCurve:
             if c:
                 terms[(i, 5 - i - k, k)] = Fraction(c)  # y * x^i y^(4-i-k) z^k
     return PlaneCurve(MultiPoly(QQ, 3, terms))
+
+
+class SplitNeeded(Exception):
+    """A zero divisor of a ``SplittingRing``; ``factor`` properly divides the modulus."""
+
+    def __init__(self, factor: UniPoly):
+        super().__init__(f"modulus splits off a degree-{factor.degree} factor")
+        self.factor = factor
+
+
+class SplittingRing(ResidueRing):
+    """A ``ResidueRing`` whose ``inv`` raises ``SplitNeeded`` with the gcd of
+    a zero divisor and h: dynamic evaluation (Della Dora, Dicrescenzo &
+    Duval, EUROCAL '85), the tests' reference for deciding a question at
+    every root of h by splitting h where a case distinction is forced."""
+
+    def inv(self, a):
+        d, _ = _gcd_cofactor(a, self.modulus)
+        if 0 < d.degree < self.degree:
+            raise SplitNeeded(d)
+        return super().inv(a)
+
+
+def zpoly_over(ring: ResidueRing, bivar: MultiPoly) -> UniPoly:
+    """A (u, z) polynomial as a z-polynomial with residue coefficients."""
+    n = max(map(max, bivar.terms), default=0) + 1
+    rows = [[ring.base.zero] * n for _ in range(n)]
+    for (i, k), c in bivar.terms.items():
+        rows[k][i] = c
+    return UniPoly(ring, [ring.reduce(UniPoly(ring.base, row)) for row in rows])
+
+
+def each_factor(modulus: UniPoly, check):
+    """(h, check(SplittingRing(h))) over the factors h of the modulus that the
+    ``SplitNeeded`` escapes of ``check`` expose, lazily and in order."""
+    ring = SplittingRing(modulus)
+    try:
+        result = check(ring)
+    except SplitNeeded as split:
+        for part in (split.factor, ring.modulus // split.factor):
+            yield from each_factor(part.monic(), check)
+    else:
+        yield modulus, result
+
+
+def singular_by_splitting(polys, modulus: UniPoly) -> bool:
+    """Whether F, F_x and F_z at y = 1 share a zero above a root of the
+    modulus, by their gcd over ``SplittingRing``s: the modulus is split
+    wherever a division of the gcd meets a zero divisor."""
+
+    def common_zero(ring: ResidueRing) -> bool:
+        return reduce(gcd_uni, (zpoly_over(ring, p) for p in polys)).degree >= 1
+
+    return any(found for _, found in each_factor(modulus, common_zero))
+
+
+def frame_with_third_column(field: PrimeField, point, seed: int = 0):
+    """A random invertible frame whose third column is ``point``: framed
+    (0 : 0 : 1) maps to it."""
+    rng = random.Random(seed)
+    while True:
+        columns = [[field.from_int(rng.randrange(field.p)) for _ in range(3)] for _ in range(2)]
+        frame = tuple(zip(*columns, point))
+        if not field.is_zero(frame_determinant(frame, field)):
+            return frame
 
 
 def identity_chart(field: Field, a, b) -> LineChart:

@@ -25,12 +25,14 @@ from quintic_moduli.plane_curves import (
     random_invertible_frame,
 )
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
-from quintic_moduli.residue_rings import ResidueRing, SplitNeeded
+from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ
 
 from conftest import (
     FLEX_BITANGENT_RECORDS,
     GENERIC_QUINTIC_RECORDS,
+    SplitNeeded,
+    SplittingRing,
     evaluate,
     fermat_quintic,
     newton_interpolation,
@@ -739,7 +741,9 @@ def test_cofactor_gcd_matches_the_loop(p, n):
 
 @pytest.mark.parametrize("p", COFACTOR_PRIMES)
 def test_inverse_raises_split_needed_with_the_shared_factor(p):
-    # a residue sharing the factor u with the modulus u * v exposes u
+    # a residue sharing the factor u with the modulus u * v: the package's
+    # ring refuses to invert it, and the tests' splitting ring exposes u
+    # from the same _gcd_cofactor gcd
     field = GF(p)
     rng = random.Random(p)
     for du, dv in [(1, 1), (2, 3), (5, 40), (20, 40)]:
@@ -749,8 +753,10 @@ def test_inverse_raises_split_needed_with_the_shared_factor(p):
         ring = ResidueRing(u * v)
         a = ring.reduce(u * w)
         _assert_cofactor_matches(a, ring.modulus)
-        with pytest.raises(SplitNeeded) as split:
+        with pytest.raises(ZeroDivisionError):
             ring.inv(a)
+        with pytest.raises(SplitNeeded) as split:
+            SplittingRing(u * v).inv(a)
         assert split.value.factor == u, (du, dv)
 
 

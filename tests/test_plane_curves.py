@@ -6,7 +6,7 @@ import pytest
 
 from quintic_moduli import elimination, plane_curves, polys
 from quintic_moduli.binary_forms import BinaryForm, BinaryQuintic
-from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
+from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
 from quintic_moduli.invariants import (
     UnstableQuinticError,
     WPPoint,
@@ -14,9 +14,14 @@ from quintic_moduli.invariants import (
     moduli_point,
 )
 from quintic_moduli.plane_curves import (
+    _DIRECTIONS,
     LineChart,
     LineInCurveError,
     PlaneCurve,
+    _certify_singular,
+    _dehom_y,
+    _flex_eliminant,
+    _taylor_tables,
     fermat_degree_factorization,
     frame_determinant,
     _hessian_form,
@@ -33,9 +38,12 @@ from conftest import (
     CURVES_DIR,
     FLEX_BITANGENT_RECORDS,
     compose,
+    contact_four_hyperflex,
     evaluate,
     fermat_quintic,
+    frame_with_third_column,
     identity_chart,
+    singular_by_splitting,
 )
 
 F = GF(10007)
@@ -694,9 +702,29 @@ def test_fermat_degree_factorization():
     assert fermat_degree_factorization() == 150
 
 
+#: bivariate eliminations in one frame of a report: R, then, for each
+#: repeated part of R, one Res_z(F, F_x + lambda F_z) per lambda the
+#: singular check takes before its gcd is 1: one where no singular point
+#: lies above the part (Fermat's hyperflexes, a contact-4 hyperflex), all
+#: six at a singular point.  A line component makes R = 0, which is singular
+#: with no check
+ELIMINATIONS_PER_FRAME = {
+    "generic": 1,
+    "fermat": 2,
+    "contact-4 hyperflex": 2,
+    "cusp": 7,
+    "tacnode": 7,
+    "affine-node": 7,
+    "conic-cubic": 7,
+    "line-quartic": 1,
+    "five-lines": 1,
+}
+
+
 def test_genericity_runs_one_elimination_per_frame(generic_quintic, monkeypatch):
     # smoothness is read off the flex eliminant's repeated factors, so the
-    # flex eliminant is the only bivariate elimination a frame makes
+    # flex eliminant is the only bivariate elimination a frame of the
+    # generic curve makes; a frame retried for R's degree costs R alone
     calls = []
 
     def counting(f, g, **options):
@@ -704,13 +732,186 @@ def test_genericity_runs_one_elimination_per_frame(generic_quintic, monkeypatch)
         return resultant_bivar_elim(f, g, **options)
 
     monkeypatch.setattr(plane_curves, "resultant_bivar_elim", counting)
-    curves = [generic_quintic, fermat_quintic()]
-    curves += [_singular_quintic(kind) for kind in ("cusp", "conic-cubic", "five-lines")]
-    for curve in curves:
-        for seed in (1, 11):  # at seed 11 the first frame is degenerate for the cusp
+    curves = {
+        "generic": generic_quintic,
+        "fermat": fermat_quintic(),
+        "contact-4 hyperflex": contact_four_hyperflex(0),
+    }
+    singular = ("cusp", "tacnode", "affine-node", "conic-cubic", "line-quartic", "five-lines")
+    curves.update((kind, _singular_quintic(kind)) for kind in singular)
+    retried = 0
+    for name, curve in curves.items():
+        for prime, seed in [(2503, 11), *((p, s) for p in (2503, 3001, 5003, 10007) for s in range(3))]:
             calls.clear()
-            report = genericity_report(curve, 2503, seed=seed)
-            assert len(calls) == report.frames_tried
+            report = genericity_report(curve, prime, seed=seed)
+            retried += report.frames_tried - 1
+            assert len(calls) == report.frames_tried - 1 + ELIMINATIONS_PER_FRAME[name], (name, prime, seed)
+    assert retried > 0  # at seed 11 the first frame is degenerate for the cusp
+
+
+def _singular_check_inputs(curve: PlaneCurve, field, frame):
+    """(F, F_x and F_z at y = 1, R) in the frame, as ``genericity_report``
+    computes them."""
+    framed = curve.reduce_mod(field).composed_with_frame(frame).poly
+    tables = _taylor_tables(framed)
+    at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
+    return at_y1, _flex_eliminant(at_y1[0], _dehom_y(_hessian_form(framed), field))[0]
+
+
+def _repeated_parts(eliminant: UniPoly) -> list:
+    return [part for part, mult in squarefree_decomposition(eliminant) if mult > 1]
+
+
+def test_the_singular_check_needs_a_sixth_lambda():
+    # f = z (z - 1) ... (z - 4) + u z with g1 = -z and g2 = 1: at u = 0,
+    # g1 + lambda g2 has the root z = lambda, a root of f exactly for lambda
+    # = 0..4, so the first five resultants vanish there and only the sixth
+    # shows that f, g1 and g2 share no zero above u = 0
+    field = GF(2503)
+    f = MultiPoly.constant(field, 2, field.one)
+    for i in range(5):
+        f = f * MultiPoly(field, 2, {(0, 1): field.one, (0, 0): field.from_int(-i)})
+    f = f + MultiPoly(field, 2, {(1, 1): field.one})
+    g1 = MultiPoly(field, 2, {(0, 1): field.from_int(-1)})
+    g2 = MultiPoly.constant(field, 2, field.one)
+    values = [resultant_bivar_elim(f, g1 + g2.scale(lam)).eval(0) for lam in range(6)]
+    assert values[:5] == [0] * 5 and values[5] != 0
+    u = UniPoly.x(field)
+    assert not _certify_singular((f, g1, g2), u)
+    assert not singular_by_splitting((f, g1, g2), u)
+
+
+def _node_with_z_free_polar(seed: int, lam: int) -> PlaneCurve:
+    """A(x, y) + B(y, z - lam x), A and B seeded binary quintics, with a node
+    at (0 : 1 : 0): A has no x y^4 term, B(y, w) no y^4 w term, and their
+    y^5 coefficients cancel.  F_x + lam F_z = A_x is free of z."""
+    rng = random.Random(seed)
+    x, y, z = (MultiPoly.variable(QQ, 3, v) for v in range(3))
+    top = _coefficient(rng)
+    poly = MultiPoly.zero(QQ, 3)
+    for var, low in ((x, top), (z - x.scale(Fraction(lam)), -top)):
+        coeffs = [low, Fraction(0), *(_coefficient(rng) for _ in range(4))]
+        power = MultiPoly.constant(QQ, 3, QQ.one)
+        for k, c in enumerate(coeffs):  # c var^k y^(5 - k)
+            poly = poly + MultiPoly(QQ, 3, {(0, 5 - k, 0): c}) * power
+            power = power * var
+    return PlaneCurve(poly)
+
+
+def test_the_singular_check_reads_a_z_free_polar_as_a_polynomial_in_u(monkeypatch):
+    # in the identity frame the node is at u = z = 0, one repeated part u of
+    # R with multiplicity 6, and at lambda = 3 the polar F_x + 3 F_z has no
+    # z, which resultant_bivar_elim refuses; the check reads it in u
+    field, lam = GF(2503), 3
+    curve = _node_with_z_free_polar(0, lam)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    at_y1, eliminant = _singular_check_inputs(curve, field, identity)
+    assert eliminant.degree == 45
+    parts = squarefree_decomposition(eliminant)
+    assert [(part, mult) for part, mult in parts if mult > 1] == [(UniPoly.x(field), 6)]
+    polar = at_y1[1] + at_y1[2].scale(lam)
+    assert polar.degree_in(1) == 0 and polar.total_degree == 4
+    with pytest.raises(ValueError, match="eliminated variable"):
+        resultant_bivar_elim(at_y1[0], polar)
+    assert _certify_singular(at_y1, UniPoly.x(field))
+    assert singular_by_splitting(at_y1, UniPoly.x(field))
+    monkeypatch.setattr(plane_curves, "random_invertible_frame", lambda field, rng: identity)
+    report = genericity_report(curve, field.p)
+    assert not report.smooth and report.notes == ["curve is singular; flex analysis skipped"]
+
+
+def _fiber(poly: MultiPoly, field, x: int) -> UniPoly:
+    """A ternary form over GF(p) at (x, 1, z), as a polynomial in z."""
+    coeffs = [0] * (poly.total_degree + 1)
+    for (i, _, k), c in poly.terms.items():
+        coeffs[k] = (coeffs[k] + c * pow(x, i, field.p)) % field.p
+    return UniPoly(field, coeffs)
+
+
+def _rational_points(poly: MultiPoly, field, rng: random.Random, count: int) -> list:
+    """``count`` points (x : 1 : z) of the curve over GF(p), at seeded x."""
+    points = []
+    while len(points) < count:
+        x = rng.randrange(field.p)
+        on_curve = _fiber(poly, field, x)
+        roots = [z for z in range(field.p) if on_curve.eval(z) == 0]
+        if roots:
+            points.append((x, 1, rng.choice(roots)))
+    return points
+
+
+@pytest.mark.parametrize("prime", [2503, 3001])
+def test_the_singular_check_agrees_with_dynamic_evaluation(prime):
+    # on the repeated part of R, one per curve and frame, in ten seeded
+    # frames and ten frames through a seeded point of the curve, where F(0 :
+    # 0 : 1) = 0 and F's z-lead is linear in u, against the gcd of F, F_x
+    # and F_z over the tests' splitting ring
+    field = GF(prime)
+    curves = [fermat_quintic(), contact_four_hyperflex(0), contact_four_hyperflex(2)]
+    curves += [_singular_quintic(kind) for kind in ("cusp", "tacnode", "affine-node", "conic-cubic")]
+    compared, through, singular = 0, 0, 0
+    for curve in curves:
+        reduced = curve.reduce_mod(field)
+        frames = [random_invertible_frame(field, random.Random(seed)) for seed in range(10)]
+        points = _rational_points(reduced.poly, field, random.Random(prime), 10)
+        frames += [frame_with_third_column(field, point) for point in points]
+        for frame in frames:
+            at_y1, eliminant = _singular_check_inputs(reduced, field, frame)
+            if eliminant.degree != 45:
+                continue
+            for part in _repeated_parts(eliminant):
+                found = _certify_singular(at_y1, part)
+                assert found == singular_by_splitting(at_y1, part)
+                compared += 1
+                through += (0, 5) not in at_y1[0].terms
+                singular += found
+    assert (compared, through, singular) == (140, 70, 80)
+
+
+def _tangent_through(poly: MultiPoly, field, point) -> tuple:
+    """A point (x : 1 : z) of the curve over GF(p), other than ``point``,
+    whose tangent line passes through ``point``."""
+    polar = MultiPoly.zero(field, 3)
+    for v in range(3):
+        polar = polar + poly.derivative(v).scale(point[v])
+    for x in range(field.p):
+        common = gcd_uni(_fiber(poly, field, x), _fiber(polar, field, x))
+        for z in range(field.p) if common.degree >= 1 else ():
+            if common.eval(z) == 0 and (x, 1, z) != point:
+                return (x, 1, z)
+    raise AssertionError("no rational point's tangent passes through the point")
+
+
+@pytest.mark.parametrize(
+    "name, prime, point, singular",
+    [
+        ("cusp", 2503, (0, 0, 1), True),
+        ("cusp", 3001, (0, 0, 1), True),
+        ("fermat", 2503, (1, 2502, 0), False),
+        ("contact-4 hyperflex", 3001, (0, 0, 1), False),
+    ],
+)
+def test_the_singular_check_where_the_lead_of_f_vanishes_on_a_repeated_fiber(
+    name, prime, point, singular
+):
+    # the frame puts framed (0 : 0 : 1) at a curve point whose tangent runs
+    # through the cusp, a Fermat hyperflex or the contact-4 hyperflex, so
+    # F's z-lead a u + b vanishes at the root of R that point gives, and
+    # the formal-degree rule scales each resultant there by a power of a
+    curve = {
+        "cusp": _singular_quintic("cusp"),
+        "fermat": fermat_quintic(),
+        "contact-4 hyperflex": contact_four_hyperflex(0),
+    }[name]
+    field = GF(prime)
+    reduced = curve.reduce_mod(field)
+    frame = frame_with_third_column(field, _tangent_through(reduced.poly, field, point))
+    at_y1, eliminant = _singular_check_inputs(reduced, field, frame)
+    assert eliminant.degree == 45 and (0, 5) not in at_y1[0].terms
+    lead = UniPoly(field, [at_y1[0].terms.get((i, 4), 0) for i in range(2)])
+    (part,) = _repeated_parts(eliminant)
+    assert gcd_uni(part, lead).degree == 1
+    assert _certify_singular(at_y1, part) == singular_by_splitting(at_y1, part) == singular
 
 
 @pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1])

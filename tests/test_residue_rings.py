@@ -1,4 +1,5 @@
-"""Dynamic evaluation in GF(p)[u]/(h): the gcd and the flex probe at every root of h."""
+"""GF(p)[u]/(h): reduction and inversion, the flex probe at every root of h,
+and dynamic evaluation (the tests' splitting ring) as a reference."""
 
 import random
 
@@ -15,27 +16,30 @@ from quintic_moduli.plane_curves import (
     _DIRECTIONS,
     PlaneCurve,
     _dehom_y,
-    _each_factor,
     _hessian_form,
     _probe_flexes,
     _restrict_through,
     _tangent_coefficients,
     _taylor_tables,
-    _zpoly_over,
     frame_determinant,
     genericity_report,
     random_invertible_frame,
 )
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, _slot_width, _unpack, interpolate
-from quintic_moduli.residue_rings import ResidueRing, SplitNeeded, split_modulus
+from quintic_moduli.residue_rings import ResidueRing, split_modulus
 from quintic_moduli.scalars import GF
 
 from conftest import (
     BARRETT_EDGE_PRIMES,
     FLEX_BITANGENT_RECORDS,
+    SplitNeeded,
+    SplittingRing,
     contact_four_hyperflex,
+    each_factor,
     evaluate,
     fermat_quintic,
+    frame_with_third_column,
+    zpoly_over,
 )
 
 F = GF(10007)
@@ -154,8 +158,8 @@ def test_mul_inv_generator_match_their_remainder_definitions(p, n):
         assert ring.reduce(a * b) == (a * b) % h
         try:
             inverse = ring.inv(a)
-        except SplitNeeded as split:
-            assert (h % split.factor).is_zero()
+        except ZeroDivisionError:
+            assert gcd_uni(a, h).degree >= 1
             continue
         d, s = _gcd_cofactor(a, h)
         assert d.degree == 0 and inverse == s % h
@@ -163,12 +167,13 @@ def test_mul_inv_generator_match_their_remainder_definitions(p, n):
 
 
 def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
+    # the tests' splitting ring, the reference of the singular check
     rng = random.Random(31)
     agreed = split = 0
     for _ in range(400):
         roots = rng.sample(range(F.p), rng.randrange(2, 6))
         h = _from_roots(F, roots)
-        ring = ResidueRing(h)
+        ring = SplittingRing(h)
         common = _random_poly(rng, ring, roots, rng.randrange(0, 3))
         a = _random_poly(rng, ring, roots, rng.randrange(0, 4)) * common
         b = _random_poly(rng, ring, roots, rng.randrange(0, 4)) * common
@@ -237,20 +242,22 @@ def test_probe_flexes_adds_over_a_split_modulus():
 @pytest.mark.parametrize("prime", [2503, 10007])
 def test_the_flex_bitangent_report_verifies_44_flexes_without_a_split(monkeypatch, prime):
     # the flex-bitangent's flex is a root where c3 (c4^2 - 4 c3 c5)
-    # vanishes: the probe counts it off by a gcd and never splits its modulus
-    calls = []
-    split = plane_curves.split_modulus
+    # vanishes: the probe counts it off by a gcd, in the one ring it builds
+    # on the whole squarefree degree-45 R, and never splits its modulus
+    degrees = []
+    build = ResidueRing.__init__
 
-    def counting(ring, factor):
-        calls.append(prime)
-        return split(ring, factor)
+    def counting(ring, modulus):
+        degrees.append(modulus.degree)
+        build(ring, modulus)
 
-    monkeypatch.setattr(plane_curves, "split_modulus", counting)
+    monkeypatch.setattr(ResidueRing, "__init__", counting)
     curve = PlaneCurve.from_records(FLEX_BITANGENT_RECORDS)
     for seed in range(3):
+        degrees.clear()
         report = genericity_report(curve, prime, seed=seed)
         assert (report.distinct_flex_count, report.flexes_verified) == (45, 44)
-    assert calls == []
+        assert degrees == [45]
 
 
 def _partials(curve: PlaneCurve) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -334,7 +341,7 @@ def _restricted_tangent(framed: MultiPoly, ring: ResidueRing, z0: UniPoly) -> tu
     l = grad F(P), by the tangent restriction the probe used to make: the
     line l . x = 0 solved for the first coordinate of (z, x, y) whose
     gradient entry is nonzero, then ``_restrict_through`` P and D."""
-    grad = [_zpoly_over(ring, _dehom_y(framed.derivative(v), ring.base)).eval(z0) for v in range(3)]
+    grad = [zpoly_over(ring, _dehom_y(framed.derivative(v), ring.base)).eval(z0) for v in range(3)]
     point = (ring.generator(), ring.one, z0)
     second = (ring.reduce(-grad[2]), ring.zero, grad[0])
     v = next(v for v in (2, 0, 1) if not ring.is_zero(grad[v]))
@@ -432,8 +439,8 @@ def test_polars_match_the_tangent_restriction_at_a_framed_flex(generic_quintic, 
 @pytest.mark.parametrize("name", ["generic", "fermat", "flex-bitangent"])
 def test_polars_match_the_tangent_restriction_at_every_flex(generic_quintic, name, prime):
     # over each squarefree part of R in the certificate's first frame, all
-    # of its flexes at once (split where the restriction's pivot or the
-    # shape lemma's inverse meets a zero divisor)
+    # of its flexes at once (split by the tests' splitting ring where the
+    # restriction's pivot or the shape lemma's inverse meets a zero divisor)
     curve = {
         "generic": generic_quintic,
         "fermat": fermat_quintic(),
@@ -445,7 +452,7 @@ def test_polars_match_the_tangent_restriction_at_every_flex(generic_quintic, nam
     ).poly
     eliminant, shape = _shape(framed, field)
     for part, _ in squarefree_decomposition(eliminant):
-        checked = _each_factor(
+        checked = each_factor(
             part,
             lambda ring: _assert_polars_match_the_restriction(framed, ring, _z0(ring, shape)),
         )
@@ -567,17 +574,6 @@ def _counts(report) -> tuple:
     return (report.smooth, report.flex_cycle_ok, report.distinct_flex_count, report.flexes_verified)
 
 
-def _frame_with_third_column(field, point, seed: int = 0):
-    """A random invertible frame whose third column is ``point``: framed
-    (0 : 0 : 1) maps to it."""
-    rng = random.Random(seed)
-    while True:
-        columns = [[field.from_int(rng.randrange(field.p)) for _ in range(3)] for _ in range(2)]
-        frame = tuple(zip(*columns, point))
-        if not field.is_zero(frame_determinant(frame, field)):
-            return frame
-
-
 def test_two_flexes_on_one_fiber_make_the_report_retry(generic_quintic, monkeypatch):
     # the generic quintic has one rational flex at 10007 and one pair of
     # flexes conjugate over GF(p^2).  In the first frame of seed 0 the pair
@@ -627,7 +623,7 @@ def _flex_modulus_in_frame(curve: PlaneCurve, frame) -> list:
 def test_a_frame_through_the_curve_at_framed_infinity(
     generic_quintic, monkeypatch, point, frames, notes
 ):
-    frame = _frame_with_third_column(F, point)
+    frame = frame_with_third_column(F, point)
     framed = generic_quintic.reduce_mod(F).composed_with_frame(frame).poly
     assert (0, 0, 5) not in framed.terms
     report = _report_in_frame(monkeypatch, generic_quintic, F.p, 0, frame)
@@ -644,7 +640,7 @@ def test_s1_from_its_degree_bound_nodes_matches_all_46(generic_quintic, prime):
     field = GF(prime)
     frames = [random_invertible_frame(field, random.Random(seed)) for seed in range(6)]
     if prime == F.p:
-        frames.append(_frame_with_third_column(field, (1927, 2, 1)))
+        frames.append(frame_with_third_column(field, (1927, 2, 1)))
     orders = []
     for frame in frames:
         framed = generic_quintic.reduce_mod(field).composed_with_frame(frame).poly
