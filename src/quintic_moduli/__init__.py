@@ -10,17 +10,29 @@ chain, and a finite-field fiber count — plus the special Fermat value 150.
 
 Submodules load on first use (PEP 562): ``quintic_moduli.count_fiber``
 imports ``fiber_counting`` the first time it is read, so a process pays
-only for the modules it runs.  The public names are the same as with
-eager imports.  One is bound eagerly: the function ``invariants`` shares
-its name with the submodule ``quintic_moduli.invariants``, and the import
-system sets the package attribute to the module whenever that submodule
-is first imported.  Importing it here, before anything else can, keeps
-``quintic_moduli.invariants`` the function.
+only for the modules it runs, and ``import quintic_moduli`` loads no
+submodule at all.  The public names are the same as with eager imports.
+One name needs care: the function ``invariants`` shares its name with the
+submodule ``quintic_moduli.invariants``, and the import system binds the
+package attribute to the module when that submodule is first imported.
+The package's module class turns that binding into the function, so
+``quintic_moduli.invariants`` is the function whichever is imported first.
 """
 
+import sys
+import types
 from importlib import import_module
 
-from .invariants import invariants
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds each submodule to its name on the package
+        if name == "invariants" and isinstance(value, types.ModuleType):
+            value = value.invariants
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 _EXPORTS = {
     "arc_limits": (
@@ -49,10 +61,12 @@ _EXPORTS = {
         "r_independence_check",
     ),
     "intersection_ledger": (
+        "PluckerCounts",
         "combinatorial_degree",
         "degree_via_ledger",
         "derivation_table",
         "m05_cross_check",
+        "plucker_counts",
         "self_intersection",
         "solve_pullback_multiplicities",
         "wps_section_self_intersection",
@@ -65,6 +79,7 @@ _EXPORTS = {
         "UnstableQuinticError",
         "WPPoint",
         "discriminant_invariant",
+        "fermat_degree_factorization",
         "find_fundamental_relation",
         "invariant_triple",
         "invariants",
@@ -76,11 +91,8 @@ _EXPORTS = {
         "LineChart",
         "LineInCurveError",
         "PlaneCurve",
-        "PluckerCounts",
-        "fermat_degree_factorization",
         "genericity_report",
         "load_curve",
-        "plucker_counts",
         "restrict_to_line",
     ),
     "polys": ("MultiPoly", "PolynomialRing", "UniPoly", "interpolate"),

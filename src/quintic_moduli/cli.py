@@ -9,9 +9,12 @@ after emitting a machine-readable failure record, and so do command-line
 usage errors (exit 2, usage on stderr).
 
 Each ``cmd_*`` imports the package modules it runs when it runs, so a
-process compiles only those: ``degree-ledger`` never loads the fiber
-oracle.  Module level holds the parser, the reporter and the scalar
-fields alone.
+process compiles only those: ``degree-ledger`` and ``plucker`` load the
+intersection ledger and its linear algebra, ``gw-recursion`` the
+degeneration chain alone, and none of the three loads the invariant chain
+or the GF(p) kernels.
+Module level holds the parser, the reporter and the scalar fields alone,
+and ``import quintic_moduli`` itself loads no submodule.
 """
 
 from __future__ import annotations
@@ -215,8 +218,7 @@ def cmd_genericity(args, out: Reporter) -> int:
 
 
 def cmd_plucker(args, out: Reporter) -> int:
-    from .intersection_ledger import combinatorial_degree
-    from .plane_curves import plucker_counts
+    from .intersection_ledger import combinatorial_degree, plucker_counts
 
     counts = plucker_counts(args.d)
     out.emit(
@@ -235,13 +237,14 @@ def cmd_plucker(args, out: Reporter) -> int:
 
 
 def cmd_degree_ledger(args, out: Reporter) -> int:
-    from .intersection_ledger import combinatorial_degree, derivation_table
+    from .intersection_ledger import combinatorial_degree, derivation_table, plucker_counts
 
     rows = derivation_table()
     for row in rows:
         out.emit({"record": "ledger-row", **row})
     degree = next(row["value"] for row in rows if row["quantity"] == "degree")
-    combinatorial = combinatorial_degree(120, 45)
+    counts = plucker_counts(5)
+    combinatorial = combinatorial_degree(counts.bitangent_count, counts.flex_count)
     agree = degree == combinatorial
     out.emit(
         {
@@ -255,10 +258,12 @@ def cmd_degree_ledger(args, out: Reporter) -> int:
 
 
 def cmd_fermat_check(args, out: Reporter) -> int:
-    from .plane_curves import fermat_degree_factorization
+    from .invariants import FERMAT_FACTOR_DEGREES, fermat_degree_factorization
 
     degree = fermat_degree_factorization()
-    out.emit({"record": "fermat-degree", "degree": degree, "factor_degrees": [25, 6, 1]})
+    out.emit(
+        {"record": "fermat-degree", "degree": degree, "factor_degrees": FERMAT_FACTOR_DEGREES}
+    )
     return 0
 
 

@@ -27,13 +27,15 @@ the block:
     280 / (2/3) = 420.
 
 The completely independent count "two per bitangent, four per flex" gives
-the same 420.  Everything here is exact rational arithmetic.
+the same 420 from the Plücker counts of a smooth quintic (``plucker_counts``:
+120 bitangents, 45 flexes).  Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import solve
 
@@ -161,6 +163,23 @@ def degree_via_ledger() -> Fraction:
     return _pullback()[1] / wps_section_self_intersection()
 
 
+class PluckerCounts(NamedTuple):
+    dual_degree: int
+    flex_count: int
+    bitangent_count: int
+
+
+def plucker_counts(d: int) -> PluckerCounts:
+    """Dual degree, flex count and bitangent count of a smooth general curve.
+
+    (d(d-1), 3d(d-2), d(d-2)(d-3)(d+3)/2); for d = 5 this is (20, 45, 120).
+    """
+    if d < 4:
+        raise ValueError("counts are used here only for degree >= 4")
+    numerator = d * (d - 2) * (d - 3) * (d + 3)
+    return PluckerCounts(d * (d - 1), 3 * d * (d - 2), numerator // 2)
+
+
 def combinatorial_degree(bitangents: int, flexes: int) -> int:
     """Preimage count of a maximally degenerate 5-point configuration.
 
@@ -176,6 +195,7 @@ def combinatorial_degree(bitangents: int, flexes: int) -> int:
 def derivation_table() -> list[dict]:
     """The full exact derivation, one record per quantity."""
     (a, b, c), pb_sq = _pullback()
+    counts = plucker_counts(5)
     delta_wp = wps_section_self_intersection()
     delta_m05 = m05_cross_check()
     degree = pb_sq / delta_wp
@@ -217,7 +237,7 @@ def derivation_table() -> list[dict]:
         },
         {
             "quantity": "combinatorial_degree",
-            "value": Fraction(combinatorial_degree(120, 45)),
+            "value": Fraction(combinatorial_degree(counts.bitangent_count, counts.flex_count)),
             "note": "2 per bitangent (120) + 4 per flex (45), independent route",
         },
     ]

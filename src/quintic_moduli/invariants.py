@@ -50,7 +50,6 @@ from math import comb, lcm
 from typing import Union
 
 from .binary_forms import BinaryForm, BinaryQuintic, _transvectant_sums, _transvectant_table
-from .elimination import gcd_uni
 from .polys import PolynomialRing
 from .scalars import QQ, ZZ, Field, Ring
 
@@ -195,6 +194,33 @@ def family_closed_forms(ring: PolynomialRing):
     return t4, t8, t12
 
 
+#: Degrees of the three maps the Fermat line-to-moduli map factors through:
+#: coordinatewise fifth power, elementary symmetric functions, and a
+#: birational correction of the weighted plane.
+FERMAT_FACTOR_DEGREES = (25, 6, 1)
+
+
+def fermat_degree_factorization() -> int:
+    """Verify the Fermat closed forms symbolically and return the degree 150.
+
+    On the family l x^5 + m y^5 + n (-x-y)^5 the invariants must satisfy
+    I4 = (mn+nl+lm)^2 - 4 l m n (l+m+n), I8 = (lmn)^2 (mn+nl+lm) and
+    I12 = (lmn)^4 as polynomial identities in (l, m, n); restricting the
+    Fermat quintic to the line with dual coordinates (a : b : c) realises
+    this family, so its line-to-moduli map factors through maps of degrees
+    25, 6 and 1.
+    """
+    ring = PolynomialRing(QQ, 3)
+    if invariant_triple(family_quintic(ring)) != family_closed_forms(ring):
+        raise ArithmeticError(
+            "invariant normalisation broke the closed forms on the Fermat family"
+        )
+    degree = 1
+    for d in FERMAT_FACTOR_DEGREES:
+        degree *= d
+    return degree
+
+
 def _scale_factor(chain_value, closed_form) -> Fraction:
     """The Fraction s with s * chain_value == closed_form, verified term by term."""
     e = min(closed_form.terms)
@@ -279,6 +305,8 @@ def moduli_point(f: BinaryQuintic) -> WPPoint:
 
 def is_stable(f: BinaryQuintic) -> bool:
     """True iff no root (including (1:0)) has multiplicity 3 or more."""
+    from .elimination import gcd_uni  # loaded here: no other invariant needs it
+
     if not isinstance(f.ring, Field):
         raise ValueError("stability test needs field coefficients")
     F = f.to_unipoly()

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .binary_forms import BinaryForm, BinaryQuintic
 from .elimination import (
@@ -57,10 +57,8 @@ from .elimination import (
     resultant_bivar_elim,
     squarefree_decomposition,
 )
-from .invariants import family_closed_forms, family_quintic, invariant_triple
 from .polys import (
     MultiPoly,
-    PolynomialRing,
     UniPoly,
     _KroneckerRing,
     interpolate,
@@ -292,50 +290,6 @@ def _hessian_form(poly: MultiPoly) -> MultiPoly:
     b = h00 * h12 * h12 + h11 * h02 * h02 + h22 * h01 * h01
     terms = ring.terms(a - b)
     return MultiPoly(F, 3, {(i, j, degree - i - j): c for (i, j), c in terms.items()})
-
-
-class PluckerCounts(NamedTuple):
-    dual_degree: int
-    flex_count: int
-    bitangent_count: int
-
-
-def plucker_counts(d: int) -> PluckerCounts:
-    """Dual degree, flex count and bitangent count of a smooth general curve.
-
-    (d(d-1), 3d(d-2), d(d-2)(d-3)(d+3)/2); for d = 5 this is (20, 45, 120).
-    """
-    if d < 4:
-        raise ValueError("counts are used here only for degree >= 4")
-    numerator = d * (d - 2) * (d - 3) * (d + 3)
-    return PluckerCounts(d * (d - 1), 3 * d * (d - 2), numerator // 2)
-
-
-#: Degrees of the three maps the Fermat line-to-moduli map factors through:
-#: coordinatewise fifth power, elementary symmetric functions, and a
-#: birational correction of the weighted plane.
-FERMAT_FACTOR_DEGREES = (25, 6, 1)
-
-
-def fermat_degree_factorization() -> int:
-    """Verify the Fermat closed forms symbolically and return the degree 150.
-
-    On the family l x^5 + m y^5 + n (-x-y)^5 the invariants must satisfy
-    I4 = (mn+nl+lm)^2 - 4 l m n (l+m+n), I8 = (lmn)^2 (mn+nl+lm) and
-    I12 = (lmn)^4 as polynomial identities in (l, m, n); restricting the
-    Fermat quintic to the line with dual coordinates (a : b : c) realises
-    this family, so its line-to-moduli map factors through maps of degrees
-    25, 6 and 1.
-    """
-    ring = PolynomialRing(QQ, 3)
-    if invariant_triple(family_quintic(ring)) != family_closed_forms(ring):
-        raise ArithmeticError(
-            "invariant normalisation broke the closed forms on the Fermat family"
-        )
-    degree = 1
-    for d in FERMAT_FACTOR_DEGREES:
-        degree *= d
-    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +550,8 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
         raise ValueError("genericity checks are for quintics")
     field = GF(prime)
     reduced = curve.reduce_mod(field)
-    flex_total = plucker_counts(5).flex_count
+    # Bezout: R = Res_z(F, H) has degree deg F * deg H = 5 * 9, one root per flex
+    flex_total = curve.degree * 3 * (curve.degree - 2)
     rng = random.Random(seed)
     notes: list[str] = []
     for attempt in range(1, MAX_FRAMES + 1):

@@ -268,8 +268,11 @@ def test_criterion_7_invariant_property_suite():
 
 def test_criterion_8_cross_route_agreement(fiber_runs):
     from quintic_moduli.gw_recursion import SYM_I1_A1_5, evaluate_chain
-    from quintic_moduli.intersection_ledger import combinatorial_degree, degree_via_ledger
-    from quintic_moduli.plane_curves import plucker_counts
+    from quintic_moduli.intersection_ledger import (
+        combinatorial_degree,
+        degree_via_ledger,
+        plucker_counts,
+    )
 
     ledger_degree = degree_via_ledger()
     counts = plucker_counts(5)

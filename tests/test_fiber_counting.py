@@ -253,7 +253,7 @@ def test_count_fiber_matches_the_main_count(generic_quintic):
     assert report.flex_part == EXPECTED_FLEX_PART == (45, 4)
     assert sum(d * m for d, m in report.multiplicity_profile) == 600
     # flex part degree ties to the flex count of a smooth quintic
-    from quintic_moduli.plane_curves import plucker_counts
+    from quintic_moduli.intersection_ledger import plucker_counts
 
     assert report.flex_part[0] == plucker_counts(5).flex_count
 

@@ -138,11 +138,45 @@ print(json.dumps(qm.invariants is module.invariants))
     assert is_function is True
 
 
+@pytest.mark.parametrize(
+    "imports",
+    [
+        "import quintic_moduli.invariants\nimport quintic_moduli as qm",
+        "import quintic_moduli as qm\nimport quintic_moduli.invariants",
+    ],
+    ids=["submodule-first", "package-first"],
+)
+def test_the_namespace_binds_the_function(imports):
+    """The package's own namespace holds the function, not the module, so
+    code that rebinds a function by scanning ``vars`` of each module finds it."""
+    is_function = fresh(
+        imports
+        + """
+import json, sys
+module = sys.modules["quintic_moduli.invariants"]
+print(json.dumps(vars(qm)["invariants"] is module.invariants))
+"""
+    )
+    assert is_function is True
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = fresh(
+        """
+        import json, sys
+        import quintic_moduli
+        print(json.dumps([m for m in sys.modules if m.startswith("quintic_moduli.")]))
+        """
+    )
+    assert loaded == []
+
+
 HEAVY = ("arc_limits", "plane_curves", "fiber_counting", "gw_recursion")
 
 
 def loaded_after(argv: list[str]):
-    """The exit code of one ``cli.main`` run and the watched modules it loaded."""
+    """The exit code of one ``cli.main`` run and the package modules it
+    loaded, by full name, plus ``mpmath`` if it was loaded."""
     return fresh(
         f"""
         import contextlib, io, json, sys
@@ -150,8 +184,8 @@ def loaded_after(argv: list[str]):
 
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main({argv!r})
-        watched = ["quintic_moduli." + m for m in {HEAVY!r}] + ["mpmath"]
-        print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+        loaded = sorted(m for m in sys.modules if m.startswith("quintic_moduli."))
+        print(json.dumps([code, loaded + ["mpmath"] * ("mpmath" in sys.modules)]))
         """
     )
 
@@ -159,7 +193,33 @@ def loaded_after(argv: list[str]):
 def test_degree_ledger_loads_no_heavy_module():
     code, loaded = loaded_after(["degree-ledger", "--format", "jsonl"])
     assert code == 0
-    assert loaded == []
+    assert not set(loaded) & ({"quintic_moduli." + m for m in HEAVY} | {"mpmath"})
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["degree-ledger"], {"cli", "scalars", "linalg", "intersection_ledger"}),
+        (["plucker", "--d", "5"], {"cli", "scalars", "linalg", "intersection_ledger"}),
+        (["gw-recursion"], {"cli", "scalars", "gw_recursion"}),
+        (["fermat-check"], {"cli", "scalars", "invariants", "binary_forms", "polys"}),
+    ],
+    ids=["degree-ledger", "plucker", "gw-recursion", "fermat-check"],
+)
+def test_command_loads_only_its_modules(argv, modules):
+    """The three counts of 420 in rational arithmetic never load the
+    invariant chain or the GF(p) kernels; the Fermat check loads the chain
+    but no curve module and no elimination."""
+    code, loaded = loaded_after(argv)
+    assert code == 0
+    assert set(loaded) == {"quintic_moduli." + m for m in modules}
+
+
+def test_genericity_loads_neither_invariants_nor_ledger():
+    code, loaded = loaded_after(["genericity", "--curve", str(REPO_ROOT / "curves" / "generic.json")])
+    assert code == 0
+    assert "quintic_moduli.plane_curves" in loaded
+    assert not set(loaded) & {"quintic_moduli.invariants", "quintic_moduli.intersection_ledger"}
 
 
 def test_symbolic_arc_limit_leaves_mpmath_out():

@@ -7,9 +7,11 @@ import pytest
 from quintic_moduli import elimination, plane_curves, polys
 from quintic_moduli.binary_forms import BinaryForm, BinaryQuintic
 from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
+from quintic_moduli.intersection_ledger import plucker_counts
 from quintic_moduli.invariants import (
     UnstableQuinticError,
     WPPoint,
+    fermat_degree_factorization,
     invariant_triple,
     moduli_point,
 )
@@ -22,12 +24,10 @@ from quintic_moduli.plane_curves import (
     _dehom_y,
     _flex_eliminant,
     _taylor_tables,
-    fermat_degree_factorization,
     frame_determinant,
     _hessian_form,
     genericity_report,
     load_curve,
-    plucker_counts,
     random_invertible_frame,
     restrict_to_line,
 )
