@@ -32,8 +32,8 @@ streamed into the sample resultants.
 
 Over every GF(p) the Euclidean remainder sequence runs on packed ints
 from its first division to its last in one loop (``_lazy_sequence``), for
-the sample resultants and for ``gcd_uni`` (Yun's gcd(f, f') at degree
-600); ``_gcd_cofactor``, the extended Euclid of ``ResidueRing.inv``,
+the sample resultants and for ``gcd_uni`` (the fiber oracle's gcd(Q, Q')
+at degree 420); ``_gcd_cofactor``, the extended Euclid of ``ResidueRing.inv``,
 repeats that loop with the cofactor carried along in the same slots (a
 cofactor switch inside ``_lazy_sequence`` would slow the eliminant).
 Slots are reduced lazily: each division reads its quotient terms off the top

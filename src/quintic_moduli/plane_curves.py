@@ -39,6 +39,10 @@ P is read at P and at its point D = (-F_z(P), 0, F_x(P)): the contact
 order and a second tangency are the coefficients of F(s P + t D), the
 Taylor coefficients of F at P towards D and of F at D towards P, so no
 line is restricted.
+
+The fiber oracle's flex lines (``fiber_counting.flex_lines``) reuse the
+certificate's frame set-up (``_flex_frame``), its z0 (``_flex_point``) and
+its Taylor sums (``_taylor_sum``).
 """
 
 from __future__ import annotations
@@ -338,18 +342,36 @@ def _dehom_y(poly: MultiPoly, field: Field) -> MultiPoly:
     return MultiPoly(field, 2, {(i, k): c for (i, _, k), c in poly.terms.items()})
 
 
+def _flex_point(shape: Sequence[UniPoly], modulus: UniPoly) -> tuple[ResidueRing, int]:
+    """(GF(p)[u]/(h), z0) for a squarefree part h of the flex eliminant:
+    z0 = -s0/s1, packed in the ring, is the z-coordinate of the flex (u, 1,
+    z0) over every root u of h at once.
+
+    ``shape`` is the pair (s0, s1) of the first subresultant S1 = s1(u) z +
+    s0(u) of F and H at y = 1 (the shape lemma: S1 is a multiple of the gcd
+    of F and H over u when that gcd is linear).  s1 vanishing at a root of
+    h, so that its one inverse in the ring meets zero or a zero divisor,
+    means two intersections of F and H share that root's fiber, and the
+    frame is retried.
+    """
+    ring = ResidueRing(modulus)
+    try:
+        inverse = ring.inv(ring.reduce(shape[1]))
+    except ZeroDivisionError:
+        raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe") from None
+    settle = ring.reduce_packed
+    return ring, settle(settle(ring.pack(shape[0])) * ring.pack(-inverse))
+
+
 def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus: UniPoly) -> int:
     """Contact-order check at every root of the squarefree flex modulus
     simultaneously: the number of roots whose flex is verified.
 
     ``tables`` are the ``_taylor_tables`` of the framed curve F and
-    ``shape`` the pair (s0, s1) of the first subresultant S1 = s1(u) z +
-    s0(u) of F and H at y = 1.  Over a root u of the modulus the flex is P
-    = (u, 1, z0), z0 = -s0/s1 (the shape lemma: S1 is a multiple of the
-    gcd of F and H over u when that gcd is linear).  s1 vanishing at a
-    root of the modulus, so that its one inverse in the residue ring meets
-    zero or a zero divisor, means two intersections of F and H share that
-    root's fiber, and the frame is retried.
+    ``shape`` the pair (s0, s1) of the first subresultant of F and H at y =
+    1.  Over a root u of the modulus the flex is P = (u, 1, z0), z0 =
+    -s0/s1 (``_flex_point``, which retries the frame where s1 meets a zero
+    divisor).
 
     With l = grad F(P), the point D = l x e_y = (-l_z, 0, l_x) lies on the
     tangent line l . x = 0.  D is not 0: l_x = l_z = 0 would give l_y = 0
@@ -370,13 +392,8 @@ def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus:
     does not vanish number deg g - deg gcd(g, class), so conjugate flexes
     count together and h is never split.
     """
-    ring = ResidueRing(modulus)
-    try:
-        inverse = ring.inv(ring.reduce(shape[1]))
-    except ZeroDivisionError:
-        raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe") from None
+    ring, z0 = _flex_point(shape, modulus)
     p, settle = ring.base.p, ring.reduce_packed
-    z0 = settle(settle(ring.pack(shape[0])) * ring.pack(-inverse))
     c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, z0)
     contact = reduce(gcd_uni, (ring.unpack(c) for c in (c0, c2) if c), ring.modulus)
     discriminant = settle(c4 * c4 + (-4 % p) * settle(c3 * c5))
@@ -417,6 +434,22 @@ def _taylor_tables(poly: MultiPoly) -> tuple[dict, tuple]:
     return at_point, polar
 
 
+def _power_table(ring: ResidueRing, x: int) -> list[int]:
+    """[1, x, ..., x**5] for a packed class x, each power canonical."""
+    out = [1, x]
+    for _ in range(4):
+        out.append(ring.reduce_packed(out[-1] * x))
+    return out
+
+
+def _taylor_sum(ring: ResidueRing, table: dict, zs: Sequence[int]) -> int:
+    """The sum of a ``_taylor_tables`` entry at (u, z0), u the ring's
+    generator and ``zs`` the ``_power_table`` of z0: at most 21 products of
+    a residue and a canonical class, so within ``reduce_packed``'s bound."""
+    w = ring.width
+    return ring.reduce_packed(sum(c * zs[e2] << w * e1 for (e1, e2), c in table.items()))
+
+
 def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int):
     """(c0, c2, c3, c4, c5) of F(s P + t D) over ``ring``, for P = (u, 1, z0)
     and D = (-l_z, 0, l_x), l = grad F(P), u the ring's generator.
@@ -435,19 +468,9 @@ def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int
     """
     at_point, polars = tables
     p, w, settle = ring.base.p, ring.width, ring.reduce_packed
-
-    def power_table(x: int) -> list[int]:
-        out = [1, x]
-        for _ in range(4):
-            out.append(settle(out[-1] * x))
-        return out
-
-    zs = power_table(z0)
-    at = {
-        d: settle(sum(c * zs[e2] << w * e1 for (e1, e2), c in table.items()))
-        for d, table in at_point.items()
-    }
-    dxs, dzs = power_table(settle((p - 1) * at[0, 1])), power_table(at[1, 0])
+    zs = _power_table(ring, z0)
+    at = {d: _taylor_sum(ring, table, zs) for d, table in at_point.items()}
+    dxs, dzs = _power_table(ring, settle((p - 1) * at[0, 1])), _power_table(ring, at[1, 0])
     monomials: dict = {}
 
     def monomial(e1: int, e2: int) -> int:
@@ -534,6 +557,23 @@ def _flex_eliminant(curve_uz: MultiPoly, hess_uz: MultiPoly):
     return resultant_bivar_elim(curve_uz, hess_uz), None
 
 
+def _flex_frame(framed: PlaneCurve):
+    """(tables, at_y1, R, shape) of a framed quintic F over GF(p): its
+    ``_taylor_tables``, F, F_x and F_z at y = 1 (the tables' entries (0,
+    0), (1, 0) and (0, 1)), and R = Res_z(F, H) with the node values of S1
+    from ``_flex_eliminant``.  A cone (H = 0) gives R = 0 and no shape.
+    The one set-up of a frame for the certificate and for the fiber
+    oracle's flex lines (``fiber_counting.flex_lines``).
+    """
+    field = framed.field
+    hess = _hessian_form(framed.poly)
+    tables = _taylor_tables(framed.poly)
+    at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
+    if hess.is_zero():
+        return tables, at_y1, UniPoly.zero(field), None
+    return (tables, at_y1, *_flex_eliminant(at_y1[0], _dehom_y(hess, field)))
+
+
 #: Random frames ``genericity_report`` tries before it gives up.
 MAX_FRAMES = 6
 
@@ -556,16 +596,8 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
     notes: list[str] = []
     for attempt in range(1, MAX_FRAMES + 1):
         frame = random_invertible_frame(field, rng)
-        framed = reduced.composed_with_frame(frame)
-        hess = _hessian_form(framed.poly)
-        tables = _taylor_tables(framed.poly)
-        # F, F_x and F_z at y = 1: the tables' entries (0, 0), (1, 0) and (0, 1)
-        at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
+        tables, at_y1, flex_res, shape = _flex_frame(reduced.composed_with_frame(frame))
         # H = 0 for a cone and R = 0 when F and H share a component: singular
-        if hess.is_zero():
-            flex_res, shape = UniPoly.zero(field), None
-        else:
-            flex_res, shape = _flex_eliminant(at_y1[0], _dehom_y(hess, field))
         smooth = not flex_res.is_zero()
         distinct = verified = 0
         try:

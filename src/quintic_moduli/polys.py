@@ -40,7 +40,7 @@ mask) brings every slot to [0, 2p) at once, ``_barrett_mask`` the mask, and
 ``_lazy_constants`` the constants of the remainder sequences.  Three
 kernels keep their polynomials packed between such steps: the remainder
 sequences of :mod:`.elimination`, ``interpolate`` and the Barrett division
-of ``residue_rings.ResidueRing.reduce_packed``.  A Newton reciprocal
+of ``residue_rings.ResidueRing.divmod_packed``.  A Newton reciprocal
 division through ``dense_product`` would not pay for ``divmod`` or Yun's
 exact divisions, since ``dense_product`` unpacks and takes each slot mod p
 after every product.

@@ -1,4 +1,5 @@
-"""Quotient rings GF(p)[u]/(h), for the flex probe of ``plane_curves``.
+"""Quotient rings GF(p)[u]/(h), for the flex probe of ``plane_curves`` and
+the flex lines of ``fiber_counting``.
 
 For a squarefree modulus h the quotient is a product of fields, one per
 irreducible factor, so a class stands for its values at every root of h at
@@ -8,7 +9,7 @@ GF(p): h is never split.
 
 Elements are reduced ``UniPoly`` values over GF(p), and each ring also
 handles them packed: one int with coefficient k in the w-bit slot k
-(``pack``/``unpack``).  ``reduce_packed`` divides by the monic h of degree
+(``pack``/``unpack``).  ``divmod_packed`` divides by the monic h of degree
 n by Barrett's method on those slots (Barrett, CRYPTO '86; von zur Gathen &
 Gerhard, *Modern Computer Algebra*, section 9.1).  With K = 2n + 1 and the
 reciprocal R = floor(x**K / h), cached per ring with the packed -h, the
@@ -17,10 +18,12 @@ floor(floor(a / x**n) * R / x**(K - n)), so a mod h is a + q * (-h) on its
 low n slots.  An input of higher degree is reduced K - n slots at a time
 from its top.  SWAR Barrett steps (``polys._barrett_constants``) bring the
 slots back to [0, 2p) between the two products, and one SWAR compare and
-subtract leaves residues in [0, p), so the result is canonical for any
-input degree.  ``reduce`` is that on a packed ``UniPoly``.  The ring
-divides x**K by h once, when it is built (one packed ``UniPoly.divmod``),
-and never again.  The flex probe (``plane_curves._tangent_coefficients``)
+subtract leaves residues in [0, p), so the remainder is canonical for any
+input degree; the quotient keeps its slots in [0, 2p), so the fiber oracle
+divides its eliminant by a flex-line polynomial again and again without
+unpacking it.  ``reduce_packed`` is the remainder and ``reduce`` that on a
+packed ``UniPoly``.  The ring divides x**K by h once, when it is built
+(one packed ``UniPoly.divmod``), and never again.  The flex probe (``plane_curves._tangent_coefficients``)
 keeps its classes packed, a product of two classes being one bigint product
 and one ``reduce_packed``, and unpacks only the classes it takes gcds of.
 
@@ -103,7 +106,15 @@ class ResidueRing(Ring):
 
     def reduce_packed(self, a: int) -> int:
         """The remainder mod h of a packed polynomial of any degree whose slots
-        are at most 6 (n + 4)(p - 1)**2, in n slots in [0, p).
+        are at most 6 (n + 4)(p - 1)**2, in n slots in [0, p): the remainder
+        of ``divmod_packed``."""
+        return self.divmod_packed(a)[1]
+
+    def divmod_packed(self, a: int) -> tuple[int, int]:
+        """(quotient, remainder) of a packed polynomial of any degree whose
+        slots are at most 6 (n + 4)(p - 1)**2 by h: the remainder in n slots
+        in [0, p), the quotient's slots in [0, 2p), so it may be divided
+        again.
 
         While a has a slot at n or above, its top chunk c, of at most K = 2n
         + 1 slots from slot j on, is reduced: one Barrett step brings c's
@@ -115,21 +126,25 @@ class ResidueRing(Ring):
         1 more on top of 2p - 1: both stay below the bound for p >= 2, so no
         slot carries into the next.  Then one more Barrett step, and the
         compare y = a + (2**t - p) on every slot (2**t > p) sets bit t of a
-        slot exactly where it is at least p, which subtracts p there.
+        slot exactly where it is at least p, which subtracts p there.  The
+        quotient is the sum of the passes' q x**j, which occupy disjoint
+        slots: the next chunk's top is below j + n, so its q ends below j.
         """
         w, k, n = self.width, self._k, self.modulus.degree
         p = self.base.p
         s, m, mask = self._step
+        quotient = 0
         while (top := (a.bit_length() - 1) // w) >= n:
             j = max(0, top - k + 1)
             c = a >> w * j
             c -= p * ((c * m >> s) & mask)
             q = (c >> w * n) * self._recip >> w * (k - n)
             q -= p * ((q * m >> s) & mask)
+            quotient += q << w * j
             a = ((c + q * self._negated) & self._low) << w * j | a & ((1 << w * j) - 1)
         a -= p * ((a * m >> s) & mask)
         t, ones, offset = self._compare
-        return a - p * ((a + offset) >> t & ones)
+        return quotient, a - p * ((a + offset) >> t & ones)
 
     def is_zero(self, a) -> bool:
         return a.is_zero()

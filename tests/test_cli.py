@@ -180,15 +180,39 @@ def test_fiber_count_cli(capsys, generic_quintic):
     assert by_kind(out, "fiber-degree")[0]["degree"] == 420
 
 
-def test_fermat_fiber_count_stops_on_a_reproduced_cause(capsys):
+def test_fermat_fiber_count_answers_150(capsys):
+    # the oracle divides the eliminant by Fermat's 15 flex lines, each of
+    # multiplicity 30, and answers in one attempt at both primes
     code, out = run_cli(
-        capsys, "fiber-count", "--curve", FERMAT, "--prime", "10007", "--seed", "1", "--format", "jsonl"
+        capsys,
+        "fiber-count", "--curve", FERMAT,
+        "--prime", "10007", "--prime", "3001",
+        "--seed", "1",
+        "--format", "jsonl",
     )
-    assert code == 1
-    failure = records(out)[-1]
-    assert failure["record"] == "failure"
-    assert len(failure["causes"]) == 2
-    assert all("((15, 30), (150, 1))" in cause for cause in failure["causes"])
+    assert code == 0
+    reports = by_kind(out, "fiber-report")
+    assert [r["prime"] for r in reports] == [10007, 3001]
+    for rec in reports:
+        assert rec["fiber_degree"] == 150
+        assert rec["multiplicity_profile"] == [[15, 30], [150, 1]]
+        assert rec["flex_part"] == [15, 30]
+        assert rec["retries"] == 0
+    assert records(out)[-1] == {"record": "fiber-degree", "degree": 150, "primes": [10007, 3001]}
+
+
+def test_fiber_count_reports_every_flex_part(capsys):
+    # with two kinds of flex, flex_part lists one (degree, multiplicity)
+    # pair per flex-line part
+    klein = str(CURVES_DIR / "klein.json")
+    code, out = run_cli(capsys, "fiber-count", "--curve", klein, "--seed", "1", "--format", "jsonl")
+    assert code == 0
+    rec = by_kind(out, "fiber-report")[0]
+    assert rec["multiplicity_profile"] == [[3, 18], [39, 4], [390, 1]]
+    assert rec["flex_part"] == [[39, 4], [3, 18]]
+    assert records(out)[-1] == {"record": "fiber-degree", "degree": 390, "primes": [10007]}
+    code, text = run_cli(capsys, "fiber-count", "--curve", klein, "--seed", "1")
+    assert code == 0 and "390" in text
 
 
 def test_structured_output_is_reproducible(capsys):

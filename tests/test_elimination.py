@@ -473,7 +473,7 @@ def _first_draw(curve, p: int, seed: int):
     rng = random.Random(seed)
     target = _draw_target(field, rng)
     frame = random_invertible_frame(field, rng)
-    return build_fiber_system(curve.reduce_mod(field), target, frame)
+    return build_fiber_system(curve.reduce_mod(field).composed_with_frame(frame), target)
 
 
 @pytest.fixture(scope="module")

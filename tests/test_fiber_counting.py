@@ -1,25 +1,26 @@
 import importlib
 import random
+import re
 
 import pytest
 
 from quintic_moduli import PlaneCurve, fiber_counting
 from quintic_moduli.binary_forms import BinaryQuintic
-from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim
+from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
 from quintic_moduli.fiber_counting import (
     ELIMINANT_DEGREE,
-    EXPECTED_FIBER_DEGREE,
-    EXPECTED_FLEX_PART,
     FIBER_SYSTEM_DEGREES,
     FiberCountError,
     FiberRetryError,
     build_fiber_system,
     count_fiber,
+    flex_lines,
 )
 from quintic_moduli.invariants import WPPoint, invariant_triple
 from quintic_moduli.plane_curves import (
     _hessian_form,
     genericity_report,
+    load_curve,
     random_invertible_frame,
 )
 from quintic_moduli.polys import (
@@ -31,11 +32,24 @@ from quintic_moduli.polys import (
     line_restriction,
     powers,
 )
+from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, is_prime
 
-from conftest import evaluate, fermat_quintic
+from conftest import (
+    ACCEPTANCE_PRIMES,
+    CURVES_DIR,
+    contact_four_hyperflex,
+    evaluate,
+    fermat_quintic,
+    frame_with_third_column,
+)
+from test_plane_curves import _singular_quintic
 
 F = GF(10007)
+#: The count the oracle reproduces on a generic quintic, and the flex part
+#: accounting for the rest of the Bezout number: 600 = 420 + 45 * 4.
+EXPECTED_FIBER_DEGREE = 420
+EXPECTED_FLEX_PART = (45, 4)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +62,7 @@ def sample_system(fixture_mod_p):
     rng = random.Random(100)
     frame = random_invertible_frame(F, rng)
     target = WPPoint(F, F.from_int(7), F.from_int(31), F.from_int(59))
-    g1, g2 = build_fiber_system(fixture_mod_p, target, frame)
+    g1, g2 = build_fiber_system(fixture_mod_p.composed_with_frame(frame), target)
     return frame, target, g1, g2
 
 
@@ -128,7 +142,7 @@ def test_fiber_system_matches_the_lattice_reference(generic_quintic, prime, widt
         target = fiber_counting._draw_target(field, rng)
         frame = random_invertible_frame(field, rng)
         expected = _lattice_system(curve.composed_with_frame(frame).poly, target)
-        assert build_fiber_system(curve, target, frame) == expected
+        assert build_fiber_system(curve.composed_with_frame(frame), target) == expected
 
 
 #: The largest prime whose chain bound fits 64-bit slots, and the next prime.
@@ -156,10 +170,9 @@ def test_chain_at_the_slot_edge(monkeypatch, prime, width):
     assert ring.width == width and top < 1 << width and top >= 1 << width - 64
     field = GF(prime)
     poly = MultiPoly(field, 3, {(i, j, 5 - i - j): prime - 1 for i in range(6) for j in range(6 - i)})
-    identity = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
     target = WPPoint(field, field.from_int(7), field.from_int(31), field.from_int(59))
     monkeypatch.setattr(fiber_counting, "_KroneckerRing", RecordingRing)
-    system = build_fiber_system(PlaneCurve(poly), target, identity)
+    system = build_fiber_system(PlaneCurve(poly), target)  # in the identity frame
     assert system == _lattice_system(poly, target)
     assert 0 < max(largest) <= _chain_bound(prime) <= ring.bias
 
@@ -185,7 +198,7 @@ def test_chain_table_matches_the_invariant_chain(monkeypatch, fixture_mod_p, sam
     sums = chain_module._transvectant_sums
     monkeypatch.setattr(chain_module, "_transvectant_sums", recording)
     frame, target, g1, g2 = sample_system
-    assert build_fiber_system(fixture_mod_p, target, frame) == (g1, g2)
+    assert build_fiber_system(fixture_mod_p.composed_with_frame(frame), target) == (g1, g2)
     assert [(g[0], h[0], k) for g, h, k in calls] == [
         (g[1], h[1], k) for g, h, k in fiber_counting._CHAIN
     ]
@@ -200,7 +213,7 @@ def test_fiber_system_rejects_zero_first_coordinate(fixture_mod_p):
     frame = random_invertible_frame(F, rng)
     target = WPPoint(F, F.zero, F.one, F.one)
     with pytest.raises(ValueError):
-        build_fiber_system(fixture_mod_p, target, frame)
+        build_fiber_system(fixture_mod_p.composed_with_frame(frame), target)
 
 
 def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
@@ -295,17 +308,17 @@ def test_count_fiber_chart_independent(generic_quintic):
 
 
 def test_on_discriminant_target_is_flagged(generic_quintic):
-    # branch-locus behaviour is recorded as a deviating profile, not averaged
-    c1 = F.from_int(77)
-    c2 = F.reduce(F.reduce(c1 * c1) * F.inv(F.from_int(128)))
-    target = WPPoint(F, c1, c2, F.from_int(1234))
-    with pytest.raises(FiberCountError) as info:
-        count_fiber(generic_quintic, 10007, seed=3, target=target)
-    # a fresh frame over the same target reproduces the profile: no third draw
-    causes = info.value.causes
-    assert len(causes) == 2
-    assert all("profile" in cause for cause in causes)
-    assert causes[1].startswith("attempt 1: ") and "as at attempt 0" in causes[1]
+    # a target on the branch locus c1^2 = 128 c2 is measured, not declined:
+    # the flex lines take multiplicity 6 there and the reduced part drops to
+    # 330, the same at both primes
+    for prime in ACCEPTANCE_PRIMES:
+        field = GF(prime)
+        c1 = field.from_int(77)
+        c2 = field.reduce(field.reduce(c1 * c1) * field.inv(field.from_int(128)))
+        target = WPPoint(field, c1, c2, field.from_int(1234))
+        report = count_fiber(generic_quintic, prime, seed=3, target=target)
+        assert report.multiplicity_profile == ((45, 6), (330, 1))
+        assert (report.fiber_degree, report.flex_part, report.retries) == (330, (45, 6), 0)
 
 
 def _counting_builds(monkeypatch, build):
@@ -321,22 +334,23 @@ def _counting_builds(monkeypatch, build):
 
 @pytest.mark.parametrize("prime", [10007, 3001])
 def test_reproduced_cause_stops_the_count(monkeypatch, prime):
-    # Fermat measures ((15, 30), (150, 1)) at every draw: the second draw
-    # reproduces the first cause, and the count stops there
+    # at the cusp two intersections of F and H share one fiber of u at every
+    # draw, so s1 is a zero divisor there: the second draw reproduces the
+    # first cause, and the count stops there
     calls = _counting_builds(monkeypatch, build_fiber_system)
     with pytest.raises(FiberCountError) as info:
-        count_fiber(fermat_quintic(), prime, seed=1)
+        count_fiber(_singular_quintic("cusp"), prime, seed=1)
     assert len(calls) == 2
     first, second = info.value.causes
-    profile = "multiplicity profile ((15, 30), (150, 1)) deviates"
-    assert first == f"attempt 0: {profile}"
+    assert first.startswith("attempt 0: ")
+    cause = first[len("attempt 0: "):]
     assert second == (
-        f"attempt 1: {profile} (as at attempt 0: a property of the curve, not of the draw)"
+        f"attempt 1: {cause} (as at attempt 0: a property of the curve, not of the draw)"
     )
 
 
 def test_distinct_causes_use_every_retry(monkeypatch, generic_quintic):
-    def failing_build(curve, target, frame):
+    def failing_build(framed, target):
         raise FiberRetryError(f"draw-dependent failure {len(calls)}")
 
     calls = _counting_builds(monkeypatch, failing_build)
@@ -359,3 +373,149 @@ def test_curve_over_another_prime_field_is_rejected(generic_quintic):
         count_fiber(curve, 10007, seed=1)
     with pytest.raises(ValueError, match=r"GF\(3001\)"):
         genericity_report(curve, 10007)
+
+
+# ---------------------------------------------------------------------------
+# the flex-line division
+
+#: Rational flexes (x : y : 1) of the generic quintic.
+RATIONAL_FLEXES = {10007: (3241, 5458, 1), 3001: (2786, 532, 1)}
+
+
+def _from_roots(field, roots) -> UniPoly:
+    """The monic polynomial prod (T - r) over the given roots."""
+    out = UniPoly.constant(field, field.one)
+    for r in roots:
+        out = out * UniPoly(field, [field.reduce(-r), field.one])
+    return out
+
+
+def _first_attempt(curve, prime: int, seed: int):
+    """(framed curve, eliminant) of ``count_fiber``'s first attempt."""
+    field = GF(prime)
+    rng = random.Random(seed)
+    target = fiber_counting._draw_target(field, rng)
+    framed = curve.reduce_mod(field).composed_with_frame(random_invertible_frame(field, rng))
+    return framed, resultant_bivar_elim(*build_fiber_system(framed, target))
+
+
+@pytest.mark.parametrize("prime", ACCEPTANCE_PRIMES)
+def test_flex_lines_are_the_non_reduced_part_of_the_eliminant(generic_quintic, prime):
+    # in every frame the one flex-line polynomial is exactly the part Yun
+    # finds at multiplicity 4, and the division leaves Yun's reduced part
+    for seed in range(1, 4):
+        framed, eliminant = _first_attempt(generic_quintic, prime, seed)
+        (line,) = flex_lines(framed)
+        reduced, flex = squarefree_decomposition(eliminant)
+        assert flex == (line, 4) and reduced[1] == 1
+        quotient, parts = fiber_counting._divide_by_flex_lines(eliminant, [line])
+        assert parts == [(45, 4)]
+        assert quotient == reduced[0].scale(eliminant.lc)
+
+
+@pytest.mark.parametrize("prime", ACCEPTANCE_PRIMES)
+@pytest.mark.parametrize(
+    "name, profile, flex_part",
+    [
+        ("contact-4 hyperflex", ((1, 18), (43, 4), (410, 1)), ((43, 4), (1, 18))),
+        ("klein", ((3, 18), (39, 4), (390, 1)), ((39, 4), (3, 18))),
+    ],
+)
+def test_curves_with_two_kinds_of_flex_are_answered(name, profile, flex_part, prime):
+    # flexes of contact 4 are double roots of the flex eliminant, and their
+    # lines come with multiplicity 18: 410 = 420 - 10, 390 = 420 - 3 * 10
+    curve = contact_four_hyperflex(0) if name != "klein" else load_curve(CURVES_DIR / "klein.json")
+    report = count_fiber(curve, prime, seed=1)
+    assert report.multiplicity_profile == profile
+    assert report.flex_part == flex_part
+    assert report.fiber_degree == profile[-1][0]
+    assert report.retries == 0
+
+
+@pytest.mark.parametrize("prime", ACCEPTANCE_PRIMES)
+def test_fermat_is_answered_in_one_attempt(prime):
+    for seed in range(1, 6):
+        report = count_fiber(fermat_quintic(), prime, seed=seed)
+        assert report.multiplicity_profile == ((15, 30), (150, 1))
+        assert (report.fiber_degree, report.flex_part, report.retries) == (150, (15, 30), 0)
+
+
+def test_a_changed_eliminant_coefficient_is_never_counted(monkeypatch, generic_quintic):
+    # negative control: with one coefficient of the eliminant changed, the
+    # flex lines no longer divide it, and each attempt fails with that cause
+    def tampered(f, g):
+        eliminant = resultant_bivar_elim(f, g)
+        coeffs = list(eliminant.coeffs)
+        coeffs[300] = (coeffs[300] + 1) % eliminant.field.p
+        return UniPoly(eliminant.field, coeffs)
+
+    monkeypatch.setattr(fiber_counting, "resultant_bivar_elim", tampered)
+    with pytest.raises(FiberCountError) as info:
+        count_fiber(generic_quintic, 10007, seed=1)
+    cause = "flex-line part of degree 45 does not divide the eliminant"
+    assert info.value.causes == [
+        f"attempt 0: {cause}",
+        f"attempt 1: {cause} (as at attempt 0: a property of the curve, not of the draw)",
+    ]
+
+
+def test_the_division_checks_fail_with_their_causes():
+    # L = (a - 1)(a - 2) against eliminants built from their roots
+    line, divide = _from_roots(F, (1, 2)), fiber_counting._divide_by_flex_lines
+    quotient, parts = divide(_from_roots(F, (1, 1, 1, 1, 2, 2, 2, 2, 3, 4)), [line])
+    assert (quotient, parts) == (_from_roots(F, (3, 4)), [(2, 4)])
+    cases = {
+        # a root of L of higher order than the others: Q shares it with L
+        "reduced part is not coprime to the flex-line part of degree 2": (1, 1, 1, 1, 1, 2, 2, 2, 2, 3),
+        "reduced part of degree 3 is not squarefree": (1, 1, 2, 2, 3, 3, 4),
+        "flex-line part of degree 2 does not divide the eliminant": (1, 3, 4),
+    }
+    for cause, roots in cases.items():
+        with pytest.raises(FiberRetryError, match=cause):
+            divide(_from_roots(F, roots), [line])
+
+
+def _rational_flex_tangent_point(curve, prime: int):
+    """A point off the curve on the tangent at a rational flex of ``curve``."""
+    field = GF(prime)
+    grad = [evaluate(curve.poly.derivative(v), RATIONAL_FLEXES[prime]) for v in range(3)]
+    point = (field.reduce(-grad[2]), 0, grad[0])  # grad x e_y, on the tangent
+    assert evaluate(curve.poly, point) != 0
+    return point
+
+
+@pytest.mark.parametrize("prime", ACCEPTANCE_PRIMES)
+def test_degenerate_frames_are_retry_causes(generic_quintic, prime):
+    # a frame putting a flex tangent through framed (0 : 0 : 1) leaves that
+    # flex line without a chart slope; a frame putting a flex at (0 : 0 : 1)
+    # loses it from the flex eliminant
+    field = GF(prime)
+    curve = generic_quintic.reduce_mod(field)
+    causes = {
+        _rational_flex_tangent_point(curve, prime): "F_z vanishes there",
+        RATIONAL_FLEXES[prime]: "flex eliminant degree 44 < 45",
+    }
+    for point, cause in causes.items():
+        framed = curve.composed_with_frame(frame_with_third_column(field, point))
+        with pytest.raises(FiberRetryError, match=re.escape(cause)):
+            flex_lines(framed)
+
+
+@pytest.mark.parametrize("p", [2503, 10007, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 45])
+def test_characteristic_polynomial_is_the_product_over_the_roots(p, n):
+    # prod (T - a(u)) over the roots u of h, from traces and Newton's identities
+    field = GF(p)
+    rng = random.Random(p + 7 * n)
+    roots = rng.sample(range(min(p, 10**6)), n)
+    ring = ResidueRing(_from_roots(field, roots))
+    seeded = UniPoly(field, [rng.randrange(p) for _ in range(n)])
+    for a in (ring.zero, ring.one, ring.generator(), seeded):
+        expected = _from_roots(field, [a.eval(u) for u in roots])
+        assert fiber_counting._characteristic_polynomial(ring, ring.pack(a)) == expected
+
+
+def test_characteristic_polynomial_needs_p_above_the_degree():
+    h = UniPoly(GF(2503), [1] * 2503 + [1])
+    with pytest.raises(ValueError, match="p > 2503"):
+        fiber_counting._characteristic_polynomial(ResidueRing(h), 1)

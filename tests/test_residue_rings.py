@@ -145,6 +145,31 @@ def test_barrett_reduce_matches_the_divmod_remainder_at_the_slot_edges(p, n):
         assert ring.reduce_packed(raw) == ring.pack(expected), degree
 
 
+@pytest.mark.parametrize("p", BARRETT_EDGE_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 15, 45])
+def test_divmod_packed_matches_divmod_and_divides_again(p, n):
+    # the quotient comes back in slots below 2p, and dividing it again gives
+    # the quotient and remainder of the quotient: the chain the fiber oracle
+    # runs down the eliminant
+    field = GF(p)
+    rng = random.Random(p - n)
+    ring = ResidueRing(_random_uni(rng, field, n))
+    h = ring.modulus  # monic: the quotient is by h made monic
+    for degree in [0, n - 1, n, 2 * n, 2 * n + 1, 5 * n + 2, 600]:
+        x = UniPoly(field, [rng.randrange(p) for _ in range(degree + 1)])
+        packed = ring.pack(x)
+        for _ in range(3):
+            quotient, remainder = ring.divmod_packed(packed)
+            expected_q, expected_r = x.divmod(h)
+            assert ring.unpack(remainder) == expected_r, degree
+            assert remainder == ring.reduce_packed(packed)
+            length = max(0, x.degree - n + 1)
+            slots = list(_unpack(quotient, length, ring.width)) if length else []
+            assert all(c < 2 * p for c in slots) and quotient < 1 << ring.width * length
+            assert UniPoly(field, [c % p for c in slots]) == expected_q, degree
+            packed, x = quotient, expected_q
+
+
 @pytest.mark.parametrize("p", [2503, 10007])
 @pytest.mark.parametrize("n", [1, 2, 5, 45])
 def test_mul_inv_generator_match_their_remainder_definitions(p, n):
