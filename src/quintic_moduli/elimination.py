@@ -14,21 +14,22 @@ y) is computed over GF(p) only, by specialising x at enough sample points
 and interpolating, which is how the degree-600 eliminant of the fiber
 system stays tractable; y, the second variable, is the one eliminated at
 every call.  It is the Sylvester determinant at the inputs' formal degrees
-in y.  When f's lead there is a nonzero constant c (G1's b**20
+in y, and f's lead there must be a nonzero constant c (G1's b**20
 coefficient in the fiber system, the framed curve's z**5 one in the
-genericity certificate), g is first replaced by r = g mod f, one packed
-``UniPoly.divmod`` on Kronecker images, and the eliminant of (f, r) is
-scaled once by c**(deg g - deg r): the longest division of every sample
-is done once.  The samples are the nodes 0, 1, ..., deg f * deg g
-in total degrees, none skipped: where a lead vanishes the sample's
-resultant is corrected by the formal-degree rule, so the interpolation
-runs on consecutive nodes with ``interpolate``'s cached tree.  The slices
-of all the samples are evaluated in one transposed pass per input
-(``_eval_slices``; von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 10): the values of the coefficient of y**j at every node form one
-packed row, a sum of small-times-packed products with cached rows of node
-powers, and the rows are transposed into one packed slice per node,
-streamed into the sample resultants.
+genericity certificate): a caller whose random frame gives another lead
+redraws the frame.  Where deg_y g >= deg_y f, g is first replaced by r = g
+mod f, one packed ``UniPoly.divmod`` on Kronecker images, and the
+eliminant of (f, r) is scaled once by c**(deg g - deg r): the longest
+division of every sample is done once.  The samples are the nodes 0, 1,
+..., deg f * deg g in total degrees, none skipped: where g's lead vanishes
+the sample's resultant is scaled by the formal-degree rule, a power of c,
+so the interpolation runs on consecutive nodes with ``interpolate``'s
+cached tree.  The slices of all the samples are evaluated in one
+transposed pass per input (``_eval_slices``; von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 10): the values of the coefficient of y**j
+at every node form one packed row, a sum of small-times-packed products
+with cached rows of node powers, and the rows are transposed into one
+packed slice per node, streamed into the sample resultants.
 
 Over every GF(p) the Euclidean remainder sequence runs on packed ints
 from its first division to its last in one loop (``_lazy_sequence``), for
@@ -373,45 +374,29 @@ def _eval_slices(poly: MultiPoly, n: int, count: int, p: int):
         yield int.from_bytes(data[start : start + size], "little")
 
 
-def _trim(c: int, n: int, p: int, w: int) -> tuple[int, int, int]:
-    """(c, d, lead): packed slices of formal degree n, in w-bit slots, with
-    their top zero residues dropped (a top slot may read p), d the number
-    dropped (n + 1 for the zero polynomial) and lead the top residue left
-    (0 for the zero polynomial)."""
+def _trim(c: int, n: int, p: int, w: int) -> tuple[int, int]:
+    """(c, d): packed slices of formal degree n, in w-bit slots, with their
+    top zero residues dropped (a top slot may read p), d the number dropped
+    (n + 1 for the zero polynomial)."""
     for k in range(n, -1, -1):
-        lead = (c >> w * k) % p
-        if lead:
-            return c, n - k, lead
+        if (c >> w * k) % p:
+            return c, n - k
         c &= (1 << w * k) - 1
-    return 0, n + 1, 0
+    return 0, n + 1
 
 
-def _sample_resultant(fc: int, df: int, gc: int, dg: int, p: int, *, subresultant: bool = False):
-    """Res of a sample's slices at their formal degrees df and dg.
-
-    One ``_resultant_modp`` call on the slices with any vanished leads
-    dropped, corrected by the formal-degree rule of the Sylvester
-    determinant: g's lead dropping by d multiplies by lc(f)**d, f's lead
-    dropping by d by (-1)**(d * dg) * lc(g)**d, and both vanishing make
-    the determinant 0 (its first column is zero).  With ``subresultant``
-    (f's lead a nonzero constant, so only g's may drop) the same call also
-    gives s0 and s1, and the rule scales them by the same lc(f)**d.
+def _sample_resultant(fc: int, gc: int, dg: int, lead: int, p: int, *, subresultant: bool = False):
+    """Res of a sample's slices, f's with the nonzero constant lead ``lead``
+    and g's at formal degree dg: one ``_resultant_modp`` call on the slices
+    with g's vanished leads dropped, times lead**d where g's lead drops by
+    d (the formal-degree rule of the Sylvester determinant).  With
+    ``subresultant`` the same call also gives s0 and s1, scaled alike.
     """
-    w = _lazy_constants(p)[4]
-    fc, f_drop, f_lead = _trim(fc, df, p, w)
-    gc, g_drop, g_lead = _trim(gc, dg, p, w)
+    gc, drop = _trim(gc, dg, p, _lazy_constants(p)[4])
+    scale = pow(lead, drop, p)
     if subresultant:
-        scale = pow(f_lead, g_drop, p)
         return tuple(c * scale % p for c in _resultant_modp(fc, gc, p, subresultant=True))
-    value = _resultant_modp(fc, gc, p)
-    if f_drop and g_drop:
-        return 0
-    if g_drop:
-        return value * pow(f_lead, g_drop, p) % p
-    if f_drop:
-        value = value * pow(g_lead, f_drop, p) % p
-        return (p - value) % p if f_drop * dg & 1 else value
-    return value
+    return _resultant_modp(fc, gc, p) * scale % p
 
 
 def _reduce_by_constant_lead(g: MultiPoly, f: MultiPoly) -> MultiPoly:
@@ -452,30 +437,31 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, *, subresultant: bool = Fal
     and deg_y g (the Sylvester determinant), a polynomial in x of degree at
     most deg(f)*deg(g) in total degrees.  Every caller eliminates its
     inputs' second variable: the fiber system's b and the certificate's z.
+    f's lead in y must be a nonzero constant c (else ``ValueError``: the
+    callers redraw the random frame that gave another).
 
-    When f's lead in y is a nonzero constant c, g is first replaced by r =
-    g mod f (``_reduce_by_constant_lead``), and the result is c**(deg g -
-    deg r) * Res(f, r), or 0 when r is.  x is then sampled at the n =
+    Where deg_y g >= deg_y f, g is first replaced by r = g mod f
+    (``_reduce_by_constant_lead``), and the result is c**(deg g - deg r) *
+    Res(f, r), or 0 when r is.  x is then sampled at the n =
     deg(f)*deg(g) + 1 nodes 0, 1, ..., n - 1: the slices of each input at
     every node come from one ``_eval_slices`` call, and node by node each
-    pair is one univariate resultant, corrected by the formal-degree rule
-    where a lead vanishes there (``_sample_resultant``).  The samples are
-    interpolated on those consecutive nodes.
+    pair is one univariate resultant, scaled by c**drop where g's lead
+    drops there (``_sample_resultant``).  The samples are interpolated on
+    those consecutive nodes.
 
     ``subresultant`` asks for the first subresultant S1 = s1 z + s0 of f
-    and g at the same formal degrees too, for which f's lead must be a
-    nonzero constant c and deg_y f >= 2.  It returns (eliminant, s0
-    values, s1 values), the values at the same n nodes, for the caller to
-    interpolate.  Each node's pair comes out of the remainder sequence of
-    its resultant (``_resultant_modp``): with r_k the last remainder before
-    the constant one, of degree n_k = 1, S1 = eps * prod_{i<k}
-    l_i**(n_{i-1} - n_{i+1}) * l_k**(n_{k-1} - 2) * r_k, eps = (-1)**(sum_{i<k}
-    (n_{i-1} - 1)(n_i - 1)), for the degrees n_i and leads l_i of the
-    remainders r_0 = f, r_1 = g mod f, ... (von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, ch. 6); s1 = 0 where n_k = 2 and S1 = 0
-    where n_k >= 3.  The pre-division scales S1 by c**(deg g - deg r) and a
-    vanished lead of r at a node by c**drop, as they scale the resultant
-    (cofactor expansion along f's constant lead).
+    and g at the same formal degrees too, for which deg_y f >= 2.  It
+    returns (eliminant, s0 values, s1 values), the values at the same n
+    nodes, for the caller to interpolate.  Each node's pair comes out of
+    the remainder sequence of its resultant (``_resultant_modp``): with r_k
+    the last remainder before the constant one, of degree n_k = 1, S1 = eps
+    * prod_{i<k} l_i**(n_{i-1} - n_{i+1}) * l_k**(n_{k-1} - 2) * r_k, eps =
+    (-1)**(sum_{i<k} (n_{i-1} - 1)(n_i - 1)), for the degrees n_i and leads
+    l_i of the remainders r_0 = f, r_1 = g mod f, ... (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 6); s1 = 0 where n_k = 2 and S1
+    = 0 where n_k >= 3.  The pre-division scales S1 by c**(deg g - deg r)
+    and a vanished lead of r at a node by c**drop, as they scale the
+    resultant (cofactor expansion along f's constant lead).
     """
     if f.field is not g.field:
         raise ValueError("field mismatch in elimination")
@@ -490,37 +476,35 @@ def resultant_bivar_elim(f: MultiPoly, g: MultiPoly, *, subresultant: bool = Fal
     df_e, dg_e = f.degree_in(1), g.degree_in(1)
     if df_e <= 0 or dg_e <= 0:
         raise ValueError("both inputs must involve the eliminated variable")
+    if [e for e in f.terms if e[1] == df_e] != [(0, df_e)]:
+        raise ValueError("f's lead in the eliminated variable must be a nonzero constant")
+    if subresultant and df_e < 2:
+        raise ValueError("the first subresultant needs f of degree >= 2")
     bound = int(f.total_degree) * int(g.total_degree)
     if p <= bound:
         raise ValueError(f"field GF({p}) too small for {bound + 1} interpolation samples")
     n = bound + 1
 
-    scale = 1
-    lead = [(k, c) for (k, j), c in f.terms.items() if j == df_e]
-    constant_lead = len(lead) == 1 and lead[0][0] == 0
-    if subresultant and not (constant_lead and df_e >= 2):
-        raise ValueError(
-            "the first subresultant needs f's lead to be a nonzero constant, of degree >= 2"
-        )
-    if constant_lead and dg_e >= df_e:
+    lead, scale = f.terms[0, df_e], 1
+    if dg_e >= df_e:
         g = _reduce_by_constant_lead(g, f)
         if g.is_zero():
             return (UniPoly.zero(F), [0] * n, [0] * n) if subresultant else UniPoly.zero(F)
-        scale = pow(lead[0][1], dg_e - g.degree_in(1), p)
+        scale = pow(lead, dg_e - g.degree_in(1), p)
         dg_e = g.degree_in(1)
 
     count = max(f.degree_in(0), g.degree_in(0)) + 1
     slices = zip(_eval_slices(f, n, count, p), _eval_slices(g, n, count, p))
     if subresultant:
         values, s0, s1 = zip(
-            *(_sample_resultant(fc, df_e, gc, dg_e, p, subresultant=True) for fc, gc in slices)
+            *(_sample_resultant(fc, gc, dg_e, lead, p, subresultant=True) for fc, gc in slices)
         )
         return (
             interpolate(values, F).scale(scale),
             [c * scale % p for c in s0],
             [c * scale % p for c in s1],
         )
-    samples = [_sample_resultant(fc, df_e, gc, dg_e, p) for fc, gc in slices]
+    samples = [_sample_resultant(fc, gc, dg_e, lead, p) for fc, gc in slices]
     eliminant = interpolate(samples, F)
     return eliminant.scale(scale) if scale != 1 else eliminant
 

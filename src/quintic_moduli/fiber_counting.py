@@ -49,10 +49,12 @@ fiber.  A generic quintic reports
 reproducing the degree 420, and Fermat, whose 15 flexes are hyperflexes,
 is answered in one attempt: {(150, 1), (15, 30)}.  No profile is expected:
 a curve whose flexes have contact 4, or several kinds of flex, reports one
-(deg L_h, mu_h) per part.  Degenerate draws (degree drops, a degenerate
-frame for the flex lines, a failed division) are retried with fresh random
-data and every cause is recorded.  The retries stop early once a fresh
-draw reproduces the cause of an earlier attempt word for word: a failure
+(deg L_h, mu_h) per part.  Degenerate draws (degree drops, a G1 without
+the constant b^20 lead the eliminant needs, a degenerate frame for the
+flex lines, a failed division) raise the certificate's
+``plane_curves.FrameRetryError``, are retried with fresh random data, and
+every cause is recorded.  The retries stop early once a fresh draw
+reproduces the cause of an earlier attempt word for word: a failure
 that recurs across independent frames (and targets) is a property of the
 curve, not of the draw, so further draws would only repeat it.  A singular
 curve, for instance, is declined after two attempts.
@@ -74,10 +76,10 @@ from .elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
 from .invariants import WPPoint, invariant_triple
 from .plane_curves import (
     _DIRECTIONS,
+    FrameRetryError,
     PlaneCurve,
     _flex_frame,
     _flex_point,
-    _FrameRetry,
     _power_table,
     _taylor_sum,
     random_invertible_frame,
@@ -88,7 +90,6 @@ from .polys import (
     _KroneckerRing,
     _pack,
     _unpack,
-    interpolate,
     line_restriction,
 )
 from .residue_rings import ResidueRing
@@ -97,10 +98,6 @@ from .scalars import GF, PrimeField, Ring
 #: Chart degrees of the fiber system and its Bezout number.
 FIBER_SYSTEM_DEGREES = (20, 30)
 ELIMINANT_DEGREE = FIBER_SYSTEM_DEGREES[0] * FIBER_SYSTEM_DEGREES[1]
-
-
-class FiberRetryError(Exception):
-    """A single draw failed a genericity gate; carries the cause."""
 
 
 class FiberCountError(RuntimeError):
@@ -213,9 +210,9 @@ def build_fiber_system(framed: PlaneCurve, target: WPPoint) -> tuple[MultiPoly, 
     once, at the power tables of a and b in a ``_KroneckerRing`` of stride
     ``_STRIDE`` and bound ``_CHAIN_WEIGHT * (p - 1)**3``, and
     ``invariant_triple`` runs there, so I4, I8, I12 and then G1 and G2 are
-    exact polynomials in (a, b).  Degrees are gated at exactly (20, 30): a
-    drop means the chart frame is non-generic and the caller should redraw
-    it.
+    exact polynomials in (a, b).  A degree below (20, 30), or a G1 without
+    the constant b^20 lead the eliminant needs (its coefficient is c2 I4^2 -
+    c1^2 I8 on the frame's line y' = 0), raises ``FrameRetryError``.
     """
     field = framed.field
     if not isinstance(field, PrimeField):
@@ -238,9 +235,13 @@ def build_fiber_system(framed: PlaneCurve, target: WPPoint) -> tuple[MultiPoly, 
     g2 = ring.reduce(c3 * ring.reduce(i4sq * i4) - field.reduce(c1sq * c1) * i12)
     g1_poly, g2_poly = (MultiPoly(field, 2, ring.terms(g)) for g in (g1, g2))
     if (g1_poly.total_degree, g2_poly.total_degree) != FIBER_SYSTEM_DEGREES:
-        raise FiberRetryError(
+        raise FrameRetryError(
             f"fiber system degrees ({g1_poly.total_degree}, {g2_poly.total_degree})"
             f" dropped below {FIBER_SYSTEM_DEGREES}: non-generic chart"
+        )
+    if (0, FIBER_SYSTEM_DEGREES[0]) not in g1_poly.terms:
+        raise FrameRetryError(
+            "G1 has no b^20 term (c2 I4^2 = c1^2 I8 on the frame's line y' = 0); reframe"
         )
     return g1_poly, g2_poly
 
@@ -318,34 +319,25 @@ def flex_lines(framed: PlaneCurve) -> list[UniPoly]:
     triple root and every invariant vanishes there: the roots of L_h lie in
     every fiber of the line-to-moduli map, in this frame's chart.
 
-    The frame is degenerate, and ``FiberRetryError`` raised with the cause,
+    The frame is degenerate, and ``FrameRetryError`` raised with the cause,
+    where the certificate finds it so (``_flex_frame``, ``_flex_point``),
     when R vanishes (H = 0, or F and H share a component: the curve is
-    singular, so every frame repeats the cause), R loses degree, a flex
-    lies at (0 : 0 : 1) (S1 has no z-lead), s1 is a zero divisor mod h, or
-    F_z is (a flex tangent passes through (0 : 0 : 1) and has no chart
-    slope).
+    singular, so every frame repeats the cause), and when F_z is a zero
+    divisor mod h (a flex tangent passes through (0 : 0 : 1) and has no
+    chart slope).
     """
     tables, _, flex_res, shape = _flex_frame(framed)
     if flex_res.is_zero():
-        raise FiberRetryError("flex eliminant vanishes (H = 0, or F and H share a component)")
-    flex_total = 5 * 9  # Bezout: deg F * deg H
-    if flex_res.degree != flex_total:
-        raise FiberRetryError(f"flex eliminant degree {flex_res.degree} < {flex_total}; reframe")
-    if shape is None:
-        raise FiberRetryError("frame puts a flex at (0 : 0 : 1); reframe")
-    shape = [interpolate(values, framed.field) for values in shape]
+        raise FrameRetryError("flex eliminant vanishes (H = 0, or F and H share a component)")
     lines = []
     for part, _ in squarefree_decomposition(flex_res):
-        try:
-            ring, z0 = _flex_point(shape, part)
-        except _FrameRetry as exc:
-            raise FiberRetryError(str(exc)) from None
+        ring, z0 = _flex_point(shape, part)
         zs = _power_table(ring, z0)
         f_x, f_z = (_taylor_sum(ring, tables[0][d], zs) for d in _DIRECTIONS[1:3])
         try:
             inverse = ring.inv(ring.unpack(f_z))
         except ZeroDivisionError:
-            raise FiberRetryError(
+            raise FrameRetryError(
                 "a flex tangent passes through (0 : 0 : 1) (F_z vanishes there); reframe"
             ) from None
         slope = ring.reduce_packed(f_x * ring.pack(-inverse))
@@ -368,7 +360,7 @@ def _divide_by_flex_lines(eliminant: UniPoly, lines: list[UniPoly]):
     flex lines that share their slope a meet in one root of L_h, as
     Fermat's five concurrent flex tangents do when the frame puts their
     common point on y = 0.  (deg L_h, mu_h) counts flex lines, each of
-    multiplicity mu_h.  Every failure raises ``FiberRetryError`` with its
+    multiplicity mu_h.  Every failure raises ``FrameRetryError`` with its
     cause.
     """
     field = eliminant.field
@@ -380,11 +372,11 @@ def _divide_by_flex_lines(eliminant: UniPoly, lines: list[UniPoly]):
         while not (divided := ring.divmod_packed(packed))[1]:
             packed, mu = divided[0], mu + 1
         if not mu:
-            raise FiberRetryError(
+            raise FrameRetryError(
                 f"flex-line part of degree {line.degree} does not divide the eliminant"
             )
         if gcd_uni(line, ring.unpack(divided[1])).degree:
-            raise FiberRetryError(
+            raise FrameRetryError(
                 f"the reduced part is not coprime to the flex-line part of degree {line.degree}"
             )
         parts.append((line.degree, mu))
@@ -392,7 +384,7 @@ def _divide_by_flex_lines(eliminant: UniPoly, lines: list[UniPoly]):
         quotient = [c % p for c in _unpack(packed, length, ring.width)]
     reduced = UniPoly(field, quotient)
     if gcd_uni(reduced, reduced.derivative()).degree:
-        raise FiberRetryError(f"reduced part of degree {reduced.degree} is not squarefree")
+        raise FrameRetryError(f"reduced part of degree {reduced.degree} is not squarefree")
     return reduced, parts
 
 
@@ -406,16 +398,16 @@ def count_fiber(
     """Count the fiber of the line-to-moduli map over one target.
 
     Draws target and chart frame deterministically from the seed (an
-    explicit target may be supplied instead and is then kept across
-    retries).  Precondition: the curve passes the genericity checks; see
+    explicit target over GF(prime) may be supplied instead and is then kept
+    across retries).  Precondition: the curve passes the genericity checks; see
     :func:`quintic_moduli.plane_curves.genericity_report`.  Each attempt
     frames the curve once, builds the fiber system and the flex lines
     (``flex_lines``) in that frame, and divides the eliminant by the flex
     lines (``_divide_by_flex_lines``); the quotient's degree is the
     fiber's.
 
-    A failed attempt is retried with a fresh draw, at most ``max_retries``
-    times.  When a retry fails with exactly the cause of an earlier attempt,
+    A failed attempt (``FrameRetryError``) is retried with a fresh draw, at
+    most ``max_retries`` times.  When a retry fails with exactly the cause of an earlier attempt,
     the count stops there and raises FiberCountError: independent draws that
     reproduce one failure point at the curve (or the fixed target), not at
     the draw.  Causes that differ between draws, such as a degenerate frame,
@@ -424,6 +416,8 @@ def count_fiber(
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     field = GF(prime)
+    if target is not None and target.field is not field:
+        raise ValueError(f"target lies over {target.field!r}, not GF({prime})")
     reduced = curve.reduce_mod(field)
     rng = random.Random(seed)
     causes: list[str] = []
@@ -438,7 +432,7 @@ def count_fiber(
             lines = flex_lines(framed)
             eliminant = resultant_bivar_elim(g1, g2)
             if eliminant.degree != ELIMINANT_DEGREE:
-                raise FiberRetryError(
+                raise FrameRetryError(
                     f"eliminant degree {eliminant.degree} != {ELIMINANT_DEGREE}"
                 )
             quotient, parts = _divide_by_flex_lines(eliminant, lines)
@@ -455,7 +449,7 @@ def count_fiber(
                 retries=attempt,
                 causes=tuple(causes),
             )
-        except FiberRetryError as exc:
+        except FrameRetryError as exc:
             cause = str(exc)
             if cause in first_attempt:
                 causes.append(

@@ -11,38 +11,38 @@ M (1, 0, a) and M (0, 1, b), so the curve is never framed to restrict it.
 The frame change and the Hessian run over GF(p) only, as packed sums in a
 ``polys._KroneckerRing``.
 
-``genericity_report`` decides, exactly over GF(p), the three conditions the
-degree-420 count rests on: the curve is smooth, it has 45 distinct
+``genericity_report`` decides, exactly over GF(p), the three conditions
+the degree-420 count rests on: the curve is smooth, it has 45 distinct
 inflection points, and at each of them the tangent meets the curve with
 contact order exactly 3 and is tangent nowhere else.  Each random frame
-computes one eliminant, R = Res_z(F, H) of the curve and its Hessian.  A
-singular point lies on H with multiplicity at least 2 (a node absorbs 6 of
-the 3d(d - 2) = 45 intersections, a cusp 8), so once R has its full degree
-45 (every intersection affine in the frame) the curve is smooth exactly
-when no repeated factor of R carries a common zero of the partials, or
-of F, F_x and F_z at y = 1 (Euler's relation, p > 5).  That is decided by
-gcds over GF(p) of each repeated part of R with at most six more
-eliminants, Res_z(F, F_x + lambda F_z) for lambda = 0..5
+computes one eliminant, R = Res_z(F, H) of the curve and its Hessian; a
+frame degenerate for any step is redrawn, its cause noted
+(``FrameRetryError``).  A singular point lies on H with multiplicity at
+least 2 (a node absorbs 6 of the 3d(d - 2) = 45 intersections, a cusp 8),
+so once R has its full degree 45 (every intersection affine in the frame)
+the curve is smooth exactly when no repeated factor of R carries a common
+zero of the partials, or of F, F_x and F_z at y = 1 (Euler's relation, p >
+5).  That is decided by gcds over GF(p) of each repeated part of R with at
+most six more eliminants, Res_z(F, F_x + lambda F_z) for lambda = 0..5
 (``_certify_singular``), so a curve whose R is squarefree costs no
-elimination beyond R.  One table of
-Taylor coefficients per frame (``_taylor_tables``) gives these three and
-feeds the eliminant, the singular check and the flex probe.  H = 0
-(a cone) and R = 0 (F and H share a component, for p > 5 a line or a
-multiple component) are singular outright.  All flexes of a smooth curve
-are then handled at once by computing in GF(p)[u] modulo each squarefree
-part h of R, so conjugate flexes over extension fields are verified
-together: a residue class is nonzero at deg h - deg gcd(h, class) of the
-roots.  The flex over a root u of R is P = (u, 1, z0), z0 = -s0/s1 from
-the first subresultant S1 = s1 z + s0 of F and H, whose values at R's
-nodes come out of the remainder sequences of R's samples.  The tangent at
-P is read at P and at its point D = (-F_z(P), 0, F_x(P)): the contact
-order and a second tangency are the coefficients of F(s P + t D), the
-Taylor coefficients of F at P towards D and of F at D towards P, so no
-line is restricted.
+elimination beyond R.  One table of Taylor coefficients per frame
+(``_taylor_tables``) gives these three and feeds the eliminant, the
+singular check and the flex probe.  H = 0 (a cone) and R = 0 (F and H
+share a component, for p > 5 a line or a multiple component) are singular
+outright.  All flexes of a smooth curve are then handled at once by
+computing in GF(p)[u] modulo each squarefree part h of R, so conjugate
+flexes over extension fields are verified together: a residue class is
+nonzero at deg h - deg gcd(h, class) of the roots.  The flex over a root u
+of R is P = (u, 1, z0), z0 = -s0/s1 from the first subresultant S1 = s1 z
++ s0 of F and H, whose values at R's nodes come out of the remainder
+sequences of R's samples.  The tangent at P is read at P and at its point
+D = (-F_z(P), 0, F_x(P)): the contact order and a second tangency are the
+coefficients of F(s P + t D), the Taylor coefficients of F at P towards D
+and of F at D towards P, so no line is restricted.
 
 The fiber oracle's flex lines (``fiber_counting.flex_lines``) reuse the
-certificate's frame set-up (``_flex_frame``), its z0 (``_flex_point``) and
-its Taylor sums (``_taylor_sum``).
+certificate's frame set-up (``_flex_frame``) with its redraw rule, its z0
+(``_flex_point``) and its Taylor sums (``_taylor_sum``).
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class LineInCurveError(ValueError):
     """The chart's line is contained in the curve (restriction vanished)."""
 
 
-class _FrameRetry(Exception):
-    """Internal: the random frame was degenerate for this computation."""
+class FrameRetryError(Exception):
+    """The random draw was degenerate for this computation; carries the cause."""
 
 
 class PlaneCurve:
@@ -358,7 +358,9 @@ def _flex_point(shape: Sequence[UniPoly], modulus: UniPoly) -> tuple[ResidueRing
     try:
         inverse = ring.inv(ring.reduce(shape[1]))
     except ZeroDivisionError:
-        raise _FrameRetry("two intersections share a flex fiber (s1 vanishes there); reframe") from None
+        raise FrameRetryError(
+            "two intersections share a flex fiber (s1 vanishes there); reframe"
+        ) from None
     settle = ring.reduce_packed
     return ring, settle(settle(ring.pack(shape[0])) * ring.pack(-inverse))
 
@@ -498,80 +500,77 @@ def _certify_singular(polys: Sequence[MultiPoly], modulus: UniPoly) -> bool:
 
     For lambda = 0, 1, ..., 5 in turn g = h is replaced by gcd(g, Res_z(F,
     G)), G = F_x + lambda F_z, and the curve is singular iff deg g >= 1 after
-    all six.  At a root u0 of h, Res_z(F, G)(u0) is a nonzero factor times
-    the product of G(u0, z_i) over the roots z_i of F(u0, z), a polynomial
-    of degree at most 5 in lambda: it vanishes at six values of lambda only
-    if it vanishes for every lambda, which happens iff some z_i is a common
-    zero of F, F_x and F_z.  When F's z-lead is a nonzero constant, the
-    factor is a power of it.  Otherwise F(0 : 0 : 1) = 0, and as deg R = 45
-    keeps (0 : 0 : 1) off H, it is a smooth point of F: F = z^4 (a x + b y)
-    + ... with (a, b) != 0.  The lead a u + b of F vanishes only where a !=
-    0, and there G has the constant z^4 coefficient a, so the formal-degree
-    rule multiplies by a power of that nonzero lead, up to sign.  A G
-    free of z (F = A(x, y) + B(y, z - lambda x) gives G = A_x) has a = 0, so
-    F's lead is constant, and the resultant is a power of G, read as a
-    polynomial in u.  Every other step is one ``resultant_bivar_elim`` of
-    total degree 5 * 4 = 20.
+    all six.  At a root u0 of h, Res_z(F, G)(u0) is a power of F's z-lead,
+    the nonzero constant F(0, 0, 1) (``_flex_frame``), times the product of
+    G(u0, z_i) over the roots z_i of F(u0, z), a polynomial of degree at
+    most 5 in lambda: it vanishes at six values of lambda only if it
+    vanishes for every lambda, which happens iff some z_i is a common zero
+    of F, F_x and F_z.  Each step is one ``resultant_bivar_elim`` of total
+    degree 5 * 4 = 20.  A G free of z (F = A(x, y) + B(y, z - lambda x)
+    gives G = A_x) leaves nothing to eliminate, and the frame is redrawn.
     """
     f, f_x, f_z = polys
     g = modulus
     for lam in range(6):
         polar = f_x + f_z.scale(lam)
-        if polar.degree_in(1) > 0:
-            g = gcd_uni(g, resultant_bivar_elim(f, polar))
-        else:
-            g = gcd_uni(g, UniPoly(g.field, [polar.terms.get((i, 0), 0) for i in range(5)]))
+        if polar.degree_in(1) <= 0:
+            raise FrameRetryError(f"F_x + {lam} F_z is free of z; reframe")
+        g = gcd_uni(g, resultant_bivar_elim(f, polar))
         if g.degree == 0:
             return False
     return True
 
 
 def _flex_eliminant(curve_uz: MultiPoly, hess_uz: MultiPoly):
-    """(R, S1's node values) for R = Res_z(F, H) of F and H at y = 1.
+    """(R, (s0, s1)) for R = Res_z(F, H) of F and H at y = 1, F's z-lead
+    the nonzero constant F(0, 0, 1), and the first subresultant S1 = s1 z +
+    s0, whose node values come out of R's remainder sequences
+    (``resultant_bivar_elim`` with ``subresultant``).
 
-    S1 = s1 z + s0 is the first subresultant, its values (s0, s1) at R's
-    nodes coming out of the same remainder sequences
-    (``resultant_bivar_elim`` with ``subresultant``), which needs a
-    constant z-lead: F's z^5 coefficient F(0, 0, 1), or else H's z^9
-    coefficient when the frame puts (0 : 0 : 1) on the curve, since Res_z(H,
-    F) and S1(H, F) are R and S1 up to sign.  Where both vanish, (0 : 0 :
-    1) is a flex on the line y = 0, and R comes alone (None for S1): the
-    frame is retried.
-
-    Only the nodes that fix s0 and s1 are kept, 0..33 and 0..32 of R's 46.
-    In f and g, of total degrees m and n in (u, z), the coefficient of z^j
-    has u-degree at most m - j and n - j.  At formal z-degrees a and b, s1
-    and s0 are the minors of the Sylvester rows z^k f (k < b - 1) and z^k g
-    (k < a - 1) on the columns z^1..z^(a+b-2) and z^0, z^2..z^(a+b-2).  The
-    entry of row z^k f at column z^c has u-degree at most m + k - c (n + k
-    - c for g), so a minor's is at most its rows' m + k and n + k summed
-    less its columns' c summed: B (m - 1 - A) + A (n - 1) <= (m - 1)(n - 1)
-    = 32 for s1 (A = a - 1 <= m - 1, B = b - 1 <= n - 1), one more for s0.
-    The bound is symmetric in f and g, so the (H, F) order keeps it.
+    Only the nodes that fix s0 and s1 are interpolated, 0..33 and 0..32 of
+    R's 46.  In f and g, of total degrees m and n in (u, z), the coefficient
+    of z^j has u-degree at most m - j and n - j.  At formal z-degrees a and
+    b, s1 and s0 are the minors of the Sylvester rows z^k f (k < b - 1) and
+    z^k g (k < a - 1) on the columns z^1..z^(a+b-2) and z^0, z^2..z^(a+b-2).
+    The entry of row z^k f at column z^c has u-degree at most m + k - c (n
+    + k - c for g), so a minor's is at most its rows' m + k and n + k
+    summed less its columns' c summed: B (m - 1 - A) + A (n - 1) <= (m -
+    1)(n - 1) = 32 for s1 (A = a - 1 <= m - 1, B = b - 1 <= n - 1), one
+    more for s0.
     """
-    for f, g in ((curve_uz, hess_uz), (hess_uz, curve_uz)):
-        if (0, f.total_degree) in f.terms:  # the z-lead is this one term
-            flex_res, s0, s1 = resultant_bivar_elim(f, g, subresultant=True)
-            bound = (f.total_degree - 1) * (g.total_degree - 1)  # deg s1 (see above)
-            return flex_res, (s0[: bound + 2], s1[: bound + 1])
-    return resultant_bivar_elim(curve_uz, hess_uz), None
+    flex_res, s0, s1 = resultant_bivar_elim(curve_uz, hess_uz, subresultant=True)
+    bound = (curve_uz.total_degree - 1) * (hess_uz.total_degree - 1)  # deg s1 (see above)
+    field = curve_uz.field
+    return flex_res, (interpolate(s0[: bound + 2], field), interpolate(s1[: bound + 1], field))
+
+
+#: Bezout: R = Res_z(F, H) of a quintic has degree deg F * deg H = 5 * 9.
+_FLEX_TOTAL = 45
 
 
 def _flex_frame(framed: PlaneCurve):
     """(tables, at_y1, R, shape) of a framed quintic F over GF(p): its
     ``_taylor_tables``, F, F_x and F_z at y = 1 (the tables' entries (0,
-    0), (1, 0) and (0, 1)), and R = Res_z(F, H) with the node values of S1
-    from ``_flex_eliminant``.  A cone (H = 0) gives R = 0 and no shape.
-    The one set-up of a frame for the certificate and for the fiber
-    oracle's flex lines (``fiber_counting.flex_lines``).
+    0), (1, 0) and (0, 1)), and R = Res_z(F, H) with S1's (s0, s1) from
+    ``_flex_eliminant``; a cone (H = 0) gives R = 0 and no shape.  The one
+    set-up of a frame for the certificate and for the fiber oracle's flex
+    lines (``fiber_counting.flex_lines``).  It redraws (``FrameRetryError``)
+    a frame that puts (0 : 0 : 1) on the curve, before the Hessian: F's
+    z-lead, the constant every elimination needs, is then 0.  So it does
+    where R is nonzero but short of degree 45 (an intersection on y' = 0).
     """
     field = framed.field
-    hess = _hessian_form(framed.poly)
     tables = _taylor_tables(framed.poly)
     at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
+    if (0, framed.degree) not in at_y1[0].terms:
+        raise FrameRetryError("frame puts (0 : 0 : 1) on the curve; reframe")
+    hess = _hessian_form(framed.poly)
     if hess.is_zero():
         return tables, at_y1, UniPoly.zero(field), None
-    return (tables, at_y1, *_flex_eliminant(at_y1[0], _dehom_y(hess, field)))
+    flex_res, shape = _flex_eliminant(at_y1[0], _dehom_y(hess, field))
+    if not flex_res.is_zero() and flex_res.degree != _FLEX_TOTAL:
+        raise FrameRetryError(f"flex eliminant degree {flex_res.degree} < {_FLEX_TOTAL}; reframe")
+    return tables, at_y1, flex_res, shape
 
 
 #: Random frames ``genericity_report`` tries before it gives up.
@@ -582,44 +581,35 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
     """Run the three exact genericity checks over GF(prime).
 
     The curve must have degree 5 (rational curves are reduced mod p first).
-    Random frames, drawn deterministically from the seed, are retried when
-    an intersection of curve and Hessian lies on y' = 0 (the flex eliminant
-    loses degree) or two of them share a fiber.
+    Random frames, drawn deterministically from the seed, are redrawn when
+    ``_flex_frame``, the singular check or the flex probe finds them
+    degenerate (``FrameRetryError``), and each cause is noted.
     """
     if curve.degree != 5:
         raise ValueError("genericity checks are for quintics")
     field = GF(prime)
     reduced = curve.reduce_mod(field)
-    # Bezout: R = Res_z(F, H) has degree deg F * deg H = 5 * 9, one root per flex
-    flex_total = curve.degree * 3 * (curve.degree - 2)
     rng = random.Random(seed)
     notes: list[str] = []
     for attempt in range(1, MAX_FRAMES + 1):
         frame = random_invertible_frame(field, rng)
-        tables, at_y1, flex_res, shape = _flex_frame(reduced.composed_with_frame(frame))
-        # H = 0 for a cone and R = 0 when F and H share a component: singular
-        smooth = not flex_res.is_zero()
         distinct = verified = 0
         try:
+            tables, at_y1, flex_res, shape = _flex_frame(reduced.composed_with_frame(frame))
+            # H = 0 for a cone and R = 0 when F and H share a component: singular
+            smooth = not flex_res.is_zero()
             if smooth:
-                if flex_res.degree != flex_total:
-                    raise _FrameRetry(
-                        f"flex eliminant degree {flex_res.degree} < {flex_total}; reframe"
-                    )
                 # a singular point meets H at least twice: a repeated root of R
                 parts = squarefree_decomposition(flex_res)
                 smooth = not any(
                     _certify_singular(at_y1, part) for part, mult in parts if mult > 1
                 )
             if smooth:
-                if shape is None:
-                    raise _FrameRetry("frame puts a flex at (0 : 0 : 1); reframe")
                 distinct = sum(part.degree for part, _ in parts)
-                shape = [interpolate(values, field) for values in shape]
                 verified = sum(_probe_flexes(tables, shape, part) for part, _ in parts)
             else:
                 notes.append("curve is singular; flex analysis skipped")
-        except _FrameRetry as exc:
+        except FrameRetryError as exc:
             notes.append(f"frame {attempt}: {exc}")
             continue
         # a smooth curve only gets here once its flex eliminant has degree 45
@@ -630,7 +620,7 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
             flex_cycle_ok=smooth,
             distinct_flex_count=distinct,
             flexes_verified=verified,
-            flex_total=flex_total,
+            flex_total=_FLEX_TOTAL,
             frames_tried=attempt,
             notes=notes,
         )

@@ -346,8 +346,10 @@ def test_bivariate_elimination_examples():
 
 
 def test_bivariate_elimination_matches_direct_resultants():
+    # f's lead in x is the nonzero constant the eliminant needs
     rng = random.Random(3)
-    f = MultiPoly(F, 2, {(j, i): rng.randrange(F.p) for i in range(4) for j in range(3)})
+    f = MultiPoly(F, 2, {(j, i): rng.randrange(F.p) for i in range(3) for j in range(3)})
+    f = f + MultiPoly(F, 2, {(0, 3): 1 + rng.randrange(F.p - 1)})
     g = MultiPoly(F, 2, {(j, i): rng.randrange(F.p) for i in range(3) for j in range(4)})
     r = resultant_bivar_elim(f, g)
     # check at fresh sample points against direct univariate resultants
@@ -399,39 +401,37 @@ def _bivariate(field, terms: dict) -> MultiPoly:
 
 
 def _sampled_pair(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """The pair whose slices the eliminant evaluates: g mod f where f's lead
-    in x_1 is a constant (the fiber system), else (f, g)."""
-    df = f.degree_in(1)
-    if [e for e in f.terms if e[1] == df] == [(0, df)]:
-        return f, _reduce_by_constant_lead(g, f)
-    return f, g
+    """The pair whose slices the eliminant evaluates: (f, g mod f), f's lead
+    in x_1 being a nonzero constant."""
+    return f, _reduce_by_constant_lead(g, f)
 
 
 #: (f, g) in (s, x), x eliminated, with the samples s where a lead vanishes.
 #: "reduced lead": f has constant lead 5, so g is replaced by g mod f =
 #: (s - 3) x + 2, whose lead vanishes at s = 3 (the eliminant is scaled by
-#: 5**2).  "f lead": f's lead s - 2 vanishes at s = 2, g of odd degree.
-#: "both": both leads vanish at s = 2.  "f drops by 2": f's two top
-#: coefficients vanish at s = 4.  "keep grows": x + s^2 reduces x^3 + s x + 1
-#: to -s^6 - s^3 + 1, keep-degree 6 against the inputs' 2.  "constant
-#: remainder": x^2 + s reduces to s - 1, zero at s = 1.  "zero remainder":
-#: g = s f reduces to 0.
+#: 5**2).  "keep grows": x + s^2 reduces x^3 + s x + 1 to -s^6 - s^3 + 1,
+#: keep-degree 6 against the inputs' 2.  "constant remainder": x^2 + s
+#: reduces to s - 1, zero at s = 1.  "zero remainder": g = s f reduces to 0.
+#: In "f lead" (s - 2 vanishing at s = 2, g of odd degree), "both" (both
+#: leads vanish at s = 2) and "f drops by 2" (f's two top coefficients
+#: vanish at s = 4) f's lead is not a constant, and the eliminant refuses
+#: the pair (None): the callers redraw a frame that gives one.
 FORMAL_DEGREE_CASES = {
     "reduced lead": (
         {(0, 2): 5, (1, 1): 1, (0, 0): 1},
         {(0, 3): 5, (1, 2): 1, (1, 1): 1, (0, 1): -2, (0, 0): 2},
         [3],
     ),
-    "f lead": ({(1, 2): 1, (0, 2): -2, (0, 1): 1, (1, 0): 1}, {(0, 3): 1, (1, 1): 1, (0, 0): 3}, [2]),
+    "f lead": ({(1, 2): 1, (0, 2): -2, (0, 1): 1, (1, 0): 1}, {(0, 3): 1, (1, 1): 1, (0, 0): 3}, None),
     "both": (
         {(1, 2): 1, (0, 2): -2, (0, 1): 1, (0, 0): 1},
         {(1, 3): 1, (0, 3): -2, (1, 1): 1, (0, 0): 1},
-        [2],
+        None,
     ),
     "f drops by 2": (
         {(1, 2): 1, (0, 2): -4, (1, 1): 1, (0, 1): -4, (0, 0): 1},
         {(0, 3): 2, (1, 0): 1, (0, 0): 5},
-        [4],
+        None,
     ),
     "keep grows": ({(0, 1): 1, (2, 0): 1}, {(0, 3): 1, (1, 1): 1, (0, 0): 1}, []),
     "constant remainder": ({(0, 2): 1, (0, 0): 1}, {(0, 2): 1, (1, 0): 1}, [1]),
@@ -445,14 +445,16 @@ def test_formal_degree_eliminant(p, case):
     field = GF(p)
     f_terms, g_terms, vanishing = FORMAL_DEGREE_CASES[case]
     f, g = _bivariate(field, f_terms), _bivariate(field, g_terms)
+    if vanishing is None:
+        with pytest.raises(ValueError, match="nonzero constant"):
+            resultant_bivar_elim(f, g)
+        return
     df, dg = f.degree_in(1), g.degree_in(1)
     bound = f.total_degree * g.total_degree
     _, sampled = _sampled_pair(f, g)
     if not sampled.is_zero():
         dr = sampled.degree_in(1)
-        assert vanishing == [
-            s for s in range(bound + 1) if _at(f, s).degree < df or _at(sampled, s).degree < dr
-        ]
+        assert vanishing == [s for s in range(bound + 1) if _at(sampled, s).degree < dr]
     eliminant = resultant_bivar_elim(f, g)
     assert eliminant.degree <= bound
     # the Sylvester determinant at the formal degrees, at every node and past them
@@ -501,7 +503,7 @@ def test_fiber_draw_with_a_vanishing_reduced_lead(vanishing_draw):
     assert eliminant == _resampling_eliminant(g1, g2)
 
 
-@pytest.mark.parametrize("draw", ["fiber", "reduced lead", "both", "fiber at 2**31 - 1"])
+@pytest.mark.parametrize("draw", ["fiber", "reduced lead", "constant remainder", "fiber at 2**31 - 1"])
 def test_one_resultant_per_node_and_one_interpolation(monkeypatch, request, draw):
     # mirrors the traced benchmark gates: every sample is one _resultant_modp
     # call and no call of the public resultant_uni, at every slot width, the
@@ -575,11 +577,12 @@ def test_all_node_slices_match_per_node_evaluation(request, generic_quintic, dra
     if draw == "genericity":
         f, g = _genericity_pair(generic_quintic, 2503)
     elif draw == "long rows":
-        # 96 terms of coefficient p - 1 in one row at 2**61 - 1: their sum
-        # passes the Barrett bounds at most nodes unless a step runs mid-row
+        # 96 terms of coefficient p - 1 in one row of g at 2**61 - 1: their
+        # sum passes the Barrett bounds at most nodes unless a step runs
+        # mid-row; f's constant lead leaves g, of lower degree, unreduced
         field = GF(2**61 - 1)
-        f = _bivariate(field, {**{(k, 1): -1 for k in range(96)}, (0, 0): 1})
-        g = _bivariate(field, {(0, 1): 1, (1, 0): 1})
+        f = _bivariate(field, {(0, 2): 1, (1, 0): 1})
+        g = _bivariate(field, {**{(k, 1): -1 for k in range(96)}, (0, 0): 1})
     else:
         f, g = request.getfixturevalue(draw)
     f, g = _sampled_pair(f, g)
@@ -940,9 +943,13 @@ def test_first_subresultant_at_constructed_nodes(p):
 
 
 def test_first_subresultant_needs_a_constant_lead():
+    # the eliminant, with the first subresultant or without, refuses an f
+    # whose lead is not a nonzero constant (the callers redraw the frame),
+    # and the subresultant needs f of degree 2 at least
     x = MultiPoly.variable(F, 2, 1)
     s = MultiPoly.variable(F, 2, 0)
-    with pytest.raises(ValueError, match="constant"):
-        resultant_bivar_elim(s * x * x + x, x * x + s, subresultant=True)
-    with pytest.raises(ValueError, match="constant"):
+    for subresultant in (False, True):
+        with pytest.raises(ValueError, match="nonzero constant"):
+            resultant_bivar_elim(s * x * x + x, x * x + s, subresultant=subresultant)
+    with pytest.raises(ValueError, match="degree >= 2"):
         resultant_bivar_elim(x + s, x * x + s, subresultant=True)

@@ -11,17 +11,19 @@ from quintic_moduli.fiber_counting import (
     ELIMINANT_DEGREE,
     FIBER_SYSTEM_DEGREES,
     FiberCountError,
-    FiberRetryError,
     build_fiber_system,
     count_fiber,
     flex_lines,
 )
-from quintic_moduli.invariants import WPPoint, invariant_triple
+from quintic_moduli.invariants import WPPoint, invariant_triple, moduli_point
 from quintic_moduli.plane_curves import (
+    FrameRetryError,
+    LineChart,
     _hessian_form,
     genericity_report,
     load_curve,
     random_invertible_frame,
+    restrict_to_line,
 )
 from quintic_moduli.polys import (
     MultiPoly,
@@ -33,7 +35,7 @@ from quintic_moduli.polys import (
     powers,
 )
 from quintic_moduli.residue_rings import ResidueRing
-from quintic_moduli.scalars import GF, is_prime
+from quintic_moduli.scalars import GF, QQ, is_prime
 
 from conftest import (
     ACCEPTANCE_PRIMES,
@@ -351,7 +353,7 @@ def test_reproduced_cause_stops_the_count(monkeypatch, prime):
 
 def test_distinct_causes_use_every_retry(monkeypatch, generic_quintic):
     def failing_build(framed, target):
-        raise FiberRetryError(f"draw-dependent failure {len(calls)}")
+        raise FrameRetryError(f"draw-dependent failure {len(calls)}")
 
     calls = _counting_builds(monkeypatch, failing_build)
     with pytest.raises(FiberCountError) as info:
@@ -373,6 +375,32 @@ def test_curve_over_another_prime_field_is_rejected(generic_quintic):
         count_fiber(curve, 10007, seed=1)
     with pytest.raises(ValueError, match=r"GF\(3001\)"):
         genericity_report(curve, 10007)
+
+
+def test_a_target_over_another_field_is_rejected(generic_quintic):
+    # a QQ target would reach the GF(p) chain as Fractions, and a GF(10007)
+    # target at 3001 would be echoed unreduced in the report
+    for target in (WPPoint(QQ, 1, 2, 3), WPPoint(GF(10007), 1, 3006, 3008)):
+        with pytest.raises(ValueError, match=r"not GF\(3001\)"):
+            count_fiber(generic_quintic, 3001, seed=1, target=target)
+
+
+def test_a_target_at_the_frames_line_y0_redraws_the_frame(generic_quintic):
+    # G1's b^20 coefficient is c2 I4^2 - c1^2 I8 on the frame's line L0 =
+    # {y' = 0}, the chart line as b grows: a fixed target equal to L0's
+    # moduli point cancels it, so G1's lead in b is not a constant and the
+    # first frame is redrawn; the next frame counts 420
+    seed = 1
+    frame = random_invertible_frame(F, random.Random(seed))
+    swapped = tuple((row[0], row[2], row[1]) for row in frame)  # z'' = 0 is y' = 0
+    target = moduli_point(restrict_to_line(generic_quintic.reduce_mod(F), LineChart(F, swapped, 0, 0)))
+    cause = "G1 has no b^20 term (c2 I4^2 = c1^2 I8 on the frame's line y' = 0); reframe"
+    framed = generic_quintic.reduce_mod(F).composed_with_frame(frame)
+    with pytest.raises(FrameRetryError, match=re.escape(cause)):
+        build_fiber_system(framed, target)
+    report = count_fiber(generic_quintic, F.p, seed, target=target)
+    assert (report.causes, report.retries) == ((f"attempt 0: {cause}",), 1)
+    assert (report.fiber_degree, report.flex_part) == (420, (45, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +499,7 @@ def test_the_division_checks_fail_with_their_causes():
         "flex-line part of degree 2 does not divide the eliminant": (1, 3, 4),
     }
     for cause, roots in cases.items():
-        with pytest.raises(FiberRetryError, match=cause):
+        with pytest.raises(FrameRetryError, match=cause):
             divide(_from_roots(F, roots), [line])
 
 
@@ -488,16 +516,16 @@ def _rational_flex_tangent_point(curve, prime: int):
 def test_degenerate_frames_are_retry_causes(generic_quintic, prime):
     # a frame putting a flex tangent through framed (0 : 0 : 1) leaves that
     # flex line without a chart slope; a frame putting a flex at (0 : 0 : 1)
-    # loses it from the flex eliminant
+    # puts the curve there, and F has no constant z-lead
     field = GF(prime)
     curve = generic_quintic.reduce_mod(field)
     causes = {
         _rational_flex_tangent_point(curve, prime): "F_z vanishes there",
-        RATIONAL_FLEXES[prime]: "flex eliminant degree 44 < 45",
+        RATIONAL_FLEXES[prime]: "frame puts (0 : 0 : 1) on the curve",
     }
     for point, cause in causes.items():
         framed = curve.composed_with_frame(frame_with_third_column(field, point))
-        with pytest.raises(FiberRetryError, match=re.escape(cause)):
+        with pytest.raises(FrameRetryError, match=re.escape(cause)):
             flex_lines(framed)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -17,12 +18,14 @@ from quintic_moduli.invariants import (
 )
 from quintic_moduli.plane_curves import (
     _DIRECTIONS,
+    FrameRetryError,
     LineChart,
     LineInCurveError,
     PlaneCurve,
     _certify_singular,
     _dehom_y,
     _flex_eliminant,
+    _flex_frame,
     _taylor_tables,
     frame_determinant,
     _hessian_form,
@@ -45,6 +48,7 @@ from conftest import (
     identity_chart,
     singular_by_splitting,
 )
+from test_residue_rings import _report_in_frame
 
 F = GF(10007)
 
@@ -798,10 +802,11 @@ def _node_with_z_free_polar(seed: int, lam: int) -> PlaneCurve:
     return PlaneCurve(poly)
 
 
-def test_the_singular_check_reads_a_z_free_polar_as_a_polynomial_in_u(monkeypatch):
+def test_a_z_free_polar_makes_the_singular_check_redraw(monkeypatch):
     # in the identity frame the node is at u = z = 0, one repeated part u of
     # R with multiplicity 6, and at lambda = 3 the polar F_x + 3 F_z has no
-    # z, which resultant_bivar_elim refuses; the check reads it in u
+    # z, which resultant_bivar_elim refuses: the check redraws the frame,
+    # and the next frame finds the node
     field, lam = GF(2503), 3
     curve = _node_with_z_free_polar(0, lam)
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -813,11 +818,13 @@ def test_the_singular_check_reads_a_z_free_polar_as_a_polynomial_in_u(monkeypatc
     assert polar.degree_in(1) == 0 and polar.total_degree == 4
     with pytest.raises(ValueError, match="eliminated variable"):
         resultant_bivar_elim(at_y1[0], polar)
-    assert _certify_singular(at_y1, UniPoly.x(field))
+    cause = "F_x + 3 F_z is free of z; reframe"
+    with pytest.raises(FrameRetryError, match=re.escape(cause)):
+        _certify_singular(at_y1, UniPoly.x(field))
     assert singular_by_splitting(at_y1, UniPoly.x(field))
-    monkeypatch.setattr(plane_curves, "random_invertible_frame", lambda field, rng: identity)
-    report = genericity_report(curve, field.p)
-    assert not report.smooth and report.notes == ["curve is singular; flex analysis skipped"]
+    report = _report_in_frame(monkeypatch, curve, field.p, 0, identity)
+    assert not report.smooth and report.frames_tried == 2
+    assert report.notes == [f"frame 1: {cause}", "curve is singular; flex analysis skipped"]
 
 
 def _fiber(poly: MultiPoly, field, x: int) -> UniPoly:
@@ -828,34 +835,19 @@ def _fiber(poly: MultiPoly, field, x: int) -> UniPoly:
     return UniPoly(field, coeffs)
 
 
-def _rational_points(poly: MultiPoly, field, rng: random.Random, count: int) -> list:
-    """``count`` points (x : 1 : z) of the curve over GF(p), at seeded x."""
-    points = []
-    while len(points) < count:
-        x = rng.randrange(field.p)
-        on_curve = _fiber(poly, field, x)
-        roots = [z for z in range(field.p) if on_curve.eval(z) == 0]
-        if roots:
-            points.append((x, 1, rng.choice(roots)))
-    return points
-
-
 @pytest.mark.parametrize("prime", [2503, 3001])
 def test_the_singular_check_agrees_with_dynamic_evaluation(prime):
     # on the repeated part of R, one per curve and frame, in ten seeded
-    # frames and ten frames through a seeded point of the curve, where F(0 :
-    # 0 : 1) = 0 and F's z-lead is linear in u, against the gcd of F, F_x
-    # and F_z over the tests' splitting ring
+    # frames, against the gcd of F, F_x and F_z over the tests' splitting
+    # ring
     field = GF(prime)
     curves = [fermat_quintic(), contact_four_hyperflex(0), contact_four_hyperflex(2)]
     curves += [_singular_quintic(kind) for kind in ("cusp", "tacnode", "affine-node", "conic-cubic")]
-    compared, through, singular = 0, 0, 0
+    compared, singular = 0, 0
     for curve in curves:
         reduced = curve.reduce_mod(field)
-        frames = [random_invertible_frame(field, random.Random(seed)) for seed in range(10)]
-        points = _rational_points(reduced.poly, field, random.Random(prime), 10)
-        frames += [frame_with_third_column(field, point) for point in points]
-        for frame in frames:
+        for seed in range(10):
+            frame = random_invertible_frame(field, random.Random(seed))
             at_y1, eliminant = _singular_check_inputs(reduced, field, frame)
             if eliminant.degree != 45:
                 continue
@@ -863,9 +855,8 @@ def test_the_singular_check_agrees_with_dynamic_evaluation(prime):
                 found = _certify_singular(at_y1, part)
                 assert found == singular_by_splitting(at_y1, part)
                 compared += 1
-                through += (0, 5) not in at_y1[0].terms
                 singular += found
-    assert (compared, through, singular) == (140, 70, 80)
+    assert (compared, singular) == (70, 40)
 
 
 def _tangent_through(poly: MultiPoly, field, point) -> tuple:
@@ -892,12 +883,13 @@ def _tangent_through(poly: MultiPoly, field, point) -> tuple:
     ],
 )
 def test_the_singular_check_where_the_lead_of_f_vanishes_on_a_repeated_fiber(
-    name, prime, point, singular
+    monkeypatch, name, prime, point, singular
 ):
     # the frame puts framed (0 : 0 : 1) at a curve point whose tangent runs
     # through the cusp, a Fermat hyperflex or the contact-4 hyperflex, so
-    # F's z-lead a u + b vanishes at the root of R that point gives, and
-    # the formal-degree rule scales each resultant there by a power of a
+    # F's z-lead a u + b would vanish at the root of R that point gives: the
+    # frame is redrawn before its Hessian is built, and the next frame gives
+    # the verdict
     curve = {
         "cusp": _singular_quintic("cusp"),
         "fermat": fermat_quintic(),
@@ -906,12 +898,14 @@ def test_the_singular_check_where_the_lead_of_f_vanishes_on_a_repeated_fiber(
     field = GF(prime)
     reduced = curve.reduce_mod(field)
     frame = frame_with_third_column(field, _tangent_through(reduced.poly, field, point))
-    at_y1, eliminant = _singular_check_inputs(reduced, field, frame)
-    assert eliminant.degree == 45 and (0, 5) not in at_y1[0].terms
-    lead = UniPoly(field, [at_y1[0].terms.get((i, 4), 0) for i in range(2)])
-    (part,) = _repeated_parts(eliminant)
-    assert gcd_uni(part, lead).degree == 1
-    assert _certify_singular(at_y1, part) == singular_by_splitting(at_y1, part) == singular
+    framed = reduced.composed_with_frame(frame)
+    assert (0, 0, 5) not in framed.poly.terms
+    cause = "frame puts (0 : 0 : 1) on the curve; reframe"
+    with pytest.raises(FrameRetryError, match=re.escape(cause)):
+        _flex_frame(framed)
+    report = _report_in_frame(monkeypatch, curve, prime, 0, frame)
+    assert (report.frames_tried, report.notes[0]) == (2, f"frame 1: {cause}")
+    assert report.smooth is not singular
 
 
 @pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1])

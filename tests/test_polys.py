@@ -659,6 +659,31 @@ def test_consecutive_nodes_match_the_remainder_tree(p, n):
         assert newton_interpolation(shuffled, field) == poly
 
 
+#: The interpolation tree's slot edge at 601 nodes, the fiber eliminant's
+#: count: the bound n (2p - 1)(p - 1) of ``_consecutive_nodes`` takes 64-bit
+#: slots up to 21383 and 128-bit slots from 21391 on.
+@pytest.mark.parametrize("p, width", [(21383, 64), (21391, 128)])
+def test_interpolation_at_the_slot_edge(p, width):
+    # the width is pinned on both sides of the edge, and interpolate is
+    # checked against evaluation at every node on values whose weighted
+    # leaves are all p - 1, the largest a leaf gets, so every sum up the
+    # tree takes its largest products before its Barrett step
+    field, n = GF(p), 601
+    _, weights, (_, _, w, _) = _consecutive_nodes(p, n)
+    assert w == width
+    rng = random.Random(p)
+    largest_leaves = [(p - 1) * pow(c, -1, p) % p for c in weights]
+    for values in (largest_leaves, [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
+        poly = interpolate(values, field)
+        assert poly.degree < n
+        coeffs = poly.coeffs[::-1]
+        for x, value in enumerate(values):
+            acc = 0
+            for c in coeffs:
+                acc = (acc * x + c) % p
+            assert acc == value, x
+
+
 def test_consecutive_node_cache_is_not_aliased():
     # two calls at one (p, n) share the cached tree and weights, never the
     # values: the first result survives the second call, and the cache reads

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quintic_moduli import elimination, plane_curves, polys
+from quintic_moduli import elimination, fiber_counting, plane_curves, polys
 from quintic_moduli.elimination import (
     _gcd_cofactor,
     gcd_uni,
@@ -219,8 +219,8 @@ def _shape(framed: MultiPoly, field) -> tuple:
     """(R, [s0, s1]) of the framed curve, as ``genericity_report`` computes
     them: the flex eliminant and the first subresultant of F and H at y = 1."""
     dehom = [_dehom_y(p, field) for p in (framed, _hessian_form(framed))]
-    eliminant, values = plane_curves._flex_eliminant(*dehom)
-    return eliminant, [interpolate(v, field) for v in values]
+    eliminant, shape = plane_curves._flex_eliminant(*dehom)
+    return eliminant, list(shape)
 
 
 def _flex_modulus(curve: PlaneCurve, seed: int):
@@ -636,46 +636,48 @@ def _flex_modulus_in_frame(curve: PlaneCurve, frame) -> list:
     return squarefree_decomposition(_shape(framed, F)[0])
 
 
-@pytest.mark.parametrize(
-    "point, frames, notes",
-    [
-        # a point of the curve: F's z^5 coefficient vanishes, H's z^9 one leads
-        ((1927, 2, 1), 1, []),
-        # the rational flex: both vanish, and R loses the flex at (0 : 0 : 1)
-        ((3241, 5458, 1), 2, ["frame 1: flex eliminant degree 44 < 45; reframe"]),
-    ],
-)
-def test_a_frame_through_the_curve_at_framed_infinity(
-    generic_quintic, monkeypatch, point, frames, notes
+#: Points of the generic quintic over GF(10007): (1927 : 2 : 1), and the
+#: rational flex (3241 : 5458 : 1).
+CURVE_POINTS = ((1927, 2, 1), (3241, 5458, 1))
+
+
+@pytest.mark.parametrize("point", CURVE_POINTS)
+def test_a_frame_through_the_curve_at_framed_infinity_is_redrawn(
+    generic_quintic, monkeypatch, point
 ):
+    # a first frame that puts (0 : 0 : 1) on the curve leaves F without the
+    # constant z-lead every elimination needs: the certificate and the fiber
+    # oracle record the cause and answer in the next frame
     frame = frame_with_third_column(F, point)
     framed = generic_quintic.reduce_mod(F).composed_with_frame(frame).poly
     assert (0, 0, 5) not in framed.terms
+    cause = "frame puts (0 : 0 : 1) on the curve; reframe"
     report = _report_in_frame(monkeypatch, generic_quintic, F.p, 0, frame)
-    assert (report.frames_tried, report.notes) == (frames, notes)
+    assert (report.frames_tried, report.notes) == (2, [f"frame 1: {cause}"])
     assert _counts(report) == (True, True, 45, 45)
+    draw, first = fiber_counting.random_invertible_frame, [frame]
+    monkeypatch.setattr(
+        fiber_counting,
+        "random_invertible_frame",
+        lambda field, rng: first.pop() if first else draw(field, rng),
+    )
+    fiber = fiber_counting.count_fiber(generic_quintic, F.p, seed=1)
+    assert (fiber.causes, fiber.retries) == ((f"attempt 0: {cause}",), 1)
+    assert (fiber.fiber_degree, fiber.flex_part) == (420, (45, 4))
 
 
 @pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1])
 def test_s1_from_its_degree_bound_nodes_matches_all_46(generic_quintic, prime):
     # s0 and s1 have u-degree at most 33 and 32 (``_flex_eliminant``), so
     # their first 34 and 33 node values give what all 46 of R's nodes give,
-    # in the first frame of seeds 0-5 and, at 10007, in a frame through the
-    # curve point (1927 : 2 : 1), which takes the (H, F) order
+    # in the first frame of seeds 0-5
     field = GF(prime)
-    frames = [random_invertible_frame(field, random.Random(seed)) for seed in range(6)]
-    if prime == F.p:
-        frames.append(frame_with_third_column(field, (1927, 2, 1)))
-    orders = []
-    for frame in frames:
+    for seed in range(6):
+        frame = random_invertible_frame(field, random.Random(seed))
         framed = generic_quintic.reduce_mod(field).composed_with_frame(frame).poly
         f, h = (_dehom_y(p, field) for p in (framed, _hessian_form(framed)))
-        pair = (f, h) if (0, 5) in f.terms else (h, f)
-        orders.append(pair[0] is f)
-        eliminant, full_s0, full_s1 = resultant_bivar_elim(*pair, subresultant=True)
-        flex_res, (s0, s1) = plane_curves._flex_eliminant(f, h)
-        assert flex_res == eliminant and (len(full_s0), len(s0), len(s1)) == (46, 34, 33)
-        for short, full, bound in ((s0, full_s0, 33), (s1, full_s1, 32)):
-            poly = interpolate(full, field)
-            assert poly == interpolate(short, field) and poly.degree <= bound
-    assert orders == [True] * 6 + [False] * (prime == F.p)
+        eliminant, full_s0, full_s1 = resultant_bivar_elim(f, h, subresultant=True)
+        flex_res, shape = plane_curves._flex_eliminant(f, h)
+        assert flex_res == eliminant and len(full_s0) == len(full_s1) == 46
+        for poly, full, bound in zip(shape, (full_s0, full_s1), (33, 32)):
+            assert poly == interpolate(full, field) and poly.degree <= bound
