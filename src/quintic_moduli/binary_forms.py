@@ -9,9 +9,9 @@ Coefficients live in any ``Ring`` from :mod:`.scalars` /
 :mod:`.polys` (rationals, a prime field, the integers, a polynomial ring
 for symbolic identities, or a residue ring GF(p)[u]/(h)), so the same
 covariant code serves numeric and symbolic callers.
-Sums and scalings use the coefficients' own ``+ - *`` with one ``reduce``
-per result.  Products go through ``polys.dense_product``, the kernel
-``UniPoly`` multiplies with.
+Every kernel here sums the coefficients' own ``+ - *`` with one ``reduce``
+per result; a form has no sum or scaling of its own.  Products of forms go
+through ``polys.dense_product``, the kernel ``UniPoly`` multiplies with.
 
 A transvectant has two layers.  The kernel ``_transvectant_sums`` is the
 accumulate-then-reduce idiom over a cached table of integer weights, with
@@ -24,10 +24,11 @@ The public ``transvectant`` is the kernel times the table's scaling, with
 one more ``reduce`` per output coefficient; the package's own chain never
 needs the scaling.
 
-``BinaryForm.substituted`` applies a linear change of the two variables.
-Over QQ it clears the form's and the matrix's denominators once, runs the
-same generic loop over the integers and makes one ``Fraction`` per output
-coefficient.  Restricting a ternary form to a line is
+``BinaryForm.substituted`` applies a linear change of the two variables
+in one binomial pass, with no power forms and one ``reduce`` per output
+coefficient.  Over QQ it clears the form's and the matrix's denominators
+once, runs that pass over the integers and makes one ``Fraction`` per
+output coefficient.  Restricting a ternary form to a line is
 ``polys.line_restriction``.
 """
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .polys import UniPoly, dense_product
+from .polys import UniPoly, dense_product, powers
 from .scalars import QQ, ZZ, Field, Ring
 
 
@@ -60,36 +61,21 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.coeffs)
 
-    @classmethod
-    def zero(cls, ring: Ring, order: int) -> "BinaryForm":
-        return cls(ring, [ring.zero] * (order + 1))
-
-    def _check(self, other: "BinaryForm"):
+    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         if self.ring is not other.ring:
             raise ValueError("ring mismatch between binary forms")
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        self._check(other)
-        if self.order != other.order:
-            raise ValueError("cannot add forms of different orders")
-        R = self.ring
-        return BinaryForm(R, [R.reduce(a + b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        self._check(other)
         return BinaryForm(self.ring, dense_product(self.ring, self.coeffs, other.coeffs))
-
-    def scale(self, c) -> "BinaryForm":
-        R = self.ring
-        return BinaryForm(R, [R.reduce(c * a) for a in self.coeffs])
 
     def substituted(self, m: Sequence[Sequence]) -> "BinaryForm":
         """Apply the linear substitution (x, y) -> (a x + b y, c x + d y).
 
-        ``m = ((a, b), (c, d))`` with entries in the coefficient ring.
+        ``m = ((a, b), (c, d))`` with entries in the coefficient ring.  The
+        sum of f_k (a x + b y)^(n-k) (c x + d y)^k is expanded binomially
+        from the power tables of a, b, c and d, the binomials int factors
+        on the left, with one ``reduce`` per output coefficient.
         Over QQ, f = F / d and m = M / e for integer F and M, and by
-        homogeneity f(m (x, y)) = F(M (x, y)) / (d e**n): the loop below runs
-        over ZZ, and each output coefficient is one ``Fraction``.
+        homogeneity f(m (x, y)) = F(M (x, y)) / (d e**n): the sums run over
+        ZZ, and each output coefficient is one ``Fraction``.
         """
         R = self.ring
         n = self.order
@@ -99,19 +85,17 @@ class BinaryForm:
             numerators = BinaryForm(ZZ, coeffs).substituted((entries[:2], entries[2:]))
             den = d * e**n
             return BinaryForm(QQ, [Fraction(x, den) for x in numerators.coeffs])
-        rows = []
-        for lin in m:
-            lin = BinaryForm(R, lin)
-            row = [BinaryForm(R, [R.one])]
-            for _ in range(n):
-                row.append(row[-1] * lin)
-            rows.append(row)
-        xp, yp = rows
-        acc = BinaryForm.zero(R, n)
-        for k, c in enumerate(self.coeffs):
-            if not R.is_zero(c):
-                acc = acc + (xp[n - k] * yp[k]).scale(c)
-        return acc
+        (a, b), (c, d) = m
+        A, B, C, D = (powers(R, x, n) for x in (a, b, c, d))
+        acc = [R.zero] * (n + 1)
+        for k, f in enumerate(self.coeffs):
+            r = n - k
+            left = [comb(r, i) * A[r - i] * B[i] for i in range(r + 1)]
+            for j in range(k + 1):
+                right = comb(k, j) * f * C[k - j] * D[j]
+                for i, x in enumerate(left, j):
+                    acc[i] += x * right
+        return BinaryForm(R, [R.reduce(x) for x in acc])
 
     def to_unipoly(self) -> UniPoly:
         """Dehomogenise at y = 1, i.e. f(X, 1) as a univariate polynomial."""
@@ -131,7 +115,8 @@ class BinaryForm:
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
+        # on the reduced coefficients, as __eq__ compares them
+        return hash((id(self.ring), tuple(map(self.ring.reduce, self.coeffs))))
 
     def __repr__(self):
         return f"BinaryForm({self.ring!r}, {list(self.coeffs)!r})"
@@ -217,5 +202,6 @@ def transvectant(g: BinaryForm, h: BinaryForm, k: int) -> BinaryForm:
     ``_transvectant_sums``; the scaling then multiplies each output
     coefficient, with one more ``ring.reduce``.
     """
-    sums = _transvectant_sums(g, h, k)
-    return sums.scale(g.ring.from_fraction(_transvectant_table(g.order, h.order, k)[1]))
+    R = g.ring
+    scaling = R.from_fraction(_transvectant_table(g.order, h.order, k)[1])
+    return BinaryForm(R, [R.reduce(scaling * c) for c in _transvectant_sums(g, h, k).coeffs])

@@ -7,7 +7,8 @@ We build the generators from a fixed transvectant chain
 
     J4 = (i, i)_2   J8 = (q, i)_2   J12 = (q, q)_2      J18 = (j, ell^3)_3
 
-and pin the scale of I4, I8, I12 so that on the three-parameter family
+(``_j18`` reads J18 as 36 j(ell1, -ell0) at ell = ell0 x + ell1 y), and
+pin the scale of I4, I8, I12 so that on the three-parameter family
 
     l*x^5 + m*y^5 + n*(-x-y)^5
 
@@ -147,9 +148,18 @@ def _chain(f: BinaryForm):
 
 
 def _j18(f: BinaryForm, i: BinaryForm, j: BinaryForm):
-    """J18 = (j, ell^3)_3 with ell = (i*i, f)_4, from the chain's i and j."""
-    ell = _transvectant_sums(i * i, f, 4)
-    return _transvectant_sums(j, ell * ell * ell, 3).coeffs[0]
+    """J18 = (j, ell^3)_3 for ell = (i*i, f)_4 = ell0 x + ell1 y, from the
+    chain's i and j, as 36 j(ell1, -ell0), without forming ell^3.
+
+    Output 0 of ``_transvectant_table(3, 3, 3)`` sums over t + s = 3, and
+    only r = t survives its falling factorials, so the weight is
+    w(t, 3 - t) = (-1)^t 6 t! (3 - t)!.  With ell^3's coefficient
+    C(3, t) ell0^t ell1^(3-t) at s = 3 - t, the sum is
+    36 sum_t (-1)^t j_t ell0^t ell1^(3-t), taken with one ``reduce``.
+    """
+    l0, l1 = _transvectant_sums(i * i, f, 4).coeffs
+    j0, j1, j2, j3 = j.coeffs
+    return f.ring.reduce(36 * (l1 * l1 * (j0 * l1 - j1 * l0) + l0 * l0 * (j2 * l1 - j3 * l0)))
 
 
 @functools.cache
@@ -350,8 +360,9 @@ def find_fundamental_relation(seed: int = 0) -> list[Fraction]:
     one-dimensional; returned normalised so the I18^2 coefficient is 1.
     Each row is built from the invariants' integer numerators and
     denominators and cleared over one ``lcm`` (a row's scale leaves the
-    null space unchanged); ``linalg.nullspace`` certifies its modular
-    answer exactly, or eliminates over QQ.
+    null space unchanged); ``linalg.nullspace`` eliminates the first 13
+    rows mod p and certifies its vector exactly on all 24, or eliminates
+    over QQ.
     """
     import random
 

@@ -14,19 +14,21 @@ values off it.
 ``nullspace`` first tries a certified modular path (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, section 5.10; Dixon, *Numer. Math.*
 40, 1982).  It clears the rows as ``rref`` does and runs Gauss-Jordan
-modulo the prime p = 2**61 - 1 on small ints.  Each basis vector, 1 on
-its free column and -reduced[r][fc] on the pivot columns, is rebuilt by
-rational reconstruction and checked exactly: A v = 0 on the integer rows.
-That check certifies the whole basis.  A minor that is nonzero mod p is
-nonzero over QQ, so rank mod p is at most the rank over QQ, and the
-k = ncols - rank_p vectors, independent because each is 1 on its own free
-column and 0 on the others, span the null space over QQ once all k pass.
-Each vector is supported on its free column and the pivot columns before
-it, so every free column mod p is a free column over QQ; there are k of
-each, so they coincide, and the basis is the one ``rref`` gives, entry for
-entry.  When a reconstruction or a check fails (p divides a pivot minor,
-or an entry of a null vector is too large to reconstruct), the exact
-``rref`` elimination answers instead.
+modulo the prime p = 2**61 - 1 on small ints, on the first ncols rows
+only (the rank is at most ncols).  Each basis vector, 1 on its free
+column and -reduced[r][fc] on the pivot columns, is rebuilt by rational
+reconstruction and checked exactly: A v = 0 on every integer row, past
+the prefix too.  That check certifies the whole basis.  A minor that is
+nonzero mod p is nonzero over QQ, so the prefix's rank mod p is at most
+its rank over QQ, which is at most A's.  The k = ncols - rank_p vectors,
+independent because each is 1 on its own free column and 0 on the
+others, are then at least as many as the dimension of A's null space,
+and they span it once all k pass.  Each vector is supported on its free
+column and the pivot columns before it, so every free column mod p is a
+free column of A over QQ; there are k of each, so they coincide, and the
+basis is the one ``rref`` gives, entry for entry.  When a reconstruction
+or a check fails (p divides a pivot minor, the prefix has lower rank than
+A, or a null vector is too large to reconstruct), ``rref`` answers.
 
 Every row must have as many entries as the first; a ragged row raises
 ``ValueError`` naming it, instead of being truncated.
@@ -106,10 +108,10 @@ def _reconstruct(u: int) -> Fraction | None:
 
 def _modular_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]] | None:
     """The null-space basis of integer rows from one Gauss-Jordan
-    elimination mod _PRIME, each vector reconstructed and checked exactly
-    on the rows; None when a vector fails either step."""
+    elimination mod _PRIME of the first ``ncols`` rows, each vector
+    reconstructed and checked exactly on every row; None if one fails."""
     p = _PRIME
-    red = [[x % p for x in row] for row in rows]
+    red = [[x % p for x in row] for row in rows[:ncols]]
     pivots = []
     r = 0
     for c in range(ncols):

@@ -23,7 +23,8 @@ The private ``ZZ`` is the integers as plain ints: ``reduce`` is the
 identity and there is no ``from_fraction``, so a rational constant that
 reaches it raises.  The QQ entries of ``invariants.invariants``,
 ``invariants.invariant_triple`` and ``BinaryForm.substituted`` clear the
-denominators once and run the generic code there, on the numerators.
+denominators once and run their generic kernels there, on the numerators:
+the unscaled transvectant chain and the substitution's binomial pass.
 
 Prime fields require an odd prime ``p >= 2503``.  The lower bound keeps
 every factorial scaling, squarefree multiplicity and interpolation node

@@ -5,7 +5,12 @@ from math import comb
 
 import pytest
 
-from quintic_moduli.binary_forms import BinaryQuintic, _transvectant_table, transvectant
+from quintic_moduli.binary_forms import (
+    BinaryQuintic,
+    _transvectant_sums,
+    _transvectant_table,
+    transvectant,
+)
 from quintic_moduli.elimination import resultant_uni
 from quintic_moduli.invariants import (
     RELATION_MONOMIALS,
@@ -148,6 +153,30 @@ def _rational_quintic(rng, kind: str) -> BinaryQuintic:
             coeffs[6 - zeros :] = [Fraction(0)] * zeros
         if any(coeffs):
             return BinaryQuintic(QQ, coeffs)
+
+
+def _reference_j18(f, i, j):
+    """J18 as the transvectant it is defined by: (j, ell^3)_3 with ell^3 formed."""
+    ell = _transvectant_sums(i * i, f, 4)
+    return _transvectant_sums(j, ell * ell * ell, 3).coeffs[0]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(10007), PolynomialRing(QQ, 3)], ids=repr)
+def test_j18_at_the_linear_covariants_root_is_the_transvectant(ring):
+    """36 j(ell1, -ell0) equals (j, ell^3)_3 on the chain's own i and j, on
+    nullforms, on quintics with zero end coefficients and on the symbolic
+    family."""
+    rng = random.Random(18)
+    if isinstance(ring, PolynomialRing):
+        forms = [family_quintic(ring)]
+    else:
+        kinds = ("denominators", "leading zeros", "trailing zeros", "nullform")
+        forms = [_rational_quintic(rng, kinds[n % 4]) for n in range(60)]
+        coeffs = ([ring.from_fraction(c) for c in f.coeffs] for f in forms)
+        forms = [BinaryQuintic(ring, c) for c in coeffs if any(c)]
+    for f in forms:
+        i, j, _ = invariants_module._chain(f)
+        assert repr(invariants_module._j18(f, i, j)) == repr(_reference_j18(f, i, j)), f
 
 
 def test_invariants_match_the_scaled_chain_over_qq():

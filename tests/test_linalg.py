@@ -129,6 +129,56 @@ def test_a_null_vector_past_the_reconstruction_bound_falls_back(paths):
     assert paths == ["fallback"]
 
 
+def _small_matrix(rng, nrows, ncols, rank):
+    """An integer nrows x ncols matrix of rank at most ``rank``, a product of
+    small ints, so its null vectors stay inside the reconstruction bound."""
+    b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    c = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(row[i] * c[i][j] for i in range(rank)) for j in range(ncols)] for row in b]
+
+
+def _deficient_prefix(rng):
+    """10 x 6 integer rows of rank 4 whose first 6 rows have rank 2."""
+    while True:
+        rows = _small_matrix(rng, 6, 6, 2) + _small_matrix(rng, 4, 6, 2)
+        if len(_reference_rref(rows[:6])[1]) == 2 and len(_reference_rref(rows)[1]) == 4:
+            return rows
+
+
+def test_a_rank_deficient_prefix_still_gives_the_bareiss_basis(paths):
+    rng = random.Random(47)
+    for _ in range(5):
+        rows = _deficient_prefix(rng)
+        basis = nullspace(rows)
+        assert basis == _reference_nullspace(rows)
+        assert len(basis) == 2
+    assert paths == ["fallback"] * 5
+
+
+def test_null_vectors_of_the_prefix_failing_later_rows_are_refused():
+    rows = _deficient_prefix(random.Random(53))
+    prefix = linalg._modular_nullspace(rows[:6], 6)
+    assert prefix == _reference_nullspace(rows[:6])  # the prefix alone is certified,
+    assert any(sum(a * x for a, x in zip(row, vec)) for row in rows[6:] for vec in prefix)
+    assert linalg._modular_nullspace(rows, 6) is None  # and refused on all ten rows
+
+
+def test_the_relation_shape_is_certified_on_its_first_rows(paths):
+    # 24 x 13 of rank 12, the shape of find_fundamental_relation: every row
+    # is orthogonal to one small null vector
+    rng = random.Random(59)
+    null = [1] + [rng.randint(-9, 9) for _ in range(12)]
+    rows = []
+    for _ in range(24):
+        row = [rng.randint(-99, 99) for _ in range(13)]
+        row[0] = -sum(x * v for x, v in zip(row[1:], null[1:]))
+        rows.append(row)
+    basis = nullspace(rows)
+    assert basis == _reference_nullspace(rows)
+    assert len(basis) == 1 and basis[0][-1] == 1
+    assert paths == ["certified"]
+
+
 def test_solve_matches_the_reference():
     rng = random.Random(43)
     for n in (1, 2, 3, 5, 8):

@@ -137,14 +137,14 @@ def _restrict_by_parametrisation(curve: PlaneCurve, chart: LineChart) -> list:
         BinaryForm(F, [F.reduce(row[0] + row[2] * a), F.reduce(row[1] + row[2] * b)])
         for row in frame
     ]
-    acc = BinaryForm.zero(F, 5)
+    acc = [F.zero] * 6
     for (i, j, k), c in curve.poly.terms.items():
         term = BinaryForm(F, [c])
         for lin, n in zip(lins, (i, j, k)):
             for _ in range(n):
                 term = term * lin
-        acc = acc + term
-    return list(acc.coeffs)
+        acc = [F.reduce(a + t) for a, t in zip(acc, term.coeffs)]
+    return acc
 
 
 @pytest.mark.parametrize("field", [QQ, F, GF(3001)], ids=repr)
@@ -685,10 +685,11 @@ def test_pencil_through_random_point_has_no_unstable_lines(generic_quintic):
             for _ in range(5):
                 row.append(row[-1] * lin)
             pows.append(row)
-        acc = BinaryForm.zero(F, 5)
+        acc = [F.zero] * 6
         for (i, j, k), c in curve.poly.terms.items():
-            acc = acc + (pows[0][i] * pows[1][j] * pows[2][k]).scale(c)
-        return BinaryQuintic(F, acc.coeffs)
+            term = (pows[0][i] * pows[1][j] * pows[2][k]).coeffs
+            acc = [F.reduce(a + F.reduce(c * t)) for a, t in zip(acc, term)]
+        return BinaryQuintic(F, acc)
 
     samples4, samples8, samples12 = [], [], []
     for s in range(61):

@@ -22,7 +22,7 @@ from quintic_moduli.polys import (
     powers,
 )
 from quintic_moduli.residue_rings import ResidueRing
-from quintic_moduli.scalars import GF, QQ, PrimeField
+from quintic_moduli.scalars import GF, QQ, ZZ, PrimeField
 
 from conftest import (
     BARRETT_EDGE_PRIMES,
@@ -438,8 +438,9 @@ def test_qq_kernels_with_hard_denominators():
 
 
 def _reference_substituted(form: BinaryForm, m) -> BinaryForm:
-    """The substitution as one generic loop in the form's own ring: the
-    powers of the two linear forms, then the scaled products summed."""
+    """The substitution through power forms in the form's own ring: the
+    powers of the two linear forms, then f_k times their products, summed
+    with one ``reduce`` per scaling and per sum."""
     R, n = form.ring, form.order
     rows = []
     for lin in m:
@@ -449,11 +450,12 @@ def _reference_substituted(form: BinaryForm, m) -> BinaryForm:
             row.append(row[-1] * lin)
         rows.append(row)
     xp, yp = rows
-    acc = BinaryForm.zero(R, n)
+    acc = [R.zero] * (n + 1)
     for k, c in enumerate(form.coeffs):
         if not R.is_zero(c):
-            acc = acc + (xp[n - k] * yp[k]).scale(c)
-    return acc
+            term = (xp[n - k] * yp[k]).coeffs
+            acc = [R.reduce(s + R.reduce(c * t)) for s, t in zip(acc, term)]
+    return BinaryForm(R, acc)
 
 
 @pytest.mark.parametrize("singular", [False, True], ids=["invertible", "singular"])
@@ -483,6 +485,49 @@ def test_qq_substitution_matches_the_generic_loop(singular):
         got = form.substituted(m)
         assert got.coeffs == _reference_substituted(form, m).coeffs
         assert all(type(x) is Fraction for x in got.coeffs)
+
+
+def _substitution_scalar(rng, ring):
+    """A seeded coefficient of ``ring``, zero about one time in four."""
+    if rng.random() < 0.25:
+        return ring.zero
+    if ring is QQ:
+        return Fraction(rng.randint(-99, 99), rng.choice([1, 7, 12, 999983]))
+    if ring is ZZ:
+        return rng.randint(-(10**12), 10**12)
+    if isinstance(ring, PrimeField):
+        return rng.randrange(ring.p)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exponent = tuple(rng.randint(0, 2) for _ in range(3))
+        terms[exponent] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return MultiPoly(QQ, 3, terms)
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, ZZ, F, GF(2**61 - 1), PolynomialRing(QQ, 3)], ids=repr
+)
+def test_substitution_matches_the_power_form_reference(ring):
+    """The one binomial pass equals the sum of f_k times power forms, at
+    every order up to 7, on singular matrices and on zero coefficients."""
+    rng = random.Random(43)
+    for trial in range(40 if isinstance(ring, PolynomialRing) else 120):
+        order = trial % 8
+        form = BinaryForm(ring, [_substitution_scalar(rng, ring) for _ in range(order + 1)])
+        a, b, c, d = (_substitution_scalar(rng, ring) for _ in range(4))
+        if trial % 5 == 0:
+            c, d = ring.reduce(2 * a), ring.reduce(2 * b)  # a singular matrix
+        m = ((a, b), (c, d))
+        assert repr(form.substituted(m)) == repr(_reference_substituted(form, m)), (order, m)
+
+
+def test_binary_form_hash_agrees_with_equality():
+    """Forms equal after reduction hash alike, so a set keeps one of them."""
+    unreduced, reduced = BinaryForm(F, [10008, 0]), BinaryForm(F, [1, 0])
+    assert unreduced == reduced
+    assert hash(unreduced) == hash(reduced)
+    assert len({unreduced, reduced}) == 1
+    assert len({BinaryForm(F, [1, 0]), BinaryForm(F, [1, 0, 0])}) == 2
 
 
 def test_unipoly_eval_and_derivative():

@@ -48,7 +48,7 @@ def render() -> str:
 
 def test_readme_commands_match_golden(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    assert len(readme_commands()) == 16
+    assert len(readme_commands()) == 17
     assert render() == GOLDEN.read_text(encoding="utf-8")
 
 
