@@ -39,7 +39,6 @@ _EXPORTS = {
         "ArcSpec",
         "FlexNormalForm",
         "NumericLimit",
-        "ProjectivePair",
         "arc_limit",
         "arc_limit_numeric",
         "exceptional_coordinate",

@@ -143,35 +143,16 @@ def arc_limit(arc: ArcSpec) -> ConfigClass:
     return classify_arc(arc)[1]
 
 
-@dataclass(frozen=True)
-class ProjectivePair:
-    """A point (a : b) of the projective line over the rationals."""
+def exceptional_coordinate(arc: ArcSpec) -> Fraction:
+    """Where a balanced arc (2m = 3n) hits the last exceptional divisor:
+    alpha0**3 / beta0**2, finite and nonzero, as both leads exist.
 
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
-            raise ValueError("(0 : 0) is not a projective point")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePair):
-            return NotImplemented
-        return self.a * other.b == other.a * self.b
-
-    def __hash__(self):
-        raise TypeError("ProjectivePair is unhashable (projective equality)")
-
-
-def exceptional_coordinate(arc: ArcSpec) -> ProjectivePair:
-    """Where a balanced arc (2m = 3n) hits the last exceptional divisor.
-
-    Two arcs with equal coordinates (alpha0^3 : beta0^2) have equal limits.
+    Two arcs with equal coordinates have equal limits.
     """
     la, lb = arc.alpha_lead, arc.beta_lead
     if la is None or lb is None or 2 * lb[0] != 3 * la[0]:
         raise ValueError("exceptional coordinate is defined only for balanced arcs")
-    return ProjectivePair(la[1] ** 3, lb[1] ** 2)
+    return la[1] ** 3 / lb[1] ** 2
 
 
 class FlexNormalForm:
@@ -242,17 +223,15 @@ AMBIGUITY_RATIO = 3.0
 DIVERGENCE_THRESHOLD = 1e9
 #: Most points (used plus skipped) the schedule grows to.
 MAX_POINTS = 20
+#: The extrapolation error, relative to 1 + |j|, the schedule stops at.
+TARGET_ERROR = 1e-8
 
 
 class NoConvergence(ArithmeticError):
     """A root solve that did not converge from its start at its precision."""
 
 
-def arc_limit_numeric(
-    normal_form: FlexNormalForm,
-    arc: ArcSpec,
-    target_error: float = 1e-8,
-) -> NumericLimit:
+def arc_limit_numeric(normal_form: FlexNormalForm, arc: ArcSpec) -> NumericLimit:
     """Floating-point limit of j along the arc, without the case table.
 
     For each t of a geometric schedule the five intersection points of the
@@ -262,9 +241,9 @@ def arc_limit_numeric(
     remaining quadruple is computed; the t -> 0 limit is extrapolated from
     those values.  The schedule starts as ``default_schedule()``, read as
     exact fractions, and is extended by the same ratio until the
-    extrapolation's own error estimate clears ``target_error`` (or
-    ``MAX_POINTS`` is reached).  A t whose root clustering is ambiguous, or
-    whose quadruple degenerates exactly, is skipped.
+    extrapolation's own error estimate clears ``TARGET_ERROR`` relative to
+    1 + |j| (or ``MAX_POINTS`` is reached).  A t whose root clustering is
+    ambiguous, or whose quadruple degenerates exactly, is skipped.
 
     The roots move continuously along the schedule, so each root solve
     (``_solve_roots``, a precision ladder of Durand-Kerner solves) is
@@ -309,7 +288,7 @@ def arc_limit_numeric(
             )
         estimate, err = _extrapolate(js)
         j, error = complex(estimate[0] / ONE, estimate[1] / ONE), err / ONE
-        if error < target_error * (1 + abs(j)) or len(js) + skipped >= MAX_POINTS:
+        if error < TARGET_ERROR * (1 + abs(j)) or len(js) + skipped >= MAX_POINTS:
             return NumericLimit(
                 j=j,
                 error=error,

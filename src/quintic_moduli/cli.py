@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -94,16 +94,6 @@ def _requested_format(argv: list[str]) -> str:
         return "text"
 
 
-def _positive_tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
-
-
 def _parse_rational_list(text: str) -> list[Fraction]:
     return [Fraction(part.strip()) for part in text.split(",")]
 
@@ -133,12 +123,11 @@ def _parse_frame(text: str, field):
     return tuple(tuple(vals[3 * r + c] for c in range(3)) for r in range(3))
 
 
-def _echo(out: Reporter, args, command: str, **extra):
-    record = {"record": "config", "command": command}
-    for key in ("curve", "prime", "primes", "seed", "retries", "r", "tolerance"):
+def _echo(out: Reporter, args):
+    record = {"record": "config", "command": args.command}
+    for key in ("curve", "prime", "seed", "r"):
         if hasattr(args, key) and getattr(args, key) is not None:
             record[key] = getattr(args, key)
-    record.update(extra)
     out.emit(record)
 
 
@@ -267,6 +256,10 @@ def cmd_fermat_check(args, out: Reporter) -> int:
     return 0
 
 
+#: Relative agreement asked of the numeric j with the case table's.
+ARC_AGREEMENT = 1e-6
+
+
 def cmd_arc_limit(args, out: Reporter) -> int:
     from .arc_limits import ArcSpec, FlexNormalForm, arc_limit_numeric, classify_arc
 
@@ -285,9 +278,7 @@ def cmd_arc_limit(args, out: Reporter) -> int:
         record["j"] = "infinity"
     out.emit(record)
     if args.numeric:
-        numeric = arc_limit_numeric(
-            FlexNormalForm.default(), arc, target_error=args.tolerance / 100
-        )
+        numeric = arc_limit_numeric(FlexNormalForm.default(), arc)
         rec = {
             "record": "arc-limit-numeric",
             "diverged": numeric.diverged,
@@ -303,7 +294,7 @@ def cmd_arc_limit(args, out: Reporter) -> int:
                 agree = False
             else:
                 jv = float(j_exact)
-                agree = abs(numeric.j - jv) <= args.tolerance * max(1.0, abs(jv))
+                agree = abs(numeric.j - jv) <= ARC_AGREEMENT * max(1.0, abs(jv))
             rec["agrees_with_symbolic"] = agree
         out.emit(rec)
         if not agree:
@@ -320,7 +311,7 @@ def cmd_fiber_count(args, out: Reporter) -> int:
     fiber_degrees = []
     for prime in primes:
         try:
-            report = count_fiber(curve, prime, seed=args.seed, max_retries=args.retries)
+            report = count_fiber(curve, prime, seed=args.seed)
         except FiberCountError as exc:
             return out.fail(str(exc), prime=prime, causes=list(exc.causes))
         out.emit(
@@ -404,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=False, prime=False, primes=False, seed=False, retries=False):
+    def common(p, curve=False, prime=False, primes=False, seed=False):
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
         if curve:
             p.add_argument("--curve", required=True, help="curve file (JSON records)")
@@ -420,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if retries:
-            p.add_argument("--retries", type=int, default=8)
         return p
 
     p = common(sub.add_parser("invariants", help="invariants of a binary quintic"), prime=True)
@@ -457,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="", help="comma coefficients from t^0")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--numeric", action="store_true", help="run the numeric cross-check")
-    p.add_argument("--tolerance", type=_positive_tolerance, default=1e-6)
     p.set_defaults(func=cmd_arc_limit)
 
     p = common(
@@ -465,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         curve=True,
         primes=True,
         seed=True,
-        retries=True,
     )
     p.set_defaults(func=cmd_fiber_count)
 
@@ -479,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
@@ -488,11 +474,28 @@ def main(argv=None) -> int:
         Reporter(_requested_format(argv)).fail(str(exc), error_type="UsageError")
         return 2
     out = Reporter(args.format)
-    _echo(out, args, args.command)
+    _echo(out, args)
     try:
         return args.func(args, out)
+    except BrokenPipeError:
+        raise
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         return out.fail(str(exc), error_type=type(exc).__name__)
+
+
+def main(argv=None) -> int:
+    """Run one command line; its exit status.  A reader that closes stdout
+    early (``| head -1``) ends the run with status 1 and nothing on stderr:
+    stdout then points at ``os.devnull``, so the interpreter's last flush
+    cannot fail."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

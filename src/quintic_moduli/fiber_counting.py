@@ -72,7 +72,7 @@ from math import isqrt
 from operator import mul
 
 from .binary_forms import BinaryQuintic, _transvectant_table
-from .elimination import gcd_uni, resultant_bivar_elim, squarefree_decomposition
+from .elimination import gcd_uni, resultant_bivar_elim
 from .invariants import WPPoint, invariant_triple
 from .plane_curves import (
     _DIRECTIONS,
@@ -80,7 +80,6 @@ from .plane_curves import (
     PlaneCurve,
     _flex_frame,
     _flex_point,
-    _power_table,
     _taylor_sum,
     random_invertible_frame,
 )
@@ -309,9 +308,9 @@ def flex_lines(framed: PlaneCurve) -> list[UniPoly]:
     squarefree part h of R = Res_z(F, H) at y = 1, in the order of h's
     multiplicity in R.
 
-    The frame is set up as the genericity certificate sets it up
-    (``plane_curves._flex_frame``).  The tangent at the flex P = (u, 1,
-    z0) over a root u of h, z0 = -s0/s1 (``plane_curves._flex_point``), is
+    The frame is set up, and R decomposed, as the genericity certificate
+    does it (``plane_curves._flex_frame``).  The tangent at the flex P =
+    (u, 1, z0) over a root u of h, z0 = -s0/s1 (``plane_curves._flex_point``), is
     the chart line z = a x + b y with a(u) = -F_x(P) / F_z(P), and L_h =
     prod (T - a(u)) over the roots of h, the characteristic polynomial of
     a(u) in GF(p)[u]/(h) (``_characteristic_polynomial``).  Each flex line
@@ -326,13 +325,12 @@ def flex_lines(framed: PlaneCurve) -> list[UniPoly]:
     divisor mod h (a flex tangent passes through (0 : 0 : 1) and has no
     chart slope).
     """
-    tables, _, flex_res, shape = _flex_frame(framed)
-    if flex_res.is_zero():
+    tables, _, parts, shape = _flex_frame(framed)
+    if not parts:
         raise FrameRetryError("flex eliminant vanishes (H = 0, or F and H share a component)")
     lines = []
-    for part, _ in squarefree_decomposition(flex_res):
-        ring, z0 = _flex_point(shape, part)
-        zs = _power_table(ring, z0)
+    for part, _ in parts:
+        ring, zs = _flex_point(shape, part)
         f_x, f_z = (_taylor_sum(ring, tables[0][d], zs) for d in _DIRECTIONS[1:3])
         try:
             inverse = ring.inv(ring.unpack(f_z))
@@ -388,12 +386,12 @@ def _divide_by_flex_lines(eliminant: UniPoly, lines: list[UniPoly]):
     return reduced, parts
 
 
+#: Attempts ``count_fiber`` makes before it declines: the first and 8 retries.
+MAX_ATTEMPTS = 9
+
+
 def count_fiber(
-    curve: PlaneCurve,
-    prime: int,
-    seed: int,
-    max_retries: int = 8,
-    target: WPPoint | None = None,
+    curve: PlaneCurve, prime: int, seed: int, target: WPPoint | None = None
 ) -> FiberReport:
     """Count the fiber of the line-to-moduli map over one target.
 
@@ -406,15 +404,14 @@ def count_fiber(
     lines (``_divide_by_flex_lines``); the quotient's degree is the
     fiber's.
 
-    A failed attempt (``FrameRetryError``) is retried with a fresh draw, at
-    most ``max_retries`` times.  When a retry fails with exactly the cause of an earlier attempt,
-    the count stops there and raises FiberCountError: independent draws that
-    reproduce one failure point at the curve (or the fixed target), not at
-    the draw.  Causes that differ between draws, such as a degenerate frame,
-    keep the retries going.  ``causes`` holds one entry per attempt made.
+    A failed attempt (``FrameRetryError``) is retried with a fresh draw, up
+    to ``MAX_ATTEMPTS`` in all.  When a retry fails with exactly the cause
+    of an earlier attempt, the count stops there and raises FiberCountError:
+    independent draws that reproduce one failure point at the curve (or the
+    fixed target), not at the draw.  Causes that differ between draws, such
+    as a degenerate frame, keep the retries going.  ``causes`` holds one
+    entry per attempt made.
     """
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     field = GF(prime)
     if target is not None and target.field is not field:
         raise ValueError(f"target lies over {target.field!r}, not GF({prime})")
@@ -423,7 +420,7 @@ def count_fiber(
     causes: list[str] = []
     first_attempt: dict[str, int] = {}  # retry cause -> first attempt raising it
     fixed_target = target is not None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_ATTEMPTS):
         drawn = target if fixed_target else _draw_target(field, rng)
         frame = random_invertible_frame(field, rng)
         try:

@@ -221,10 +221,17 @@ def chain_trace() -> list[str]:
 
 
 def r_independence_check(r_values: list[int]) -> bool:
-    """Numeric spot check of the final count at explicit orders r >= 4."""
+    """Numeric spot check at explicit orders r >= 4: ``CHAIN`` solved in
+    Fractions at each r, from ``base_values()`` evaluated there, gives the
+    r-free constant that ``evaluate_chain`` derives symbolically."""
     for r in r_values:
         if r < 4:
             raise ValueError(f"the rooting order must be at least 4, got {r}")
-    final = evaluate_chain()[SYM_I1_A1_5]
-    target = final.constant_value()
-    return all(final.evaluate(r) == target for r in r_values)
+    target = evaluate_chain()[SYM_I1_A1_5].constant_value()
+    for r in r_values:
+        values = {sym: value.evaluate(r) for sym, value in base_values().items()}
+        for count, terms in CHAIN:
+            values[count] = sum(r * values[left] * values[right] for left, right in terms)
+        if values[SYM_I1_A1_5] != target:
+            return False
+    return True

@@ -41,8 +41,9 @@ coefficients of F(s P + t D), the Taylor coefficients of F at P towards D
 and of F at D towards P, so no line is restricted.
 
 The fiber oracle's flex lines (``fiber_counting.flex_lines``) reuse the
-certificate's frame set-up (``_flex_frame``) with its redraw rule, its z0
-(``_flex_point``) and its Taylor sums (``_taylor_sum``).
+certificate's frame set-up (``_flex_frame``) with its redraw rule and its
+one decomposition of R, its powers of z0 (``_flex_point``) and its Taylor
+sums (``_taylor_sum``).
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def _restrict_through(
 
 def _hessian_form(poly: MultiPoly) -> MultiPoly:
     """Determinant of the matrix of second partials over GF(p), a form of
-    degree D = 3(d - 2); zero for a cone.
+    degree D = 3(d - 2), at y = 1: a polynomial in (x, z); zero for a cone.
 
     The six distinct second partials H_rc, at z = 1, are elements of a
     ``_KroneckerRing`` of stride D + 1, each term placed by one shift, and
@@ -271,7 +272,8 @@ def _hessian_form(poly: MultiPoly) -> MultiPoly:
     H02**2 + H22 H01**2 (the matrix is symmetric).  No slot of A or B
     passes 3 T**2 (p - 1)**3, T = d(d - 1)/2 being the most terms a partial
     has, so neither does a slot of A - B: that is the ring's bound, and
-    its ``terms`` reads the residues of A - B.
+    its ``terms`` reads the residues of A - B, x**i z**(D - i - j) at y = 1
+    in slot (i, j).
     """
     F = poly.field
     if not isinstance(F, PrimeField):
@@ -293,7 +295,7 @@ def _hessian_form(poly: MultiPoly) -> MultiPoly:
     a = h00 * h11 * h22 + 2 * h01 * h12 * h02
     b = h00 * h12 * h12 + h11 * h02 * h02 + h22 * h01 * h01
     terms = ring.terms(a - b)
-    return MultiPoly(F, 3, {(i, j, degree - i - j): c for (i, j), c in terms.items()})
+    return MultiPoly(F, 2, {(i, degree - i - j): c for (i, j), c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +338,10 @@ def random_invertible_frame(field: PrimeField, rng: random.Random):
             return frame
 
 
-def _dehom_y(poly: MultiPoly, field: Field) -> MultiPoly:
-    """Ternary form at y = 1, as a bivariate polynomial in (u, z); in a form
-    the exponents of x and z fix that of y, so no two terms collide."""
-    return MultiPoly(field, 2, {(i, k): c for (i, _, k), c in poly.terms.items()})
-
-
-def _flex_point(shape: Sequence[UniPoly], modulus: UniPoly) -> tuple[ResidueRing, int]:
-    """(GF(p)[u]/(h), z0) for a squarefree part h of the flex eliminant:
-    z0 = -s0/s1, packed in the ring, is the z-coordinate of the flex (u, 1,
-    z0) over every root u of h at once.
+def _flex_point(shape: Sequence[UniPoly], modulus: UniPoly) -> tuple[ResidueRing, list[int]]:
+    """(GF(p)[u]/(h), the ``_power_table`` of z0) for a squarefree part h
+    of the flex eliminant: z0 = -s0/s1, packed in the ring, is the
+    z-coordinate of the flex (u, 1, z0) over every root u of h at once.
 
     ``shape`` is the pair (s0, s1) of the first subresultant S1 = s1(u) z +
     s0(u) of F and H at y = 1 (the shape lemma: S1 is a multiple of the gcd
@@ -362,7 +358,7 @@ def _flex_point(shape: Sequence[UniPoly], modulus: UniPoly) -> tuple[ResidueRing
             "two intersections share a flex fiber (s1 vanishes there); reframe"
         ) from None
     settle = ring.reduce_packed
-    return ring, settle(settle(ring.pack(shape[0])) * ring.pack(-inverse))
+    return ring, _power_table(ring, settle(settle(ring.pack(shape[0])) * ring.pack(-inverse)))
 
 
 def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus: UniPoly) -> int:
@@ -394,9 +390,9 @@ def _probe_flexes(tables: tuple[dict, tuple], shape: Sequence[UniPoly], modulus:
     does not vanish number deg g - deg gcd(g, class), so conjugate flexes
     count together and h is never split.
     """
-    ring, z0 = _flex_point(shape, modulus)
+    ring, zs = _flex_point(shape, modulus)
     p, settle = ring.base.p, ring.reduce_packed
-    c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, z0)
+    c0, c2, c3, c4, c5 = _tangent_coefficients(tables, ring, zs)
     contact = reduce(gcd_uni, (ring.unpack(c) for c in (c0, c2) if c), ring.modulus)
     discriminant = settle(c4 * c4 + (-4 % p) * settle(c3 * c5))
     return contact.degree - gcd_uni(contact, ring.unpack(settle(c3 * discriminant))).degree
@@ -452,13 +448,13 @@ def _taylor_sum(ring: ResidueRing, table: dict, zs: Sequence[int]) -> int:
     return ring.reduce_packed(sum(c * zs[e2] << w * e1 for (e1, e2), c in table.items()))
 
 
-def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int):
+def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, zs: Sequence[int]):
     """(c0, c2, c3, c4, c5) of F(s P + t D) over ``ring``, for P = (u, 1, z0)
     and D = (-l_z, 0, l_x), l = grad F(P), u the ring's generator.
 
-    Every class is packed in the ring's slots (``ResidueRing.pack``): z0
-    comes in canonical and the coefficients go out canonical, and each sum
-    or product is reduced by ``ResidueRing.reduce_packed``, whose slot bound
+    Every class is packed in the ring's slots (``ResidueRing.pack``): z0's
+    ``_power_table`` ``zs`` comes in canonical and the coefficients go out
+    canonical, and each sum or product is reduced by ``ResidueRing.reduce_packed``, whose slot bound
     6 (n + 4)(p - 1)**2 (n the modulus degree) holds every one of them.  A
     product of two classes takes at most n products of residues per slot;
     a Taylor sum at P at most 21, one per exponent pair (e1, e2) with e1 +
@@ -470,7 +466,6 @@ def _tangent_coefficients(tables: tuple[dict, tuple], ring: ResidueRing, z0: int
     """
     at_point, polars = tables
     p, w, settle = ring.base.p, ring.width, ring.reduce_packed
-    zs = _power_table(ring, z0)
     at = {d: _taylor_sum(ring, table, zs) for d, table in at_point.items()}
     dxs, dzs = _power_table(ring, settle((p - 1) * at[0, 1])), _power_table(ring, at[1, 0])
     monomials: dict = {}
@@ -549,28 +544,30 @@ _FLEX_TOTAL = 45
 
 
 def _flex_frame(framed: PlaneCurve):
-    """(tables, at_y1, R, shape) of a framed quintic F over GF(p): its
+    """(tables, at_y1, parts, shape) of a framed quintic F over GF(p): its
     ``_taylor_tables``, F, F_x and F_z at y = 1 (the tables' entries (0,
-    0), (1, 0) and (0, 1)), and R = Res_z(F, H) with S1's (s0, s1) from
-    ``_flex_eliminant``; a cone (H = 0) gives R = 0 and no shape.  The one
-    set-up of a frame for the certificate and for the fiber oracle's flex
-    lines (``fiber_counting.flex_lines``).  It redraws (``FrameRetryError``)
-    a frame that puts (0 : 0 : 1) on the curve, before the Hessian: F's
-    z-lead, the constant every elimination needs, is then 0.  So it does
-    where R is nonzero but short of degree 45 (an intersection on y' = 0).
+    0), (1, 0) and (0, 1)), the squarefree parts of R = Res_z(F, H) with
+    their multiplicities, none where R = 0, and S1's (s0, s1) from
+    ``_flex_eliminant``.  The one set-up of a frame, and the one Yun
+    decomposition of R, for the certificate and for the fiber oracle's
+    flex lines (``fiber_counting.flex_lines``).  It redraws
+    (``FrameRetryError``) a frame that puts (0 : 0 : 1) on the curve,
+    before the Hessian: F's z-lead, the constant every elimination needs,
+    is then 0.  So it does where R is nonzero but short of degree 45.
     """
-    field = framed.field
     tables = _taylor_tables(framed.poly)
-    at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
+    at_y1 = [MultiPoly(framed.field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
     if (0, framed.degree) not in at_y1[0].terms:
         raise FrameRetryError("frame puts (0 : 0 : 1) on the curve; reframe")
     hess = _hessian_form(framed.poly)
-    if hess.is_zero():
-        return tables, at_y1, UniPoly.zero(field), None
-    flex_res, shape = _flex_eliminant(at_y1[0], _dehom_y(hess, field))
-    if not flex_res.is_zero() and flex_res.degree != _FLEX_TOTAL:
+    if hess.is_zero():  # a cone
+        return tables, at_y1, [], None
+    flex_res, shape = _flex_eliminant(at_y1[0], hess)
+    if flex_res.is_zero():  # F and H share a component
+        return tables, at_y1, [], None
+    if flex_res.degree != _FLEX_TOTAL:
         raise FrameRetryError(f"flex eliminant degree {flex_res.degree} < {_FLEX_TOTAL}; reframe")
-    return tables, at_y1, flex_res, shape
+    return tables, at_y1, squarefree_decomposition(flex_res), shape
 
 
 #: Random frames ``genericity_report`` tries before it gives up.
@@ -595,15 +592,11 @@ def genericity_report(curve: PlaneCurve, prime: int, seed: int = 0) -> Genericit
         frame = random_invertible_frame(field, rng)
         distinct = verified = 0
         try:
-            tables, at_y1, flex_res, shape = _flex_frame(reduced.composed_with_frame(frame))
-            # H = 0 for a cone and R = 0 when F and H share a component: singular
-            smooth = not flex_res.is_zero()
-            if smooth:
-                # a singular point meets H at least twice: a repeated root of R
-                parts = squarefree_decomposition(flex_res)
-                smooth = not any(
-                    _certify_singular(at_y1, part) for part, mult in parts if mult > 1
-                )
+            tables, at_y1, parts, shape = _flex_frame(reduced.composed_with_frame(frame))
+            # R = 0 is singular, and a singular point meets H twice: a repeated part
+            smooth = bool(parts) and not any(
+                _certify_singular(at_y1, part) for part, mult in parts if mult > 1
+            )
             if smooth:
                 distinct = sum(part.degree for part, _ in parts)
                 verified = sum(_probe_flexes(tables, shape, part) for part, _ in parts)

@@ -2,8 +2,9 @@
 quintic, a quintic with a flex-bitangent and one with a contact-4
 hyperflex, identity-frame charts, j of a cross-ratio, interpolation through
 arbitrary nodes, the evaluation and the substitution of a sparse
-polynomial, the arc test suite, the evaluation of a degree-36 invariant
-relation, frames through a given point, and the singular check by
+polynomial, a ternary form at y = 1 and the Hessian as a ternary form,
+the arc test suite, the evaluation of a degree-36 invariant relation,
+frames through a given point, and the singular check by
 dynamic evaluation in a residue ring that splits its modulus on a zero
 divisor."""
 
@@ -20,7 +21,7 @@ from quintic_moduli import ArcSpec, LineChart, PlaneCurve
 from quintic_moduli.arc_limits import BITS
 from quintic_moduli.elimination import _gcd_cofactor, gcd_uni
 from quintic_moduli.invariants import RELATION_MONOMIALS, InvariantVector
-from quintic_moduli.plane_curves import frame_determinant
+from quintic_moduli.plane_curves import _hessian_form, frame_determinant
 from quintic_moduli.polys import MultiPoly, UniPoly, powers
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import QQ, Field, PrimeField
@@ -201,6 +202,20 @@ def evaluate(poly: MultiPoly, point):
                 c = F.reduce(c * row[k])
         acc += c
     return F.reduce(acc)
+
+
+def dehom_y(poly: MultiPoly) -> MultiPoly:
+    """A ternary form at y = 1, a polynomial in (x, z): in a form the
+    exponents of x and z fix that of y, so no two terms collide."""
+    return MultiPoly(poly.field, 2, {(i, k): c for (i, _, k), c in poly.terms.items()})
+
+
+def hessian(poly: MultiPoly) -> MultiPoly:
+    """The Hessian of a ternary form of degree d over GF(p) as a ternary
+    form: ``_hessian_form``, H at y = 1, homogenised to degree 3(d - 2)."""
+    degree = 3 * (max(sum(e) for e in poly.terms) - 2)
+    terms = _hessian_form(poly).terms
+    return MultiPoly(poly.field, 3, {(i, degree - i - k, k): c for (i, k), c in terms.items()})
 
 
 def compose(poly: MultiPoly, args) -> MultiPoly:

@@ -8,7 +8,6 @@ import pytest
 from quintic_moduli.arc_limits import (
     ArcSpec,
     FlexNormalForm,
-    ProjectivePair,
     arc_limit,
     arc_limit_numeric,
     classify_arc,
@@ -150,22 +149,25 @@ def test_balanced_j_depends_only_on_weighted_ratio():
 
 
 def test_exceptional_coordinate():
-    pair = exceptional_coordinate(ArcSpec([0, 0, 2], [0, 0, 0, 1]))
-    assert pair == ProjectivePair(Fraction(8), Fraction(1))
+    assert exceptional_coordinate(ArcSpec([0, 0, 2], [0, 0, 0, 1])) == Fraction(8)
+    assert exceptional_coordinate(ArcSpec([0, 0, -1], [0, 0, 0, 2])) == Fraction(-1, 4)
     with pytest.raises(ValueError):
         exceptional_coordinate(ArcSpec([0, 1], [0, 1]))  # not balanced
+    with pytest.raises(ValueError):
+        exceptional_coordinate(ArcSpec([0, 0, 1], []))  # beta has no lead
     rng = random.Random(22)
     for _ in range(20):
         a0 = Fraction(rng.randint(1, 9)) * rng.choice([1, -1])
         b0 = Fraction(rng.randint(1, 9)) * rng.choice([1, -1])
         arc = ArcSpec([0, 0, a0], [0, 0, 0, b0])
-        pair = exceptional_coordinate(arc)
+        c = exceptional_coordinate(arc)
+        assert c == a0**3 / b0**2
         limit = arc_limit(arc)
-        denom = 4 * pair.a - 27 * pair.b
+        denom = 4 * c - 27
         if denom == 0:
             assert limit == TwoDoubles()
         else:
-            assert limit == OneDouble(1728 * 4 * pair.a / denom)
+            assert limit == OneDouble(1728 * 4 * c / denom)
 
 
 def test_case_labels():

@@ -18,12 +18,7 @@ from quintic_moduli.elimination import (
     squarefree_decomposition,
 )
 from quintic_moduli.fiber_counting import _draw_target, build_fiber_system
-from quintic_moduli.plane_curves import (
-    PlaneCurve,
-    _dehom_y,
-    _hessian_form,
-    random_invertible_frame,
-)
+from quintic_moduli.plane_curves import PlaneCurve, _hessian_form, random_invertible_frame
 from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ
@@ -33,6 +28,7 @@ from conftest import (
     GENERIC_QUINTIC_RECORDS,
     SplitNeeded,
     SplittingRing,
+    dehom_y,
     evaluate,
     fermat_quintic,
     newton_interpolation,
@@ -559,7 +555,7 @@ def _genericity_pair(curve, p: int, seed: int = 0):
     framed = curve.reduce_mod(field).composed_with_frame(
         random_invertible_frame(field, random.Random(seed))
     )
-    return _dehom_y(framed.poly, field), _dehom_y(_hessian_form(framed.poly), field)
+    return dehom_y(framed.poly), _hessian_form(framed.poly)
 
 
 @pytest.mark.parametrize(

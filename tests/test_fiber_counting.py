@@ -10,6 +10,7 @@ from quintic_moduli.elimination import gcd_uni, resultant_bivar_elim, squarefree
 from quintic_moduli.fiber_counting import (
     ELIMINANT_DEGREE,
     FIBER_SYSTEM_DEGREES,
+    MAX_ATTEMPTS,
     FiberCountError,
     build_fiber_system,
     count_fiber,
@@ -19,7 +20,6 @@ from quintic_moduli.invariants import WPPoint, invariant_triple, moduli_point
 from quintic_moduli.plane_curves import (
     FrameRetryError,
     LineChart,
-    _hessian_form,
     genericity_report,
     load_curve,
     random_invertible_frame,
@@ -27,6 +27,7 @@ from quintic_moduli.plane_curves import (
 )
 from quintic_moduli.polys import (
     MultiPoly,
+    PolynomialRing,
     UniPoly,
     _KroneckerRing,
     interpolate,
@@ -41,9 +42,11 @@ from conftest import (
     ACCEPTANCE_PRIMES,
     CURVES_DIR,
     contact_four_hyperflex,
+    dehom_y,
     evaluate,
     fermat_quintic,
     frame_with_third_column,
+    hessian,
 )
 from test_plane_curves import _singular_quintic
 
@@ -210,6 +213,31 @@ def test_chain_table_matches_the_invariant_chain(monkeypatch, fixture_mod_p, sam
     assert max(g[1] + h[1] for g, h, _ in calls) < fiber_counting._STRIDE
 
 
+def test_chain_table_lists_the_coefficient_degrees_of_the_invariant_chain(monkeypatch):
+    # off any chart: on a quintic whose coefficients are t times seeded
+    # ints, a covariant's coefficient degree d is its t-degree, so the
+    # transvectants invariant_triple runs give _CHAIN's ((d, order), (d,
+    # order), k) directly
+    chain_module = importlib.import_module("quintic_moduli.invariants")
+    chain_module._normalisation()  # solved once per process, by the same chain
+    calls = []
+    sums = chain_module._transvectant_sums
+
+    def degree_and_order(form):
+        return max(c.total_degree for c in form.coeffs), form.order
+
+    def recording(g, h, k):
+        calls.append((degree_and_order(g), degree_and_order(h), k))
+        return sums(g, h, k)
+
+    monkeypatch.setattr(chain_module, "_transvectant_sums", recording)
+    ring = PolynomialRing(QQ, 1)
+    rng = random.Random(44)
+    t = ring.variable(0)
+    invariant_triple(BinaryQuintic(ring, [t * ring.from_int(rng.randint(1, 99)) for _ in range(6)]))
+    assert tuple(calls) == fiber_counting._CHAIN
+
+
 def test_fiber_system_rejects_zero_first_coordinate(fixture_mod_p):
     rng = random.Random(101)
     frame = random_invertible_frame(F, rng)
@@ -223,16 +251,8 @@ def test_inflectional_lines_are_common_zeros(fixture_mod_p, sample_system):
     # sample system: both fiber equations must vanish there
     frame, _, g1, g2 = sample_system
     curve = fixture_mod_p
-    h = _hessian_form(curve.poly)
-
-    def dehom(poly):
-        terms = {}
-        for (i, j, k), c in poly.terms.items():
-            e = (i, k)
-            terms[e] = F.reduce(terms.get(e, F.zero) + c)
-        return MultiPoly(F, 2, terms)
-
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h))
+    h = hessian(curve.poly)
+    flex_res = resultant_bivar_elim(dehom_y(curve.poly), dehom_y(h))
     u0 = next(x for x in range(F.p) if flex_res.eval(x) == 0)
 
     def fiber_poly(poly, u):
@@ -357,16 +377,11 @@ def test_distinct_causes_use_every_retry(monkeypatch, generic_quintic):
 
     calls = _counting_builds(monkeypatch, failing_build)
     with pytest.raises(FiberCountError) as info:
-        count_fiber(generic_quintic, 10007, seed=1, max_retries=4)
-    assert len(calls) == 5
+        count_fiber(generic_quintic, 10007, seed=1)
+    assert len(calls) == MAX_ATTEMPTS == 9
     assert info.value.causes == [
-        f"attempt {k}: draw-dependent failure {k + 1}" for k in range(5)
+        f"attempt {k}: draw-dependent failure {k + 1}" for k in range(9)
     ]
-
-
-def test_count_fiber_rejects_negative_retries(generic_quintic):
-    with pytest.raises(ValueError, match="-1"):
-        count_fiber(generic_quintic, 10007, seed=1, max_retries=-1)
 
 
 def test_curve_over_another_prime_field_is_rejected(generic_quintic):

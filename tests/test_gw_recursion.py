@@ -65,6 +65,17 @@ def test_r_independence():
         r_independence_check([4, 2])
 
 
+def test_r_spot_check_fails_on_a_perturbed_base_value(monkeypatch):
+    # the symbolic chain kept as it is, the numeric chain fed I1(a1^2 a3)
+    # = 91 instead of 90: at every r it then gives 422, not 420
+    values = evaluate_chain()
+    perturbed = {**base_values(), SYM_I1_A1A1A3: RationalInR.constant(91)}
+    monkeypatch.setattr(gw_recursion, "evaluate_chain", lambda: values)
+    monkeypatch.setattr(gw_recursion, "base_values", lambda: perturbed)
+    assert not r_independence_check([4])
+    assert not r_independence_check(list(range(4, 11)))
+
+
 def test_symbol_validation():
     with pytest.raises(ValueError):
         GWSymbol(2, ("a1", "a1", "a1"))

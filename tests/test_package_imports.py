@@ -24,7 +24,7 @@ PUBLIC_NAMES = frozenset(
     ArcSpec BinaryForm BinaryQuintic ConfigClass FiberCountError
     FiberReport Field FlexNormalForm GF GWSymbol GenericityReport InvariantVector
     LineChart LineInCurveError MultiPoly NumericLimit OneDouble PlaneCurve
-    PluckerCounts PolynomialRing PrimeField ProjectivePair QQ RationalField
+    PluckerCounts PolynomialRing PrimeField QQ RationalField
     RationalInR TwoDoubles UniPoly UnstableQuinticError WPPoint
     arc_limit arc_limit_numeric arc_limits base_values
     binary_forms build_fiber_system chain_trace combinatorial_degree
@@ -65,7 +65,7 @@ def test_public_names_match_the_eager_package():
         print(json.dumps(quintic_moduli.__all__))
         """
     )
-    assert len(names) == len(PUBLIC_NAMES) == 73
+    assert len(names) == len(PUBLIC_NAMES) == 72
     assert set(names) == PUBLIC_NAMES
 
 

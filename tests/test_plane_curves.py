@@ -23,7 +23,6 @@ from quintic_moduli.plane_curves import (
     LineInCurveError,
     PlaneCurve,
     _certify_singular,
-    _dehom_y,
     _flex_eliminant,
     _flex_frame,
     _taylor_tables,
@@ -42,9 +41,11 @@ from conftest import (
     FLEX_BITANGENT_RECORDS,
     compose,
     contact_four_hyperflex,
+    dehom_y,
     evaluate,
     fermat_quintic,
     frame_with_third_column,
+    hessian,
     identity_chart,
     singular_by_splitting,
 )
@@ -319,9 +320,9 @@ def test_random_lines_have_stable_restrictions(generic_quintic):
 
 
 def test_hessian_degree_and_fermat_shape():
+    # H of x^5 + y^5 + z^5 is c x^3 y^3 z^3: x^3 z^3 at y = 1
     h = _hessian_form(fermat_quintic().reduce_mod(F).poly)
-    assert h.total_degree == 9
-    assert set(h.terms) == {(3, 3, 3)}
+    assert h.arity == 2 and set(h.terms) == {(3, 3)}
     rng = random.Random(13)
     for _ in range(5):
         terms = {
@@ -414,9 +415,9 @@ def test_packed_hessian_matches_the_cofactor_expansion(p):
         # a cone: a binary form in x and y alone, through (0 : 0 : 1)
         forms.append(MultiPoly(field, 3, {e: c for e, c in curve.poly.terms.items() if not e[2]}))
         for form in forms:
-            hessian = _hessian_form(form)
-            assert hessian == _hessian_reference(form), d
-            assert hessian.is_zero() or hessian.total_degree == 3 * (d - 2)
+            reference = _hessian_reference(form)
+            assert _hessian_form(form) == dehom_y(reference), d
+            assert reference.is_zero() or reference.total_degree == 3 * (d - 2)
         assert _hessian_form(forms[-1]).is_zero()
     assert _hessian_form(MultiPoly(field, 3, {(1, 0, 0): 1, (0, 0, 1): 2})).is_zero()
 
@@ -456,7 +457,7 @@ def test_frame_change_and_hessian_slots_stay_within_their_bounds(monkeypatch, p,
     top = MultiPoly(field, 3, {(i, j, 5 - i - j): p - 1 for i in range(6) for j in range(6 - i)})
     frame = ((p - 1,) * 3,) * 3
     assert PlaneCurve(top).composed_with_frame(frame).poly == _compose_reference(PlaneCurve(top), frame)
-    assert _hessian_form(top) == _hessian_reference(top)
+    assert _hessian_form(top) == dehom_y(_hessian_reference(top))
     assert [ring.width for ring in rings] == widths
     assert all(0 < ring.largest <= ring.bound for ring in rings)
 
@@ -488,16 +489,7 @@ def test_plucker_counts():
 
 def test_flex_cycle_has_degree_45(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
-    h = _hessian_form(curve.poly)
-
-    def dehom(poly):
-        terms = {}
-        for (i, j, k), c in poly.terms.items():
-            e = (i, k)
-            terms[e] = F.reduce(terms.get(e, F.zero) + c)
-        return MultiPoly(F, 2, terms)
-
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h))
+    flex_res = resultant_bivar_elim(dehom_y(curve.poly), _hessian_form(curve.poly))
     assert flex_res.degree == 45
 
 
@@ -626,16 +618,8 @@ def test_genericity_flags_singular_curves(kind, prime):
 
 def test_phi_rejects_inflectional_lines(generic_quintic):
     curve = generic_quintic.reduce_mod(F)
-    h = _hessian_form(curve.poly)
-
-    def dehom(poly):
-        terms = {}
-        for (i, j, k), c in poly.terms.items():
-            e = (i, k)
-            terms[e] = F.reduce(terms.get(e, F.zero) + c)
-        return MultiPoly(F, 2, terms)
-
-    flex_res = resultant_bivar_elim(dehom(curve.poly), dehom(h))
+    h = hessian(curve.poly)
+    flex_res = resultant_bivar_elim(dehom_y(curve.poly), dehom_y(h))
     u0 = next(x for x in range(F.p) if flex_res.eval(x) == 0)
 
     # lift to the flex point: common z-root of curve and hessian above u0
@@ -760,7 +744,7 @@ def _singular_check_inputs(curve: PlaneCurve, field, frame):
     framed = curve.reduce_mod(field).composed_with_frame(frame).poly
     tables = _taylor_tables(framed)
     at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
-    return at_y1, _flex_eliminant(at_y1[0], _dehom_y(_hessian_form(framed), field))[0]
+    return at_y1, _flex_eliminant(at_y1[0], _hessian_form(framed))[0]
 
 
 def _repeated_parts(eliminant: UniPoly) -> list:

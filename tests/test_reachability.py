@@ -12,7 +12,8 @@ tests filled (``functools.lru_cache``) from hiding a call, and a fixed
 
 A def no command calls must be on ``ALLOWED`` with one of ``REASONS``, or
 move out of src/ (into the tests or perfbench) or go.  An entry whose def
-is gone fails too, so the list cannot outlive its defs.
+is gone fails too, and so does one whose def a command now calls, so the
+list cannot outlive its defs or their reasons.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ REASONS = {
 }
 
 #: "module.qualname" -> reason, for every def no README or cli-light
-#: command calls: 62 of the 312 defs under src/.
+#: command calls: 58 of the 306 defs under src/.
 ALLOWED = {
     "__init__.__dir__": "dunder",
     "arc_limits.ArcSpec.__repr__": "dunder",
-    "arc_limits.ProjectivePair.__eq__": "dunder",
-    "arc_limits.ProjectivePair.__hash__": "dunder",
-    "arc_limits.ProjectivePair.__post_init__": "dunder",
     "arc_limits.arc_limit": "benchmark API",
     "arc_limits.exceptional_coordinate": "test reference",
     "binary_forms.BinaryForm.__eq__": "dunder",
@@ -55,7 +53,6 @@ ALLOWED = {
     "cli.Reporter.fail": "user-reachable path",
     "cli.UsageError.__init__": "user-reachable path",
     "cli._Parser.error": "user-reachable path",
-    "cli._positive_tolerance": "user-reachable path",
     "cli._requested_format": "user-reachable path",
     "elimination.resultant_uni": "benchmark API",
     "fiber_counting.FiberCountError.__init__": "user-reachable path",
@@ -180,6 +177,7 @@ def test_every_def_under_src_is_called_or_allowed():
     uncalled = {name for key, name in defs.items() if key not in called}
     assert sorted(uncalled - ALLOWED.keys()) == [], "defs no command calls"
     assert sorted(ALLOWED.keys() - set(defs.values())) == [], "allowlisted defs that are gone"
+    assert sorted(ALLOWED.keys() - uncalled) == [], "allowlisted defs a command calls"
     assert set(ALLOWED.values()) <= REASONS.keys()
 
 

@@ -15,8 +15,8 @@ from quintic_moduli.elimination import (
 from quintic_moduli.plane_curves import (
     _DIRECTIONS,
     PlaneCurve,
-    _dehom_y,
     _hessian_form,
+    _power_table,
     _probe_flexes,
     _restrict_through,
     _tangent_coefficients,
@@ -35,10 +35,12 @@ from conftest import (
     SplitNeeded,
     SplittingRing,
     contact_four_hyperflex,
+    dehom_y,
     each_factor,
     evaluate,
     fermat_quintic,
     frame_with_third_column,
+    hessian,
     zpoly_over,
 )
 
@@ -218,8 +220,7 @@ def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
 def _shape(framed: MultiPoly, field) -> tuple:
     """(R, [s0, s1]) of the framed curve, as ``genericity_report`` computes
     them: the flex eliminant and the first subresultant of F and H at y = 1."""
-    dehom = [_dehom_y(p, field) for p in (framed, _hessian_form(framed))]
-    eliminant, shape = plane_curves._flex_eliminant(*dehom)
+    eliminant, shape = plane_curves._flex_eliminant(dehom_y(framed), _hessian_form(framed))
     return eliminant, list(shape)
 
 
@@ -332,7 +333,7 @@ def _probe_at_framed_flex(curve: PlaneCurve, prime: int, flex) -> int:
 def test_probe_verifies_a_flex_on_an_x_solved_tangent(generic_quintic, prime, flex):
     field = GF(prime)
     assert evaluate(generic_quintic.reduce_mod(field).poly, flex) == 0
-    assert evaluate(_hessian_form(generic_quintic.reduce_mod(field).poly), flex) == 0
+    assert evaluate(hessian(generic_quintic.reduce_mod(field).poly), flex) == 0
     assert _probe_at_framed_flex(generic_quintic, prime, flex) == 1
 
 
@@ -366,7 +367,7 @@ def _restricted_tangent(framed: MultiPoly, ring: ResidueRing, z0: UniPoly) -> tu
     l = grad F(P), by the tangent restriction the probe used to make: the
     line l . x = 0 solved for the first coordinate of (z, x, y) whose
     gradient entry is nonzero, then ``_restrict_through`` P and D."""
-    grad = [zpoly_over(ring, _dehom_y(framed.derivative(v), ring.base)).eval(z0) for v in range(3)]
+    grad = [zpoly_over(ring, dehom_y(framed.derivative(v))).eval(z0) for v in range(3)]
     point = (ring.generator(), ring.one, z0)
     second = (ring.reduce(-grad[2]), ring.zero, grad[0])
     v = next(v for v in (2, 0, 1) if not ring.is_zero(grad[v]))
@@ -420,8 +421,10 @@ def _reference_tangent(tables: tuple, ring: ResidueRing, z0: UniPoly) -> tuple:
 
 
 def _packed_tangent(tables: tuple, ring: ResidueRing, z0: UniPoly) -> tuple:
-    """``_tangent_coefficients`` on the packed z0, its classes unpacked."""
-    return tuple(map(ring.unpack, _tangent_coefficients(tables, ring, ring.pack(z0))))
+    """``_tangent_coefficients`` on the powers of the packed z0, its classes
+    unpacked."""
+    zs = _power_table(ring, ring.pack(z0))
+    return tuple(map(ring.unpack, _tangent_coefficients(tables, ring, zs)))
 
 
 def _assert_polars_match_the_restriction(framed: MultiPoly, ring: ResidueRing, z0: UniPoly):
@@ -567,7 +570,7 @@ def test_probe_rejects_a_curve_point_that_is_no_flex(generic_quintic):
     # = 0: c0 = 0 but c2 != 0, contact 2, so it is not verified
     point = (F.from_int(1927), F.from_int(2), F.one)
     reduced = generic_quintic.reduce_mod(F)
-    assert evaluate(reduced.poly, point) == 0 != evaluate(_hessian_form(reduced.poly), point)
+    assert evaluate(reduced.poly, point) == 0 != evaluate(hessian(reduced.poly), point)
     rng = random.Random(1)
     while True:
         column, last = ([F.from_int(rng.randrange(F.p)) for _ in range(3)] for _ in range(2))
@@ -577,7 +580,7 @@ def test_probe_rejects_a_curve_point_that_is_no_flex(generic_quintic):
     framed = reduced.composed_with_frame(frame).poly
     ring = ResidueRing(UniPoly.x(F))
     tables = _taylor_tables(framed)
-    c0, c2, *_ = _tangent_coefficients(tables, ring, 0)
+    c0, c2, *_ = _tangent_coefficients(tables, ring, _power_table(ring, 0))
     assert c0 == 0 != c2
     assert _probe_flexes(tables, [ring.zero, ring.one], UniPoly.x(F)) == 0
 
@@ -675,7 +678,7 @@ def test_s1_from_its_degree_bound_nodes_matches_all_46(generic_quintic, prime):
     for seed in range(6):
         frame = random_invertible_frame(field, random.Random(seed))
         framed = generic_quintic.reduce_mod(field).composed_with_frame(frame).poly
-        f, h = (_dehom_y(p, field) for p in (framed, _hessian_form(framed)))
+        f, h = dehom_y(framed), _hessian_form(framed)
         eliminant, full_s0, full_s1 = resultant_bivar_elim(f, h, subresultant=True)
         flex_res, shape = plane_curves._flex_eliminant(f, h)
         assert flex_res == eliminant and len(full_s0) == len(full_s1) == 46
