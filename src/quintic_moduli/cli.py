@@ -84,6 +84,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(self, message)
 
 
+class _Primes(argparse.Action):
+    """A repeatable ``--prime`` whose first use replaces the default list."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [value] if given is self.default else [*given, value])
+
+
 def _requested_format(argv: list[str]) -> str:
     """The ``--format`` of a command line that failed to parse; text if unreadable."""
     pre = _Parser(add_help=False)
@@ -307,9 +315,8 @@ def cmd_fiber_count(args, out: Reporter) -> int:
     from .plane_curves import load_curve
 
     curve = load_curve(args.curve)
-    primes = args.prime or [10007]
     fiber_degrees = []
-    for prime in primes:
+    for prime in args.prime:
         try:
             report = count_fiber(curve, prime, seed=args.seed)
         except FiberCountError as exc:
@@ -334,7 +341,7 @@ def cmd_fiber_count(args, out: Reporter) -> int:
         return out.fail(
             "fiber degrees disagree across primes", degrees=fiber_degrees
         )
-    out.emit({"record": "fiber-degree", "degree": fiber_degrees[0], "primes": primes})
+    out.emit({"record": "fiber-degree", "degree": fiber_degrees[0], "primes": args.prime})
     return 0
 
 
@@ -405,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--prime",
                 type=int,
-                action="append",
-                dest="prime",
+                action=_Primes,
+                default=[10007],
                 help="repeatable; defaults to 10007",
             )
         if seed:

@@ -29,34 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-ALPHA1, ALPHA2, ALPHA3 = "a1", "a2", "a3"
-BETA_RM2, BETA_RM3 = "b{r-2}", "b{r-3}"
-
-_LABELS = {ALPHA1, ALPHA2, ALPHA3, BETA_RM2, BETA_RM3}
-
 
 @dataclass(frozen=True)
 class GWSymbol:
-    """A curve count: map degree (0 or 1) plus a multiset of insertions.
-
-    Only the seven symbols appearing in the chain are admitted; the
-    admitted set is checked after construction of the module constants.
-    """
+    """A curve count: map degree (0 or 1) plus the multiset of its
+    insertions, as a sorted tuple of labels (``a1``, ``b{r-2}``, ...)."""
 
     degree: int
     insertions: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.degree not in (0, 1):
-            raise ValueError("only degree 0 and 1 counts appear in the chain")
-        if not 3 <= len(self.insertions) <= 5:
-            raise ValueError("counts here carry between three and five insertions")
-        bad = set(self.insertions) - _LABELS
-        if bad:
-            raise ValueError(f"unknown insertion labels: {sorted(bad)}")
-        object.__setattr__(self, "insertions", tuple(sorted(self.insertions)))
-        if _ADMITTED is not None and self not in _ADMITTED:
-            raise ValueError(f"{self} does not occur in the degeneration chain")
 
     def __str__(self):
         body = " ".join(self.insertions)
@@ -137,34 +117,13 @@ class RationalInR:
     __repr__ = __str__
 
 
-# construction-time escape hatch: the admitted set does not exist while the
-# admitted symbols themselves are being built
-_ADMITTED: frozenset | None = None
-
-
-def _sym(degree: int, *labels: str) -> GWSymbol:
-    return GWSymbol(degree, tuple(labels))
-
-
-SYM_I0_A1A1_BRM2 = _sym(0, ALPHA1, ALPHA1, BETA_RM2)
-SYM_I0_A1A2_BRM3 = _sym(0, ALPHA1, ALPHA2, BETA_RM3)
-SYM_I0_A1A1A1_BRM3 = _sym(0, ALPHA1, ALPHA1, ALPHA1, BETA_RM3)
-SYM_I1_A1A1A3 = _sym(1, ALPHA1, ALPHA1, ALPHA3)
-SYM_I1_A1A2A2 = _sym(1, ALPHA1, ALPHA2, ALPHA2)
-SYM_I1_A1A1A1A2 = _sym(1, ALPHA1, ALPHA1, ALPHA1, ALPHA2)
-SYM_I1_A1_5 = _sym(1, ALPHA1, ALPHA1, ALPHA1, ALPHA1, ALPHA1)
-
-_ADMITTED = frozenset(
-    {
-        SYM_I0_A1A1_BRM2,
-        SYM_I0_A1A2_BRM3,
-        SYM_I0_A1A1A1_BRM3,
-        SYM_I1_A1A1A3,
-        SYM_I1_A1A2A2,
-        SYM_I1_A1A1A1A2,
-        SYM_I1_A1_5,
-    }
-)
+SYM_I0_A1A1_BRM2 = GWSymbol(0, ("a1", "a1", "b{r-2}"))
+SYM_I0_A1A2_BRM3 = GWSymbol(0, ("a1", "a2", "b{r-3}"))
+SYM_I0_A1A1A1_BRM3 = GWSymbol(0, ("a1", "a1", "a1", "b{r-3}"))
+SYM_I1_A1A1A3 = GWSymbol(1, ("a1", "a1", "a3"))
+SYM_I1_A1A2A2 = GWSymbol(1, ("a1", "a2", "a2"))
+SYM_I1_A1A1A1A2 = GWSymbol(1, ("a1", "a1", "a1", "a2"))
+SYM_I1_A1_5 = GWSymbol(1, ("a1", "a1", "a1", "a1", "a1"))
 
 
 def base_values() -> dict[GWSymbol, RationalInR]:

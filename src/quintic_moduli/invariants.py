@@ -241,22 +241,18 @@ def _scale_factor(chain_value, closed_form) -> Fraction:
     return s
 
 
-_NORMALISATION: tuple[Fraction, Fraction, Fraction] | None = None
-
-
+@functools.cache
 def _normalisation() -> tuple[Fraction, Fraction, Fraction]:
     """Scale factors (s4, s8, s12) with s*J equal to the family closed forms,
     for the unscaled chain values J.
 
-    Solved once per process as exact ratios on the symbolic family; a
-    failure here means the covariant chain is broken.
+    Solved once per process (cached, like ``_i18_scale``) as exact ratios
+    on the symbolic family; a failure here means the covariant chain is
+    broken, and is raised again at the next call.
     """
-    global _NORMALISATION
-    if _NORMALISATION is None:
-        ring = PolynomialRing(QQ, 3)
-        chain = _chain(family_quintic(ring))[2]
-        _NORMALISATION = tuple(map(_scale_factor, chain, family_closed_forms(ring)))
-    return _NORMALISATION
+    ring = PolynomialRing(QQ, 3)
+    chain = _chain(family_quintic(ring))[2]
+    return tuple(map(_scale_factor, chain, family_closed_forms(ring)))
 
 
 def _chain_input(f: BinaryQuintic):
@@ -323,8 +319,6 @@ def is_stable(f: BinaryQuintic) -> bool:
     infinity_mult = 5 - F.degree  # vanishing order of the x-leading coefficients
     if infinity_mult >= 3:
         return False
-    if F.degree < 2:
-        return True
     d1 = F.derivative()
     d2 = d1.derivative()
     return gcd_uni(gcd_uni(F, d1), d2).degree == 0

@@ -14,24 +14,23 @@ an int n.  Division (``divmod``, ``monic`` and so the gcds built on them)
 also calls the ring's ``inv``, which raises ``ZeroDivisionError`` on a
 non-unit.
 
-Over GF(p), whose coefficients are residues in [0, p), two kernels work on
-packed integers at every prime (``_pack``/``_unpack``: one slot per
-coefficient, ``_slot_width`` bits, the least multiple of 64 that holds the
-kernel's largest slot sum; slots are unpacked through one ``array`` of
-64-bit words).  ``dense_product``, shared with
-``BinaryForm``, multiplies by Kronecker substitution: one bigint product,
-each slot reduced mod p.  ``divmod`` packs the remainder and the divisor
-once, reads each quotient term off the top slot and adds (p - c) times
-the shifted divisor, and reduces the low slots once at the end.  A whole
-remainder sequence (``elimination.gcd_uni`` and the sample resultants)
-stays packed between divisions instead: each division is this one,
-followed by a SWAR Barrett step that brings every slot to [0, 2p) without
-unpacking (``elimination._lazy_sequence``).  The two divisions stay apart
-on purpose: one that served both would branch on its caller (keep the
+``dense_product``, shared with ``BinaryForm``, is the accumulate-then-reduce
+loop in every ring: no GF(p) product lies on a hot path (the largest are
+Yun's reassembly checks on the degree-45 flex eliminant).  Over GF(p),
+whose coefficients are residues in [0, p), ``divmod`` works on packed
+integers at every prime (``_pack``/``_unpack``: one slot per coefficient,
+``_slot_width`` bits, the least multiple of 64 that holds the kernel's
+largest slot sum; slots are unpacked through one ``array`` of 64-bit
+words).  It packs the remainder and the divisor once, reads each quotient
+term off the top slot and adds (p - c) times the shifted divisor, and
+reduces the low slots once at the end.  A whole remainder sequence
+(``elimination.gcd_uni`` and the sample resultants) stays packed between
+divisions instead: each division is this one, followed by a SWAR Barrett
+step that brings every slot to [0, 2p) without unpacking
+(``elimination._lazy_sequence``).  The two divisions stay apart on
+purpose: one that served both would branch on its caller (keep the
 quotient or not), and such a shared division made the eliminant about 10%
-slower.  Every other ring, QQ included, takes the accumulate-then-reduce
-loop: the package's rational chains run on cleared integers, so no
-rational product lies on a hot path.
+slower.
 
 The SWAR Barrett constants live here (Barrett, CRYPTO '86): for a bound on
 the slots, ``_barrett_constants`` gives the shift s, the multiplier m =
@@ -40,10 +39,7 @@ mask) brings every slot to [0, 2p) at once, ``_barrett_mask`` the mask, and
 ``_lazy_constants`` the constants of the remainder sequences.  Three
 kernels keep their polynomials packed between such steps: the remainder
 sequences of :mod:`.elimination`, ``interpolate`` and the Barrett division
-of ``residue_rings.ResidueRing.divmod_packed``.  A Newton reciprocal
-division through ``dense_product`` would not pay for ``divmod`` or Yun's
-exact divisions, since ``dense_product`` unpacks and takes each slot mod p
-after every product.
+of ``residue_rings.ResidueRing.divmod_packed``.
 
 ``_KroneckerRing`` is the package's one Kronecker form of GF(p)[x, y]:
 one int per polynomial, x**i y**j in slot i * stride + j, in a slot wide
@@ -266,19 +262,9 @@ def _lazy_constants(p: int) -> tuple[int, int, int, tuple | None, int]:
 def dense_product(ring: Ring, a: Sequence, b: Sequence) -> list:
     """Coefficients of the product of two nonempty dense coefficient sequences.
 
-    Over GF(p) the product is one integer multiplication (Kronecker
-    substitution) in slots of ``_slot_width`` of max(a) * max(b) * min(len
-    a, len b), the most a convolution sum can reach; when a factor is zero
-    that bound is 0, and max(a) + max(b) keeps the other factor's
-    coefficients in their slots.  A negative coefficient makes ``_pack``
-    raise ``OverflowError``, never a wrong slot.  Every other ring
-    accumulates raw sums of products with the values' own ``+`` and ``*``
-    and calls ``ring.reduce`` once per output coefficient.
+    Accumulates raw sums of products with the values' own ``+`` and ``*``
+    and calls ``ring.reduce`` once per output coefficient, in every ring.
     """
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        w = _slot_width(max(a) * max(b) * min(len(a), len(b)) or max(a) + max(b))
-        return [c % p for c in _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)]
     out = [ring.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ring.is_zero(ai):

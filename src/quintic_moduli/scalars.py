@@ -14,10 +14,10 @@ coerced into each other: polynomial operations compare ring objects and
 raise on mismatch.
 
 ``QQ.clear_denominators(values)`` returns ``(numerators, d)``: the ints
-``x * d`` for d the lcm of the denominators, so an exact kernel
-(``polys.dense_product``, ``linalg.rref``) sums and multiplies ints and
-makes one ``Fraction`` per output value instead of normalising one per
-term.
+``x * d`` for d the lcm of the denominators, so an exact kernel (the
+invariant chain, ``BinaryForm.substituted``, ``linalg.rref``) sums and
+multiplies ints and makes one ``Fraction`` per output value instead of
+normalising one per term.
 
 The private ``ZZ`` is the integers as plain ints: ``reduce`` is the
 identity and there is no ``from_fraction``, so a rational constant that

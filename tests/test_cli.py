@@ -218,6 +218,25 @@ def test_fiber_count_reports_every_flex_part(capsys):
     assert code == 0 and "390" in text
 
 
+@pytest.mark.parametrize(
+    "flags, primes",
+    [
+        ([], [10007]),
+        (["--prime", "3001"], [3001]),
+        (["--prime", "3001", "--prime", "10007"], [3001, 10007]),
+    ],
+)
+def test_fiber_count_echoes_the_primes_it_counts_at(capsys, tmp_path, flags, primes):
+    # a missing curve file fails after the echo, so nothing is counted; a
+    # --prime given replaces the default 10007 rather than joining it
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(capsys, "fiber-count", "--curve", missing, *flags, "--format", "jsonl")
+    assert code == 1
+    assert records(out)[0] == {
+        "record": "config", "command": "fiber-count", "curve": missing, "prime": primes, "seed": 0
+    }
+
+
 def test_structured_output_is_reproducible(capsys):
     argv = ["fiber-count", "--curve", GENERIC, "--prime", "10007", "--seed", "4", "--format", "jsonl"]
     code1, out1 = run_cli(capsys, *argv)

@@ -19,7 +19,7 @@ from quintic_moduli.elimination import (
 )
 from quintic_moduli.fiber_counting import _draw_target, build_fiber_system
 from quintic_moduli.plane_curves import PlaneCurve, _hessian_form, random_invertible_frame
-from quintic_moduli.polys import MultiPoly, UniPoly, _pack, interpolate
+from quintic_moduli.polys import MultiPoly, UniPoly, _pack, _slot_width, _unpack, interpolate
 from quintic_moduli.residue_rings import ResidueRing
 from quintic_moduli.scalars import GF, QQ
 
@@ -49,6 +49,19 @@ SHORT_LIMIT_PRIME = 1000003
 def _packed(coeffs, p: int) -> int:
     """The coefficients packed in the slot width of p's remainder kernel."""
     return _pack(coeffs, _lazy_constants(p)[4])
+
+
+def _product(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a * b over GF(p) as one bigint product (Kronecker substitution): the
+    operands and cofactors at the Barrett limits run to thousands of terms
+    (1676 at 10007), where ``UniPoly.__mul__``'s schoolbook loop takes
+    seconds."""
+    if a.is_zero() or b.is_zero():
+        return UniPoly.zero(a.field)
+    p, la, lb = a.field.p, len(a.coeffs), len(b.coeffs)
+    w = _slot_width(min(la, lb) * (p - 1) ** 2)
+    product = _unpack(_pack(a.coeffs, w) * _pack(b.coeffs, w), la + lb - 1, w)
+    return UniPoly(a.field, [c % p for c in product])
 
 
 def linear(field, a):
@@ -292,7 +305,7 @@ def test_divisions_at_and_past_the_limit(p, terms, slots):
     field = GF(p)
     q = UniPoly(field, [1] * (limit + terms))
     b = UniPoly(field, [p - 1] * (limit + slots))
-    a = q * b + UniPoly.constant(field, 5)
+    a = _product(q, b) + UniPoly.constant(field, 5)
     packed_a = _packed([c + p for c in a.coeffs], p)
     packed_b = _packed([c + p for c in b.coeffs], p)
     assert _resultant_modp(packed_a, packed_b, p) == resultant_uni(a, b) != 0
@@ -697,7 +710,7 @@ def _cofactor_reference(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
+        s0, s1 = s1, s0 - _product(q, s1)
     if r0.is_zero():
         return r0, s0
     inv = F.inv(r0.lc)
@@ -713,7 +726,7 @@ def _assert_cofactor_matches(f: UniPoly, g: UniPoly):
     if g.is_zero():
         assert s == ref_s
     else:
-        assert s % g == ref_s % g and (s * f - d) % g == UniPoly.zero(f.field)
+        assert s % g == ref_s % g and (_product(s, f) - d) % g == UniPoly.zero(f.field)
 
 
 #: primes on both sides of the inverse table (2**16), the short-limit prime,
@@ -772,8 +785,8 @@ def test_cofactor_divisions_at_and_past_the_limit(p, terms, slots):
     q2 = UniPoly(field, [1] * (limit + slots))
     q3 = UniPoly(field, [1] * (limit + terms))
     r3 = UniPoly(field, [p - 1] * (limit + slots))
-    r2 = q3 * r3 + UniPoly.constant(field, 5)
-    r1 = q2 * r2 + r3
+    r2 = _product(q3, r3) + UniPoly.constant(field, 5)
+    r1 = _product(q2, r2) + r3
     _assert_cofactor_matches(r2, r1)
     assert _gcd_cofactor(r2, r1)[0] == UniPoly.constant(field, 1)
 

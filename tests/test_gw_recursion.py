@@ -15,7 +15,6 @@ from quintic_moduli.gw_recursion import (
     SYM_I1_A1A1A1A2,
     SYM_I1_A1A1A3,
     SYM_I1_A1A2A2,
-    GWSymbol,
     RationalInR,
     base_values,
     chain_trace,
@@ -74,17 +73,6 @@ def test_r_spot_check_fails_on_a_perturbed_base_value(monkeypatch):
     monkeypatch.setattr(gw_recursion, "base_values", lambda: perturbed)
     assert not r_independence_check([4])
     assert not r_independence_check(list(range(4, 11)))
-
-
-def test_symbol_validation():
-    with pytest.raises(ValueError):
-        GWSymbol(2, ("a1", "a1", "a1"))
-    with pytest.raises(ValueError):
-        GWSymbol(1, ("a1", "a9", "a1"))
-    with pytest.raises(ValueError):
-        GWSymbol(1, ("a1", "a1", "a2"))  # not one of the admitted counts
-    # insertion order does not matter for admitted symbols
-    assert GWSymbol(1, ("a3", "a1", "a1")) == SYM_I1_A1A1A3
 
 
 def test_rational_in_r_arithmetic():

@@ -223,9 +223,12 @@ def test_normalisation_rejects_a_chain_off_the_closed_forms(monkeypatch):
         return i, j, (J4, J8 + J4 * J4, J12)  # J8 no longer a multiple of I8
 
     monkeypatch.setattr(invariants_module, "_chain", skewed)
-    monkeypatch.setattr(invariants_module, "_NORMALISATION", None)  # restored on teardown
-    with pytest.raises(ArithmeticError):
-        invariants_module._normalisation()
+    invariants_module._normalisation.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            invariants_module._normalisation()
+    finally:
+        invariants_module._normalisation.cache_clear()
 
 
 def test_nullforms_have_vanishing_invariants():

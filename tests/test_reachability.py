@@ -26,6 +26,7 @@ import subprocess
 import sys
 
 from conftest import REPO_ROOT
+from test_tracer_names import TRACER, tracer_names
 
 PACKAGE_DIR = REPO_ROOT / "src" / "quintic_moduli"
 
@@ -39,7 +40,7 @@ REASONS = {
 }
 
 #: "module.qualname" -> reason, for every def no README or cli-light
-#: command calls: 58 of the 306 defs under src/.
+#: command calls: 58 of the 305 defs under src/.
 ALLOWED = {
     "__init__.__dir__": "dunder",
     "arc_limits.ArcSpec.__repr__": "dunder",
@@ -179,6 +180,13 @@ def test_every_def_under_src_is_called_or_allowed():
     assert sorted(ALLOWED.keys() - set(defs.values())) == [], "allowlisted defs that are gone"
     assert sorted(ALLOWED.keys() - uncalled) == [], "allowlisted defs a command calls"
     assert set(ALLOWED.values()) <= REASONS.keys()
+
+
+def test_every_tracer_wrapped_def_is_one_the_tracer_wraps_or_patches():
+    wrapped, patched = tracer_names(TRACER.read_text(encoding="utf-8"))
+    traced = {f"{mod}.{attr}" for mod, attr in [*wrapped, *patched]}
+    listed = {name for name, reason in ALLOWED.items() if reason == "tracer-wrapped"}
+    assert sorted(listed - traced) == []
 
 
 def test_the_profile_sees_called_and_uncalled_defs():
