@@ -11,7 +11,7 @@ for symbolic identities, or a residue ring GF(p)[u]/(h)), so the same
 covariant code serves numeric and symbolic callers.
 Every kernel here sums the coefficients' own ``+ - *`` with one ``reduce``
 per result; a form has no sum or scaling of its own.  Products of forms go
-through ``polys.dense_product``, the kernel ``UniPoly`` multiplies with.
+through ``polys.dense_product``, as ``UniPoly``'s do, for the tests only.
 
 A transvectant has two layers.  The kernel ``_transvectant_sums`` is the
 accumulate-then-reduce idiom over a cached table of integer weights, with

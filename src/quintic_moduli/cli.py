@@ -321,21 +321,7 @@ def cmd_fiber_count(args, out: Reporter) -> int:
             report = count_fiber(curve, prime, seed=args.seed)
         except FiberCountError as exc:
             return out.fail(str(exc), prime=prime, causes=list(exc.causes))
-        out.emit(
-            {
-                "record": "fiber-report",
-                "prime": report.prime,
-                "seed": report.seed,
-                "frame": [list(r) for r in report.frame],
-                "target": list(report.target),
-                "resultant_degree": report.resultant_degree,
-                "multiplicity_profile": [list(p) for p in report.multiplicity_profile],
-                "fiber_degree": report.fiber_degree,
-                "flex_part": list(report.flex_part),
-                "retries": report.retries,
-                "causes": list(report.causes),
-            }
-        )
+        out.emit({"record": "fiber-report", **vars(report)})
         fiber_degrees.append(report.fiber_degree)
     if len(set(fiber_degrees)) > 1:
         return out.fail(

@@ -7,8 +7,9 @@ We build the generators from a fixed transvectant chain
 
     J4 = (i, i)_2   J8 = (q, i)_2   J12 = (q, q)_2      J18 = (j, ell^3)_3
 
-(``_j18`` reads J18 as 36 j(ell1, -ell0) at ell = ell0 x + ell1 y), and
-pin the scale of I4, I8, I12 so that on the three-parameter family
+(``_j18`` reads J18 as 36 j(ell1, -ell0) at ell = ell0 x + ell1 y, which is
+6 (i, j)_2 as unscaled sums), and pin the scale of I4, I8, I12 so that on
+the three-parameter family
 
     l*x^5 + m*y^5 + n*(-x-y)^5
 
@@ -147,19 +148,20 @@ def _chain(f: BinaryForm):
     return i, j, (J4, J8, J12)
 
 
-def _j18(f: BinaryForm, i: BinaryForm, j: BinaryForm):
+def _j18(i: BinaryForm, j: BinaryForm):
     """J18 = (j, ell^3)_3 for ell = (i*i, f)_4 = ell0 x + ell1 y, from the
-    chain's i and j, as 36 j(ell1, -ell0), without forming ell^3.
+    chain's i and j, as 36 j(ell1, -ell0), without forming i*i or ell^3:
+    ell = 6 (i, j)_2 as unscaled sums, an identity in f's coefficients.
 
     Output 0 of ``_transvectant_table(3, 3, 3)`` sums over t + s = 3, and
     only r = t survives its falling factorials, so the weight is
     w(t, 3 - t) = (-1)^t 6 t! (3 - t)!.  With ell^3's coefficient
-    C(3, t) ell0^t ell1^(3-t) at s = 3 - t, the sum is
-    36 sum_t (-1)^t j_t ell0^t ell1^(3-t), taken with one ``reduce``.
+    C(3, t) ell0^t ell1^(3-t) at s = 3 - t, the sum is 36 sum_t (-1)^t j_t
+    ell0^t ell1^(3-t), or 7776 j(m1, -m0) at (i, j)_2 = m0 x + m1 y.
     """
-    l0, l1 = _transvectant_sums(i * i, f, 4).coeffs
+    m0, m1 = _transvectant_sums(i, j, 2).coeffs
     j0, j1, j2, j3 = j.coeffs
-    return f.ring.reduce(36 * (l1 * l1 * (j0 * l1 - j1 * l0) + l0 * l0 * (j2 * l1 - j3 * l0)))
+    return i.ring.reduce(7776 * (m1 * m1 * (j0 * m1 - j1 * m0) + m0 * m0 * (j2 * m1 - j3 * m0)))
 
 
 @functools.cache
@@ -215,16 +217,12 @@ def fermat_degree_factorization() -> int:
 
     On the family l x^5 + m y^5 + n (-x-y)^5 the invariants must satisfy
     I4 = (mn+nl+lm)^2 - 4 l m n (l+m+n), I8 = (lmn)^2 (mn+nl+lm) and
-    I12 = (lmn)^4 as polynomial identities in (l, m, n); restricting the
-    Fermat quintic to the line with dual coordinates (a : b : c) realises
-    this family, so its line-to-moduli map factors through maps of degrees
-    25, 6 and 1.
+    I12 = (lmn)^4 as polynomial identities in (l, m, n), which
+    ``_normalisation`` checks term by term; restricting the Fermat quintic
+    to the line with dual coordinates (a : b : c) realises this family, so
+    its line-to-moduli map factors through maps of degrees 25, 6 and 1.
     """
-    ring = PolynomialRing(QQ, 3)
-    if invariant_triple(family_quintic(ring)) != family_closed_forms(ring):
-        raise ArithmeticError(
-            "invariant normalisation broke the closed forms on the Fermat family"
-        )
+    _normalisation()
     degree = 1
     for d in FERMAT_FACTOR_DEGREES:
         degree *= d
@@ -280,7 +278,7 @@ def invariants(f: BinaryQuintic) -> InvariantVector:
     """The normalised invariant quadruple (I4, I8, I12, I18) of a quintic."""
     F, d = _chain_input(f)
     i, j, triple = _chain(F)
-    values = (*triple, _j18(F, i, j))
+    values = (*triple, _j18(i, j))
     scales = (*_normalisation(), _i18_scale())
     return InvariantVector(f.ring, *_normalise(f.ring, d, values, scales))
 

@@ -516,29 +516,6 @@ def _certify_singular(polys: Sequence[MultiPoly], modulus: UniPoly) -> bool:
     return True
 
 
-def _flex_eliminant(curve_uz: MultiPoly, hess_uz: MultiPoly):
-    """(R, (s0, s1)) for R = Res_z(F, H) of F and H at y = 1, F's z-lead
-    the nonzero constant F(0, 0, 1), and the first subresultant S1 = s1 z +
-    s0, whose node values come out of R's remainder sequences
-    (``resultant_bivar_elim`` with ``subresultant``).
-
-    Only the nodes that fix s0 and s1 are interpolated, 0..33 and 0..32 of
-    R's 46.  In f and g, of total degrees m and n in (u, z), the coefficient
-    of z^j has u-degree at most m - j and n - j.  At formal z-degrees a and
-    b, s1 and s0 are the minors of the Sylvester rows z^k f (k < b - 1) and
-    z^k g (k < a - 1) on the columns z^1..z^(a+b-2) and z^0, z^2..z^(a+b-2).
-    The entry of row z^k f at column z^c has u-degree at most m + k - c (n
-    + k - c for g), so a minor's is at most its rows' m + k and n + k
-    summed less its columns' c summed: B (m - 1 - A) + A (n - 1) <= (m -
-    1)(n - 1) = 32 for s1 (A = a - 1 <= m - 1, B = b - 1 <= n - 1), one
-    more for s0.
-    """
-    flex_res, s0, s1 = resultant_bivar_elim(curve_uz, hess_uz, subresultant=True)
-    bound = (curve_uz.total_degree - 1) * (hess_uz.total_degree - 1)  # deg s1 (see above)
-    field = curve_uz.field
-    return flex_res, (interpolate(s0[: bound + 2], field), interpolate(s1[: bound + 1], field))
-
-
 #: Bezout: R = Res_z(F, H) of a quintic has degree deg F * deg H = 5 * 9.
 _FLEX_TOTAL = 45
 
@@ -547,10 +524,11 @@ def _flex_frame(framed: PlaneCurve):
     """(tables, at_y1, parts, shape) of a framed quintic F over GF(p): its
     ``_taylor_tables``, F, F_x and F_z at y = 1 (the tables' entries (0,
     0), (1, 0) and (0, 1)), the squarefree parts of R = Res_z(F, H) with
-    their multiplicities, none where R = 0, and S1's (s0, s1) from
-    ``_flex_eliminant``.  The one set-up of a frame, and the one Yun
-    decomposition of R, for the certificate and for the fiber oracle's
-    flex lines (``fiber_counting.flex_lines``).  It redraws
+    their multiplicities, none where R = 0, and (s0, s1) of the first
+    subresultant S1 = s1 z + s0, interpolated on R's 46 nodes, as s0 and
+    s1 have degree at most 33 < 46.  The one set-up of a frame, and the
+    one Yun decomposition of R, for the certificate and for the fiber
+    oracle's flex lines (``fiber_counting.flex_lines``).  It redraws
     (``FrameRetryError``) a frame that puts (0 : 0 : 1) on the curve,
     before the Hessian: F's z-lead, the constant every elimination needs,
     is then 0.  So it does where R is nonzero but short of degree 45.
@@ -562,7 +540,8 @@ def _flex_frame(framed: PlaneCurve):
     hess = _hessian_form(framed.poly)
     if hess.is_zero():  # a cone
         return tables, at_y1, [], None
-    flex_res, shape = _flex_eliminant(at_y1[0], hess)
+    flex_res, s0, s1 = resultant_bivar_elim(at_y1[0], hess, subresultant=True)
+    shape = interpolate(s0, framed.field), interpolate(s1, framed.field)
     if flex_res.is_zero():  # F and H share a component
         return tables, at_y1, [], None
     if flex_res.degree != _FLEX_TOTAL:

@@ -15,8 +15,8 @@ also calls the ring's ``inv``, which raises ``ZeroDivisionError`` on a
 non-unit.
 
 ``dense_product``, shared with ``BinaryForm``, is the accumulate-then-reduce
-loop in every ring: no GF(p) product lies on a hot path (the largest are
-Yun's reassembly checks on the degree-45 flex eliminant).  Over GF(p),
+loop in every ring: no command or benchmark workload multiplies two dense
+polynomials, and it serves the tests' products only.  Over GF(p),
 whose coefficients are residues in [0, p), ``divmod`` works on packed
 integers at every prime (``_pack``/``_unpack``: one slot per coefficient,
 ``_slot_width`` bits, the least multiple of 64 that holds the kernel's
@@ -654,8 +654,8 @@ def interpolate(values: Sequence[int], field: PrimeField) -> UniPoly:
 def _consecutive_nodes(p: int, n: int) -> tuple[tuple, tuple, tuple]:
     """(levels, weights, (s, m, w, mask)) of ``interpolate`` on the nodes 0,
     ..., n - 1 over GF(p), as tuples, since every caller shares them.
-    Sixteen entries hold the certificate's three node counts (46, 34, 33)
-    at four primes.
+    Sixteen entries hold the node counts of the certificate (46, and 21
+    in the singular check) and of the fiber eliminant (601) at five primes.
 
     ``levels[k]`` holds the products of 2**k consecutive factors x - i, an
     odd last node moving up unchanged, from the leaves x - i up to the

@@ -651,6 +651,16 @@ def test_squarefree_examples():
     assert parts[0][0] == f.monic()
 
 
+def test_squarefree_rejects_a_degree_reaching_the_characteristic():
+    # x^p - x is squarefree, but Yun needs p > deg f to see every
+    # multiplicity, so the degree p is refused up front
+    field = GF(2503)
+    f = UniPoly(field, [0, field.p - 1] + [0] * (field.p - 2) + [1])
+    assert f.degree == field.p
+    with pytest.raises(ValueError, match="characteristic 2503"):
+        squarefree_decomposition(f)
+
+
 def test_squarefree_reassembles_on_many_random_inputs():
     rng = random.Random(9)
     for _ in range(1000):

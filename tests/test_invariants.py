@@ -176,7 +176,17 @@ def test_j18_at_the_linear_covariants_root_is_the_transvectant(ring):
         forms = [BinaryQuintic(ring, c) for c in coeffs if any(c)]
     for f in forms:
         i, j, _ = invariants_module._chain(f)
-        assert repr(invariants_module._j18(f, i, j)) == repr(_reference_j18(f, i, j)), f
+        assert repr(invariants_module._j18(i, j)) == repr(_reference_j18(f, i, j)), f
+
+
+def test_the_linear_covariant_of_degree_5_is_six_times_i_with_j():
+    """(i^2, f)_4 = 6 (i, j)_2 as unscaled sums, an identity in the six
+    coefficients of the generic quintic: ``_j18`` reads ell off i and j."""
+    ring = PolynomialRing(QQ, 6)
+    f = BinaryQuintic(ring, [ring.variable(k) for k in range(6)])
+    i, j, _ = invariants_module._chain(f)
+    ell = _transvectant_sums(i * i, f, 4)
+    assert ell.coeffs == tuple(6 * c for c in _transvectant_sums(i, j, 2).coeffs)
 
 
 def test_invariants_match_the_scaled_chain_over_qq():

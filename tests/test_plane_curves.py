@@ -23,7 +23,6 @@ from quintic_moduli.plane_curves import (
     LineInCurveError,
     PlaneCurve,
     _certify_singular,
-    _flex_eliminant,
     _flex_frame,
     _taylor_tables,
     frame_determinant,
@@ -744,7 +743,7 @@ def _singular_check_inputs(curve: PlaneCurve, field, frame):
     framed = curve.reduce_mod(field).composed_with_frame(frame).poly
     tables = _taylor_tables(framed)
     at_y1 = [MultiPoly(field, 2, tables[0][d]) for d in _DIRECTIONS[:3]]
-    return at_y1, _flex_eliminant(at_y1[0], _hessian_form(framed))[0]
+    return at_y1, resultant_bivar_elim(at_y1[0], _hessian_form(framed), subresultant=True)[0]
 
 
 def _repeated_parts(eliminant: UniPoly) -> list:
@@ -898,10 +897,10 @@ def test_certificate_frames_pass_the_traced_benchmark_gates(generic_quintic, mon
     # mirrors the traced CI gates on the certificate: per frame, one
     # _resultant_modp call per sample of R (46), one _eval_slices call per
     # input and one interpolate call inside resultant_bivar_elim, while
-    # genericity_report interpolates s0 and s1 itself, on the 34 and 33
-    # nodes their degrees need; on the generic curve c0 and c2 vanish at
-    # every flex, so the probe makes one gcd_uni call, for the roots where
-    # c3 (c4^2 - 4 c3 c5) vanishes, and no tangent restriction
+    # genericity_report interpolates s0 and s1 itself, on all 46 of R's
+    # nodes; on the generic curve c0 and c2 vanish at every flex, so the
+    # probe makes one gcd_uni call, for the roots where c3 (c4^2 - 4 c3 c5)
+    # vanishes, and no tangent restriction
     counts = {"resultant": 0, "slices": 0, "gcd": 0}
     inside, outside = [], []
 
@@ -935,4 +934,4 @@ def test_certificate_frames_pass_the_traced_benchmark_gates(generic_quintic, mon
         report = genericity_report(generic_quintic, prime, seed=seed)
         assert report.generic and report.frames_tried == 1
         assert counts == {"resultant": 46, "slices": 2, "gcd": 1}
-        assert inside == [46] and outside == [34, 33]
+        assert inside == [46] and outside == [46, 46]

@@ -220,8 +220,9 @@ def test_gcd_over_residue_ring_splits_or_agrees_at_every_root():
 def _shape(framed: MultiPoly, field) -> tuple:
     """(R, [s0, s1]) of the framed curve, as ``genericity_report`` computes
     them: the flex eliminant and the first subresultant of F and H at y = 1."""
-    eliminant, shape = plane_curves._flex_eliminant(dehom_y(framed), _hessian_form(framed))
-    return eliminant, list(shape)
+    curve_uz, hess_uz = dehom_y(framed), _hessian_form(framed)
+    eliminant, s0, s1 = resultant_bivar_elim(curve_uz, hess_uz, subresultant=True)
+    return eliminant, [interpolate(s0, field), interpolate(s1, field)]
 
 
 def _flex_modulus(curve: PlaneCurve, seed: int):
@@ -671,7 +672,8 @@ def test_a_frame_through_the_curve_at_framed_infinity_is_redrawn(
 
 @pytest.mark.parametrize("prime", [2503, 10007, 2**31 - 1])
 def test_s1_from_its_degree_bound_nodes_matches_all_46(generic_quintic, prime):
-    # s0 and s1 have u-degree at most 33 and 32 (``_flex_eliminant``), so
+    # s0 and s1 have u-degree at most 33 and 32, the Sylvester minors'
+    # bounds (m - 1)(n - 1) + 1 and (m - 1)(n - 1) at (m, n) = (5, 9), so
     # their first 34 and 33 node values give what all 46 of R's nodes give,
     # in the first frame of seeds 0-5
     field = GF(prime)
@@ -679,8 +681,8 @@ def test_s1_from_its_degree_bound_nodes_matches_all_46(generic_quintic, prime):
         frame = random_invertible_frame(field, random.Random(seed))
         framed = generic_quintic.reduce_mod(field).composed_with_frame(frame).poly
         f, h = dehom_y(framed), _hessian_form(framed)
-        eliminant, full_s0, full_s1 = resultant_bivar_elim(f, h, subresultant=True)
-        flex_res, shape = plane_curves._flex_eliminant(f, h)
-        assert flex_res == eliminant and len(full_s0) == len(full_s1) == 46
-        for poly, full, bound in zip(shape, (full_s0, full_s1), (33, 32)):
-            assert poly == interpolate(full, field) and poly.degree <= bound
+        _, s0, s1 = resultant_bivar_elim(f, h, subresultant=True)
+        assert len(s0) == len(s1) == 46
+        for values, bound in zip((s0, s1), (33, 32)):
+            poly = interpolate(values, field)
+            assert poly.degree <= bound and poly == interpolate(values[: bound + 1], field)
